@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ from .errors import (
 from .geometry import soliton_residual
 from .quadrature import tensor_rule
 from .reports import (
+    _plain,
     evaluate_variation,
     reports_to_csv,
     reports_to_json,
@@ -99,17 +101,30 @@ class RunConfig:
         merged = _deep_merge(DEFAULT_CONFIG, self.raw)
         tols = merged["tolerances"]
         for name, value in tols.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigurationError(f"tolerance {name!r} must be positive, got {value!r}")
-        if merged["variations"]["count"] < 1:
-            raise ConfigurationError("variations.count must be >= 1")
+            if not _positive_number(value):
+                raise ConfigurationError(
+                    f"tolerance {name!r} must be a positive finite number, got {value!r}"
+                )
         pots = merged["variations"]["potentials"]
         if pots is not None and not (
             isinstance(pots, list) and pots and all(isinstance(p, str) for p in pots)
         ):
             raise ConfigurationError("variations.potentials must be a non-empty list of expressions")
-        if merged["grid"]["cells"] < 1 or merged["grid"]["points_per_cell"] < 1:
-            raise ConfigurationError("grid cells and points_per_cell must be >= 1")
+        for name in ("grid.cells", "grid.points_per_cell", "variations.count"):
+            section, key = name.split(".")
+            value = merged[section][key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        steps = merged["fd_steps"]
+        if not (
+            isinstance(steps, (list, tuple))
+            and len(steps) == 2
+            and all(_positive_number(h) for h in steps)
+            and steps[0] != steps[1]
+        ):
+            raise ConfigurationError(
+                f"fd_steps must be two distinct positive finite numbers, got {steps!r}"
+            )
         if not 0.0 < merged["grid"]["support_shrink"] < 1.0:
             raise ConfigurationError("grid.support_shrink must lie in (0, 1)")
         if merged["output"]["format"] not in ("json", "csv"):
@@ -129,6 +144,15 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.data[key]
+
+
+def _positive_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -318,20 +342,8 @@ def cmd_cylinder(cfg: RunConfig, out: str | None) -> int:
 
     passed = geo_ok and inequality_ok and slices_ok and gap_ok
     checks["passed"] = passed
-    _emit(json.dumps(_plain_dict(checks), sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(_plain(checks), sort_keys=True, indent=2) + "\n", out)
     return EXIT_PASS if passed else EXIT_FAIL
-
-
-def _plain_dict(obj):
-    if isinstance(obj, dict):
-        return {k: _plain_dict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain_dict(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ class VariationData:
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
-    fj = theta.eval_jets(gg.pg.points, order=2)
+    fj = theta.eval_jets(gg.grid, order=2)
     return VariationData(theta, fj, covariant_calculus(fj, gg.pg))
 
 
@@ -152,20 +152,17 @@ def _data(gg: GridGeometry, theta: OneFormField, data: VariationData | None) -> 
     return data if data is not None else prepare_variation(gg, theta)
 
 
-def _field_on_grid(gg: GridGeometry, theta_or_field):
-    """Ambient variation field values at the grid nodes."""
-    if isinstance(theta_or_field, OneFormField):
-        return normal_field_from_form(theta_or_field, gg.pg)
-    return np.asarray(theta_or_field(gg.grid.nodes), dtype=float)
+def _form_jets(gg: GridGeometry, theta: OneFormField, data: VariationData | None):
+    """Order-1 (or the shared order-2) form jets at the grid nodes."""
+    return data.fj if data is not None else theta.eval_jets(gg.grid, order=1)
 
 
-def first_variation(gg: GridGeometry, theta_or_field, data: VariationData | None = None) -> float:
+def first_variation(
+    gg: GridGeometry, theta: OneFormField, data: VariationData | None = None
+) -> float:
     """d/ds of box-local F: the pairing  int <T^perp - H, V> w dmu."""
     pg = gg.pg
-    if data is not None:
-        v = normal_field_from_form(data.fj, pg)
-    else:
-        v = _field_on_grid(gg, theta_or_field)
+    v = normal_field_from_form(_form_jets(gg, theta, data), pg)
     t_perp = gg.structure.T[None, :] - np.einsum("ni,npi->np", pg.T_tan, pg.e)
     integrand = np.einsum("np,np->n", t_perp - mean_curvature_vector(pg), v)
     return gg.grid.integrate(integrand * gg.area_weight)
@@ -173,7 +170,7 @@ def first_variation(gg: GridGeometry, theta_or_field, data: VariationData | None
 
 def first_variation_fd(gg: GridGeometry, theta: OneFormField, step: float = 2e-3) -> float:
     """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
-    v_val, v_d1 = variation_field_jets(theta, gg.chart, gg.structure, gg.grid.nodes, gg.jets)
+    v_val, v_d1 = variation_field_jets(_form_jets(gg, theta, None), gg.pg, gg.jets)
 
     def central(h):
         return (_deformed_functional(gg, v_val, v_d1, h) - _deformed_functional(gg, v_val, v_d1, -h)) / (
@@ -289,10 +286,7 @@ def second_variation_fd_oracle(
     points, where the value depends on the variation field alone.
     """
     _require_soliton(gg, soliton_tol)
-    fj = data.fj if data is not None else None
-    v_val, v_d1 = variation_field_jets(
-        theta, gg.chart, gg.structure, gg.grid.nodes, gg.jets, form_jets=fj
-    )
+    v_val, v_d1 = variation_field_jets(_form_jets(gg, theta, data), gg.pg, gg.jets)
     f0 = gg.functional_at_rest
 
     def second_difference(h):

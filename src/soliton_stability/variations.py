@@ -26,10 +26,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
-from .charts import AmbientStructure, Chart, eval_jets
+from .charts import MapJets
 from .errors import ConfigurationError, EvaluationError, UnsupportedChartError
 from .expressions import compile_expression
 from .geometry import PointGeometry
+from .quadrature import QuadratureGrid
 
 __all__ = [
     "ScalarField",
@@ -65,6 +66,13 @@ def _support_mask(points: np.ndarray, support: np.ndarray) -> np.ndarray:
     return np.all((points >= support[:, 0]) & (points <= support[:, 1]), axis=1)
 
 
+def _nodes(where) -> np.ndarray:
+    """The (N, d) points of a QuadratureGrid or of a point batch."""
+    if isinstance(where, QuadratureGrid):
+        return where.nodes
+    return np.atleast_2d(np.asarray(where, dtype=float))
+
+
 def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
     """Zero a scalar jet (batch shape (N,)) on the rows where keep is False."""
     if np.all(keep):
@@ -88,9 +96,12 @@ class ScalarField:
     ``window[i]`` True are multiplied by the support bump.  Axes left
     unwindowed must vanish on the support boundary by construction of the
     expression itself (used for sharp-constant tests).  ``jet_evaluator``,
-    when set, bypasses the builder with a closed-form evaluation (points,
-    order) -> Jet; polynomial fields use it to avoid jet arithmetic in hot
-    loops.
+    when set, bypasses the builder with a closed-form evaluation
+    (points or QuadratureGrid, order) -> Jet; 2-d polynomial fields use it to
+    avoid jet arithmetic in hot loops.
+
+    ``eval_jets`` takes scattered points ``(N, d)`` or a
+    :class:`QuadratureGrid`, whose nodes it evaluates in the grid's order.
     """
 
     support: np.ndarray
@@ -103,10 +114,10 @@ class ScalarField:
     def dim(self) -> int:
         return self.support.shape[0]
 
-    def eval_jets(self, points, order: int = 3) -> J.Jet:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def eval_jets(self, where, order: int = 3) -> J.Jet:
+        pts = _nodes(where)
         if self.jet_evaluator is not None:
-            raw = self.jet_evaluator(pts, order)
+            raw = self.jet_evaluator(where if isinstance(where, QuadratureGrid) else pts, order)
         else:
             if self.builder is None:
                 raise ValueError("scalar field needs a builder or a jet_evaluator")
@@ -156,15 +167,34 @@ def _monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
 _BUMP_COEFFS = np.array([1.0, 0.0, -4.0, 0.0, 6.0, 0.0, -4.0, 0.0, 1.0])  # (1 - s^2)^4
 
 
+def _derivative_vandermonde(x: np.ndarray, lo: float, hi: float, ncoef: int, order: int):
+    """``[V_0, ..., V_order]`` with ``V_k[n, p] = d^k/dx^k s(x)^p`` at the nodes x.
+
+    ``s`` is x rescaled from [lo, hi] to [-1, 1], so the k-th derivative
+    carries the affine chain-rule factor ``(2 / (hi - lo))^k``.
+    """
+    scale = 2.0 / (hi - lo)
+    s = scale * (x - 0.5 * (lo + hi))
+    powers = s[:, None] ** np.arange(ncoef)
+    out = [powers]
+    falling = np.ones(ncoef)  # p (p - 1) ... (p - k + 1), zero for p < k
+    for k in range(1, order + 1):
+        falling = falling * (np.arange(ncoef) - k + 1)
+        vk = np.zeros_like(powers)
+        vk[:, k:] = powers[:, : ncoef - k] * (falling[k:] * scale**k)
+        out.append(vk)
+    return out
+
+
 def _polynomial_bump_evaluator(support: np.ndarray, coeff_matrix: np.ndarray):
     """Closed-form jets for (polynomial * bump) on a 2-d support box.
 
-    The windowed field is itself one bivariate polynomial in the normalized
-    coordinates, so all partials up to third order are polyval2d evaluations
-    of differentiated coefficient matrices, rescaled by the affine chain rule.
+    The windowed field is itself one bivariate polynomial ``s^T C t`` in the
+    normalized coordinates, so the (i, j) partial is ``V_i(s)^T C V_j(t)``
+    with per-axis derivative Vandermonde matrices.  On a tensor grid that is
+    one small matrix product per partial, evaluated once per axis node; at
+    scattered points the same matrices are contracted row by row.
     """
-    from numpy.polynomial import polynomial as P
-
     nx, ny = coeff_matrix.shape
     full = np.zeros((nx + 8, ny + 8))
     bump2d = np.outer(_BUMP_COEFFS, _BUMP_COEFFS)
@@ -173,27 +203,24 @@ def _polynomial_bump_evaluator(support: np.ndarray, coeff_matrix: np.ndarray):
             c = coeff_matrix[i, j]
             if c != 0.0:
                 full[i : i + 9, j : j + 9] += c * bump2d
-    # derivative coefficient matrices, key (i, j) = order in (s, t)
-    derivs: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(4):
-        for j in range(4 - i):
-            c = full
-            if i:
-                c = P.polyder(c, m=i, axis=0)
-            if j:
-                c = P.polyder(c, m=j, axis=1)
-            derivs[(i, j)] = c
-    ax = 2.0 / (support[0, 1] - support[0, 0])
-    ay = 2.0 / (support[1, 1] - support[1, 0])
 
-    def evaluate(pts: np.ndarray, order: int) -> J.Jet:
-        s = ax * (pts[:, 0] - 0.5 * (support[0, 0] + support[0, 1]))
-        t = ay * (pts[:, 1] - 0.5 * (support[1, 0] + support[1, 1]))
+    def evaluate(where, order: int) -> J.Jet:
+        if isinstance(where, QuadratureGrid):
+            x, y = where.axis_nodes
+            n = x.shape[0] * y.shape[0]
+            # einsum, not matmul: threaded BLAS is slow on this small outer product
+            spec = "ip,jp->ij"
+        else:
+            x, y = where[:, 0], where[:, 1]
+            n = x.shape[0]
+            spec = "np,np->n"
+        vx = _derivative_vandermonde(x, *support[0], full.shape[0], order)
+        vy = _derivative_vandermonde(y, *support[1], full.shape[1], order)
+        rows = [v @ full for v in vx]
 
         def dval(i, j):
-            return P.polyval2d(s, t, derivs[(i, j)]) * ax**i * ay**j
+            return np.einsum(spec, rows[i], vy[j]).reshape(n)
 
-        n = pts.shape[0]
         val = dval(0, 0)
         d1 = np.stack([dval(1, 0), dval(0, 1)], axis=1)
         d2 = d3 = None
@@ -291,12 +318,12 @@ class OneFormField:
     def dim(self) -> int:
         return self.support.shape[0]
 
-    def eval_jets(self, points, order: int = 2) -> FormJets:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def eval_jets(self, where, order: int = 2) -> FormJets:
+        """Form jets at scattered points ``(N, d)`` or at a QuadratureGrid's nodes."""
         if self.potential is not None:
-            phi = self.potential.eval_jets(pts, order=order + 1)
+            phi = self.potential.eval_jets(where, order=order + 1)
             return FormJets(order, phi.d1, phi.d2, phi.d3 if order >= 2 else None)
-        comps = [f.eval_jets(pts, order=order) for f in self.fields]
+        comps = [f.eval_jets(where, order=order) for f in self.fields]
         return FormJets(
             order,
             np.stack([c.val for c in comps], axis=1),
@@ -450,89 +477,30 @@ def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# jet-valued variation field (for deforming the chart along V)
+# variation field with first derivatives (for deforming the chart along V)
 
 
-def _jet_sum(jet: J.Jet, axis: int) -> J.Jet:
-    return J.Jet(
-        jet.order,
-        jet.val.sum(axis=axis),
-        jet.d1.sum(axis=axis),
-        None if jet.d2 is None else jet.d2.sum(axis=axis),
-        None if jet.d3 is None else jet.d3.sum(axis=axis),
-    )
+def variation_field_jets(fj: FormJets, pg: PointGeometry, chart_jets: MapJets):
+    """Value and first derivatives of V = J theta^sharp at pg's points.
 
+    Returns ``(val, d1)`` with shapes ``(N, m)`` and ``(N, m, d)``, from the
+    product rule on ``V = J t_b g^{ba} theta_a``:
 
-def _jet_matrix_inverse(m: list[list[J.Jet]]) -> list[list[J.Jet]]:
-    d = len(m)
-    if d == 1:
-        inv = 1.0 / m[0][0]
-        return [[inv]]
-    if d == 2:
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        return [
-            [m[1][1] / det, -m[0][1] / det],
-            [-m[1][0] / det, m[0][0] / det],
-        ]
-    if d == 3:
-        c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-        c01 = m[1][2] * m[2][0] - m[1][0] * m[2][2]
-        c02 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-        det = m[0][0] * c00 + m[0][1] * c01 + m[0][2] * c02
-        c10 = m[0][2] * m[2][1] - m[0][1] * m[2][2]
-        c11 = m[0][0] * m[2][2] - m[0][2] * m[2][0]
-        c12 = m[0][1] * m[2][0] - m[0][0] * m[2][1]
-        c20 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-        c21 = m[0][2] * m[1][0] - m[0][0] * m[1][2]
-        c22 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        rows = [[c00, c10, c20], [c01, c11, c21], [c02, c12, c22]]
-        return [[entry / det for entry in row] for row in rows]
-    raise NotImplementedError("jet matrix inverse implemented for d <= 3")
+        partial_c V = J (partial_c t_b g^{ba} theta_a + t_b partial_c g^{ba} theta_a
+                         + t_b g^{ba} partial_c theta_a),
 
-
-def variation_field_jets(
-    theta: OneFormField,
-    chart: Chart,
-    structure: AmbientStructure,
-    points,
-    chart_jets=None,
-    form_jets: FormJets | None = None,
-):
-    """Value and first derivatives of V = J theta^sharp at a batch of points.
-
-    Returns ``(val, d1)`` with shapes ``(N, m)`` and ``(N, m, d)``.  Everything
-    is assembled in first-order jet arithmetic from second-order chart jets,
-    so deformed charts ``Phi + s V`` have exact metric data.
+    with tangents ``t_b`` and their derivatives from the order-2 chart jets
+    at the same points, ``g^{ba}`` and its derivatives from ``pg`` and
+    ``theta`` from order-1 form jets.  Deformed charts ``Phi + s V`` then have
+    exact metric data.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cj = chart_jets if chart_jets is not None else eval_jets(chart, pts, order=2)
-    fj = form_jets if form_jets is not None else theta.eval_jets(pts, order=1)
-    d = chart.dim
-
-    tangents = [J.Jet(1, cj.d1[:, :, b], cj.d2[:, :, b, :]) for b in range(d)]  # S = (N, m)
-    g = [[_jet_sum(tangents[a] * tangents[b], axis=1) for b in range(d)] for a in range(d)]
-    g_inv = _jet_matrix_inverse(g)
-    th = [J.Jet(1, fj.val[:, a], fj.d1[:, a, :]) for a in range(d)]  # S = (N,)
-    sharp = [sum_jets([g_inv[b][a] * th[a] for a in range(d)]) for b in range(d)]
-
-    Jmat = structure.J
-    v = None
-    for b in range(d):
-        jt = J.Jet(
-            1,
-            np.einsum("pq,nq->np", Jmat, tangents[b].val),
-            np.einsum("pq,nqc->npc", Jmat, tangents[b].d1),
-        )
-        term = sharp[b].expanded(1) * jt
-        v = term if v is None else v + term
-    return v.val, v.d1
-
-
-def sum_jets(items: Sequence[J.Jet]) -> J.Jet:
-    acc = items[0]
-    for j in items[1:]:
-        acc = acc + j
-    return acc
+    val = normal_field_from_form(fj, pg)
+    sharp = np.einsum("nba,na->nb", pg.g_inv, fj.val)
+    # index layouts chosen so that each contraction runs over a contiguous axis;
+    # the chart's d2 is symmetric in its two derivative axes
+    dsharp = np.einsum("ncba,na->nbc", pg.dg_inv, fj.val) + np.matmul(pg.g_inv, fj.d1)
+    d_ambient = np.einsum("nqcb,nb->nqc", chart_jets.d2, sharp) + np.matmul(pg.tangents, dsharp)
+    return val, np.matmul(pg.structure.J, d_ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ def cylinder_stability_integrals(
     if len(grid.shape) != 2:
         raise ValueError("cylinder integrals need a 2-d tensor grid")
     nx, ny = grid.shape
-    j3 = v3.eval_jets(grid.nodes, order=1)
-    j4 = v4.eval_jets(grid.nodes, order=1)
+    j3 = v3.eval_jets(grid, order=1)
+    j4 = v4.eval_jets(grid, order=1)
     x = grid.nodes[:, 0].reshape(nx, ny)
     sec2 = 1.0 / np.cos(x) ** 2
     wx = grid.axis_weights[0]
@@ -106,9 +106,10 @@ def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> On
     insensitive to closedness.
     """
 
-    def sec_scaled(pts, order):
+    def sec_scaled(where, order):
+        pts = where.nodes if isinstance(where, QuadratureGrid) else where
         seeds = J.variables(pts, order)
-        return v3.eval_jets(pts, order) / J.cos(seeds[0])
+        return v3.eval_jets(where, order) / J.cos(seeds[0])
 
     comp_x = ScalarField(v3.support, jet_evaluator=sec_scaled, name="v3/cos(x)")
     return OneFormField(np.asarray(v3.support, float), "generic", fields=(comp_x, v4))

@@ -51,6 +51,27 @@ def test_config_parse_error_exits_2(tmp_path):
     assert run_cli("verify-soliton", "--config", str(bad)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"fd_steps": [1e-3, 1e-3]},
+        {"fd_steps": [0, 1e-3]},
+        {"fd_steps": [1e-3]},
+        {"grid": {"cells": 2.5}},
+        {"grid": {"points_per_cell": 4.0}},
+        {"variations": {"count": "3"}},
+    ],
+    ids=["equal_steps", "zero_step", "one_step", "fractional_cells", "float_points", "text_count"],
+)
+def test_malformed_numeric_config_exits_2(tmp_path, capsys, override):
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps({"variations": {"count": 1}, **override}))
+    out = tmp_path / "r.json"
+    assert run_cli("second-variation", "--config", str(bad), "--out", str(out)) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_second_variation_non_soliton_exits_3(tmp_path):
     code = run_cli(
         "second-variation",

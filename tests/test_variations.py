@@ -46,12 +46,19 @@ def test_field_zero_outside_support(support):
 
 def test_polynomial_fast_path_matches_builder(support):
     phi = ss.random_polynomial_field(support, seed=5)
-    pts = interior_points(support, 5)
-    fast = phi.eval_jets(pts, order=3)
     slow_field = ss.ScalarField(phi.support, phi.builder, name="slow")
-    slow = slow_field.eval_jets(pts, order=3)
-    for a, b in ((fast.val, slow.val), (fast.d1, slow.d1), (fast.d2, slow.d2), (fast.d3, slow.d3)):
-        assert np.allclose(a, b, atol=1e-12)
+    pts = interior_points(support, 5)
+    inner = ss.tensor_rule(support, cells=3, points_per_cell=4)
+    # a grid reaching past the support box also exercises the zero mask
+    outer = ss.tensor_rule(1.2 * support, cells=4, points_per_cell=3)
+    for where, nodes in ((pts, pts), (inner, inner.nodes), (outer, outer.nodes)):
+        fast = phi.eval_jets(where, order=3)
+        slow = slow_field.eval_jets(nodes, order=3)
+        for name in ("val", "d1", "d2", "d3"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.shape == b.shape
+            assert np.allclose(a, b, atol=1e-12)
+    assert np.any(phi.eval_jets(outer, order=1).val == 0.0)
 
 
 def test_exact_forms_are_closed(support):
@@ -163,7 +170,7 @@ def test_correspondence_requires_lagrangian(structure):
 def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reaper, structure):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
-    v_val, v_d1 = ss.variation_field_jets(theta, grim_reaper, structure, gg.pg.points, gg.jets)
+    v_val, v_d1 = ss.variation_field_jets(theta.eval_jets(gg.grid, order=1), gg.pg, gg.jets)
     v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1), gg.pg)
     assert np.max(np.abs(v_val - v_direct)) < 1e-12
     # derivative slot cross-checked by finite differences at one interior node
@@ -179,6 +186,46 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
         v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1), pg_pair)
         fd = (v_pair[0] - v_pair[1]) / (2 * h)
         assert np.max(np.abs(v_d1[idx, :, axis] - fd)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "domain, components",
+    [
+        ([[-1.47, 1.47], [-3.0, 3.0]], ["-log(cos(x))", "x", "y", "0"]),
+        ([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]], ["-log(cos(x))", "x", "y", "0", "z", "0"]),
+        ([[-1.0, 1.0]] * 4, ["u1", "0", "u2", "0", "u3", "0", "u4", "0"]),
+    ],
+    ids=["grim_reaper", "grim_reaper_x_line", "flat_plane_c4"],
+)
+def test_variation_field_derivative_matches_central_differences(domain, components):
+    """d V from the product rule against central differences of V = J theta^sharp."""
+    chart = ss.chart_from_config({"domain": domain, "components": components})
+    d = chart.dim
+    structure = ss.standard_structure(d)
+    support = ss.default_support_box(chart.domain)
+    theta = ss.random_hamiltonian_variation(support, seed=21)
+    rng = np.random.default_rng(d)
+    pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(4, d))
+
+    pg = ss.point_geometry(chart, structure, pts)
+    v_val, v_d1 = ss.variation_field_jets(
+        theta.eval_jets(pts, order=1), pg, ss.eval_jets(chart, pts, order=2)
+    )
+    assert v_d1.shape == (4, 2 * d, d)
+    assert np.max(np.abs(v_d1)) > 1e-3
+
+    def field(q):
+        return ss.normal_field_from_form(
+            theta.eval_jets(q, order=1), ss.point_geometry(chart, structure, q)
+        )
+
+    assert np.max(np.abs(v_val - field(pts))) < 1e-12
+    h = 1e-5
+    for axis in range(d):
+        step = np.zeros(d)
+        step[axis] = h
+        fd = (field(pts + step) - field(pts - step)) / (2 * h)
+        assert np.max(np.abs(v_d1[:, :, axis] - fd)) < 1e-8
 
 
 def test_non_finite_field_is_reported(support):
