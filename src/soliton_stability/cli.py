@@ -125,8 +125,14 @@ class RunConfig:
             raise ConfigurationError(
                 f"fd_steps must be two distinct positive finite numbers, got {steps!r}"
             )
-        if not 0.0 < merged["grid"]["support_shrink"] < 1.0:
-            raise ConfigurationError("grid.support_shrink must lie in (0, 1)")
+        for name in ("variations.degree", "variations.seed"):
+            section, key = name.split(".")
+            value = merged[section][key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigurationError(f"{name} must be an integer >= 0, got {value!r}")
+        shrink = merged["grid"]["support_shrink"]
+        if not (_positive_number(shrink) and shrink < 1.0):
+            raise ConfigurationError(f"grid.support_shrink must lie in (0, 1), got {shrink!r}")
         if merged["output"]["format"] not in ("json", "csv"):
             raise ConfigurationError("output.format must be 'json' or 'csv'")
         self.data = merged

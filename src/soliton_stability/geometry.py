@@ -30,6 +30,7 @@ route used by the Gauss-equation cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Any
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import ImmersionError
 __all__ = [
     "PointGeometry",
     "DiagnosticsReport",
+    "batch_det",
     "point_geometry",
     "mean_curvature_vector",
     "soliton_residual",
@@ -101,6 +103,25 @@ class DiagnosticsReport:
             "max_soliton_residual": self.max_soliton_residual,
             "max_lagrangian_defect": self.max_lagrangian_defect,
         }
+
+
+def batch_det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a batch ``(..., d, d)`` of small matrices by the Leibniz sum.
+
+    ``det a = sum over permutations p of sign(p) a[0, p0] a[1, p1] ... a[d-1, p(d-1)]``,
+    with d! terms (2 at d = 2, 6 at d = 3).  For the metrics handled here this
+    is one elementwise pass per term instead of a batched LU factorisation,
+    and the same code path serves every dimension.
+    """
+    d = a.shape[-1]
+    total = np.zeros(a.shape[:-2])
+    for perm in permutations(range(d)):
+        term = a[..., 0, perm[0]]
+        for row in range(1, d):
+            term = term * a[..., row, perm[row]]
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def kaehler_pullback(structure: AmbientStructure, tangents: np.ndarray) -> np.ndarray:
@@ -177,7 +198,7 @@ def point_geometry(
             f"{float(np.sqrt(max(np.min(eigmin), 0.0))):.3e})"
         )
     g_inv = np.linalg.inv(g)
-    sqrt_det_g = np.sqrt(np.linalg.det(g))
+    sqrt_det_g = np.sqrt(batch_det(g))
 
     # dg[n,c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
     half = np.einsum("nmac,nmb->ncab", d2, t)

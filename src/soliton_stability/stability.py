@@ -16,7 +16,12 @@ associated one-form theta, by four routes:
 * ``square``      the perfect-square route, valid for closed theta,
                   int( div theta^sharp + theta(T^top) )^2 w dmu  >= 0
 * ``fd``          Richardson-extrapolated second difference of the box-local
-                  functional along the straight-line flow Phi + s V.
+                  functional along the straight-line flow Phi + s V.  Each
+                  step re-integrates the exact metric of the deformed chart,
+                  g(s) = g + s C + s^2 Q with C = t^T dV + dV^T t and
+                  Q = dV^T dV (t the tangents, dV the derivative of V), both
+                  formed once per variation; it uses no covariant or
+                  second-fundamental-form quantity.
 
 The straight-line flow is justified exactly at critical points, where the
 second derivative of F depends only on the first-order variation field; off
@@ -36,7 +41,7 @@ import numpy as np
 
 from .charts import AmbientStructure, Chart, eval_jets
 from .errors import NotASolitonError
-from .geometry import PointGeometry, mean_curvature_vector, point_geometry
+from .geometry import PointGeometry, batch_det, mean_curvature_vector, point_geometry
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
@@ -113,15 +118,32 @@ def functional_value(
     grid = tensor_rule(box, cells, points_per_cell)
     jets = eval_jets(chart, grid.nodes, order=1)
     g = np.einsum("nma,nmb->nab", jets.d1, jets.d1)
-    weight = np.exp(np.einsum("p,np->n", structure.T, jets.val))
-    return grid.integrate(weight * np.sqrt(np.linalg.det(g)))
+    return _weighted_area(grid, structure, jets.val, g)
 
 
-def _deformed_functional(gg: GridGeometry, v_val, v_d1, s: float) -> float:
-    tang = gg.jets.d1 + s * v_d1
-    g = np.einsum("nma,nmb->nab", tang, tang)
-    weight = np.exp(np.einsum("p,np->n", gg.structure.T, gg.jets.val + s * v_val))
-    return gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
+def _weighted_area(grid: QuadratureGrid, structure: AmbientStructure, values, g) -> float:
+    """int exp(<T, x>) sqrt(det g) du for positions ``values`` and metric ``g`` at the nodes."""
+    weight = np.exp(np.einsum("p,np->n", structure.T, values))
+    return grid.integrate(weight * np.sqrt(batch_det(g)))
+
+
+def _deformation(gg: GridGeometry, fj):
+    """V at the nodes and the two pieces of the metric of the chart  Phi + s V.
+
+    With tangents t and dV the derivative of V, the deformed tangents are
+    t + s dV, so the metric is exactly  g(s) = g + s C + s^2 Q  with
+    C = t^T dV + (t^T dV)^T  and  Q = dV^T dV.  Returns ``(V, C, Q)``.
+    """
+    v_val, v_d1 = variation_field_jets(fj, gg.pg, gg.jets)
+    t_dv = np.matmul(gg.jets.d1.swapaxes(1, 2), v_d1)
+    return v_val, t_dv + t_dv.swapaxes(1, 2), np.matmul(v_d1.swapaxes(1, 2), v_d1)
+
+
+def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
+    """Box-local F of the chart  Phi + s V, re-integrated from its metric g(s)."""
+    v_val, cross, quad = deformation
+    g = gg.pg.g + s * cross + (s * s) * quad
+    return _weighted_area(gg.grid, gg.structure, gg.jets.val + s * v_val, g)
 
 
 def _require_soliton(gg: GridGeometry, tol: float) -> None:
@@ -157,6 +179,21 @@ def _form_jets(gg: GridGeometry, theta: OneFormField, data: VariationData | None
     return data.fj if data is not None else theta.eval_jets(gg.grid, order=1)
 
 
+def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
+    """Raised index  g^{ab} form_b  of a one-form at each point."""
+    return np.einsum("nab,nb->na", pg.g_inv, form)
+
+
+def _metric_square(pg: PointGeometry, tensor: np.ndarray) -> np.ndarray:
+    """|tensor|_g^2 = g^{ac} g^{bd} tensor_ab tensor_cd of a covariant 2-tensor.
+
+    Raised on both indices by two matrix products, then paired with itself
+    over the two contiguous trailing axes.
+    """
+    raised = np.matmul(np.matmul(pg.g_inv, tensor), pg.g_inv)
+    return np.einsum("ncd,ncd->n", raised, tensor)
+
+
 def first_variation(
     gg: GridGeometry, theta: OneFormField, data: VariationData | None = None
 ) -> float:
@@ -170,12 +207,12 @@ def first_variation(
 
 def first_variation_fd(gg: GridGeometry, theta: OneFormField, step: float = 2e-3) -> float:
     """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
-    v_val, v_d1 = variation_field_jets(_form_jets(gg, theta, None), gg.pg, gg.jets)
+    deformation = _deformation(gg, _form_jets(gg, theta, None))
 
     def central(h):
-        return (_deformed_functional(gg, v_val, v_d1, h) - _deformed_functional(gg, v_val, v_d1, -h)) / (
-            2 * h
-        )
+        return (
+            _deformed_functional(gg, deformation, h) - _deformed_functional(gg, deformation, -h)
+        ) / (2 * h)
 
     d1, d2 = central(step), central(step / 2)
     return (4 * d2 - d1) / 3
@@ -192,9 +229,8 @@ def variation_scale(
     pg = gg.pg
     d = _data(gg, theta, data)
     fj, cov = d.fj, d.cov
-    sq_theta = np.einsum("nab,na,nb->n", pg.g_inv, fj.val, fj.val)
-    sq_nabla = np.einsum("nac,nbd,nab,ncd->n", pg.g_inv, pg.g_inv, cov.nabla, cov.nabla)
-    return gg.grid.integrate((sq_theta + sq_nabla) * gg.area_weight)
+    sq_theta = np.einsum("na,na->n", _sharp(pg, fj.val), fj.val)
+    return gg.grid.integrate((sq_theta + _metric_square(pg, cov.nabla)) * gg.area_weight)
 
 
 def second_variation_operator(
@@ -212,12 +248,12 @@ def second_variation_operator(
     pg = gg.pg
     d = _data(gg, theta, data)
     fj, cov = d.fj, d.cov
-    pair_lap = np.einsum("nab,na,nb->n", pg.g_inv, fj.val, cov.laplacian)
     drift = np.einsum("nc,ncb->nb", pg.T_coord, cov.nabla)
-    pair_drift = np.einsum("nab,na,nb->n", pg.g_inv, fj.val, drift)
+    pair = np.einsum("na,na->n", _sharp(pg, fj.val), cov.laplacian + drift)
     v_frame = np.einsum("nai,na->ni", pg.frame_coeff, fj.val)
-    curv = np.einsum("nklp,nklq,np,nq->n", pg.h3, pg.h3, v_frame, v_frame)
-    return -gg.grid.integrate((pair_lap + pair_drift + curv) * gg.area_weight)
+    h_v = np.einsum("nklp,np->nkl", pg.h3, v_frame)
+    curv = np.einsum("nkl,nkl->n", h_v, h_v)
+    return -gg.grid.integrate((pair + curv) * gg.area_weight)
 
 
 def second_variation_divergence(
@@ -236,11 +272,10 @@ def second_variation_divergence(
     pg = gg.pg
     d = _data(gg, theta, data)
     fj, cov = d.fj, d.cov
-    sq_nabla = np.einsum("nac,nbd,nab,ncd->n", pg.g_inv, pg.g_inv, cov.nabla, cov.nabla)
     v = normal_field_from_form(fj, pg)
     h_v = np.einsum("nmab,nm->nab", pg.h_coord, v)
-    curv = np.einsum("nik,njl,nij,nkl->n", pg.g_inv, pg.g_inv, h_v, h_v)
-    return gg.grid.integrate((sq_nabla - curv) * gg.area_weight)
+    curv = _metric_square(pg, h_v)
+    return gg.grid.integrate((_metric_square(pg, cov.nabla) - curv) * gg.area_weight)
 
 
 def second_variation_square(
@@ -286,14 +321,14 @@ def second_variation_fd_oracle(
     points, where the value depends on the variation field alone.
     """
     _require_soliton(gg, soliton_tol)
-    v_val, v_d1 = variation_field_jets(_form_jets(gg, theta, data), gg.pg, gg.jets)
+    deformation = _deformation(gg, _form_jets(gg, theta, data))
     f0 = gg.functional_at_rest
 
     def second_difference(h):
         return (
-            _deformed_functional(gg, v_val, v_d1, h)
+            _deformed_functional(gg, deformation, h)
             - 2 * f0
-            + _deformed_functional(gg, v_val, v_d1, -h)
+            + _deformed_functional(gg, deformation, -h)
         ) / h**2
 
     h1, h2 = steps
@@ -340,12 +375,13 @@ def integration_by_parts_report(
     fj, cov = d.fj, d.cov
     w = gg.area_weight
     theta_t = np.einsum("na,na->n", fj.val, pg.T_coord)
-    pair_grad_div = np.einsum("nab,na,nb->n", pg.g_inv, fj.val, cov.div_grad)
+    sharp = _sharp(pg, fj.val)
+    pair_grad_div = np.einsum("na,na->n", sharp, cov.div_grad)
     lhs_div = -gg.grid.integrate(pair_grad_div * w)
     rhs_div = gg.grid.integrate((cov.div**2 + cov.div * theta_t) * w)
 
     drift = np.einsum("nc,ncb->nb", pg.T_coord, cov.nabla)
-    lhs_drift = -gg.grid.integrate(np.einsum("nab,na,nb->n", pg.g_inv, fj.val, drift) * w)
+    lhs_drift = -gg.grid.integrate(np.einsum("na,na->n", sharp, drift) * w)
     v_frame = np.einsum("nai,na->ni", pg.frame_coeff, fj.val)
     mean_curv_pair = np.einsum("np,nijp,ni,nj->n", pg.H_frame, pg.h3, v_frame, v_frame)
     rhs_drift = gg.grid.integrate((cov.div * theta_t + mean_curv_pair + theta_t**2) * w)

@@ -12,10 +12,9 @@ third-order jets used downstream, with none of the overflow trouble of
 exponential cutoffs.  Field values are forced to exactly zero outside the
 support box.
 
-On rectangular domains every closed form is exact, so the ``closed`` and
-``hamiltonian`` kinds coincide in practice; both are kept in the data model
-because the stability statements downstream are phrased for the larger
-closed class.
+On rectangular domains every closed form is exact, so the ``hamiltonian``
+kind covers the closed class that the stability statements downstream are
+phrased for.
 """
 
 from __future__ import annotations
@@ -305,8 +304,8 @@ class FormJets:
 class OneFormField:
     """Compactly supported one-form on the chart domain.
 
-    ``kind`` is one of ``hamiltonian`` (built as d(potential), hence exact),
-    ``closed`` or ``generic``.
+    ``kind`` is ``hamiltonian`` (built as d(potential), hence exact) or
+    ``generic``.
     """
 
     support: np.ndarray
@@ -402,21 +401,27 @@ def covariant_calculus(theta: OneFormField | FormJets, pg: PointGeometry) -> Cov
         raise ValueError("covariant calculus needs order-2 form jets and order-3 chart jets")
     G, dG = pg.Gamma, pg.Gamma_partial
     theta_val, dtheta, ddtheta = fj.val, fj.d1, fj.d2
+    n, d = theta_val.shape
+    # Christoffel symbols as (N, d, d^2) matrices, G_flat[n, l, a*d + b] = Gamma^l_ab:
+    # every contraction against Gamma below is then one batched matrix product
+    G_flat = G.reshape(n, d, d * d)
 
-    nabla = np.einsum("nba->nab", dtheta) - np.einsum("nlab,nl->nab", G, theta_val)
+    nabla = dtheta.swapaxes(1, 2) - np.einsum("nlab,nl->nab", G, theta_val)
     div = np.einsum("nab,nab->n", pg.g_inv, nabla)
 
-    # dnabla[n,e,a,b] = partial_e (nabla_a theta)_b
+    # dnabla[n,e,a,b] = partial_e (nabla_a theta)_b; partial_e Gamma^l_ab theta_l is a
+    # matmul over l against the transposed view dG_t[n, e, a*d + b, l]
+    dG_t = dG.reshape(n, d, d, d * d).swapaxes(2, 3)
     dnabla = (
         np.einsum("nbae->neab", ddtheta)
-        - np.einsum("nelab,nl->neab", dG, theta_val)
-        - np.einsum("nlab,nle->neab", G, dtheta)
+        - np.matmul(dG_t, theta_val[:, None, :, None]).reshape(n, d, d, d)
+        - np.matmul(dtheta.swapaxes(1, 2), G_flat).reshape(n, d, d, d)
     )
     # second covariant derivative (nabla^2 theta)_{a b c} = nabla_a (nabla theta)_{bc}
     second = (
         dnabla
-        - np.einsum("nlab,nlc->nabc", G, nabla)
-        - np.einsum("nlac,nbl->nabc", G, nabla)
+        - np.matmul(G_flat.swapaxes(1, 2), nabla).reshape(n, d, d, d)
+        - np.matmul(nabla, G_flat).reshape(n, d, d, d).swapaxes(1, 2)
     )
     laplacian = np.einsum("nab,nabc->nc", pg.g_inv, second)
     div_grad = np.einsum("neab,nab->ne", pg.dg_inv, nabla) + np.einsum(

@@ -60,8 +60,21 @@ def test_config_parse_error_exits_2(tmp_path):
         {"grid": {"cells": 2.5}},
         {"grid": {"points_per_cell": 4.0}},
         {"variations": {"count": "3"}},
+        {"grid": {"support_shrink": "0.5"}},
+        {"variations": {"degree": 2.5}},
+        {"variations": {"seed": "x"}},
     ],
-    ids=["equal_steps", "zero_step", "one_step", "fractional_cells", "float_points", "text_count"],
+    ids=[
+        "equal_steps",
+        "zero_step",
+        "one_step",
+        "fractional_cells",
+        "float_points",
+        "text_count",
+        "text_shrink",
+        "fractional_degree",
+        "text_seed",
+    ],
 )
 def test_malformed_numeric_config_exits_2(tmp_path, capsys, override):
     bad = tmp_path / "cfg.json"

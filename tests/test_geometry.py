@@ -7,11 +7,21 @@ import pytest
 
 import soliton_stability as ss
 from soliton_stability.errors import ImmersionError
-from soliton_stability.geometry import kaehler_pullback
+from soliton_stability.geometry import batch_det, kaehler_pullback
 
 # frozen regression baseline for the eps=0.05 perturbed cylinder on the 30x30
 # diagnostic grid (max pointwise distance from the translator equation)
 PERTURBED_RESIDUAL_BASELINE = 0.0993304270633205
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batch_det_matches_lapack(d):
+    # random SPD batches, as every induced metric is; d = 4 covers the flat plane in C^4
+    rng = np.random.default_rng(d)
+    b = rng.uniform(-1.0, 1.0, size=(500, d, d))
+    spd = b @ b.swapaxes(1, 2) + d * np.eye(d)
+    ref = np.linalg.det(spd)
+    assert np.max(np.abs(batch_det(spd) - ref) / np.abs(ref)) <= 1e-13
 
 
 def test_metric_and_weight_closed_forms(grim_reaper, structure):

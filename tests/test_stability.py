@@ -7,7 +7,10 @@ import pytest
 
 import soliton_stability as ss
 from soliton_stability.errors import NotASolitonError
+from soliton_stability.geometry import batch_det
 from soliton_stability.stability import (
+    _deformation,
+    _deformed_functional,
     default_grid_for_support,
     first_variation_fd,
     integration_by_parts_report,
@@ -241,3 +244,27 @@ def test_fd_oracle_instability_flag(gr_geometry_small, caplog):
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
         ss.second_variation_fd_oracle(gg, theta, steps=(2e-3, 1e-3), instability_tol=1e-18)
     assert any("extrapolation levels disagree" in rec.message for rec in caplog.records)
+
+
+def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, structure):
+    # the perturbed cylinder is no translator, but its metric has off-diagonal
+    # terms, where two determinant formulas round differently
+    grid = ss.tensor_rule(ss.default_support_box(perturbed.domain), cells=10, points_per_cell=6)
+    for gg in (gr_geometry_small, ss.grid_geometry(perturbed, structure, grid)):
+        theta = ss.random_hamiltonian_variation(gg.grid.box, seed=4)
+        fj = theta.eval_jets(gg.grid, order=1)
+        deformation = _deformation(gg, fj)
+        # bit for bit: at s = 0 the deformed metric is point_geometry's, and
+        # both sides use the same weight and the same determinant.  Pointwise
+        # last-bit differences of two determinants can cancel in the quadrature
+        # sum, so the shared determinant is also checked node by node.
+        assert _deformed_functional(gg, deformation, 0.0) == gg.functional_at_rest
+        assert np.array_equal(gg.pg.sqrt_det_g, np.sqrt(batch_det(gg.pg.g)))
+        # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
+        v_val, v_d1 = ss.variation_field_jets(fj, gg.pg, gg.jets)
+        for s in (2e-3, -1e-3, 0.5):
+            tang = gg.jets.d1 + s * v_d1
+            g = np.einsum("nma,nmb->nab", tang, tang)
+            weight = np.exp((gg.jets.val + s * v_val) @ gg.structure.T)
+            direct = gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
+            assert abs(_deformed_functional(gg, deformation, s) - direct) <= 1e-14 * abs(direct)

@@ -228,6 +228,60 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
         assert np.max(np.abs(v_d1[:, :, axis] - fd)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "domain, components",
+    [
+        (
+            [[-1.3, 1.3], [-3.0, 3.0]],
+            ["-log(cos(x)) + 0.05*sin(x)*sin(y)", "x", "y", "0.05*cos(x)*cos(y)"],
+        ),
+        (
+            [[-1.0, 1.0]] * 3,
+            ["x", "0.3*sin(x*y)", "y", "0.2*x*z", "z", "0.25*y*y + 0.1*x*z*z"],
+        ),
+    ],
+    ids=["perturbed_grim_reaper", "graph_in_c3"],
+)
+def test_covariant_calculus_matches_index_notation(domain, components):
+    """The matmul contractions against the index-notation einsum reference.
+
+    Both charts have Christoffel symbols and derivatives without the index
+    symmetries of the grim reaper, whose only one is Gamma^x_xx.
+    """
+    chart = ss.chart_from_config({"domain": domain, "components": components})
+    d = chart.dim
+    support = ss.default_support_box(chart.domain)
+    rng = np.random.default_rng(d)
+    pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(50, d))
+    pg = ss.point_geometry(chart, ss.standard_structure(d), pts)
+    # a generic form, so nabla theta has no symmetry that could hide a transposition
+    fj = ss.random_generic_variation(support, seed=5).eval_jets(pts, order=2)
+    G, dG = pg.Gamma, pg.Gamma_partial
+
+    nabla = np.einsum("nba->nab", fj.d1) - np.einsum("nlab,nl->nab", G, fj.val)
+    dnabla = (
+        np.einsum("nbae->neab", fj.d2)
+        - np.einsum("nelab,nl->neab", dG, fj.val)
+        - np.einsum("nlab,nle->neab", G, fj.d1)
+    )
+    second = (
+        dnabla
+        - np.einsum("nlab,nlc->nabc", G, nabla)
+        - np.einsum("nlac,nbl->nabc", G, nabla)
+    )
+    reference = {
+        "nabla": nabla,
+        "div": np.einsum("nab,nab->n", pg.g_inv, nabla),
+        "laplacian": np.einsum("nab,nabc->nc", pg.g_inv, second),
+        "div_grad": np.einsum("neab,nab->ne", pg.dg_inv, nabla)
+        + np.einsum("nab,neab->ne", pg.g_inv, dnabla),
+    }
+    cov = ss.covariant_calculus(fj, pg)
+    for name, ref in reference.items():
+        got = getattr(cov, name)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
 def test_non_finite_field_is_reported(support):
     bad = ss.scalar_field_from_expression("log(x - 100)", support)
     with pytest.raises(ss.EvaluationError):

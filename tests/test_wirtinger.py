@@ -76,6 +76,15 @@ def test_dirichlet_gap_convergence():
     assert abs(lam_fine - 1.0) < abs(lam_coarse - 1.0) / 50
 
 
+@pytest.mark.parametrize("n", [100, 2000])
+def test_dirichlet_gap_matches_exact_discrete_eigenvalue(n):
+    # the n-interval three-point Laplacian on (-pi/2, pi/2) has lowest
+    # eigenvalue exactly (4/h^2) sin^2(h/2), h = pi/n
+    h = math.pi / n
+    exact = 4.0 / h**2 * math.sin(h / 2) ** 2
+    assert abs(ss.dirichlet_gap(n) - exact) <= 1e-12 * exact
+
+
 def test_dirichlet_eigenvector_is_cosine():
     lam, x, v = ss.dirichlet_ground_state(2000)
     c = np.cos(x)
