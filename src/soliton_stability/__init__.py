@@ -59,6 +59,7 @@ from .stability import (
     functional_value,
     grid_geometry,
     integration_by_parts_report,
+    prepare_variation,
     second_variation_divergence,
     second_variation_fd_oracle,
     second_variation_operator,

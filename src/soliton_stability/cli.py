@@ -41,18 +41,13 @@ from .errors import (
 )
 from .geometry import soliton_residual
 from .quadrature import tensor_rule
-from .reports import (
-    _plain,
-    evaluate_variation,
-    reports_to_csv,
-    reports_to_json,
-    run_variation_suite,
-)
+from .reports import reports_to_csv, reports_to_json, run_variation_suite
 from .stability import default_grid_for_support, grid_geometry
 from .variations import (
     default_support_box,
     hamiltonian_variation,
     random_generic_variation,
+    random_hamiltonian_variation,
     random_polynomial_field,
     scalar_field_from_expression,
 )
@@ -231,7 +226,7 @@ def cmd_verify_soliton(cfg: RunConfig, out: str | None) -> int:
         "lagrangian_defect": tols["lagrangian_defect"],
     }
     payload["passed"] = passed
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit(reports_to_json(payload), out)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -246,47 +241,37 @@ def cmd_second_variation(
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     var_cfg = cfg["variations"]
-    fd_steps = tuple(cfg["fd_steps"])
+    seed, degree, potentials = var_cfg["seed"], var_cfg["degree"], var_cfg["potentials"]
     support = default_support_box(chart.domain, grid_cfg["support_shrink"])
+    if demonstrate_failure:
+        variations = [(seed, random_generic_variation(support, seed, degree))]
+    elif potentials:
+        variations = [
+            (None, hamiltonian_variation(scalar_field_from_expression(expr, support)))
+            for expr in potentials
+        ]
+    else:
+        variations = [
+            (seed + i, random_hamiltonian_variation(support, seed + i, degree))
+            for i in range(var_cfg["count"])
+        ]
+
+    grid = default_grid_for_support(chart, support, grid_cfg["cells"], grid_cfg["points_per_cell"])
+    gg = grid_geometry(chart, structure, grid)
+    reports = run_variation_suite(
+        gg, variations, tuple(cfg["fd_steps"]), tols["soliton_residual"], workers
+    )
 
     if demonstrate_failure:
-        grid = default_grid_for_support(
-            chart, support, grid_cfg["cells"], grid_cfg["points_per_cell"]
-        )
-        gg = grid_geometry(chart, structure, grid)
-        theta = random_generic_variation(support, var_cfg["seed"], var_cfg["degree"])
-        report = evaluate_variation(gg, theta, var_cfg["seed"], fd_steps, tols["soliton_residual"])
+        report = reports[0]
         gap = abs(report.Fpp_square - report.Fpp_operator) / max(report.scale, 1e-300)
         report.extra["square_operator_gap"] = gap
         report.extra["demonstrated"] = gap > tols["failure_demonstration"]
-        _emit(reports_to_json([report]), out)
+        _emit(reports_to_json(reports), out)
         return EXIT_PASS if report.extra["demonstrated"] else EXIT_FAIL
-
-    if var_cfg["potentials"]:
-        grid = default_grid_for_support(
-            chart, support, grid_cfg["cells"], grid_cfg["points_per_cell"]
-        )
-        gg = grid_geometry(chart, structure, grid)
-        reports = []
-        for expr in var_cfg["potentials"]:
-            theta = hamiltonian_variation(scalar_field_from_expression(expr, support))
-            rep = evaluate_variation(gg, theta, None, fd_steps, tols["soliton_residual"])
-            rep.extra["potential"] = expr
-            reports.append(rep)
-    else:
-        reports, _ = run_variation_suite(
-            chart,
-            structure,
-            count=var_cfg["count"],
-            base_seed=var_cfg["seed"],
-            support=support,
-            cells=grid_cfg["cells"],
-            points_per_cell=grid_cfg["points_per_cell"],
-            degree=var_cfg["degree"],
-            fd_steps=fd_steps,
-            soliton_tol=tols["soliton_residual"],
-            workers=workers,
-        )
+    if potentials:
+        for report, expr in zip(reports, potentials):
+            report.extra["potential"] = expr
     ok = all(
         r.max_pairwise_rel_diff <= tols["route_agreement"]
         and r.fd_rel_diff <= tols["fd_agreement"]
@@ -348,7 +333,7 @@ def cmd_cylinder(cfg: RunConfig, out: str | None) -> int:
 
     passed = geo_ok and inequality_ok and slices_ok and gap_ok
     checks["passed"] = passed
-    _emit(json.dumps(_plain(checks), sort_keys=True, indent=2) + "\n", out)
+    _emit(reports_to_json(checks), out)
     return EXIT_PASS if passed else EXIT_FAIL
 
 

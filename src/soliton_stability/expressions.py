@@ -4,12 +4,15 @@ Grammar (a strict subset of Python expression syntax, parsed via ``ast``):
 
 * variables: the declared parameter names (``x``, ``y`` by default; ``u1``,
   ``u2``, ... are accepted aliases for charts of any dimension),
-* numeric literals and the constants ``pi`` and ``e``,
-* binary operators ``+  -  *  /  **`` and unary ``+  -``,
+* numeric literals (not booleans) and the constants ``pi`` and ``e``,
+* binary operators ``+  -  *  /  **`` and unary ``+  -``, with exponents that
+  name no variable,
 * function calls ``sin  cos  tan  exp  log  sqrt`` with one argument.
 
-Anything else (attribute access, comparisons, names outside the vocabulary)
-raises :class:`~soliton_stability.errors.ExpressionError`.  The compiled
+Anything else (attribute access, comparisons, names outside the vocabulary,
+a constant subexpression that is not a finite real number, nesting deeper
+than the interpreter's recursion limit) raises
+:class:`~soliton_stability.errors.ExpressionError`.  The compiled
 callable accepts a sequence of jets (or plain arrays) and evaluates with jet
 arithmetic, so expression-defined charts and potentials get exact derivatives.
 """
@@ -19,6 +22,8 @@ from __future__ import annotations
 import ast
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import jets
 from .errors import ExpressionError
@@ -49,85 +54,97 @@ def compile_expression(expr: str, var_names: Sequence[str]) -> Callable:
     """Compile ``expr`` into a callable of the named variables.
 
     The callable takes one positional argument per variable (jets or numbers)
-    and returns the evaluated expression.
+    and returns the evaluated expression.  Subexpressions that name no
+    variable are evaluated here, so a constant that is not a finite real
+    number is a compile-time error, as is an exponent that depends on a
+    variable (jets take constant exponents only; use exp/log).
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError("expression nests too deeply to parse") from None
     names = list(var_names)
     aliases = {f"u{i + 1}": i for i in range(len(names))}
     aliases.update({name: i for i, name in enumerate(names)})
-
-    def ev(node, args):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, args)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return float(node.value)
-            raise ExpressionError(f"unsupported literal {node.value!r}")
-        if isinstance(node, ast.Name):
-            if node.id in aliases:
-                return args[aliases[node.id]]
-            if node.id in _CONSTANTS:
-                return _CONSTANTS[node.id]
-            raise ExpressionError(f"unknown name {node.id!r}")
-        if isinstance(node, ast.BinOp):
-            op = _BINOPS.get(type(node.op))
-            if op is None:
-                raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
-            return op(ev(node.left, args), ev(node.right, args))
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                return -ev(node.operand, args)
-            if isinstance(node.op, ast.UAdd):
-                return ev(node.operand, args)
-            raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-                raise ExpressionError("only sin/cos/tan/exp/log/sqrt calls are allowed")
-            if len(node.args) != 1 or node.keywords:
-                raise ExpressionError(f"{node.func.id} takes exactly one positional argument")
-            return _FUNCTIONS[node.func.id](ev(node.args[0], args))
-        raise ExpressionError(f"unsupported syntax {type(node).__name__}")
-
-    # validate eagerly so configuration errors surface at parse time
-    _validate(tree.body, set(aliases) | set(_CONSTANTS))
+    try:
+        root = _lift(_compile(tree.body, aliases))
+    except RecursionError:
+        raise ExpressionError("expression nests too deeply") from None
 
     def fn(*args):
         if len(args) != len(names):
             raise ExpressionError(f"expected {len(names)} arguments, got {len(args)}")
-        return ev(tree, args)
+        try:
+            return root(args)
+        except RecursionError:  # compiled near the limit, called from a deeper stack
+            raise ExpressionError("expression nests too deeply") from None
 
     fn.expression = expr  # type: ignore[attr-defined]
     return fn
 
 
-def _validate(node, allowed_names):
+def _compile(node, aliases):
+    """Check ``node`` against the grammar and build it in one walk.
+
+    Returns a closure ``args -> value`` when the subtree names a variable,
+    otherwise the subtree's value as a float.
+    """
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):
             raise ExpressionError(f"unsupported literal {node.value!r}")
-        return
+        return _constant(float, node.value)
     if isinstance(node, ast.Name):
-        if node.id not in allowed_names:
-            raise ExpressionError(f"unknown name {node.id!r}")
-        return
+        if node.id in aliases:
+            i = aliases[node.id]
+            return lambda args: args[i]
+        if node.id in _CONSTANTS:
+            return _CONSTANTS[node.id]
+        raise ExpressionError(f"unknown name {node.id!r}")
     if isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
+        op = _BINOPS.get(type(node.op))
+        if op is None:
             raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
-        _validate(node.left, allowed_names)
-        _validate(node.right, allowed_names)
-        return
+        left, right = _compile(node.left, aliases), _compile(node.right, aliases)
+        if isinstance(node.op, ast.Pow) and callable(right):
+            raise ExpressionError("exponents must be constant; use exp/log")
+        if not (callable(left) or callable(right)):
+            return _constant(op, left, right)
+        left, right = _lift(left), _lift(right)
+        return lambda args: op(left(args), right(args))
     if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
-        _validate(node.operand, allowed_names)
-        return
+        operand = _compile(node.operand, aliases)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return (lambda args: -operand(args)) if callable(operand) else -operand
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only sin/cos/tan/exp/log/sqrt calls are allowed")
+        name = node.func.id
         if len(node.args) != 1 or node.keywords:
-            raise ExpressionError("builtin functions take exactly one positional argument")
-        _validate(node.args[0], allowed_names)
-        return
+            raise ExpressionError(f"{name} takes exactly one positional argument")
+        arg = _compile(node.args[0], aliases)
+        if not callable(arg):
+            return _constant(_FUNCTIONS[name], arg)
+        return lambda args: _FUNCTIONS[name](arg(args))
     raise ExpressionError(f"unsupported syntax {type(node).__name__}")
+
+
+def _constant(f, *operands) -> float:
+    """``f(*operands)`` as a finite float, or ExpressionError."""
+    try:
+        with np.errstate(all="ignore"):
+            value = f(*operands)
+    except ArithmeticError as exc:
+        raise ExpressionError(f"constant arithmetic fails: {exc}") from None
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ExpressionError(f"constant {value!r} is not a finite real number")
+    return float(value)
+
+
+def _lift(part):
+    """A compiled part as a closure, constants included."""
+    return part if callable(part) else (lambda args: part)

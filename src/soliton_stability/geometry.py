@@ -44,6 +44,7 @@ __all__ = [
     "batch_det",
     "point_geometry",
     "mean_curvature_vector",
+    "translator_defect",
     "soliton_residual",
     "lagrangian_defect_omega",
     "curvature_tensor",
@@ -273,9 +274,10 @@ def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
     return np.einsum("nab,nmab->nm", pg.g_inv, pg.h_coord)
 
 
-def _tangential_part(pg: PointGeometry, vector: np.ndarray) -> np.ndarray:
-    coeff = np.einsum("p,npi->ni", vector, pg.e)
-    return np.einsum("ni,npi->np", coeff, pg.e)
+def translator_defect(pg: PointGeometry) -> np.ndarray:
+    """The translator-equation field T^perp - H, shape (N, m); zero on a translator."""
+    t_perp = pg.structure.T[None, :] - np.einsum("ni,npi->np", pg.T_tan, pg.e)
+    return t_perp - mean_curvature_vector(pg)
 
 
 def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> DiagnosticsReport:
@@ -287,8 +289,7 @@ def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> Diagnos
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     jets = eval_jets(chart, pts, order=2)
     pg = point_geometry(chart, structure, jets=jets)
-    T_perp = structure.T[None, :] - _tangential_part(pg, structure.T)
-    resid = np.linalg.norm(T_perp - mean_curvature_vector(pg), axis=1)
+    resid = np.linalg.norm(translator_defect(pg), axis=1)
     defect = np.max(np.abs(kaehler_pullback(structure, pg.tangents)), axis=(1, 2))
     return DiagnosticsReport(
         chart=chart.name,

@@ -11,31 +11,23 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
-from .charts import AmbientStructure, Chart
 from .stability import (
     GridGeometry,
-    default_grid_for_support,
     first_variation,
-    grid_geometry,
     prepare_variation,
+    require_soliton,
     second_variation_divergence,
     second_variation_fd_oracle,
     second_variation_operator,
     second_variation_square,
     variation_scale,
 )
-from .variations import (
-    OneFormField,
-    default_support_box,
-    lagrangian_defect,
-    random_generic_variation,
-    random_hamiltonian_variation,
-)
+from .variations import OneFormField
 
 __all__ = [
     "VariationReport",
@@ -78,22 +70,7 @@ class VariationReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
-            "chart": self.chart,
-            "seed": self.seed,
-            "kind": self.kind,
-            "grid": self.grid,
-            "F_value": self.F_value,
-            "first_var": self.first_var,
-            "Fpp_operator": self.Fpp_operator,
-            "Fpp_divergence": self.Fpp_divergence,
-            "Fpp_square": self.Fpp_square,
-            "Fpp_fd": self.Fpp_fd,
-            "lagrangian_defect": self.lagrangian_defect,
-            "scale": self.scale,
-            "max_pairwise_rel_diff": self.max_pairwise_rel_diff,
-            "fd_rel_diff": self.fd_rel_diff,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
         out.update(self.extra)
         return out
 
@@ -106,12 +83,15 @@ def evaluate_variation(
     soliton_tol: float = 1e-8,
 ) -> VariationReport:
     """Run every route on one variation and bundle the numbers."""
+    # every route refuses off criticality; refuse before forming V, which needs
+    # a Lagrangian chart
+    require_soliton(gg, soliton_tol)
     data = prepare_variation(gg, theta)
-    op = second_variation_operator(gg, theta, soliton_tol, data=data)
-    dv = second_variation_divergence(gg, theta, soliton_tol, data=data)
-    sq = second_variation_square(gg, theta, soliton_tol, data=data)
-    fd = second_variation_fd_oracle(gg, theta, fd_steps, soliton_tol, data=data)
-    scale = variation_scale(gg, theta, data=data)
+    op = second_variation_operator(gg, data, soliton_tol)
+    dv = second_variation_divergence(gg, data, soliton_tol)
+    sq = second_variation_square(gg, data, soliton_tol)
+    fd = second_variation_fd_oracle(gg, data, fd_steps, soliton_tol)
+    scale = variation_scale(gg, data)
     denom = scale if scale > 0 else 1.0
     pairwise = max(abs(op - dv), abs(op - sq), abs(dv - sq)) / denom
     fd_rel = max(abs(fd - op), abs(fd - dv), abs(fd - sq)) / denom
@@ -121,7 +101,7 @@ def evaluate_variation(
         kind=theta.kind,
         grid=gg.grid.describe(),
         F_value=gg.functional_at_rest,
-        first_var=first_variation(gg, theta, data=data),
+        first_var=first_variation(gg, data),
         Fpp_operator=op,
         Fpp_divergence=dv,
         Fpp_square=sq,
@@ -134,35 +114,17 @@ def evaluate_variation(
 
 
 def run_variation_suite(
-    chart: Chart,
-    structure: AmbientStructure,
-    count: int = 20,
-    base_seed: int = 1,
-    support=None,
-    cells: int = 40,
-    points_per_cell: int = 8,
-    degree: int = 4,
-    kind: str = "hamiltonian",
+    gg: GridGeometry,
+    variations: list[tuple[int | None, OneFormField]],
     fd_steps: tuple[float, float] = (2e-3, 1e-3),
     soliton_tol: float = 1e-8,
     workers: int = 1,
-    geometry: GridGeometry | None = None,
-) -> tuple[list[VariationReport], GridGeometry]:
-    """Evaluate ``count`` seeded variations; variation i uses seed base+i.
+) -> list[VariationReport]:
+    """Evaluate each ``(seed, theta)`` of ``variations`` on the shared geometry ``gg``.
 
-    Geometry is computed once per grid and shared (pass ``geometry`` to reuse
-    one across suites).  With ``workers > 1`` the per-variation evaluations
-    run on a thread pool; results keep seed order either way.
+    With ``workers > 1`` the per-variation evaluations run on a thread pool;
+    results keep the order of ``variations`` either way.
     """
-    if support is None:
-        support = default_support_box(chart.domain)
-    if geometry is not None:
-        gg = geometry
-    else:
-        grid = default_grid_for_support(chart, support, cells, points_per_cell)
-        gg = grid_geometry(chart, structure, grid)
-    make = random_hamiltonian_variation if kind == "hamiltonian" else random_generic_variation
-    thetas = [(base_seed + i, make(support, base_seed + i, degree)) for i in range(count)]
 
     def one(item):
         seed, theta = item
@@ -170,10 +132,8 @@ def run_variation_suite(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, thetas))
-    else:
-        reports = [one(item) for item in thetas]
-    return reports, gg
+            return list(pool.map(one, variations))
+    return [one(item) for item in variations]
 
 
 def reports_to_json(reports, extra: dict | None = None) -> str:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .charts import AmbientStructure, Chart, eval_jets
 from .errors import NotASolitonError
-from .geometry import PointGeometry, batch_det, mean_curvature_vector, point_geometry
+from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
@@ -59,6 +59,7 @@ __all__ = [
     "grid_geometry",
     "VariationData",
     "prepare_variation",
+    "require_soliton",
     "functional_value",
     "first_variation",
     "first_variation_fd",
@@ -101,8 +102,7 @@ class GridGeometry:
 def grid_geometry(chart: Chart, structure: AmbientStructure, grid: QuadratureGrid) -> GridGeometry:
     jets = eval_jets(chart, grid.nodes, order=3)
     pg = point_geometry(chart, structure, jets=jets)
-    t_perp = structure.T[None, :] - np.einsum("ni,npi->np", pg.T_tan, pg.e)
-    resid = float(np.max(np.linalg.norm(t_perp - mean_curvature_vector(pg), axis=1)))
+    resid = float(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
     f0 = grid.integrate(pg.weight * pg.sqrt_det_g)
     return GridGeometry(chart, structure, grid, jets, pg, resid, f0)
 
@@ -127,16 +127,19 @@ def _weighted_area(grid: QuadratureGrid, structure: AmbientStructure, values, g)
     return grid.integrate(weight * np.sqrt(batch_det(g)))
 
 
-def _deformation(gg: GridGeometry, fj):
+def _deformation(gg: GridGeometry, data: VariationData):
     """V at the nodes and the two pieces of the metric of the chart  Phi + s V.
 
     With tangents t and dV the derivative of V, the deformed tangents are
     t + s dV, so the metric is exactly  g(s) = g + s C + s^2 Q  with
     C = t^T dV + (t^T dV)^T  and  Q = dV^T dV.  Returns ``(V, C, Q)``.
     """
-    v_val, v_d1 = variation_field_jets(fj, gg.pg, gg.jets)
+    v_d1 = variation_field_jets(data.fj, gg.pg, gg.jets)
     t_dv = np.matmul(gg.jets.d1.swapaxes(1, 2), v_d1)
-    return v_val, t_dv + t_dv.swapaxes(1, 2), np.matmul(v_d1.swapaxes(1, 2), v_d1)
+    # Q multiplies against a copy: with both operands on one buffer numpy takes
+    # its syrk path, one call per node and about 3x slower than gemm here
+    quad = np.matmul(v_d1.swapaxes(1, 2), v_d1.copy())
+    return data.v, t_dv + t_dv.swapaxes(1, 2), quad
 
 
 def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
@@ -146,7 +149,8 @@ def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
     return _weighted_area(gg.grid, gg.structure, gg.jets.val + s * v_val, g)
 
 
-def _require_soliton(gg: GridGeometry, tol: float) -> None:
+def require_soliton(gg: GridGeometry, tol: float) -> None:
+    """Refuse with NotASolitonError when the chart's translator residual exceeds ``tol``."""
     if gg.soliton_residual > tol:
         raise NotASolitonError(gg.soliton_residual, tol)
 
@@ -155,9 +159,9 @@ def _require_soliton(gg: GridGeometry, tol: float) -> None:
 class VariationData:
     """One variation evaluated once at the grid nodes, shared by all routes."""
 
-    theta: OneFormField
     fj: object               # order-2 FormJets
     cov: object              # CovariantData
+    v: np.ndarray            # (N, m) normal field V = J theta^sharp
 
     @property
     def defect(self) -> float:
@@ -166,17 +170,9 @@ class VariationData:
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
+    """Form jets, covariant derivatives and V of ``theta`` at the grid nodes, once."""
     fj = theta.eval_jets(gg.grid, order=2)
-    return VariationData(theta, fj, covariant_calculus(fj, gg.pg))
-
-
-def _data(gg: GridGeometry, theta: OneFormField, data: VariationData | None) -> VariationData:
-    return data if data is not None else prepare_variation(gg, theta)
-
-
-def _form_jets(gg: GridGeometry, theta: OneFormField, data: VariationData | None):
-    """Order-1 (or the shared order-2) form jets at the grid nodes."""
-    return data.fj if data is not None else theta.eval_jets(gg.grid, order=1)
+    return VariationData(fj, covariant_calculus(fj, gg.pg), normal_field_from_form(fj, gg.pg))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
@@ -194,20 +190,15 @@ def _metric_square(pg: PointGeometry, tensor: np.ndarray) -> np.ndarray:
     return np.einsum("ncd,ncd->n", raised, tensor)
 
 
-def first_variation(
-    gg: GridGeometry, theta: OneFormField, data: VariationData | None = None
-) -> float:
+def first_variation(gg: GridGeometry, data: VariationData) -> float:
     """d/ds of box-local F: the pairing  int <T^perp - H, V> w dmu."""
-    pg = gg.pg
-    v = normal_field_from_form(_form_jets(gg, theta, data), pg)
-    t_perp = gg.structure.T[None, :] - np.einsum("ni,npi->np", pg.T_tan, pg.e)
-    integrand = np.einsum("np,np->n", t_perp - mean_curvature_vector(pg), v)
+    integrand = np.einsum("np,np->n", translator_defect(gg.pg), data.v)
     return gg.grid.integrate(integrand * gg.area_weight)
 
 
-def first_variation_fd(gg: GridGeometry, theta: OneFormField, step: float = 2e-3) -> float:
+def first_variation_fd(gg: GridGeometry, data: VariationData, step: float = 2e-3) -> float:
     """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
-    deformation = _deformation(gg, _form_jets(gg, theta, None))
+    deformation = _deformation(gg, data)
 
     def central(h):
         return (
@@ -218,36 +209,29 @@ def first_variation_fd(gg: GridGeometry, theta: OneFormField, step: float = 2e-3
     return (4 * d2 - d1) / 3
 
 
-def variation_scale(
-    gg: GridGeometry, theta: OneFormField, data: VariationData | None = None
-) -> float:
+def variation_scale(gg: GridGeometry, data: VariationData) -> float:
     """Size of the variation:  int (|theta|_g^2 + |nabla theta|_g^2) w dmu.
 
     Used as the denominator of all relative agreement tolerances so that tiny
     fields cannot pass checks by accident.
     """
     pg = gg.pg
-    d = _data(gg, theta, data)
-    fj, cov = d.fj, d.cov
+    fj, cov = data.fj, data.cov
     sq_theta = np.einsum("na,na->n", _sharp(pg, fj.val), fj.val)
     return gg.grid.integrate((sq_theta + _metric_square(pg, cov.nabla)) * gg.area_weight)
 
 
 def second_variation_operator(
-    gg: GridGeometry,
-    theta: OneFormField,
-    soliton_tol: float = DEFAULT_SOLITON_TOL,
-    data: VariationData | None = None,
+    gg: GridGeometry, data: VariationData, soliton_tol: float = DEFAULT_SOLITON_TOL
 ) -> float:
     """Second-order route through the rough Laplacian of theta.
 
     The curvature term is assembled from the frame components h_ijk, pairing
     the variation against itself through the full second fundamental form.
     """
-    _require_soliton(gg, soliton_tol)
+    require_soliton(gg, soliton_tol)
     pg = gg.pg
-    d = _data(gg, theta, data)
-    fj, cov = d.fj, d.cov
+    fj, cov = data.fj, data.cov
     drift = np.einsum("nc,ncb->nb", pg.T_coord, cov.nabla)
     pair = np.einsum("na,na->n", _sharp(pg, fj.val), cov.laplacian + drift)
     v_frame = np.einsum("nai,na->ni", pg.frame_coeff, fj.val)
@@ -257,10 +241,7 @@ def second_variation_operator(
 
 
 def second_variation_divergence(
-    gg: GridGeometry,
-    theta: OneFormField,
-    soliton_tol: float = DEFAULT_SOLITON_TOL,
-    data: VariationData | None = None,
+    gg: GridGeometry, data: VariationData, soliton_tol: float = DEFAULT_SOLITON_TOL
 ) -> float:
     """First-order route:  int (|nabla theta|^2 - |h paired with V|^2) w dmu.
 
@@ -268,22 +249,18 @@ def second_variation_divergence(
     fundamental form and the ambient variation field, independent of the
     frame route used by the operator form.
     """
-    _require_soliton(gg, soliton_tol)
+    require_soliton(gg, soliton_tol)
     pg = gg.pg
-    d = _data(gg, theta, data)
-    fj, cov = d.fj, d.cov
-    v = normal_field_from_form(fj, pg)
-    h_v = np.einsum("nmab,nm->nab", pg.h_coord, v)
+    h_v = np.einsum("nmab,nm->nab", pg.h_coord, data.v)
     curv = _metric_square(pg, h_v)
-    return gg.grid.integrate((_metric_square(pg, cov.nabla) - curv) * gg.area_weight)
+    return gg.grid.integrate((_metric_square(pg, data.cov.nabla) - curv) * gg.area_weight)
 
 
 def second_variation_square(
     gg: GridGeometry,
-    theta: OneFormField,
+    data: VariationData,
     soliton_tol: float = DEFAULT_SOLITON_TOL,
     closed_tol: float = DEFAULT_CLOSED_TOL,
-    data: VariationData | None = None,
 ) -> float:
     """Perfect-square route:  int (div theta^sharp + theta(T^top))^2 w dmu.
 
@@ -291,9 +268,8 @@ def second_variation_square(
     theta; a defect above ``closed_tol`` logs a warning instead of refusing,
     because the mismatch for non-closed forms is itself a test subject.
     """
-    _require_soliton(gg, soliton_tol)
-    d = _data(gg, theta, data)
-    defect = d.defect
+    require_soliton(gg, soliton_tol)
+    defect = data.defect
     if defect > closed_tol:
         log.warning(
             "square-form route on a non-closed form (defect %.3e > %.3e); "
@@ -301,27 +277,24 @@ def second_variation_square(
             defect,
             closed_tol,
         )
-    pg = gg.pg
-    fj, cov = d.fj, d.cov
-    q = cov.div + np.einsum("na,na->n", fj.val, pg.T_coord)
+    q = data.cov.div + np.einsum("na,na->n", data.fj.val, gg.pg.T_coord)
     return gg.grid.integrate(q * q * gg.area_weight)
 
 
 def second_variation_fd_oracle(
     gg: GridGeometry,
-    theta: OneFormField,
+    data: VariationData,
     steps: tuple[float, float] = (2e-3, 1e-3),
     soliton_tol: float = DEFAULT_SOLITON_TOL,
     instability_tol: float | None = None,
-    data: VariationData | None = None,
 ) -> float:
     """Second difference of the box-local functional along Phi + s V.
 
     Richardson-extrapolated over the two given steps.  Valid only at critical
     points, where the value depends on the variation field alone.
     """
-    _require_soliton(gg, soliton_tol)
-    deformation = _deformation(gg, _form_jets(gg, theta, data))
+    require_soliton(gg, soliton_tol)
+    deformation = _deformation(gg, data)
     f0 = gg.functional_at_rest
 
     def second_difference(h):
@@ -367,12 +340,9 @@ class IntegrationByPartsReport:
         )
 
 
-def integration_by_parts_report(
-    gg: GridGeometry, theta: OneFormField, data: VariationData | None = None
-) -> IntegrationByPartsReport:
+def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> IntegrationByPartsReport:
     pg = gg.pg
-    d = _data(gg, theta, data)
-    fj, cov = d.fj, d.cov
+    fj, cov = data.fj, data.cov
     w = gg.area_weight
     theta_t = np.einsum("na,na->n", fj.val, pg.T_coord)
     sharp = _sharp(pg, fj.val)

@@ -394,9 +394,8 @@ class CovariantData:
     div_grad: np.ndarray
 
 
-def covariant_calculus(theta: OneFormField | FormJets, pg: PointGeometry) -> CovariantData:
+def covariant_calculus(fj: FormJets, pg: PointGeometry) -> CovariantData:
     """Assemble nabla(theta), its trace, and the rough Laplacian at pg's points."""
-    fj = theta if isinstance(theta, FormJets) else theta.eval_jets(pg.points, order=2)
     if fj.d2 is None or pg.Gamma_partial is None:
         raise ValueError("covariant calculus needs order-2 form jets and order-3 chart jets")
     G, dG = pg.Gamma, pg.Gamma_partial
@@ -436,18 +435,18 @@ def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:
     return np.einsum("nai,nbj,nab->nij", A, A, nabla)
 
 
-def ricci_identity_residual(theta: OneFormField, pg: PointGeometry, ricci: np.ndarray) -> float:
+def ricci_identity_residual(fj: FormJets, pg: PointGeometry, ricci: np.ndarray) -> float:
     """Pointwise residual of the commutation identity used by the square form.
 
     For closed theta, trace-commuting second covariant derivatives gives
     ``(rough Laplacian theta)_i = partial_i(div) + Ric_ik theta^k`` in an
     orthonormal frame; the residual measures all three terms computed by
     independent code paths (jet calculus for the left side and the gradient,
-    the Gauss equation for the Ricci term).
+    the Gauss equation for the Ricci term).  ``fj`` holds order-2 form jets
+    at pg's points.
     """
-    cov = covariant_calculus(theta, pg)
+    cov = covariant_calculus(fj, pg)
     A = pg.frame_coeff
-    fj = theta.eval_jets(pg.points, order=1)
     v_frame = np.einsum("nai,na->ni", A, fj.val)
     lap_frame = np.einsum("nai,na->ni", A, cov.laplacian)
     grad_div_frame = np.einsum("nai,na->ni", A, cov.div_grad)
@@ -459,7 +458,7 @@ def ricci_identity_residual(theta: OneFormField, pg: PointGeometry, ricci: np.nd
 # correspondence with normal fields
 
 
-def normal_field_from_form(theta: OneFormField | FormJets, pg: PointGeometry) -> np.ndarray:
+def normal_field_from_form(fj: FormJets, pg: PointGeometry) -> np.ndarray:
     """Ambient normal field V = J theta^sharp, shape (N, m).
 
     Only meaningful on Lagrangian charts, where J maps tangent to normal
@@ -469,7 +468,6 @@ def normal_field_from_form(theta: OneFormField | FormJets, pg: PointGeometry) ->
         raise UnsupportedChartError(
             "the one-form/normal-field correspondence needs a Lagrangian chart"
         )
-    fj = theta if isinstance(theta, FormJets) else theta.eval_jets(pg.points, order=1)
     sharp = np.einsum("nba,na->nb", pg.g_inv, fj.val)
     ambient = np.einsum("nqb,nb->nq", pg.tangents, sharp)
     return np.einsum("pq,nq->np", pg.structure.J, ambient)
@@ -485,11 +483,11 @@ def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
 # variation field with first derivatives (for deforming the chart along V)
 
 
-def variation_field_jets(fj: FormJets, pg: PointGeometry, chart_jets: MapJets):
-    """Value and first derivatives of V = J theta^sharp at pg's points.
+def variation_field_jets(fj: FormJets, pg: PointGeometry, chart_jets: MapJets) -> np.ndarray:
+    """First derivatives of V = J theta^sharp at pg's points.
 
-    Returns ``(val, d1)`` with shapes ``(N, m)`` and ``(N, m, d)``, from the
-    product rule on ``V = J t_b g^{ba} theta_a``:
+    Returns ``d1`` with shape ``(N, m, d)``, from the product rule on
+    ``V = J t_b g^{ba} theta_a``:
 
         partial_c V = J (partial_c t_b g^{ba} theta_a + t_b partial_c g^{ba} theta_a
                          + t_b g^{ba} partial_c theta_a),
@@ -499,13 +497,12 @@ def variation_field_jets(fj: FormJets, pg: PointGeometry, chart_jets: MapJets):
     ``theta`` from order-1 form jets.  Deformed charts ``Phi + s V`` then have
     exact metric data.
     """
-    val = normal_field_from_form(fj, pg)
     sharp = np.einsum("nba,na->nb", pg.g_inv, fj.val)
     # index layouts chosen so that each contraction runs over a contiguous axis;
     # the chart's d2 is symmetric in its two derivative axes
     dsharp = np.einsum("ncba,na->nbc", pg.dg_inv, fj.val) + np.matmul(pg.g_inv, fj.d1)
     d_ambient = np.einsum("nqcb,nb->nqc", chart_jets.d2, sharp) + np.matmul(pg.tangents, dsharp)
-    return val, np.matmul(pg.structure.J, d_ambient)
+    return np.matmul(pg.structure.J, d_ambient)
 
 
 # ---------------------------------------------------------------------------

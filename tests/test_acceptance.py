@@ -37,17 +37,17 @@ def default_gg(grim_reaper, structure, gr_support):
     return ss.grid_geometry(grim_reaper, structure, grid)
 
 
+def seeded_variations(support, count):
+    return [
+        (seed, ss.random_hamiltonian_variation(support, seed))
+        for seed in range(SUITE_SEED, SUITE_SEED + count)
+    ]
+
+
 @pytest.fixture(scope="module")
-def suite(grim_reaper, structure, gr_support, default_gg):
+def suite(gr_support, default_gg):
     t0 = time.perf_counter()
-    reports, _ = ss.run_variation_suite(
-        grim_reaper,
-        structure,
-        count=SUITE_COUNT,
-        base_seed=SUITE_SEED,
-        support=gr_support,
-        geometry=default_gg,
-    )
+    reports = ss.run_variation_suite(default_gg, seeded_variations(gr_support, SUITE_COUNT))
     return reports, time.perf_counter() - t0
 
 
@@ -95,11 +95,10 @@ def test_criterion_3_identity_suite(suite):
 def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
     reports, _ = suite
     assert all(r.max_pairwise_rel_diff < 1e-6 for r in reports)
-    theta = ss.random_generic_variation(default_gg.grid.box, seed=7)
-    data = prepare_variation(default_gg, theta)
-    op = ss.second_variation_operator(default_gg, theta, data=data)
-    sq = ss.second_variation_square(default_gg, theta, data=data)
-    scale = ss.variation_scale(default_gg, theta, data=data)
+    data = prepare_variation(default_gg, ss.random_generic_variation(default_gg.grid.box, seed=7))
+    op = ss.second_variation_operator(default_gg, data)
+    sq = ss.second_variation_square(default_gg, data)
+    scale = ss.variation_scale(default_gg, data)
     gap = abs(sq - op) / scale
     assert gap > 1e-2
     report(4, "closedness-hypothesis", f"(non-closed gap {gap:.2e} vs closed < 1e-6)")
@@ -111,9 +110,10 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, structure):
     worst_parts = 0.0
     for seed in range(SUITE_SEED, SUITE_SEED + 10):
         theta = ss.random_hamiltonian_variation(default_gg.grid.box, seed=seed)
-        worst_ricci = max(worst_ricci, ricci_identity_residual(theta, default_gg.pg, ricci))
-        rep = integration_by_parts_report(default_gg, theta)
-        scale = ss.variation_scale(default_gg, theta)
+        data = prepare_variation(default_gg, theta)
+        worst_ricci = max(worst_ricci, ricci_identity_residual(data.fj, default_gg.pg, ricci))
+        rep = integration_by_parts_report(default_gg, data)
+        scale = ss.variation_scale(default_gg, data)
         worst_parts = max(worst_parts, rep.max_mismatch() / scale)
     assert worst_ricci <= 1e-7
     assert worst_parts <= 1e-6
@@ -146,9 +146,10 @@ def test_criterion_7_criticality(suite, flat_plane, structure, perturbed):
     reports, _ = suite
     worst = max(abs(r.first_var) / r.scale for r in reports)
     assert worst <= 1e-9
-    fp_reports, _ = ss.run_variation_suite(
-        flat_plane, structure, count=10, base_seed=SUITE_SEED, cells=12, points_per_cell=6
-    )
+    fp_support = ss.default_support_box(flat_plane.domain)
+    fp_grid = default_grid_for_support(flat_plane, fp_support, cells=12, points_per_cell=6)
+    fp_gg = ss.grid_geometry(flat_plane, structure, fp_grid)
+    fp_reports = ss.run_variation_suite(fp_gg, seeded_variations(fp_support, 10))
     worst_fp = max(abs(r.first_var) / r.scale for r in fp_reports)
     assert worst_fp <= 1e-9
     support = ss.default_support_box(perturbed.domain)
@@ -156,9 +157,9 @@ def test_criterion_7_criticality(suite, flat_plane, structure, perturbed):
     gg = ss.grid_geometry(perturbed, structure, grid)
     worst_fd = 0.0
     for seed in (SUITE_SEED, SUITE_SEED + 1):
-        theta = ss.random_hamiltonian_variation(support, seed=seed)
-        fv = ss.first_variation(gg, theta)
-        fd = first_variation_fd(gg, theta)
+        data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=seed))
+        fv = ss.first_variation(gg, data)
+        fd = first_variation_fd(gg, data)
         worst_fd = max(worst_fd, abs(fv - fd) / abs(fd))
     assert worst_fd <= 1e-6
     report(
@@ -171,14 +172,9 @@ def test_criterion_7_criticality(suite, flat_plane, structure, perturbed):
 def test_criterion_8_determinism(grim_reaper, structure, gr_support, suite):
     reports_a, _ = suite
     json_a = reports_to_json(reports_a)
-    reports_b, _ = ss.run_variation_suite(
-        grim_reaper,
-        structure,
-        count=SUITE_COUNT,
-        base_seed=SUITE_SEED,
-        support=gr_support,
-        workers=1,
-    )
+    grid = default_grid_for_support(grim_reaper, gr_support, cells=40, points_per_cell=8)
+    gg = ss.grid_geometry(grim_reaper, structure, grid)
+    reports_b = ss.run_variation_suite(gg, seeded_variations(gr_support, SUITE_COUNT), workers=1)
     json_b = reports_to_json(reports_b)
     assert json_a.encode() == json_b.encode()
     report(8, "determinism", f"({len(json_a)} bytes, identical)")

@@ -1,9 +1,12 @@
 """Builtin charts, the expression grammar, and the jet oracle monitor."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import soliton_stability as ss
 from soliton_stability.charts import fd_discrepancy, values
@@ -104,11 +107,54 @@ def test_expression_grammar_aliases_and_constants():
         "x @ y",
         "lambda: 1",
         "[1,2]",
+        "True*x",
+        "x**y",
+        "2**x",
+        "1/0 + x",
+        "log(-1)*x",
+        "(-1)**0.5*y",
+        "1e999*x",
     ],
 )
 def test_expression_grammar_rejects(expr):
     with pytest.raises(ExpressionError):
         compile_expression(expr, ["x", "y"])
+
+
+GRAMMAR_TOKENS = [
+    "x", "y", "u1", "u2", "pi", "e", "0", "1", "2.5", "1e308", "+", "-", "*", "/", "**",
+    "(", ")", "sin(", "cos(", "tan(", "exp(", "log(", "sqrt(", " ",
+]
+FOREIGN_TOKENS = ["z", "True", "None", "@", ".", ",", "[", "]", "%", "==", "if", "lambda", "1j", "'"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS + FOREIGN_TOKENS), max_size=24).map("".join))
+@example("x" + "+x" * 1000)
+def test_expression_parser_fuzz(expr):
+    """Any token string either fails with ExpressionError or evaluates on jets."""
+    try:
+        fn = compile_expression(expr, ["x", "y"])
+    except ExpressionError:
+        return
+    x, y = J.variables(np.array([[0.3, 0.5], [-0.7, 1.2]]), order=2)
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(x, y)
+        except ExpressionError:
+            return
+    assert isinstance(out, (J.Jet, float))
+
+
+def test_deep_expression_fails_cleanly_when_called_from_a_deeper_stack():
+    fn = compile_expression("x" + "+x" * (sys.getrecursionlimit() - 150), ["x", "y"])
+    assert fn(1.0, 0.0) == sys.getrecursionlimit() - 149
+
+    def nested(k):
+        return nested(k - 1) if k else fn(1.0, 0.0)
+
+    with pytest.raises(ExpressionError):
+        nested(300)
 
 
 def test_chart_from_config_expression_tree(structure):

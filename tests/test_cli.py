@@ -85,17 +85,46 @@ def test_malformed_numeric_config_exits_2(tmp_path, capsys, override):
     assert not out.exists()
 
 
+DEEP = "x" + "+x" * 1000
+
+
+def expression_chart(first_component):
+    return {"domain": [[-1.0, 1.0], [-1.0, 1.0]], "components": [first_component, "0", "y", "0"]}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"variations": {"potentials": [DEEP]}},
+        {"chart": expression_chart(DEEP)},
+        {"variations": {"potentials": ["True*x"]}},
+        {"chart": expression_chart("True*x")},
+        {"variations": {"potentials": ["x**x"]}},
+    ],
+    ids=["deep_potential", "deep_component", "bool_potential", "bool_component", "jet_exponent"],
+)
+def test_malformed_expression_exits_2(tmp_path, capsys, override):
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps({"grid": {"cells": 4, "points_per_cell": 4}, **override}))
+    out = tmp_path / "r.json"
+    assert run_cli("second-variation", "--config", str(bad), "--out", str(out)) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_second_variation_non_soliton_exits_3(tmp_path):
-    code = run_cli(
-        "second-variation",
-        "--chart",
-        "perturbed_grim_reaper",
-        "--count",
-        "1",
-        "--out",
-        str(tmp_path / "r.json"),
-    )
-    assert code == EXIT_PRECONDITION
+    # the non-Lagrangian patch has no normal field V; the translator check comes first
+    for chart in ("perturbed_grim_reaper", "non_lagrangian_patch"):
+        code = run_cli(
+            "second-variation",
+            "--chart",
+            chart,
+            "--count",
+            "1",
+            "--out",
+            str(tmp_path / "r.json"),
+        )
+        assert code == EXIT_PRECONDITION
 
 
 @pytest.fixture(scope="module")

@@ -30,12 +30,11 @@ def test_flat_plane_translator_for_other_tangent_directions(flat_plane):
         support = ss.default_support_box(flat_plane.domain)
         grid = default_grid_for_support(flat_plane, support, cells=10, points_per_cell=6)
         gg = ss.grid_geometry(flat_plane, st, grid)
-        theta = ss.random_hamiltonian_variation(support, seed=5)
-        data = prepare_variation(gg, theta)
-        op = ss.second_variation_operator(gg, theta, data=data)
-        sq = ss.second_variation_square(gg, theta, data=data)
-        fd = ss.second_variation_fd_oracle(gg, theta, data=data)
-        scale = ss.variation_scale(gg, theta, data=data)
+        data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=5))
+        op = ss.second_variation_operator(gg, data)
+        sq = ss.second_variation_square(gg, data)
+        fd = ss.second_variation_fd_oracle(gg, data)
+        scale = ss.variation_scale(gg, data)
         assert sq >= 0.0
         assert abs(op - sq) <= 1e-6 * scale
         assert abs(fd - sq) <= 1e-4 * scale
@@ -69,7 +68,7 @@ def test_expression_chart_runs_the_full_pipeline(structure):
     for chart in (expr_chart, builtin):
         grid = default_grid_for_support(chart, support, cells=10, points_per_cell=6)
         gg = ss.grid_geometry(chart, structure, grid)
-        values.append(ss.second_variation_square(gg, theta))
+        values.append(ss.second_variation_square(gg, prepare_variation(gg, theta)))
     assert abs(values[0] - values[1]) <= 1e-12 * max(1.0, abs(values[1]))
 
 
@@ -91,9 +90,9 @@ def test_tilted_lagrangian_plane_is_translator_when_t_tangent(structure):
     assert abs(pg.g[0, 0, 1] - 0.5) < 1e-15
     grid = default_grid_for_support(chart, ss.default_support_box(chart.domain), cells=10, points_per_cell=6)
     gg = ss.grid_geometry(chart, structure, grid)
-    theta = ss.random_hamiltonian_variation(gg.grid.box, seed=2)
-    sq = ss.second_variation_square(gg, theta)
-    op = ss.second_variation_operator(gg, theta)
-    scale = ss.variation_scale(gg, theta)
+    data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=2))
+    sq = ss.second_variation_square(gg, data)
+    op = ss.second_variation_operator(gg, data)
+    scale = ss.variation_scale(gg, data)
     assert sq >= 0.0
     assert abs(op - sq) <= 1e-6 * scale

@@ -49,9 +49,9 @@ def test_functional_flat_plane(flat_plane, structure):
 def test_first_variation_vanishes_on_translators(gr_geometry_small, fp_geometry_small):
     for gg in (gr_geometry_small, fp_geometry_small):
         for seed in range(5):
-            theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-            fv = ss.first_variation(gg, theta)
-            scale = ss.variation_scale(gg, theta)
+            data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+            fv = ss.first_variation(gg, data)
+            scale = ss.variation_scale(gg, data)
             assert abs(fv) <= 1e-9 * scale
 
 
@@ -60,9 +60,9 @@ def test_first_variation_matches_fd_off_criticality(perturbed, structure):
     grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
     gg = ss.grid_geometry(perturbed, structure, grid)
     for seed in (3, 17):
-        theta = ss.random_hamiltonian_variation(support, seed=seed)
-        fv = ss.first_variation(gg, theta)
-        fd = first_variation_fd(gg, theta)
+        data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=seed))
+        fv = ss.first_variation(gg, data)
+        fd = first_variation_fd(gg, data)
         assert abs(fv) > 1e-4  # genuinely away from criticality
         assert abs(fv - fd) <= 1e-6 * abs(fd)
 
@@ -73,34 +73,35 @@ def test_first_variation_matches_fd_off_criticality(perturbed, structure):
 
 def test_zero_variation_gives_zeros(gr_geometry_small):
     gg = gr_geometry_small
-    theta = zero_form(gg.grid.box)
-    assert ss.second_variation_operator(gg, theta) == 0.0
-    assert ss.second_variation_divergence(gg, theta) == 0.0
-    assert ss.second_variation_square(gg, theta) == 0.0
-    assert abs(ss.second_variation_fd_oracle(gg, theta)) < 1e-12
-    rep = integration_by_parts_report(gg, theta)
+    data = prepare_variation(gg, zero_form(gg.grid.box))
+    assert ss.second_variation_operator(gg, data) == 0.0
+    assert ss.second_variation_divergence(gg, data) == 0.0
+    assert ss.second_variation_square(gg, data) == 0.0
+    assert abs(ss.second_variation_fd_oracle(gg, data)) < 1e-12
+    rep = integration_by_parts_report(gg, data)
     assert rep.max_mismatch() == 0.0
 
 
 def test_route_agreement_on_cylinder(gr_geometry_small):
     gg = gr_geometry_small
     for seed in range(1, 6):
-        theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-        data = prepare_variation(gg, theta)
-        op = ss.second_variation_operator(gg, theta, data=data)
-        dv = ss.second_variation_divergence(gg, theta, data=data)
-        sq = ss.second_variation_square(gg, theta, data=data)
-        fd = ss.second_variation_fd_oracle(gg, theta, data=data)
-        scale = ss.variation_scale(gg, theta, data=data)
+        data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+        op = ss.second_variation_operator(gg, data)
+        dv = ss.second_variation_divergence(gg, data)
+        sq = ss.second_variation_square(gg, data)
+        fd = ss.second_variation_fd_oracle(gg, data)
+        scale = ss.variation_scale(gg, data)
         assert sq >= 0.0
         assert max(abs(op - dv), abs(op - sq), abs(dv - sq)) <= 1e-6 * scale
         assert abs(fd - sq) <= 1e-4 * scale
 
 
 def test_route_agreement_on_flat_plane_suite(flat_plane, structure):
-    reports, _ = ss.run_variation_suite(
-        flat_plane, structure, count=20, base_seed=1, cells=12, points_per_cell=6
-    )
+    support = ss.default_support_box(flat_plane.domain)
+    grid = default_grid_for_support(flat_plane, support, cells=12, points_per_cell=6)
+    gg = ss.grid_geometry(flat_plane, structure, grid)
+    variations = [(s, ss.random_hamiltonian_variation(support, s)) for s in range(1, 21)]
+    reports = ss.run_variation_suite(gg, variations)
     for r in reports:
         assert r.Fpp_square >= 0.0
         assert r.max_pairwise_rel_diff <= 1e-6
@@ -119,8 +120,8 @@ def test_quadratic_homogeneity(gr_geometry_small):
         name="scaled",
         jet_evaluator=lambda pts, order: phi.eval_jets(pts, order) * lam,
     )
-    th1 = ss.hamiltonian_variation(phi)
-    th2 = ss.hamiltonian_variation(phi2)
+    th1 = prepare_variation(gg, ss.hamiltonian_variation(phi))
+    th2 = prepare_variation(gg, ss.hamiltonian_variation(phi2))
     for route in (
         ss.second_variation_operator,
         ss.second_variation_divergence,
@@ -142,25 +143,24 @@ def test_quadratic_homogeneity(gr_geometry_small):
 def test_integration_by_parts_identities(gr_geometry_small):
     gg = gr_geometry_small
     for seed in range(10):
-        theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-        rep = integration_by_parts_report(gg, theta)
-        scale = ss.variation_scale(gg, theta)
+        data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+        rep = integration_by_parts_report(gg, data)
+        scale = ss.variation_scale(gg, data)
         assert abs(rep.lhs_divergence - rep.rhs_divergence) <= 1e-6 * scale
         assert abs(rep.lhs_drift - rep.rhs_drift) <= 1e-6 * scale
 
 
 def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
     gg = gr_geometry_small
-    theta = ss.random_generic_variation(gg.grid.box, seed=7)
-    data = prepare_variation(gg, theta)
+    data = prepare_variation(gg, ss.random_generic_variation(gg.grid.box, seed=7))
     assert data.defect > 0.1
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
-        sq = ss.second_variation_square(gg, theta, data=data)
+        sq = ss.second_variation_square(gg, data)
     assert any("non-closed" in rec.message for rec in caplog.records)
-    op = ss.second_variation_operator(gg, theta, data=data)
-    dv = ss.second_variation_divergence(gg, theta, data=data)
-    fd = ss.second_variation_fd_oracle(gg, theta, data=data)
-    scale = ss.variation_scale(gg, theta, data=data)
+    op = ss.second_variation_operator(gg, data)
+    dv = ss.second_variation_divergence(gg, data)
+    fd = ss.second_variation_fd_oracle(gg, data)
+    scale = ss.variation_scale(gg, data)
     # operator/divergence/fd do not need closedness and still agree
     assert abs(op - dv) <= 1e-6 * scale
     assert abs(fd - op) <= 1e-4 * scale
@@ -172,7 +172,7 @@ def test_routes_refuse_off_criticality(perturbed, structure):
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=6, points_per_cell=4)
     gg = ss.grid_geometry(perturbed, structure, grid)
-    theta = ss.random_hamiltonian_variation(support, seed=1)
+    data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=1))
     for route in (
         ss.second_variation_operator,
         ss.second_variation_divergence,
@@ -180,23 +180,23 @@ def test_routes_refuse_off_criticality(perturbed, structure):
         ss.second_variation_fd_oracle,
     ):
         with pytest.raises(NotASolitonError):
-            route(gg, theta)
+            route(gg, data)
 
 
 def test_flat_plane_square_form_reduces_to_drift_laplacian(fp_geometry_small):
     """On the plane with tangent T the square integrand is (lap phi + phi_x)^2 e^x."""
     gg = fp_geometry_small
     phi = ss.random_polynomial_field(gg.grid.box, seed=21)
-    theta = ss.hamiltonian_variation(phi)
-    sq = ss.second_variation_square(gg, theta)
+    data = prepare_variation(gg, ss.hamiltonian_variation(phi))
+    sq = ss.second_variation_square(gg, data)
     pj = phi.eval_jets(gg.pg.points, order=2)
     integrand = (pj.d2[:, 0, 0] + pj.d2[:, 1, 1] + pj.d1[:, 0]) ** 2 * np.exp(
         gg.pg.points[:, 0]
     )
     direct = gg.grid.integrate(integrand)
     assert abs(sq - direct) <= 1e-10 * max(1.0, abs(direct))
-    fd = ss.second_variation_fd_oracle(gg, theta)
-    assert abs(fd - direct) <= 1e-4 * max(1.0, ss.variation_scale(gg, theta))
+    fd = ss.second_variation_fd_oracle(gg, data)
+    assert abs(fd - direct) <= 1e-4 * max(1.0, ss.variation_scale(gg, data))
 
 
 def test_drift_divergence_identity(gr_geometry_small):
@@ -229,9 +229,10 @@ def test_grid_convergence_of_reported_integrals(grim_reaper, structure, gr_suppo
     for cells in (10, 20):
         grid = ss.tensor_rule(gr_support, cells=cells, points_per_cell=8)
         gg = ss.grid_geometry(grim_reaper, structure, grid)
+        data = prepare_variation(gg, theta)
         values[cells] = (
-            ss.second_variation_square(gg, theta),
-            ss.variation_scale(gg, theta),
+            ss.second_variation_square(gg, data),
+            ss.variation_scale(gg, data),
             gg.functional_at_rest,
         )
     for a, b in zip(values[10], values[20]):
@@ -240,9 +241,9 @@ def test_grid_convergence_of_reported_integrals(grim_reaper, structure, gr_suppo
 
 def test_fd_oracle_instability_flag(gr_geometry_small, caplog):
     gg = gr_geometry_small
-    theta = ss.random_hamiltonian_variation(gg.grid.box, seed=2)
+    data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=2))
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
-        ss.second_variation_fd_oracle(gg, theta, steps=(2e-3, 1e-3), instability_tol=1e-18)
+        ss.second_variation_fd_oracle(gg, data, steps=(2e-3, 1e-3), instability_tol=1e-18)
     assert any("extrapolation levels disagree" in rec.message for rec in caplog.records)
 
 
@@ -251,9 +252,8 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, st
     # terms, where two determinant formulas round differently
     grid = ss.tensor_rule(ss.default_support_box(perturbed.domain), cells=10, points_per_cell=6)
     for gg in (gr_geometry_small, ss.grid_geometry(perturbed, structure, grid)):
-        theta = ss.random_hamiltonian_variation(gg.grid.box, seed=4)
-        fj = theta.eval_jets(gg.grid, order=1)
-        deformation = _deformation(gg, fj)
+        data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=4))
+        deformation = _deformation(gg, data)
         # bit for bit: at s = 0 the deformed metric is point_geometry's, and
         # both sides use the same weight and the same determinant.  Pointwise
         # last-bit differences of two determinants can cancel in the quadrature
@@ -261,7 +261,7 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, st
         assert _deformed_functional(gg, deformation, 0.0) == gg.functional_at_rest
         assert np.array_equal(gg.pg.sqrt_det_g, np.sqrt(batch_det(gg.pg.g)))
         # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
-        v_val, v_d1 = ss.variation_field_jets(fj, gg.pg, gg.jets)
+        v_val, v_d1 = data.v, ss.variation_field_jets(data.fj, gg.pg, gg.jets)
         for s in (2e-3, -1e-3, 0.5):
             tang = gg.jets.d1 + s * v_d1
             g = np.einsum("nma,nmb->nab", tang, tang)

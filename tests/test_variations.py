@@ -102,7 +102,7 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
     support = gg.grid.box
     phi = ss.random_polynomial_field(support, seed=9)
     theta = ss.hamiltonian_variation(phi)
-    cov = ss.covariant_calculus(theta, gg.pg)
+    cov = ss.covariant_calculus(theta.eval_jets(gg.pg.points, order=2), gg.pg)
     # flat coordinates: divergence of d(phi) is the coordinate Laplacian
     pj = phi.eval_jets(gg.pg.points, order=2)
     flat_lap = pj.d2[:, 0, 0] + pj.d2[:, 1, 1]
@@ -115,7 +115,7 @@ def test_ricci_identity(gr_geometry_small, grim_reaper, structure):
     _, _, ricci = curvature_tensor(grim_reaper, structure, None, pg=gg.pg)
     for seed in range(10):
         theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-        resid = ricci_identity_residual(theta, gg.pg, ricci)
+        resid = ricci_identity_residual(theta.eval_jets(gg.pg.points, order=2), gg.pg, ricci)
         assert resid < 1e-7
 
 
@@ -127,13 +127,13 @@ def test_ricci_identity_on_curved_chart(perturbed, structure):
     _, _, ricci = curvature_tensor(perturbed, structure, None, pg=gg.pg)
     assert np.max(np.abs(ricci)) > 1e-4
     theta = ss.random_hamiltonian_variation(support, seed=3)
-    assert ricci_identity_residual(theta, gg.pg, ricci) < 1e-7
+    assert ricci_identity_residual(theta.eval_jets(gg.pg.points, order=2), gg.pg, ricci) < 1e-7
 
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=4)
-    cov = ss.covariant_calculus(theta, gg.pg)
+    cov = ss.covariant_calculus(theta.eval_jets(gg.pg.points, order=2), gg.pg)
     nf = frame_covariant_matrix(cov.nabla, gg.pg)
     assert np.max(np.abs(nf - nf.swapaxes(1, 2))) < 1e-9
 
@@ -170,7 +170,8 @@ def test_correspondence_requires_lagrangian(structure):
 def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reaper, structure):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
-    v_val, v_d1 = ss.variation_field_jets(theta.eval_jets(gg.grid, order=1), gg.pg, gg.jets)
+    data = ss.prepare_variation(gg, theta)
+    v_val, v_d1 = data.v, ss.variation_field_jets(data.fj, gg.pg, gg.jets)
     v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1), gg.pg)
     assert np.max(np.abs(v_val - v_direct)) < 1e-12
     # derivative slot cross-checked by finite differences at one interior node
@@ -208,9 +209,7 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(4, d))
 
     pg = ss.point_geometry(chart, structure, pts)
-    v_val, v_d1 = ss.variation_field_jets(
-        theta.eval_jets(pts, order=1), pg, ss.eval_jets(chart, pts, order=2)
-    )
+    v_d1 = ss.variation_field_jets(theta.eval_jets(pts, order=1), pg, ss.eval_jets(chart, pts, order=2))
     assert v_d1.shape == (4, 2 * d, d)
     assert np.max(np.abs(v_d1)) > 1e-3
 
@@ -219,7 +218,6 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
             theta.eval_jets(q, order=1), ss.point_geometry(chart, structure, q)
         )
 
-    assert np.max(np.abs(v_val - field(pts))) < 1e-12
     h = 1e-5
     for axis in range(d):
         step = np.zeros(d)
