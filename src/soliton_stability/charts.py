@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jets as J
 from .errors import DomainError, EvaluationError, ExpressionError
-from .expressions import compile_expression
+from .expressions import compile_expression, is_finite_number, variable_names
 
 __all__ = [
     "Chart",
@@ -343,29 +343,38 @@ def chart_from_config(spec) -> Chart:
         return builtin_chart(spec)
     if not isinstance(spec, dict):
         raise ExpressionError("chart spec must be a name or a mapping")
+    for key in spec:
+        if key not in ("name", "domain", "components"):
+            raise ExpressionError(f"unknown chart key {key!r}")
     try:
-        domain = np.asarray(spec["domain"], dtype=float)
-        components = list(spec["components"])
+        rows, components = spec["domain"], spec["components"]
     except KeyError as exc:
         raise ExpressionError(f"chart spec missing key {exc}") from None
-    if domain.ndim != 2 or domain.shape[1] != 2 or np.any(domain[:, 0] >= domain[:, 1]):
-        raise ExpressionError("chart domain must be rows of [lo, hi] with lo < hi")
-    d = domain.shape[0]
+    if not (isinstance(rows, list) and rows and all(map(_is_interval, rows))):
+        raise ExpressionError("chart domain must be rows of [lo, hi] finite numbers with lo < hi")
+    if not (
+        isinstance(components, list) and components and all(isinstance(c, str) for c in components)
+    ):
+        raise ExpressionError("chart components must be a non-empty list of expressions")
     if len(components) % 2 != 0:
         raise ExpressionError("ambient dimension must be even")
-    var_names = ["x", "y", "z"][:d] if d <= 3 else [f"u{i + 1}" for i in range(d)]
+    name = spec.get("name", "expression_chart")
+    if not isinstance(name, str):
+        raise ExpressionError(f"chart name must be a string, got {name!r}")
+    domain = np.asarray(rows, dtype=float)
+    var_names = variable_names(len(rows))
     fns = [compile_expression(c, var_names) for c in components]
 
     def mapping(params):
         return [fn(*params) for fn in fns]
 
-    return Chart(
-        str(spec.get("name", "expression_chart")),
-        domain,
-        len(components),
-        mapping,
-        lagrangian=None,
-    )
+    return Chart(name, domain, len(components), mapping, lagrangian=None)
+
+
+def _is_interval(row) -> bool:
+    """Whether ``row`` is ``[lo, hi]`` with finite numbers lo < hi."""
+    pair = isinstance(row, list) and len(row) == 2 and all(map(is_finite_number, row))
+    return pair and row[0] < row[1]
 
 
 def uniform_grid(chart: Chart, n: int = 50) -> np.ndarray:

@@ -24,21 +24,18 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from .charts import Chart, chart_from_config, standard_structure, uniform_grid
+from .charts import AmbientStructure, Chart, chart_from_config, standard_structure, uniform_grid
 from .errors import (
     ConfigurationError,
     ExpressionError,
     NotASolitonError,
     SolitonStabilityError,
 )
+from .expressions import is_finite_number
 from .geometry import soliton_residual
 from .quadrature import tensor_rule
 from .reports import reports_to_csv, reports_to_json, run_variation_suite
@@ -51,151 +48,129 @@ from .variations import (
     random_polynomial_field,
     scalar_field_from_expression,
 )
-from .wirtinger import closed_form_deviations, cylinder_stability_integrals, dirichlet_gap
-
-log = logging.getLogger("soliton_stability")
+from .wirtinger import (
+    DIRICHLET_MIN_INTERVALS,
+    closed_form_deviations,
+    cylinder_stability_integrals,
+    dirichlet_gap,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 
-DEFAULT_CONFIG: dict[str, Any] = {
-    "chart": "grim_reaper",
-    "T": [1.0, 0.0, 0.0, 0.0],
+
+def _positive(value) -> bool:
+    return is_finite_number(value) and value > 0
+
+
+def _integer(lo: int):
+    return f"an integer >= {lo}", lambda v: type(v) is int and v >= lo
+
+
+_POSITIVE = ("a positive finite number", _positive)
+
+# Every configuration key once: a section is a dict, a key is
+# ``(default, requirement, check)``, where ``check(value)`` is true for an
+# accepted value and ``requirement`` completes the error message
+# "<dotted.key> must be <requirement>".  A check of None leaves the value to
+# its consumer: ``charts.chart_from_config`` checks the chart.
+SCHEMA: dict[str, Any] = {
+    "chart": ("grim_reaper", None, None),
+    "T": (
+        [1.0, 0.0, 0.0, 0.0],
+        "a list of finite numbers",
+        lambda v: isinstance(v, list) and all(map(is_finite_number, v)),
+    ),
     "grid": {
-        "cells": 40,
-        "points_per_cell": 8,
-        "support_shrink": 0.8,
-        "diagnostic_points": 50,
+        "cells": (40, *_integer(1)),
+        "points_per_cell": (8, *_integer(1)),
+        "support_shrink": (0.8, "a number in (0, 1)", lambda v: _positive(v) and v < 1),
+        "diagnostic_points": (50, *_integer(1)),
     },
-    "variations": {"count": 20, "seed": 1, "degree": 4, "potentials": None},
-    "fd_steps": [2e-3, 1e-3],
+    "variations": {
+        "count": (20, *_integer(1)),
+        "seed": (1, *_integer(0)),
+        "degree": (4, *_integer(0)),
+        "potentials": (
+            None,
+            "null or a non-empty list of expressions",
+            lambda v: v is None
+            or (isinstance(v, list) and len(v) > 0 and all(isinstance(p, str) for p in v)),
+        ),
+    },
+    "fd_steps": (
+        [2e-3, 1e-3],
+        "two distinct positive finite numbers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_positive, v)) and v[0] != v[1],
+    ),
     "tolerances": {
-        "soliton_residual": 1e-8,
-        "lagrangian_defect": 1e-9,
-        "route_agreement": 1e-6,
-        "fd_agreement": 1e-4,
-        "operator_positivity": 1e-6,
-        "geometry_oracle": 1e-10,
-        "dirichlet_gap": 1e-3,
-        "failure_demonstration": 1e-2,
+        "soliton_residual": (1e-8, *_POSITIVE),
+        "lagrangian_defect": (1e-9, *_POSITIVE),
+        "route_agreement": (1e-6, *_POSITIVE),
+        "fd_agreement": (1e-4, *_POSITIVE),
+        "operator_positivity": (1e-6, *_POSITIVE),
+        "geometry_oracle": (1e-10, *_POSITIVE),
+        "dirichlet_gap": (1e-3, *_POSITIVE),
+        "failure_demonstration": (1e-2, *_POSITIVE),
     },
-    "dirichlet_intervals": 2000,
-    "output": {"path": None, "format": "json"},
+    "dirichlet_intervals": (2000, *_integer(DIRICHLET_MIN_INTERVALS)),
+    "output": {
+        "path": (None, "null or a string", lambda v: v is None or isinstance(v, str)),
+        "format": ("json", "'json' or 'csv'", lambda v: v in ("json", "csv")),
+    },
 }
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration with all defaults resolved."""
-
-    raw: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        merged = _deep_merge(DEFAULT_CONFIG, self.raw)
-        tols = merged["tolerances"]
-        for name, value in tols.items():
-            if not _positive_number(value):
-                raise ConfigurationError(
-                    f"tolerance {name!r} must be a positive finite number, got {value!r}"
-                )
-        pots = merged["variations"]["potentials"]
-        if pots is not None and not (
-            isinstance(pots, list) and pots and all(isinstance(p, str) for p in pots)
-        ):
-            raise ConfigurationError("variations.potentials must be a non-empty list of expressions")
-        for name in ("grid.cells", "grid.points_per_cell", "variations.count"):
-            section, key = name.split(".")
-            value = merged[section][key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-        steps = merged["fd_steps"]
-        if not (
-            isinstance(steps, (list, tuple))
-            and len(steps) == 2
-            and all(_positive_number(h) for h in steps)
-            and steps[0] != steps[1]
-        ):
-            raise ConfigurationError(
-                f"fd_steps must be two distinct positive finite numbers, got {steps!r}"
-            )
-        for name in ("variations.degree", "variations.seed"):
-            section, key = name.split(".")
-            value = merged[section][key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigurationError(f"{name} must be an integer >= 0, got {value!r}")
-        shrink = merged["grid"]["support_shrink"]
-        if not (_positive_number(shrink) and shrink < 1.0):
-            raise ConfigurationError(f"grid.support_shrink must lie in (0, 1), got {shrink!r}")
-        if merged["output"]["format"] not in ("json", "csv"):
-            raise ConfigurationError("output.format must be 'json' or 'csv'")
-        self.data = merged
-
-    def chart(self) -> Chart:
-        return chart_from_config(self.data["chart"])
-
-    def structure(self, chart: Chart):
-        T = np.asarray(self.data["T"], dtype=float)
-        if T.shape != (chart.ambient_dim,):
-            raise ConfigurationError(
-                f"T has dimension {T.shape[0]}, chart ambient dimension is {chart.ambient_dim}"
-            )
-        return standard_structure(chart.ambient_dim // 2, T)
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-
-def _positive_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
+def _resolve(schema: dict, raw, overrides: dict, section: str = "") -> dict:
+    """``raw`` merged onto the defaults of ``schema``, then the dotted-key
+    ``overrides`` onto that, with every value checked."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{section or 'config'} must be a JSON object, got {raw!r}")
+    prefix = f"{section}." if section else ""
+    for key in raw:
+        if key not in schema:
+            raise ConfigurationError(f"unknown configuration key {prefix + key!r}")
     out = {}
-    for key, value in base.items():
-        if key in override:
-            ov = override[key]
-            out[key] = _deep_merge(value, ov) if isinstance(value, dict) and isinstance(ov, dict) else ov
-        else:
-            out[key] = value
-    for key in override:
-        if key not in base:
-            raise ConfigurationError(f"unknown configuration key {key!r}")
+    for key, spec in schema.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            out[key] = _resolve(spec, raw.get(key, {}), overrides, name)
+            continue
+        default, requirement, check = spec
+        value = raw.get(key, default)
+        # a value from the file is checked even where an override replaces it
+        for value in (value, overrides.get(name, value)):
+            if check is not None and not check(value):
+                raise ConfigurationError(f"{name} must be {requirement}, got {value!r}")
+        out[key] = value
     return out
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    raw: dict[str, Any] = {}
+def load_config(path: str | None, overrides: dict | None = None) -> dict[str, Any]:
+    """The run configuration: the JSON file at ``path`` (if any) merged onto
+    the defaults of :data:`SCHEMA`, then ``overrides`` (dotted key -> value,
+    None meaning not given), with every key checked."""
+    raw: Any = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config file must contain a JSON object")
-    if overrides:
-        raw = _merge_overrides(raw, overrides)
-    return RunConfig(raw)
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    return _resolve(SCHEMA, raw, given)
 
 
-def _merge_overrides(raw: dict, overrides: dict) -> dict:
-    out = dict(raw)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        parts = key.split(".")
-        node = out
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
-    return out
+def chart_and_structure(cfg: dict) -> tuple[Chart, AmbientStructure]:
+    """The configured chart, and the ambient structure translating along ``T``."""
+    chart = chart_from_config(cfg["chart"])
+    if len(cfg["T"]) != chart.ambient_dim:
+        raise ConfigurationError(
+            f"T has dimension {len(cfg['T'])}, chart ambient dimension is {chart.ambient_dim}"
+        )
+    return chart, standard_structure(chart.ambient_dim // 2, cfg["T"])
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -210,9 +185,8 @@ def _emit(text: str, path: str | None) -> None:
 # commands
 
 
-def cmd_verify_soliton(cfg: RunConfig, out: str | None) -> int:
-    chart = cfg.chart()
-    structure = cfg.structure(chart)
+def cmd_verify_soliton(cfg: dict) -> int:
+    chart, structure = chart_and_structure(cfg)
     grid = uniform_grid(chart, cfg["grid"]["diagnostic_points"])
     report = soliton_residual(chart, structure, grid)
     tols = cfg["tolerances"]
@@ -226,18 +200,12 @@ def cmd_verify_soliton(cfg: RunConfig, out: str | None) -> int:
         "lagrangian_defect": tols["lagrangian_defect"],
     }
     payload["passed"] = passed
-    _emit(reports_to_json(payload), out)
+    _emit(reports_to_json(payload), cfg["output"]["path"])
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_second_variation(
-    cfg: RunConfig,
-    out: str | None,
-    demonstrate_failure: bool = False,
-    workers: int = 1,
-) -> int:
-    chart = cfg.chart()
-    structure = cfg.structure(chart)
+def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: int = 1) -> int:
+    chart, structure = chart_and_structure(cfg)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     var_cfg = cfg["variations"]
@@ -266,30 +234,31 @@ def cmd_second_variation(
         report = reports[0]
         gap = abs(report.Fpp_square - report.Fpp_operator) / max(report.scale, 1e-300)
         report.extra["square_operator_gap"] = gap
-        report.extra["demonstrated"] = gap > tols["failure_demonstration"]
-        _emit(reports_to_json(reports), out)
-        return EXIT_PASS if report.extra["demonstrated"] else EXIT_FAIL
-    if potentials:
-        for report, expr in zip(reports, potentials):
-            report.extra["potential"] = expr
-    ok = all(
-        r.max_pairwise_rel_diff <= tols["route_agreement"]
-        and r.fd_rel_diff <= tols["fd_agreement"]
-        and r.Fpp_square >= 0.0
-        and r.Fpp_operator >= -tols["operator_positivity"] * r.scale
-        for r in reports
-    )
-    if cfg["output"]["format"] == "csv":
-        _emit(reports_to_csv(reports), out)
+        ok = report.extra["demonstrated"] = gap > tols["failure_demonstration"]
+        summary = None
     else:
-        _emit(reports_to_json(reports, extra={"passed": ok, "count": len(reports)}), out)
+        if potentials:
+            for report, expr in zip(reports, potentials):
+                report.extra["potential"] = expr
+        ok = all(
+            r.max_pairwise_rel_diff <= tols["route_agreement"]
+            and r.fd_rel_diff <= tols["fd_agreement"]
+            and r.Fpp_square >= 0.0
+            and r.Fpp_operator >= -tols["operator_positivity"] * r.scale
+            for r in reports
+        )
+        summary = {"passed": ok, "count": len(reports)}
+    if cfg["output"]["format"] == "csv":
+        text = reports_to_csv(reports)
+    else:
+        text = reports_to_json(reports, extra=summary)
+    _emit(text, cfg["output"]["path"])
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_cylinder(cfg: RunConfig, out: str | None) -> int:
+def cmd_cylinder(cfg: dict) -> int:
     """Full closed-form pipeline on the grim reaper cylinder."""
-    chart = cfg.chart()
-    structure = cfg.structure(chart)
+    chart, structure = chart_and_structure(cfg)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     checks: dict[str, Any] = {}
@@ -333,7 +302,7 @@ def cmd_cylinder(cfg: RunConfig, out: str | None) -> int:
 
     passed = geo_ok and inequality_ok and slices_ok and gap_ok
     checks["passed"] = passed
-    _emit(reports_to_json(checks), out)
+    _emit(reports_to_json(checks), cfg["output"]["path"])
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -378,23 +347,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {
-        "output.format": getattr(args, "format", None),
-        "chart": getattr(args, "chart", None),
+        "output.path": args.out,
+        "output.format": args.format,
+        "chart": args.chart,
         "variations.seed": getattr(args, "seed", None),
         "variations.count": getattr(args, "count", None),
     }
     try:
         cfg = load_config(args.config, overrides)
-        out = args.out if args.out is not None else cfg["output"]["path"]
         if args.command == "verify-soliton":
-            return cmd_verify_soliton(cfg, out)
+            return cmd_verify_soliton(cfg)
         if args.command == "second-variation":
-            return cmd_second_variation(cfg, out, args.demonstrate_failure, max(1, args.workers))
+            return cmd_second_variation(cfg, args.demonstrate_failure, max(1, args.workers))
         if args.command == "cylinder":
-            return cmd_cylinder(cfg, out)
+            return cmd_cylinder(cfg)
         parser.error(f"unknown command {args.command}")
     except (ConfigurationError, ExpressionError) as exc:
-        log.error("configuration error: %s", exc)
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except NotASolitonError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import jets
 from .errors import ExpressionError
 
-__all__ = ["compile_expression"]
+__all__ = ["compile_expression", "is_finite_number", "variable_names"]
 
 _FUNCTIONS = {
     "sin": jets.sin,
@@ -48,6 +49,17 @@ _BINOPS = {
     ast.Div: lambda a, b: a / b,
     ast.Pow: lambda a, b: a**b,
 }
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) with a finite float value."""
+    # abs() <= max also rejects nan and ints too large for a float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def variable_names(d: int) -> list[str]:
+    """The names of ``d`` variables: ``x, y, z`` up to three, else ``u1..ud``."""
+    return ["x", "y", "z"][:d] if d <= 3 else [f"u{i + 1}" for i in range(d)]
 
 
 def compile_expression(expr: str, var_names: Sequence[str]) -> Callable:

@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
+from .errors import EvaluationError
 from .stability import (
     GridGeometry,
     first_variation,
@@ -144,7 +146,7 @@ def reports_to_json(reports, extra: dict | None = None) -> str:
         payload = reports.to_dict() if hasattr(reports, "to_dict") else reports
     if extra is not None:
         payload = {"summary": extra, "reports": payload}
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def reports_to_csv(reports) -> str:
@@ -168,14 +170,17 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for json serialization."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _plain(obj, key: str = ""):
+    """Recursively convert numpy scalars/arrays for json serialization; a float
+    that is not finite raises EvaluationError naming its dotted ``key``."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v, f"{key}.{k}".lstrip(".")) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v, f"{key}.{i}".lstrip(".")) for i, v in enumerate(obj)]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise EvaluationError(f"{key} is {obj!r}, which a JSON report cannot hold")
     return obj

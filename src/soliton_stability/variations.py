@@ -27,7 +27,7 @@ import numpy as np
 from . import jets as J
 from .charts import MapJets
 from .errors import ConfigurationError, EvaluationError, UnsupportedChartError
-from .expressions import compile_expression
+from .expressions import compile_expression, variable_names
 from .geometry import PointGeometry
 from .quadrature import QuadratureGrid
 
@@ -144,8 +144,7 @@ def bump_field(support) -> ScalarField:
 def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:
     support = np.asarray(support, dtype=float)
     d = support.shape[0]
-    var_names = ["x", "y", "z"][:d] if d <= 3 else [f"u{i + 1}" for i in range(d)]
-    fn = compile_expression(expr, var_names)
+    fn = compile_expression(expr, variable_names(d))
     win = tuple(window) if window is not None else (True,) * d
     return ScalarField(support, lambda seeds: fn(*seeds), window=win, name=expr)
 

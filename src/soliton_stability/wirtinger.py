@@ -36,6 +36,8 @@ __all__ = [
     "dirichlet_gap",
 ]
 
+DIRICHLET_MIN_INTERVALS = 100
+
 
 @dataclass(frozen=True)
 class CylinderIntegrals:
@@ -171,8 +173,8 @@ def dirichlet_ground_state(n: int, max_iter: int = 500, rtol: float = 1e-14):
     the eigenvalue estimate.  Returns ``(eigenvalue, nodes, eigenvector)``;
     the continuum limit is eigenvalue 1 with eigenfunction cos x.
     """
-    if n < 100:
-        raise ValueError("need at least 100 subintervals")
+    if n < DIRICHLET_MIN_INTERVALS:
+        raise ValueError(f"need at least {DIRICHLET_MIN_INTERVALS} subintervals")
     h = math.pi / n
     nodes = -math.pi / 2 + h * np.arange(1, n)
     inv_h2 = 1.0 / h**2

@@ -180,6 +180,12 @@ def test_chart_from_config_errors():
     with pytest.raises(ExpressionError):
         ss.chart_from_config({"domain": [[1, 0]], "components": ["x", "x"]})  # lo >= hi
     with pytest.raises(ExpressionError):
+        ss.chart_from_config({"domain": "ab", "components": ["x", "x"]})  # text domain
+    with pytest.raises(ExpressionError):
+        ss.chart_from_config({"domain": [[0, 1], [0, 1]], "components": "xy"})  # text components
+    with pytest.raises(ExpressionError):
+        ss.chart_from_config({"domain": [[0, 1]], "components": ["x", "x"], "extra": 1})
+    with pytest.raises(ExpressionError):
         ss.builtin_chart("no_such_chart")
 
 

@@ -1,6 +1,7 @@
 """Exit-code contract, report formats, and byte determinism of the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from soliton_stability.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    load_config,
     main,
 )
 from soliton_stability.reports import CSV_COLUMNS
@@ -49,6 +51,16 @@ def test_config_parse_error_exits_2(tmp_path):
     assert run_cli("verify-soliton", "--config", str(bad)) == EXIT_CONFIG
     bad.write_text(json.dumps({"no_such_key": 1}))
     assert run_cli("verify-soliton", "--config", str(bad)) == EXIT_CONFIG
+    for top_level in ([1], 5):
+        bad.write_text(json.dumps(top_level))
+        assert run_cli("verify-soliton", "--config", str(bad)) == EXIT_CONFIG
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == load_config(None)
 
 
 @pytest.mark.parametrize(
@@ -63,6 +75,17 @@ def test_config_parse_error_exits_2(tmp_path):
         {"grid": {"support_shrink": "0.5"}},
         {"variations": {"degree": 2.5}},
         {"variations": {"seed": "x"}},
+        {"grid": {"diagnostic_points": 2.5}},
+        {"grid": {"diagnostic_points": 0}},
+        {"grid": {"diagnostic_points": "50"}},
+        {"dirichlet_intervals": 50},
+        {"dirichlet_intervals": "2000"},
+        {"T": 5},
+        {"T": ["a", 0, 0, 0]},
+        {"T": [1e400, 0, 0, 0]},
+        {"T": [True, 0, 0, 0]},
+        {"output": {"path": 5}},
+        {"grid": [1, 2]},
     ],
     ids=[
         "equal_steps",
@@ -74,6 +97,17 @@ def test_config_parse_error_exits_2(tmp_path):
         "text_shrink",
         "fractional_degree",
         "text_seed",
+        "fractional_diagnostic_points",
+        "zero_diagnostic_points",
+        "text_diagnostic_points",
+        "few_dirichlet_intervals",
+        "text_dirichlet_intervals",
+        "scalar_T",
+        "text_in_T",
+        "overflowing_T",
+        "bool_in_T",
+        "numeric_output_path",
+        "list_grid",
     ],
 )
 def test_malformed_numeric_config_exits_2(tmp_path, capsys, override):
@@ -100,8 +134,20 @@ def expression_chart(first_component):
         {"variations": {"potentials": ["True*x"]}},
         {"chart": expression_chart("True*x")},
         {"variations": {"potentials": ["x**x"]}},
+        {"chart": {**expression_chart("x"), "domain": "ab"}},
+        {"chart": {**expression_chart("x"), "components": "xy"}},
+        {"chart": {**expression_chart("x"), "extra": 1}},
     ],
-    ids=["deep_potential", "deep_component", "bool_potential", "bool_component", "jet_exponent"],
+    ids=[
+        "deep_potential",
+        "deep_component",
+        "bool_potential",
+        "bool_component",
+        "jet_exponent",
+        "text_domain",
+        "text_components",
+        "unknown_chart_key",
+    ],
 )
 def test_malformed_expression_exits_2(tmp_path, capsys, override):
     bad = tmp_path / "cfg.json"
@@ -176,6 +222,45 @@ def test_demonstrate_failure_mode(small_suite_config, tmp_path):
     assert rec["kind"] == "generic"
     assert rec["square_operator_gap"] > 1e-2
     assert rec["demonstrated"] is True
+    csv_out = tmp_path / "fail.csv"
+    code = run_cli(
+        "second-variation",
+        "--config",
+        small_suite_config,
+        "--demonstrate-failure",
+        "--seed",
+        "7",
+        "--format",
+        "csv",
+        "--out",
+        str(csv_out),
+    )
+    assert code == EXIT_PASS
+    lines = csv_out.read_text().strip().splitlines()
+    assert lines[0].split(",") == CSV_COLUMNS
+    assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("verify-soliton", "max_soliton_residual"), ("cylinder", "geometry_deviations.weight")],
+)
+def test_non_finite_result_exits_1_without_output(tmp_path, capsys, command, key):
+    # a finite T this large overflows the translation weight exp(<T, x>)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "T": [1e300, 0, 0, 0],
+                "grid": {"cells": 4, "points_per_cell": 4, "diagnostic_points": 5},
+                "dirichlet_intervals": 100,
+            }
+        )
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_FAIL
+    assert f"error: {key} is inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cylinder_pipeline_defaults_pass(tmp_path):

@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 import soliton_stability as ss
+from soliton_stability.errors import EvaluationError
 from soliton_stability.reports import CSV_COLUMNS, reports_to_csv, reports_to_json
 
 
@@ -61,3 +63,12 @@ def test_json_handles_numpy_scalars():
     text = reports_to_json({"a": np.float64(1.5), "b": np.arange(3), "c": [np.int64(2)]})
     data = json.loads(text)
     assert data == {"a": 1.5, "b": [0, 1, 2], "c": [2]}
+
+
+def test_json_rejects_non_finite_numbers():
+    with pytest.raises(EvaluationError, match=r"^a\.b\.1 is inf"):
+        reports_to_json({"a": {"b": [1.0, np.float64(np.inf)]}})
+    with pytest.raises(EvaluationError, match=r"^reports\.0\.x is nan"):
+        reports_to_json([{"x": float("nan")}], extra={"passed": True})
+    with pytest.raises(EvaluationError, match=r"^c\.1 is -inf"):
+        reports_to_json({"c": np.array([0.0, -np.inf])})
