@@ -30,6 +30,7 @@ route used by the Gauss-equation cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Any
 
@@ -75,8 +76,6 @@ class PointGeometry:
     e: np.ndarray             # (N, m, d)
     frame_coeff: np.ndarray   # (N, d, d)
     nu: np.ndarray            # (N, m, k), k = m - d
-    h3: np.ndarray            # (N, d, d, k) frame components h_ijk
-    H_frame: np.ndarray       # (N, k)
     weight: np.ndarray        # (N,) translation weight exp(<T, Phi>)
     T_tan: np.ndarray         # (N, d)  <T, e_i>
     T_norm: np.ndarray        # (N, k)  <T, nu_p>
@@ -86,6 +85,15 @@ class PointGeometry:
     @property
     def npoints(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def h3(self) -> np.ndarray:  # (N, d, d, k) h_ijk; lazy, soliton_residual skips it
+        A = self.frame_coeff
+        return np.einsum("nai,nbj,nqab,nqp->nijp", A, A, self.h_coord, self.nu)
+
+    @cached_property
+    def H_frame(self) -> np.ndarray:  # (N, k); lazy like h3
+        return np.einsum("nab,nqab,nqp->np", self.g_inv, self.h_coord, self.nu)
 
 
 @dataclass
@@ -233,8 +241,6 @@ def point_geometry(
 
     lagrangian = _is_lagrangian(chart, structure, t)
     e, A, nu = _orthonormal_frames(t, g, structure, lagrangian)
-    h3 = np.einsum("nai,nbj,nqab,nqp->nijp", A, A, h_coord, nu)
-    H_frame = np.einsum("nab,nqab,nqp->np", g_inv, h_coord, nu)
 
     T = structure.T
     weight = np.exp(np.einsum("p,np->n", T, jets.val))
@@ -259,8 +265,6 @@ def point_geometry(
         e=e,
         frame_coeff=A,
         nu=nu,
-        h3=h3,
-        H_frame=H_frame,
         weight=weight,
         T_tan=T_tan,
         T_norm=T_norm,
