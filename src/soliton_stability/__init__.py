@@ -12,9 +12,7 @@ from .charts import (
     Chart,
     builtin_chart,
     chart_from_config,
-    eval_jet3,
     eval_jets,
-    finite_difference_jet,
     flat_lagrangian_plane,
     grim_reaper_cylinder,
     non_lagrangian_patch,
@@ -38,7 +36,6 @@ from .geometry import (
     PointGeometry,
     curvature_tensor,
     kaehler_pullback,
-    lagrangian_defect_omega,
     mean_curvature_vector,
     point_geometry,
     soliton_residual,
@@ -56,7 +53,6 @@ from .stability import (
     GridGeometry,
     first_variation,
     first_variation_fd,
-    functional_value,
     grid_geometry,
     integration_by_parts_report,
     prepare_variation,
@@ -69,14 +65,12 @@ from .stability import (
 from .variations import (
     OneFormField,
     ScalarField,
-    bump_field,
     covariant_calculus,
     default_support_box,
     generic_variation,
     hamiltonian_variation,
     lagrangian_defect,
     normal_field_from_form,
-    one_form_pullback,
     random_generic_variation,
     random_hamiltonian_variation,
     random_polynomial_field,

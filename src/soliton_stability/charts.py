@@ -26,9 +26,6 @@ __all__ = [
     "MapJets",
     "standard_structure",
     "eval_jets",
-    "eval_jet3",
-    "finite_difference_jet",
-    "fd_discrepancy",
     "grim_reaper_cylinder",
     "flat_lagrangian_plane",
     "perturbed_grim_reaper",
@@ -60,11 +57,9 @@ class Chart:
     def dim(self) -> int:
         return self.domain.shape[0]
 
-    def contains(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        lo = self.domain[:, 0] + margin
-        hi = self.domain[:, 1] - margin
-        return np.all((pts > lo) & (pts < hi), axis=1)
+        return np.all((pts > self.domain[:, 0]) & (pts < self.domain[:, 1]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -121,18 +116,19 @@ class MapJets:
     d3: np.ndarray | None = None
 
 
-def eval_jets(chart: Chart, points, order: int = 3, check_domain: bool = True) -> MapJets:
+def eval_jets(chart: Chart, points, order: int = 3) -> MapJets:
     """Evaluate the chart map with exact derivatives up to ``order``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != chart.dim:
         raise DomainError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
-    if check_domain:
-        inside = chart.contains(pts)
-        if not np.all(inside):
-            bad = pts[~inside][0]
-            raise DomainError(f"point {bad.tolist()} outside open domain of chart {chart.name!r}")
+    inside = chart.contains(pts)
+    if not np.all(inside):
+        bad = pts[~inside][0]
+        raise DomainError(f"point {bad.tolist()} outside open domain of chart {chart.name!r}")
     seeds = J.variables(pts, order)
-    comps = list(chart.map_jets(seeds))
+    # a domain error inside the map surfaces as the non-finite check below
+    with np.errstate(all="ignore"):
+        comps = list(chart.map_jets(seeds))
     if len(comps) != chart.ambient_dim:
         raise EvaluationError(
             f"chart {chart.name!r} returned {len(comps)} components, expected {chart.ambient_dim}"
@@ -153,100 +149,6 @@ def eval_jets(chart: Chart, points, order: int = 3, check_domain: bool = True) -
         if arr is not None and not np.all(np.isfinite(arr)):
             raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data")
     return out
-
-
-def eval_jet3(chart: Chart, points) -> MapJets:
-    """Third-order jets of the chart map (no finite differencing involved)."""
-    return eval_jets(chart, points, order=3)
-
-
-def values(chart: Chart, points, check_domain: bool = True) -> np.ndarray:
-    return eval_jets(chart, points, order=1, check_domain=check_domain).val
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> MapJets:
-    """Central-difference jets at a single point; the test oracle for eval_jet3.
-
-    Requires the full stencil (width 2h per axis, 4h on the pure third
-    differences) to stay inside the domain.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    d = chart.dim
-    lo, hi = chart.domain[:, 0], chart.domain[:, 1]
-    if np.any(u - 4 * h <= lo) or np.any(u + 4 * h >= hi):
-        raise DomainError("finite-difference stencil too close to the domain boundary")
-
-    def f(*offsets):
-        p = u.copy()
-        for i, s in offsets:
-            p[i] += s * h
-        return eval_jets(chart, p[None, :], order=1, check_domain=False).val[0]
-
-    m = chart.ambient_dim
-    f0 = f()
-    d1 = np.zeros((m, d))
-    d2 = np.zeros((m, d, d))
-    d3 = np.zeros((m, d, d, d))
-    fp = [f((i, 1)) for i in range(d)]
-    fm = [f((i, -1)) for i in range(d)]
-    for i in range(d):
-        d1[:, i] = (fp[i] - fm[i]) / (2 * h)
-        d2[:, i, i] = (fp[i] - 2 * f0 + fm[i]) / h**2
-        d3[:, i, i, i] = (f((i, 2)) - 2 * fp[i] + 2 * fm[i] - f((i, -2))) / (2 * h**3)
-    for i in range(d):
-        for j in range(i + 1, d):
-            mixed = (f((i, 1), (j, 1)) - f((i, 1), (j, -1)) - f((i, -1), (j, 1)) + f((i, -1), (j, -1))) / (
-                4 * h**2
-            )
-            d2[:, i, j] = d2[:, j, i] = mixed
-    # d^2/di^2 d/dj and fully mixed third derivatives
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            diij = (
-                f((i, 1), (j, 1))
-                - 2 * f((j, 1))
-                + f((i, -1), (j, 1))
-                - f((i, 1), (j, -1))
-                + 2 * f((j, -1))
-                - f((i, -1), (j, -1))
-            ) / (2 * h**3)
-            for perm in ((i, i, j), (i, j, i), (j, i, i)):
-                d3[:, perm[0], perm[1], perm[2]] = diij
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                s = np.zeros(m)
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        for sk in (1, -1):
-                            s += si * sj * sk * f((i, si), (j, sj), (k, sk))
-                val = s / (8 * h**3)
-                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    d3[:, perm[0], perm[1], perm[2]] = val
-    return MapJets(3, u[None, :], f0[None, :], d1[None], d2[None], d3[None])
-
-
-def fd_discrepancy(chart: Chart, u, h: float, flag_threshold: float = 1e-6):
-    """Step-robustness monitor for the finite-difference oracle.
-
-    Compares first/second-order differences at steps ``h`` and ``h/2``
-    (third-order differences are excluded: their round-off floor at small
-    steps would dominate the comparison).  Returns ``(discrepancy, flagged)``
-    where the discrepancy is relative to the field magnitude.
-    """
-    a = finite_difference_jet(chart, u, h)
-    b = finite_difference_jet(chart, u, h / 2)
-    disc = 0.0
-    for xa, xb in ((a.d1, b.d1), (a.d2, b.d2)):
-        scale = 1.0 + float(np.max(np.abs(xb)))
-        disc = max(disc, float(np.max(np.abs(xa - xb))) / scale)
-    return disc, disc > flag_threshold
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ class DomainError(SolitonStabilityError):
 
 
 class EvaluationError(SolitonStabilityError):
-    """A chart or field produced non-finite jet data."""
+    """A chart, a field or the translation weight produced non-finite data."""
 
 
 class ImmersionError(SolitonStabilityError):

@@ -29,7 +29,7 @@ route used by the Gauss-equation cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Any
@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from .charts import AmbientStructure, Chart, MapJets, eval_jets
-from .errors import ImmersionError
+from .errors import EvaluationError, ImmersionError
 
 __all__ = [
     "PointGeometry",
@@ -47,7 +47,6 @@ __all__ = [
     "mean_curvature_vector",
     "translator_defect",
     "soliton_residual",
-    "lagrangian_defect_omega",
     "curvature_tensor",
     "kaehler_pullback",
 ]
@@ -60,10 +59,8 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 class PointGeometry:
     """All pointwise geometric data of a chart at a batch of points."""
 
-    chart: Chart
     structure: AmbientStructure
     points: np.ndarray        # (N, d)
-    values: np.ndarray        # (N, m) ambient positions
     tangents: np.ndarray      # (N, m, d)
     g: np.ndarray             # (N, d, d)
     g_inv: np.ndarray         # (N, d, d)
@@ -81,10 +78,6 @@ class PointGeometry:
     T_norm: np.ndarray        # (N, k)  <T, nu_p>
     T_coord: np.ndarray       # (N, d)  coordinate components of tangential T
     lagrangian: bool
-
-    @property
-    def npoints(self) -> int:
-        return self.points.shape[0]
 
     @cached_property
     def h3(self) -> np.ndarray:  # (N, d, d, k) h_ijk; lazy, soliton_residual skips it
@@ -106,12 +99,7 @@ class DiagnosticsReport:
     max_lagrangian_defect: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "chart": self.chart,
-            "grid": self.grid,
-            "max_soliton_residual": self.max_soliton_residual,
-            "max_lagrangian_defect": self.max_lagrangian_defect,
-        }
+        return asdict(self)
 
 
 def batch_det(a: np.ndarray) -> np.ndarray:
@@ -243,16 +231,17 @@ def point_geometry(
     e, A, nu = _orthonormal_frames(t, g, structure, lagrangian)
 
     T = structure.T
-    weight = np.exp(np.einsum("p,np->n", T, jets.val))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp(np.einsum("p,np->n", T, jets.val))
+    if not np.all(np.isfinite(weight)):
+        raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart.name!r}")
     T_tan = np.einsum("p,npi->ni", T, e)
     T_norm = np.einsum("q,nqp->np", T, nu)
     T_coord = np.einsum("nab,p,npb->na", g_inv, T, t)
 
     return PointGeometry(
-        chart=chart,
         structure=structure,
         points=pts,
-        values=jets.val,
         tangents=t,
         g=g,
         g_inv=g_inv,
@@ -303,14 +292,7 @@ def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> Diagnos
     )
 
 
-def lagrangian_defect_omega(chart: Chart, structure: AmbientStructure, grid) -> float:
-    """max |omega(d_a Phi, d_b Phi)| over the grid and index pairs a < b."""
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    jets = eval_jets(chart, pts, order=1)
-    return float(np.max(np.abs(kaehler_pullback(structure, jets.d1))))
-
-
-def curvature_tensor(chart: Chart, structure: AmbientStructure, points, pg: PointGeometry | None = None):
+def curvature_tensor(pg: PointGeometry):
     """Riemann tensor by two routes plus the Ricci tensor, all frame-valued.
 
     Returns ``(riem_intrinsic, riem_gauss, ricci)`` where
@@ -324,9 +306,8 @@ def curvature_tensor(chart: Chart, structure: AmbientStructure, points, pg: Poin
     Index convention: ``R[n,i,j,k,l] = <R(e_i, e_j) e_l, e_k>`` with
     ``R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]``, which makes
     the sphere direction positive and matches the Gauss form above.
+    ``pg`` must come from order-3 chart jets.
     """
-    if pg is None:
-        pg = point_geometry(chart, structure, points)
     if pg.Gamma_partial is None:
         raise ValueError("curvature needs order-3 jets (Gamma_partial missing)")
     G, dG = pg.Gamma, pg.Gamma_partial

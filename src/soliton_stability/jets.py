@@ -85,38 +85,6 @@ class Jet:
             self.d3 if order >= 3 else None,
         )
 
-    def expanded(self, axis: int) -> "Jet":
-        """Insert a broadcast axis into the batch shape (not a derivative axis)."""
-        return Jet(
-            self.order,
-            np.expand_dims(self.val, axis),
-            np.expand_dims(self.d1, axis),
-            None if self.d2 is None else np.expand_dims(self.d2, axis),
-            None if self.d3 is None else np.expand_dims(self.d3, axis),
-        )
-
-    def partial(self, i: int) -> "Jet":
-        """The i-th first derivative as a jet of one order lower."""
-        if self.order < 2:
-            raise ValueError("need order >= 2 to extract a derivative jet")
-        return Jet(
-            self.order - 1,
-            self.d1[..., i],
-            self.d2[..., i, :],
-            None if self.d3 is None else self.d3[..., i, :, :],
-        )
-
-    def symmetry_defect(self) -> float:
-        """Max deviation of d2/d3 from full index symmetry (diagnostic)."""
-        worst = 0.0
-        if self.d2 is not None:
-            worst = max(worst, float(np.max(np.abs(self.d2 - np.swapaxes(self.d2, -1, -2)), initial=0.0)))
-        if self.d3 is not None:
-            t = self.d3
-            for perm in ((-1, -3, -2), (-2, -1, -3)):
-                worst = max(worst, float(np.max(np.abs(t - np.moveaxis(t, (-3, -2, -1), perm)), initial=0.0)))
-        return worst
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):

@@ -46,7 +46,7 @@ from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
     covariant_calculus,
-    default_support_box,
+    lagrangian_defect,
     normal_field_from_form,
     require_support_inside,
     variation_field_jets,
@@ -60,7 +60,6 @@ __all__ = [
     "VariationData",
     "prepare_variation",
     "require_soliton",
-    "functional_value",
     "first_variation",
     "first_variation_fd",
     "second_variation_operator",
@@ -103,22 +102,8 @@ def grid_geometry(chart: Chart, structure: AmbientStructure, grid: QuadratureGri
     jets = eval_jets(chart, grid.nodes, order=3)
     pg = point_geometry(chart, structure, jets=jets)
     resid = float(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
-    f0 = grid.integrate(pg.weight * pg.sqrt_det_g)
+    f0 = _weighted_area(grid, structure, jets.val, pg.g)
     return GridGeometry(chart, structure, grid, jets, pg, resid, f0)
-
-
-def functional_value(
-    chart: Chart,
-    structure: AmbientStructure,
-    box,
-    cells: int = 40,
-    points_per_cell: int = 8,
-) -> float:
-    """Box-local weighted area  int_box exp(<T, Phi>) sqrt(det g) du."""
-    grid = tensor_rule(box, cells, points_per_cell)
-    jets = eval_jets(chart, grid.nodes, order=1)
-    g = np.einsum("nma,nmb->nab", jets.d1, jets.d1)
-    return _weighted_area(grid, structure, jets.val, g)
 
 
 def _weighted_area(grid: QuadratureGrid, structure: AmbientStructure, values, g) -> float:
@@ -165,8 +150,7 @@ class VariationData:
 
     @property
     def defect(self) -> float:
-        curl = self.fj.d1 - self.fj.d1.swapaxes(1, 2)
-        return float(np.max(np.abs(curl)))
+        return lagrangian_defect(self.fj)
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
@@ -374,12 +358,8 @@ def scalar_gradient_pairing(pg: PointGeometry, a_jet, b_jet) -> np.ndarray:
 
 
 def default_grid_for_support(
-    chart: Chart,
-    support=None,
-    cells: int = 40,
-    points_per_cell: int = 8,
+    chart: Chart, support, cells: int = 40, points_per_cell: int = 8
 ) -> QuadratureGrid:
     """Quadrature grid over the (validated) support box of a variation."""
-    box = default_support_box(chart.domain) if support is None else np.asarray(support, float)
-    require_support_inside(chart.domain, box)
-    return tensor_rule(box, cells, points_per_cell)
+    require_support_inside(chart.domain, support)
+    return tensor_rule(support, cells, points_per_cell)

@@ -36,7 +36,6 @@ __all__ = [
     "FormJets",
     "OneFormField",
     "CovariantData",
-    "bump_field",
     "scalar_field_from_expression",
     "random_polynomial_field",
     "hamiltonian_variation",
@@ -45,10 +44,8 @@ __all__ = [
     "random_generic_variation",
     "lagrangian_defect",
     "covariant_calculus",
-    "frame_covariant_matrix",
     "ricci_identity_residual",
     "normal_field_from_form",
-    "one_form_pullback",
     "variation_field_jets",
     "default_support_box",
     "require_support_inside",
@@ -91,23 +88,15 @@ def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
 class ScalarField:
     """Compactly supported scalar on the parameter domain with exact jets.
 
-    ``builder`` maps physical-coordinate jets to a scalar jet; axes with
-    ``window[i]`` True are multiplied by the support bump.  Axes left
-    unwindowed must vanish on the support boundary by construction of the
-    expression itself (used for sharp-constant tests).  ``jet_evaluator``,
-    when set, bypasses the builder with a closed-form evaluation
-    (points or QuadratureGrid, order) -> Jet; 2-d polynomial fields use it to
-    avoid jet arithmetic in hot loops.
-
-    ``eval_jets`` takes scattered points ``(N, d)`` or a
-    :class:`QuadratureGrid`, whose nodes it evaluates in the grid's order.
+    ``evaluate(where, order)`` returns the field's jet at scattered points
+    ``(N, d)`` or at the nodes of a :class:`QuadratureGrid`, in the grid's
+    order.  :meth:`eval_jets` forces it to exactly zero outside the support
+    box and refuses non-finite data.
     """
 
     support: np.ndarray
-    builder: Callable[[Sequence[J.Jet]], J.Jet] | None = None
-    window: tuple[bool, ...] | None = None
+    evaluate: Callable[[object, int], J.Jet]
     name: str = ""
-    jet_evaluator: Callable | None = None
 
     @property
     def dim(self) -> int:
@@ -115,19 +104,9 @@ class ScalarField:
 
     def eval_jets(self, where, order: int = 3) -> J.Jet:
         pts = _nodes(where)
-        if self.jet_evaluator is not None:
-            raw = self.jet_evaluator(where if isinstance(where, QuadratureGrid) else pts, order)
-        else:
-            if self.builder is None:
-                raise ValueError("scalar field needs a builder or a jet_evaluator")
-            seeds = J.variables(pts, order)
-            raw = self.builder(seeds)
-            if not isinstance(raw, J.Jet):
-                raw = J.constant(raw, self.dim, order, batch_shape=(pts.shape[0],))
-            window = self.window if self.window is not None else (True,) * self.dim
-            for i, flag in enumerate(window):
-                if flag:
-                    raw = raw * window_jet(seeds[i], self.support[i, 0], self.support[i, 1])
+        # a domain error inside the field surfaces as the non-finite check below
+        with np.errstate(all="ignore"):
+            raw = self.evaluate(where if isinstance(where, QuadratureGrid) else pts, order)
         out = _mask_jet(raw, _support_mask(pts, self.support))
         for arr in (out.val, out.d1, out.d2, out.d3):
             if arr is not None and not np.all(np.isfinite(arr)):
@@ -135,18 +114,35 @@ class ScalarField:
         return out
 
 
-def bump_field(support) -> ScalarField:
-    """The plain product bump over the support box."""
-    support = np.asarray(support, dtype=float)
-    return ScalarField(support, lambda seeds: 1.0, name="bump")
+def _jet_arithmetic(support: np.ndarray, fn, window: Sequence[bool]):
+    """Evaluator of ``fn(coordinate jets)`` times the bump on each windowed axis.
+
+    Axes left unwindowed must vanish on the support boundary by construction
+    of ``fn`` itself (used for sharp-constant tests).  A plain-number result
+    is promoted to a constant jet.
+    """
+
+    def evaluate(where, order: int) -> J.Jet:
+        pts = _nodes(where)
+        seeds = J.variables(pts, order)
+        raw = fn(seeds)
+        if not isinstance(raw, J.Jet):
+            raw = J.constant(raw, len(seeds), order, batch_shape=(pts.shape[0],))
+        for i, flag in enumerate(window):
+            if flag:
+                raw = raw * window_jet(seeds[i], support[i, 0], support[i, 1])
+        return raw
+
+    return evaluate
 
 
 def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:
+    """``expr`` times the bump on every axis, or on the axes flagged in ``window``."""
     support = np.asarray(support, dtype=float)
     d = support.shape[0]
     fn = compile_expression(expr, variable_names(d))
     win = tuple(window) if window is not None else (True,) * d
-    return ScalarField(support, lambda seeds: fn(*seeds), window=win, name=expr)
+    return ScalarField(support, _jet_arithmetic(support, lambda seeds: fn(*seeds), win), name=expr)
 
 
 def _monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
@@ -184,7 +180,14 @@ def _derivative_vandermonde(x: np.ndarray, lo: float, hi: float, ncoef: int, ord
     return out
 
 
-def _polynomial_bump_evaluator(support: np.ndarray, coeff_matrix: np.ndarray):
+def _polynomial_coefficients(d: int, seed: int, degree: int):
+    """Seeded coefficients, uniform in [-1, 1], and the exponents they multiply."""
+    exponents = _monomial_exponents(d, degree)
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(exponents))
+    return coeffs, exponents
+
+
+def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
     """Closed-form jets for (polynomial * bump) on a 2-d support box.
 
     The windowed field is itself one bivariate polynomial ``s^T C t`` in the
@@ -193,14 +196,11 @@ def _polynomial_bump_evaluator(support: np.ndarray, coeff_matrix: np.ndarray):
     one small matrix product per partial, evaluated once per axis node; at
     scattered points the same matrices are contracted row by row.
     """
-    nx, ny = coeff_matrix.shape
-    full = np.zeros((nx + 8, ny + 8))
+    full = np.zeros((degree + 9, degree + 9))
     bump2d = np.outer(_BUMP_COEFFS, _BUMP_COEFFS)
-    for i in range(nx):
-        for j in range(ny):
-            c = coeff_matrix[i, j]
-            if c != 0.0:
-                full[i : i + 9, j : j + 9] += c * bump2d
+    # the blocks overlap, so their summation order sets the last bits: keep it row-major
+    for c, (i, j) in sorted(zip(*_polynomial_coefficients(2, seed, degree)), key=lambda t: t[1]):
+        full[i : i + 9, j : j + 9] += c * bump2d
 
     def evaluate(where, order: int) -> J.Jet:
         if isinstance(where, QuadratureGrid):
@@ -240,24 +240,15 @@ def _polynomial_bump_evaluator(support: np.ndarray, coeff_matrix: np.ndarray):
     return evaluate
 
 
-def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
-    """Random polynomial (in support-normalized coordinates) times the bump.
-
-    Coefficients are uniform in [-1, 1] from a seeded generator; the seed is
-    recorded in reports so suites are reproducible.
-    """
-    support = np.asarray(support, dtype=float)
+def _polynomial_jet_arithmetic(support: np.ndarray, seed: int, degree: int):
+    """Jet-arithmetic evaluator of (polynomial * bump), for a support box of any dimension."""
     d = support.shape[0]
-    exponents = _monomial_exponents(d, degree)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-1.0, 1.0, size=len(exponents))
+    coeffs, exponents = _polynomial_coefficients(d, seed, degree)
+    scale = 2.0 / (support[:, 1] - support[:, 0])
+    shift = (support[:, 1] + support[:, 0]) / (support[:, 1] - support[:, 0])
 
-    def builder(seeds):
-        s = [
-            seeds[i] * (2.0 / (support[i, 1] - support[i, 0]))
-            - (support[i, 1] + support[i, 0]) / (support[i, 1] - support[i, 0])
-            for i in range(d)
-        ]
+    def polynomial(seeds):
+        s = [seeds[i] * scale[i] - shift[i] for i in range(d)]
         powers = [[None] * (degree + 1) for _ in range(d)]
         acc = None
         for c, exps in zip(coeffs, exponents):
@@ -270,15 +261,20 @@ def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
             acc = term if acc is None else acc + term
         return acc
 
-    evaluator = None
-    if d == 2:
-        cmat = np.zeros((degree + 1, degree + 1))
-        for c, (i, j) in zip(coeffs, exponents):
-            cmat[i, j] = c
-        evaluator = _polynomial_bump_evaluator(support, cmat)
-    return ScalarField(
-        support, builder, name=f"poly(seed={seed},deg={degree})", jet_evaluator=evaluator
-    )
+    return _jet_arithmetic(support, polynomial, (True,) * d)
+
+
+def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
+    """Random polynomial (in support-normalized coordinates) times the bump.
+
+    Coefficients are uniform in [-1, 1] from a seeded generator; the seed is
+    recorded in reports so suites are reproducible.  At d = 2 the jets come
+    in closed form from per-axis Vandermonde matrices, otherwise from jet
+    arithmetic.
+    """
+    support = np.asarray(support, dtype=float)
+    make = _polynomial_bump_evaluator if support.shape[0] == 2 else _polynomial_jet_arithmetic
+    return ScalarField(support, make(support, seed, degree), name=f"poly(seed={seed},deg={degree})")
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +349,18 @@ def random_hamiltonian_variation(support, seed: int, degree: int = 4) -> OneForm
 
 def random_generic_variation(support, seed: int, degree: int = 4) -> OneFormField:
     support = np.asarray(support, dtype=float)
-    d = support.shape[0]
-    fields = tuple(
-        random_polynomial_field(support, seed * 1000 + axis, degree) for axis in range(d)
+    return generic_variation(
+        [random_polynomial_field(support, seed * 1000 + axis, degree) for axis in range(len(support))]
     )
-    return OneFormField(support, "generic", fields=fields)
 
 
-def lagrangian_defect(theta: OneFormField, grid) -> float:
-    """max |partial_a theta_b - partial_b theta_a| over the grid.
+def lagrangian_defect(fj: FormJets) -> float:
+    """max |partial_a theta_b - partial_b theta_a| over the points of ``fj``.
 
     This is the coordinate expression of d(theta); Christoffel contributions
     to the covariant antisymmetrization cancel by symmetry, so closedness of
     the form is a purely coordinate condition.
     """
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    fj = theta.eval_jets(pts, order=1)
     curl = fj.d1 - fj.d1.swapaxes(1, 2)
     return float(np.max(np.abs(curl)))
 
@@ -428,12 +420,6 @@ def covariant_calculus(fj: FormJets, pg: PointGeometry) -> CovariantData:
     return CovariantData(nabla=nabla, div=div, laplacian=laplacian, div_grad=div_grad)
 
 
-def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:
-    """nabla(theta) expressed in the orthonormal tangent frame."""
-    A = pg.frame_coeff
-    return np.einsum("nai,nbj,nab->nij", A, A, nabla)
-
-
 def ricci_identity_residual(fj: FormJets, pg: PointGeometry, ricci: np.ndarray) -> float:
     """Pointwise residual of the commutation identity used by the square form.
 
@@ -470,12 +456,6 @@ def normal_field_from_form(fj: FormJets, pg: PointGeometry) -> np.ndarray:
     sharp = np.einsum("nba,na->nb", pg.g_inv, fj.val)
     ambient = np.einsum("nqb,nb->nq", pg.tangents, sharp)
     return np.einsum("pq,nq->np", pg.structure.J, ambient)
-
-
-def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
-    """Coordinate components of -i_field omega restricted to the chart."""
-    Jv = np.einsum("pq,nq->np", pg.structure.J, field)
-    return -np.einsum("np,npa->na", Jv, pg.tangents)
 
 
 # ---------------------------------------------------------------------------

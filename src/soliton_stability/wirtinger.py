@@ -20,17 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets as J
 from .charts import uniform_grid
 from .errors import ConvergenceError
 from .geometry import mean_curvature_vector, point_geometry
 from .quadrature import QuadratureGrid
-from .variations import OneFormField, ScalarField
+from .variations import ScalarField
 
 __all__ = [
     "CylinderIntegrals",
     "cylinder_stability_integrals",
-    "cylinder_form_from_normal_components",
     "closed_form_deviations",
     "dirichlet_ground_state",
     "dirichlet_gap",
@@ -96,25 +94,6 @@ def cylinder_stability_integrals(
         slice_lhs=slice_lhs,
         slice_rhs=slice_rhs,
     )
-
-
-def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> OneFormField:
-    """One-form matching the variation V = v3 nu_1 + v4 nu_2 on the cylinder.
-
-    In the cylinder's deterministic frames the coordinate components are
-    theta = (v3 / cos x) dx + v4 dy.  The result is generic (not closed for
-    generic v3, v4), which is exactly what the cross-check against the
-    closed-form integrals needs: the first-order variation routes are
-    insensitive to closedness.
-    """
-
-    def sec_scaled(where, order):
-        pts = where.nodes if isinstance(where, QuadratureGrid) else where
-        seeds = J.variables(pts, order)
-        return v3.eval_jets(where, order) / J.cos(seeds[0])
-
-    comp_x = ScalarField(v3.support, jet_evaluator=sec_scaled, name="v3/cos(x)")
-    return OneFormField(np.asarray(v3.support, float), "generic", fields=(comp_x, v4))
 
 
 def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:

@@ -105,7 +105,7 @@ def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
 
 
 def test_criterion_5_proof_step_identities(default_gg, grim_reaper, structure):
-    _, _, ricci = curvature_tensor(grim_reaper, structure, None, pg=default_gg.pg)
+    _, _, ricci = curvature_tensor(default_gg.pg)
     worst_ricci = 0.0
     worst_parts = 0.0
     for seed in range(SUITE_SEED, SUITE_SEED + 10):
@@ -119,7 +119,7 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, structure):
     assert worst_parts <= 1e-6
     gauss_worst = 0.0
     for chart in (grim_reaper, ss.perturbed_grim_reaper(0.05), ss.flat_lagrangian_plane()):
-        r_int, r_gauss, _ = curvature_tensor(chart, structure, ss.uniform_grid(chart, 20))
+        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, structure, ss.uniform_grid(chart, 20)))
         gauss_worst = max(gauss_worst, float(np.max(np.abs(r_int - r_gauss))))
     assert gauss_worst <= 1e-8
     report(

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soliton_stability as ss
-from soliton_stability.charts import fd_discrepancy, values
+from oracles import fd_discrepancy, finite_difference_jet
 from soliton_stability.errors import DomainError, EvaluationError, ExpressionError
 from soliton_stability.expressions import compile_expression
 import soliton_stability.jets as J
 
 
 def test_grim_reaper_tangent_values(grim_reaper):
-    j = ss.eval_jet3(grim_reaper, np.array([[0.0, 0.0], [math.pi / 3, 0.0]]))
+    j = ss.eval_jets(grim_reaper, np.array([[0.0, 0.0], [math.pi / 3, 0.0]]))
     assert np.allclose(j.val[0], [0, 0, 0, 0], atol=1e-15)
     assert np.allclose(j.d1[0, :, 0], [0, 1, 0, 0], atol=1e-15)
     assert np.allclose(j.d2[0, :, 0, 0], [1, 0, 0, 0], atol=1e-15)
@@ -26,22 +26,21 @@ def test_grim_reaper_tangent_values(grim_reaper):
 
 
 def test_affine_chart_higher_jets_vanish(flat_plane):
-    j = ss.eval_jet3(flat_plane, np.array([[0.7, -1.3], [2.0, 2.5]]))
+    j = ss.eval_jets(flat_plane, np.array([[0.7, -1.3], [2.0, 2.5]]))
     assert np.all(j.d2 == 0.0)
     assert np.all(j.d3 == 0.0)
 
 
 def test_domain_errors(grim_reaper):
     with pytest.raises(DomainError):
-        ss.eval_jet3(grim_reaper, np.array([[math.pi / 2, 0.0]]))
+        ss.eval_jets(grim_reaper, np.array([[math.pi / 2, 0.0]]))
     with pytest.raises(DomainError):
-        ss.eval_jet3(grim_reaper, np.array([[0.0, 10.0]]))
+        ss.eval_jets(grim_reaper, np.array([[0.0, 10.0]]))
     # boundary itself is excluded (open domain)
     with pytest.raises(DomainError):
-        ss.eval_jet3(grim_reaper, np.array([[grim_reaper.domain[0, 1], 0.0]]))
+        ss.eval_jets(grim_reaper, np.array([[grim_reaper.domain[0, 1], 0.0]]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_non_finite_evaluation_is_reported():
     chart = ss.chart_from_config(
         {"name": "bad_log", "domain": [[-1.0, 1.0], [-1.0, 1.0]], "components": ["log(x)", "y", "0", "0"]}
@@ -62,8 +61,8 @@ def test_ambient_structure_invariants(structure):
 
 
 def test_finite_difference_affine_chart_is_exact(flat_plane):
-    fd = ss.finite_difference_jet(flat_plane, [0.3, 0.4], h=1e-3)
-    exact = ss.eval_jet3(flat_plane, np.array([[0.3, 0.4]]))
+    fd = finite_difference_jet(flat_plane, [0.3, 0.4], h=1e-3)
+    exact = ss.eval_jets(flat_plane, np.array([[0.3, 0.4]]))
     assert np.allclose(fd.d1, exact.d1, atol=1e-12)
     assert np.max(np.abs(fd.d2)) < 1e-9
     assert np.max(np.abs(fd.d3)) < 1e-6
@@ -79,7 +78,7 @@ def test_fd_discrepancy_monitor(grim_reaper):
 
 def test_fd_requires_margin(grim_reaper):
     with pytest.raises(DomainError):
-        ss.finite_difference_jet(grim_reaper, [grim_reaper.domain[0, 1] - 1e-4, 0.0], h=1e-3)
+        finite_difference_jet(grim_reaper, [grim_reaper.domain[0, 1] - 1e-4, 0.0], h=1e-3)
 
 
 def test_expression_grammar_accepts_vocabulary():
@@ -166,7 +165,7 @@ def test_chart_from_config_expression_tree(structure):
         }
     )
     pts = np.array([[0.2, -0.3]])
-    assert np.allclose(values(chart, pts), [[0.2, 0.0, -0.3, 0.0]])
+    assert np.allclose(ss.eval_jets(chart, pts, order=1).val, [[0.2, 0.0, -0.3, 0.0]])
     # auto-detected as Lagrangian when the geometry is first computed
     pg = ss.point_geometry(chart, structure, pts)
     assert pg.lagrangian

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
+import soliton_stability as ss
 import soliton_stability.jets as J
-from soliton_stability import eval_jet3, finite_difference_jet, grim_reaper_cylinder
+from oracles import finite_difference_jet, partial, symmetry_defect
+from soliton_stability.errors import EvaluationError, ExpressionError
 
 
 def _scalar_case(pts):
@@ -74,14 +78,14 @@ def test_mixed_partial_symmetry_is_structural():
     pts = np.array([[0.3, 0.8]])
     x, y = J.variables(pts, order=3)
     f = J.exp(x * y) * J.sin(x - 2.0 * y) / (2.0 + J.cos(x))
-    assert f.symmetry_defect() == 0.0
+    assert symmetry_defect(f) == 0.0
 
 
 def test_partial_extraction():
     pts = np.array([[0.25, -0.4]])
     x, y = J.variables(pts, order=3)
     f = J.sin(x * y)
-    fx = f.partial(0)
+    fx = partial(f, 0)
     assert fx.order == 2
     assert np.allclose(fx.val, f.d1[:, 0])
     assert np.allclose(fx.d1, f.d2[:, 0, :])
@@ -95,12 +99,12 @@ def test_taylor_remainder_order(u):
     The direction needs a solid component along the curved coordinate so the
     remainder sits well above the round-off floor at both steps.
     """
-    chart = grim_reaper_cylinder()
+    chart = ss.grim_reaper_cylinder()
     v = np.array([0.8, 0.6])
-    j = eval_jet3(chart, np.array([u]))
+    j = ss.eval_jets(chart, np.array([u]))
 
     def taylor_error(h):
-        target = eval_jet3(chart, np.array([np.array(u) + h * v])).val[0]
+        target = ss.eval_jets(chart, np.array([np.array(u) + h * v])).val[0]
         model = (
             j.val[0]
             + h * j.d1[0] @ v
@@ -117,8 +121,70 @@ def test_taylor_remainder_order(u):
 
 
 def test_finite_difference_oracle_agrees():
-    chart = grim_reaper_cylinder()
-    exact = eval_jet3(chart, np.array([[0.0, 0.0]]))
+    chart = ss.grim_reaper_cylinder()
+    exact = ss.eval_jets(chart, np.array([[0.0, 0.0]]))
     fd = finite_difference_jet(chart, [0.0, 0.0], h=1e-4)
     assert np.max(np.abs(fd.d1 - exact.d1)) < 1e-7
     assert np.max(np.abs(fd.d2 - exact.d2)) < 1e-7
+
+
+def _expressions(names):
+    """Random expressions over ``names`` from + - * /, sin cos exp log sqrt and integer powers.
+
+    Divisors and the arguments of log and sqrt are kept at least 1, so every
+    expression is smooth on the whole domain.
+    """
+    leaves = st.sampled_from(list(names) + ["1", "2", "0.5"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, inner).map(lambda t: f"({t[0]}) / (2 + ({t[1]})**2)"),
+            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(st.sampled_from(["log", "sqrt"]), inner).map(lambda t: f"{t[0]}(1 + ({t[1]})**2)"),
+            st.tuples(inner, st.integers(2, 4)).map(lambda t: f"({t[0]})**{t[1]}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def _expression_charts(draw):
+    d = draw(st.sampled_from([2, 3]))
+    names = ["x", "y", "z"][:d]
+    components = [draw(_expressions(names)) for _ in range(2)]
+    point = draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d))
+    return {"domain": [[-1.0, 1.0]] * d, "components": components}, np.array(point)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_expression_charts())
+def test_jet_arithmetic_matches_finite_differences(case):
+    """Order-3 jets of random expression charts against finite differences.
+
+    d1 and d2 are checked against ``finite_difference_jet`` at h = 1e-4 and
+    d3 against central differences of the exact d2 at h = 1e-5, relative to
+    the size of the jet.  d1 and d3 use the 1e-7 of
+    test_finite_difference_oracle_agrees.  d2 gets 1e-6:
+    its second difference carries a round-off floor of about 4 eps |f| / h^2,
+    i.e. 1e-7 |f|, and a truncation term h^2 f'''' / 12 that the jet's size
+    does not bound.
+    """
+    spec, u = case
+    try:
+        chart = ss.chart_from_config(spec)
+        exact = ss.eval_jets(chart, u[None, :], order=3)
+    except (ExpressionError, EvaluationError):
+        reject()  # a constant or a value that overflows
+    scale = 1.0 + max(float(np.max(np.abs(a))) for a in (exact.val, exact.d1, exact.d2, exact.d3))
+    assume(scale <= 1e3)
+    fd = finite_difference_jet(chart, u, h=1e-4)
+    assert np.max(np.abs(fd.d1 - exact.d1)) <= 1e-7 * scale
+    assert np.max(np.abs(fd.d2 - exact.d2)) <= 1e-6 * scale
+    h = 1e-5
+    for k in range(chart.dim):
+        step = np.zeros(chart.dim)
+        step[k] = h
+        up = ss.eval_jets(chart, (u + step)[None, :], order=2)
+        down = ss.eval_jets(chart, (u - step)[None, :], order=2)
+        assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - exact.d3[..., k])) <= 1e-7 * scale

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
+from oracles import cylinder_form_from_normal_components
 from soliton_stability.errors import ConvergenceError
-from soliton_stability.wirtinger import cylinder_form_from_normal_components
 
 
 @pytest.fixture(scope="module")
