@@ -49,10 +49,27 @@ __all__ = [
     "soliton_residual",
     "curvature_tensor",
     "kaehler_pullback",
+    "node_blocks",
 ]
 
 RANK_TOL = 1e-8
 LAGRANGIAN_DETECT_TOL = 1e-9
+
+# Rows per node block of soliton_residual and of jet-arithmetic fields.  Every
+# per-node quantity depends on its own node alone, so the block size changes
+# no output bit; it bounds the temporaries.  On a 2-vCPU VM (numpy 2.4.6),
+# 4096 rows beat 8192 and 16384 on perfbench certify (peak RSS 52 / 59 / 74 MB
+# at equal wall time) and suite3d (wall 3.13 / 3.32 / 3.40 s).
+NODE_BLOCK = 4096
+
+
+def node_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of at most ``NODE_BLOCK`` rows covering ``range(n)``.
+
+    ``n = 0`` gives one empty slice, so an empty batch still runs (and fails)
+    as it would unblocked.
+    """
+    return [slice(i, min(i + NODE_BLOCK, n)) for i in range(0, max(n, 1), NODE_BLOCK)]
 
 
 @dataclass
@@ -66,7 +83,6 @@ class PointGeometry:
     g_inv: np.ndarray         # (N, d, d)
     sqrt_det_g: np.ndarray    # (N,)
     dg: np.ndarray            # (N, d, d, d)
-    dg_inv: np.ndarray        # (N, d, d, d)
     Gamma: np.ndarray         # (N, d, d, d)
     Gamma_partial: np.ndarray | None  # (N, d, d, d, d); None for order-2 jets
     h_coord: np.ndarray       # (N, m, d, d)
@@ -76,8 +92,15 @@ class PointGeometry:
     weight: np.ndarray        # (N,) translation weight exp(<T, Phi>)
     T_tan: np.ndarray         # (N, d)  <T, e_i>
     T_norm: np.ndarray        # (N, k)  <T, nu_p>
-    T_coord: np.ndarray       # (N, d)  coordinate components of tangential T
     lagrangian: bool
+
+    @cached_property
+    def dg_inv(self) -> np.ndarray:  # (N, d, d, d) d_e g^kl; lazy, soliton_residual skips it
+        return -np.einsum("nkp,nepq,nql->nekl", self.g_inv, self.dg, self.g_inv)
+
+    @cached_property
+    def T_coord(self) -> np.ndarray:  # (N, d) coordinate components of tangential T; lazy
+        return np.einsum("nab,p,npb->na", self.g_inv, self.structure.T, self.tangents)
 
     @cached_property
     def h3(self) -> np.ndarray:  # (N, d, d, k) h_ijk; lazy, soliton_residual skips it
@@ -189,10 +212,13 @@ def point_geometry(
 
     g = np.einsum("nma,nmb->nab", t, t)
     eigmin = np.linalg.eigvalsh(g)[:, 0]
-    if np.any(eigmin <= RANK_TOL**2):
+    deficient = np.flatnonzero(eigmin <= RANK_TOL**2)
+    if deficient.size:
+        # name the first such point, so the message does not depend on the batch
+        i = deficient[0]
         raise ImmersionError(
-            f"chart {chart.name!r} is rank deficient (min singular value "
-            f"{float(np.sqrt(max(np.min(eigmin), 0.0))):.3e})"
+            f"chart {chart.name!r} is rank deficient at point {pts[i].tolist()} "
+            f"(smallest singular value {float(np.sqrt(max(eigmin[i], 0.0))):.3e})"
         )
     g_inv = np.linalg.inv(g)
     sqrt_det_g = np.sqrt(batch_det(g))
@@ -204,25 +230,6 @@ def point_geometry(
     # bracket[n,l,a,b] = d_a g_bl + d_b g_al - d_l g_ab
     bracket = np.einsum("nabl->nlab", dg) + np.einsum("nbal->nlab", dg) - dg
     Gamma = 0.5 * np.einsum("nkl,nlab->nkab", g_inv, bracket)
-    dg_inv = -np.einsum("nkp,nepq,nql->nekl", g_inv, dg, g_inv)
-
-    Gamma_partial = None
-    if jets.order >= 3:
-        d3 = jets.d3
-        # ddg[n,e,c,a,b] = d_e d_c g_ab, by Leibniz on <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
-        ddg = (
-            np.einsum("nmace,nmb->necab", d3, t)
-            + np.einsum("nmac,nmbe->necab", d2, d2)
-            + np.einsum("nmae,nmbc->necab", d2, d2)
-            + np.einsum("nma,nmbce->necab", t, d3)
-        )
-        dbracket = (
-            np.einsum("neabl->nelab", ddg) + np.einsum("nebal->nelab", ddg) - ddg
-        )
-        Gamma_partial = 0.5 * (
-            np.einsum("nekl,nlab->nekab", dg_inv, bracket)
-            + np.einsum("nkl,nelab->nekab", g_inv, dbracket)
-        )
 
     # Gauss formula: the normal part of the coordinate Hessian of the map
     h_coord = d2 - np.einsum("nkab,nmk->nmab", Gamma, t)
@@ -237,9 +244,8 @@ def point_geometry(
         raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart.name!r}")
     T_tan = np.einsum("p,npi->ni", T, e)
     T_norm = np.einsum("q,nqp->np", T, nu)
-    T_coord = np.einsum("nab,p,npb->na", g_inv, T, t)
 
-    return PointGeometry(
+    pg = PointGeometry(
         structure=structure,
         points=pts,
         tangents=t,
@@ -247,9 +253,8 @@ def point_geometry(
         g_inv=g_inv,
         sqrt_det_g=sqrt_det_g,
         dg=dg,
-        dg_inv=dg_inv,
         Gamma=Gamma,
-        Gamma_partial=Gamma_partial,
+        Gamma_partial=None,
         h_coord=h_coord,
         e=e,
         frame_coeff=A,
@@ -257,9 +262,25 @@ def point_geometry(
         weight=weight,
         T_tan=T_tan,
         T_norm=T_norm,
-        T_coord=T_coord,
         lagrangian=lagrangian,
     )
+    if jets.order >= 3:
+        d3 = jets.d3
+        # ddg[n,e,c,a,b] = d_e d_c g_ab, by Leibniz on <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
+        ddg = (
+            np.einsum("nmace,nmb->necab", d3, t)
+            + np.einsum("nmac,nmbe->necab", d2, d2)
+            + np.einsum("nmae,nmbc->necab", d2, d2)
+            + np.einsum("nma,nmbce->necab", t, d3)
+        )
+        dbracket = (
+            np.einsum("neabl->nelab", ddg) + np.einsum("nebal->nelab", ddg) - ddg
+        )
+        pg.Gamma_partial = 0.5 * (
+            np.einsum("nekl,nlab->nekab", pg.dg_inv, bracket)
+            + np.einsum("nkl,nelab->nekab", g_inv, dbracket)
+        )
+    return pg
 
 
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
@@ -277,13 +298,16 @@ def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> Diagnos
     """Grid maxima of |T^perp - H| and of the Kaehler pullback.
 
     A vanishing residual certifies the translator equation; the pullback
-    certifies the Lagrangian condition.
+    certifies the Lagrangian condition.  The points run in blocks of
+    :func:`node_blocks`, so memory is bounded at any grid size; only the
+    per-block maxima are kept, and ``np.max`` over them keeps a NaN.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    jets = eval_jets(chart, pts, order=2)
-    pg = point_geometry(chart, structure, jets=jets)
-    resid = np.linalg.norm(translator_defect(pg), axis=1)
-    defect = np.max(np.abs(kaehler_pullback(structure, pg.tangents)), axis=(1, 2))
+    resid, defect = [], []
+    for rows in node_blocks(pts.shape[0]):
+        pg = point_geometry(chart, structure, jets=eval_jets(chart, pts[rows], order=2))
+        resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
+        defect.append(np.max(np.abs(kaehler_pullback(structure, pg.tangents))))
     return DiagnosticsReport(
         chart=chart.name,
         grid={"kind": "points", "count": int(pts.shape[0])},

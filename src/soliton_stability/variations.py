@@ -28,7 +28,7 @@ from . import jets as J
 from .charts import MapJets
 from .errors import ConfigurationError, EvaluationError, UnsupportedChartError
 from .expressions import compile_expression, variable_names
-from .geometry import PointGeometry
+from .geometry import PointGeometry, node_blocks
 from .quadrature import QuadratureGrid
 
 __all__ = [
@@ -119,11 +119,13 @@ def _jet_arithmetic(support: np.ndarray, fn, window: Sequence[bool]):
 
     Axes left unwindowed must vanish on the support boundary by construction
     of ``fn`` itself (used for sharp-constant tests).  A plain-number result
-    is promoted to a constant jet.
+    is promoted to a constant jet.  The nodes run in blocks of
+    :func:`~soliton_stability.geometry.node_blocks`, each block's jet written
+    into the result in node order, so the temporaries of the jet operations
+    stay one block in size.
     """
 
-    def evaluate(where, order: int) -> J.Jet:
-        pts = _nodes(where)
+    def block(pts: np.ndarray, order: int) -> J.Jet:
         seeds = J.variables(pts, order)
         raw = fn(seeds)
         if not isinstance(raw, J.Jet):
@@ -132,6 +134,20 @@ def _jet_arithmetic(support: np.ndarray, fn, window: Sequence[bool]):
             if flag:
                 raw = raw * window_jet(seeds[i], support[i, 0], support[i, 1])
         return raw
+
+    def evaluate(where, order: int) -> J.Jet:
+        pts = _nodes(where)
+        n = pts.shape[0]
+        out = None
+        for rows in node_blocks(n):
+            jet = block(pts[rows], order)
+            parts = (jet.val, jet.d1, jet.d2, jet.d3)
+            if out is None:
+                out = [None if a is None else np.empty((n,) + a.shape[1:]) for a in parts]
+            for dst, src in zip(out, parts):
+                if dst is not None:
+                    dst[rows] = src
+        return J.Jet(jet.order, *out)
 
     return evaluate
 

@@ -196,7 +196,7 @@ def test_rank_deficiency_raises(structure):
             "components": ["x", "0", "x", "0"],  # second column collapses
         }
     )
-    with pytest.raises(ImmersionError):
+    with pytest.raises(ImmersionError, match=r"rank deficient at point \[0\.1, 0\.1\]"):
         ss.point_geometry(chart, structure, np.array([[0.1, 0.1]]))
 
 
