@@ -11,15 +11,18 @@ the batch):
 * ``Gamma_partial[n, e, k, a, b]``  partial_e Gamma^k_ab
 * ``h_coord[n, p, a, b]`` ambient components of the second fundamental form
   (the normal projection of partial^2 Phi via the Gauss formula)
-* ``e[n, p, i]`` / ``nu[n, p, i]``  orthonormal tangent / normal frames
 * ``frame_coeff[n, a, i]``  coefficients with e_i = frame_coeff[n, a, i] d_a Phi
+* ``nu[n, p, i]``         the normal frame nu_i = J e_i (Lagrangian charts only)
 
 The tangent frame is Gram-Schmidt of the coordinate tangents in coordinate
-order (equivalently the inverse-transpose Cholesky factor of g), so frames
-are deterministic.  For Lagrangian charts the normal frame is J applied to
-the tangent frame; otherwise it is a Gram-Schmidt complement built from the
-ambient coordinate axes.  Frame-valued fields are gauge choices; every
-reported scalar downstream is gauge invariant.
+order (equivalently the inverse-transpose Cholesky factor of g), so it is
+deterministic.  There is one normal frame, ``nu_i = J e_i``, and it exists
+only on Lagrangian charts, where J maps the tangent space onto the normal
+space; reading ``nu`` on any other chart raises UnsupportedChartError.  The
+translator defect, the mean curvature vector and the Gauss side of the
+curvature use ambient normal components, so they hold on every chart.
+Frames are formed on first use, and every reported scalar is gauge
+invariant.
 
 Christoffel symbols and their derivatives are assembled intrinsically from
 metric derivatives, not from ambient projections, so the curvature tensor
@@ -37,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from .charts import AmbientStructure, Chart, MapJets, eval_jets
-from .errors import EvaluationError, ImmersionError
+from .errors import EvaluationError, ImmersionError, UnsupportedChartError
 
 __all__ = [
     "PointGeometry",
@@ -86,29 +89,47 @@ class PointGeometry:
     Gamma: np.ndarray         # (N, d, d, d)
     Gamma_partial: np.ndarray | None  # (N, d, d, d, d); None for order-2 jets
     h_coord: np.ndarray       # (N, m, d, d)
-    e: np.ndarray             # (N, m, d)
-    frame_coeff: np.ndarray   # (N, d, d)
-    nu: np.ndarray            # (N, m, k), k = m - d
     weight: np.ndarray        # (N,) translation weight exp(<T, Phi>)
-    T_tan: np.ndarray         # (N, d)  <T, e_i>
-    T_norm: np.ndarray        # (N, k)  <T, nu_p>
-    lagrangian: bool
+    pinned_lagrangian: bool | None  # Chart.lagrangian; None means detect
+
+    # every property below is formed on first use; soliton_residual reads T_coord only
 
     @cached_property
-    def dg_inv(self) -> np.ndarray:  # (N, d, d, d) d_e g^kl; lazy, soliton_residual skips it
+    def lagrangian(self) -> bool:
+        if self.pinned_lagrangian is not None:
+            return self.pinned_lagrangian
+        m, d = self.tangents.shape[1:]
+        if m != 2 * d:
+            return False
+        defect = float(np.max(np.abs(kaehler_pullback(self.structure, self.tangents))))
+        return defect < LAGRANGIAN_DETECT_TOL
+
+    @cached_property
+    def frame_coeff(self) -> np.ndarray:  # (N, d, d), upper triangular
+        return np.linalg.inv(np.linalg.cholesky(self.g)).swapaxes(1, 2)
+
+    @cached_property
+    def nu(self) -> np.ndarray:  # (N, m, d) nu_i = J e_i
+        if not self.lagrangian:
+            raise UnsupportedChartError("the normal frame nu_i = J e_i needs a Lagrangian chart")
+        e = np.einsum("nma,nai->nmi", self.tangents, self.frame_coeff)
+        return np.einsum("pq,nqi->npi", self.structure.J, e)
+
+    @cached_property
+    def dg_inv(self) -> np.ndarray:  # (N, d, d, d) d_e g^kl
         return -np.einsum("nkp,nepq,nql->nekl", self.g_inv, self.dg, self.g_inv)
 
     @cached_property
-    def T_coord(self) -> np.ndarray:  # (N, d) coordinate components of tangential T; lazy
+    def T_coord(self) -> np.ndarray:  # (N, d) coordinate components of tangential T
         return np.einsum("nab,p,npb->na", self.g_inv, self.structure.T, self.tangents)
 
     @cached_property
-    def h3(self) -> np.ndarray:  # (N, d, d, k) h_ijk; lazy, soliton_residual skips it
+    def h3(self) -> np.ndarray:  # (N, d, d, d) h_ijk
         A = self.frame_coeff
         return np.einsum("nai,nbj,nqab,nqp->nijp", A, A, self.h_coord, self.nu)
 
     @cached_property
-    def H_frame(self) -> np.ndarray:  # (N, k); lazy like h3
+    def H_frame(self) -> np.ndarray:  # (N, d)
         return np.einsum("nab,nqab,nqp->np", self.g_inv, self.h_coord, self.nu)
 
 
@@ -148,46 +169,6 @@ def kaehler_pullback(structure: AmbientStructure, tangents: np.ndarray) -> np.nd
     """omega(d_a Phi, d_b Phi) = <J d_a Phi, d_b Phi> as an (N, d, d) array."""
     Jt = np.einsum("pq,nqa->npa", structure.J, tangents)
     return np.einsum("npa,npb->nab", Jt, tangents)
-
-
-def _is_lagrangian(chart: Chart, structure: AmbientStructure, tangents: np.ndarray) -> bool:
-    if chart.lagrangian is not None:
-        return chart.lagrangian
-    m, d = tangents.shape[1], tangents.shape[2]
-    if m != 2 * d:
-        return False
-    defect = float(np.max(np.abs(kaehler_pullback(structure, tangents))))
-    return defect < LAGRANGIAN_DETECT_TOL
-
-
-def _orthonormal_frames(tangents, g, structure, lagrangian):
-    """Deterministic orthonormal frames; see the module docstring for the gauge."""
-    L = np.linalg.cholesky(g)
-    A = np.linalg.inv(L).swapaxes(1, 2)  # upper triangular
-    e = np.einsum("nma,nai->nmi", tangents, A)
-    if lagrangian:
-        nu = np.einsum("pq,nqi->npi", structure.J, e)
-        return e, A, nu
-    n, m, d = tangents.shape
-    k = m - d
-    cols = [e[:, :, i] for i in range(d)]
-    normals = []
-    for axis in range(m):
-        v = np.zeros((n, m))
-        v[:, axis] = 1.0
-        for c in cols:
-            v = v - np.einsum("np,np->n", c, v)[:, None] * c
-        norms = np.linalg.norm(v, axis=1)
-        if np.min(norms) > 1e-6:
-            v = v / norms[:, None]
-            cols.append(v)
-            normals.append(v)
-            if len(normals) == k:
-                break
-    if len(normals) < k:
-        raise ImmersionError("could not complete a normal frame from the ambient axes")
-    nu = np.stack(normals, axis=2)
-    return e, A, nu
 
 
 def point_geometry(
@@ -234,16 +215,10 @@ def point_geometry(
     # Gauss formula: the normal part of the coordinate Hessian of the map
     h_coord = d2 - np.einsum("nkab,nmk->nmab", Gamma, t)
 
-    lagrangian = _is_lagrangian(chart, structure, t)
-    e, A, nu = _orthonormal_frames(t, g, structure, lagrangian)
-
-    T = structure.T
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.exp(np.einsum("p,np->n", T, jets.val))
+        weight = np.exp(np.einsum("p,np->n", structure.T, jets.val))
     if not np.all(np.isfinite(weight)):
         raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart.name!r}")
-    T_tan = np.einsum("p,npi->ni", T, e)
-    T_norm = np.einsum("q,nqp->np", T, nu)
 
     pg = PointGeometry(
         structure=structure,
@@ -256,13 +231,8 @@ def point_geometry(
         Gamma=Gamma,
         Gamma_partial=None,
         h_coord=h_coord,
-        e=e,
-        frame_coeff=A,
-        nu=nu,
         weight=weight,
-        T_tan=T_tan,
-        T_norm=T_norm,
-        lagrangian=lagrangian,
+        pinned_lagrangian=chart.lagrangian,
     )
     if jets.order >= 3:
         d3 = jets.d3
@@ -289,8 +259,11 @@ def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
 
 
 def translator_defect(pg: PointGeometry) -> np.ndarray:
-    """The translator-equation field T^perp - H, shape (N, m); zero on a translator."""
-    t_perp = pg.structure.T[None, :] - np.einsum("ni,npi->np", pg.T_tan, pg.e)
+    """The translator-equation field T^perp - H, shape (N, m); zero on a translator.
+
+    T^perp = T - d_a Phi T^a, with T^a = g^ab <T, d_b Phi> the tangential part.
+    """
+    t_perp = pg.structure.T[None, :] - np.einsum("npa,na->np", pg.tangents, pg.T_coord)
     return t_perp - mean_curvature_vector(pg)
 
 
@@ -323,9 +296,13 @@ def curvature_tensor(pg: PointGeometry):
 
     * ``riem_intrinsic`` comes from Christoffel symbols and their derivatives
       (metric data only),
-    * ``riem_gauss`` is assembled from the second fundamental form via the
-      Gauss equation  R_ijkl = h_ikp h_jlp - h_ilp h_jkp,
-    * ``ricci`` is its trace  R_ik = H_p h_ikp - h_jip h_jkp.
+    * ``riem_gauss`` is assembled from the ambient second fundamental form
+      h_ij = h(e_i, e_j) via the Gauss equation
+      R_ijkl = <h_ik, h_jl> - <h_il, h_jk>,
+    * ``ricci`` is its trace  R_ik = <H, h_ik> - <h_ji, h_jk>.
+
+    The Gauss side pairs ambient normal vectors, so it needs no normal frame
+    and holds on every chart.
 
     Index convention: ``R[n,i,j,k,l] = <R(e_i, e_j) e_l, e_k>`` with
     ``R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]``, which makes
@@ -345,11 +322,9 @@ def curvature_tensor(pg: PointGeometry):
     r_coord = np.einsum("nkm,nmijl->nijkl", pg.g, r_up)
     A = pg.frame_coeff
     riem_intrinsic = np.einsum("nai,nbj,nck,ndl,nabcd->nijkl", A, A, A, A, r_coord)
-    h3 = pg.h3
-    riem_gauss = np.einsum("nikp,njlp->nijkl", h3, h3) - np.einsum(
-        "nilp,njkp->nijkl", h3, h3
-    )
-    ricci = np.einsum("np,nikp->nik", pg.H_frame, h3) - np.einsum(
-        "njip,njkp->nik", h3, h3
+    h = np.einsum("nai,nbj,nqab->nijq", A, A, pg.h_coord)
+    riem_gauss = np.einsum("nikq,njlq->nijkl", h, h) - np.einsum("nilq,njkq->nijkl", h, h)
+    ricci = np.einsum("nq,nikq->nik", mean_curvature_vector(pg), h) - np.einsum(
+        "njiq,njkq->nik", h, h
     )
     return riem_intrinsic, riem_gauss, ricci

@@ -244,22 +244,22 @@ def second_variation_square(
     gg: GridGeometry,
     data: VariationData,
     soliton_tol: float = DEFAULT_SOLITON_TOL,
-    closed_tol: float = DEFAULT_CLOSED_TOL,
 ) -> float:
     """Perfect-square route:  int (div theta^sharp + theta(T^top))^2 w dmu.
 
     Nonnegative by construction.  Equals the other routes only for closed
-    theta; a defect above ``closed_tol`` logs a warning instead of refusing,
-    because the mismatch for non-closed forms is itself a test subject.
+    theta; a defect above ``DEFAULT_CLOSED_TOL`` logs a warning instead of
+    refusing, because the mismatch for non-closed forms is itself a test
+    subject.
     """
     require_soliton(gg, soliton_tol)
     defect = data.defect
-    if defect > closed_tol:
+    if defect > DEFAULT_CLOSED_TOL:
         log.warning(
             "square-form route on a non-closed form (defect %.3e > %.3e); "
             "its value will not match the other routes",
             defect,
-            closed_tol,
+            DEFAULT_CLOSED_TOL,
         )
     q = data.cov.div + np.einsum("na,na->n", data.fj.val, gg.pg.T_coord)
     return gg.grid.integrate(q * q * gg.area_weight)

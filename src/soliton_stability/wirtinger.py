@@ -45,7 +45,6 @@ class CylinderIntegrals:
     gradient_integral: float
     wirtinger_lhs: float
     wirtinger_rhs: float
-    y_nodes: np.ndarray
     slice_lhs: np.ndarray
     slice_rhs: np.ndarray
 
@@ -90,7 +89,6 @@ def cylinder_stability_integrals(
         gradient_integral=float(grad_plain + grad_weighted),
         wirtinger_lhs=wirtinger_lhs,
         wirtinger_rhs=wirtinger_rhs,
-        y_nodes=grid.axis_nodes[1].copy(),
         slice_lhs=slice_lhs,
         slice_rhs=slice_rhs,
     )
@@ -101,8 +99,9 @@ def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:
 
     On the grim reaper cylinder the metric is diag(1/cos^2 x, 1), the area
     density and translation weight are both 1/cos x, the only nonzero
-    second-fundamental-form component (against the first normal vector) is
-    1/cos x, and |H| = cos x.  Returns one max-abs deviation per quantity.
+    ambient second-fundamental-form component is h(d_x, d_x) = (1, -tan x, 0, 0),
+    and |H| = cos x.  Returns one max-abs deviation per quantity; no normal
+    frame is read, so any chart gets a report.
     """
     pts = uniform_grid(chart, n)
     pg = point_geometry(chart, structure, pts)
@@ -112,13 +111,13 @@ def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:
     g_exact = np.zeros_like(pg.g)
     g_exact[:, 0, 0] = sec**2
     g_exact[:, 1, 1] = 1.0
-    h_num = np.einsum("nqab,nqp->nabp", pg.h_coord, pg.nu)
-    h_exact = np.zeros_like(h_num)
-    h_exact[:, 0, 0, 0] = sec
+    h_exact = np.zeros_like(pg.h_coord)
+    h_exact[:, 0, 0, 0] = 1.0
+    h_exact[:, 1, 0, 0] = -np.tan(x)
     return {
         "metric": float(np.max(np.abs(pg.g - g_exact))),
         "area_density": float(np.max(np.abs(pg.sqrt_det_g - sec))),
-        "second_fundamental_form": float(np.max(np.abs(h_num - h_exact))),
+        "second_fundamental_form": float(np.max(np.abs(pg.h_coord - h_exact))),
         "mean_curvature": float(
             np.max(np.abs(np.linalg.norm(mean_curvature_vector(pg), axis=1) - np.cos(x)))
         ),

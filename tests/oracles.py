@@ -2,8 +2,9 @@
 
 Each helper recomputes something the package computes another way (finite
 differences against exact jets, a one-form from frame components, the
-box-local functional on a fresh grid) or reads a structural property off a
-result (index symmetry of a jet, one derivative of a jet).
+translator defect through the tangent frame, the box-local functional on a
+fresh grid) or reads a structural property off a result (index symmetry of
+a jet, one derivative of a jet).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import soliton_stability.jets as J
 from soliton_stability.charts import Chart, MapJets, eval_jets
 from soliton_stability.errors import DomainError
-from soliton_stability.geometry import PointGeometry
+from soliton_stability.geometry import PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
 from soliton_stability.stability import _weighted_area
 from soliton_stability.variations import OneFormField, ScalarField
@@ -141,6 +142,14 @@ def functional_value(chart: Chart, structure, box, cells: int = 40, points_per_c
     jets = eval_jets(chart, grid.nodes, order=1)
     g = np.einsum("nma,nmb->nab", jets.d1, jets.d1)
     return _weighted_area(grid, structure, jets.val, g)
+
+
+def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
+    """T^perp - H with T^perp = T - sum_i <T, e_i> e_i in the orthonormal tangent frame."""
+    e = np.einsum("nma,nai->nmi", pg.tangents, pg.frame_coeff)
+    T = pg.structure.T
+    t_perp = T[None, :] - np.einsum("ni,npi->np", np.einsum("p,npi->ni", T, e), e)
+    return t_perp - mean_curvature_vector(pg)
 
 
 def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:

@@ -273,6 +273,18 @@ def test_cylinder_pipeline_defaults_pass(tmp_path):
     assert len(data["stability_pairs"]) == 10
 
 
+def test_cylinder_on_non_lagrangian_chart_reports_geometry(tmp_path):
+    """The closed-form geometry check reads no normal frame, so any chart gets a report."""
+    out = tmp_path / "cyl.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 10, "points_per_cell": 5}, "dirichlet_intervals": 400}))
+    code = run_cli("cylinder", "--config", str(cfg), "--chart", "non_lagrangian_patch", "--out", str(out))
+    assert code == EXIT_FAIL
+    data = json.loads(out.read_text())
+    assert data["geometry_ok"] is False
+    assert data["passed"] is False
+
+
 def test_cylinder_tightened_tolerance_documents_error_budget(tmp_path):
     """The exact-jet pipeline has a measurable float floor; an impossible
     tolerance must fail, exhibiting the budget."""

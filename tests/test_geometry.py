@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from soliton_stability.errors import ImmersionError
-from soliton_stability.geometry import batch_det, kaehler_pullback
+from oracles import frame_translator_defect
+from soliton_stability.errors import ImmersionError, UnsupportedChartError
+from soliton_stability.geometry import batch_det, kaehler_pullback, translator_defect
 
 # frozen regression baseline for the eps=0.05 perturbed cylinder on the 30x30
 # diagnostic grid (max pointwise distance from the translator equation)
@@ -77,14 +78,15 @@ def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, structure):
     for chart in (grim_reaper, perturbed):
         pts = ss.uniform_grid(chart, 12)
         pg = ss.point_geometry(chart, structure, pts)
-        ee = np.einsum("npi,npj->nij", pg.e, pg.e)
+        e = np.einsum("nma,nai->nmi", pg.tangents, pg.frame_coeff)
+        ee = np.einsum("npi,npj->nij", e, e)
         nn = np.einsum("npi,npj->nij", pg.nu, pg.nu)
-        en = np.einsum("npi,npj->nij", pg.e, pg.nu)
+        en = np.einsum("npi,npj->nij", e, pg.nu)
         assert np.max(np.abs(ee - np.eye(2))) < 1e-12
         assert np.max(np.abs(nn - np.eye(2))) < 1e-12
         assert np.max(np.abs(en)) < 1e-12
         # J e_i lies in the numeric normal space: orthogonal to all tangents
-        Je = np.einsum("pq,nqi->npi", structure.J, pg.e)
+        Je = np.einsum("pq,nqi->npi", structure.J, e)
         proj = np.einsum("npi,npa->nia", Je, pg.tangents)
         assert np.max(np.abs(proj)) < 1e-10
         # h fully symmetric in all three indices for Lagrangian charts
@@ -99,8 +101,9 @@ def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, structure):
     """Gram-Schmidt in coordinate order reproduces (cos x, -sin x, 0, 0), (0,0,0,-1)."""
     pts = np.array([[0.6, 0.0]])
     pg = ss.point_geometry(grim_reaper, structure, pts)
+    e = np.einsum("nma,nai->nmi", pg.tangents, pg.frame_coeff)
     x = 0.6
-    assert np.allclose(pg.e[0, :, 0], [math.sin(x), math.cos(x), 0, 0], atol=1e-14)
+    assert np.allclose(e[0, :, 0], [math.sin(x), math.cos(x), 0, 0], atol=1e-14)
     assert np.allclose(pg.nu[0, :, 0], [math.cos(x), -math.sin(x), 0, 0], atol=1e-14)
     assert np.allclose(pg.nu[0, :, 1], [0, 0, 0, -1], atol=1e-15)
 
@@ -109,7 +112,39 @@ def test_translator_identity_for_normal_components(grim_reaper, structure):
     # H_p = <T, nu_p> on a translator
     pts = ss.uniform_grid(grim_reaper, 15)
     pg = ss.point_geometry(grim_reaper, structure, pts)
-    assert np.max(np.abs(pg.H_frame - pg.T_norm)) < 1e-10
+    T_norm = np.einsum("q,nqp->np", structure.T, pg.nu)
+    assert np.max(np.abs(pg.H_frame - T_norm)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "grim_reaper",
+        "perturbed_grim_reaper",
+        "non_lagrangian_patch",
+        {
+            "name": "non_lagrangian_3d_patch",
+            "domain": [[-1.4, 1.4], [-1.0, 1.0], [-1.0, 1.0]],
+            "components": ["-log(cos(x))", "x", "y", "x*z", "z", "y*y"],
+        },
+    ],
+    ids=["grim_reaper", "perturbed", "non_lagrangian_patch", "expression_3d"],
+)
+def test_translator_defect_matches_frame_projection(spec):
+    """T - t g^-1 <T, t> is the frame projection T - sum <T, e_i> e_i, on any chart."""
+    chart = ss.chart_from_config(spec)
+    structure = ss.standard_structure(chart.ambient_dim // 2)  # T = e_1
+    pg = ss.point_geometry(chart, structure, ss.uniform_grid(chart, 7))
+    assert np.max(np.abs(translator_defect(pg) - frame_translator_defect(pg))) <= 1e-14
+
+
+def test_soliton_residual_forms_no_frame(monkeypatch, grim_reaper, structure):
+    def no_frame(*args, **kwargs):
+        raise AssertionError("soliton_residual formed a frame")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_frame)
+    rep = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 20))
+    assert rep.max_soliton_residual <= 1e-10
 
 
 def test_soliton_residual_certificates(grim_reaper, flat_plane, perturbed, structure):
@@ -135,7 +170,8 @@ def test_lagrangian_defect_on_non_lagrangian_patch(structure):
 
 
 def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, structure):
-    for chart in (grim_reaper, flat_plane, perturbed):
+    # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
+    for chart in (grim_reaper, flat_plane, perturbed, ss.non_lagrangian_patch()):
         grid = ss.uniform_grid(chart, 12)
         r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, structure, grid))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
@@ -167,7 +203,7 @@ def test_curved_graph_sign_convention(structure):
 
 
 def test_low_dimensional_chart_is_supported(structure):
-    """A curve in R^4 (d < n): frames complete and H is the curve's curvature."""
+    """A curve in R^4 (d < n): H is the curve's curvature, and it has no J-frame."""
     helix = ss.chart_from_config(
         {
             "name": "circle_line",
@@ -178,11 +214,8 @@ def test_low_dimensional_chart_is_supported(structure):
     pts = np.array([[0.3], [1.1]])
     pg = ss.point_geometry(helix, structure, pts)
     assert not pg.lagrangian
-    assert pg.e.shape == (2, 4, 1)
-    assert pg.nu.shape == (2, 4, 3)
-    frame = np.concatenate([pg.e, pg.nu], axis=2)
-    gram = np.einsum("npi,npj->nij", frame, frame)
-    assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+    with pytest.raises(UnsupportedChartError):
+        pg.nu
     # |curvature vector| of (cos t, sin t, t) is 1/2 at unit speed sqrt(2)
     H = ss.mean_curvature_vector(pg)
     assert np.allclose(np.linalg.norm(H, axis=1), 0.5, atol=1e-12)
