@@ -23,7 +23,6 @@ from .expressions import compile_expression, is_finite_number, variable_names
 __all__ = [
     "Chart",
     "AmbientStructure",
-    "MapJets",
     "standard_structure",
     "eval_jets",
     "grim_reaper_cylinder",
@@ -100,24 +99,8 @@ def standard_structure(n: int, T=None) -> AmbientStructure:
     return AmbientStructure(T=np.asarray(T, dtype=float), J=Jm)
 
 
-@dataclass(frozen=True)
-class MapJets:
-    """Stacked ambient jets of a chart at a batch of points.
-
-    ``val`` is ``(N, m)``; derivative axes trail: ``d1[n, p, a]`` is the
-    a-th partial of ambient coordinate p, and so on.
-    """
-
-    order: int
-    points: np.ndarray
-    val: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray | None = None
-    d3: np.ndarray | None = None
-
-
-def eval_jets(chart: Chart, points, order: int = 3) -> MapJets:
-    """Evaluate the chart map with exact derivatives up to ``order``."""
+def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
+    """The chart map's exact jets up to ``order``, ``val`` of shape ``(N, m)``, in node blocks."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != chart.dim:
         raise DomainError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
@@ -125,29 +108,14 @@ def eval_jets(chart: Chart, points, order: int = 3) -> MapJets:
     if not np.all(inside):
         bad = pts[~inside][0]
         raise DomainError(f"point {bad.tolist()} outside open domain of chart {chart.name!r}")
-    seeds = J.variables(pts, order)
     # a domain error inside the map surfaces as the non-finite check below
-    with np.errstate(all="ignore"):
-        comps = list(chart.map_jets(seeds))
-    if len(comps) != chart.ambient_dim:
+    out = J.evaluate(chart.map_jets, pts, order)
+    if out.val.shape[1] != chart.ambient_dim:
         raise EvaluationError(
-            f"chart {chart.name!r} returned {len(comps)} components, expected {chart.ambient_dim}"
+            f"chart {chart.name!r} returned {out.val.shape[1]} components, expected {chart.ambient_dim}"
         )
-    comps = [
-        c if isinstance(c, J.Jet) else J.constant(c, chart.dim, order, batch_shape=(pts.shape[0],))
-        for c in comps
-    ]
-    out = MapJets(
-        order,
-        pts,
-        np.stack([c.val for c in comps], axis=1),
-        np.stack([c.d1 for c in comps], axis=1),
-        np.stack([c.d2 for c in comps], axis=1) if order >= 2 else None,
-        np.stack([c.d3 for c in comps], axis=1) if order >= 3 else None,
-    )
-    for arr in (out.val, out.d1, out.d2, out.d3):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data")
+    if not out.is_finite():
+        raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data")
     return out
 
 

@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
         p.add_argument("--chart", help="builtin chart name override")
 
     p_ver = sub.add_parser("verify-soliton", help="translator and Lagrangian certificates")
@@ -327,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sv = sub.add_parser("second-variation", help="four-route second variation suite")
     common(p_sv)
+    p_sv.add_argument("--format", choices=["json", "csv"], help="output format")
     p_sv.add_argument("--seed", type=int, help="base seed for the variation suite")
     p_sv.add_argument("--count", type=int, help="number of seeded variations")
     p_sv.add_argument("--workers", type=int, default=1, help="thread workers (default 1)")
@@ -346,19 +346,25 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     overrides = {
         "output.path": args.out,
-        "output.format": args.format,
+        "output.format": getattr(args, "format", None),
         "chart": args.chart,
         "variations.seed": getattr(args, "seed", None),
         "variations.count": getattr(args, "count", None),
     }
     try:
         cfg = load_config(args.config, overrides)
+        if args.command != "second-variation" and cfg["output"]["format"] != "json":
+            raise ConfigurationError(
+                f"output.format must be 'json' for {args.command}, got {cfg['output']['format']!r}"
+            )
         if args.command == "verify-soliton":
             return cmd_verify_soliton(cfg)
         if args.command == "second-variation":
-            return cmd_second_variation(cfg, args.demonstrate_failure, max(1, args.workers))
+            return cmd_second_variation(cfg, args.demonstrate_failure, args.workers)
         if args.command == "cylinder":
             return cmd_cylinder(cfg)
         parser.error(f"unknown command {args.command}")

@@ -39,8 +39,9 @@ from typing import Any
 
 import numpy as np
 
-from .charts import AmbientStructure, Chart, MapJets, eval_jets
+from .charts import AmbientStructure, Chart, eval_jets
 from .errors import EvaluationError, ImmersionError, UnsupportedChartError
+from .jets import Jet, node_blocks
 
 __all__ = [
     "PointGeometry",
@@ -52,28 +53,10 @@ __all__ = [
     "soliton_residual",
     "curvature_tensor",
     "kaehler_pullback",
-    "node_blocks",
 ]
 
 RANK_TOL = 1e-8
 LAGRANGIAN_DETECT_TOL = 1e-9
-
-# Rows per node block of soliton_residual and of jet-arithmetic fields.  Every
-# per-node quantity depends on its own node alone, so the block size changes
-# no output bit; it bounds the temporaries.  On a 2-vCPU VM (numpy 2.4.6),
-# 4096 rows beat 8192 and 16384 on perfbench certify (peak RSS 52 / 59 / 74 MB
-# at equal wall time) and suite3d (wall 3.13 / 3.32 / 3.40 s).
-NODE_BLOCK = 4096
-
-
-def node_blocks(n: int) -> list[slice]:
-    """Consecutive row slices of at most ``NODE_BLOCK`` rows covering ``range(n)``.
-
-    ``n = 0`` gives one empty slice, so an empty batch still runs (and fails)
-    as it would unblocked.
-    """
-    return [slice(i, min(i + NODE_BLOCK, n)) for i in range(0, max(n, 1), NODE_BLOCK)]
-
 
 @dataclass
 class PointGeometry:
@@ -167,27 +150,24 @@ def batch_det(a: np.ndarray) -> np.ndarray:
 
 def kaehler_pullback(structure: AmbientStructure, tangents: np.ndarray) -> np.ndarray:
     """omega(d_a Phi, d_b Phi) = <J d_a Phi, d_b Phi> as an (N, d, d) array."""
-    Jt = np.einsum("pq,nqa->npa", structure.J, tangents)
-    return np.einsum("npa,npb->nab", Jt, tangents)
+    return np.matmul(np.matmul(structure.J, tangents).swapaxes(1, 2), tangents)
 
 
 def point_geometry(
     chart: Chart,
     structure: AmbientStructure,
-    points=None,
-    jets: MapJets | None = None,
+    points,
+    jets: Jet | None = None,
 ) -> PointGeometry:
     """Compute all pointwise geometric quantities at a batch of points.
 
-    Pass ``jets`` to reuse a previous chart evaluation; order-3 jets retain
-    the Christoffel derivatives needed by curvature and rough Laplacians,
-    order-2 jets leave ``Gamma_partial`` as None.
+    Pass ``jets`` to reuse a chart evaluation at ``points``; order-3 jets
+    retain the Christoffel derivatives needed by curvature and rough
+    Laplacians, order-2 jets leave ``Gamma_partial`` as None.
     """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if jets is None:
-        if points is None:
-            raise ValueError("either points or jets must be given")
-        jets = eval_jets(chart, points, order=3)
-    pts = jets.points
+        jets = eval_jets(chart, pts, order=3)
     t = jets.d1  # (N, m, d)
     d2 = jets.d2
 
@@ -278,7 +258,7 @@ def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> Diagnos
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     resid, defect = [], []
     for rows in node_blocks(pts.shape[0]):
-        pg = point_geometry(chart, structure, jets=eval_jets(chart, pts[rows], order=2))
+        pg = point_geometry(chart, structure, pts[rows], jets=eval_jets(chart, pts[rows], order=2))
         resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
         defect.append(np.max(np.abs(kaehler_pullback(structure, pg.tangents))))
     return DiagnosticsReport(

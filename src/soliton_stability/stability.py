@@ -42,6 +42,7 @@ import numpy as np
 from .charts import AmbientStructure, Chart, eval_jets
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
+from .jets import Jet
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
@@ -87,7 +88,7 @@ class GridGeometry:
     chart: Chart
     structure: AmbientStructure
     grid: QuadratureGrid
-    jets: object            # order-3 MapJets at the nodes
+    jets: Jet               # order-3 chart jets at the nodes
     pg: PointGeometry
     soliton_residual: float
     functional_at_rest: float
@@ -100,7 +101,7 @@ class GridGeometry:
 
 def grid_geometry(chart: Chart, structure: AmbientStructure, grid: QuadratureGrid) -> GridGeometry:
     jets = eval_jets(chart, grid.nodes, order=3)
-    pg = point_geometry(chart, structure, jets=jets)
+    pg = point_geometry(chart, structure, grid.nodes, jets=jets)
     resid = float(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
     f0 = _weighted_area(grid, structure, jets.val, pg.g)
     return GridGeometry(chart, structure, grid, jets, pg, resid, f0)
@@ -144,7 +145,7 @@ def require_soliton(gg: GridGeometry, tol: float) -> None:
 class VariationData:
     """One variation evaluated once at the grid nodes, shared by all routes."""
 
-    fj: object               # order-2 FormJets
+    fj: Jet                  # order-2 form jets (OneFormField.eval_jets)
     cov: object              # CovariantData
     v: np.ndarray            # (N, m) normal field V = J theta^sharp
 

@@ -25,15 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
-from .charts import MapJets
 from .errors import ConfigurationError, EvaluationError, UnsupportedChartError
 from .expressions import compile_expression, variable_names
-from .geometry import PointGeometry, node_blocks
+from .geometry import PointGeometry
 from .quadrature import QuadratureGrid
 
 __all__ = [
     "ScalarField",
-    "FormJets",
     "OneFormField",
     "CovariantData",
     "scalar_field_from_expression",
@@ -98,19 +96,14 @@ class ScalarField:
     evaluate: Callable[[object, int], J.Jet]
     name: str = ""
 
-    @property
-    def dim(self) -> int:
-        return self.support.shape[0]
-
     def eval_jets(self, where, order: int = 3) -> J.Jet:
         pts = _nodes(where)
         # a domain error inside the field surfaces as the non-finite check below
         with np.errstate(all="ignore"):
             raw = self.evaluate(where if isinstance(where, QuadratureGrid) else pts, order)
         out = _mask_jet(raw, _support_mask(pts, self.support))
-        for arr in (out.val, out.d1, out.d2, out.d3):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data")
+        if not out.is_finite():
+            raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data")
         return out
 
 
@@ -119,37 +112,21 @@ def _jet_arithmetic(support: np.ndarray, fn, window: Sequence[bool]):
 
     Axes left unwindowed must vanish on the support boundary by construction
     of ``fn`` itself (used for sharp-constant tests).  A plain-number result
-    is promoted to a constant jet.  The nodes run in blocks of
-    :func:`~soliton_stability.geometry.node_blocks`, each block's jet written
-    into the result in node order, so the temporaries of the jet operations
-    stay one block in size.
+    becomes a constant jet before the bump multiplies it, so the product is
+    jet times jet and the signs of its zero derivatives do not depend on the
+    constant's sign.  :func:`jets.evaluate` runs it in node blocks.
     """
 
-    def block(pts: np.ndarray, order: int) -> J.Jet:
-        seeds = J.variables(pts, order)
+    def windowed(seeds):
         raw = fn(seeds)
         if not isinstance(raw, J.Jet):
-            raw = J.constant(raw, len(seeds), order, batch_shape=(pts.shape[0],))
+            raw = J.constant(raw, len(seeds), seeds[0].order, batch_shape=seeds[0].val.shape)
         for i, flag in enumerate(window):
             if flag:
                 raw = raw * window_jet(seeds[i], support[i, 0], support[i, 1])
         return raw
 
-    def evaluate(where, order: int) -> J.Jet:
-        pts = _nodes(where)
-        n = pts.shape[0]
-        out = None
-        for rows in node_blocks(n):
-            jet = block(pts[rows], order)
-            parts = (jet.val, jet.d1, jet.d2, jet.d3)
-            if out is None:
-                out = [None if a is None else np.empty((n,) + a.shape[1:]) for a in parts]
-            for dst, src in zip(out, parts):
-                if dst is not None:
-                    dst[rows] = src
-        return J.Jet(jet.order, *out)
-
-    return evaluate
+    return lambda where, order: J.evaluate(windowed, _nodes(where), order)
 
 
 def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:
@@ -298,20 +275,6 @@ def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
 
 
 @dataclass(frozen=True)
-class FormJets:
-    """Coordinate components of a one-form with derivatives.
-
-    ``val[n, a] = theta_a``, ``d1[n, a, c] = partial_c theta_a``,
-    ``d2[n, a, c, e] = partial_c partial_e theta_a``.
-    """
-
-    order: int
-    val: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class OneFormField:
     """Compactly supported one-form on the chart domain.
 
@@ -324,22 +287,16 @@ class OneFormField:
     fields: tuple
     potential: ScalarField | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.support.shape[0]
+    def eval_jets(self, where, order: int = 2) -> J.Jet:
+        """The components' jets at scattered points ``(N, d)`` or at a QuadratureGrid's nodes.
 
-    def eval_jets(self, where, order: int = 2) -> FormJets:
-        """Form jets at scattered points ``(N, d)`` or at a QuadratureGrid's nodes."""
+        ``val[n, a] = theta_a``, ``d1[n, a, c] = partial_c theta_a`` and
+        ``d2[n, a, c, e] = partial_c partial_e theta_a``.
+        """
         if self.potential is not None:
             phi = self.potential.eval_jets(where, order=order + 1)
-            return FormJets(order, phi.d1, phi.d2, phi.d3 if order >= 2 else None)
-        comps = [f.eval_jets(where, order=order) for f in self.fields]
-        return FormJets(
-            order,
-            np.stack([c.val for c in comps], axis=1),
-            np.stack([c.d1 for c in comps], axis=1),
-            np.stack([c.d2 for c in comps], axis=1) if order >= 2 else None,
-        )
+            return J.Jet(order, phi.d1, phi.d2, phi.d3)
+        return J.stack([f.eval_jets(where, order=order) for f in self.fields])
 
 
 def hamiltonian_variation(phi: ScalarField) -> OneFormField:
@@ -370,7 +327,7 @@ def random_generic_variation(support, seed: int, degree: int = 4) -> OneFormFiel
     )
 
 
-def lagrangian_defect(fj: FormJets) -> float:
+def lagrangian_defect(fj: J.Jet) -> float:
     """max |partial_a theta_b - partial_b theta_a| over the points of ``fj``.
 
     This is the coordinate expression of d(theta); Christoffel contributions
@@ -401,7 +358,7 @@ class CovariantData:
     div_grad: np.ndarray
 
 
-def covariant_calculus(fj: FormJets, pg: PointGeometry) -> CovariantData:
+def covariant_calculus(fj: J.Jet, pg: PointGeometry) -> CovariantData:
     """Assemble nabla(theta), its trace, and the rough Laplacian at pg's points."""
     if fj.d2 is None or pg.Gamma_partial is None:
         raise ValueError("covariant calculus needs order-2 form jets and order-3 chart jets")
@@ -436,7 +393,7 @@ def covariant_calculus(fj: FormJets, pg: PointGeometry) -> CovariantData:
     return CovariantData(nabla=nabla, div=div, laplacian=laplacian, div_grad=div_grad)
 
 
-def ricci_identity_residual(fj: FormJets, pg: PointGeometry, ricci: np.ndarray) -> float:
+def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> float:
     """Pointwise residual of the commutation identity used by the square form.
 
     For closed theta, trace-commuting second covariant derivatives gives
@@ -459,7 +416,7 @@ def ricci_identity_residual(fj: FormJets, pg: PointGeometry, ricci: np.ndarray) 
 # correspondence with normal fields
 
 
-def normal_field_from_form(fj: FormJets, pg: PointGeometry) -> np.ndarray:
+def normal_field_from_form(fj: J.Jet, pg: PointGeometry) -> np.ndarray:
     """Ambient normal field V = J theta^sharp, shape (N, m).
 
     Only meaningful on Lagrangian charts, where J maps tangent to normal
@@ -478,7 +435,7 @@ def normal_field_from_form(fj: FormJets, pg: PointGeometry) -> np.ndarray:
 # variation field with first derivatives (for deforming the chart along V)
 
 
-def variation_field_jets(fj: FormJets, pg: PointGeometry, chart_jets: MapJets) -> np.ndarray:
+def variation_field_jets(fj: J.Jet, pg: PointGeometry, chart_jets: J.Jet) -> np.ndarray:
     """First derivatives of V = J theta^sharp at pg's points.
 
     Returns ``d1`` with shape ``(N, m, d)``, from the product rule on

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 import soliton_stability.jets as J
-from soliton_stability.charts import Chart, MapJets, eval_jets
+from soliton_stability.charts import Chart, eval_jets
 from soliton_stability.errors import DomainError
 from soliton_stability.geometry import PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
@@ -51,7 +51,7 @@ def partial(jet: J.Jet, i: int) -> J.Jet:
 # finite-difference oracle for chart jets
 
 
-def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> MapJets:
+def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> J.Jet:
     """Central-difference jets of the chart map at a single point.
 
     Requires the full stencil (width 2h per axis, 4h on the pure third
@@ -112,7 +112,7 @@ def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> MapJets:
                 val = s / (8 * h**3)
                 for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
                     d3[:, perm[0], perm[1], perm[2]] = val
-    return MapJets(3, u[None, :], f0[None, :], d1[None], d2[None], d3[None])
+    return J.Jet(3, f0[None, :], d1[None], d2[None], d3[None])
 
 
 def fd_discrepancy(chart: Chart, u, h: float, flag_threshold: float = 1e-6):

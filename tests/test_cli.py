@@ -344,3 +344,29 @@ def test_workers_option_gives_same_results(small_suite_config, tmp_path):
     b = json.loads(out2.read_text())["reports"]
     assert [r["seed"] for r in a] == [r["seed"] for r in b]
     assert a[0]["Fpp_square"] == b[0]["Fpp_square"]
+
+
+@pytest.mark.parametrize("command", ["verify-soliton", "cylinder"])
+def test_format_is_second_variation_only(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--format", "csv", "--out", str(out))
+    assert info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": {"format": "csv"}}))
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: output.format must be 'json' for {command}, got 'csv'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as info:
+        run_cli("second-variation", "--workers", workers, "--out", str(out))
+    assert info.value.code == EXIT_CONFIG
+    assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()

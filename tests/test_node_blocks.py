@@ -1,5 +1,5 @@
-"""Node blocks: the certificate and jet-arithmetic fields give the same bits
-at every block size, keep a NaN, and hold memory to one block."""
+"""Node blocks: the certificate, chart jets and jet-arithmetic fields give the
+same bits at every block size, keep a NaN, and hold memory to one block."""
 
 import tracemalloc
 
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from soliton_stability import geometry
+from soliton_stability import geometry, jets
+from soliton_stability.charts import Chart
 from soliton_stability.cli import EXIT_FAIL, main
 from soliton_stability.errors import ImmersionError
 from soliton_stability.geometry import kaehler_pullback, translator_defect
@@ -22,8 +23,7 @@ EXPRESSION_GRIM_REAPER = {
 
 def unblocked_residual(chart, structure, pts):
     """The certificate as one batch, the reference every block size must match."""
-    jets = ss.eval_jets(chart, pts, order=2)
-    pg = ss.point_geometry(chart, structure, jets=jets)
+    pg = ss.point_geometry(chart, structure, pts, jets=ss.eval_jets(chart, pts, order=2))
     resid = np.linalg.norm(translator_defect(pg), axis=1)
     defect = np.max(np.abs(kaehler_pullback(structure, pg.tangents)), axis=(1, 2))
     return ss.DiagnosticsReport(
@@ -48,7 +48,7 @@ def test_soliton_residual_is_block_invariant(monkeypatch, structure, spec):
     pts = ss.uniform_grid(chart, 9)
     expected = unblocked_residual(chart, structure, pts)
     for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
+        monkeypatch.setattr(jets, "NODE_BLOCK", size)
         report = ss.soliton_residual(chart, structure, pts)
         assert report.to_dict() == expected.to_dict(), size
 
@@ -66,13 +66,54 @@ def test_jet_arithmetic_fields_are_block_invariant(monkeypatch):
         pts = rng.uniform(support[:, 0], support[:, 1], size=(20, support.shape[0]))
         for where in (grid, pts):
             n = grid.nodes.shape[0] if where is grid else pts.shape[0]
-            monkeypatch.setattr(geometry, "NODE_BLOCK", 10**9)
+            monkeypatch.setattr(jets, "NODE_BLOCK", 10**9)
             expected = field.eval_jets(where, order=3)
             for size in block_sizes(n):
-                monkeypatch.setattr(geometry, "NODE_BLOCK", size)
+                monkeypatch.setattr(jets, "NODE_BLOCK", size)
                 jet = field.eval_jets(where, order=3)
                 for name in ("val", "d1", "d2", "d3"):
                     assert np.array_equal(getattr(jet, name), getattr(expected, name)), size
+
+
+@pytest.mark.parametrize(
+    "spec", ["grim_reaper", EXPRESSION_GRIM_REAPER], ids=["grim_reaper", "expression_grim_reaper"]
+)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_chart_jets_are_block_invariant(monkeypatch, spec, order):
+    # the expression chart's fourth component "0" is a plain number, promoted per block
+    chart = ss.chart_from_config(spec)
+    pts = ss.uniform_grid(chart, 9)
+    monkeypatch.setattr(jets, "NODE_BLOCK", 10**9)
+    expected = ss.eval_jets(chart, pts, order=order)
+    assert expected.val.shape == (pts.shape[0], 4)
+    for size in block_sizes(pts.shape[0]):
+        monkeypatch.setattr(jets, "NODE_BLOCK", size)
+        jet = ss.eval_jets(chart, pts, order=order)
+        assert (jet.order, jet.d2 is None, jet.d3 is None) == (order, order < 2, order < 3)
+        for name in ("val", "d1", "d2", "d3"):
+            got, want = getattr(jet, name), getattr(expected, name)
+            assert got is None if want is None else np.array_equal(got, want), (size, name)
+
+
+@pytest.mark.parametrize("container", [tuple, iter], ids=["tuple", "iterator"])
+def test_chart_map_jets_may_return_any_sequence(monkeypatch, container):
+    # Chart.map_jets is typed Sequence: a tuple (or any iterable) of components
+    # gives the same jets as a list, on the one-block and the many-block path
+    chart = ss.grim_reaper_cylinder()
+    other = Chart(
+        "grim_reaper_tuple",
+        chart.domain,
+        chart.ambient_dim,
+        lambda seeds: container(chart.map_jets(seeds)),
+        chart.lagrangian,
+    )
+    pts = ss.uniform_grid(chart, 9)
+    for size in (10**9, 7):
+        monkeypatch.setattr(jets, "NODE_BLOCK", size)
+        expected = ss.eval_jets(chart, pts, order=3)
+        jet = ss.eval_jets(other, pts, order=3)
+        for name in ("val", "d1", "d2", "d3"):
+            assert np.array_equal(getattr(jet, name), getattr(expected, name)), (size, name)
 
 
 def test_rank_deficiency_message_is_block_invariant(monkeypatch, structure):
@@ -83,7 +124,7 @@ def test_rank_deficiency_message_is_block_invariant(monkeypatch, structure):
     pts = ss.uniform_grid(chart, 9)
     messages = set()
     for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
+        monkeypatch.setattr(jets, "NODE_BLOCK", size)
         with pytest.raises(ImmersionError, match=r"at point \[-0\.8, 0\.0\]") as info:
             ss.soliton_residual(chart, structure, pts)
         messages.add(str(info.value))
@@ -106,7 +147,7 @@ def nan_in_third_block(monkeypatch):
 
 
 def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, structure):
-    monkeypatch.setattr(geometry, "NODE_BLOCK", 16)
+    monkeypatch.setattr(jets, "NODE_BLOCK", 16)
     calls = nan_in_third_block(monkeypatch)
     report = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 10))
     assert len(calls) == 7
@@ -115,7 +156,7 @@ def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, 
 
 
 def test_nan_certificate_fails_verify_soliton(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(geometry, "NODE_BLOCK", 512)
+    monkeypatch.setattr(jets, "NODE_BLOCK", 512)
     calls = nan_in_third_block(monkeypatch)
     out = tmp_path / "report.json"
     assert main(["verify-soliton", "--out", str(out)]) == EXIT_FAIL
@@ -126,23 +167,40 @@ def test_nan_certificate_fails_verify_soliton(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def traced_peak(fn, *args) -> int:
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak memory traced while it ran."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_soliton_residual_memory_is_bounded(grim_reaper, structure):
     """Peak memory grows with the input points only, not with the geometry."""
-    block = geometry.NODE_BLOCK
+    block = jets.NODE_BLOCK
     rng = np.random.default_rng(5)
     lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
     small = rng.uniform(0.9 * lo, 0.9 * hi, size=(4 * block, 2))
     large = rng.uniform(0.9 * lo, 0.9 * hi, size=(16 * block, 2))
-    peak_small = traced_peak(ss.soliton_residual, grim_reaper, structure, small)
-    peak_large = traced_peak(ss.soliton_residual, grim_reaper, structure, large)
+    _, peak_small = traced_peak(ss.soliton_residual, grim_reaper, structure, small)
+    _, peak_large = traced_peak(ss.soliton_residual, grim_reaper, structure, large)
     slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
     assert peak_large - peak_small <= (large.nbytes - small.nbytes) + slack
+
+
+def test_chart_jet_memory_is_bounded(grim_reaper):
+    """Beyond the result, chart jets hold one block of temporaries at any size."""
+    block = jets.NODE_BLOCK
+    rng = np.random.default_rng(7)
+    lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
+    overheads = []
+    for blocks in (4, 16):
+        pts = rng.uniform(0.9 * lo, 0.9 * hi, size=(blocks * block, 2))
+        out, peak = traced_peak(ss.eval_jets, grim_reaper, pts, 3)
+        result = sum(a.nbytes for a in (out.val, out.d1, out.d2, out.d3))
+        overheads.append(peak - result)
+    mask = (16 - 4) * block  # the domain check's mask, one byte per point
+    slack = 64 * 1024  # the per-block slices and interpreter bookkeeping
+    assert overheads[1] - overheads[0] <= mask + slack, overheads

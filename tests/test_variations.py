@@ -9,7 +9,6 @@ import soliton_stability.jets as J
 from soliton_stability.errors import ConfigurationError, UnsupportedChartError
 from soliton_stability.geometry import curvature_tensor
 from soliton_stability.variations import (
-    FormJets,
     _polynomial_jet_arithmetic,
     ricci_identity_residual,
     window_jet,
@@ -183,7 +182,7 @@ def test_round_trip_form_field_form(gr_geometry_small):
 def test_unit_form_gives_unit_normal(grim_reaper, structure):
     # theta = dx at the origin corresponds to V = J e_1 = (1, 0, 0, 0)
     pg = ss.point_geometry(grim_reaper, structure, np.array([[0.0, 0.0]]))
-    fj = FormJets(1, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
+    fj = J.Jet(1, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
     v = ss.normal_field_from_form(fj, pg)
     assert np.allclose(v, [[1.0, 0.0, 0.0, 0.0]], atol=1e-14)
     assert np.isclose(np.linalg.norm(v), 1.0)
@@ -192,7 +191,7 @@ def test_unit_form_gives_unit_normal(grim_reaper, structure):
 def test_correspondence_requires_lagrangian(structure):
     patch = ss.non_lagrangian_patch()
     pg = ss.point_geometry(patch, structure, np.array([[0.1, 0.1]]))
-    fj = FormJets(1, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
+    fj = J.Jet(1, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
     with pytest.raises(UnsupportedChartError):
         ss.normal_field_from_form(fj, pg)
 
