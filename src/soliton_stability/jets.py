@@ -12,13 +12,16 @@ identity checks discretization-free.
 blocks; vector-valued results (chart maps, one-forms) are jets stacked along
 batch axis 1.
 
-Mixed partials are symmetric by construction: every formula below produces
-symmetric ``d2``/``d3`` blocks from symmetric inputs, and the coordinate
-seeds produced by :func:`variables` are symmetric (zero).
+Mixed partials are bit-symmetric: the product and chain rules compute each
+distinct entry of ``d2``/``d3`` once, at its sorted index tuple
+``i <= j (<= k)`` (10 of 27 ``d3`` entries at d = 3), and copy it to every
+other slot, and the coordinate seeds of :func:`variables` are zero there.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,24 +59,27 @@ def node_blocks(n: int) -> list[slice]:
     return [slice(i, min(i + NODE_BLOCK, n)) for i in range(0, max(n, 1), NODE_BLOCK)]
 
 
-def _outer2(a, b):
-    return a[..., :, None] * b[..., None, :]
+@functools.cache
+def _sym_index(d: int, rank: int):
+    """Sorted index tuples ``i <= j (<= k)`` of a symmetric ``(d,)*rank`` block.
 
-
-def _outer3(a, b, c):
-    return a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
-
-
-def _sym_21(m, v):
-    """Symmetrized product of a symmetric matrix block and a vector block.
-
-    Returns the 3-tensor  out_ijk = m_ij v_k + m_ik v_j + m_jk v_i.
+    Returns ``(idx, back)``: ``idx[r]`` holds the r-th index of every sorted
+    tuple, and ``back`` maps each slot of the flattened block to its tuple.
     """
-    return (
-        m[..., :, :, None] * v[..., None, None, :]
-        + m[..., :, None, :] * v[..., None, :, None]
-        + m[..., None, :, :] * v[..., :, None, None]
-    )
+    tuples = list(itertools.combinations_with_replacement(range(d), rank))
+    position = {t: n for n, t in enumerate(tuples)}
+    back = [position[tuple(sorted(s))] for s in itertools.product(range(d), repeat=rank)]
+    return tuple(np.array(c, dtype=np.intp) for c in zip(*tuples)), np.array(back, dtype=np.intp)
+
+
+def _expand(packed, d: int, rank: int):
+    """The full symmetric block from its sorted-tuple entries (last axis)."""
+    return packed[..., _sym_index(d, rank)[1]].reshape(packed.shape[:-1] + (d,) * rank)
+
+
+def _sym_mv(m, v, i, j, k):
+    """Sorted entries of the symmetrized product  m_ij v_k + m_ik v_j + m_jk v_i."""
+    return m[..., i, j] * v[..., k] + m[..., i, k] * v[..., j] + m[..., j, k] * v[..., i]
 
 
 @dataclass(frozen=True)
@@ -155,27 +161,22 @@ class Jet:
                 None if self.d2 is None else self.d2 * c[..., None, None],
                 None if self.d3 is None else self.d3 * c[..., None, None, None],
             )
-        k = min(self.order, other.order)
-        u, v = self.truncated(k), other.truncated(k)
+        order = min(self.order, other.order)
+        u, v = self.truncated(order), other.truncated(order)
         uv, vv = u.val[..., None], v.val[..., None]
         val = u.val * v.val
         d1 = u.d1 * vv + uv * v.d1
         d2 = d3 = None
-        if k >= 2:
-            d2 = (
-                u.d2 * vv[..., None]
-                + _outer2(u.d1, v.d1)
-                + _outer2(v.d1, u.d1)
-                + uv[..., None] * v.d2
-            )
-        if k >= 3:
-            d3 = (
-                u.d3 * vv[..., None, None]
-                + _sym_21(u.d2, v.d1)
-                + _sym_21(v.d2, u.d1)
-                + uv[..., None, None] * v.d3
-            )
-        return Jet(k, val, d1, d2, d3)
+        # sums associate as in tests/oracles.reference_product: regrouping moves last bits
+        if order >= 2:
+            (i, j), _ = _sym_index(self.nvars, 2)
+            d2 = u.d2[..., i, j] * vv + u.d1[..., i] * v.d1[..., j] + v.d1[..., i] * u.d1[..., j]
+            d2 = _expand(d2 + uv * v.d2[..., i, j], self.nvars, 2)
+        if order >= 3:
+            (i, j, k), _ = _sym_index(self.nvars, 3)
+            d3 = u.d3[..., i, j, k] * vv + _sym_mv(u.d2, v.d1, i, j, k) + _sym_mv(v.d2, u.d1, i, j, k)
+            d3 = _expand(d3 + uv * v.d3[..., i, j, k], self.nvars, 3)
+        return Jet(order, val, d1, d2, d3)
 
     __rmul__ = __mul__
 
@@ -224,18 +225,17 @@ def _compose(u: Jet, f0, f1, f2=None, f3=None) -> Jet:
 
     ``f0..f3`` are the function's plain derivative values at ``u.val``.
     """
-    k = u.order
-    d1 = f1[..., None] * u.d1
+    a = u.d1
+    d1 = f1[..., None] * a
     d2 = d3 = None
-    if k >= 2:
-        d2 = f1[..., None, None] * u.d2 + f2[..., None, None] * _outer2(u.d1, u.d1)
-    if k >= 3:
-        d3 = (
-            f1[..., None, None, None] * u.d3
-            + f2[..., None, None, None] * _sym_21(u.d2, u.d1)
-            + f3[..., None, None, None] * _outer3(u.d1, u.d1, u.d1)
-        )
-    return Jet(k, f0, d1, d2, d3)
+    if u.order >= 2:
+        (i, j), _ = _sym_index(u.nvars, 2)
+        d2 = _expand(f1[..., None] * u.d2[..., i, j] + f2[..., None] * (a[..., i] * a[..., j]), u.nvars, 2)
+    if u.order >= 3:
+        (i, j, k), _ = _sym_index(u.nvars, 3)
+        d3 = f1[..., None] * u.d3[..., i, j, k] + f2[..., None] * _sym_mv(u.d2, a, i, j, k)
+        d3 = _expand(d3 + f3[..., None] * (a[..., i] * a[..., j] * a[..., k]), u.nvars, 3)
+    return Jet(u.order, f0, d1, d2, d3)
 
 
 def variables(points: np.ndarray, order: int = 3) -> list[Jet]:

@@ -1,5 +1,7 @@
 """Exactness and structure of the truncated Taylor arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import soliton_stability as ss
 import soliton_stability.jets as J
-from oracles import finite_difference_jet, partial, symmetry_defect
+from oracles import finite_difference_jet, partial, reference_compose, reference_product, symmetry_defect
 from soliton_stability.errors import EvaluationError, ExpressionError
 
 
@@ -74,11 +76,102 @@ def test_tan_against_sin_cos():
         assert np.allclose(arr_a, arr_b, atol=1e-12)
 
 
-def test_mixed_partial_symmetry_is_structural():
-    pts = np.array([[0.3, 0.8]])
-    x, y = J.variables(pts, order=3)
-    f = J.exp(x * y) * J.sin(x - 2.0 * y) / (2.0 + J.cos(x))
-    assert symmetry_defect(f) == 0.0
+def _every_jet_function(seeds):
+    """One field per jet function, plus products, quotients and powers, in any d."""
+    d = len(seeds)
+    x, y, z, w = seeds[0], seeds[1 % d], seeds[2 % d], seeds[-1]
+    return [
+        J.exp(x * y) * J.sin(x - 2.0 * z) / (2.0 + J.cos(y * z)),
+        J.tan(0.5 * x * w - y),
+        J.log(2.0 + y * z),
+        J.sqrt(1.5 + x * w),
+        (1.0 + x * y * z) ** 3,
+        (2.0 + x - w) ** 2.5,
+        1 / (3.0 + y - z * w),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("stacked", [False, True], ids=["N", "N-p"])
+def test_mixed_partial_symmetry_is_structural(d, stacked):
+    """Every d2/d3 comes out bit-symmetric: each distinct partial is formed once and copied."""
+    pts = np.random.default_rng(d).uniform(-0.5, 0.5, (200, d))
+    fields = _every_jet_function(J.variables(pts, order=3))
+    if stacked:
+        f = J.stack(fields)  # batch shape (200, 7)
+        fields = [f, J.sin(f) * f**2, J.exp(f) / (2.0 + f * f), (2.0 + f * f) ** -1.5 + J.sqrt(2 + J.cos(f))]
+    for f in fields:
+        assert symmetry_defect(f) == 0.0
+
+
+def test_symmetry_defect_sees_every_transposition():
+    """A Levi-Civita d3 is invariant under 3-cycles but not under a swap."""
+    eps = np.zeros((1, 3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[0, i, j, k], eps[0, j, i, k] = 1.0, -1.0
+    jet = J.Jet(3, np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3, 3)), eps)
+    assert symmetry_defect(jet) == 2.0
+
+
+def _random_entries(rng, shape):
+    """Normal samples with about a fifth of them +0.0 or -0.0, so signed-zero products occur."""
+    return rng.normal(size=shape) * rng.choice([1.0, 0.0, -0.0], size=shape, p=[0.8, 0.1, 0.1])
+
+
+def _random_symmetric(rng, shape, d, rank):
+    """A random block of shape ``shape + (d,)*rank`` whose entries are bit-equal under index permutation."""
+    slots = np.sort(np.indices((d,) * rank).reshape(rank, -1), axis=0)
+    flat = _random_entries(rng, shape + (d**rank,))[..., np.ravel_multi_index(tuple(slots), (d,) * rank)]
+    return flat.reshape(shape + (d,) * rank)
+
+
+def _random_jet(rng, shape, d, order):
+    return J.Jet(
+        order,
+        _random_entries(rng, shape),
+        _random_entries(rng, shape + (d,)),
+        _random_symmetric(rng, shape, d, 2) if order >= 2 else None,
+        _random_symmetric(rng, shape, d, 3) if order >= 3 else None,
+    )
+
+
+def _assert_kernel_matches(kernel, reference):
+    """Bit-equal on sorted-index slots (signed zeros included), 1e-13 relative elsewhere."""
+    assert kernel.order == reference.order
+    for a, b in ((kernel.val, reference.val), (kernel.d1, reference.d1)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    d = kernel.nvars
+    for rank, a, b in ((2, kernel.d2, reference.d2), (3, kernel.d3, reference.d3)):
+        if kernel.order < rank:
+            assert a is None and b is None
+            continue
+        assert a.shape == b.shape
+        idx = tuple(np.array(c) for c in zip(*itertools.combinations_with_replacement(range(d), rank)))
+        assert a[(...,) + idx].tobytes() == b[(...,) + idx].tobytes()
+        assert np.all(np.abs(a - b) <= 1e-13 * np.max(np.abs(b), initial=0.0))
+
+
+BATCHES = {"N": (64,), "N-p": (64, 5), "empty": (0,), "empty-p": (0, 5)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("orders", [(3, 3), (3, 2), (3, 1), (2, 2)])
+@pytest.mark.parametrize("batch", list(BATCHES))
+def test_product_kernel_matches_broadcast_reference(d, orders, batch):
+    rng = np.random.default_rng([d, *orders, list(BATCHES).index(batch)])
+    u, v = (_random_jet(rng, BATCHES[batch], d, k) for k in orders)
+    _assert_kernel_matches(u * v, reference_product(u, v))
+    _assert_kernel_matches(v * u, reference_product(v, u))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("batch", list(BATCHES))
+def test_chain_rule_kernel_matches_broadcast_reference(d, order, batch):
+    rng = np.random.default_rng([d, order, list(BATCHES).index(batch)])
+    u = _random_jet(rng, BATCHES[batch], d, order)
+    f = [rng.normal(size=BATCHES[batch]) for _ in range(4)]
+    _assert_kernel_matches(J._compose(u, *f), reference_compose(u, *f))
 
 
 def test_partial_extraction():
