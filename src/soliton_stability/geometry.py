@@ -1,18 +1,20 @@
 """First/second-order geometry of a chart and global soliton diagnostics.
 
 All quantities are computed in batch over a set of parameter points from the
-exact chart jets.  Index conventions used throughout (leading axis ``n`` is
-the batch):
+exact chart jets.  Every per-node array keeps the node axis ``n`` last and
+contiguous, so a contraction over small indices runs over rows of nodes:
 
-* ``g[n, a, b]``          induced metric  <d_a Phi, d_b Phi>
-* ``dg[n, c, a, b]``      partial_c g_ab
-* ``ddg[n, e, c, a, b]``  partial_e partial_c g_ab
-* ``Gamma[n, k, a, b]``   Christoffel symbols Gamma^k_ab of g
-* ``Gamma_partial[n, e, k, a, b]``  partial_e Gamma^k_ab
-* ``h_coord[n, p, a, b]`` ambient components of the second fundamental form
+* ``positions[p, n]``      the chart map Phi
+* ``tangents[p, a, n]``    d_a Phi;  ``hessian[p, a, b, n]``  d_a d_b Phi
+* ``g[a, b, n]``           induced metric  <d_a Phi, d_b Phi>
+* ``dg[c, a, b, n]``       partial_c g_ab
+* ``ddg[e, c, a, b, n]``   partial_e partial_c g_ab
+* ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g
+* ``Gamma_partial[e, k, a, b, n]``  partial_e Gamma^k_ab
+* ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
   (the normal projection of partial^2 Phi via the Gauss formula)
-* ``frame_coeff[n, a, i]``  coefficients with e_i = frame_coeff[n, a, i] d_a Phi
-* ``nu[n, p, i]``         the normal frame nu_i = J e_i (Lagrangian charts only)
+* ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
+* ``nu[p, i, n]``          the normal frame nu_i = J e_i (Lagrangian charts only)
 
 The tangent frame is Gram-Schmidt of the coordinate tangents in coordinate
 order (equivalently the inverse-transpose Cholesky factor of g), so it is
@@ -60,18 +62,20 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 
 @dataclass
 class PointGeometry:
-    """All pointwise geometric data of a chart at a batch of points."""
+    """All pointwise geometric data of a chart at a batch of points, node axis last."""
 
     structure: AmbientStructure
-    points: np.ndarray        # (N, d)
-    tangents: np.ndarray      # (N, m, d)
-    g: np.ndarray             # (N, d, d)
-    g_inv: np.ndarray         # (N, d, d)
+    points: np.ndarray        # (N, d) parameter points
+    positions: np.ndarray     # (m, N)
+    tangents: np.ndarray      # (m, d, N)
+    hessian: np.ndarray       # (m, d, d, N)
+    g: np.ndarray             # (d, d, N)
+    g_inv: np.ndarray         # (d, d, N)
     sqrt_det_g: np.ndarray    # (N,)
-    dg: np.ndarray            # (N, d, d, d)
-    Gamma: np.ndarray         # (N, d, d, d)
-    Gamma_partial: np.ndarray | None  # (N, d, d, d, d); None for order-2 jets
-    h_coord: np.ndarray       # (N, m, d, d)
+    dg: np.ndarray            # (d, d, d, N)
+    Gamma: np.ndarray         # (d, d, d, N)
+    Gamma_partial: np.ndarray | None  # (d, d, d, d, N); None for order-2 jets
+    h_coord: np.ndarray       # (m, d, d, N)
     weight: np.ndarray        # (N,) translation weight exp(<T, Phi>)
     pinned_lagrangian: bool | None  # Chart.lagrangian; None means detect
 
@@ -81,39 +85,40 @@ class PointGeometry:
     def lagrangian(self) -> bool:
         if self.pinned_lagrangian is not None:
             return self.pinned_lagrangian
-        m, d = self.tangents.shape[1:]
+        m, d = self.tangents.shape[:2]
         if m != 2 * d:
             return False
         defect = float(np.max(np.abs(kaehler_pullback(self.structure, self.tangents))))
         return defect < LAGRANGIAN_DETECT_TOL
 
     @cached_property
-    def frame_coeff(self) -> np.ndarray:  # (N, d, d), upper triangular
-        return np.linalg.inv(np.linalg.cholesky(self.g)).swapaxes(1, 2)
+    def frame_coeff(self) -> np.ndarray:  # (d, d, N), upper triangular in (a, i)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(np.moveaxis(self.g, -1, 0)))
+        return np.ascontiguousarray(inv_chol.transpose(2, 1, 0))
 
     @cached_property
-    def nu(self) -> np.ndarray:  # (N, m, d) nu_i = J e_i
+    def nu(self) -> np.ndarray:  # (m, d, N) nu_i = J e_i
         if not self.lagrangian:
             raise UnsupportedChartError("the normal frame nu_i = J e_i needs a Lagrangian chart")
-        e = np.einsum("nma,nai->nmi", self.tangents, self.frame_coeff)
-        return np.einsum("pq,nqi->npi", self.structure.J, e)
+        e = np.einsum("man,ain->min", self.tangents, self.frame_coeff)
+        return np.einsum("pq,qin->pin", self.structure.J, e)
 
     @cached_property
-    def dg_inv(self) -> np.ndarray:  # (N, d, d, d) d_e g^kl
-        return -np.einsum("nkp,nepq,nql->nekl", self.g_inv, self.dg, self.g_inv)
+    def dg_inv(self) -> np.ndarray:  # (d, d, d, N) d_e g^kl
+        return -np.einsum("kpn,epqn,qln->ekln", self.g_inv, self.dg, self.g_inv)
 
     @cached_property
-    def T_coord(self) -> np.ndarray:  # (N, d) coordinate components of tangential T
-        return np.einsum("nab,p,npb->na", self.g_inv, self.structure.T, self.tangents)
+    def T_coord(self) -> np.ndarray:  # (d, N) coordinate components of tangential T
+        return np.einsum("abn,p,pbn->an", self.g_inv, self.structure.T, self.tangents)
 
     @cached_property
-    def h3(self) -> np.ndarray:  # (N, d, d, d) h_ijk
+    def h3(self) -> np.ndarray:  # (d, d, d, N) h_ijk
         A = self.frame_coeff
-        return np.einsum("nai,nbj,nqab,nqp->nijp", A, A, self.h_coord, self.nu)
+        return np.einsum("ain,bjn,qabn,qpn->ijpn", A, A, self.h_coord, self.nu)
 
     @cached_property
-    def H_frame(self) -> np.ndarray:  # (N, d)
-        return np.einsum("nab,nqab,nqp->np", self.g_inv, self.h_coord, self.nu)
+    def H_frame(self) -> np.ndarray:  # (d, N)
+        return np.einsum("abn,qabn,qpn->pn", self.g_inv, self.h_coord, self.nu)
 
 
 @dataclass
@@ -130,27 +135,27 @@ class DiagnosticsReport:
 
 
 def batch_det(a: np.ndarray) -> np.ndarray:
-    """Determinants of a batch ``(..., d, d)`` of small matrices by the Leibniz sum.
+    """Determinants of a batch ``(d, d, ...)`` of small matrices by the Leibniz sum.
 
     ``det a = sum over permutations p of sign(p) a[0, p0] a[1, p1] ... a[d-1, p(d-1)]``,
-    with d! terms (2 at d = 2, 6 at d = 3).  For the metrics handled here this
-    is one elementwise pass per term instead of a batched LU factorisation,
-    and the same code path serves every dimension.
+    with d! terms (2 at d = 2, 6 at d = 3).  For node-last metrics this is
+    one elementwise pass per term instead of a batched LU factorisation, and
+    the same code path serves every dimension.
     """
-    d = a.shape[-1]
-    total = np.zeros(a.shape[:-2])
+    d = a.shape[0]
+    total = np.zeros(a.shape[2:])
     for perm in permutations(range(d)):
-        term = a[..., 0, perm[0]]
+        term = a[0, perm[0]]
         for row in range(1, d):
-            term = term * a[..., row, perm[row]]
+            term = term * a[row, perm[row]]
         inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
         total = total - term if inversions % 2 else total + term
     return total
 
 
 def kaehler_pullback(structure: AmbientStructure, tangents: np.ndarray) -> np.ndarray:
-    """omega(d_a Phi, d_b Phi) = <J d_a Phi, d_b Phi> as an (N, d, d) array."""
-    return np.matmul(np.matmul(structure.J, tangents).swapaxes(1, 2), tangents)
+    """omega(d_a Phi, d_b Phi) = <J d_a Phi, d_b Phi> as a (d, d, N) array, from (m, d, N) tangents."""
+    return np.einsum("pan,pbn->abn", np.einsum("pq,qan->pan", structure.J, tangents), tangents)
 
 
 def point_geometry(
@@ -163,16 +168,19 @@ def point_geometry(
 
     Pass ``jets`` to reuse a chart evaluation at ``points``; order-3 jets
     retain the Christoffel derivatives needed by curvature and rough
-    Laplacians, order-2 jets leave ``Gamma_partial`` as None.
+    Laplacians, order-2 jets leave ``Gamma_partial`` as None.  Without
+    ``jets`` they are evaluated here at order 3, and freed once transposed.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if jets is None:
-        jets = eval_jets(chart, pts, order=3)
-    t = jets.d1  # (N, m, d)
-    d2 = jets.d2
+    jets = eval_jets(chart, pts, order=3) if jets is None else jets
+    # the node axis moves last, once
+    x, t, d2, d3 = (
+        a if a is None else np.moveaxis(a, 0, -1).copy() for a in (jets.val, jets.d1, jets.d2, jets.d3)
+    )
+    del jets
 
-    g = np.einsum("nma,nmb->nab", t, t)
-    eigmin = np.linalg.eigvalsh(g)[:, 0]
+    g = np.einsum("man,mbn->abn", t, t)
+    eigmin = np.linalg.eigvalsh(np.moveaxis(g, -1, 0))[:, 0]
     deficient = np.flatnonzero(eigmin <= RANK_TOL**2)
     if deficient.size:
         # name the first such point, so the message does not depend on the batch
@@ -181,29 +189,31 @@ def point_geometry(
             f"chart {chart.name!r} is rank deficient at point {pts[i].tolist()} "
             f"(smallest singular value {float(np.sqrt(max(eigmin[i], 0.0))):.3e})"
         )
-    g_inv = np.linalg.inv(g)
+    g_inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1))
     sqrt_det_g = np.sqrt(batch_det(g))
 
-    # dg[n,c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
-    half = np.einsum("nmac,nmb->ncab", d2, t)
-    dg = half + half.swapaxes(2, 3)
+    # dg[c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
+    dg = np.einsum("macn,mbn->cabn", d2, t)
+    dg = dg + dg.swapaxes(1, 2)
 
-    # bracket[n,l,a,b] = d_a g_bl + d_b g_al - d_l g_ab
-    bracket = np.einsum("nabl->nlab", dg) + np.einsum("nbal->nlab", dg) - dg
-    Gamma = 0.5 * np.einsum("nkl,nlab->nkab", g_inv, bracket)
+    # bracket[l,a,b] = d_a g_bl + d_b g_al - d_l g_ab
+    bracket = np.einsum("abln->labn", dg) + np.einsum("baln->labn", dg) - dg
+    Gamma = 0.5 * np.einsum("kln,labn->kabn", g_inv, bracket)
 
     # Gauss formula: the normal part of the coordinate Hessian of the map
-    h_coord = d2 - np.einsum("nkab,nmk->nmab", Gamma, t)
+    h_coord = d2 - np.einsum("kabn,mkn->mabn", Gamma, t)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.exp(np.einsum("p,np->n", structure.T, jets.val))
+        weight = np.exp(np.einsum("p,pn->n", structure.T, x))
     if not np.all(np.isfinite(weight)):
         raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart.name!r}")
 
     pg = PointGeometry(
         structure=structure,
         points=pts,
+        positions=x,
         tangents=t,
+        hessian=d2,
         g=g,
         g_inv=g_inv,
         sqrt_det_g=sqrt_det_g,
@@ -214,36 +224,34 @@ def point_geometry(
         weight=weight,
         pinned_lagrangian=chart.lagrangian,
     )
-    if jets.order >= 3:
-        d3 = jets.d3
-        # ddg[n,e,c,a,b] = d_e d_c g_ab, by Leibniz on <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
+    if d3 is not None:
+        # ddg[e,c,a,b] = d_e d_c g_ab, by Leibniz on <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
         ddg = (
-            np.einsum("nmace,nmb->necab", d3, t)
-            + np.einsum("nmac,nmbe->necab", d2, d2)
-            + np.einsum("nmae,nmbc->necab", d2, d2)
-            + np.einsum("nma,nmbce->necab", t, d3)
+            np.einsum("macen,mbn->ecabn", d3, t)
+            + np.einsum("macn,mben->ecabn", d2, d2)
+            + np.einsum("maen,mbcn->ecabn", d2, d2)
+            + np.einsum("man,mbcen->ecabn", t, d3)
         )
-        dbracket = (
-            np.einsum("neabl->nelab", ddg) + np.einsum("nebal->nelab", ddg) - ddg
-        )
+        dbracket = np.einsum("eabln->elabn", ddg) + np.einsum("ebaln->elabn", ddg) - ddg
+        del d3, ddg  # the largest arrays go once read, to bound the peak
         pg.Gamma_partial = 0.5 * (
-            np.einsum("nekl,nlab->nekab", pg.dg_inv, bracket)
-            + np.einsum("nkl,nelab->nekab", g_inv, dbracket)
+            np.einsum("ekln,labn->ekabn", pg.dg_inv, bracket)
+            + np.einsum("kln,elabn->ekabn", g_inv, dbracket)
         )
     return pg
 
 
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
-    """Ambient mean curvature H = g^{ab} (d^2 Phi)^perp_ab, shape (N, m)."""
-    return np.einsum("nab,nmab->nm", pg.g_inv, pg.h_coord)
+    """Ambient mean curvature H = g^{ab} (d^2 Phi)^perp_ab, shape (m, N)."""
+    return np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
 
 
 def translator_defect(pg: PointGeometry) -> np.ndarray:
-    """The translator-equation field T^perp - H, shape (N, m); zero on a translator.
+    """The translator-equation field T^perp - H, shape (m, N); zero on a translator.
 
     T^perp = T - d_a Phi T^a, with T^a = g^ab <T, d_b Phi> the tangential part.
     """
-    t_perp = pg.structure.T[None, :] - np.einsum("npa,na->np", pg.tangents, pg.T_coord)
+    t_perp = pg.structure.T[:, None] - np.einsum("pan,an->pn", pg.tangents, pg.T_coord)
     return t_perp - mean_curvature_vector(pg)
 
 
@@ -259,7 +267,7 @@ def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> Diagnos
     resid, defect = [], []
     for rows in node_blocks(pts.shape[0]):
         pg = point_geometry(chart, structure, pts[rows], jets=eval_jets(chart, pts[rows], order=2))
-        resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
+        resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=0)))
         defect.append(np.max(np.abs(kaehler_pullback(structure, pg.tangents))))
     return DiagnosticsReport(
         chart=chart.name,
@@ -284,27 +292,27 @@ def curvature_tensor(pg: PointGeometry):
     The Gauss side pairs ambient normal vectors, so it needs no normal frame
     and holds on every chart.
 
-    Index convention: ``R[n,i,j,k,l] = <R(e_i, e_j) e_l, e_k>`` with
+    Index convention: ``R[i,j,k,l,n] = <R(e_i, e_j) e_l, e_k>`` with
     ``R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]``, which makes
-    the sphere direction positive and matches the Gauss form above.
-    ``pg`` must come from order-3 chart jets.
+    the sphere direction positive and matches the Gauss form above; the
+    node axis is last, as everywhere.  ``pg`` must come from order-3 chart jets.
     """
     if pg.Gamma_partial is None:
         raise ValueError("curvature needs order-3 jets (Gamma_partial missing)")
     G, dG = pg.Gamma, pg.Gamma_partial
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
     r_up = (
-        np.einsum("niljk->nlijk", dG)
-        - np.einsum("njlik->nlijk", dG)
-        + np.einsum("nlim,nmjk->nlijk", G, G)
-        - np.einsum("nljm,nmik->nlijk", G, G)
+        np.einsum("iljkn->lijkn", dG)
+        - np.einsum("jlikn->lijkn", dG)
+        + np.einsum("limn,mjkn->lijkn", G, G)
+        - np.einsum("ljmn,mikn->lijkn", G, G)
     )
-    r_coord = np.einsum("nkm,nmijl->nijkl", pg.g, r_up)
+    r_coord = np.einsum("kmn,mijln->ijkln", pg.g, r_up)
     A = pg.frame_coeff
-    riem_intrinsic = np.einsum("nai,nbj,nck,ndl,nabcd->nijkl", A, A, A, A, r_coord)
-    h = np.einsum("nai,nbj,nqab->nijq", A, A, pg.h_coord)
-    riem_gauss = np.einsum("nikq,njlq->nijkl", h, h) - np.einsum("nilq,njkq->nijkl", h, h)
-    ricci = np.einsum("nq,nikq->nik", mean_curvature_vector(pg), h) - np.einsum(
-        "njiq,njkq->nik", h, h
+    riem_intrinsic = np.einsum("ain,bjn,ckn,dln,abcdn->ijkln", A, A, A, A, r_coord)
+    h = np.einsum("ain,bjn,qabn->ijqn", A, A, pg.h_coord)
+    riem_gauss = np.einsum("ikqn,jlqn->ijkln", h, h) - np.einsum("ilqn,jkqn->ijkln", h, h)
+    ricci = np.einsum("qn,ikqn->ikn", mean_curvature_vector(pg), h) - np.einsum(
+        "jiqn,jkqn->ikn", h, h
     )
     return riem_intrinsic, riem_gauss, ricci

@@ -39,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import AmbientStructure, Chart, eval_jets
+from .charts import AmbientStructure, Chart
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
-from .jets import Jet
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
+    CovariantData,
     OneFormField,
     covariant_calculus,
     lagrangian_defect,
@@ -83,33 +83,31 @@ DEFAULT_CLOSED_TOL = 1e-9
 
 @dataclass
 class GridGeometry:
-    """Chart geometry evaluated once at the nodes of a quadrature grid."""
+    """What the routes read at the nodes of a quadrature grid, formed once, node axis last:
+    the point geometry, ``T^perp - H`` (m, N) and ``exp(<T, Phi>) sqrt(det g)`` (N,)."""
 
     chart: Chart
     structure: AmbientStructure
     grid: QuadratureGrid
-    jets: Jet               # order-3 chart jets at the nodes
     pg: PointGeometry
+    translator_defect: np.ndarray
+    area_weight: np.ndarray
     soliton_residual: float
     functional_at_rest: float
 
-    @property
-    def area_weight(self) -> np.ndarray:
-        """Quadrature factor  exp(<T, Phi>) sqrt(det g)  at the nodes."""
-        return self.pg.weight * self.pg.sqrt_det_g
-
 
 def grid_geometry(chart: Chart, structure: AmbientStructure, grid: QuadratureGrid) -> GridGeometry:
-    jets = eval_jets(chart, grid.nodes, order=3)
-    pg = point_geometry(chart, structure, grid.nodes, jets=jets)
-    resid = float(np.max(np.linalg.norm(translator_defect(pg), axis=1)))
-    f0 = _weighted_area(grid, structure, jets.val, pg.g)
-    return GridGeometry(chart, structure, grid, jets, pg, resid, f0)
+    # point_geometry evaluates the chart jets itself, so it frees them once transposed
+    pg = point_geometry(chart, structure, grid.nodes)
+    defect = translator_defect(pg)
+    resid = float(np.max(np.linalg.norm(defect, axis=0)))
+    w = pg.weight * pg.sqrt_det_g
+    return GridGeometry(chart, structure, grid, pg, defect, w, resid, grid.integrate(w))
 
 
 def _weighted_area(grid: QuadratureGrid, structure: AmbientStructure, values, g) -> float:
-    """int exp(<T, x>) sqrt(det g) du for positions ``values`` and metric ``g`` at the nodes."""
-    weight = np.exp(np.einsum("p,np->n", structure.T, values))
+    """int exp(<T, x>) sqrt(det g) du for positions ``values`` (m, N) and metric ``g`` (d, d, N)."""
+    weight = np.exp(np.einsum("p,pn->n", structure.T, values))
     return grid.integrate(weight * np.sqrt(batch_det(g)))
 
 
@@ -120,19 +118,17 @@ def _deformation(gg: GridGeometry, data: VariationData):
     t + s dV, so the metric is exactly  g(s) = g + s C + s^2 Q  with
     C = t^T dV + (t^T dV)^T  and  Q = dV^T dV.  Returns ``(V, C, Q)``.
     """
-    v_d1 = variation_field_jets(data.fj, gg.pg, gg.jets)
-    t_dv = np.matmul(gg.jets.d1.swapaxes(1, 2), v_d1)
-    # Q multiplies against a copy: with both operands on one buffer numpy takes
-    # its syrk path, one call per node and about 3x slower than gemm here
-    quad = np.matmul(v_d1.swapaxes(1, 2), v_d1.copy())
-    return data.v, t_dv + t_dv.swapaxes(1, 2), quad
+    v_d1 = variation_field_jets(data.theta, data.dtheta, gg.pg)
+    t_dv = np.einsum("man,mbn->abn", gg.pg.tangents, v_d1)
+    quad = np.einsum("man,mbn->abn", v_d1, v_d1)
+    return data.v, t_dv + t_dv.swapaxes(0, 1), quad
 
 
 def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
     """Box-local F of the chart  Phi + s V, re-integrated from its metric g(s)."""
     v_val, cross, quad = deformation
     g = gg.pg.g + s * cross + (s * s) * quad
-    return _weighted_area(gg.grid, gg.structure, gg.jets.val + s * v_val, g)
+    return _weighted_area(gg.grid, gg.structure, gg.pg.positions + s * v_val, g)
 
 
 def require_soliton(gg: GridGeometry, tol: float) -> None:
@@ -143,41 +139,42 @@ def require_soliton(gg: GridGeometry, tol: float) -> None:
 
 @dataclass
 class VariationData:
-    """One variation evaluated once at the grid nodes, shared by all routes."""
+    """One variation evaluated once at the grid nodes, shared by all routes (node axis last)."""
 
-    fj: Jet                  # order-2 form jets (OneFormField.eval_jets)
-    cov: object              # CovariantData
-    v: np.ndarray            # (N, m) normal field V = J theta^sharp
-
-    @property
-    def defect(self) -> float:
-        return lagrangian_defect(self.fj)
+    theta: np.ndarray        # (d, N) theta_a
+    dtheta: np.ndarray       # (d, d, N) partial_c theta_a at [a, c]
+    cov: CovariantData
+    v: np.ndarray            # (m, N) normal field V = J theta^sharp
+    defect: float            # max |partial_a theta_b - partial_b theta_a|
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
-    """Form jets, covariant derivatives and V of ``theta`` at the grid nodes, once."""
+    """Form jets, covariant derivatives, V and the closedness defect of ``theta``, once."""
     fj = theta.eval_jets(gg.grid, order=2)
-    return VariationData(fj, covariant_calculus(fj, gg.pg), normal_field_from_form(fj, gg.pg))
+    # node axis last, once per variation
+    val, d1, d2 = (np.moveaxis(a, 0, -1).copy() for a in (fj.val, fj.d1, fj.d2))
+    cov = covariant_calculus(val, d1, d2, gg.pg)
+    return VariationData(val, d1, cov, normal_field_from_form(val, gg.pg), lagrangian_defect(d1))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
     """Raised index  g^{ab} form_b  of a one-form at each point."""
-    return np.einsum("nab,nb->na", pg.g_inv, form)
+    return np.einsum("abn,bn->an", pg.g_inv, form)
 
 
 def _metric_square(pg: PointGeometry, tensor: np.ndarray) -> np.ndarray:
     """|tensor|_g^2 = g^{ac} g^{bd} tensor_ab tensor_cd of a covariant 2-tensor.
 
-    Raised on both indices by two matrix products, then paired with itself
-    over the two contiguous trailing axes.
+    Raised on both indices, one at a time, then paired with itself.
     """
-    raised = np.matmul(np.matmul(pg.g_inv, tensor), pg.g_inv)
-    return np.einsum("ncd,ncd->n", raised, tensor)
+    raised = np.einsum("acn,cdn->adn", pg.g_inv, tensor)
+    raised = np.einsum("adn,dbn->abn", raised, pg.g_inv)
+    return np.einsum("abn,abn->n", raised, tensor)
 
 
 def first_variation(gg: GridGeometry, data: VariationData) -> float:
     """d/ds of box-local F: the pairing  int <T^perp - H, V> w dmu."""
-    integrand = np.einsum("np,np->n", translator_defect(gg.pg), data.v)
+    integrand = np.einsum("pn,pn->n", gg.translator_defect, data.v)
     return gg.grid.integrate(integrand * gg.area_weight)
 
 
@@ -201,9 +198,8 @@ def variation_scale(gg: GridGeometry, data: VariationData) -> float:
     fields cannot pass checks by accident.
     """
     pg = gg.pg
-    fj, cov = data.fj, data.cov
-    sq_theta = np.einsum("na,na->n", _sharp(pg, fj.val), fj.val)
-    return gg.grid.integrate((sq_theta + _metric_square(pg, cov.nabla)) * gg.area_weight)
+    sq_theta = np.einsum("an,an->n", _sharp(pg, data.theta), data.theta)
+    return gg.grid.integrate((sq_theta + _metric_square(pg, data.cov.nabla)) * gg.area_weight)
 
 
 def second_variation_operator(
@@ -216,12 +212,12 @@ def second_variation_operator(
     """
     require_soliton(gg, soliton_tol)
     pg = gg.pg
-    fj, cov = data.fj, data.cov
-    drift = np.einsum("nc,ncb->nb", pg.T_coord, cov.nabla)
-    pair = np.einsum("na,na->n", _sharp(pg, fj.val), cov.laplacian + drift)
-    v_frame = np.einsum("nai,na->ni", pg.frame_coeff, fj.val)
-    h_v = np.einsum("nklp,np->nkl", pg.h3, v_frame)
-    curv = np.einsum("nkl,nkl->n", h_v, h_v)
+    theta, cov = data.theta, data.cov
+    drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
+    pair = np.einsum("an,an->n", _sharp(pg, theta), cov.laplacian + drift)
+    v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
+    h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
+    curv = np.einsum("kln,kln->n", h_v, h_v)
     return -gg.grid.integrate((pair + curv) * gg.area_weight)
 
 
@@ -236,7 +232,7 @@ def second_variation_divergence(
     """
     require_soliton(gg, soliton_tol)
     pg = gg.pg
-    h_v = np.einsum("nmab,nm->nab", pg.h_coord, data.v)
+    h_v = np.einsum("mabn,mn->abn", pg.h_coord, data.v)
     curv = _metric_square(pg, h_v)
     return gg.grid.integrate((_metric_square(pg, data.cov.nabla) - curv) * gg.area_weight)
 
@@ -262,7 +258,7 @@ def second_variation_square(
             defect,
             DEFAULT_CLOSED_TOL,
         )
-    q = data.cov.div + np.einsum("na,na->n", data.fj.val, gg.pg.T_coord)
+    q = data.cov.div + np.einsum("an,an->n", data.theta, gg.pg.T_coord)
     return gg.grid.integrate(q * q * gg.area_weight)
 
 
@@ -327,18 +323,18 @@ class IntegrationByPartsReport:
 
 def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> IntegrationByPartsReport:
     pg = gg.pg
-    fj, cov = data.fj, data.cov
+    theta, cov = data.theta, data.cov
     w = gg.area_weight
-    theta_t = np.einsum("na,na->n", fj.val, pg.T_coord)
-    sharp = _sharp(pg, fj.val)
-    pair_grad_div = np.einsum("na,na->n", sharp, cov.div_grad)
+    theta_t = np.einsum("an,an->n", theta, pg.T_coord)
+    sharp = _sharp(pg, theta)
+    pair_grad_div = np.einsum("an,an->n", sharp, cov.div_grad)
     lhs_div = -gg.grid.integrate(pair_grad_div * w)
     rhs_div = gg.grid.integrate((cov.div**2 + cov.div * theta_t) * w)
 
-    drift = np.einsum("nc,ncb->nb", pg.T_coord, cov.nabla)
-    lhs_drift = -gg.grid.integrate(np.einsum("na,na->n", sharp, drift) * w)
-    v_frame = np.einsum("nai,na->ni", pg.frame_coeff, fj.val)
-    mean_curv_pair = np.einsum("np,nijp,ni,nj->n", pg.H_frame, pg.h3, v_frame, v_frame)
+    drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
+    lhs_drift = -gg.grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
+    v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
+    mean_curv_pair = np.einsum("pn,ijpn,in,jn->n", pg.H_frame, pg.h3, v_frame, v_frame)
     rhs_drift = gg.grid.integrate((cov.div * theta_t + mean_curv_pair + theta_t**2) * w)
     return IntegrationByPartsReport(lhs_div, rhs_div, lhs_drift, rhs_drift)
 
@@ -348,14 +344,14 @@ def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> Integr
 
 
 def scalar_laplacian(pg: PointGeometry, scalar_jet) -> np.ndarray:
-    """Laplace-Beltrami of a scalar:  g^{ab} (d_a d_b v - Gamma^l_ab d_l v)."""
-    hess = scalar_jet.d2 - np.einsum("nlab,nl->nab", pg.Gamma, scalar_jet.d1)
-    return np.einsum("nab,nab->n", pg.g_inv, hess)
+    """Laplace-Beltrami  g^{ab} (d_a d_b v - Gamma^l_ab d_l v)  of a (node-first) jet at pg's points."""
+    hess = np.einsum("nab->abn", scalar_jet.d2) - np.einsum("labn,nl->abn", pg.Gamma, scalar_jet.d1)
+    return np.einsum("abn,abn->n", pg.g_inv, hess)
 
 
 def scalar_gradient_pairing(pg: PointGeometry, a_jet, b_jet) -> np.ndarray:
-    """<grad a, grad b>_g at each point."""
-    return np.einsum("nab,na,nb->n", pg.g_inv, a_jet.d1, b_jet.d1)
+    """<grad a, grad b>_g at each point, from (node-first) jets at pg's points."""
+    return np.einsum("abn,na,nb->n", pg.g_inv, a_jet.d1, b_jet.d1)
 
 
 def default_grid_for_support(

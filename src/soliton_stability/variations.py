@@ -243,9 +243,11 @@ def _polynomial_jet_arithmetic(support: np.ndarray, seed: int, degree: int):
     def polynomial(seeds):
         s = [seeds[i] * scale[i] - shift[i] for i in range(d)]
         powers = [[None] * (degree + 1) for _ in range(d)]
+        order, batch = seeds[0].order, seeds[0].val.shape
         acc = None
         for c, exps in zip(coeffs, exponents):
-            term = J.constant(c, d, seeds[0].order, batch_shape=seeds[0].val.shape)
+            # a plain coefficient scales the first power; only the degree-0 monomial is a constant jet
+            term = float(c) if any(exps) else J.constant(c, d, order, batch_shape=batch)
             for axis, p in enumerate(exps):
                 if p:
                     if powers[axis][p] is None:
@@ -327,15 +329,15 @@ def random_generic_variation(support, seed: int, degree: int = 4) -> OneFormFiel
     )
 
 
-def lagrangian_defect(fj: J.Jet) -> float:
-    """max |partial_a theta_b - partial_b theta_a| over the points of ``fj``.
+def lagrangian_defect(dtheta: np.ndarray) -> float:
+    """max |partial_a theta_b - partial_b theta_a| from ``dtheta[a, c, n] = partial_c theta_a``.
 
     This is the coordinate expression of d(theta); Christoffel contributions
     to the covariant antisymmetrization cancel by symmetry, so closedness of
-    the form is a purely coordinate condition.
+    the form is a purely coordinate condition.  Pairs a < b only: one row at d = 2.
     """
-    curl = fj.d1 - fj.d1.swapaxes(1, 2)
-    return float(np.max(np.abs(curl)))
+    a, b = np.triu_indices(dtheta.shape[0], 1)
+    return float(np.max(np.abs(dtheta[a, b] - dtheta[b, a]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +346,12 @@ def lagrangian_defect(fj: J.Jet) -> float:
 
 @dataclass(frozen=True)
 class CovariantData:
-    """Covariant derivatives of a one-form at a batch of points.
+    """Covariant derivatives of a one-form at a batch of points, node axis last.
 
-    * ``nabla[n, a, b] = (nabla_a theta)_b``
+    * ``nabla[a, b, n] = (nabla_a theta)_b``
     * ``div[n] = g^{ab} nabla_a theta_b``  (divergence of theta^sharp)
-    * ``laplacian[n, c]`` rough (connection) Laplacian of theta
-    * ``div_grad[n, a] = partial_a div`` (gradient of the scalar divergence)
+    * ``laplacian[c, n]`` rough (connection) Laplacian of theta
+    * ``div_grad[a, n] = partial_a div`` (gradient of the scalar divergence)
     """
 
     nabla: np.ndarray
@@ -358,57 +360,50 @@ class CovariantData:
     div_grad: np.ndarray
 
 
-def covariant_calculus(fj: J.Jet, pg: PointGeometry) -> CovariantData:
-    """Assemble nabla(theta), its trace, and the rough Laplacian at pg's points."""
-    if fj.d2 is None or pg.Gamma_partial is None:
-        raise ValueError("covariant calculus needs order-2 form jets and order-3 chart jets")
+def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantData:
+    """Assemble nabla(theta), its trace, and the rough Laplacian at pg's points.
+
+    The form enters node-last: ``theta[a, n]``, ``dtheta[a, c, n] = partial_c
+    theta_a`` and ``ddtheta[a, c, e, n] = partial_c partial_e theta_a``.
+    """
+    if pg.Gamma_partial is None:
+        raise ValueError("covariant calculus needs order-3 chart jets")
     G, dG = pg.Gamma, pg.Gamma_partial
-    theta_val, dtheta, ddtheta = fj.val, fj.d1, fj.d2
-    n, d = theta_val.shape
-    # Christoffel symbols as (N, d, d^2) matrices, G_flat[n, l, a*d + b] = Gamma^l_ab:
-    # every contraction against Gamma below is then one batched matrix product
-    G_flat = G.reshape(n, d, d * d)
+    nabla = np.einsum("ban->abn", dtheta) - np.einsum("labn,ln->abn", G, theta)
+    div = np.einsum("abn,abn->n", pg.g_inv, nabla)
 
-    nabla = dtheta.swapaxes(1, 2) - np.einsum("nlab,nl->nab", G, theta_val)
-    div = np.einsum("nab,nab->n", pg.g_inv, nabla)
-
-    # dnabla[n,e,a,b] = partial_e (nabla_a theta)_b; partial_e Gamma^l_ab theta_l is a
-    # matmul over l against the transposed view dG_t[n, e, a*d + b, l]
-    dG_t = dG.reshape(n, d, d, d * d).swapaxes(2, 3)
+    # dnabla[e,a,b] = partial_e (nabla_a theta)_b
     dnabla = (
-        np.einsum("nbae->neab", ddtheta)
-        - np.matmul(dG_t, theta_val[:, None, :, None]).reshape(n, d, d, d)
-        - np.matmul(dtheta.swapaxes(1, 2), G_flat).reshape(n, d, d, d)
+        np.einsum("baen->eabn", ddtheta)
+        - np.einsum("elabn,ln->eabn", dG, theta)
+        - np.einsum("len,labn->eabn", dtheta, G)
     )
     # second covariant derivative (nabla^2 theta)_{a b c} = nabla_a (nabla theta)_{bc}
     second = (
         dnabla
-        - np.matmul(G_flat.swapaxes(1, 2), nabla).reshape(n, d, d, d)
-        - np.matmul(nabla, G_flat).reshape(n, d, d, d).swapaxes(1, 2)
+        - np.einsum("labn,lcn->abcn", G, nabla)
+        - np.einsum("bln,lacn->abcn", nabla, G)
     )
-    laplacian = np.einsum("nab,nabc->nc", pg.g_inv, second)
-    div_grad = np.einsum("neab,nab->ne", pg.dg_inv, nabla) + np.einsum(
-        "nab,neab->ne", pg.g_inv, dnabla
-    )
+    laplacian = np.einsum("abn,abcn->cn", pg.g_inv, second)
+    div_grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,eabn->en", pg.g_inv, dnabla)
     return CovariantData(nabla=nabla, div=div, laplacian=laplacian, div_grad=div_grad)
 
 
-def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> float:
+def ricci_identity_residual(theta, cov: CovariantData, pg: PointGeometry, ricci: np.ndarray) -> float:
     """Pointwise residual of the commutation identity used by the square form.
 
     For closed theta, trace-commuting second covariant derivatives gives
     ``(rough Laplacian theta)_i = partial_i(div) + Ric_ik theta^k`` in an
     orthonormal frame; the residual measures all three terms computed by
     independent code paths (jet calculus for the left side and the gradient,
-    the Gauss equation for the Ricci term).  ``fj`` holds order-2 form jets
-    at pg's points.
+    the Gauss equation for the Ricci term).  ``theta`` (d, N) and ``cov``
+    (from :func:`covariant_calculus`) are at pg's points.
     """
-    cov = covariant_calculus(fj, pg)
     A = pg.frame_coeff
-    v_frame = np.einsum("nai,na->ni", A, fj.val)
-    lap_frame = np.einsum("nai,na->ni", A, cov.laplacian)
-    grad_div_frame = np.einsum("nai,na->ni", A, cov.div_grad)
-    resid = lap_frame - grad_div_frame - np.einsum("nik,nk->ni", ricci, v_frame)
+    v_frame = np.einsum("ain,an->in", A, theta)
+    lap_frame = np.einsum("ain,an->in", A, cov.laplacian)
+    grad_div_frame = np.einsum("ain,an->in", A, cov.div_grad)
+    resid = lap_frame - grad_div_frame - np.einsum("ikn,kn->in", ricci, v_frame)
     return float(np.max(np.abs(resid)))
 
 
@@ -416,8 +411,8 @@ def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> 
 # correspondence with normal fields
 
 
-def normal_field_from_form(fj: J.Jet, pg: PointGeometry) -> np.ndarray:
-    """Ambient normal field V = J theta^sharp, shape (N, m).
+def normal_field_from_form(theta: np.ndarray, pg: PointGeometry) -> np.ndarray:
+    """Ambient normal field V = J theta^sharp, shape (m, N), from ``theta`` (d, N).
 
     Only meaningful on Lagrangian charts, where J maps tangent to normal
     space; the inverse correspondence is ``theta = -i_V omega``.
@@ -426,35 +421,33 @@ def normal_field_from_form(fj: J.Jet, pg: PointGeometry) -> np.ndarray:
         raise UnsupportedChartError(
             "the one-form/normal-field correspondence needs a Lagrangian chart"
         )
-    sharp = np.einsum("nba,na->nb", pg.g_inv, fj.val)
-    ambient = np.einsum("nqb,nb->nq", pg.tangents, sharp)
-    return np.einsum("pq,nq->np", pg.structure.J, ambient)
+    sharp = np.einsum("ban,an->bn", pg.g_inv, theta)
+    ambient = np.einsum("qbn,bn->qn", pg.tangents, sharp)
+    return np.einsum("pq,qn->pn", pg.structure.J, ambient)
 
 
 # ---------------------------------------------------------------------------
 # variation field with first derivatives (for deforming the chart along V)
 
 
-def variation_field_jets(fj: J.Jet, pg: PointGeometry, chart_jets: J.Jet) -> np.ndarray:
+def variation_field_jets(theta: np.ndarray, dtheta: np.ndarray, pg: PointGeometry) -> np.ndarray:
     """First derivatives of V = J theta^sharp at pg's points.
 
-    Returns ``d1`` with shape ``(N, m, d)``, from the product rule on
-    ``V = J t_b g^{ba} theta_a``:
+    Returns ``dV[p, c, n] = partial_c V_p``, shape ``(m, d, N)``, from the
+    product rule on ``V = J t_b g^{ba} theta_a``:
 
         partial_c V = J (partial_c t_b g^{ba} theta_a + t_b partial_c g^{ba} theta_a
                          + t_b g^{ba} partial_c theta_a),
 
-    with tangents ``t_b`` and their derivatives from the order-2 chart jets
-    at the same points, ``g^{ba}`` and its derivatives from ``pg`` and
-    ``theta`` from order-1 form jets.  Deformed charts ``Phi + s V`` then have
-    exact metric data.
+    with tangents ``t_b``, their derivatives (the chart's second
+    derivatives), ``g^{ba}`` and its derivatives from ``pg``, and ``theta``
+    (d, N) and ``dtheta[a, c, n] = partial_c theta_a`` node-last.  Deformed
+    charts ``Phi + s V`` then have exact metric data.
     """
-    sharp = np.einsum("nba,na->nb", pg.g_inv, fj.val)
-    # index layouts chosen so that each contraction runs over a contiguous axis;
-    # the chart's d2 is symmetric in its two derivative axes
-    dsharp = np.einsum("ncba,na->nbc", pg.dg_inv, fj.val) + np.matmul(pg.g_inv, fj.d1)
-    d_ambient = np.einsum("nqcb,nb->nqc", chart_jets.d2, sharp) + np.matmul(pg.tangents, dsharp)
-    return np.matmul(pg.structure.J, d_ambient)
+    sharp = np.einsum("ban,an->bn", pg.g_inv, theta)
+    dsharp = np.einsum("cban,an->bcn", pg.dg_inv, theta) + np.einsum("ban,acn->bcn", pg.g_inv, dtheta)
+    d_amb = np.einsum("qcbn,bn->qcn", pg.hessian, sharp) + np.einsum("qbn,bcn->qcn", pg.tangents, dsharp)
+    return np.einsum("pq,qcn->pcn", pg.structure.J, d_amb)
 
 
 # ---------------------------------------------------------------------------

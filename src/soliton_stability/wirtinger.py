@@ -109,17 +109,17 @@ def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:
     sec = 1.0 / np.cos(x)
 
     g_exact = np.zeros_like(pg.g)
-    g_exact[:, 0, 0] = sec**2
-    g_exact[:, 1, 1] = 1.0
+    g_exact[0, 0] = sec**2
+    g_exact[1, 1] = 1.0
     h_exact = np.zeros_like(pg.h_coord)
-    h_exact[:, 0, 0, 0] = 1.0
-    h_exact[:, 1, 0, 0] = -np.tan(x)
+    h_exact[0, 0, 0] = 1.0
+    h_exact[1, 0, 0] = -np.tan(x)
     return {
         "metric": float(np.max(np.abs(pg.g - g_exact))),
         "area_density": float(np.max(np.abs(pg.sqrt_det_g - sec))),
         "second_fundamental_form": float(np.max(np.abs(pg.h_coord - h_exact))),
         "mean_curvature": float(
-            np.max(np.abs(np.linalg.norm(mean_curvature_vector(pg), axis=1) - np.cos(x)))
+            np.max(np.abs(np.linalg.norm(mean_curvature_vector(pg), axis=0) - np.cos(x)))
         ),
         "weight": float(np.max(np.abs(pg.weight - sec))),
     }

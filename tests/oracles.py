@@ -3,8 +3,9 @@
 Each helper recomputes something the package computes another way (finite
 differences against exact jets, the product and chain rules slot by slot, a
 one-form from frame components, the translator defect through the tangent
-frame, the box-local functional on a fresh grid) or reads a structural
-property off a result (index symmetry of a jet, one derivative of a jet).
+frame, the box-local functional on a fresh grid, the geometry and covariant
+calculus with the node axis first) or reads a structural property off a
+result (index symmetry of a jet, one derivative of a jet).
 """
 
 from __future__ import annotations
@@ -188,28 +189,103 @@ def functional_value(chart: Chart, structure, box, cells: int = 40, points_per_c
     """Box-local weighted area  int_box exp(<T, Phi>) sqrt(det g) du."""
     grid = tensor_rule(box, cells, points_per_cell)
     jets = eval_jets(chart, grid.nodes, order=1)
-    g = np.einsum("nma,nmb->nab", jets.d1, jets.d1)
-    return _weighted_area(grid, structure, jets.val, g)
+    g = np.einsum("nma,nmb->abn", jets.d1, jets.d1)
+    return _weighted_area(grid, structure, jets.val.T, g)
 
 
 def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
     """T^perp - H with T^perp = T - sum_i <T, e_i> e_i in the orthonormal tangent frame."""
-    e = np.einsum("nma,nai->nmi", pg.tangents, pg.frame_coeff)
+    e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
     T = pg.structure.T
-    t_perp = T[None, :] - np.einsum("ni,npi->np", np.einsum("p,npi->ni", T, e), e)
+    t_perp = T[:, None] - np.einsum("in,pin->pn", np.einsum("p,pin->in", T, e), e)
     return t_perp - mean_curvature_vector(pg)
 
 
 def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:
-    """nabla(theta) expressed in the orthonormal tangent frame."""
+    """nabla(theta) expressed in the orthonormal tangent frame, (d, d, N)."""
     A = pg.frame_coeff
-    return np.einsum("nai,nbj,nab->nij", A, A, nabla)
+    return np.einsum("ain,bjn,abn->ijn", A, A, nabla)
 
 
 def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
-    """Coordinate components of -i_field omega restricted to the chart."""
-    Jv = np.einsum("pq,nq->np", pg.structure.J, field)
-    return -np.einsum("np,npa->na", Jv, pg.tangents)
+    """Coordinate components (d, N) of -i_field omega restricted to the chart."""
+    Jv = np.einsum("pq,qn->pn", pg.structure.J, field)
+    return -np.einsum("pn,pan->an", Jv, pg.tangents)
+
+
+def node_last(jet: J.Jet) -> tuple:
+    """``(val, d1, d2)`` of a node-first jet with the node axis moved last (views)."""
+    return tuple(np.moveaxis(a, 0, -1) for a in (jet.val, jet.d1, jet.d2) if a is not None)
+
+
+# ---------------------------------------------------------------------------
+# node-first reference of the per-node tensor layout
+
+
+def node_first_geometry(jets: J.Jet) -> dict:
+    """``g``, ``g_inv``, ``dg``, ``dg_inv``, ``Gamma``, ``Gamma_partial`` and ``h_coord``
+    with the node axis first, from order-3 chart jets, by the index formulas
+    the package used before its per-node tensors moved the node axis last.
+    """
+    t, d2, d3 = jets.d1, jets.d2, jets.d3
+    g = np.einsum("nma,nmb->nab", t, t)
+    g_inv = np.linalg.inv(g)
+    half = np.einsum("nmac,nmb->ncab", d2, t)
+    dg = half + half.swapaxes(2, 3)
+    bracket = np.einsum("nabl->nlab", dg) + np.einsum("nbal->nlab", dg) - dg
+    Gamma = 0.5 * np.einsum("nkl,nlab->nkab", g_inv, bracket)
+    h_coord = d2 - np.einsum("nkab,nmk->nmab", Gamma, t)
+    dg_inv = -np.einsum("nkp,nepq,nql->nekl", g_inv, dg, g_inv)
+    ddg = (
+        np.einsum("nmace,nmb->necab", d3, t)
+        + np.einsum("nmac,nmbe->necab", d2, d2)
+        + np.einsum("nmae,nmbc->necab", d2, d2)
+        + np.einsum("nma,nmbce->necab", t, d3)
+    )
+    dbracket = np.einsum("neabl->nelab", ddg) + np.einsum("nebal->nelab", ddg) - ddg
+    Gamma_partial = 0.5 * (
+        np.einsum("nekl,nlab->nekab", dg_inv, bracket) + np.einsum("nkl,nelab->nekab", g_inv, dbracket)
+    )
+    return {
+        "g": g,
+        "g_inv": g_inv,
+        "dg": dg,
+        "dg_inv": dg_inv,
+        "Gamma": Gamma,
+        "Gamma_partial": Gamma_partial,
+        "h_coord": h_coord,
+    }
+
+
+def node_first_covariant(fj: J.Jet, geo: dict) -> dict:
+    """``nabla``, ``div``, ``laplacian`` and ``div_grad`` with the node axis first,
+    from order-2 form jets and :func:`node_first_geometry`, by the batched
+    ``matmul`` contractions against flattened Christoffel symbols that the
+    package used before its per-node tensors moved the node axis last.
+    """
+    G, dG, g_inv = geo["Gamma"], geo["Gamma_partial"], geo["g_inv"]
+    theta_val, dtheta, ddtheta = fj.val, fj.d1, fj.d2
+    n, d = theta_val.shape
+    G_flat = G.reshape(n, d, d * d)
+    nabla = dtheta.swapaxes(1, 2) - np.einsum("nlab,nl->nab", G, theta_val)
+    dG_t = dG.reshape(n, d, d, d * d).swapaxes(2, 3)
+    dnabla = (
+        np.einsum("nbae->neab", ddtheta)
+        - np.matmul(dG_t, theta_val[:, None, :, None]).reshape(n, d, d, d)
+        - np.matmul(dtheta.swapaxes(1, 2), G_flat).reshape(n, d, d, d)
+    )
+    second = (
+        dnabla
+        - np.matmul(G_flat.swapaxes(1, 2), nabla).reshape(n, d, d, d)
+        - np.matmul(nabla, G_flat).reshape(n, d, d, d).swapaxes(1, 2)
+    )
+    div_grad = np.einsum("neab,nab->ne", geo["dg_inv"], nabla) + np.einsum("nab,neab->ne", g_inv, dnabla)
+    return {
+        "nabla": nabla,
+        "div": np.einsum("nab,nab->n", g_inv, nabla),
+        "laplacian": np.einsum("nab,nabc->nc", g_inv, second),
+        "div_grad": div_grad,
+    }
 
 
 def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> OneFormField:

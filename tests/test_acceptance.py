@@ -111,7 +111,7 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, structure):
     for seed in range(SUITE_SEED, SUITE_SEED + 10):
         theta = ss.random_hamiltonian_variation(default_gg.grid.box, seed=seed)
         data = prepare_variation(default_gg, theta)
-        worst_ricci = max(worst_ricci, ricci_identity_residual(data.fj, default_gg.pg, ricci))
+        worst_ricci = max(worst_ricci, ricci_identity_residual(data.theta, data.cov, default_gg.pg, ricci))
         rep = integration_by_parts_report(default_gg, data)
         scale = ss.variation_scale(default_gg, data)
         worst_parts = max(worst_parts, rep.max_mismatch() / scale)

@@ -87,7 +87,7 @@ def test_tilted_lagrangian_plane_is_translator_when_t_tangent(structure):
     assert rep.max_lagrangian_defect <= 1e-15
     # skew coordinates: non-orthogonal metric, still exactly flat
     pg = ss.point_geometry(chart, structure, np.array([[0.1, -0.3]]))
-    assert abs(pg.g[0, 0, 1] - 0.5) < 1e-15
+    assert abs(pg.g[0, 1, 0] - 0.5) < 1e-15
     grid = default_grid_for_support(chart, ss.default_support_box(chart.domain), cells=10, points_per_cell=6)
     gg = ss.grid_geometry(chart, structure, grid)
     data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=2))

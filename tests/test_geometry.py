@@ -22,7 +22,8 @@ def test_batch_det_matches_lapack(d):
     b = rng.uniform(-1.0, 1.0, size=(500, d, d))
     spd = b @ b.swapaxes(1, 2) + d * np.eye(d)
     ref = np.linalg.det(spd)
-    assert np.max(np.abs(batch_det(spd) - ref) / np.abs(ref)) <= 1e-13
+    # batch_det indexes the leading (matrix) axes: the node axis is last
+    assert np.max(np.abs(batch_det(np.moveaxis(spd, 0, -1)) - ref) / np.abs(ref)) <= 1e-13
 
 
 def test_metric_and_weight_closed_forms(grim_reaper, structure):
@@ -30,22 +31,22 @@ def test_metric_and_weight_closed_forms(grim_reaper, structure):
     pg = ss.point_geometry(grim_reaper, structure, pts)
     x = pts[:, 0]
     sec2 = 1.0 / np.cos(x) ** 2
-    assert np.allclose(pg.g[:, 0, 0], sec2, atol=1e-12)
-    assert np.allclose(pg.g[:, 0, 1], 0.0, atol=1e-15)
-    assert np.allclose(pg.g[:, 1, 1], 1.0, atol=1e-15)
-    assert np.allclose(pg.g_inv[:, 0, 0], 1.0 / sec2, atol=1e-13)
+    assert np.allclose(pg.g[0, 0], sec2, atol=1e-12)
+    assert np.allclose(pg.g[0, 1], 0.0, atol=1e-15)
+    assert np.allclose(pg.g[1, 1], 1.0, atol=1e-15)
+    assert np.allclose(pg.g_inv[0, 0], 1.0 / sec2, atol=1e-13)
     assert np.allclose(pg.sqrt_det_g, np.sqrt(sec2), atol=1e-12)
     assert np.allclose(pg.weight, 1.0 / np.cos(x), atol=1e-12)
     # spot values: g = diag(4, 1) and weight 2 at x = pi/3
-    assert np.allclose(pg.g[0], np.diag([4.0, 1.0]), atol=1e-12)
+    assert np.allclose(pg.g[..., 0], np.diag([4.0, 1.0]), atol=1e-12)
     assert np.isclose(pg.weight[0], 2.0, atol=1e-12)
-    assert np.allclose(pg.g @ pg.g_inv, np.eye(2)[None], atol=1e-12)
+    assert np.allclose(np.einsum("abn,bcn->acn", pg.g, pg.g_inv), np.eye(2)[..., None], atol=1e-12)
 
 
 def test_flat_plane_trivials(flat_plane, structure):
     pts = np.array([[0.3, 0.4], [-1.0, 2.0]])
     pg = ss.point_geometry(flat_plane, structure, pts)
-    assert np.allclose(pg.g, np.eye(2)[None], atol=1e-15)
+    assert np.allclose(pg.g, np.eye(2)[..., None], atol=1e-15)
     assert np.all(pg.h3 == 0.0)
     assert np.all(pg.H_frame == 0.0)
     assert np.all(pg.Gamma == 0.0)
@@ -56,9 +57,9 @@ def test_second_fundamental_form_closed_form(grim_reaper, structure):
     pts = np.array([[0.0, 0.0], [0.8, -0.5]])
     pg = ss.point_geometry(grim_reaper, structure, pts)
     sec = 1.0 / np.cos(pts[:, 0])
-    h_num = np.einsum("nqab,nqp->nabp", pg.h_coord, pg.nu)
+    h_num = np.einsum("qabn,qpn->abpn", pg.h_coord, pg.nu)
     expected = np.zeros_like(h_num)
-    expected[:, 0, 0, 0] = sec
+    expected[0, 0, 0] = sec
     assert np.allclose(h_num, expected, atol=1e-12)
     # at x = 0 this is the single unit component
     assert np.isclose(h_num[0, 0, 0, 0], 1.0, atol=1e-14)
@@ -68,32 +69,32 @@ def test_mean_curvature_closed_form(grim_reaper, structure):
     pts = np.array([[0.0, 0.0], [math.pi / 3, 1.0]])
     pg = ss.point_geometry(grim_reaper, structure, pts)
     H = ss.mean_curvature_vector(pg)
-    assert np.allclose(H[0], [1.0, 0.0, 0.0, 0.0], atol=1e-13)
-    assert np.isclose(np.linalg.norm(H[1]), 0.5, atol=1e-13)
+    assert np.allclose(H[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-13)
+    assert np.isclose(np.linalg.norm(H[:, 1]), 0.5, atol=1e-13)
     # H equals its frame expansion sum_k H_k nu_k
-    assert np.allclose(H, np.einsum("nk,npk->np", pg.H_frame, pg.nu), atol=1e-10)
+    assert np.allclose(H, np.einsum("kn,pkn->pn", pg.H_frame, pg.nu), atol=1e-10)
 
 
 def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, structure):
     for chart in (grim_reaper, perturbed):
         pts = ss.uniform_grid(chart, 12)
         pg = ss.point_geometry(chart, structure, pts)
-        e = np.einsum("nma,nai->nmi", pg.tangents, pg.frame_coeff)
-        ee = np.einsum("npi,npj->nij", e, e)
-        nn = np.einsum("npi,npj->nij", pg.nu, pg.nu)
-        en = np.einsum("npi,npj->nij", e, pg.nu)
-        assert np.max(np.abs(ee - np.eye(2))) < 1e-12
-        assert np.max(np.abs(nn - np.eye(2))) < 1e-12
+        e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
+        ee = np.einsum("pin,pjn->ijn", e, e)
+        nn = np.einsum("pin,pjn->ijn", pg.nu, pg.nu)
+        en = np.einsum("pin,pjn->ijn", e, pg.nu)
+        assert np.max(np.abs(ee - np.eye(2)[..., None])) < 1e-12
+        assert np.max(np.abs(nn - np.eye(2)[..., None])) < 1e-12
         assert np.max(np.abs(en)) < 1e-12
         # J e_i lies in the numeric normal space: orthogonal to all tangents
-        Je = np.einsum("pq,nqi->npi", structure.J, e)
-        proj = np.einsum("npi,npa->nia", Je, pg.tangents)
+        Je = np.einsum("pq,qin->pin", structure.J, e)
+        proj = np.einsum("pin,pan->ian", Je, pg.tangents)
         assert np.max(np.abs(proj)) < 1e-10
         # h fully symmetric in all three indices for Lagrangian charts
-        assert np.max(np.abs(pg.h3 - pg.h3.swapaxes(0 + 1, 1 + 1))) < 1e-9
-        assert np.max(np.abs(pg.h3 - np.einsum("nijk->nkji", pg.h3))) < 1e-9
+        assert np.max(np.abs(pg.h3 - pg.h3.swapaxes(0, 1))) < 1e-9
+        assert np.max(np.abs(pg.h3 - np.einsum("ijkn->kjin", pg.h3))) < 1e-9
         # h_coord is perpendicular to the tangent space
-        perp = np.einsum("nqab,nqc->nabc", pg.h_coord, pg.tangents)
+        perp = np.einsum("qabn,qcn->abcn", pg.h_coord, pg.tangents)
         assert np.max(np.abs(perp)) < 1e-10
 
 
@@ -101,18 +102,18 @@ def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, structure):
     """Gram-Schmidt in coordinate order reproduces (cos x, -sin x, 0, 0), (0,0,0,-1)."""
     pts = np.array([[0.6, 0.0]])
     pg = ss.point_geometry(grim_reaper, structure, pts)
-    e = np.einsum("nma,nai->nmi", pg.tangents, pg.frame_coeff)
+    e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
     x = 0.6
-    assert np.allclose(e[0, :, 0], [math.sin(x), math.cos(x), 0, 0], atol=1e-14)
-    assert np.allclose(pg.nu[0, :, 0], [math.cos(x), -math.sin(x), 0, 0], atol=1e-14)
-    assert np.allclose(pg.nu[0, :, 1], [0, 0, 0, -1], atol=1e-15)
+    assert np.allclose(e[:, 0, 0], [math.sin(x), math.cos(x), 0, 0], atol=1e-14)
+    assert np.allclose(pg.nu[:, 0, 0], [math.cos(x), -math.sin(x), 0, 0], atol=1e-14)
+    assert np.allclose(pg.nu[:, 1, 0], [0, 0, 0, -1], atol=1e-15)
 
 
 def test_translator_identity_for_normal_components(grim_reaper, structure):
     # H_p = <T, nu_p> on a translator
     pts = ss.uniform_grid(grim_reaper, 15)
     pg = ss.point_geometry(grim_reaper, structure, pts)
-    T_norm = np.einsum("q,nqp->np", structure.T, pg.nu)
+    T_norm = np.einsum("q,qpn->pn", structure.T, pg.nu)
     assert np.max(np.abs(pg.H_frame - T_norm)) < 1e-10
 
 
@@ -176,7 +177,7 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, structure)
         r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, structure, grid))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
-        assert np.max(np.abs(np.einsum("nijkj->nik", r_int) - ric)) < 1e-8
+        assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
 
 
 def test_cylinder_is_intrinsically_flat(grim_reaper, structure):
@@ -197,8 +198,8 @@ def test_curved_graph_sign_convention(structure):
     )
     pts = np.array([[1e-8, 1e-8]])
     r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, structure, pts))
-    assert np.isclose(r_int[0, 0, 1, 0, 1], 1.0, atol=1e-6)
-    assert np.allclose(ric[0], np.eye(2), atol=1e-6)
+    assert np.isclose(r_int[0, 1, 0, 1, 0], 1.0, atol=1e-6)
+    assert np.allclose(ric[..., 0], np.eye(2), atol=1e-6)
     assert np.max(np.abs(r_int - r_gauss)) < 1e-8
 
 
@@ -218,7 +219,7 @@ def test_low_dimensional_chart_is_supported(structure):
         pg.nu
     # |curvature vector| of (cos t, sin t, t) is 1/2 at unit speed sqrt(2)
     H = ss.mean_curvature_vector(pg)
-    assert np.allclose(np.linalg.norm(H, axis=1), 0.5, atol=1e-12)
+    assert np.allclose(np.linalg.norm(H, axis=0), 0.5, atol=1e-12)
 
 
 def test_rank_deficiency_raises(structure):
@@ -235,7 +236,7 @@ def test_rank_deficiency_raises(structure):
 
 def test_kaehler_pullback_values(grim_reaper, structure):
     jets = ss.eval_jets(grim_reaper, np.array([[0.5, 0.5]]), order=1)
-    omega = kaehler_pullback(structure, jets.d1)
+    omega = kaehler_pullback(structure, np.moveaxis(jets.d1, 0, -1))
     assert np.allclose(omega, 0.0, atol=1e-15)
 
 

@@ -24,8 +24,8 @@ EXPRESSION_GRIM_REAPER = {
 def unblocked_residual(chart, structure, pts):
     """The certificate as one batch, the reference every block size must match."""
     pg = ss.point_geometry(chart, structure, pts, jets=ss.eval_jets(chart, pts, order=2))
-    resid = np.linalg.norm(translator_defect(pg), axis=1)
-    defect = np.max(np.abs(kaehler_pullback(structure, pg.tangents)), axis=(1, 2))
+    resid = np.linalg.norm(translator_defect(pg), axis=0)
+    defect = np.max(np.abs(kaehler_pullback(structure, pg.tangents)), axis=(0, 1))
     return ss.DiagnosticsReport(
         chart=chart.name,
         grid={"kind": "points", "count": int(pts.shape[0])},
@@ -132,14 +132,14 @@ def test_rank_deficiency_message_is_block_invariant(monkeypatch, structure):
 
 
 def nan_in_third_block(monkeypatch):
-    """Make translator_defect write NaN into one row of the third block it sees."""
+    """Make translator_defect write NaN into one node of the third block it sees."""
     calls = []
 
     def defect(pg):
         out = translator_defect(pg)
-        calls.append(out.shape[0])
+        calls.append(out.shape[1])
         if len(calls) == 3:
-            out[out.shape[0] // 2] = np.nan
+            out[:, out.shape[1] // 2] = np.nan
         return out
 
     monkeypatch.setattr(geometry, "translator_defect", defect)

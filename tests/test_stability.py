@@ -204,7 +204,7 @@ def test_drift_divergence_identity(gr_geometry_small):
         w = ss.random_polynomial_field(gg.grid.box, seed=seed + 1000)
         vj = v.eval_jets(pg.points, order=2)
         wj = w.eval_jets(pg.points, order=2)
-        drift_lap = scalar_laplacian(pg, vj) + np.einsum("na,na->n", pg.T_coord, vj.d1)
+        drift_lap = scalar_laplacian(pg, vj) + np.einsum("an,na->n", pg.T_coord, vj.d1)
         lhs = gg.grid.integrate(drift_lap * wj.val * gg.area_weight)
         rhs = -gg.grid.integrate(scalar_gradient_pairing(pg, vj, wj) * gg.area_weight)
         scale = gg.grid.integrate(
@@ -257,10 +257,10 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, st
         assert _deformed_functional(gg, deformation, 0.0) == gg.functional_at_rest
         assert np.array_equal(gg.pg.sqrt_det_g, np.sqrt(batch_det(gg.pg.g)))
         # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
-        v_val, v_d1 = data.v, ss.variation_field_jets(data.fj, gg.pg, gg.jets)
+        v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
         for s in (2e-3, -1e-3, 0.5):
-            tang = gg.jets.d1 + s * v_d1
-            g = np.einsum("nma,nmb->nab", tang, tang)
-            weight = np.exp((gg.jets.val + s * v_val) @ gg.structure.T)
+            tang = gg.pg.tangents + s * v_d1
+            g = np.einsum("man,mbn->nab", tang, tang)
+            weight = np.exp(gg.structure.T @ (gg.pg.positions + s * v_val))
             direct = gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
             assert abs(_deformed_functional(gg, deformation, s) - direct) <= 1e-14 * abs(direct)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import frame_covariant_matrix, one_form_pullback
+from oracles import frame_covariant_matrix, node_last, one_form_pullback
 import soliton_stability.jets as J
 from soliton_stability.errors import ConfigurationError, UnsupportedChartError
 from soliton_stability.geometry import curvature_tensor
@@ -92,9 +92,9 @@ def test_exact_forms_are_closed(support):
     pts = interior_points(support)
     for seed in range(5):
         theta = ss.random_hamiltonian_variation(support, seed=seed)
-        assert ss.lagrangian_defect(theta.eval_jets(pts, order=1)) <= 1e-12
+        assert ss.lagrangian_defect(node_last(theta.eval_jets(pts, order=1))[1]) <= 1e-12
     zero = ss.hamiltonian_variation(ss.scalar_field_from_expression("0", support))
-    assert ss.lagrangian_defect(zero.eval_jets(pts, order=1)) == 0.0
+    assert ss.lagrangian_defect(node_last(zero.eval_jets(pts, order=1))[1]) == 0.0
 
 
 def test_hand_differentiated_potential(support):
@@ -115,7 +115,7 @@ def test_generic_form_is_not_closed(support):
     )
     pts = interior_points(support)
     assert theta.kind == "generic"
-    assert ss.lagrangian_defect(theta.eval_jets(pts, order=1)) > 1e-3
+    assert ss.lagrangian_defect(node_last(theta.eval_jets(pts, order=1))[1]) > 1e-3
 
 
 def test_components_must_share_support(support):
@@ -131,7 +131,7 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
     support = gg.grid.box
     phi = ss.random_polynomial_field(support, seed=9)
     theta = ss.hamiltonian_variation(phi)
-    cov = ss.covariant_calculus(theta.eval_jets(gg.pg.points, order=2), gg.pg)
+    cov = ss.covariant_calculus(*node_last(theta.eval_jets(gg.pg.points, order=2)), gg.pg)
     # flat coordinates: divergence of d(phi) is the coordinate Laplacian
     pj = phi.eval_jets(gg.pg.points, order=2)
     flat_lap = pj.d2[:, 0, 0] + pj.d2[:, 1, 1]
@@ -144,7 +144,8 @@ def test_ricci_identity(gr_geometry_small):
     _, _, ricci = curvature_tensor(gg.pg)
     for seed in range(10):
         theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-        resid = ricci_identity_residual(theta.eval_jets(gg.pg.points, order=2), gg.pg, ricci)
+        data = ss.prepare_variation(gg, theta)
+        resid = ricci_identity_residual(data.theta, data.cov, gg.pg, ricci)
         assert resid < 1e-7
 
 
@@ -155,53 +156,51 @@ def test_ricci_identity_on_curved_chart(perturbed, structure):
     gg = ss.grid_geometry(perturbed, structure, grid)
     _, _, ricci = curvature_tensor(gg.pg)
     assert np.max(np.abs(ricci)) > 1e-4
-    theta = ss.random_hamiltonian_variation(support, seed=3)
-    assert ricci_identity_residual(theta.eval_jets(gg.pg.points, order=2), gg.pg, ricci) < 1e-7
+    data = ss.prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=3))
+    assert ricci_identity_residual(data.theta, data.cov, gg.pg, ricci) < 1e-7
 
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=4)
-    cov = ss.covariant_calculus(theta.eval_jets(gg.pg.points, order=2), gg.pg)
+    cov = ss.covariant_calculus(*node_last(theta.eval_jets(gg.pg.points, order=2)), gg.pg)
     nf = frame_covariant_matrix(cov.nabla, gg.pg)
-    assert np.max(np.abs(nf - nf.swapaxes(1, 2))) < 1e-9
+    assert np.max(np.abs(nf - nf.swapaxes(0, 1))) < 1e-9
 
 
 def test_round_trip_form_field_form(gr_geometry_small):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=8)
-    fj = theta.eval_jets(gg.pg.points, order=1)
-    v = ss.normal_field_from_form(fj, gg.pg)
+    val = theta.eval_jets(gg.pg.points, order=1).val.T
+    v = ss.normal_field_from_form(val, gg.pg)
     back = one_form_pullback(gg.pg, v)
-    assert np.max(np.abs(back - fj.val)) < 1e-12
+    assert np.max(np.abs(back - val)) < 1e-12
     # V is normal: orthogonal to both tangents
-    tang = np.einsum("np,npa->na", v, gg.pg.tangents)
+    tang = np.einsum("pn,pan->an", v, gg.pg.tangents)
     assert np.max(np.abs(tang)) < 1e-12
 
 
 def test_unit_form_gives_unit_normal(grim_reaper, structure):
     # theta = dx at the origin corresponds to V = J e_1 = (1, 0, 0, 0)
     pg = ss.point_geometry(grim_reaper, structure, np.array([[0.0, 0.0]]))
-    fj = J.Jet(1, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
-    v = ss.normal_field_from_form(fj, pg)
-    assert np.allclose(v, [[1.0, 0.0, 0.0, 0.0]], atol=1e-14)
+    v = ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
+    assert np.allclose(v, [[1.0], [0.0], [0.0], [0.0]], atol=1e-14)
     assert np.isclose(np.linalg.norm(v), 1.0)
 
 
 def test_correspondence_requires_lagrangian(structure):
     patch = ss.non_lagrangian_patch()
     pg = ss.point_geometry(patch, structure, np.array([[0.1, 0.1]]))
-    fj = J.Jet(1, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
     with pytest.raises(UnsupportedChartError):
-        ss.normal_field_from_form(fj, pg)
+        ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
 
 
 def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reaper, structure):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
     data = ss.prepare_variation(gg, theta)
-    v_val, v_d1 = data.v, ss.variation_field_jets(data.fj, gg.pg, gg.jets)
-    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1), gg.pg)
+    v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
+    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1).val.T, gg.pg)
     assert np.max(np.abs(v_val - v_direct)) < 1e-12
     # derivative slot cross-checked by finite differences at one interior node
     idx = len(gg.pg.points) // 2
@@ -213,9 +212,9 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
         um[axis] -= h
         pts = np.array([up, um])
         pg_pair = ss.point_geometry(grim_reaper, structure, pts)
-        v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1), pg_pair)
-        fd = (v_pair[0] - v_pair[1]) / (2 * h)
-        assert np.max(np.abs(v_d1[idx, :, axis] - fd)) < 1e-8
+        v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1).val.T, pg_pair)
+        fd = (v_pair[:, 0] - v_pair[:, 1]) / (2 * h)
+        assert np.max(np.abs(v_d1[:, axis, idx] - fd)) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -238,13 +237,13 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(4, d))
 
     pg = ss.point_geometry(chart, structure, pts)
-    v_d1 = ss.variation_field_jets(theta.eval_jets(pts, order=1), pg, ss.eval_jets(chart, pts, order=2))
-    assert v_d1.shape == (4, 2 * d, d)
+    v_d1 = ss.variation_field_jets(*node_last(theta.eval_jets(pts, order=1)), pg)
+    assert v_d1.shape == (2 * d, d, 4)
     assert np.max(np.abs(v_d1)) > 1e-3
 
     def field(q):
         return ss.normal_field_from_form(
-            theta.eval_jets(q, order=1), ss.point_geometry(chart, structure, q)
+            theta.eval_jets(q, order=1).val.T, ss.point_geometry(chart, structure, q)
         )
 
     h = 1e-5
@@ -252,7 +251,7 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
         step = np.zeros(d)
         step[axis] = h
         fd = (field(pts + step) - field(pts - step)) / (2 * h)
-        assert np.max(np.abs(v_d1[:, :, axis] - fd)) < 1e-8
+        assert np.max(np.abs(v_d1[:, axis] - fd)) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -270,7 +269,7 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     ids=["perturbed_grim_reaper", "graph_in_c3"],
 )
 def test_covariant_calculus_matches_index_notation(domain, components):
-    """The matmul contractions against the index-notation einsum reference.
+    """The node-last contractions against a node-first index-notation reference.
 
     Both charts have Christoffel symbols and derivatives without the index
     symmetries of the grim reaper, whose only one is Gamma^x_xx.
@@ -283,7 +282,8 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     pg = ss.point_geometry(chart, ss.standard_structure(d), pts)
     # a generic form, so nabla theta has no symmetry that could hide a transposition
     fj = ss.random_generic_variation(support, seed=5).eval_jets(pts, order=2)
-    G, dG = pg.Gamma, pg.Gamma_partial
+    G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(pg.Gamma_partial, -1, 0)
+    g_inv, dg_inv = np.moveaxis(pg.g_inv, -1, 0), np.moveaxis(pg.dg_inv, -1, 0)
 
     nabla = np.einsum("nba->nab", fj.d1) - np.einsum("nlab,nl->nab", G, fj.val)
     dnabla = (
@@ -298,14 +298,13 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     )
     reference = {
         "nabla": nabla,
-        "div": np.einsum("nab,nab->n", pg.g_inv, nabla),
-        "laplacian": np.einsum("nab,nabc->nc", pg.g_inv, second),
-        "div_grad": np.einsum("neab,nab->ne", pg.dg_inv, nabla)
-        + np.einsum("nab,neab->ne", pg.g_inv, dnabla),
+        "div": np.einsum("nab,nab->n", g_inv, nabla),
+        "laplacian": np.einsum("nab,nabc->nc", g_inv, second),
+        "div_grad": np.einsum("neab,nab->ne", dg_inv, nabla) + np.einsum("nab,neab->ne", g_inv, dnabla),
     }
-    cov = ss.covariant_calculus(fj, pg)
+    cov = ss.covariant_calculus(*node_last(fj), pg)
     for name, ref in reference.items():
-        got = getattr(cov, name)
+        got = np.moveaxis(getattr(cov, name), -1, 0)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
 
