@@ -42,15 +42,14 @@ class Chart:
 
     ``map_jets`` receives one jet per parameter and returns the ambient
     coordinates as jets (plain numbers are accepted for constant components).
-    ``lagrangian`` may be pinned for builtin charts; ``None`` means "detect
-    numerically from the Kaehler pullback when needed".
+    Whether the patch is Lagrangian is detected from its Kaehler pullback
+    (``PointGeometry.lagrangian``).
     """
 
     name: str
     domain: np.ndarray  # (d, 2) rows [lo, hi]
     ambient_dim: int
     map_jets: Callable[[Sequence[J.Jet]], Sequence]
-    lagrangian: bool | None = None
 
     @property
     def dim(self) -> int:
@@ -100,7 +99,11 @@ def standard_structure(n: int, T=None) -> AmbientStructure:
 
 
 def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
-    """The chart map's exact jets up to ``order``, ``val`` of shape ``(N, m)``, in node blocks."""
+    """The chart map's exact jets up to ``order``, in node blocks.
+
+    Component axis first, node axis last: ``val`` (m, N), ``d1`` (m, d, N),
+    ``d2`` (m, d, d, N) and ``d3`` (m, d, d, d, N).
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != chart.dim:
         raise DomainError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
@@ -110,9 +113,9 @@ def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
         raise DomainError(f"point {bad.tolist()} outside open domain of chart {chart.name!r}")
     # a domain error inside the map surfaces as the non-finite check below
     out = J.evaluate(chart.map_jets, pts, order)
-    if out.val.shape[1] != chart.ambient_dim:
+    if out.val.shape[0] != chart.ambient_dim:
         raise EvaluationError(
-            f"chart {chart.name!r} returned {out.val.shape[1]} components, expected {chart.ambient_dim}"
+            f"chart {chart.name!r} returned {out.val.shape[0]} components, expected {chart.ambient_dim}"
         )
     if not out.is_finite():
         raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data")
@@ -135,7 +138,7 @@ def grim_reaper_cylinder(delta: float = 0.1, y_extent: float = 3.0) -> Chart:
         return [-J.log(J.cos(x)), x, y, 0.0]
 
     dom = np.array([[-math.pi / 2 + delta, math.pi / 2 - delta], [-y_extent, y_extent]])
-    return Chart("grim_reaper", dom, 4, mapping, lagrangian=True)
+    return Chart("grim_reaper", dom, 4, mapping)
 
 
 def flat_lagrangian_plane(extent: float = 3.0) -> Chart:
@@ -146,7 +149,7 @@ def flat_lagrangian_plane(extent: float = 3.0) -> Chart:
         return [x, 0.0, y, 0.0]
 
     dom = np.array([[-extent, extent], [-extent, extent]])
-    return Chart("flat_plane", dom, 4, mapping, lagrangian=True)
+    return Chart("flat_plane", dom, 4, mapping)
 
 
 def perturbed_grim_reaper(eps: float = 0.05, delta: float = 0.1, y_extent: float = 3.0) -> Chart:
@@ -168,7 +171,7 @@ def perturbed_grim_reaper(eps: float = 0.05, delta: float = 0.1, y_extent: float
         ]
 
     dom = np.array([[-math.pi / 2 + delta, math.pi / 2 - delta], [-y_extent, y_extent]])
-    return Chart(f"perturbed_grim_reaper(eps={eps})", dom, 4, mapping, lagrangian=True)
+    return Chart(f"perturbed_grim_reaper(eps={eps})", dom, 4, mapping)
 
 
 def non_lagrangian_patch(extent: float = 1.0) -> Chart:
@@ -179,7 +182,7 @@ def non_lagrangian_patch(extent: float = 1.0) -> Chart:
         return [x, y, x * x, 0.0]
 
     dom = np.array([[-extent, extent], [-extent, extent]])
-    return Chart("non_lagrangian_patch", dom, 4, mapping, lagrangian=False)
+    return Chart("non_lagrangian_patch", dom, 4, mapping)
 
 
 BUILTIN_CHARTS: dict[str, Callable[..., Chart]] = {
@@ -238,7 +241,7 @@ def chart_from_config(spec) -> Chart:
     def mapping(params):
         return [fn(*params) for fn in fns]
 
-    return Chart(name, domain, len(components), mapping, lagrangian=None)
+    return Chart(name, domain, len(components), mapping)
 
 
 def _is_interval(row) -> bool:

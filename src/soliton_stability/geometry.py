@@ -77,14 +77,12 @@ class PointGeometry:
     Gamma_partial: np.ndarray | None  # (d, d, d, d, N); None for order-2 jets
     h_coord: np.ndarray       # (m, d, d, N)
     weight: np.ndarray        # (N,) translation weight exp(<T, Phi>)
-    pinned_lagrangian: bool | None  # Chart.lagrangian; None means detect
 
     # every property below is formed on first use; soliton_residual reads T_coord only
 
     @cached_property
     def lagrangian(self) -> bool:
-        if self.pinned_lagrangian is not None:
-            return self.pinned_lagrangian
+        """Whether the Kaehler pullback vanishes, to LAGRANGIAN_DETECT_TOL, at every point."""
         m, d = self.tangents.shape[:2]
         if m != 2 * d:
             return False
@@ -169,14 +167,12 @@ def point_geometry(
     Pass ``jets`` to reuse a chart evaluation at ``points``; order-3 jets
     retain the Christoffel derivatives needed by curvature and rough
     Laplacians, order-2 jets leave ``Gamma_partial`` as None.  Without
-    ``jets`` they are evaluated here at order 3, and freed once transposed.
+    ``jets`` they are evaluated here at order 3, and their third derivatives
+    are freed once read.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     jets = eval_jets(chart, pts, order=3) if jets is None else jets
-    # the node axis moves last, once
-    x, t, d2, d3 = (
-        a if a is None else np.moveaxis(a, 0, -1).copy() for a in (jets.val, jets.d1, jets.d2, jets.d3)
-    )
+    x, t, d2, d3 = jets.val, jets.d1, jets.d2, jets.d3
     del jets
 
     g = np.einsum("man,mbn->abn", t, t)
@@ -222,7 +218,6 @@ def point_geometry(
         Gamma_partial=None,
         h_coord=h_coord,
         weight=weight,
-        pinned_lagrangian=chart.lagrangian,
     )
     if d3 is not None:
         # ddg[e,c,a,b] = d_e d_c g_ab, by Leibniz on <Phi_ac, Phi_b> + <Phi_a, Phi_bc>

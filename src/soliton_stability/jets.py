@@ -2,15 +2,16 @@
 
 A :class:`Jet` carries the value of a quantity together with its partial
 derivatives up to ``order`` (1, 2 or 3) with respect to ``nvars`` parameters.
-All payload arrays share a leading "batch" shape, so one jet evaluates a
-quantity at many points simultaneously; derivative axes always trail the
-batch axes.  Arithmetic propagates derivatives exactly (to round-off) by the
-product and chain rules, which is what makes the downstream geometric
-identity checks discretization-free.
+One jet evaluates a quantity at many nodes at once, with the node axis last
+and contiguous, as in every per-node array of the package: component axes
+lead, the derivative axes come next, and ``val[..., n]``, ``d1[..., a, n]``,
+``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.  Arithmetic propagates
+derivatives exactly (to round-off) by the product and chain rules, which is
+what makes the downstream geometric identity checks discretization-free.
 
 :func:`evaluate` runs a function of coordinate jets over a point set in node
 blocks; vector-valued results (chart maps, one-forms) are jets stacked along
-batch axis 1.
+axis 0.
 
 Mixed partials are bit-symmetric: the product and chain rules compute each
 distinct entry of ``d2``/``d3`` once, at its sorted index tuple
@@ -73,23 +74,31 @@ def _sym_index(d: int, rank: int):
 
 
 def _expand(packed, d: int, rank: int):
-    """The full symmetric block from its sorted-tuple entries (last axis)."""
-    return packed[..., _sym_index(d, rank)[1]].reshape(packed.shape[:-1] + (d,) * rank)
+    """The full symmetric block from its sorted-tuple entries (axis -2)."""
+    full = packed[..., _sym_index(d, rank)[1], :]
+    return full.reshape(packed.shape[:-2] + (d,) * rank + packed.shape[-1:])
+
+
+def _lift(a, rank: int):
+    """``a`` with ``rank`` unit axes before its node axis, so it broadcasts against a derivative."""
+    return a.reshape(a.shape[:-1] + (1,) * rank + a.shape[-1:])
 
 
 def _sym_mv(m, v, i, j, k):
     """Sorted entries of the symmetrized product  m_ij v_k + m_ik v_j + m_jk v_i."""
-    return m[..., i, j] * v[..., k] + m[..., i, k] * v[..., j] + m[..., j, k] * v[..., i]
+    out = m[..., i, j, :] * v[..., k, :] + m[..., i, k, :] * v[..., j, :]
+    return out + m[..., j, k, :] * v[..., i, :]
 
 
 @dataclass(frozen=True)
 class Jet:
     """Value plus exact partial derivatives up to ``order``.
 
-    ``val`` has an arbitrary batch shape ``S``; ``d1`` has shape ``S + (nvars,)``,
-    ``d2`` shape ``S + (nvars, nvars)`` and ``d3`` shape ``S + (nvars,)*3``.
-    Binary operations between jets truncate to the lower of the two orders;
-    plain numbers and ndarrays broadcast as constants.
+    ``val`` has a batch shape ``S + (N,)``, node axis last; ``d1`` has shape
+    ``S + (nvars, N)``, ``d2`` shape ``S + (nvars, nvars, N)`` and ``d3`` shape
+    ``S + (nvars,)*3 + (N,)``.  Binary operations between jets truncate to the
+    lower of the two orders; a plain number or 0-d array broadcasts as a
+    constant, and an ndarray constant carries the jet's batch shape.
     """
 
     order: int
@@ -100,7 +109,7 @@ class Jet:
 
     @property
     def nvars(self) -> int:
-        return self.d1.shape[-1]
+        return self.d1.shape[-2]
 
     def is_finite(self) -> bool:
         """Whether the value and every derivative are finite everywhere."""
@@ -157,25 +166,26 @@ class Jet:
             return Jet(
                 self.order,
                 self.val * c,
-                self.d1 * c[..., None],
-                None if self.d2 is None else self.d2 * c[..., None, None],
-                None if self.d3 is None else self.d3 * c[..., None, None, None],
+                self.d1 * _lift(c, 1),
+                None if self.d2 is None else self.d2 * _lift(c, 2),
+                None if self.d3 is None else self.d3 * _lift(c, 3),
             )
         order = min(self.order, other.order)
         u, v = self.truncated(order), other.truncated(order)
-        uv, vv = u.val[..., None], v.val[..., None]
+        uv, vv = _lift(u.val, 1), _lift(v.val, 1)
         val = u.val * v.val
         d1 = u.d1 * vv + uv * v.d1
         d2 = d3 = None
         # sums associate as in tests/oracles.reference_product: regrouping moves last bits
         if order >= 2:
             (i, j), _ = _sym_index(self.nvars, 2)
-            d2 = u.d2[..., i, j] * vv + u.d1[..., i] * v.d1[..., j] + v.d1[..., i] * u.d1[..., j]
-            d2 = _expand(d2 + uv * v.d2[..., i, j], self.nvars, 2)
+            d2 = u.d2[..., i, j, :] * vv + u.d1[..., i, :] * v.d1[..., j, :]
+            d2 = d2 + v.d1[..., i, :] * u.d1[..., j, :]
+            d2 = _expand(d2 + uv * v.d2[..., i, j, :], self.nvars, 2)
         if order >= 3:
             (i, j, k), _ = _sym_index(self.nvars, 3)
-            d3 = u.d3[..., i, j, k] * vv + _sym_mv(u.d2, v.d1, i, j, k) + _sym_mv(v.d2, u.d1, i, j, k)
-            d3 = _expand(d3 + uv * v.d3[..., i, j, k], self.nvars, 3)
+            d3 = u.d3[..., i, j, k, :] * vv + _sym_mv(u.d2, v.d1, i, j, k) + _sym_mv(v.d2, u.d1, i, j, k)
+            d3 = _expand(d3 + uv * v.d3[..., i, j, k, :], self.nvars, 3)
         return Jet(order, val, d1, d2, d3)
 
     __rmul__ = __mul__
@@ -225,55 +235,56 @@ def _compose(u: Jet, f0, f1, f2=None, f3=None) -> Jet:
 
     ``f0..f3`` are the function's plain derivative values at ``u.val``.
     """
-    a = u.d1
-    d1 = f1[..., None] * a
+    a, g1 = u.d1, _lift(f1, 1)
+    d1 = g1 * a
     d2 = d3 = None
     if u.order >= 2:
         (i, j), _ = _sym_index(u.nvars, 2)
-        d2 = _expand(f1[..., None] * u.d2[..., i, j] + f2[..., None] * (a[..., i] * a[..., j]), u.nvars, 2)
+        g2 = _lift(f2, 1)
+        d2 = _expand(g1 * u.d2[..., i, j, :] + g2 * (a[..., i, :] * a[..., j, :]), u.nvars, 2)
     if u.order >= 3:
         (i, j, k), _ = _sym_index(u.nvars, 3)
-        d3 = f1[..., None] * u.d3[..., i, j, k] + f2[..., None] * _sym_mv(u.d2, a, i, j, k)
-        d3 = _expand(d3 + f3[..., None] * (a[..., i] * a[..., j] * a[..., k]), u.nvars, 3)
+        d3 = g1 * u.d3[..., i, j, k, :] + g2 * _sym_mv(u.d2, a, i, j, k)
+        d3 = _expand(d3 + _lift(f3, 1) * (a[..., i, :] * a[..., j, :] * a[..., k, :]), u.nvars, 3)
     return Jet(u.order, f0, d1, d2, d3)
 
 
 def variables(points: np.ndarray, order: int = 3) -> list[Jet]:
-    """Coordinate seed jets for a batch of points of shape ``(N, d)``."""
+    """Coordinate seed jets, batch shape ``(N,)``, for points of shape ``(N, d)``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = pts.shape[1]
     seeds = [constant(pts[:, i].copy(), d, order) for i in range(d)]
     for i, seed in enumerate(seeds):
-        seed.d1[:, i] = 1.0
+        seed.d1[i] = 1.0
     return seeds
 
 
 def constant(value, nvars: int, order: int = 3, batch_shape=None) -> Jet:
-    """A jet with constant value and vanishing derivatives."""
+    """A jet with constant value and vanishing derivatives; ``value`` carries the node axis last."""
     val = np.asarray(value, dtype=float)
     if batch_shape is not None:
         val = np.broadcast_to(val, batch_shape).copy()
-    s = val.shape
+    lead, n = val.shape[:-1], val.shape[-1:]
     return Jet(
         order,
         val,
-        np.zeros(s + (nvars,)),
-        np.zeros(s + (nvars, nvars)) if order >= 2 else None,
-        np.zeros(s + (nvars, nvars, nvars)) if order >= 3 else None,
+        np.zeros(lead + (nvars,) + n),
+        np.zeros(lead + (nvars, nvars) + n) if order >= 2 else None,
+        np.zeros(lead + (nvars, nvars, nvars) + n) if order >= 3 else None,
     )
 
 
 def stack(jets) -> Jet:
-    """Jets of one order stacked along batch axis 1: ``d1[n, p, a]`` is partial_a of jet p."""
+    """Jets of one order stacked along axis 0: ``d1[p, a, n]`` is partial_a of jet p at node n."""
     fields = zip(*[(j.val, j.d1, j.d2, j.d3) for j in jets])
-    return Jet(jets[0].order, *(None if f[0] is None else np.stack(f, axis=1) for f in fields))
+    return Jet(jets[0].order, *(None if f[0] is None else np.stack(f) for f in fields))
 
 
 def evaluate(fn, points, order: int) -> Jet:
     """``fn(coordinate jets)`` at the ``(N, d)`` points, one node block at a time.
 
     ``fn`` returns a jet, or a sequence of components (jets, or plain numbers
-    for constant ones) that is stacked along batch axis 1.  Floating-point
+    for constant ones) that is stacked along axis 0.  Floating-point
     errors are ignored, so a domain error surfaces to the caller's
     :meth:`Jet.is_finite` check.  Each block is written into the result in
     node order.
@@ -290,10 +301,10 @@ def evaluate(fn, points, order: int) -> Jet:
             jet = stack([c if isinstance(c, Jet) else constant(c, d, order, batch) for c in jet])
         arrays = (jet.val, jet.d1, jet.d2, jet.d3)
         if out is None:
-            out = [None if a is None else np.empty((n,) + a.shape[1:]) for a in arrays]
+            out = [None if a is None else np.empty(a.shape[:-1] + (n,)) for a in arrays]
         for dst, src in zip(out, arrays):
             if dst is not None:
-                dst[rows] = src
+                dst[..., rows] = src
     return Jet(jet.order, *out)
 
 

@@ -97,7 +97,7 @@ class GridGeometry:
 
 
 def grid_geometry(chart: Chart, structure: AmbientStructure, grid: QuadratureGrid) -> GridGeometry:
-    # point_geometry evaluates the chart jets itself, so it frees them once transposed
+    # point_geometry evaluates the chart jets itself, so it frees their third derivatives once read
     pg = point_geometry(chart, structure, grid.nodes)
     defect = translator_defect(pg)
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
@@ -151,10 +151,9 @@ class VariationData:
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
     """Form jets, covariant derivatives, V and the closedness defect of ``theta``, once."""
     fj = theta.eval_jets(gg.grid, order=2)
-    # node axis last, once per variation
-    val, d1, d2 = (np.moveaxis(a, 0, -1).copy() for a in (fj.val, fj.d1, fj.d2))
-    cov = covariant_calculus(val, d1, d2, gg.pg)
-    return VariationData(val, d1, cov, normal_field_from_form(val, gg.pg), lagrangian_defect(d1))
+    cov = covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
+    v = normal_field_from_form(fj.val, gg.pg)
+    return VariationData(fj.val, fj.d1, cov, v, lagrangian_defect(fj.d1))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
@@ -344,14 +343,14 @@ def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> Integr
 
 
 def scalar_laplacian(pg: PointGeometry, scalar_jet) -> np.ndarray:
-    """Laplace-Beltrami  g^{ab} (d_a d_b v - Gamma^l_ab d_l v)  of a (node-first) jet at pg's points."""
-    hess = np.einsum("nab->abn", scalar_jet.d2) - np.einsum("labn,nl->abn", pg.Gamma, scalar_jet.d1)
+    """Laplace-Beltrami  g^{ab} (d_a d_b v - Gamma^l_ab d_l v)  of a scalar jet at pg's points."""
+    hess = scalar_jet.d2 - np.einsum("labn,ln->abn", pg.Gamma, scalar_jet.d1)
     return np.einsum("abn,abn->n", pg.g_inv, hess)
 
 
 def scalar_gradient_pairing(pg: PointGeometry, a_jet, b_jet) -> np.ndarray:
-    """<grad a, grad b>_g at each point, from (node-first) jets at pg's points."""
-    return np.einsum("abn,na,nb->n", pg.g_inv, a_jet.d1, b_jet.d1)
+    """<grad a, grad b>_g at each point, from scalar jets at pg's points."""
+    return np.einsum("abn,an,bn->n", pg.g_inv, a_jet.d1, b_jet.d1)
 
 
 def default_grid_for_support(

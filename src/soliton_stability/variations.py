@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
-from .errors import ConfigurationError, EvaluationError, UnsupportedChartError
+from .errors import ConfigurationError, DomainError, EvaluationError, UnsupportedChartError
 from .expressions import compile_expression, variable_names
 from .geometry import PointGeometry
 from .quadrature import QuadratureGrid
@@ -68,18 +68,11 @@ def _nodes(where) -> np.ndarray:
 
 
 def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
-    """Zero a scalar jet (batch shape (N,)) on the rows where keep is False."""
+    """Zero a jet at the nodes (its last axis) where keep is False."""
     if np.all(keep):
         return jet
-
-    def m(arr):
-        if arr is None:
-            return None
-        out = arr.copy()
-        out[~keep] = 0.0
-        return out
-
-    return J.Jet(jet.order, m(jet.val), m(jet.d1), m(jet.d2), m(jet.d3))
+    arrays = (jet.val, jet.d1, jet.d2, jet.d3)
+    return J.Jet(jet.order, *(None if a is None else np.where(keep, a, 0.0) for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ class ScalarField:
     ``evaluate(where, order)`` returns the field's jet at scattered points
     ``(N, d)`` or at the nodes of a :class:`QuadratureGrid`, in the grid's
     order.  :meth:`eval_jets` forces it to exactly zero outside the support
-    box and refuses non-finite data.
+    box and refuses points of another dimension and non-finite data.
     """
 
     support: np.ndarray
@@ -98,6 +91,8 @@ class ScalarField:
 
     def eval_jets(self, where, order: int = 3) -> J.Jet:
         pts = _nodes(where)
+        if pts.shape[1] != self.support.shape[0]:
+            raise DomainError(f"points have dimension {pts.shape[1]}, field has {self.support.shape[0]}")
         # a domain error inside the field surfaces as the non-finite check below
         with np.errstate(all="ignore"):
             raw = self.evaluate(where if isinstance(where, QuadratureGrid) else pts, order)
@@ -213,21 +208,15 @@ def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
             return np.einsum(spec, rows[i], vy[j]).reshape(n)
 
         val = dval(0, 0)
-        d1 = np.stack([dval(1, 0), dval(0, 1)], axis=1)
+        # the slots of d2 and d3 in row-major order, each distinct partial formed once
+        d1 = np.stack([dval(1, 0), dval(0, 1)])
         d2 = d3 = None
         if order >= 2:
-            d2 = np.empty((n, 2, 2))
-            d2[:, 0, 0] = dval(2, 0)
-            d2[:, 0, 1] = d2[:, 1, 0] = dval(1, 1)
-            d2[:, 1, 1] = dval(0, 2)
+            v11 = dval(1, 1)
+            d2 = np.stack([dval(2, 0), v11, v11, dval(0, 2)]).reshape(2, 2, n)
         if order >= 3:
-            d3 = np.empty((n, 2, 2, 2))
-            d3[:, 0, 0, 0] = dval(3, 0)
-            v21 = dval(2, 1)
-            v12 = dval(1, 2)
-            d3[:, 0, 0, 1] = d3[:, 0, 1, 0] = d3[:, 1, 0, 0] = v21
-            d3[:, 0, 1, 1] = d3[:, 1, 0, 1] = d3[:, 1, 1, 0] = v12
-            d3[:, 1, 1, 1] = dval(0, 3)
+            v21, v12 = dval(2, 1), dval(1, 2)
+            d3 = np.stack([dval(3, 0), v21, v21, v12, v21, v12, v12, dval(0, 3)]).reshape(2, 2, 2, n)
         return J.Jet(order, val, d1, d2, d3)
 
     return evaluate
@@ -292,8 +281,8 @@ class OneFormField:
     def eval_jets(self, where, order: int = 2) -> J.Jet:
         """The components' jets at scattered points ``(N, d)`` or at a QuadratureGrid's nodes.
 
-        ``val[n, a] = theta_a``, ``d1[n, a, c] = partial_c theta_a`` and
-        ``d2[n, a, c, e] = partial_c partial_e theta_a``.
+        Node axis last: ``val[a, n] = theta_a``, ``d1[a, c, n] = partial_c
+        theta_a`` and ``d2[a, c, e, n] = partial_c partial_e theta_a``.
         """
         if self.potential is not None:
             phi = self.potential.eval_jets(where, order=order + 1)

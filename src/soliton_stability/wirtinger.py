@@ -71,10 +71,8 @@ def cylinder_stability_integrals(
     wy = grid.axis_weights[1]
 
     val3 = j3.val.reshape(nx, ny)
-    dx3 = j3.d1[:, 0].reshape(nx, ny)
-    dy3 = j3.d1[:, 1].reshape(nx, ny)
-    dx4 = j4.d1[:, 0].reshape(nx, ny)
-    dy4 = j4.d1[:, 1].reshape(nx, ny)
+    dx3, dy3 = j3.d1.reshape(2, nx, ny)
+    dx4, dy4 = j4.d1.reshape(2, nx, ny)
 
     slice_lhs = np.einsum("i,ij->j", wx, val3**2)
     slice_rhs = np.einsum("i,ij->j", wx, dx3**2)

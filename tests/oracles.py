@@ -5,7 +5,8 @@ differences against exact jets, the product and chain rules slot by slot, a
 one-form from frame components, the translator defect through the tangent
 frame, the box-local functional on a fresh grid, the geometry and covariant
 calculus with the node axis first) or reads a structural property off a
-result (index symmetry of a jet, one derivative of a jet).
+result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
+as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
 from __future__ import annotations
@@ -27,30 +28,35 @@ from soliton_stability.variations import OneFormField, ScalarField
 def symmetry_defect(jet: J.Jet) -> float:
     """Max deviation of d2/d3 from full index symmetry.
 
-    d3 is compared with its transpose of the last two axes and with one
-    3-cycle of its three derivative axes; the two generate every permutation.
+    d3 is compared with its transpose of the last two derivative axes and with
+    one 3-cycle of its three derivative axes; the two generate every permutation.
     """
     pairs = []
     if jet.d2 is not None:
-        pairs.append((jet.d2, np.swapaxes(jet.d2, -1, -2)))
+        pairs.append((jet.d2, np.swapaxes(jet.d2, -3, -2)))
     if jet.d3 is not None:
         t = jet.d3
-        pairs += [(t, np.swapaxes(t, -1, -2)), (t, np.moveaxis(t, (-3, -2, -1), (-2, -1, -3)))]
+        pairs += [(t, np.swapaxes(t, -3, -2)), (t, np.moveaxis(t, (-4, -3, -2), (-3, -2, -4)))]
     # np.max keeps a NaN, which Python's max(0.0, nan) would drop
     return float(np.max([np.max(np.abs(a - b), initial=0.0) for a, b in pairs], initial=0.0))
 
 
 def _outer2(a, b):
-    return a[..., :, None] * b[..., None, :]
+    return a[..., :, None, :] * b[..., None, :, :]
 
 
 def _sym_21(m, v):
     """The 3-tensor  m_ij v_k + m_ik v_j + m_jk v_i  on every slot."""
     return (
-        m[..., :, :, None] * v[..., None, None, :]
-        + m[..., :, None, :] * v[..., None, :, None]
-        + m[..., None, :, :] * v[..., :, None, None]
+        m[..., :, :, None, :] * v[..., None, None, :, :]
+        + m[..., :, None, :, :] * v[..., None, :, None, :]
+        + m[..., None, :, :, :] * v[..., :, None, None, :]
     )
+
+
+def _lift(a, rank):
+    """``a`` with ``rank`` unit axes before its node axis."""
+    return a.reshape(a.shape[:-1] + (1,) * rank + a.shape[-1:])
 
 
 def reference_product(u: J.Jet, v: J.Jet) -> J.Jet:
@@ -61,14 +67,13 @@ def reference_product(u: J.Jet, v: J.Jet) -> J.Jet:
     """
     k = min(u.order, v.order)
     u, v = u.truncated(k), v.truncated(k)
-    uv, vv = u.val[..., None], v.val[..., None]
     d2 = d3 = None
     if k >= 2:
-        d2 = u.d2 * vv[..., None] + _outer2(u.d1, v.d1) + _outer2(v.d1, u.d1) + uv[..., None] * v.d2
+        d2 = u.d2 * _lift(v.val, 2) + _outer2(u.d1, v.d1) + _outer2(v.d1, u.d1) + _lift(u.val, 2) * v.d2
     if k >= 3:
-        d3 = u.d3 * vv[..., None, None] + _sym_21(u.d2, v.d1) + _sym_21(v.d2, u.d1)
-        d3 = d3 + uv[..., None, None] * v.d3
-    return J.Jet(k, u.val * v.val, u.d1 * vv + uv * v.d1, d2, d3)
+        d3 = u.d3 * _lift(v.val, 3) + _sym_21(u.d2, v.d1) + _sym_21(v.d2, u.d1)
+        d3 = d3 + _lift(u.val, 3) * v.d3
+    return J.Jet(k, u.val * v.val, u.d1 * _lift(v.val, 1) + _lift(u.val, 1) * v.d1, d2, d3)
 
 
 def reference_compose(u: J.Jet, f0, f1, f2, f3) -> J.Jet:
@@ -76,12 +81,12 @@ def reference_compose(u: J.Jet, f0, f1, f2, f3) -> J.Jet:
     a = u.d1
     d2 = d3 = None
     if u.order >= 2:
-        d2 = f1[..., None, None] * u.d2 + f2[..., None, None] * _outer2(a, a)
+        d2 = _lift(f1, 2) * u.d2 + _lift(f2, 2) * _outer2(a, a)
     if u.order >= 3:
-        outer3 = a[..., :, None, None] * a[..., None, :, None] * a[..., None, None, :]
-        g1, g2, g3 = (f[..., None, None, None] for f in (f1, f2, f3))
+        outer3 = a[..., :, None, None, :] * a[..., None, :, None, :] * a[..., None, None, :, :]
+        g1, g2, g3 = (_lift(f, 3) for f in (f1, f2, f3))
         d3 = g1 * u.d3 + g2 * _sym_21(u.d2, a) + g3 * outer3
-    return J.Jet(u.order, f0, f1[..., None] * a, d2, d3)
+    return J.Jet(u.order, f0, _lift(f1, 1) * a, d2, d3)
 
 
 def partial(jet: J.Jet, i: int) -> J.Jet:
@@ -90,9 +95,9 @@ def partial(jet: J.Jet, i: int) -> J.Jet:
         raise ValueError("need order >= 2 to extract a derivative jet")
     return J.Jet(
         jet.order - 1,
-        jet.d1[..., i],
-        jet.d2[..., i, :],
-        None if jet.d3 is None else jet.d3[..., i, :, :],
+        jet.d1[..., i, :],
+        jet.d2[..., i, :, :],
+        None if jet.d3 is None else jet.d3[..., i, :, :, :],
     )
 
 
@@ -116,7 +121,7 @@ def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> J.Jet:
         p = u.copy()
         for i, s in offsets:
             p[i] += s * h
-        return eval_jets(chart, p[None, :], order=1).val[0]
+        return eval_jets(chart, p[None, :], order=1).val[:, 0]
 
     m = chart.ambient_dim
     f0 = f()
@@ -161,7 +166,7 @@ def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> J.Jet:
                 val = s / (8 * h**3)
                 for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
                     d3[:, perm[0], perm[1], perm[2]] = val
-    return J.Jet(3, f0[None, :], d1[None], d2[None], d3[None])
+    return J.Jet(3, f0[:, None], d1[..., None], d2[..., None], d3[..., None])
 
 
 def fd_discrepancy(chart: Chart, u, h: float, flag_threshold: float = 1e-6):
@@ -189,8 +194,8 @@ def functional_value(chart: Chart, structure, box, cells: int = 40, points_per_c
     """Box-local weighted area  int_box exp(<T, Phi>) sqrt(det g) du."""
     grid = tensor_rule(box, cells, points_per_cell)
     jets = eval_jets(chart, grid.nodes, order=1)
-    g = np.einsum("nma,nmb->abn", jets.d1, jets.d1)
-    return _weighted_area(grid, structure, jets.val.T, g)
+    g = np.einsum("man,mbn->abn", jets.d1, jets.d1)
+    return _weighted_area(grid, structure, jets.val, g)
 
 
 def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
@@ -213,11 +218,6 @@ def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
     return -np.einsum("pn,pan->an", Jv, pg.tangents)
 
 
-def node_last(jet: J.Jet) -> tuple:
-    """``(val, d1, d2)`` of a node-first jet with the node axis moved last (views)."""
-    return tuple(np.moveaxis(a, 0, -1) for a in (jet.val, jet.d1, jet.d2) if a is not None)
-
-
 # ---------------------------------------------------------------------------
 # node-first reference of the per-node tensor layout
 
@@ -228,19 +228,19 @@ def node_first_geometry(jets: J.Jet) -> dict:
     the package used before its per-node tensors moved the node axis last.
     """
     t, d2, d3 = jets.d1, jets.d2, jets.d3
-    g = np.einsum("nma,nmb->nab", t, t)
+    g = np.einsum("man,mbn->nab", t, t)
     g_inv = np.linalg.inv(g)
-    half = np.einsum("nmac,nmb->ncab", d2, t)
+    half = np.einsum("macn,mbn->ncab", d2, t)
     dg = half + half.swapaxes(2, 3)
     bracket = np.einsum("nabl->nlab", dg) + np.einsum("nbal->nlab", dg) - dg
     Gamma = 0.5 * np.einsum("nkl,nlab->nkab", g_inv, bracket)
-    h_coord = d2 - np.einsum("nkab,nmk->nmab", Gamma, t)
+    h_coord = np.einsum("mabn->nmab", d2) - np.einsum("nkab,mkn->nmab", Gamma, t)
     dg_inv = -np.einsum("nkp,nepq,nql->nekl", g_inv, dg, g_inv)
     ddg = (
-        np.einsum("nmace,nmb->necab", d3, t)
-        + np.einsum("nmac,nmbe->necab", d2, d2)
-        + np.einsum("nmae,nmbc->necab", d2, d2)
-        + np.einsum("nma,nmbce->necab", t, d3)
+        np.einsum("macen,mbn->necab", d3, t)
+        + np.einsum("macn,mben->necab", d2, d2)
+        + np.einsum("maen,mbcn->necab", d2, d2)
+        + np.einsum("man,mbcen->necab", t, d3)
     )
     dbracket = np.einsum("neabl->nelab", ddg) + np.einsum("nebal->nelab", ddg) - ddg
     Gamma_partial = 0.5 * (
@@ -259,20 +259,20 @@ def node_first_geometry(jets: J.Jet) -> dict:
 
 def node_first_covariant(fj: J.Jet, geo: dict) -> dict:
     """``nabla``, ``div``, ``laplacian`` and ``div_grad`` with the node axis first,
-    from order-2 form jets and :func:`node_first_geometry`, by the batched
-    ``matmul`` contractions against flattened Christoffel symbols that the
-    package used before its per-node tensors moved the node axis last.
+    from order-2 form jets and :func:`node_first_geometry`.  The second
+    covariant derivative goes by the batched ``matmul`` contractions against
+    flattened Christoffel symbols that the package used before its per-node
+    tensors moved the node axis last.
     """
     G, dG, g_inv = geo["Gamma"], geo["Gamma_partial"], geo["g_inv"]
-    theta_val, dtheta, ddtheta = fj.val, fj.d1, fj.d2
-    n, d = theta_val.shape
+    theta, dtheta = fj.val, fj.d1
+    d, n = theta.shape
     G_flat = G.reshape(n, d, d * d)
-    nabla = dtheta.swapaxes(1, 2) - np.einsum("nlab,nl->nab", G, theta_val)
-    dG_t = dG.reshape(n, d, d, d * d).swapaxes(2, 3)
+    nabla = np.einsum("ban->nab", dtheta) - np.einsum("nlab,ln->nab", G, theta)
     dnabla = (
-        np.einsum("nbae->neab", ddtheta)
-        - np.matmul(dG_t, theta_val[:, None, :, None]).reshape(n, d, d, d)
-        - np.matmul(dtheta.swapaxes(1, 2), G_flat).reshape(n, d, d, d)
+        np.einsum("baen->neab", fj.d2)
+        - np.einsum("nelab,ln->neab", dG, theta)
+        - np.einsum("len,nlab->neab", dtheta, G)
     )
     second = (
         dnabla

@@ -17,12 +17,12 @@ import soliton_stability.jets as J
 
 def test_grim_reaper_tangent_values(grim_reaper):
     j = ss.eval_jets(grim_reaper, np.array([[0.0, 0.0], [math.pi / 3, 0.0]]))
-    assert np.allclose(j.val[0], [0, 0, 0, 0], atol=1e-15)
-    assert np.allclose(j.d1[0, :, 0], [0, 1, 0, 0], atol=1e-15)
-    assert np.allclose(j.d2[0, :, 0, 0], [1, 0, 0, 0], atol=1e-15)
+    assert np.allclose(j.val[:, 0], [0, 0, 0, 0], atol=1e-15)
+    assert np.allclose(j.d1[:, 0, 0], [0, 1, 0, 0], atol=1e-15)
+    assert np.allclose(j.d2[:, 0, 0, 0], [1, 0, 0, 0], atol=1e-15)
     # tangent at pi/3 is (tan(pi/3), 1, 0, 0)
-    assert np.allclose(j.d1[1, :, 0], [math.sqrt(3), 1, 0, 0], atol=1e-14)
-    assert np.allclose(j.d1[1, :, 1], [0, 0, 1, 0], atol=1e-15)
+    assert np.allclose(j.d1[:, 0, 1], [math.sqrt(3), 1, 0, 0], atol=1e-14)
+    assert np.allclose(j.d1[:, 1, 1], [0, 0, 1, 0], atol=1e-15)
 
 
 def test_affine_chart_higher_jets_vanish(flat_plane):
@@ -165,7 +165,7 @@ def test_chart_from_config_expression_tree(structure):
         }
     )
     pts = np.array([[0.2, -0.3]])
-    assert np.allclose(ss.eval_jets(chart, pts, order=1).val, [[0.2, 0.0, -0.3, 0.0]])
+    assert np.allclose(ss.eval_jets(chart, pts, order=1).val[:, 0], [0.2, 0.0, -0.3, 0.0])
     # auto-detected as Lagrangian when the geometry is first computed
     pg = ss.point_geometry(chart, structure, pts)
     assert pg.lagrangian

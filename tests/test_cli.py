@@ -285,6 +285,32 @@ def test_cylinder_on_non_lagrangian_chart_reports_geometry(tmp_path):
     assert data["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "chart, T",
+    [
+        ({"name": "line", "domain": [[-1.0, 1.0]], "components": ["x", "0"]}, [1.0, 0.0]),
+        (
+            {
+                "name": "grim_reaper_x_line",
+                "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
+                "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
+            },
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ),
+    ],
+    ids=["1-parameter", "3-parameter"],
+)
+def test_cylinder_refuses_a_chart_of_another_dimension(tmp_path, capsys, chart, T):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chart": chart, "T": T}))
+    out = tmp_path / "r.json"
+    assert run_cli("cylinder", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    d, m = len(chart["domain"]), len(T)
+    message = f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}"
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_cylinder_tightened_tolerance_documents_error_budget(tmp_path):
     """The exact-jet pipeline has a measurable float floor; an impossible
     tolerance must fail, exhibiting the budget."""

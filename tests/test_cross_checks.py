@@ -13,8 +13,8 @@ def test_complex_structure_maps_tangents_to_scaled_normals(grim_reaper, structur
     """J Phi_x = (1, -tan x, 0, 0) = sec(x) nu_1 and J Phi_y = nu_2."""
     x = 0.7
     jets = ss.eval_jets(grim_reaper, np.array([[x, 0.0]]), order=1)
-    j_phx = structure.J @ jets.d1[0, :, 0]
-    j_phy = structure.J @ jets.d1[0, :, 1]
+    j_phx = structure.J @ jets.d1[:, 0, 0]
+    j_phy = structure.J @ jets.d1[:, 1, 0]
     assert np.allclose(j_phx, [1.0, -math.tan(x), 0.0, 0.0], atol=1e-14)
     sec = 1.0 / math.cos(x)
     assert np.allclose(j_phx, sec * np.array([math.cos(x), -math.sin(x), 0.0, 0.0]), atol=1e-14)

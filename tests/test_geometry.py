@@ -7,6 +7,7 @@ import pytest
 
 import soliton_stability as ss
 from oracles import frame_translator_defect
+from soliton_stability.charts import BUILTIN_CHARTS
 from soliton_stability.errors import ImmersionError, UnsupportedChartError
 from soliton_stability.geometry import batch_det, kaehler_pullback, translator_defect
 
@@ -234,9 +235,19 @@ def test_rank_deficiency_raises(structure):
         ss.point_geometry(chart, structure, np.array([[0.1, 0.1]]))
 
 
+@pytest.mark.parametrize("name", list(BUILTIN_CHARTS))
+def test_lagrangian_flag_is_detected_on_builtin_charts(structure, name):
+    """The pullback is exactly 0 on the Lagrangian builtins and 1 on the other: far from the 1e-9 cut."""
+    chart = ss.builtin_chart(name)
+    pg = ss.point_geometry(chart, structure, ss.uniform_grid(chart, 60))
+    lagrangian = name != "non_lagrangian_patch"
+    assert pg.lagrangian is lagrangian
+    assert np.max(np.abs(kaehler_pullback(structure, pg.tangents))) == (0.0 if lagrangian else 1.0)
+
+
 def test_kaehler_pullback_values(grim_reaper, structure):
     jets = ss.eval_jets(grim_reaper, np.array([[0.5, 0.5]]), order=1)
-    omega = kaehler_pullback(structure, np.moveaxis(jets.d1, 0, -1))
+    omega = kaehler_pullback(structure, jets.d1)
     assert np.allclose(omega, 0.0, atol=1e-15)
 
 

@@ -37,11 +37,11 @@ def test_matches_hand_derivatives():
     f = _build(J.variables(pts, order=2))
     val, fx, fy, fxx, fxy, fyy = _scalar_case(pts)
     assert np.allclose(f.val, val, atol=1e-14)
-    assert np.allclose(f.d1[:, 0], fx, atol=1e-13)
-    assert np.allclose(f.d1[:, 1], fy, atol=1e-13)
-    assert np.allclose(f.d2[:, 0, 0], fxx, atol=1e-12)
-    assert np.allclose(f.d2[:, 0, 1], fxy, atol=1e-12)
-    assert np.allclose(f.d2[:, 1, 1], fyy, atol=1e-12)
+    assert np.allclose(f.d1[0], fx, atol=1e-13)
+    assert np.allclose(f.d1[1], fy, atol=1e-13)
+    assert np.allclose(f.d2[0, 0], fxx, atol=1e-12)
+    assert np.allclose(f.d2[0, 1], fxy, atol=1e-12)
+    assert np.allclose(f.d2[1, 1], fyy, atol=1e-12)
 
 
 def test_division_and_powers():
@@ -92,13 +92,14 @@ def _every_jet_function(seeds):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("stacked", [False, True], ids=["N", "N-p"])
-def test_mixed_partial_symmetry_is_structural(d, stacked):
+@pytest.mark.parametrize("batch", ["N", "N-p", "empty", "empty-p"])
+def test_mixed_partial_symmetry_is_structural(d, batch):
     """Every d2/d3 comes out bit-symmetric: each distinct partial is formed once and copied."""
-    pts = np.random.default_rng(d).uniform(-0.5, 0.5, (200, d))
+    n = 0 if batch.startswith("empty") else 200
+    pts = np.random.default_rng(d).uniform(-0.5, 0.5, (n, d))
     fields = _every_jet_function(J.variables(pts, order=3))
-    if stacked:
-        f = J.stack(fields)  # batch shape (200, 7)
+    if batch.endswith("-p"):
+        f = J.stack(fields)  # batch shape (7, n)
         fields = [f, J.sin(f) * f**2, J.exp(f) / (2.0 + f * f), (2.0 + f * f) ** -1.5 + J.sqrt(2 + J.cos(f))]
     for f in fields:
         assert symmetry_defect(f) == 0.0
@@ -106,10 +107,10 @@ def test_mixed_partial_symmetry_is_structural(d, stacked):
 
 def test_symmetry_defect_sees_every_transposition():
     """A Levi-Civita d3 is invariant under 3-cycles but not under a swap."""
-    eps = np.zeros((1, 3, 3, 3))
+    eps = np.zeros((3, 3, 3, 1))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[0, i, j, k], eps[0, j, i, k] = 1.0, -1.0
-    jet = J.Jet(3, np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3, 3)), eps)
+        eps[i, j, k, 0], eps[j, i, k, 0] = 1.0, -1.0
+    jet = J.Jet(3, np.zeros(1), np.zeros((3, 1)), np.zeros((3, 3, 1)), eps)
     assert symmetry_defect(jet) == 2.0
 
 
@@ -118,18 +119,24 @@ def _random_entries(rng, shape):
     return rng.normal(size=shape) * rng.choice([1.0, 0.0, -0.0], size=shape, p=[0.8, 0.1, 0.1])
 
 
+def _derivative_shape(shape, d, rank):
+    """``shape`` with ``rank`` derivative axes of length d before its node axis."""
+    return shape[:-1] + (d,) * rank + shape[-1:]
+
+
 def _random_symmetric(rng, shape, d, rank):
-    """A random block of shape ``shape + (d,)*rank`` whose entries are bit-equal under index permutation."""
+    """A random node-last block whose entries are bit-equal under index permutation."""
     slots = np.sort(np.indices((d,) * rank).reshape(rank, -1), axis=0)
-    flat = _random_entries(rng, shape + (d**rank,))[..., np.ravel_multi_index(tuple(slots), (d,) * rank)]
-    return flat.reshape(shape + (d,) * rank)
+    flat = _random_entries(rng, _derivative_shape(shape, d**rank, 1))
+    flat = flat[..., np.ravel_multi_index(tuple(slots), (d,) * rank), :]
+    return flat.reshape(_derivative_shape(shape, d, rank))
 
 
 def _random_jet(rng, shape, d, order):
     return J.Jet(
         order,
         _random_entries(rng, shape),
-        _random_entries(rng, shape + (d,)),
+        _random_entries(rng, _derivative_shape(shape, d, 1)),
         _random_symmetric(rng, shape, d, 2) if order >= 2 else None,
         _random_symmetric(rng, shape, d, 3) if order >= 3 else None,
     )
@@ -147,11 +154,12 @@ def _assert_kernel_matches(kernel, reference):
             continue
         assert a.shape == b.shape
         idx = tuple(np.array(c) for c in zip(*itertools.combinations_with_replacement(range(d), rank)))
-        assert a[(...,) + idx].tobytes() == b[(...,) + idx].tobytes()
+        sorted_slots = (...,) + idx + (slice(None),)
+        assert a[sorted_slots].tobytes() == b[sorted_slots].tobytes()
         assert np.all(np.abs(a - b) <= 1e-13 * np.max(np.abs(b), initial=0.0))
 
 
-BATCHES = {"N": (64,), "N-p": (64, 5), "empty": (0,), "empty-p": (0, 5)}
+BATCHES = {"N": (64,), "N-p": (5, 64), "empty": (0,), "empty-p": (5, 0)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -180,9 +188,9 @@ def test_partial_extraction():
     f = J.sin(x * y)
     fx = partial(f, 0)
     assert fx.order == 2
-    assert np.allclose(fx.val, f.d1[:, 0])
-    assert np.allclose(fx.d1, f.d2[:, 0, :])
-    assert np.allclose(fx.d2, f.d3[:, 0, :, :])
+    assert np.allclose(fx.val, f.d1[0])
+    assert np.allclose(fx.d1, f.d2[0])
+    assert np.allclose(fx.d2, f.d3[0])
 
 
 @pytest.mark.parametrize("u", [(0.2, 0.5), (-0.8, -1.7), (1.1, 2.1)])
@@ -197,12 +205,12 @@ def test_taylor_remainder_order(u):
     j = ss.eval_jets(chart, np.array([u]))
 
     def taylor_error(h):
-        target = ss.eval_jets(chart, np.array([np.array(u) + h * v])).val[0]
+        target = ss.eval_jets(chart, np.array([np.array(u) + h * v])).val[:, 0]
         model = (
-            j.val[0]
-            + h * j.d1[0] @ v
-            + 0.5 * h**2 * np.einsum("mab,a,b->m", j.d2[0], v, v)
-            + h**3 / 6.0 * np.einsum("mabc,a,b,c->m", j.d3[0], v, v, v)
+            j.val[:, 0]
+            + h * j.d1[..., 0] @ v
+            + 0.5 * h**2 * np.einsum("mab,a,b->m", j.d2[..., 0], v, v)
+            + h**3 / 6.0 * np.einsum("mabc,a,b,c->m", j.d3[..., 0], v, v, v)
         )
         return np.max(np.abs(target - model))
 
@@ -280,4 +288,4 @@ def test_jet_arithmetic_matches_finite_differences(case):
         step[k] = h
         up = ss.eval_jets(chart, (u + step)[None, :], order=2)
         down = ss.eval_jets(chart, (u - step)[None, :], order=2)
-        assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - exact.d3[..., k])) <= 1e-7 * scale
+        assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - exact.d3[..., k, :])) <= 1e-7 * scale

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import frame_covariant_matrix, node_last, one_form_pullback
+from oracles import frame_covariant_matrix, one_form_pullback
 import soliton_stability.jets as J
-from soliton_stability.errors import ConfigurationError, UnsupportedChartError
+from soliton_stability.errors import ConfigurationError, DomainError, UnsupportedChartError
 from soliton_stability.geometry import curvature_tensor
 from soliton_stability.variations import (
     _polynomial_jet_arithmetic,
@@ -73,9 +73,9 @@ def test_polynomial_field_in_three_variables():
         step = np.zeros(3)
         step[k] = h
         up, down = phi.eval_jets(pts + step, order=2), phi.eval_jets(pts - step, order=2)
-        assert np.max(np.abs((up.val - down.val) / (2 * h) - jet.d1[:, k])) <= 1e-8 * scale
-        assert np.max(np.abs((up.d1 - down.d1) / (2 * h) - jet.d2[:, :, k])) <= 1e-8 * scale
-        assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - jet.d3[..., k])) <= 1e-8 * scale
+        assert np.max(np.abs((up.val - down.val) / (2 * h) - jet.d1[k])) <= 1e-8 * scale
+        assert np.max(np.abs((up.d1 - down.d1) / (2 * h) - jet.d2[:, k])) <= 1e-8 * scale
+        assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - jet.d3[..., k, :])) <= 1e-8 * scale
     # a quadrature grid gives the same jets at its nodes, and exact zeros past the support
     grid = ss.tensor_rule(1.2 * support, cells=2, points_per_cell=3)
     on_grid = phi.eval_jets(grid, order=3)
@@ -84,7 +84,7 @@ def test_polynomial_field_in_three_variables():
     for name in ("val", "d1", "d2", "d3"):
         arr = getattr(on_grid, name)
         assert np.array_equal(arr, getattr(phi.eval_jets(grid.nodes, order=3), name))
-        assert np.all(arr[outside] == 0.0)
+        assert np.all(arr[..., outside] == 0.0)
     assert np.any(on_grid.val[~outside] != 0.0)
 
 
@@ -92,9 +92,9 @@ def test_exact_forms_are_closed(support):
     pts = interior_points(support)
     for seed in range(5):
         theta = ss.random_hamiltonian_variation(support, seed=seed)
-        assert ss.lagrangian_defect(node_last(theta.eval_jets(pts, order=1))[1]) <= 1e-12
+        assert ss.lagrangian_defect(theta.eval_jets(pts, order=1).d1) <= 1e-12
     zero = ss.hamiltonian_variation(ss.scalar_field_from_expression("0", support))
-    assert ss.lagrangian_defect(node_last(zero.eval_jets(pts, order=1))[1]) == 0.0
+    assert ss.lagrangian_defect(zero.eval_jets(pts, order=1).d1) == 0.0
 
 
 def test_hand_differentiated_potential(support):
@@ -106,7 +106,7 @@ def test_hand_differentiated_potential(support):
     lo, hi = support[1]
     s, t = J.variables(pts, order=1)
     taper = window_jet(t, lo, hi)
-    assert np.allclose(fj.val[:, 0], -np.sin(pts[:, 0]) * taper.val, atol=1e-13)
+    assert np.allclose(fj.val[0], -np.sin(pts[:, 0]) * taper.val, atol=1e-13)
 
 
 def test_generic_form_is_not_closed(support):
@@ -115,7 +115,7 @@ def test_generic_form_is_not_closed(support):
     )
     pts = interior_points(support)
     assert theta.kind == "generic"
-    assert ss.lagrangian_defect(node_last(theta.eval_jets(pts, order=1))[1]) > 1e-3
+    assert ss.lagrangian_defect(theta.eval_jets(pts, order=1).d1) > 1e-3
 
 
 def test_components_must_share_support(support):
@@ -130,11 +130,11 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
     gg = fp_geometry_small
     support = gg.grid.box
     phi = ss.random_polynomial_field(support, seed=9)
-    theta = ss.hamiltonian_variation(phi)
-    cov = ss.covariant_calculus(*node_last(theta.eval_jets(gg.pg.points, order=2)), gg.pg)
+    fj = ss.hamiltonian_variation(phi).eval_jets(gg.pg.points, order=2)
+    cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
     # flat coordinates: divergence of d(phi) is the coordinate Laplacian
     pj = phi.eval_jets(gg.pg.points, order=2)
-    flat_lap = pj.d2[:, 0, 0] + pj.d2[:, 1, 1]
+    flat_lap = pj.d2[0, 0] + pj.d2[1, 1]
     assert np.max(np.abs(cov.div - flat_lap)) < 1e-11
 
 
@@ -162,8 +162,8 @@ def test_ricci_identity_on_curved_chart(perturbed, structure):
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
     gg = gr_geometry_small
-    theta = ss.random_hamiltonian_variation(gg.grid.box, seed=4)
-    cov = ss.covariant_calculus(*node_last(theta.eval_jets(gg.pg.points, order=2)), gg.pg)
+    fj = ss.random_hamiltonian_variation(gg.grid.box, seed=4).eval_jets(gg.pg.points, order=2)
+    cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
     nf = frame_covariant_matrix(cov.nabla, gg.pg)
     assert np.max(np.abs(nf - nf.swapaxes(0, 1))) < 1e-9
 
@@ -171,7 +171,7 @@ def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
 def test_round_trip_form_field_form(gr_geometry_small):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=8)
-    val = theta.eval_jets(gg.pg.points, order=1).val.T
+    val = theta.eval_jets(gg.pg.points, order=1).val
     v = ss.normal_field_from_form(val, gg.pg)
     back = one_form_pullback(gg.pg, v)
     assert np.max(np.abs(back - val)) < 1e-12
@@ -200,7 +200,7 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
     data = ss.prepare_variation(gg, theta)
     v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
-    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1).val.T, gg.pg)
+    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1).val, gg.pg)
     assert np.max(np.abs(v_val - v_direct)) < 1e-12
     # derivative slot cross-checked by finite differences at one interior node
     idx = len(gg.pg.points) // 2
@@ -212,7 +212,7 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
         um[axis] -= h
         pts = np.array([up, um])
         pg_pair = ss.point_geometry(grim_reaper, structure, pts)
-        v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1).val.T, pg_pair)
+        v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1).val, pg_pair)
         fd = (v_pair[:, 0] - v_pair[:, 1]) / (2 * h)
         assert np.max(np.abs(v_d1[:, axis, idx] - fd)) < 1e-8
 
@@ -237,13 +237,14 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(4, d))
 
     pg = ss.point_geometry(chart, structure, pts)
-    v_d1 = ss.variation_field_jets(*node_last(theta.eval_jets(pts, order=1)), pg)
+    fj = theta.eval_jets(pts, order=1)
+    v_d1 = ss.variation_field_jets(fj.val, fj.d1, pg)
     assert v_d1.shape == (2 * d, d, 4)
     assert np.max(np.abs(v_d1)) > 1e-3
 
     def field(q):
         return ss.normal_field_from_form(
-            theta.eval_jets(q, order=1).val.T, ss.point_geometry(chart, structure, q)
+            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, structure, q)
         )
 
     h = 1e-5
@@ -285,11 +286,11 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(pg.Gamma_partial, -1, 0)
     g_inv, dg_inv = np.moveaxis(pg.g_inv, -1, 0), np.moveaxis(pg.dg_inv, -1, 0)
 
-    nabla = np.einsum("nba->nab", fj.d1) - np.einsum("nlab,nl->nab", G, fj.val)
+    nabla = np.einsum("ban->nab", fj.d1) - np.einsum("nlab,ln->nab", G, fj.val)
     dnabla = (
-        np.einsum("nbae->neab", fj.d2)
-        - np.einsum("nelab,nl->neab", dG, fj.val)
-        - np.einsum("nlab,nle->neab", G, fj.d1)
+        np.einsum("baen->neab", fj.d2)
+        - np.einsum("nelab,ln->neab", dG, fj.val)
+        - np.einsum("nlab,len->neab", G, fj.d1)
     )
     second = (
         dnabla
@@ -302,10 +303,24 @@ def test_covariant_calculus_matches_index_notation(domain, components):
         "laplacian": np.einsum("nab,nabc->nc", g_inv, second),
         "div_grad": np.einsum("neab,nab->ne", dg_inv, nabla) + np.einsum("nab,neab->ne", g_inv, dnabla),
     }
-    cov = ss.covariant_calculus(*node_last(fj), pg)
+    cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
     for name, ref in reference.items():
         got = np.moveaxis(getattr(cov, name), -1, 0)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda support: ss.random_polynomial_field(support, seed=2),
+        lambda support: ss.scalar_field_from_expression("sin(x)*y", support),
+    ],
+    ids=["polynomial", "expression"],
+)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_field_refuses_points_of_another_dimension(support, make, dim):
+    with pytest.raises(DomainError, match=rf"^points have dimension {dim}, field has 2$"):
+        make(support).eval_jets(np.zeros((4, dim)), order=2)
 
 
 def test_non_finite_field_is_reported(support):
