@@ -53,6 +53,7 @@ from .wirtinger import (
     closed_form_deviations,
     cylinder_stability_integrals,
     dirichlet_gap,
+    require_cylinder_dims,
 )
 
 EXIT_PASS = 0
@@ -259,9 +260,7 @@ def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: 
 def cmd_cylinder(cfg: dict) -> int:
     """Full closed-form pipeline on the grim reaper cylinder."""
     chart, structure = chart_and_structure(cfg)
-    d, m = chart.dim, chart.ambient_dim
-    if (d, m) != (2, 4):
-        raise ConfigurationError(f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}")
+    require_cylinder_dims(chart.dim, chart.ambient_dim)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     checks: dict[str, Any] = {}

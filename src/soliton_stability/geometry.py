@@ -17,14 +17,14 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``nu[p, i, n]``          the normal frame nu_i = J e_i (Lagrangian charts only)
 
 The tangent frame is Gram-Schmidt of the coordinate tangents in coordinate
-order (equivalently the inverse-transpose Cholesky factor of g), so it is
-deterministic.  There is one normal frame, ``nu_i = J e_i``, and it exists
-only on Lagrangian charts, where J maps the tangent space onto the normal
-space; reading ``nu`` on any other chart raises UnsupportedChartError.  The
-translator defect, the mean curvature vector and the Gauss side of the
-curvature use ambient normal components, so they hold on every chart.
-Frames are formed on first use, and every reported scalar is gauge
-invariant.
+order, e_i = (L^-1)_ia d_a Phi with g = L L^T, so it is deterministic; L, L^-1
+and the adjugate inverse of g are closed forms over node rows.  The one
+normal frame, ``nu_i = J e_i``, exists only on Lagrangian charts, where J maps
+the tangent space onto the normal space; reading ``nu`` on any other chart
+raises UnsupportedChartError.  The translator defect, the mean curvature
+vector and the Gauss side of the curvature use ambient normal components, so
+they hold on every chart.  Frames are formed on first use, and every reported
+scalar is gauge invariant.
 
 Christoffel symbols and their derivatives are assembled intrinsically from
 metric derivatives, not from ambient projections, so the curvature tensor
@@ -34,9 +34,10 @@ route used by the Gauss-equation cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 from typing import Any
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "PointGeometry",
     "DiagnosticsReport",
     "batch_det",
+    "adjugate",
     "point_geometry",
     "mean_curvature_vector",
     "translator_defect",
@@ -91,8 +93,15 @@ class PointGeometry:
 
     @cached_property
     def frame_coeff(self) -> np.ndarray:  # (d, d, N), upper triangular in (a, i)
-        inv_chol = np.linalg.inv(np.linalg.cholesky(np.moveaxis(self.g, -1, 0)))
-        return np.ascontiguousarray(inv_chol.transpose(2, 1, 0))
+        g = self.g
+        L, A = np.zeros_like(g), np.zeros_like(g)  # g = L L^T; A[a, i] = (L^-1)[i, a]
+        for i in range(g.shape[0]):  # row i of L, then row i of L^-1 by forward substitution
+            for j in range(i + 1):
+                s = g[i, j] - np.einsum("kn,kn->n", L[i, :j], L[j, :j])
+                L[i, j] = np.sqrt(s) if i == j else s / L[j, j]
+            A[:i, i] = -np.einsum("kn,akn->an", L[i, :i], A[:i, :i]) / L[i, i]
+            A[i, i] = 1.0 / L[i, i]
+        return A
 
     @cached_property
     def nu(self) -> np.ndarray:  # (m, d, N) nu_i = J e_i
@@ -112,7 +121,9 @@ class PointGeometry:
     @cached_property
     def h3(self) -> np.ndarray:  # (d, d, d, N) h_ijk
         A = self.frame_coeff
-        return np.einsum("ain,bjn,qabn,qpn->ijpn", A, A, self.h_coord, self.nu)
+        h_nu = np.einsum("qabn,qpn->abpn", self.h_coord, self.nu)
+        h_nu = np.einsum("ain,abpn->ibpn", A, h_nu)
+        return np.einsum("bjn,ibpn->ijpn", A, h_nu)
 
     @cached_property
     def H_frame(self) -> np.ndarray:  # (d, N)
@@ -141,14 +152,46 @@ def batch_det(a: np.ndarray) -> np.ndarray:
     the same code path serves every dimension.
     """
     d = a.shape[0]
-    total = np.zeros(a.shape[2:])
+    total = 0.0
     for perm in permutations(range(d)):
-        term = a[0, perm[0]]
+        term = a[0, perm[0]] if d else np.ones(a.shape[2:])  # a 0 x 0 minor has det 1
         for row in range(1, d):
             term = term * a[row, perm[row]]
         inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def adjugate(a: np.ndarray) -> np.ndarray:
+    """Adjugates ``adj[j, i] = (-1)^(i+j) det(a without row i, column j)`` of a batch
+    ``(d, d, ...)``, each cofactor a :func:`batch_det`; the inverse is ``adj / det``."""
+    adj, keep = np.empty_like(a), np.arange(a.shape[0])
+    for i, j in product(keep, repeat=2):
+        np.multiply((-1) ** (i + j), batch_det(a[np.ix_(keep != i, keep != j)]), out=adj[j, i])
+    return adj
+
+
+def _require_full_rank(name: str, pts: np.ndarray, g: np.ndarray, det: np.ndarray) -> None:
+    """Raise ImmersionError at the first point whose metric has eigvalsh <= RANK_TOL**2.
+
+    For PSD g, lambda_min >= det / tr^(d-1).  The Leibniz det errs by about
+    d!*d*eps*tr^d and eigvalsh by about d*eps*tr; the bound below clears
+    RANK_TOL**2 by 8x that, so a node whose det exceeds it has eigvalsh >
+    RANK_TOL**2.  Only the rest, NaN nodes included, go to eigvalsh, which gives
+    them the bits they get in any batch, so the message names the same point.
+    """
+    d, tr = g.shape[0], np.trace(g)
+    with np.errstate(over="ignore"):  # an overflowing bound clears nothing
+        bound = tr ** (d - 1) * (RANK_TOL**2 + 8 * math.factorial(d) * d * np.finfo(float).eps * tr)
+    suspect = np.flatnonzero(~(det > bound))
+    eigmin = np.linalg.eigvalsh(np.moveaxis(g[..., suspect], -1, 0))[:, 0]
+    deficient = np.flatnonzero(eigmin <= RANK_TOL**2)
+    if deficient.size:
+        k = deficient[0]
+        raise ImmersionError(
+            f"chart {name!r} is rank deficient at point {pts[suspect[k]].tolist()} "
+            f"(smallest singular value {float(np.sqrt(max(eigmin[k], 0.0))):.3e})"
+        )
 
 
 def kaehler_pullback(structure: AmbientStructure, tangents: np.ndarray) -> np.ndarray:
@@ -176,17 +219,10 @@ def point_geometry(
     del jets
 
     g = np.einsum("man,mbn->abn", t, t)
-    eigmin = np.linalg.eigvalsh(np.moveaxis(g, -1, 0))[:, 0]
-    deficient = np.flatnonzero(eigmin <= RANK_TOL**2)
-    if deficient.size:
-        # name the first such point, so the message does not depend on the batch
-        i = deficient[0]
-        raise ImmersionError(
-            f"chart {chart.name!r} is rank deficient at point {pts[i].tolist()} "
-            f"(smallest singular value {float(np.sqrt(max(eigmin[i], 0.0))):.3e})"
-        )
-    g_inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1))
-    sqrt_det_g = np.sqrt(batch_det(g))
+    det = batch_det(g)
+    _require_full_rank(chart.name, pts, g, det)
+    g_inv = adjugate(g) / det
+    sqrt_det_g = np.sqrt(det)
 
     # dg[c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
     dg = np.einsum("macn,mbn->cabn", d2, t)
@@ -304,8 +340,11 @@ def curvature_tensor(pg: PointGeometry):
     )
     r_coord = np.einsum("kmn,mijln->ijkln", pg.g, r_up)
     A = pg.frame_coeff
-    riem_intrinsic = np.einsum("ain,bjn,ckn,dln,abcdn->ijkln", A, A, A, A, r_coord)
-    h = np.einsum("ain,bjn,qabn->ijqn", A, A, pg.h_coord)
+    riem_intrinsic = r_coord
+    for _ in range(4):  # one frame index per pass, first to last: (a, b, c, d) -> (i, j, k, l)
+        riem_intrinsic = np.einsum("ain,a...n->...in", A, riem_intrinsic)
+    h = np.einsum("bjn,qabn->qajn", A, pg.h_coord)
+    h = np.einsum("ain,qajn->ijqn", A, h)
     riem_gauss = np.einsum("ikqn,jlqn->ijkln", h, h) - np.einsum("ilqn,jkqn->ijkln", h, h)
     ricci = np.einsum("qn,ikqn->ikn", mean_curvature_vector(pg), h) - np.einsum(
         "jiqn,jkqn->ikn", h, h

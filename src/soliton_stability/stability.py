@@ -333,7 +333,8 @@ def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> Integr
     drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
     lhs_drift = -gg.grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
     v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
-    mean_curv_pair = np.einsum("pn,ijpn,in,jn->n", pg.H_frame, pg.h3, v_frame, v_frame)
+    h_v = np.einsum("ijn,jn->in", np.einsum("ijpn,pn->ijn", pg.h3, pg.H_frame), v_frame)
+    mean_curv_pair = np.einsum("in,in->n", h_v, v_frame)
     rhs_drift = gg.grid.integrate((cov.div * theta_t + mean_curv_pair + theta_t**2) * w)
     return IntegrationByPartsReport(lhs_div, rhs_div, lhs_drift, rhs_drift)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import uniform_grid
-from .errors import ConvergenceError
+from .errors import ConfigurationError, ConvergenceError
 from .geometry import mean_curvature_vector, point_geometry
 from .quadrature import QuadratureGrid
 from .variations import ScalarField
@@ -30,6 +30,7 @@ __all__ = [
     "CylinderIntegrals",
     "cylinder_stability_integrals",
     "closed_form_deviations",
+    "require_cylinder_dims",
     "dirichlet_ground_state",
     "dirichlet_gap",
 ]
@@ -52,16 +53,21 @@ class CylinderIntegrals:
         return bool(np.all(self.slice_lhs <= self.slice_rhs + 1e-12))
 
 
+def require_cylinder_dims(d: int, m: int = 4) -> None:
+    """Raise ConfigurationError unless d = 2 parameters map into m = 4 real dimensions (C^2)."""
+    if (d, m) != (2, 4):
+        raise ConfigurationError(f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}")
+
+
 def cylinder_stability_integrals(
     v3: ScalarField, v4: ScalarField, grid: QuadratureGrid
 ) -> CylinderIntegrals:
     """Evaluate the closed-form integrals on a tensor quadrature grid.
 
     ``v3``/``v4`` are the normal components of the variation in the cylinder's
-    natural normal frame; both must be supported inside the grid box.
+    natural normal frame in C^2; both must be supported inside the 2-d grid box.
     """
-    if len(grid.shape) != 2:
-        raise ValueError("cylinder integrals need a 2-d tensor grid")
+    require_cylinder_dims(len(grid.shape))
     nx, ny = grid.shape
     j3 = v3.eval_jets(grid, order=1)
     j4 = v4.eval_jets(grid, order=1)
@@ -99,8 +105,9 @@ def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:
     density and translation weight are both 1/cos x, the only nonzero
     ambient second-fundamental-form component is h(d_x, d_x) = (1, -tan x, 0, 0),
     and |H| = cos x.  Returns one max-abs deviation per quantity; no normal
-    frame is read, so any chart gets a report.
+    frame is read, so any chart with 2 parameters in C^2 gets a report.
     """
+    require_cylinder_dims(chart.dim, chart.ambient_dim)
     pts = uniform_grid(chart, n)
     pg = point_geometry(chart, structure, pts)
     x = pts[:, 0]

@@ -4,8 +4,9 @@ Each helper recomputes something the package computes another way (finite
 differences against exact jets, the product and chain rules slot by slot, a
 one-form from frame components, the translator defect through the tangent
 frame, the box-local functional on a fresh grid, the geometry and covariant
-calculus with the node axis first) or reads a structural property off a
-result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
+calculus with the node axis first, the LAPACK inverse, Cholesky frame and
+full-batch rank check of per-node metrics) or reads a structural property
+off a result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 import soliton_stability.jets as J
 from soliton_stability.charts import Chart, eval_jets
 from soliton_stability.errors import DomainError
-from soliton_stability.geometry import PointGeometry, mean_curvature_vector
+from soliton_stability.geometry import RANK_TOL, PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
 from soliton_stability.stability import _weighted_area
 from soliton_stability.variations import OneFormField, ScalarField
@@ -216,6 +217,34 @@ def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
     """Coordinate components (d, N) of -i_field omega restricted to the chart."""
     Jv = np.einsum("pq,qn->pn", pg.structure.J, field)
     return -np.einsum("pn,pan->an", Jv, pg.tangents)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK references for per-node metrics ``g[a, b, n]``
+
+
+def lapack_inverse(g: np.ndarray) -> np.ndarray:
+    """``g^-1`` node by node by ``np.linalg.inv``, node axis last."""
+    return np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1)
+
+
+def lapack_frame(g: np.ndarray) -> np.ndarray:
+    """``frame_coeff[a, i, n] = (L^-1)[i, a]`` with ``g = L L^T`` by ``np.linalg.cholesky``."""
+    return np.linalg.inv(np.linalg.cholesky(np.moveaxis(g, -1, 0))).transpose(2, 1, 0)
+
+
+def full_rank_message(name: str, pts: np.ndarray, g: np.ndarray) -> str | None:
+    """The rank-deficiency message for the first node whose ``eigvalsh`` minimum is
+    at most ``RANK_TOL**2``, from ``eigvalsh`` on every node; None if there is none."""
+    eigmin = np.linalg.eigvalsh(np.moveaxis(g, -1, 0))[:, 0]
+    deficient = np.flatnonzero(eigmin <= RANK_TOL**2)
+    if not deficient.size:
+        return None
+    i = deficient[0]
+    return (
+        f"chart {name!r} is rank deficient at point {pts[i].tolist()} "
+        f"(smallest singular value {float(np.sqrt(max(eigmin[i], 0.0))):.3e})"
+    )
 
 
 # ---------------------------------------------------------------------------

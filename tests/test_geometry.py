@@ -4,27 +4,162 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soliton_stability as ss
-from oracles import frame_translator_defect
+from oracles import frame_translator_defect, full_rank_message, lapack_frame, lapack_inverse
 from soliton_stability.charts import BUILTIN_CHARTS
 from soliton_stability.errors import ImmersionError, UnsupportedChartError
-from soliton_stability.geometry import batch_det, kaehler_pullback, translator_defect
+from soliton_stability.geometry import (
+    RANK_TOL,
+    PointGeometry,
+    _require_full_rank,
+    adjugate,
+    batch_det,
+    kaehler_pullback,
+    translator_defect,
+)
 
 # frozen regression baseline for the eps=0.05 perturbed cylinder on the 30x30
 # diagnostic grid (max pointwise distance from the translator equation)
 PERTURBED_RESIDUAL_BASELINE = 0.0993304270633205
 
 
+def random_spd(d, seed, count=500):
+    """A node-last batch of well-conditioned SPD matrices (eigenvalues at least d)."""
+    b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, d, d))
+    return np.ascontiguousarray(np.moveaxis(b @ b.swapaxes(1, 2) + d * np.eye(d), 0, -1))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_batch_det_matches_lapack(d):
     # random SPD batches, as every induced metric is; d = 4 covers the flat plane in C^4
-    rng = np.random.default_rng(d)
-    b = rng.uniform(-1.0, 1.0, size=(500, d, d))
-    spd = b @ b.swapaxes(1, 2) + d * np.eye(d)
-    ref = np.linalg.det(spd)
+    spd = random_spd(d, d)
+    ref = np.linalg.det(np.moveaxis(spd, -1, 0))
     # batch_det indexes the leading (matrix) axes: the node axis is last
-    assert np.max(np.abs(batch_det(np.moveaxis(spd, 0, -1)) - ref) / np.abs(ref)) <= 1e-13
+    assert np.max(np.abs(batch_det(spd) - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_adjugate_inverse_matches_lapack(d):
+    g = random_spd(d, 10 + d)
+    g_inv = adjugate(g) / batch_det(g)
+    ref = lapack_inverse(g)
+    assert np.max(np.abs(g_inv - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(np.einsum("abn,bcn->acn", g, g_inv) - np.eye(d)[..., None])) <= 1e-13
+
+
+def frame_of(g):
+    pg = PointGeometry.__new__(PointGeometry)  # frame_coeff reads g only
+    pg.g = g
+    return pg.frame_coeff
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_frame_is_upper_triangular_and_orthonormal(d):
+    g = random_spd(d, 20 + d)
+    A = frame_of(g)
+    assert np.all(A[np.tril_indices(d, -1)] == 0.0)
+    gram = np.einsum("ain,abn,bjn->ijn", A, g, A)
+    assert np.max(np.abs(gram - np.eye(d)[..., None])) <= 1e-13
+    assert np.max(np.abs(A - lapack_frame(g))) <= 1e-13 * np.max(np.abs(A))
+
+
+GRIM_REAPER_X_LINE = {
+    "name": "grim_reaper_x_line",
+    "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
+    "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "chart, cells, points_per_cell",
+    [(ss.builtin_chart("grim_reaper"), 40, 8), (ss.chart_from_config(GRIM_REAPER_X_LINE), 3, 10)],
+    ids=["grim_reaper", "grim_reaper_x_line"],
+)
+def test_frame_equals_lapack_bits_on_suite_grids(chart, cells, points_per_cell):
+    # the default second-variation grid and the 3-d benchmark grid, each on its default support
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells, points_per_cell)
+    jets = ss.eval_jets(chart, grid.nodes, order=2)
+    pg = ss.point_geometry(chart, ss.standard_structure(chart.dim), grid.nodes, jets=jets)
+    assert np.array_equal(pg.frame_coeff, lapack_frame(pg.g))
+
+
+def gram_batch(d, kinds, scale, seed):
+    """Metrics ``t^T t`` of random (2d, d) tangents, one node per entry of ``kinds``.
+
+    The singular values of t are sqrt(scale) times uniform(0.5, 2), except the
+    smallest, which is 0 on "deficient" nodes and sqrt(0.5) and sqrt(2) times
+    RANK_TOL on "half" and "double" nodes (lambda_min at 0.5x and 2x RANK_TOL**2);
+    "nan" nodes get one NaN tangent entry.
+    """
+    rng = np.random.default_rng(seed)
+    m = 2 * d
+    t = np.empty((m, d, len(kinds)))
+    smallest = {"deficient": 0.0, "half": math.sqrt(0.5) * RANK_TOL, "double": math.sqrt(2.0) * RANK_TOL}
+    for n, kind in enumerate(kinds):
+        q = np.linalg.qr(rng.standard_normal((m, d)))[0]
+        v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        s = math.sqrt(scale) * rng.uniform(0.5, 2.0, size=d)
+        s[0] = smallest.get(kind, s[0])
+        t[..., n] = (q * s) @ v.T
+        if kind == "nan":
+            t[rng.integers(m), rng.integers(d), n] = np.nan
+    return np.einsum("man,mbn->abn", t, t)
+
+
+def eigvalsh_message(pts, g):
+    """The rank-deficiency message of ``eigvalsh`` on every node, or None."""
+    return full_rank_message("gram", pts, g)
+
+
+def screened_message(pts, g):
+    """The rank-deficiency message of the screened check, or None."""
+    try:
+        _require_full_rank("gram", pts, g, batch_det(g))
+    except ImmersionError as exc:
+        return str(exc)
+    return None
+
+
+def first_message(check, pts, g, size):
+    """The first message of ``check`` run block by block, as ``soliton_residual`` runs."""
+    for start in range(0, g.shape[-1], size):
+        rows = slice(start, start + size)
+        try:
+            message = check(pts[rows], g[..., rows])
+        except LinAlgError as exc:  # eigvalsh does not converge on some NaN metrics
+            return f"LinAlgError: {exc}"
+        if message is not None:
+            return message
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(("generic", "deficient", "half", "double", "nan")), min_size=1, max_size=9),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_screen_flags_exactly_what_eigvalsh_flags(d, kinds, scale, seed):
+    g = gram_batch(d, kinds, scale, seed)
+    n = g.shape[-1]
+    pts = 0.1 * np.arange(n * d, dtype=float).reshape(n, d)
+    # block by block, the first message is eigvalsh's, byte for byte
+    for size in (1, 3, n):
+        got = first_message(screened_message, pts, g, size)
+        assert got == first_message(eigvalsh_message, pts, g, size), size
+        if "nan" not in kinds:
+            # and without NaN every block size names the same first point
+            assert got == first_message(eigvalsh_message, pts, g, n), size
+
+    def flagged(check):  # node by node, the screen raises exactly where eigvalsh does
+        return [i for i in range(n) if first_message(check, pts[i : i + 1], g[..., i : i + 1], 1)]
+
+    assert flagged(screened_message) == flagged(eigvalsh_message)
 
 
 def test_metric_and_weight_closed_forms(grim_reaper, structure):

@@ -1,13 +1,14 @@
 """Closed-form cylinder integrals, sharp Wirtinger constant, Dirichlet gap."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import soliton_stability as ss
 from oracles import cylinder_form_from_normal_components
-from soliton_stability.errors import ConvergenceError
+from soliton_stability.errors import ConfigurationError, ConvergenceError
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +113,33 @@ def test_closed_form_deviations_within_budget(grim_reaper, structure):
         "weight",
     }
     assert max(dev.values()) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "config, m",
+    [
+        ({"name": "line", "domain": [[-1.0, 1.0]], "components": ["x", "0"]}, 2),
+        (
+            {
+                "name": "grim_reaper_x_line",
+                "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
+                "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
+            },
+            6,
+        ),
+    ],
+    ids=["1-parameter", "3-parameter"],
+)
+def test_closed_form_deviations_refuse_a_chart_of_another_dimension(config, m):
+    chart = ss.chart_from_config(config)
+    d = chart.dim
+    message = f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}"
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(message)}$"):
+        ss.closed_form_deviations(chart, ss.standard_structure(m // 2), 5)
+
+
+def test_cylinder_integrals_refuse_a_grid_of_another_dimension(gr_support):
+    zero = ss.scalar_field_from_expression("0", gr_support)
+    grid = ss.tensor_rule(np.vstack([gr_support, [[-1.0, 1.0]]]), cells=2, points_per_cell=2)
+    with pytest.raises(ConfigurationError, match=r"got 3 in R\^4$"):
+        ss.cylinder_stability_integrals(zero, zero, grid)
