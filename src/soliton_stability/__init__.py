@@ -8,8 +8,8 @@ nonnegative perfect-square integral.
 """
 
 from .charts import (
-    AmbientStructure,
     Chart,
+    apply_J,
     builtin_chart,
     chart_from_config,
     eval_jets,
@@ -17,7 +17,6 @@ from .charts import (
     grim_reaper_cylinder,
     non_lagrangian_patch,
     perturbed_grim_reaper,
-    standard_structure,
     uniform_grid,
 )
 from .errors import (

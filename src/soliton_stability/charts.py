@@ -2,16 +2,18 @@
 
 A :class:`Chart` maps a rectangular parameter box into ambient space and is
 evaluated through jet arithmetic, so tangents, second fundamental data and
-Christoffel derivatives downstream are exact to round-off.  Builtin charts
-cover the test matter: the grim reaper cylinder translator, the flat
-Lagrangian plane, a Lagrangian perturbation of the cylinder that is no
-longer a translator, and a non-Lagrangian graph patch.
+Christoffel derivatives downstream are exact to round-off.  The ambient space
+is C^n with its standard complex structure, which :func:`apply_J` applies by
+index; the translation direction T is a plain vector of length 2n.  Builtin
+charts cover the test matter: the grim reaper cylinder translator, the flat
+Lagrangian plane, a Lagrangian perturbation of the cylinder that is no longer
+a translator, and a non-Lagrangian graph patch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,8 +24,7 @@ from .expressions import compile_expression, is_finite_number, variable_names
 
 __all__ = [
     "Chart",
-    "AmbientStructure",
-    "standard_structure",
+    "apply_J",
     "eval_jets",
     "grim_reaper_cylinder",
     "flat_lagrangian_plane",
@@ -60,42 +61,13 @@ class Chart:
         return np.all((pts > self.domain[:, 0]) & (pts < self.domain[:, 1]), axis=1)
 
 
-@dataclass(frozen=True)
-class AmbientStructure:
-    """Translation direction plus the constant complex structure of R^{2n}.
-
-    ``omega(u, v) = <J u, v>`` is the Kaehler two-form; the compatibility
-    ``<u, v> = omega(u, J v)`` then holds automatically for orthogonal J.
-    """
-
-    T: np.ndarray
-    J: np.ndarray
-    omega: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
-        object.__setattr__(self, "J", np.asarray(self.J, dtype=float))
-        object.__setattr__(self, "omega", self.J.T.copy())
-        m = self.J.shape[0]
-        if self.T.shape != (m,):
-            raise ValueError("T and J dimensions disagree")
-        if not np.allclose(self.J @ self.J, -np.eye(m), atol=1e-14):
-            raise ValueError("J^2 must equal -identity")
-        if not np.allclose(self.J.T @ self.J, np.eye(m), atol=1e-14):
-            raise ValueError("J must be orthogonal")
-
-
-def standard_structure(n: int, T=None) -> AmbientStructure:
-    """Block-diagonal complex structure of C^n acting as (a, b) -> (b, -a)."""
-    m = 2 * n
-    Jm = np.zeros((m, m))
-    for k in range(n):
-        Jm[2 * k, 2 * k + 1] = 1.0
-        Jm[2 * k + 1, 2 * k] = -1.0
-    if T is None:
-        T = np.zeros(m)
-        T[0] = 1.0
-    return AmbientStructure(T=np.asarray(T, dtype=float), J=Jm)
+def apply_J(v: np.ndarray) -> np.ndarray:
+    """The standard complex structure of C^n on axis 0 of ``v``: each coordinate
+    pair ``(a, b)`` goes to ``(b, -a)``, so ``omega(u, v) = <J u, v>``."""
+    out = np.empty_like(v)
+    out[0::2] = v[1::2]
+    out[1::2] = -v[0::2]
+    return out
 
 
 def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:

@@ -28,7 +28,7 @@ import os
 import sys
 from typing import Any
 
-from .charts import AmbientStructure, Chart, chart_from_config, standard_structure, uniform_grid
+from .charts import Chart, chart_from_config, uniform_grid
 from .errors import (
     ConfigurationError,
     ExpressionError,
@@ -39,7 +39,7 @@ from .expressions import is_finite_number
 from .geometry import soliton_residual
 from .quadrature import tensor_rule
 from .reports import reports_to_csv, reports_to_json, run_variation_suite
-from .stability import default_grid_for_support, grid_geometry
+from .stability import DEFAULT_FD_STEPS, DEFAULT_SOLITON_TOL, default_grid_for_support, grid_geometry
 from .variations import (
     default_support_box,
     hamiltonian_variation,
@@ -102,12 +102,12 @@ SCHEMA: dict[str, Any] = {
         ),
     },
     "fd_steps": (
-        [2e-3, 1e-3],
+        list(DEFAULT_FD_STEPS),
         "two distinct positive finite numbers",
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_positive, v)) and v[0] != v[1],
     ),
     "tolerances": {
-        "soliton_residual": (1e-8, *_POSITIVE),
+        "soliton_residual": (DEFAULT_SOLITON_TOL, *_POSITIVE),
         "lagrangian_defect": (1e-9, *_POSITIVE),
         "route_agreement": (1e-6, *_POSITIVE),
         "fd_agreement": (1e-4, *_POSITIVE),
@@ -164,14 +164,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict[str, An
     return _resolve(SCHEMA, raw, given)
 
 
-def chart_and_structure(cfg: dict) -> tuple[Chart, AmbientStructure]:
-    """The configured chart, and the ambient structure translating along ``T``."""
+def chart_and_structure(cfg: dict) -> tuple[Chart, list]:
+    """The configured chart and its translation direction ``T``."""
     chart = chart_from_config(cfg["chart"])
     if len(cfg["T"]) != chart.ambient_dim:
         raise ConfigurationError(
             f"T has dimension {len(cfg['T'])}, chart ambient dimension is {chart.ambient_dim}"
         )
-    return chart, standard_structure(chart.ambient_dim // 2, cfg["T"])
+    return chart, cfg["T"]
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -187,9 +187,9 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_verify_soliton(cfg: dict) -> int:
-    chart, structure = chart_and_structure(cfg)
+    chart, T = chart_and_structure(cfg)
     grid = uniform_grid(chart, cfg["grid"]["diagnostic_points"])
-    report = soliton_residual(chart, structure, grid)
+    report = soliton_residual(chart, T, grid)
     tols = cfg["tolerances"]
     passed = (
         report.max_soliton_residual <= tols["soliton_residual"]
@@ -206,7 +206,7 @@ def cmd_verify_soliton(cfg: dict) -> int:
 
 
 def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: int = 1) -> int:
-    chart, structure = chart_and_structure(cfg)
+    chart, T = chart_and_structure(cfg)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     var_cfg = cfg["variations"]
@@ -226,7 +226,7 @@ def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: 
         ]
 
     grid = default_grid_for_support(chart, support, grid_cfg["cells"], grid_cfg["points_per_cell"])
-    gg = grid_geometry(chart, structure, grid)
+    gg = grid_geometry(chart, T, grid)
     reports = run_variation_suite(
         gg, variations, tuple(cfg["fd_steps"]), tols["soliton_residual"], workers
     )
@@ -259,13 +259,13 @@ def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: 
 
 def cmd_cylinder(cfg: dict) -> int:
     """Full closed-form pipeline on the grim reaper cylinder."""
-    chart, structure = chart_and_structure(cfg)
+    chart, T = chart_and_structure(cfg)
     require_cylinder_dims(chart.dim, chart.ambient_dim)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     checks: dict[str, Any] = {}
 
-    geo = closed_form_deviations(chart, structure, grid_cfg["diagnostic_points"])
+    geo = closed_form_deviations(chart, T, grid_cfg["diagnostic_points"])
     checks["geometry_deviations"] = geo
     geo_ok = max(geo.values()) <= tols["geometry_oracle"]
     checks["geometry_ok"] = geo_ok

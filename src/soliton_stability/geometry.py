@@ -1,7 +1,9 @@
 """First/second-order geometry of a chart and global soliton diagnostics.
 
 All quantities are computed in batch over a set of parameter points from the
-exact chart jets.  Every per-node array keeps the node axis ``n`` last and
+exact chart jets and the translation direction ``T`` (m,), the only ambient
+datum that varies; the complex structure J is :func:`charts.apply_J`, which
+acts by index.  Every per-node array keeps the node axis ``n`` last and
 contiguous, so a contraction over small indices runs over rows of nodes:
 
 * ``positions[p, n]``      the chart map Phi
@@ -42,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from .charts import AmbientStructure, Chart, eval_jets
+from .charts import Chart, apply_J, eval_jets
 from .errors import EvaluationError, ImmersionError, UnsupportedChartError
 from .jets import Jet, node_blocks
 
@@ -66,7 +68,7 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 class PointGeometry:
     """All pointwise geometric data of a chart at a batch of points, node axis last."""
 
-    structure: AmbientStructure
+    T: np.ndarray             # (m,) translation direction
     points: np.ndarray        # (N, d) parameter points
     positions: np.ndarray     # (m, N)
     tangents: np.ndarray      # (m, d, N)
@@ -88,7 +90,7 @@ class PointGeometry:
         m, d = self.tangents.shape[:2]
         if m != 2 * d:
             return False
-        defect = float(np.max(np.abs(kaehler_pullback(self.structure, self.tangents))))
+        defect = float(np.max(np.abs(kaehler_pullback(self.tangents))))
         return defect < LAGRANGIAN_DETECT_TOL
 
     @cached_property
@@ -108,7 +110,7 @@ class PointGeometry:
         if not self.lagrangian:
             raise UnsupportedChartError("the normal frame nu_i = J e_i needs a Lagrangian chart")
         e = np.einsum("man,ain->min", self.tangents, self.frame_coeff)
-        return np.einsum("pq,qin->pin", self.structure.J, e)
+        return apply_J(e)
 
     @cached_property
     def dg_inv(self) -> np.ndarray:  # (d, d, d, N) d_e g^kl
@@ -116,7 +118,7 @@ class PointGeometry:
 
     @cached_property
     def T_coord(self) -> np.ndarray:  # (d, N) coordinate components of tangential T
-        return np.einsum("abn,p,pbn->an", self.g_inv, self.structure.T, self.tangents)
+        return np.einsum("abn,bn->an", self.g_inv, np.einsum("p,pbn->bn", self.T, self.tangents))
 
     @cached_property
     def h3(self) -> np.ndarray:  # (d, d, d, N) h_ijk
@@ -126,8 +128,8 @@ class PointGeometry:
         return np.einsum("bjn,ibpn->ijpn", A, h_nu)
 
     @cached_property
-    def H_frame(self) -> np.ndarray:  # (d, N)
-        return np.einsum("abn,qabn,qpn->pn", self.g_inv, self.h_coord, self.nu)
+    def H_frame(self) -> np.ndarray:  # (d, N) <H, nu_p>
+        return np.einsum("qpn,qn->pn", self.nu, mean_curvature_vector(self))
 
 
 @dataclass
@@ -194,27 +196,31 @@ def _require_full_rank(name: str, pts: np.ndarray, g: np.ndarray, det: np.ndarra
         )
 
 
-def kaehler_pullback(structure: AmbientStructure, tangents: np.ndarray) -> np.ndarray:
+def kaehler_pullback(tangents: np.ndarray) -> np.ndarray:
     """omega(d_a Phi, d_b Phi) = <J d_a Phi, d_b Phi> as a (d, d, N) array, from (m, d, N) tangents."""
-    return np.einsum("pan,pbn->abn", np.einsum("pq,qan->pan", structure.J, tangents), tangents)
+    return np.einsum("pan,pbn->abn", apply_J(tangents), tangents)
 
 
-def point_geometry(
-    chart: Chart,
-    structure: AmbientStructure,
-    points,
-    jets: Jet | None = None,
-) -> PointGeometry:
+def point_geometry(chart: Chart, T, points, jets: Jet | None = None) -> PointGeometry:
     """Compute all pointwise geometric quantities at a batch of points.
 
-    Pass ``jets`` to reuse a chart evaluation at ``points``; order-3 jets
-    retain the Christoffel derivatives needed by curvature and rough
-    Laplacians, order-2 jets leave ``Gamma_partial`` as None.  Without
-    ``jets`` they are evaluated here at order 3, and their third derivatives
-    are freed once read.
+    ``T`` is the translation direction, of length ``chart.ambient_dim``.  Pass
+    ``jets`` to reuse a chart evaluation at ``points``; order-3 jets retain the
+    Christoffel derivatives needed by curvature and rough Laplacians, order-2
+    jets leave ``Gamma_partial`` as None.  Without ``jets`` they are evaluated
+    here at order 3, and their third derivatives are freed once read.
     """
+    T = np.asarray(T, dtype=float)
+    if T.shape != (chart.ambient_dim,):
+        raise ValueError(f"T has shape {T.shape}, chart {chart.name!r} needs ({chart.ambient_dim},)")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = eval_jets(chart, pts, order=3) if jets is None else jets
+    if jets is None:
+        jets = eval_jets(chart, pts, order=3)
+    elif not jets.is_finite():
+        arrays = [a for a in (jets.val, jets.d1, jets.d2, jets.d3) if a is not None]
+        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in arrays], axis=0)
+        bad = pts[np.flatnonzero(~finite)[0]].tolist()
+        raise EvaluationError(f"jets given for chart {chart.name!r} are not finite at point {bad}")
     x, t, d2, d3 = jets.val, jets.d1, jets.d2, jets.d3
     del jets
 
@@ -236,12 +242,12 @@ def point_geometry(
     h_coord = d2 - np.einsum("kabn,mkn->mabn", Gamma, t)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.exp(np.einsum("p,pn->n", structure.T, x))
+        weight = np.exp(np.einsum("p,pn->n", T, x))
     if not np.all(np.isfinite(weight)):
         raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart.name!r}")
 
     pg = PointGeometry(
-        structure=structure,
+        T=T,
         points=pts,
         positions=x,
         tangents=t,
@@ -282,11 +288,11 @@ def translator_defect(pg: PointGeometry) -> np.ndarray:
 
     T^perp = T - d_a Phi T^a, with T^a = g^ab <T, d_b Phi> the tangential part.
     """
-    t_perp = pg.structure.T[:, None] - np.einsum("pan,an->pn", pg.tangents, pg.T_coord)
+    t_perp = pg.T[:, None] - np.einsum("pan,an->pn", pg.tangents, pg.T_coord)
     return t_perp - mean_curvature_vector(pg)
 
 
-def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> DiagnosticsReport:
+def soliton_residual(chart: Chart, T, grid) -> DiagnosticsReport:
     """Grid maxima of |T^perp - H| and of the Kaehler pullback.
 
     A vanishing residual certifies the translator equation; the pullback
@@ -297,9 +303,9 @@ def soliton_residual(chart: Chart, structure: AmbientStructure, grid) -> Diagnos
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     resid, defect = [], []
     for rows in node_blocks(pts.shape[0]):
-        pg = point_geometry(chart, structure, pts[rows], jets=eval_jets(chart, pts[rows], order=2))
+        pg = point_geometry(chart, T, pts[rows], jets=eval_jets(chart, pts[rows], order=2))
         resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=0)))
-        defect.append(np.max(np.abs(kaehler_pullback(structure, pg.tangents))))
+        defect.append(np.max(np.abs(kaehler_pullback(pg.tangents))))
     return DiagnosticsReport(
         chart=chart.name,
         grid={"kind": "points", "count": int(pts.shape[0])},

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import EvaluationError
 from .stability import (
+    DEFAULT_FD_STEPS,
+    DEFAULT_SOLITON_TOL,
     GridGeometry,
     first_variation,
     prepare_variation,
@@ -81,8 +83,8 @@ def evaluate_variation(
     gg: GridGeometry,
     theta: OneFormField,
     seed: int | None = None,
-    fd_steps: tuple[float, float] = (2e-3, 1e-3),
-    soliton_tol: float = 1e-8,
+    fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
+    soliton_tol: float = DEFAULT_SOLITON_TOL,
 ) -> VariationReport:
     """Run every route on one variation and bundle the numbers."""
     # every route refuses off criticality; refuse before forming V, which needs
@@ -118,8 +120,8 @@ def evaluate_variation(
 def run_variation_suite(
     gg: GridGeometry,
     variations: list[tuple[int | None, OneFormField]],
-    fd_steps: tuple[float, float] = (2e-3, 1e-3),
-    soliton_tol: float = 1e-8,
+    fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
+    soliton_tol: float = DEFAULT_SOLITON_TOL,
     workers: int = 1,
 ) -> list[VariationReport]:
     """Evaluate each ``(seed, theta)`` of ``variations`` on the shared geometry ``gg``.

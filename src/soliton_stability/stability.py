@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import AmbientStructure, Chart
+from .charts import Chart
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
 from .quadrature import QuadratureGrid, tensor_rule
@@ -74,10 +74,12 @@ __all__ = [
     "scalar_gradient_pairing",
     "default_grid_for_support",
     "DEFAULT_SOLITON_TOL",
+    "DEFAULT_FD_STEPS",
     "DEFAULT_CLOSED_TOL",
 ]
 
 DEFAULT_SOLITON_TOL = 1e-8
+DEFAULT_FD_STEPS = (2e-3, 1e-3)
 DEFAULT_CLOSED_TOL = 1e-9
 
 
@@ -87,7 +89,7 @@ class GridGeometry:
     the point geometry, ``T^perp - H`` (m, N) and ``exp(<T, Phi>) sqrt(det g)`` (N,)."""
 
     chart: Chart
-    structure: AmbientStructure
+    T: np.ndarray
     grid: QuadratureGrid
     pg: PointGeometry
     translator_defect: np.ndarray
@@ -96,18 +98,18 @@ class GridGeometry:
     functional_at_rest: float
 
 
-def grid_geometry(chart: Chart, structure: AmbientStructure, grid: QuadratureGrid) -> GridGeometry:
+def grid_geometry(chart: Chart, T, grid: QuadratureGrid) -> GridGeometry:
     # point_geometry evaluates the chart jets itself, so it frees their third derivatives once read
-    pg = point_geometry(chart, structure, grid.nodes)
+    pg = point_geometry(chart, T, grid.nodes)
     defect = translator_defect(pg)
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
     w = pg.weight * pg.sqrt_det_g
-    return GridGeometry(chart, structure, grid, pg, defect, w, resid, grid.integrate(w))
+    return GridGeometry(chart, pg.T, grid, pg, defect, w, resid, grid.integrate(w))
 
 
-def _weighted_area(grid: QuadratureGrid, structure: AmbientStructure, values, g) -> float:
+def _weighted_area(grid: QuadratureGrid, T: np.ndarray, values, g) -> float:
     """int exp(<T, x>) sqrt(det g) du for positions ``values`` (m, N) and metric ``g`` (d, d, N)."""
-    weight = np.exp(np.einsum("p,pn->n", structure.T, values))
+    weight = np.exp(np.einsum("p,pn->n", T, values))
     return grid.integrate(weight * np.sqrt(batch_det(g)))
 
 
@@ -128,7 +130,7 @@ def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
     """Box-local F of the chart  Phi + s V, re-integrated from its metric g(s)."""
     v_val, cross, quad = deformation
     g = gg.pg.g + s * cross + (s * s) * quad
-    return _weighted_area(gg.grid, gg.structure, gg.pg.positions + s * v_val, g)
+    return _weighted_area(gg.grid, gg.T, gg.pg.positions + s * v_val, g)
 
 
 def require_soliton(gg: GridGeometry, tol: float) -> None:
@@ -264,7 +266,7 @@ def second_variation_square(
 def second_variation_fd_oracle(
     gg: GridGeometry,
     data: VariationData,
-    steps: tuple[float, float] = (2e-3, 1e-3),
+    steps: tuple[float, float] = DEFAULT_FD_STEPS,
     soliton_tol: float = DEFAULT_SOLITON_TOL,
     instability_tol: float | None = None,
 ) -> float:

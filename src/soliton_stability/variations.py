@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
+from .charts import apply_J
 from .errors import ConfigurationError, DomainError, EvaluationError, UnsupportedChartError
 from .expressions import compile_expression, variable_names
 from .geometry import PointGeometry
@@ -412,7 +413,7 @@ def normal_field_from_form(theta: np.ndarray, pg: PointGeometry) -> np.ndarray:
         )
     sharp = np.einsum("ban,an->bn", pg.g_inv, theta)
     ambient = np.einsum("qbn,bn->qn", pg.tangents, sharp)
-    return np.einsum("pq,qn->pn", pg.structure.J, ambient)
+    return apply_J(ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def variation_field_jets(theta: np.ndarray, dtheta: np.ndarray, pg: PointGeometr
     sharp = np.einsum("ban,an->bn", pg.g_inv, theta)
     dsharp = np.einsum("cban,an->bcn", pg.dg_inv, theta) + np.einsum("ban,acn->bcn", pg.g_inv, dtheta)
     d_amb = np.einsum("qcbn,bn->qcn", pg.hessian, sharp) + np.einsum("qbn,bcn->qcn", pg.tangents, dsharp)
-    return np.einsum("pq,qcn->pcn", pg.structure.J, d_amb)
+    return apply_J(d_amb)
 
 
 # ---------------------------------------------------------------------------

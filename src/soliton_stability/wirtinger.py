@@ -98,7 +98,7 @@ def cylinder_stability_integrals(
     )
 
 
-def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:
+def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
     """Max deviation of numeric cylinder geometry from its closed forms.
 
     On the grim reaper cylinder the metric is diag(1/cos^2 x, 1), the area
@@ -109,7 +109,7 @@ def closed_form_deviations(chart, structure, n: int = 50) -> dict[str, float]:
     """
     require_cylinder_dims(chart.dim, chart.ambient_dim)
     pts = uniform_grid(chart, n)
-    pg = point_geometry(chart, structure, pts)
+    pg = point_geometry(chart, T, pts)
     x = pts[:, 0]
     sec = 1.0 / np.cos(x)
 

@@ -5,8 +5,8 @@ import soliton_stability as ss
 
 
 @pytest.fixture(scope="session")
-def structure():
-    return ss.standard_structure(2, [1.0, 0.0, 0.0, 0.0])
+def T():
+    return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @pytest.fixture(scope="session")
@@ -30,17 +30,17 @@ def gr_support(grim_reaper):
 
 
 @pytest.fixture(scope="session")
-def gr_geometry_small(grim_reaper, structure, gr_support):
+def gr_geometry_small(grim_reaper, T, gr_support):
     """Coarse grid geometry for fast unit tests (quadrature is still spectral)."""
     grid = ss.tensor_rule(gr_support, cells=10, points_per_cell=6)
-    return ss.grid_geometry(grim_reaper, structure, grid)
+    return ss.grid_geometry(grim_reaper, T, grid)
 
 
 @pytest.fixture(scope="session")
-def fp_geometry_small(flat_plane, structure):
+def fp_geometry_small(flat_plane, T):
     support = ss.default_support_box(flat_plane.domain)
     grid = ss.tensor_rule(support, cells=10, points_per_cell=6)
-    return ss.grid_geometry(flat_plane, structure, grid)
+    return ss.grid_geometry(flat_plane, T, grid)
 
 
 @pytest.fixture(scope="session")

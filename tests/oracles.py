@@ -191,19 +191,18 @@ def fd_discrepancy(chart: Chart, u, h: float, flag_threshold: float = 1e-6):
 # geometry and variations
 
 
-def functional_value(chart: Chart, structure, box, cells: int = 40, points_per_cell: int = 8) -> float:
+def functional_value(chart: Chart, T, box, cells: int = 40, points_per_cell: int = 8) -> float:
     """Box-local weighted area  int_box exp(<T, Phi>) sqrt(det g) du."""
     grid = tensor_rule(box, cells, points_per_cell)
     jets = eval_jets(chart, grid.nodes, order=1)
     g = np.einsum("man,mbn->abn", jets.d1, jets.d1)
-    return _weighted_area(grid, structure, jets.val, g)
+    return _weighted_area(grid, T, jets.val, g)
 
 
 def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
     """T^perp - H with T^perp = T - sum_i <T, e_i> e_i in the orthonormal tangent frame."""
     e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
-    T = pg.structure.T
-    t_perp = T[:, None] - np.einsum("in,pin->pn", np.einsum("p,pin->in", T, e), e)
+    t_perp = pg.T[:, None] - np.einsum("in,pin->pn", np.einsum("p,pin->in", pg.T, e), e)
     return t_perp - mean_curvature_vector(pg)
 
 
@@ -213,9 +212,14 @@ def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:
     return np.einsum("ain,bjn,abn->ijn", A, A, nabla)
 
 
+def standard_J(n: int) -> np.ndarray:
+    """The dense (2n, 2n) complex structure of C^n, (a, b) -> (b, -a) on each coordinate pair."""
+    return np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+
+
 def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
     """Coordinate components (d, N) of -i_field omega restricted to the chart."""
-    Jv = np.einsum("pq,qn->pn", pg.structure.J, field)
+    Jv = np.einsum("pq,qn->pn", standard_J(field.shape[0] // 2), field)
     return -np.einsum("pn,pan->an", Jv, pg.tangents)
 
 

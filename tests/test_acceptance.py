@@ -32,9 +32,9 @@ def report(n, name, detail=""):
 
 
 @pytest.fixture(scope="module")
-def default_gg(grim_reaper, structure, gr_support):
+def default_gg(grim_reaper, T, gr_support):
     grid = default_grid_for_support(grim_reaper, gr_support, cells=40, points_per_cell=8)
-    return ss.grid_geometry(grim_reaper, structure, grid)
+    return ss.grid_geometry(grim_reaper, T, grid)
 
 
 def seeded_variations(support, count):
@@ -51,20 +51,20 @@ def suite(gr_support, default_gg):
     return reports, time.perf_counter() - t0
 
 
-def test_criterion_1_geometry_oracle(grim_reaper, structure):
+def test_criterion_1_geometry_oracle(grim_reaper, T):
     t0 = time.perf_counter()
-    dev = closed_form_deviations(grim_reaper, structure, n=50)
+    dev = closed_form_deviations(grim_reaper, T, n=50)
     elapsed = time.perf_counter() - t0
     assert max(dev.values()) <= 1e-10, dev
     assert elapsed < 5.0
     report(1, "geometry-oracle", f"(max deviation {max(dev.values()):.2e}, {elapsed:.2f}s)")
 
 
-def test_criterion_2_soliton_certificate(grim_reaper, flat_plane, structure):
-    rep = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 50))
+def test_criterion_2_soliton_certificate(grim_reaper, flat_plane, T):
+    rep = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 50))
     assert rep.max_soliton_residual <= 1e-10
     assert rep.max_lagrangian_defect <= 1e-12
-    rep_fp = ss.soliton_residual(flat_plane, structure, ss.uniform_grid(flat_plane, 50))
+    rep_fp = ss.soliton_residual(flat_plane, T, ss.uniform_grid(flat_plane, 50))
     assert rep_fp.max_soliton_residual <= 1e-14  # zero up to round-off
     report(
         2,
@@ -104,7 +104,7 @@ def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
     report(4, "closedness-hypothesis", f"(non-closed gap {gap:.2e} vs closed < 1e-6)")
 
 
-def test_criterion_5_proof_step_identities(default_gg, grim_reaper, structure):
+def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     _, _, ricci = curvature_tensor(default_gg.pg)
     worst_ricci = 0.0
     worst_parts = 0.0
@@ -119,7 +119,7 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, structure):
     assert worst_parts <= 1e-6
     gauss_worst = 0.0
     for chart in (grim_reaper, ss.perturbed_grim_reaper(0.05), ss.flat_lagrangian_plane()):
-        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, structure, ss.uniform_grid(chart, 20)))
+        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, ss.uniform_grid(chart, 20)))
         gauss_worst = max(gauss_worst, float(np.max(np.abs(r_int - r_gauss))))
     assert gauss_worst <= 1e-8
     report(
@@ -142,19 +142,19 @@ def test_criterion_6_cylinder_stability_pipeline(gr_support):
     report(6, "cylinder-stability", f"(10 pairs ok, dirichlet gap {gap:.6f})")
 
 
-def test_criterion_7_criticality(suite, flat_plane, structure, perturbed):
+def test_criterion_7_criticality(suite, flat_plane, T, perturbed):
     reports, _ = suite
     worst = max(abs(r.first_var) / r.scale for r in reports)
     assert worst <= 1e-9
     fp_support = ss.default_support_box(flat_plane.domain)
     fp_grid = default_grid_for_support(flat_plane, fp_support, cells=12, points_per_cell=6)
-    fp_gg = ss.grid_geometry(flat_plane, structure, fp_grid)
+    fp_gg = ss.grid_geometry(flat_plane, T, fp_grid)
     fp_reports = ss.run_variation_suite(fp_gg, seeded_variations(fp_support, 10))
     worst_fp = max(abs(r.first_var) / r.scale for r in fp_reports)
     assert worst_fp <= 1e-9
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
-    gg = ss.grid_geometry(perturbed, structure, grid)
+    gg = ss.grid_geometry(perturbed, T, grid)
     worst_fd = 0.0
     for seed in (SUITE_SEED, SUITE_SEED + 1):
         data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=seed))
@@ -169,11 +169,11 @@ def test_criterion_7_criticality(suite, flat_plane, structure, perturbed):
     )
 
 
-def test_criterion_8_determinism(grim_reaper, structure, gr_support, suite):
+def test_criterion_8_determinism(grim_reaper, T, gr_support, suite):
     reports_a, _ = suite
     json_a = reports_to_json(reports_a)
     grid = default_grid_for_support(grim_reaper, gr_support, cells=40, points_per_cell=8)
-    gg = ss.grid_geometry(grim_reaper, structure, grid)
+    gg = ss.grid_geometry(grim_reaper, T, grid)
     reports_b = ss.run_variation_suite(gg, seeded_variations(gr_support, SUITE_COUNT), workers=1)
     json_b = reports_to_json(reports_b)
     assert json_a.encode() == json_b.encode()

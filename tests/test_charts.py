@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soliton_stability as ss
-from oracles import fd_discrepancy, finite_difference_jet
+from oracles import fd_discrepancy, finite_difference_jet, standard_J
 from soliton_stability.errors import DomainError, EvaluationError, ExpressionError
 from soliton_stability.expressions import compile_expression
 import soliton_stability.jets as J
@@ -49,15 +49,28 @@ def test_non_finite_evaluation_is_reported():
         ss.eval_jets(chart, np.array([[-0.5, 0.0]]), order=1)
 
 
-def test_ambient_structure_invariants(structure):
-    Jm = structure.J
-    assert np.allclose(Jm @ Jm, -np.eye(4))
-    assert np.allclose(Jm.T @ Jm, np.eye(4))
-    assert np.allclose(structure.omega, -structure.omega.T)
-    # compatibility <u, v> = omega(u, J v)
+def test_ambient_structure_invariants():
+    """J^2 = -1 and J^T J = 1 as matrices, omega(u, v) = <J u, v> skew, <u, v> = omega(u, J v)."""
+    Jm = ss.apply_J(np.eye(4))  # column k is J e_k
+    assert np.array_equal(Jm @ Jm, -np.eye(4))
+    assert np.array_equal(Jm.T @ Jm, np.eye(4))
     rng = np.random.default_rng(0)
     u, v = rng.normal(size=4), rng.normal(size=4)
-    assert np.isclose(u @ v, (structure.omega @ (Jm @ v)) @ u)
+
+    def omega(a, b):
+        return ss.apply_J(a) @ b
+
+    assert np.isclose(omega(u, v), -omega(v, u))
+    assert np.isclose(u @ v, omega(u, ss.apply_J(v)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_J_matches_the_dense_matrix(n):
+    m, rng = 2 * n, np.random.default_rng(n)
+    for shape in [(m,), (m, 7), (m, 3, 5), (m, 0)]:
+        v = rng.normal(size=shape)
+        dense = np.einsum("pq,q...->p...", standard_J(n), v)
+        assert np.array_equal(ss.apply_J(v), dense), shape
 
 
 def test_finite_difference_affine_chart_is_exact(flat_plane):
@@ -156,7 +169,7 @@ def test_deep_expression_fails_cleanly_when_called_from_a_deeper_stack():
         nested(300)
 
 
-def test_chart_from_config_expression_tree(structure):
+def test_chart_from_config_expression_tree(T):
     chart = ss.chart_from_config(
         {
             "name": "tilted_plane",
@@ -167,7 +180,7 @@ def test_chart_from_config_expression_tree(structure):
     pts = np.array([[0.2, -0.3]])
     assert np.allclose(ss.eval_jets(chart, pts, order=1).val[:, 0], [0.2, 0.0, -0.3, 0.0])
     # auto-detected as Lagrangian when the geometry is first computed
-    pg = ss.point_geometry(chart, structure, pts)
+    pg = ss.point_geometry(chart, T, pts)
     assert pg.lagrangian
 
 

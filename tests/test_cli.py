@@ -84,6 +84,7 @@ def test_readme_config_block_is_the_defaults():
         {"T": ["a", 0, 0, 0]},
         {"T": [1e400, 0, 0, 0]},
         {"T": [True, 0, 0, 0]},
+        {"T": [1.0, 0.0]},
         {"output": {"path": 5}},
         {"grid": [1, 2]},
     ],
@@ -106,6 +107,7 @@ def test_readme_config_block_is_the_defaults():
         "text_in_T",
         "overflowing_T",
         "bool_in_T",
+        "short_T",
         "numeric_output_path",
         "list_grid",
     ],

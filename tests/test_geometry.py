@@ -1,6 +1,7 @@
 """Pointwise geometry against closed forms, frames, and global diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import soliton_stability as ss
 from oracles import frame_translator_defect, full_rank_message, lapack_frame, lapack_inverse
-from soliton_stability.charts import BUILTIN_CHARTS
-from soliton_stability.errors import ImmersionError, UnsupportedChartError
+from soliton_stability.charts import BUILTIN_CHARTS, apply_J
+from soliton_stability.expressions import variable_names
+from soliton_stability.errors import EvaluationError, ImmersionError, UnsupportedChartError
 from soliton_stability.geometry import (
     RANK_TOL,
     PointGeometry,
@@ -83,7 +85,7 @@ def test_frame_equals_lapack_bits_on_suite_grids(chart, cells, points_per_cell):
     # the default second-variation grid and the 3-d benchmark grid, each on its default support
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells, points_per_cell)
     jets = ss.eval_jets(chart, grid.nodes, order=2)
-    pg = ss.point_geometry(chart, ss.standard_structure(chart.dim), grid.nodes, jets=jets)
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], grid.nodes, jets=jets)
     assert np.array_equal(pg.frame_coeff, lapack_frame(pg.g))
 
 
@@ -162,9 +164,9 @@ def test_rank_screen_flags_exactly_what_eigvalsh_flags(d, kinds, scale, seed):
     assert flagged(screened_message) == flagged(eigvalsh_message)
 
 
-def test_metric_and_weight_closed_forms(grim_reaper, structure):
+def test_metric_and_weight_closed_forms(grim_reaper, T):
     pts = np.array([[math.pi / 3, 0.4], [0.0, -1.0], [-1.2, 2.2]])
-    pg = ss.point_geometry(grim_reaper, structure, pts)
+    pg = ss.point_geometry(grim_reaper, T, pts)
     x = pts[:, 0]
     sec2 = 1.0 / np.cos(x) ** 2
     assert np.allclose(pg.g[0, 0], sec2, atol=1e-12)
@@ -179,9 +181,9 @@ def test_metric_and_weight_closed_forms(grim_reaper, structure):
     assert np.allclose(np.einsum("abn,bcn->acn", pg.g, pg.g_inv), np.eye(2)[..., None], atol=1e-12)
 
 
-def test_flat_plane_trivials(flat_plane, structure):
+def test_flat_plane_trivials(flat_plane, T):
     pts = np.array([[0.3, 0.4], [-1.0, 2.0]])
-    pg = ss.point_geometry(flat_plane, structure, pts)
+    pg = ss.point_geometry(flat_plane, T, pts)
     assert np.allclose(pg.g, np.eye(2)[..., None], atol=1e-15)
     assert np.all(pg.h3 == 0.0)
     assert np.all(pg.H_frame == 0.0)
@@ -189,9 +191,9 @@ def test_flat_plane_trivials(flat_plane, structure):
     assert np.allclose(ss.mean_curvature_vector(pg), 0.0)
 
 
-def test_second_fundamental_form_closed_form(grim_reaper, structure):
+def test_second_fundamental_form_closed_form(grim_reaper, T):
     pts = np.array([[0.0, 0.0], [0.8, -0.5]])
-    pg = ss.point_geometry(grim_reaper, structure, pts)
+    pg = ss.point_geometry(grim_reaper, T, pts)
     sec = 1.0 / np.cos(pts[:, 0])
     h_num = np.einsum("qabn,qpn->abpn", pg.h_coord, pg.nu)
     expected = np.zeros_like(h_num)
@@ -201,9 +203,9 @@ def test_second_fundamental_form_closed_form(grim_reaper, structure):
     assert np.isclose(h_num[0, 0, 0, 0], 1.0, atol=1e-14)
 
 
-def test_mean_curvature_closed_form(grim_reaper, structure):
+def test_mean_curvature_closed_form(grim_reaper, T):
     pts = np.array([[0.0, 0.0], [math.pi / 3, 1.0]])
-    pg = ss.point_geometry(grim_reaper, structure, pts)
+    pg = ss.point_geometry(grim_reaper, T, pts)
     H = ss.mean_curvature_vector(pg)
     assert np.allclose(H[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-13)
     assert np.isclose(np.linalg.norm(H[:, 1]), 0.5, atol=1e-13)
@@ -211,10 +213,10 @@ def test_mean_curvature_closed_form(grim_reaper, structure):
     assert np.allclose(H, np.einsum("kn,pkn->pn", pg.H_frame, pg.nu), atol=1e-10)
 
 
-def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, structure):
+def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, T):
     for chart in (grim_reaper, perturbed):
         pts = ss.uniform_grid(chart, 12)
-        pg = ss.point_geometry(chart, structure, pts)
+        pg = ss.point_geometry(chart, T, pts)
         e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
         ee = np.einsum("pin,pjn->ijn", e, e)
         nn = np.einsum("pin,pjn->ijn", pg.nu, pg.nu)
@@ -223,7 +225,7 @@ def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, structure):
         assert np.max(np.abs(nn - np.eye(2)[..., None])) < 1e-12
         assert np.max(np.abs(en)) < 1e-12
         # J e_i lies in the numeric normal space: orthogonal to all tangents
-        Je = np.einsum("pq,qin->pin", structure.J, e)
+        Je = apply_J(e)
         proj = np.einsum("pin,pan->ian", Je, pg.tangents)
         assert np.max(np.abs(proj)) < 1e-10
         # h fully symmetric in all three indices for Lagrangian charts
@@ -234,10 +236,10 @@ def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, structure):
         assert np.max(np.abs(perp)) < 1e-10
 
 
-def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, structure):
+def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, T):
     """Gram-Schmidt in coordinate order reproduces (cos x, -sin x, 0, 0), (0,0,0,-1)."""
     pts = np.array([[0.6, 0.0]])
-    pg = ss.point_geometry(grim_reaper, structure, pts)
+    pg = ss.point_geometry(grim_reaper, T, pts)
     e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
     x = 0.6
     assert np.allclose(e[:, 0, 0], [math.sin(x), math.cos(x), 0, 0], atol=1e-14)
@@ -245,11 +247,11 @@ def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, structure):
     assert np.allclose(pg.nu[:, 1, 0], [0, 0, 0, -1], atol=1e-15)
 
 
-def test_translator_identity_for_normal_components(grim_reaper, structure):
+def test_translator_identity_for_normal_components(grim_reaper, T):
     # H_p = <T, nu_p> on a translator
     pts = ss.uniform_grid(grim_reaper, 15)
-    pg = ss.point_geometry(grim_reaper, structure, pts)
-    T_norm = np.einsum("q,qpn->pn", structure.T, pg.nu)
+    pg = ss.point_geometry(grim_reaper, T, pts)
+    T_norm = np.einsum("q,qpn->pn", T, pg.nu)
     assert np.max(np.abs(pg.H_frame - T_norm)) < 1e-10
 
 
@@ -270,60 +272,59 @@ def test_translator_identity_for_normal_components(grim_reaper, structure):
 def test_translator_defect_matches_frame_projection(spec):
     """T - t g^-1 <T, t> is the frame projection T - sum <T, e_i> e_i, on any chart."""
     chart = ss.chart_from_config(spec)
-    structure = ss.standard_structure(chart.ambient_dim // 2)  # T = e_1
-    pg = ss.point_geometry(chart, structure, ss.uniform_grid(chart, 7))
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7))
     assert np.max(np.abs(translator_defect(pg) - frame_translator_defect(pg))) <= 1e-14
 
 
-def test_soliton_residual_forms_no_frame(monkeypatch, grim_reaper, structure):
+def test_soliton_residual_forms_no_frame(monkeypatch, grim_reaper, T):
     def no_frame(*args, **kwargs):
         raise AssertionError("soliton_residual formed a frame")
 
     monkeypatch.setattr(np.linalg, "cholesky", no_frame)
-    rep = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 20))
+    rep = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 20))
     assert rep.max_soliton_residual <= 1e-10
 
 
-def test_soliton_residual_certificates(grim_reaper, flat_plane, perturbed, structure):
-    rep = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 50))
+def test_soliton_residual_certificates(grim_reaper, flat_plane, perturbed, T):
+    rep = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 50))
     assert rep.max_soliton_residual <= 1e-10
     assert rep.max_lagrangian_defect <= 1e-12
 
-    rep_fp = ss.soliton_residual(flat_plane, structure, ss.uniform_grid(flat_plane, 20))
+    rep_fp = ss.soliton_residual(flat_plane, T, ss.uniform_grid(flat_plane, 20))
     assert rep_fp.max_soliton_residual <= 1e-14
     assert rep_fp.max_lagrangian_defect == 0.0
 
-    rep_p = ss.soliton_residual(perturbed, structure, ss.uniform_grid(perturbed, 30))
+    rep_p = ss.soliton_residual(perturbed, T, ss.uniform_grid(perturbed, 30))
     assert rep_p.max_soliton_residual > 1e-3
     assert abs(rep_p.max_soliton_residual - PERTURBED_RESIDUAL_BASELINE) < 1e-9
     # the perturbation is exactly Lagrangian by construction
     assert rep_p.max_lagrangian_defect <= 1e-12
 
 
-def test_lagrangian_defect_on_non_lagrangian_patch(structure):
+def test_lagrangian_defect_on_non_lagrangian_patch(T):
     patch = ss.non_lagrangian_patch()
-    defect = ss.soliton_residual(patch, structure, ss.uniform_grid(patch, 10)).max_lagrangian_defect
+    defect = ss.soliton_residual(patch, T, ss.uniform_grid(patch, 10)).max_lagrangian_defect
     assert defect > 0.5  # identically 1 for this patch
 
 
-def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, structure):
+def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
     # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
     for chart in (grim_reaper, flat_plane, perturbed, ss.non_lagrangian_patch()):
         grid = ss.uniform_grid(chart, 12)
-        r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, structure, grid))
+        r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, T, grid))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
         assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
 
 
-def test_cylinder_is_intrinsically_flat(grim_reaper, structure):
+def test_cylinder_is_intrinsically_flat(grim_reaper, T):
     grid = ss.uniform_grid(grim_reaper, 10)
-    r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(grim_reaper, structure, grid))
+    r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(grim_reaper, T, grid))
     assert np.max(np.abs(r_int)) < 1e-12
     assert np.max(np.abs(ric)) < 1e-12
 
 
-def test_curved_graph_sign_convention(structure):
+def test_curved_graph_sign_convention(T):
     """Paraboloid graph osculating the unit sphere: sectional curvature +1 at 0."""
     chart = ss.chart_from_config(
         {
@@ -333,13 +334,13 @@ def test_curved_graph_sign_convention(structure):
         }
     )
     pts = np.array([[1e-8, 1e-8]])
-    r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, structure, pts))
+    r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, T, pts))
     assert np.isclose(r_int[0, 1, 0, 1, 0], 1.0, atol=1e-6)
     assert np.allclose(ric[..., 0], np.eye(2), atol=1e-6)
     assert np.max(np.abs(r_int - r_gauss)) < 1e-8
 
 
-def test_low_dimensional_chart_is_supported(structure):
+def test_low_dimensional_chart_is_supported(T):
     """A curve in R^4 (d < n): H is the curve's curvature, and it has no J-frame."""
     helix = ss.chart_from_config(
         {
@@ -349,7 +350,7 @@ def test_low_dimensional_chart_is_supported(structure):
         }
     )
     pts = np.array([[0.3], [1.1]])
-    pg = ss.point_geometry(helix, structure, pts)
+    pg = ss.point_geometry(helix, T, pts)
     assert not pg.lagrangian
     with pytest.raises(UnsupportedChartError):
         pg.nu
@@ -358,7 +359,7 @@ def test_low_dimensional_chart_is_supported(structure):
     assert np.allclose(np.linalg.norm(H, axis=0), 0.5, atol=1e-12)
 
 
-def test_rank_deficiency_raises(structure):
+def test_rank_deficiency_raises(T):
     chart = ss.chart_from_config(
         {
             "name": "degenerate",
@@ -367,27 +368,46 @@ def test_rank_deficiency_raises(structure):
         }
     )
     with pytest.raises(ImmersionError, match=r"rank deficient at point \[0\.1, 0\.1\]"):
-        ss.point_geometry(chart, structure, np.array([[0.1, 0.1]]))
+        ss.point_geometry(chart, T, np.array([[0.1, 0.1]]))
+
+
+def test_wrong_length_T_raises(grim_reaper):
+    with pytest.raises(ValueError, match=r"T has shape \(3,\), chart 'grim_reaper' needs \(4,\)"):
+        ss.point_geometry(grim_reaper, [1.0, 0.0, 0.0], np.array([[0.1, 0.1]]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("slot", ["val", "d1", "d2"])
+def test_non_finite_given_jets_raise_naming_the_point(d, slot):
+    """Unchecked, a NaN tangent would give NaN geometry at d = 2 and numpy's LinAlgError at d = 3."""
+    components = [c for v in variable_names(d) for c in (f"sin({v})", f"{v}*{v}")]
+    chart = ss.chart_from_config({"domain": [[-1.0, 1.0]] * d, "components": components})
+    pts = np.linspace(-0.5, 0.5, 5 * d).reshape(5, d)
+    jets = ss.eval_jets(chart, pts, order=2)
+    getattr(jets, slot)[(0,) * (getattr(jets, slot).ndim - 1) + (3,)] = np.nan
+    message = f"jets given for chart 'expression_chart' are not finite at point {pts[3].tolist()}"
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        ss.point_geometry(chart, np.eye(2 * d)[0], pts, jets=jets)
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_CHARTS))
-def test_lagrangian_flag_is_detected_on_builtin_charts(structure, name):
+def test_lagrangian_flag_is_detected_on_builtin_charts(T, name):
     """The pullback is exactly 0 on the Lagrangian builtins and 1 on the other: far from the 1e-9 cut."""
     chart = ss.builtin_chart(name)
-    pg = ss.point_geometry(chart, structure, ss.uniform_grid(chart, 60))
+    pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 60))
     lagrangian = name != "non_lagrangian_patch"
     assert pg.lagrangian is lagrangian
-    assert np.max(np.abs(kaehler_pullback(structure, pg.tangents))) == (0.0 if lagrangian else 1.0)
+    assert np.max(np.abs(kaehler_pullback(pg.tangents))) == (0.0 if lagrangian else 1.0)
 
 
-def test_kaehler_pullback_values(grim_reaper, structure):
+def test_kaehler_pullback_values(grim_reaper):
     jets = ss.eval_jets(grim_reaper, np.array([[0.5, 0.5]]), order=1)
-    omega = kaehler_pullback(structure, jets.d1)
+    omega = kaehler_pullback(jets.d1)
     assert np.allclose(omega, 0.0, atol=1e-15)
 
 
-def test_diagnostics_report_serialization(grim_reaper, structure):
-    rep = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 5))
+def test_diagnostics_report_serialization(grim_reaper, T):
+    rep = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 5))
     d = rep.to_dict()
     assert set(d) == {"chart", "grid", "max_soliton_residual", "max_lagrangian_defect"}
     assert d["chart"] == "grim_reaper"

@@ -95,7 +95,7 @@ def case(request):
     support = ss.default_support_box(chart.domain)
     rng = np.random.default_rng(31 + d)
     pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.05, 0.95, size=(64, d))
-    pg = ss.point_geometry(chart, ss.standard_structure(d), pts)
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], pts)
     jets = ss.eval_jets(chart, pts, order=3)
     # a generic form, so nabla theta has no symmetry either
     fj = ss.random_generic_variation(support, seed=13).eval_jets(pts, order=2)

@@ -20,11 +20,11 @@ EXPRESSION_GRIM_REAPER = {
 }
 
 
-def unblocked_residual(chart, structure, pts):
+def unblocked_residual(chart, T, pts):
     """The certificate as one batch, the reference every block size must match."""
-    pg = ss.point_geometry(chart, structure, pts, jets=ss.eval_jets(chart, pts, order=2))
+    pg = ss.point_geometry(chart, T, pts, jets=ss.eval_jets(chart, pts, order=2))
     resid = np.linalg.norm(translator_defect(pg), axis=0)
-    defect = np.max(np.abs(kaehler_pullback(structure, pg.tangents)), axis=(0, 1))
+    defect = np.max(np.abs(kaehler_pullback(pg.tangents)), axis=(0, 1))
     return ss.DiagnosticsReport(
         chart=chart.name,
         grid={"kind": "points", "count": int(pts.shape[0])},
@@ -42,13 +42,13 @@ def block_sizes(n):
     ["grim_reaper", EXPRESSION_GRIM_REAPER, "non_lagrangian_patch"],
     ids=["grim_reaper", "expression_grim_reaper", "non_lagrangian_patch"],
 )
-def test_soliton_residual_is_block_invariant(monkeypatch, structure, spec):
+def test_soliton_residual_is_block_invariant(monkeypatch, T, spec):
     chart = ss.chart_from_config(spec)
     pts = ss.uniform_grid(chart, 9)
-    expected = unblocked_residual(chart, structure, pts)
+    expected = unblocked_residual(chart, T, pts)
     for size in block_sizes(pts.shape[0]):
         monkeypatch.setattr(jets, "NODE_BLOCK", size)
-        report = ss.soliton_residual(chart, structure, pts)
+        report = ss.soliton_residual(chart, T, pts)
         assert report.to_dict() == expected.to_dict(), size
 
 
@@ -114,7 +114,7 @@ def test_chart_map_jets_may_return_any_sequence(monkeypatch, container):
             assert np.array_equal(getattr(jet, name), getattr(expected, name)), (size, name)
 
 
-def test_rank_deficiency_message_is_block_invariant(monkeypatch, structure):
+def test_rank_deficiency_message_is_block_invariant(monkeypatch, T):
     # g = diag(1, 9 y^4) loses rank on the middle row y = 0 of an odd grid
     chart = ss.chart_from_config(
         {"name": "cusp", "domain": [[-1, 1], [-1, 1]], "components": ["x", "0", "y**3", "0"]}
@@ -124,7 +124,7 @@ def test_rank_deficiency_message_is_block_invariant(monkeypatch, structure):
     for size in block_sizes(pts.shape[0]):
         monkeypatch.setattr(jets, "NODE_BLOCK", size)
         with pytest.raises(ImmersionError, match=r"at point \[-0\.8, 0\.0\]") as info:
-            ss.soliton_residual(chart, structure, pts)
+            ss.soliton_residual(chart, T, pts)
         messages.add(str(info.value))
     assert len(messages) == 1
 
@@ -144,10 +144,10 @@ def nan_in_third_block(monkeypatch):
     return calls
 
 
-def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, structure):
+def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, T):
     monkeypatch.setattr(jets, "NODE_BLOCK", 16)
     calls = nan_in_third_block(monkeypatch)
-    report = ss.soliton_residual(grim_reaper, structure, ss.uniform_grid(grim_reaper, 10))
+    report = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 10))
     assert len(calls) == 7
     assert np.isnan(report.max_soliton_residual)
     assert report.max_lagrangian_defect == 0.0
@@ -175,15 +175,15 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_soliton_residual_memory_is_bounded(grim_reaper, structure):
+def test_soliton_residual_memory_is_bounded(grim_reaper, T):
     """Peak memory grows with the input points only, not with the geometry."""
     block = jets.NODE_BLOCK
     rng = np.random.default_rng(5)
     lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
     small = rng.uniform(0.9 * lo, 0.9 * hi, size=(4 * block, 2))
     large = rng.uniform(0.9 * lo, 0.9 * hi, size=(16 * block, 2))
-    _, peak_small = traced_peak(ss.soliton_residual, grim_reaper, structure, small)
-    _, peak_large = traced_peak(ss.soliton_residual, grim_reaper, structure, large)
+    _, peak_small = traced_peak(ss.soliton_residual, grim_reaper, T, small)
+    _, peak_large = traced_peak(ss.soliton_residual, grim_reaper, T, large)
     slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
     assert peak_large - peak_small <= (large.nbytes - small.nbytes) + slack
 

@@ -29,17 +29,17 @@ def zero_form(support):
 # functional value
 
 
-def test_functional_closed_form_on_cylinder(grim_reaper, structure):
+def test_functional_closed_form_on_cylinder(grim_reaper, T):
     # weight times area density is 1/cos^2 x, whose antiderivative is tan x
     for a in (np.pi / 4, 0.9, 1.2):
-        val = functional_value(grim_reaper, structure, [[-a, a], [0.0, 1.0]])
+        val = functional_value(grim_reaper, T, [[-a, a], [0.0, 1.0]])
         assert abs(val - 2.0 * np.tan(a)) < 1e-12 * max(1.0, 2.0 * np.tan(a))
-    val = functional_value(grim_reaper, structure, [[-np.pi / 4, np.pi / 4], [0.0, 1.0]])
+    val = functional_value(grim_reaper, T, [[-np.pi / 4, np.pi / 4], [0.0, 1.0]])
     assert abs(val - 2.0) < 1e-12
 
 
-def test_functional_flat_plane(flat_plane, structure):
-    val = functional_value(flat_plane, structure, [[0.0, 1.0], [0.0, 1.0]])
+def test_functional_flat_plane(flat_plane, T):
+    val = functional_value(flat_plane, T, [[0.0, 1.0], [0.0, 1.0]])
     assert abs(val - (np.e - 1.0)) < 1e-13
 
 
@@ -56,10 +56,10 @@ def test_first_variation_vanishes_on_translators(gr_geometry_small, fp_geometry_
             assert abs(fv) <= 1e-9 * scale
 
 
-def test_first_variation_matches_fd_off_criticality(perturbed, structure):
+def test_first_variation_matches_fd_off_criticality(perturbed, T):
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
-    gg = ss.grid_geometry(perturbed, structure, grid)
+    gg = ss.grid_geometry(perturbed, T, grid)
     for seed in (3, 17):
         data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=seed))
         fv = ss.first_variation(gg, data)
@@ -97,10 +97,10 @@ def test_route_agreement_on_cylinder(gr_geometry_small):
         assert abs(fd - sq) <= 1e-4 * scale
 
 
-def test_route_agreement_on_flat_plane_suite(flat_plane, structure):
+def test_route_agreement_on_flat_plane_suite(flat_plane, T):
     support = ss.default_support_box(flat_plane.domain)
     grid = default_grid_for_support(flat_plane, support, cells=12, points_per_cell=6)
-    gg = ss.grid_geometry(flat_plane, structure, grid)
+    gg = ss.grid_geometry(flat_plane, T, grid)
     variations = [(s, ss.random_hamiltonian_variation(support, s)) for s in range(1, 21)]
     reports = ss.run_variation_suite(gg, variations)
     for r in reports:
@@ -164,10 +164,10 @@ def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
     assert abs(sq - op) / scale > 1e-2
 
 
-def test_routes_refuse_off_criticality(perturbed, structure):
+def test_routes_refuse_off_criticality(perturbed, T):
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=6, points_per_cell=4)
-    gg = ss.grid_geometry(perturbed, structure, grid)
+    gg = ss.grid_geometry(perturbed, T, grid)
     data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=1))
     for route in (
         ss.second_variation_operator,
@@ -219,12 +219,12 @@ def test_drift_divergence_identity(gr_geometry_small):
         assert abs(lhs - rhs) <= 1e-6 * scale
 
 
-def test_grid_convergence_of_reported_integrals(grim_reaper, structure, gr_support):
+def test_grid_convergence_of_reported_integrals(grim_reaper, T, gr_support):
     theta = ss.random_hamiltonian_variation(gr_support, seed=1)
     values = {}
     for cells in (10, 20):
         grid = ss.tensor_rule(gr_support, cells=cells, points_per_cell=8)
-        gg = ss.grid_geometry(grim_reaper, structure, grid)
+        gg = ss.grid_geometry(grim_reaper, T, grid)
         data = prepare_variation(gg, theta)
         values[cells] = (
             ss.second_variation_square(gg, data),
@@ -243,11 +243,11 @@ def test_fd_oracle_instability_flag(gr_geometry_small, caplog):
     assert any("extrapolation levels disagree" in rec.message for rec in caplog.records)
 
 
-def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, structure):
+def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T):
     # the perturbed cylinder is no translator, but its metric has off-diagonal
     # terms, where two determinant formulas round differently
     grid = ss.tensor_rule(ss.default_support_box(perturbed.domain), cells=10, points_per_cell=6)
-    for gg in (gr_geometry_small, ss.grid_geometry(perturbed, structure, grid)):
+    for gg in (gr_geometry_small, ss.grid_geometry(perturbed, T, grid)):
         data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=4))
         deformation = _deformation(gg, data)
         # bit for bit: at s = 0 the deformed metric is point_geometry's, and
@@ -261,6 +261,6 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, st
         for s in (2e-3, -1e-3, 0.5):
             tang = gg.pg.tangents + s * v_d1
             g = np.einsum("man,mbn->nab", tang, tang)
-            weight = np.exp(gg.structure.T @ (gg.pg.positions + s * v_val))
+            weight = np.exp(gg.T @ (gg.pg.positions + s * v_val))
             direct = gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
             assert abs(_deformed_functional(gg, deformation, s) - direct) <= 1e-14 * abs(direct)

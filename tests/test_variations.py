@@ -149,11 +149,11 @@ def test_ricci_identity(gr_geometry_small):
         assert resid < 1e-7
 
 
-def test_ricci_identity_on_curved_chart(perturbed, structure):
+def test_ricci_identity_on_curved_chart(perturbed, T):
     """Same identity where the Ricci term is genuinely nonzero."""
     support = ss.default_support_box(perturbed.domain)
     grid = ss.tensor_rule(support, cells=6, points_per_cell=5)
-    gg = ss.grid_geometry(perturbed, structure, grid)
+    gg = ss.grid_geometry(perturbed, T, grid)
     _, _, ricci = curvature_tensor(gg.pg)
     assert np.max(np.abs(ricci)) > 1e-4
     data = ss.prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=3))
@@ -180,22 +180,22 @@ def test_round_trip_form_field_form(gr_geometry_small):
     assert np.max(np.abs(tang)) < 1e-12
 
 
-def test_unit_form_gives_unit_normal(grim_reaper, structure):
+def test_unit_form_gives_unit_normal(grim_reaper, T):
     # theta = dx at the origin corresponds to V = J e_1 = (1, 0, 0, 0)
-    pg = ss.point_geometry(grim_reaper, structure, np.array([[0.0, 0.0]]))
+    pg = ss.point_geometry(grim_reaper, T, np.array([[0.0, 0.0]]))
     v = ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
     assert np.allclose(v, [[1.0], [0.0], [0.0], [0.0]], atol=1e-14)
     assert np.isclose(np.linalg.norm(v), 1.0)
 
 
-def test_correspondence_requires_lagrangian(structure):
+def test_correspondence_requires_lagrangian(T):
     patch = ss.non_lagrangian_patch()
-    pg = ss.point_geometry(patch, structure, np.array([[0.1, 0.1]]))
+    pg = ss.point_geometry(patch, T, np.array([[0.1, 0.1]]))
     with pytest.raises(UnsupportedChartError):
         ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
 
 
-def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reaper, structure):
+def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reaper, T):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
     data = ss.prepare_variation(gg, theta)
@@ -211,7 +211,7 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
         up[axis] += h
         um[axis] -= h
         pts = np.array([up, um])
-        pg_pair = ss.point_geometry(grim_reaper, structure, pts)
+        pg_pair = ss.point_geometry(grim_reaper, T, pts)
         v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1).val, pg_pair)
         fd = (v_pair[:, 0] - v_pair[:, 1]) / (2 * h)
         assert np.max(np.abs(v_d1[:, axis, idx] - fd)) < 1e-8
@@ -230,13 +230,13 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     """d V from the product rule against central differences of V = J theta^sharp."""
     chart = ss.chart_from_config({"domain": domain, "components": components})
     d = chart.dim
-    structure = ss.standard_structure(d)
+    T = np.eye(2 * d)[0]
     support = ss.default_support_box(chart.domain)
     theta = ss.random_hamiltonian_variation(support, seed=21)
     rng = np.random.default_rng(d)
     pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(4, d))
 
-    pg = ss.point_geometry(chart, structure, pts)
+    pg = ss.point_geometry(chart, T, pts)
     fj = theta.eval_jets(pts, order=1)
     v_d1 = ss.variation_field_jets(fj.val, fj.d1, pg)
     assert v_d1.shape == (2 * d, d, 4)
@@ -244,7 +244,7 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
 
     def field(q):
         return ss.normal_field_from_form(
-            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, structure, q)
+            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, T, q)
         )
 
     h = 1e-5
@@ -280,7 +280,7 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     support = ss.default_support_box(chart.domain)
     rng = np.random.default_rng(d)
     pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(50, d))
-    pg = ss.point_geometry(chart, ss.standard_structure(d), pts)
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], pts)
     # a generic form, so nabla theta has no symmetry that could hide a transposition
     fj = ss.random_generic_variation(support, seed=5).eval_jets(pts, order=2)
     G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(pg.Gamma_partial, -1, 0)

@@ -35,10 +35,10 @@ def test_stability_inequality_for_random_pairs(gr_support, sgrid):
         assert res.wirtinger_lhs <= res.wirtinger_rhs
 
 
-def test_divergence_route_reproduces_closed_form(grim_reaper, structure, gr_support):
+def test_divergence_route_reproduces_closed_form(grim_reaper, T, gr_support):
     """The general machinery must reproduce gradient minus curvature integrals."""
     grid = ss.tensor_rule(gr_support, cells=12, points_per_cell=8)
-    gg = ss.grid_geometry(grim_reaper, structure, grid)
+    gg = ss.grid_geometry(grim_reaper, T, grid)
     v3 = ss.random_polynomial_field(gr_support, seed=11)
     v4 = ss.random_polynomial_field(gr_support, seed=111)
     data = ss.prepare_variation(gg, cylinder_form_from_normal_components(v3, v4))
@@ -103,8 +103,8 @@ def test_dirichlet_nonconvergence_flag():
         ss.dirichlet_ground_state(500, max_iter=1)
 
 
-def test_closed_form_deviations_within_budget(grim_reaper, structure):
-    dev = ss.closed_form_deviations(grim_reaper, structure, 50)
+def test_closed_form_deviations_within_budget(grim_reaper, T):
+    dev = ss.closed_form_deviations(grim_reaper, T, 50)
     assert set(dev) == {
         "metric",
         "area_density",
@@ -135,7 +135,7 @@ def test_closed_form_deviations_refuse_a_chart_of_another_dimension(config, m):
     d = chart.dim
     message = f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}"
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(message)}$"):
-        ss.closed_form_deviations(chart, ss.standard_structure(m // 2), 5)
+        ss.closed_form_deviations(chart, np.eye(m)[0], 5)
 
 
 def test_cylinder_integrals_refuse_a_grid_of_another_dimension(gr_support):
