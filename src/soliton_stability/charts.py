@@ -66,7 +66,7 @@ def apply_J(v: np.ndarray) -> np.ndarray:
     pair ``(a, b)`` goes to ``(b, -a)``, so ``omega(u, v) = <J u, v>``."""
     out = np.empty_like(v)
     out[0::2] = v[1::2]
-    out[1::2] = -v[0::2]
+    np.negative(v[0::2], out=out[1::2])
     return out
 
 

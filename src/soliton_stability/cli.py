@@ -164,7 +164,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict[str, An
     return _resolve(SCHEMA, raw, given)
 
 
-def chart_and_structure(cfg: dict) -> tuple[Chart, list]:
+def chart_and_T(cfg: dict) -> tuple[Chart, list]:
     """The configured chart and its translation direction ``T``."""
     chart = chart_from_config(cfg["chart"])
     if len(cfg["T"]) != chart.ambient_dim:
@@ -187,7 +187,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_verify_soliton(cfg: dict) -> int:
-    chart, T = chart_and_structure(cfg)
+    chart, T = chart_and_T(cfg)
     grid = uniform_grid(chart, cfg["grid"]["diagnostic_points"])
     report = soliton_residual(chart, T, grid)
     tols = cfg["tolerances"]
@@ -206,7 +206,7 @@ def cmd_verify_soliton(cfg: dict) -> int:
 
 
 def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: int = 1) -> int:
-    chart, T = chart_and_structure(cfg)
+    chart, T = chart_and_T(cfg)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     var_cfg = cfg["variations"]
@@ -259,7 +259,7 @@ def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: 
 
 def cmd_cylinder(cfg: dict) -> int:
     """Full closed-form pipeline on the grim reaper cylinder."""
-    chart, T = chart_and_structure(cfg)
+    chart, T = chart_and_T(cfg)
     require_cylinder_dims(chart.dim, chart.ambient_dim)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]

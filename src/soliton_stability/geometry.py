@@ -13,6 +13,8 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``ddg[e, c, a, b, n]``   partial_e partial_c g_ab
 * ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g
 * ``Gamma_partial[e, k, a, b, n]``  partial_e Gamma^k_ab
+* ``K[l, n]``, ``P[l, c, n]``, ``Q[e, l, n]``  the traces g^ab Gamma^l_ab,
+  g^ab d_a Gamma^l_bc and g^ab d_e Gamma^l_ab (P and Q need order-3 jets)
 * ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
   (the normal projection of partial^2 Phi via the Gauss formula)
 * ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
@@ -115,6 +117,18 @@ class PointGeometry:
     @cached_property
     def dg_inv(self) -> np.ndarray:  # (d, d, d, N) d_e g^kl
         return -np.einsum("kpn,epqn,qln->ekln", self.g_inv, self.dg, self.g_inv)
+
+    @cached_property
+    def K(self) -> np.ndarray:  # (d, N) K^l = g^ab Gamma^l_ab
+        return np.einsum("abn,labn->ln", self.g_inv, self.Gamma)
+
+    @cached_property
+    def P(self) -> np.ndarray:  # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]
+        return np.einsum("abn,albcn->lcn", self.g_inv, self.Gamma_partial)
+
+    @cached_property
+    def Q(self) -> np.ndarray:  # (d, d, N) Q_e^l = g^ab d_e Gamma^l_ab, at [e, l]
+        return np.einsum("abn,elabn->eln", self.g_inv, self.Gamma_partial)
 
     @cached_property
     def T_coord(self) -> np.ndarray:  # (d, N) coordinate components of tangential T

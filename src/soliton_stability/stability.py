@@ -89,7 +89,6 @@ class GridGeometry:
     the point geometry, ``T^perp - H`` (m, N) and ``exp(<T, Phi>) sqrt(det g)`` (N,)."""
 
     chart: Chart
-    T: np.ndarray
     grid: QuadratureGrid
     pg: PointGeometry
     translator_defect: np.ndarray
@@ -104,7 +103,7 @@ def grid_geometry(chart: Chart, T, grid: QuadratureGrid) -> GridGeometry:
     defect = translator_defect(pg)
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
     w = pg.weight * pg.sqrt_det_g
-    return GridGeometry(chart, pg.T, grid, pg, defect, w, resid, grid.integrate(w))
+    return GridGeometry(chart, grid, pg, defect, w, resid, grid.integrate(w))
 
 
 def _weighted_area(grid: QuadratureGrid, T: np.ndarray, values, g) -> float:
@@ -130,7 +129,7 @@ def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
     """Box-local F of the chart  Phi + s V, re-integrated from its metric g(s)."""
     v_val, cross, quad = deformation
     g = gg.pg.g + s * cross + (s * s) * quad
-    return _weighted_area(gg.grid, gg.T, gg.pg.positions + s * v_val, g)
+    return _weighted_area(gg.grid, gg.pg.T, gg.pg.positions + s * v_val, g)
 
 
 def require_soliton(gg: GridGeometry, tol: float) -> None:
@@ -146,16 +145,17 @@ class VariationData:
     theta: np.ndarray        # (d, N) theta_a
     dtheta: np.ndarray       # (d, d, N) partial_c theta_a at [a, c]
     cov: CovariantData
+    nabla_sq: np.ndarray     # (N,) |nabla theta|_g^2
     v: np.ndarray            # (m, N) normal field V = J theta^sharp
     defect: float            # max |partial_a theta_b - partial_b theta_a|
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
-    """Form jets, covariant derivatives, V and the closedness defect of ``theta``, once."""
-    fj = theta.eval_jets(gg.grid, order=2)
-    cov = covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
-    v = normal_field_from_form(fj.val, gg.pg)
-    return VariationData(fj.val, fj.d1, cov, v, lagrangian_defect(fj.d1))
+    """Form jets, covariant derivatives, |nabla theta|_g^2, V and the closedness defect, once."""
+    pg, fj = gg.pg, theta.eval_jets(gg.grid, order=2)
+    cov = covariant_calculus(fj.val, fj.d1, fj.d2, pg)
+    v = normal_field_from_form(fj.val, pg)
+    return VariationData(fj.val, fj.d1, cov, _metric_square(pg, cov.nabla), v, lagrangian_defect(fj.d1))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ def variation_scale(gg: GridGeometry, data: VariationData) -> float:
     """
     pg = gg.pg
     sq_theta = np.einsum("an,an->n", _sharp(pg, data.theta), data.theta)
-    return gg.grid.integrate((sq_theta + _metric_square(pg, data.cov.nabla)) * gg.area_weight)
+    return gg.grid.integrate((sq_theta + data.nabla_sq) * gg.area_weight)
 
 
 def second_variation_operator(
@@ -235,7 +235,7 @@ def second_variation_divergence(
     pg = gg.pg
     h_v = np.einsum("mabn,mn->abn", pg.h_coord, data.v)
     curv = _metric_square(pg, h_v)
-    return gg.grid.integrate((_metric_square(pg, data.cov.nabla) - curv) * gg.area_weight)
+    return gg.grid.integrate((data.nabla_sq - curv) * gg.area_weight)
 
 
 def second_variation_square(

@@ -57,8 +57,14 @@ def window_jet(u: J.Jet, lo: float, hi: float) -> J.Jet:
     return (1.0 - s * s) ** 4
 
 
-def _support_mask(points: np.ndarray, support: np.ndarray) -> np.ndarray:
-    return np.all((points >= support[:, 0]) & (points <= support[:, 1]), axis=1)
+def _support_mask(where, support: np.ndarray) -> np.ndarray:
+    """Which points ``(N, d)`` lie in the box; on a grid, the C-order outer AND of per-axis masks."""
+    if not isinstance(where, QuadratureGrid):
+        return np.all((where >= support[:, 0]) & (where <= support[:, 1]), axis=1)
+    keep = np.ones((), dtype=bool)
+    for x, (lo, hi) in zip(where.axis_nodes, support):
+        keep = np.logical_and.outer(keep, (x >= lo) & (x <= hi))
+    return keep.reshape(-1)
 
 
 def _nodes(where) -> np.ndarray:
@@ -94,10 +100,11 @@ class ScalarField:
         pts = _nodes(where)
         if pts.shape[1] != self.support.shape[0]:
             raise DomainError(f"points have dimension {pts.shape[1]}, field has {self.support.shape[0]}")
+        where = where if isinstance(where, QuadratureGrid) else pts
         # a domain error inside the field surfaces as the non-finite check below
         with np.errstate(all="ignore"):
-            raw = self.evaluate(where if isinstance(where, QuadratureGrid) else pts, order)
-        out = _mask_jet(raw, _support_mask(pts, self.support))
+            raw = self.evaluate(where, order)
+        out = _mask_jet(raw, _support_mask(where, self.support))
         if not out.is_finite():
             raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data")
         return out
@@ -192,21 +199,17 @@ def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
         full[i : i + 9, j : j + 9] += c * bump2d
 
     def evaluate(where, order: int) -> J.Jet:
-        if isinstance(where, QuadratureGrid):
-            x, y = where.axis_nodes
-            n = x.shape[0] * y.shape[0]
-            # einsum, not matmul: threaded BLAS is slow on this small outer product
-            spec = "ip,jp->ij"
-        else:
-            x, y = where[:, 0], where[:, 1]
-            n = x.shape[0]
-            spec = "np,np->n"
+        grid = isinstance(where, QuadratureGrid)
+        x, y = where.axis_nodes if grid else (where[:, 0], where[:, 1])
+        n = x.shape[0] * y.shape[0] if grid else x.shape[0]
         vx = _derivative_vandermonde(x, *support[0], full.shape[0], order)
         vy = _derivative_vandermonde(y, *support[1], full.shape[1], order)
         rows = [v @ full for v in vx]
 
         def dval(i, j):
-            return np.einsum(spec, rows[i], vy[j]).reshape(n)
+            if grid:  # einsum, not matmul: OpenBLAS threads this product, then its threads spin idle
+                return np.einsum("ip,pj->ij", rows[i], np.ascontiguousarray(vy[j].T)).reshape(n)
+            return np.einsum("np,np->n", rows[i], vy[j])
 
         val = dval(0, 0)
         # the slots of d2 and d3 in row-major order, each distinct partial formed once
@@ -353,30 +356,26 @@ class CovariantData:
 def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantData:
     """Assemble nabla(theta), its trace, and the rough Laplacian at pg's points.
 
-    The form enters node-last: ``theta[a, n]``, ``dtheta[a, c, n] = partial_c
-    theta_a`` and ``ddtheta[a, c, e, n] = partial_c partial_e theta_a``.
+    The form enters node-last: ``theta[a, n]``, ``dtheta[a, c, n] = d_c theta_a``
+    and ``ddtheta[a, c, e, n] = d_c d_e theta_a`` (d = partial).  The traces
+    contract those jets against pg's K, P and Q, so no rank-3 array is formed
+    per form:
+
+        lap_c = g^ab d_a d_b theta_c - P^l_c theta_l
+                - Gamma^l_bc g^ab (d_a theta_l + (nabla_a theta)_l) - K^l (nabla_l theta)_c
+        d_e div = d_e g^ab (nabla_a theta)_b + g^ab d_e d_a theta_b - Q_e^l theta_l - K^l d_e theta_l
     """
     if pg.Gamma_partial is None:
         raise ValueError("covariant calculus needs order-3 chart jets")
-    G, dG = pg.Gamma, pg.Gamma_partial
+    G, g_inv = pg.Gamma, pg.g_inv
     nabla = np.einsum("ban->abn", dtheta) - np.einsum("labn,ln->abn", G, theta)
-    div = np.einsum("abn,abn->n", pg.g_inv, nabla)
-
-    # dnabla[e,a,b] = partial_e (nabla_a theta)_b
-    dnabla = (
-        np.einsum("baen->eabn", ddtheta)
-        - np.einsum("elabn,ln->eabn", dG, theta)
-        - np.einsum("len,labn->eabn", dtheta, G)
-    )
-    # second covariant derivative (nabla^2 theta)_{a b c} = nabla_a (nabla theta)_{bc}
-    second = (
-        dnabla
-        - np.einsum("labn,lcn->abcn", G, nabla)
-        - np.einsum("bln,lacn->abcn", nabla, G)
-    )
-    laplacian = np.einsum("abn,abcn->cn", pg.g_inv, second)
-    div_grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,eabn->en", pg.g_inv, dnabla)
-    return CovariantData(nabla=nabla, div=div, laplacian=laplacian, div_grad=div_grad)
+    div = np.einsum("abn,abn->n", g_inv, nabla)
+    raised = np.einsum("abn,aln->bln", g_inv, np.einsum("lan->aln", dtheta) + nabla)
+    lap = np.einsum("abn,cabn->cn", g_inv, ddtheta) - np.einsum("lcn,ln->cn", pg.P, theta)
+    lap = lap - np.einsum("lbcn,bln->cn", G, raised) - np.einsum("ln,lcn->cn", pg.K, nabla)
+    div_grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,baen->en", g_inv, ddtheta)
+    div_grad = div_grad - np.einsum("eln,ln->en", pg.Q, theta) - np.einsum("ln,len->en", pg.K, dtheta)
+    return CovariantData(nabla=nabla, div=div, laplacian=lap, div_grad=div_grad)
 
 
 def ricci_identity_residual(theta, cov: CovariantData, pg: PointGeometry, ricci: np.ndarray) -> float:
@@ -434,9 +433,10 @@ def variation_field_jets(theta: np.ndarray, dtheta: np.ndarray, pg: PointGeometr
     (d, N) and ``dtheta[a, c, n] = partial_c theta_a`` node-last.  Deformed
     charts ``Phi + s V`` then have exact metric data.
     """
-    sharp = np.einsum("ban,an->bn", pg.g_inv, theta)
     dsharp = np.einsum("cban,an->bcn", pg.dg_inv, theta) + np.einsum("ban,acn->bcn", pg.g_inv, dtheta)
-    d_amb = np.einsum("qcbn,bn->qcn", pg.hessian, sharp) + np.einsum("qbn,bcn->qcn", pg.tangents, dsharp)
+    d_amb = np.einsum("qbn,bcn->qcn", pg.tangents, dsharp)
+    del dsharp  # hold one (m, d, N) term at a time: this call sets the fd oracle's memory peak
+    d_amb = np.einsum("qcbn,bn->qcn", pg.hessian, np.einsum("ban,an->bn", pg.g_inv, theta)) + d_amb
     return apply_J(d_amb)
 
 

@@ -1,5 +1,6 @@
 """Node blocks: the certificate, chart jets and jet-arithmetic fields give the
-same bits at every block size, keep a NaN, and hold memory to one block."""
+same bits at every block size, keep a NaN, and hold memory to one block; and
+covariant calculus forms no rank-3 array per one-form."""
 
 import tracemalloc
 
@@ -202,3 +203,27 @@ def test_chart_jet_memory_is_bounded(grim_reaper):
     mask = (16 - 4) * block  # the domain check's mask, one byte per point
     slack = 64 * 1024  # the per-block slices and interpreter bookkeeping
     assert overheads[1] - overheads[0] <= mask + slack, overheads
+
+
+def test_covariant_calculus_memory_is_bounded():
+    """At d = 3, one call stays below the d^3-per-node pair ``dnabla`` and ``second``.
+
+    Those two arrays alone take 2 d^3 = 54 floats per node; the trace formulas
+    peaked at 31 (the result itself is 16) and the rank-3 assembly at 91
+    (5.8 MB on these 8,000 nodes), with the geometry traces formed beforehand.
+    """
+    chart = ss.chart_from_config(
+        {
+            "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
+            "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
+        }
+    )
+    support = ss.default_support_box(chart.domain)
+    grid = ss.tensor_rule(support, cells=4, points_per_cell=5)
+    pg = ss.point_geometry(chart, np.eye(6)[0], grid.nodes)
+    fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
+    for trace in (pg.dg_inv, pg.K, pg.P, pg.Q):  # formed once per geometry, not per form
+        assert trace.shape[-1] == grid.nodes.shape[0]
+    _, peak = traced_peak(ss.covariant_calculus, fj.val, fj.d1, fj.d2, pg)
+    rank3_pair = 2 * 3**3 * grid.nodes.shape[0] * 8
+    assert peak < rank3_pair, (peak, rank3_pair)

@@ -261,6 +261,6 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T)
         for s in (2e-3, -1e-3, 0.5):
             tang = gg.pg.tangents + s * v_d1
             g = np.einsum("man,mbn->nab", tang, tang)
-            weight = np.exp(gg.T @ (gg.pg.positions + s * v_val))
+            weight = np.exp(gg.pg.T @ (gg.pg.positions + s * v_val))
             direct = gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
             assert abs(_deformed_functional(gg, deformation, s) - direct) <= 1e-14 * abs(direct)

@@ -10,6 +10,7 @@ from soliton_stability.errors import ConfigurationError, DomainError, Unsupporte
 from soliton_stability.geometry import curvature_tensor
 from soliton_stability.variations import (
     _polynomial_jet_arithmetic,
+    _support_mask,
     ricci_identity_residual,
     window_jet,
 )
@@ -59,6 +60,25 @@ def test_polynomial_fast_path_matches_builder(support):
             assert a.shape == b.shape
             assert np.allclose(a, b, atol=1e-12)
     assert np.any(phi.eval_jets(outer, order=1).val == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_jets_match_scattered_points_across_the_support_edge(d):
+    """On a grid straddling the support box, the per-axis mask is the per-node mask,
+    the jets outside the box are exactly 0, and the grid jets (the per-axis matrix products at
+    d = 2) match the scattered-point path at the same nodes."""
+    support = np.array([[-1.0, 1.0], [-2.0, 2.0], [-0.5, 1.5]])[:d]
+    box = np.array([[-1.4, 0.3], [-1.4, 2.9], [-0.8, 1.7]])[:d]  # past an edge on every axis
+    grid = ss.tensor_rule(box, cells=3, points_per_cell=4)
+    keep = _support_mask(grid, support)
+    assert np.array_equal(keep, _support_mask(grid.nodes, support))
+    assert 0 < np.count_nonzero(keep) < keep.size
+    phi = ss.random_polynomial_field(support, seed=4)
+    on_grid, at_points = phi.eval_jets(grid, order=3), phi.eval_jets(grid.nodes, order=3)
+    for name in ("val", "d1", "d2", "d3"):
+        a, b = getattr(on_grid, name), getattr(at_points, name)
+        assert np.all(a[..., ~keep] == 0.0), name
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
 
 def test_polynomial_field_in_three_variables():
