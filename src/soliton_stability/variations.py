@@ -227,27 +227,37 @@ def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
 
 
 def _polynomial_jet_arithmetic(support: np.ndarray, seed: int, degree: int):
-    """Jet-arithmetic evaluator of (polynomial * bump), for a support box of any dimension."""
+    """Evaluator of (polynomial * bump) for a support box of any dimension.
+
+    Each partial ``(k_0 ... k_{d-1})`` of the polynomial is its dense
+    ``(degree+1)^d`` coefficient tensor contracted one axis at a time against
+    the derivative Vandermonde matrices at the block's nodes, summed over the
+    power p by a Python loop so that no bit depends on the node block.  Only
+    the nonzero boxes are summed: other powers below ``degree + 1 - p`` and
+    derivative orders k <= p.  The bump multiplies by jet arithmetic.
+    """
     d = support.shape[0]
-    coeffs, exponents = _polynomial_coefficients(d, seed, degree)
-    scale = 2.0 / (support[:, 1] - support[:, 0])
-    shift = (support[:, 1] + support[:, 0]) / (support[:, 1] - support[:, 0])
+    coeffs = np.zeros((degree + 1,) * d)
+    for c, exps in zip(*_polynomial_coefficients(d, seed, degree)):
+        coeffs[exps] = c
 
     def polynomial(seeds):
-        s = [seeds[i] * scale[i] - shift[i] for i in range(d)]
-        powers = [[None] * (degree + 1) for _ in range(d)]
-        order, batch = seeds[0].order, seeds[0].val.shape
-        acc = None
-        for c, exps in zip(coeffs, exponents):
-            # a plain coefficient scales the first power; only the degree-0 monomial is a constant jet
-            term = float(c) if any(exps) else J.constant(c, d, order, batch_shape=batch)
-            for axis, p in enumerate(exps):
-                if p:
-                    if powers[axis][p] is None:
-                        powers[axis][p] = s[axis] ** p
-                    term = term * powers[axis][p]
-            acc = term if acc is None else acc + term
-        return acc
+        order = seeds[0].order
+        part = coeffs[..., None]  # (p_a, ..., p_{d-1}, k_0, ..., k_{a-1}, node)
+        for axis, x in enumerate(seeds):
+            v = np.stack([vk.T for vk in _derivative_vandermonde(x.val, *support[axis], degree + 1, order)])
+            acc = np.zeros(part.shape[1:-1] + v.shape[:1] + v.shape[-1:])
+            for p in range(degree + 1):
+                box = (slice(degree + 1 - p),) * (d - 1 - axis)
+                k = slice(p + 1)  # V_k vanishes at powers p < k
+                acc[box + (..., k, slice(None))] += part[p][box][..., None, :] * v[k, p]
+            part = acc
+        # part[k_0, ..., k_{d-1}, n]; a sorted index tuple's partial counts each axis in it
+        levels = [part[(0,) * d]]
+        for rank in range(1, order + 1):
+            idx, _ = J._sym_index(d, rank)
+            levels.append(J._expand(part[tuple(sum(i == a for i in idx) for a in range(d))], d, rank))
+        return J.Jet(order, *levels)
 
     return _jet_arithmetic(support, polynomial, (True,) * d)
 
@@ -256,9 +266,9 @@ def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
     """Random polynomial (in support-normalized coordinates) times the bump.
 
     Coefficients are uniform in [-1, 1] from a seeded generator; the seed is
-    recorded in reports so suites are reproducible.  At d = 2 the jets come
-    in closed form from per-axis Vandermonde matrices, otherwise from jet
-    arithmetic.
+    recorded in reports so suites are reproducible.  At d = 2 the windowed
+    field's jets come in closed form from per-axis Vandermonde matrices;
+    otherwise the polynomial's jets do, and the bump's come from jet arithmetic.
     """
     support = np.asarray(support, dtype=float)
     make = _polynomial_bump_evaluator if support.shape[0] == 2 else _polynomial_jet_arithmetic

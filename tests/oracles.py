@@ -5,7 +5,8 @@ differences against exact jets, the product and chain rules slot by slot, a
 one-form from frame components, the translator defect through the tangent
 frame, the box-local functional on a fresh grid, the geometry and covariant
 calculus with the node axis first, the LAPACK inverse, Cholesky frame and
-full-batch rank check of per-node metrics) or reads a structural property
+full-batch rank check of per-node metrics, a polynomial field monomial by
+monomial) or reads a structural property
 off a result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
@@ -20,7 +21,7 @@ from soliton_stability.errors import DomainError
 from soliton_stability.geometry import RANK_TOL, PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
 from soliton_stability.stability import _weighted_area
-from soliton_stability.variations import OneFormField, ScalarField
+from soliton_stability.variations import OneFormField, ScalarField, _jet_arithmetic, _polynomial_coefficients
 
 # ---------------------------------------------------------------------------
 # jets
@@ -319,6 +320,39 @@ def node_first_covariant(fj: J.Jet, geo: dict) -> dict:
         "laplacian": np.einsum("nab,nabc->nc", g_inv, second),
         "div_grad": div_grad,
     }
+
+
+def reference_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
+    """``random_polynomial_field`` by jet arithmetic, one monomial at a time, in any d.
+
+    Each monomial is a product of powers of the rescaled coordinate jets
+    ``s = u * scale - shift``, summed in the seeded coefficient order, and the
+    bump multiplies the sum on every axis.
+    """
+    support = np.asarray(support, dtype=float)
+    d = support.shape[0]
+    coeffs, exponents = _polynomial_coefficients(d, seed, degree)
+    scale = 2.0 / (support[:, 1] - support[:, 0])
+    shift = (support[:, 1] + support[:, 0]) / (support[:, 1] - support[:, 0])
+
+    def polynomial(seeds):
+        s = [seeds[i] * scale[i] - shift[i] for i in range(d)]
+        powers = [[None] * (degree + 1) for _ in range(d)]
+        order, batch = seeds[0].order, seeds[0].val.shape
+        acc = None
+        for c, exps in zip(coeffs, exponents):
+            # a plain coefficient scales the first power; only the degree-0 monomial is a constant jet
+            term = float(c) if any(exps) else J.constant(c, d, order, batch_shape=batch)
+            for axis, p in enumerate(exps):
+                if p:
+                    if powers[axis][p] is None:
+                        powers[axis][p] = s[axis] ** p
+                    term = term * powers[axis][p]
+            acc = term if acc is None else acc + term
+        return acc
+
+    evaluate = _jet_arithmetic(support, polynomial, (True,) * d)
+    return ScalarField(support, evaluate, name=f"reference(seed={seed})")
 
 
 def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> OneFormField:

@@ -53,7 +53,8 @@ def _cubic():
 
 
 # name -> (producer, component axes, parameters, nodes, order); at d = 2 the
-# polynomial field has closed-form jets, at d = 3 it runs jet arithmetic
+# windowed polynomial field has closed-form jets, at d = 3 only its polynomial
+# does and the bump runs jet arithmetic in node blocks
 PRODUCERS = {
     "evaluate-scalar": (lambda: J.evaluate(lambda s: J.sin(s[0]) * s[1], POINTS2, 3), (), 2, 30, 3),
     "evaluate-stacked": (lambda: J.evaluate(lambda s: [s[1] * s[0], 1.0], POINTS2, 3), (2,), 2, 30, 3),

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import frame_covariant_matrix, one_form_pullback
+from oracles import frame_covariant_matrix, one_form_pullback, reference_polynomial_field
 import soliton_stability.jets as J
 from soliton_stability.errors import ConfigurationError, DomainError, UnsupportedChartError
 from soliton_stability.geometry import curvature_tensor
 from soliton_stability.variations import (
-    _polynomial_jet_arithmetic,
     _support_mask,
     ricci_identity_residual,
     window_jet,
@@ -45,21 +44,75 @@ def test_field_zero_outside_support(support):
         assert np.all(arr == 0.0)
 
 
+def assert_matches_reference(support, box, seed, rtol=1e-13):
+    """A random potential at orders 1-3 and a random generic form at order 2 against their
+    per-monomial builds, at interior points and on a grid over ``box``, each jet level to
+    ``rtol`` of its largest entry."""
+    d = support.shape[0]
+    potential = (ss.random_polynomial_field(support, seed), reference_polynomial_field(support, seed))
+    form = (
+        ss.random_generic_variation(support, seed),
+        ss.generic_variation([reference_polynomial_field(support, seed * 1000 + a) for a in range(d)]),
+    )
+    cases = [potential + (order,) for order in (1, 2, 3)] + [form + (2,)]
+    grid = ss.tensor_rule(box, cells=3, points_per_cell=4)
+    for where in (interior_points(support, 5), grid):
+        for field, reference, order in cases:
+            got, want = field.eval_jets(where, order=order), reference.eval_jets(where, order=order)
+            assert got.order == want.order == order
+            for name in ("val", "d1", "d2", "d3")[: order + 1]:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape, name
+                assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), (name, order)
+
+
 def test_polynomial_fast_path_matches_builder(support):
-    phi = ss.random_polynomial_field(support, seed=5)
-    slow_field = ss.ScalarField(phi.support, _polynomial_jet_arithmetic(phi.support, 5, 4), name="slow")
-    pts = interior_points(support, 5)
-    inner = ss.tensor_rule(support, cells=3, points_per_cell=4)
-    # a grid reaching past the support box also exercises the zero mask
-    outer = ss.tensor_rule(1.2 * support, cells=4, points_per_cell=3)
-    for where, nodes in ((pts, pts), (inner, inner.nodes), (outer, outer.nodes)):
-        fast = phi.eval_jets(where, order=3)
-        slow = slow_field.eval_jets(nodes, order=3)
-        for name in ("val", "d1", "d2", "d3"):
-            a, b = getattr(fast, name), getattr(slow, name)
-            assert a.shape == b.shape
-            assert np.allclose(a, b, atol=1e-12)
-    assert np.any(phi.eval_jets(outer, order=1).val == 0.0)
+    """The d = 2 closed form of the windowed field, on a grid that also reaches past the box.
+
+    Its expanded window cancels near the support edge: at seed 5, the worst of seeds 0-19,
+    d2 is 1.6e-13 of its largest entry from the per-monomial build, which is itself within
+    1e-15 of an extended-precision evaluation.
+    """
+    assert_matches_reference(support, 1.2 * support, seed=5, rtol=2e-13)
+    outer = ss.tensor_rule(1.2 * support, cells=3, points_per_cell=4)
+    assert np.any(ss.random_polynomial_field(support, seed=5).eval_jets(outer, order=1).val == 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_closed_form_polynomial_jets_match_the_per_monomial_builder(d):
+    """At d != 2 the polynomial's jets come from the coefficient tensor and the bump's from jet
+    arithmetic; the grid straddles the support box on every axis."""
+    support = np.array([[-0.7, 1.9], [-1.0, 1.0], [-2.0, 2.0]])[:d]
+    box = np.array([[-1.0, 1.2], [-1.4, 0.3], [-1.4, 2.9]])[:d]
+    for seed in (3, 8):
+        assert_matches_reference(support, box, seed)
+
+
+def test_closed_form_polynomial_jets_stay_within_the_jet_op_budget(monkeypatch):
+    """One node block of a d = 3 order-3 field runs at most 6 outermost Jet operations per
+    axis, the bump's; the per-monomial build ran 130."""
+    counts = {"ops": 0, "depth": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["ops"] += counts["depth"] == 0
+            counts["depth"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts["depth"] -= 1
+
+        return wrapper
+
+    for name in ("add", "radd", "neg", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "pow"):
+        monkeypatch.setattr(J.Jet, f"__{name}__", counted(getattr(J.Jet, f"__{name}__")))
+    for name in ("sin", "cos", "tan", "exp", "log", "sqrt"):
+        monkeypatch.setattr(J, name, counted(getattr(J, name)))
+    support = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
+    pts = np.random.default_rng(4).uniform(support[:, 0], support[:, 1], size=(J.NODE_BLOCK, 3))
+    jet = ss.random_polynomial_field(support, seed=3).eval_jets(pts, order=3)
+    assert jet.d3.shape == (3, 3, 3, J.NODE_BLOCK)
+    assert 0 < counts["ops"] <= 6 * 3, counts
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -82,7 +135,7 @@ def test_grid_jets_match_scattered_points_across_the_support_edge(d):
 
 
 def test_polynomial_field_in_three_variables():
-    """The d = 3 jet-arithmetic field: each jet level against central differences of the one below."""
+    """The d = 3 node-block field: each jet level against central differences of the one below."""
     support = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
     phi = ss.random_polynomial_field(support, seed=3)
     pts = interior_points(support, 3)
