@@ -51,9 +51,7 @@ from .reports import (
 from .stability import (
     GridGeometry,
     first_variation,
-    first_variation_fd,
     grid_geometry,
-    integration_by_parts_report,
     prepare_variation,
     second_variation_divergence,
     second_variation_fd_oracle,

@@ -38,6 +38,7 @@ route used by the Gauss-equation cross-check.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -141,9 +142,14 @@ class PointGeometry:
         h_nu = np.einsum("ain,abpn->ibpn", A, h_nu)
         return np.einsum("bjn,ibpn->ijpn", A, h_nu)
 
-    @cached_property
-    def H_frame(self) -> np.ndarray:  # (d, N) <H, nu_p>
-        return np.einsum("qpn,qn->pn", self.nu, mean_curvature_vector(self))
+    def take(self, rows: slice) -> PointGeometry:
+        """The geometry at node rows ``rows``: views of every node-last array,
+        each property already formed included; the others form on the part's first use."""
+        part = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray) and name != "T":
+                vars(part)[name] = value[rows] if name == "points" else value[..., rows]
+        return part
 
 
 @dataclass

@@ -51,13 +51,14 @@ __all__ = [
 NODE_BLOCK = 4096
 
 
-def node_blocks(n: int) -> list[slice]:
-    """Consecutive row slices of at most ``NODE_BLOCK`` rows covering ``range(n)``.
+def node_blocks(n: int, size: int | None = None) -> list[slice]:
+    """Consecutive row slices of at most ``size`` (default ``NODE_BLOCK``) rows covering ``range(n)``.
 
     ``n = 0`` gives one empty slice, so an empty batch still runs (and fails)
     as it would unblocked.
     """
-    return [slice(i, min(i + NODE_BLOCK, n)) for i in range(0, max(n, 1), NODE_BLOCK)]
+    size = size or NODE_BLOCK
+    return [slice(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
 
 
 @functools.cache

@@ -19,9 +19,11 @@ associated one-form theta, by four routes:
                   functional along the straight-line flow Phi + s V.  Each
                   step re-integrates the exact metric of the deformed chart,
                   g(s) = g + s C + s^2 Q with C = t^T dV + dV^T t and
-                  Q = dV^T dV (t the tangents, dV the derivative of V), both
-                  formed once per variation; it uses no covariant or
-                  second-fundamental-form quantity.
+                  Q = dV^T dV (t the tangents, dV the derivative of V).  C,
+                  Q and the weighted-area densities of the four steps are
+                  formed one node block at a time; each density is then
+                  integrated once, over the whole grid.  It uses no
+                  covariant or second-fundamental-form quantity.
 
 The straight-line flow is justified exactly at critical points, where the
 second derivative of F depends only on the first-order variation field; off
@@ -42,6 +44,7 @@ import numpy as np
 from .charts import Chart
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
+from .jets import node_blocks
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     CovariantData,
@@ -62,35 +65,45 @@ __all__ = [
     "prepare_variation",
     "require_soliton",
     "first_variation",
-    "first_variation_fd",
     "second_variation_operator",
     "second_variation_divergence",
     "second_variation_square",
     "second_variation_fd_oracle",
     "variation_scale",
-    "integration_by_parts_report",
-    "IntegrationByPartsReport",
-    "scalar_laplacian",
-    "scalar_gradient_pairing",
     "default_grid_for_support",
     "DEFAULT_SOLITON_TOL",
     "DEFAULT_FD_STEPS",
     "DEFAULT_CLOSED_TOL",
+    "VARIATION_BLOCK",
 ]
 
 DEFAULT_SOLITON_TOL = 1e-8
 DEFAULT_FD_STEPS = (2e-3, 1e-3)
 DEFAULT_CLOSED_TOL = 1e-9
 
+# Rows per node block of the per-variation passes (prepare_variation, the
+# operator and divergence routes, variation_scale and the fd oracle).  Each
+# block writes its integrand into one full-length array that is summed once,
+# so the block size changes no output bit; it keeps the temporaries in cache.
+# Not jets.NODE_BLOCK: at NODE_BLOCK = 8192, verify-soliton on the perfbench
+# certify config (360,000 points) peaks at 55.1 MB RSS against 47.9 MB.  On a
+# 2-vCPU VM (numpy 2.4.6) the in-process 20-variation suite on the default
+# 102,400-node grid took 1,564 / 1,545 / 1,542 ms at 4,096 / 8,192 / 16,384
+# rows, and 1,914 ms unblocked (medians of 5 alternating rounds); larger
+# blocks hold larger temporaries for no further gain.
+VARIATION_BLOCK = 8192
+
 
 @dataclass
 class GridGeometry:
     """What the routes read at the nodes of a quadrature grid, formed once, node axis last:
-    the point geometry, ``T^perp - H`` (m, N) and ``exp(<T, Phi>) sqrt(det g)`` (N,)."""
+    the point geometry, ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,) and
+    ``blocks``, pairs of node rows and the point geometry there, views of ``pg``."""
 
     chart: Chart
     grid: QuadratureGrid
     pg: PointGeometry
+    blocks: tuple[tuple[slice, PointGeometry], ...]
     translator_defect: np.ndarray
     area_weight: np.ndarray
     soliton_residual: float
@@ -103,33 +116,54 @@ def grid_geometry(chart: Chart, T, grid: QuadratureGrid) -> GridGeometry:
     defect = translator_defect(pg)
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
     w = pg.weight * pg.sqrt_det_g
-    return GridGeometry(chart, grid, pg, defect, w, resid, grid.integrate(w))
+    pg.lagrangian  # a grid-wide flag: formed before the blocks, which carry it over
+    blocks = tuple((rows, pg.take(rows)) for rows in _variation_blocks(w.shape[0]))
+    return GridGeometry(chart, grid, pg, blocks, defect, w, resid, grid.integrate(w))
 
 
-def _weighted_area(grid: QuadratureGrid, T: np.ndarray, values, g) -> float:
-    """int exp(<T, x>) sqrt(det g) du for positions ``values`` (m, N) and metric ``g`` (d, d, N)."""
-    weight = np.exp(np.einsum("p,pn->n", T, values))
-    return grid.integrate(weight * np.sqrt(batch_det(g)))
+def _variation_blocks(n: int) -> list[slice]:
+    """Row slices of ``VARIATION_BLOCK`` nodes covering ``range(n)``, none of one node unless n = 1.
+
+    On one node, numpy's einsum sums the small indices of a contiguous
+    operand as a SIMD dot product, in another order than along a row of
+    nodes: |nabla theta|_g^2 moved in its last bit.  So the block size is at
+    least 2, and a one-node remainder joins the block before it.
+    """
+    rows = node_blocks(n, max(VARIATION_BLOCK, 2))
+    if len(rows) > 1 and rows[-1].stop - rows[-1].start == 1:
+        rows[-2:] = [slice(rows[-2].start, n)]
+    return rows
 
 
-def _deformation(gg: GridGeometry, data: VariationData):
-    """V at the nodes and the two pieces of the metric of the chart  Phi + s V.
+def _by_block(gg: GridGeometry, fn, *arrays) -> tuple[np.ndarray, ...]:
+    """``fn(pg, *array rows)`` on each node block of ``gg``, its node-last results
+    written into full-length arrays, so a sum over them runs in the unblocked order."""
+    out = None
+    for rows, pg in gg.blocks:
+        part = fn(pg, *(a[..., rows] for a in arrays))
+        if out is None:
+            out = tuple(np.empty(p.shape[:-1] + gg.area_weight.shape) for p in part)
+        for full, p in zip(out, part):
+            full[..., rows] = p
+    return out
+
+
+def _weighted_area_density(T: np.ndarray, values, g) -> np.ndarray:
+    """exp(<T, x>) sqrt(det g) at positions ``values`` (m, N) with metric ``g`` (d, d, N)."""
+    return np.exp(np.einsum("p,pn->n", T, values)) * np.sqrt(batch_det(g))
+
+
+def _deformation(pg: PointGeometry, theta: np.ndarray, dtheta: np.ndarray):
+    """The two pieces of the metric of the chart  Phi + s V  at pg's points.
 
     With tangents t and dV the derivative of V, the deformed tangents are
     t + s dV, so the metric is exactly  g(s) = g + s C + s^2 Q  with
-    C = t^T dV + (t^T dV)^T  and  Q = dV^T dV.  Returns ``(V, C, Q)``.
+    C = t^T dV + (t^T dV)^T  and  Q = dV^T dV.  Returns ``(C, Q)``.
     """
-    v_d1 = variation_field_jets(data.theta, data.dtheta, gg.pg)
-    t_dv = np.einsum("man,mbn->abn", gg.pg.tangents, v_d1)
+    v_d1 = variation_field_jets(theta, dtheta, pg)
+    t_dv = np.einsum("man,mbn->abn", pg.tangents, v_d1)
     quad = np.einsum("man,mbn->abn", v_d1, v_d1)
-    return data.v, t_dv + t_dv.swapaxes(0, 1), quad
-
-
-def _deformed_functional(gg: GridGeometry, deformation, s: float) -> float:
-    """Box-local F of the chart  Phi + s V, re-integrated from its metric g(s)."""
-    v_val, cross, quad = deformation
-    g = gg.pg.g + s * cross + (s * s) * quad
-    return _weighted_area(gg.grid, gg.pg.T, gg.pg.positions + s * v_val, g)
+    return t_dv + t_dv.swapaxes(0, 1), quad
 
 
 def require_soliton(gg: GridGeometry, tol: float) -> None:
@@ -150,12 +184,21 @@ class VariationData:
     defect: float            # max |partial_a theta_b - partial_b theta_a|
 
 
+def _node_data(pg: PointGeometry, theta, dtheta, ddtheta):
+    """One block's covariant data, |nabla theta|_g^2 and V, from the form's jets there."""
+    cov = covariant_calculus(theta, dtheta, ddtheta, pg)
+    nabla_sq = _metric_square(pg, cov.nabla)
+    return cov.nabla, cov.div, cov.laplacian, cov.div_grad, nabla_sq, normal_field_from_form(theta, pg)
+
+
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
-    """Form jets, covariant derivatives, |nabla theta|_g^2, V and the closedness defect, once."""
-    pg, fj = gg.pg, theta.eval_jets(gg.grid, order=2)
-    cov = covariant_calculus(fj.val, fj.d1, fj.d2, pg)
-    v = normal_field_from_form(fj.val, pg)
-    return VariationData(fj.val, fj.d1, cov, _metric_square(pg, cov.nabla), v, lagrangian_defect(fj.d1))
+    """Form jets, covariant derivatives, |nabla theta|_g^2, V and the closedness defect, once.
+
+    The form jets are one evaluation on the whole grid; the rest runs in node blocks.
+    """
+    fj = theta.eval_jets(gg.grid, order=2)
+    *cov, nabla_sq, v = _by_block(gg, _node_data, fj.val, fj.d1, fj.d2)
+    return VariationData(fj.val, fj.d1, CovariantData(*cov), nabla_sq, v, lagrangian_defect(fj.d1))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
@@ -179,28 +222,18 @@ def first_variation(gg: GridGeometry, data: VariationData) -> float:
     return gg.grid.integrate(integrand * gg.area_weight)
 
 
-def first_variation_fd(gg: GridGeometry, data: VariationData, step: float = 2e-3) -> float:
-    """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
-    deformation = _deformation(gg, data)
-
-    def central(h):
-        return (
-            _deformed_functional(gg, deformation, h) - _deformed_functional(gg, deformation, -h)
-        ) / (2 * h)
-
-    d1, d2 = central(step), central(step / 2)
-    return (4 * d2 - d1) / 3
-
-
 def variation_scale(gg: GridGeometry, data: VariationData) -> float:
     """Size of the variation:  int (|theta|_g^2 + |nabla theta|_g^2) w dmu.
 
     Used as the denominator of all relative agreement tolerances so that tiny
     fields cannot pass checks by accident.
     """
-    pg = gg.pg
-    sq_theta = np.einsum("an,an->n", _sharp(pg, data.theta), data.theta)
-    return gg.grid.integrate((sq_theta + data.nabla_sq) * gg.area_weight)
+
+    def density(pg, theta, nabla_sq, w):
+        return ((np.einsum("an,an->n", _sharp(pg, theta), theta) + nabla_sq) * w,)
+
+    (integrand,) = _by_block(gg, density, data.theta, data.nabla_sq, gg.area_weight)
+    return gg.grid.integrate(integrand)
 
 
 def second_variation_operator(
@@ -212,14 +245,17 @@ def second_variation_operator(
     the variation against itself through the full second fundamental form.
     """
     require_soliton(gg, soliton_tol)
-    pg = gg.pg
-    theta, cov = data.theta, data.cov
-    drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
-    pair = np.einsum("an,an->n", _sharp(pg, theta), cov.laplacian + drift)
-    v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
-    h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
-    curv = np.einsum("kln,kln->n", h_v, h_v)
-    return -gg.grid.integrate((pair + curv) * gg.area_weight)
+
+    def density(pg, theta, nabla, laplacian, w):
+        drift = np.einsum("cn,cbn->bn", pg.T_coord, nabla)
+        pair = np.einsum("an,an->n", _sharp(pg, theta), laplacian + drift)
+        v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
+        h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
+        return ((pair + np.einsum("kln,kln->n", h_v, h_v)) * w,)
+
+    cov = data.cov
+    (integrand,) = _by_block(gg, density, data.theta, cov.nabla, cov.laplacian, gg.area_weight)
+    return -gg.grid.integrate(integrand)
 
 
 def second_variation_divergence(
@@ -232,10 +268,13 @@ def second_variation_divergence(
     frame route used by the operator form.
     """
     require_soliton(gg, soliton_tol)
-    pg = gg.pg
-    h_v = np.einsum("mabn,mn->abn", pg.h_coord, data.v)
-    curv = _metric_square(pg, h_v)
-    return gg.grid.integrate((data.nabla_sq - curv) * gg.area_weight)
+
+    def density(pg, nabla_sq, v, w):
+        h_v = np.einsum("mabn,mn->abn", pg.h_coord, v)
+        return ((nabla_sq - _metric_square(pg, h_v)) * w,)
+
+    (integrand,) = _by_block(gg, density, data.nabla_sq, data.v, gg.area_weight)
+    return gg.grid.integrate(integrand)
 
 
 def second_variation_square(
@@ -273,21 +312,23 @@ def second_variation_fd_oracle(
     """Second difference of the box-local functional along Phi + s V.
 
     Richardson-extrapolated over the two given steps.  Valid only at critical
-    points, where the value depends on the variation field alone.
+    points, where the value depends on the variation field alone.  Each node
+    block forms its metric pieces C and Q and the weighted-area densities of
+    the four deformed charts; each density is integrated once, over the grid.
     """
     require_soliton(gg, soliton_tol)
-    deformation = _deformation(gg, data)
-    f0 = gg.functional_at_rest
-
-    def second_difference(h):
-        return (
-            _deformed_functional(gg, deformation, h)
-            - 2 * f0
-            + _deformed_functional(gg, deformation, -h)
-        ) / h**2
-
     h1, h2 = steps
-    d1, d2 = second_difference(h1), second_difference(h2)
+
+    def densities(pg, theta, dtheta, v):
+        cross, quad = _deformation(pg, theta, dtheta)
+        return tuple(
+            _weighted_area_density(pg.T, pg.positions + s * v, pg.g + s * cross + (s * s) * quad)
+            for s in (h1, -h1, h2, -h2)
+        )
+
+    f0 = gg.functional_at_rest
+    up1, down1, up2, down2 = map(gg.grid.integrate, _by_block(gg, densities, data.theta, data.dtheta, data.v))
+    d1, d2 = (up1 - 2 * f0 + down1) / h1**2, (up2 - 2 * f0 + down2) / h2**2
     r2 = (h1 / h2) ** 2
     value = (r2 * d2 - d1) / (r2 - 1)
     if instability_tol is not None and abs(value - d2) > instability_tol:
@@ -299,61 +340,6 @@ def second_variation_fd_oracle(
             steps,
         )
     return value
-
-
-@dataclass(frozen=True)
-class IntegrationByPartsReport:
-    """Both sides of the two integration-by-parts identities in the square-form proof.
-
-    ``divergence``: moving the gradient off the divergence scalar,
-    ``drift``: moving the derivative off the drift pairing (uses the
-    translator identity H_p = <T, nu_p> and the symmetry of nabla theta).
-    """
-
-    lhs_divergence: float
-    rhs_divergence: float
-    lhs_drift: float
-    rhs_drift: float
-
-    def max_mismatch(self) -> float:
-        return max(
-            abs(self.lhs_divergence - self.rhs_divergence),
-            abs(self.lhs_drift - self.rhs_drift),
-        )
-
-
-def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> IntegrationByPartsReport:
-    pg = gg.pg
-    theta, cov = data.theta, data.cov
-    w = gg.area_weight
-    theta_t = np.einsum("an,an->n", theta, pg.T_coord)
-    sharp = _sharp(pg, theta)
-    pair_grad_div = np.einsum("an,an->n", sharp, cov.div_grad)
-    lhs_div = -gg.grid.integrate(pair_grad_div * w)
-    rhs_div = gg.grid.integrate((cov.div**2 + cov.div * theta_t) * w)
-
-    drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
-    lhs_drift = -gg.grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
-    v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
-    h_v = np.einsum("ijn,jn->in", np.einsum("ijpn,pn->ijn", pg.h3, pg.H_frame), v_frame)
-    mean_curv_pair = np.einsum("in,in->n", h_v, v_frame)
-    rhs_drift = gg.grid.integrate((cov.div * theta_t + mean_curv_pair + theta_t**2) * w)
-    return IntegrationByPartsReport(lhs_div, rhs_div, lhs_drift, rhs_drift)
-
-
-# ---------------------------------------------------------------------------
-# scalar helpers (drift-divergence identity, flat-plane cross-checks)
-
-
-def scalar_laplacian(pg: PointGeometry, scalar_jet) -> np.ndarray:
-    """Laplace-Beltrami  g^{ab} (d_a d_b v - Gamma^l_ab d_l v)  of a scalar jet at pg's points."""
-    hess = scalar_jet.d2 - np.einsum("labn,ln->abn", pg.Gamma, scalar_jet.d1)
-    return np.einsum("abn,abn->n", pg.g_inv, hess)
-
-
-def scalar_gradient_pairing(pg: PointGeometry, a_jet, b_jet) -> np.ndarray:
-    """<grad a, grad b>_g at each point, from scalar jets at pg's points."""
-    return np.einsum("abn,an,bn->n", pg.g_inv, a_jet.d1, b_jet.d1)
 
 
 def default_grid_for_support(

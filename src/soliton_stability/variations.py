@@ -445,7 +445,7 @@ def variation_field_jets(theta: np.ndarray, dtheta: np.ndarray, pg: PointGeometr
     """
     dsharp = np.einsum("cban,an->bcn", pg.dg_inv, theta) + np.einsum("ban,acn->bcn", pg.g_inv, dtheta)
     d_amb = np.einsum("qbn,bcn->qcn", pg.tangents, dsharp)
-    del dsharp  # hold one (m, d, N) term at a time: this call sets the fd oracle's memory peak
+    del dsharp  # hold one (m, d, N) term at a time
     d_amb = np.einsum("qcbn,bn->qcn", pg.hessian, np.einsum("ban,an->bn", pg.g_inv, theta)) + d_amb
     return apply_J(d_amb)
 

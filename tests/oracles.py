@@ -6,12 +6,16 @@ one-form from frame components, the translator defect through the tangent
 frame, the box-local functional on a fresh grid, the geometry and covariant
 calculus with the node axis first, the LAPACK inverse, Cholesky frame and
 full-batch rank check of per-node metrics, a polynomial field monomial by
-monomial) or reads a structural property
+monomial, the deformed functional on the whole grid and its first variation
+by finite differences, both sides of the square-form proof's integrations by
+parts, the Laplace-Beltrami operator of a scalar) or reads a structural property
 off a result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from soliton_stability.charts import Chart, eval_jets
 from soliton_stability.errors import DomainError
 from soliton_stability.geometry import RANK_TOL, PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
-from soliton_stability.stability import _weighted_area
+from soliton_stability.stability import GridGeometry, VariationData, _deformation, _sharp, _weighted_area_density
 from soliton_stability.variations import OneFormField, ScalarField, _jet_arithmetic, _polynomial_coefficients
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ def functional_value(chart: Chart, T, box, cells: int = 40, points_per_cell: int
     grid = tensor_rule(box, cells, points_per_cell)
     jets = eval_jets(chart, grid.nodes, order=1)
     g = np.einsum("man,mbn->abn", jets.d1, jets.d1)
-    return _weighted_area(grid, T, jets.val, g)
+    return grid.integrate(_weighted_area_density(np.asarray(T, dtype=float), jets.val, g))
 
 
 def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
@@ -371,3 +375,80 @@ def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> On
 
     comp_x = ScalarField(v3.support, sec_scaled, name="v3/cos(x)")
     return OneFormField(np.asarray(v3.support, float), "generic", fields=(comp_x, v4))
+
+
+# ---------------------------------------------------------------------------
+# stability: finite differences, the proof's integration by parts, scalar helpers
+
+
+def frame_mean_curvature(pg: PointGeometry) -> np.ndarray:
+    """``<H, nu_p>``, shape (d, N): the mean curvature in the normal frame."""
+    return np.einsum("qpn,qn->pn", pg.nu, mean_curvature_vector(pg))
+
+
+def deformed_functional(gg: GridGeometry, data: VariationData, s: float) -> float:
+    """Box-local F of the chart  Phi + s V, from its metric g(s) on the whole grid at once."""
+    cross, quad = _deformation(gg.pg, data.theta, data.dtheta)
+    g = gg.pg.g + s * cross + (s * s) * quad
+    return gg.grid.integrate(_weighted_area_density(gg.pg.T, gg.pg.positions + s * data.v, g))
+
+
+def first_variation_fd(gg: GridGeometry, data: VariationData, step: float = 2e-3) -> float:
+    """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
+
+    def central(h):
+        return (deformed_functional(gg, data, h) - deformed_functional(gg, data, -h)) / (2 * h)
+
+    d1, d2 = central(step), central(step / 2)
+    return (4 * d2 - d1) / 3
+
+
+@dataclass(frozen=True)
+class IntegrationByPartsReport:
+    """Both sides of the two integration-by-parts identities in the square-form proof.
+
+    ``divergence``: moving the gradient off the divergence scalar,
+    ``drift``: moving the derivative off the drift pairing (uses the
+    translator identity H_p = <T, nu_p> and the symmetry of nabla theta).
+    """
+
+    lhs_divergence: float
+    rhs_divergence: float
+    lhs_drift: float
+    rhs_drift: float
+
+    def max_mismatch(self) -> float:
+        return max(
+            abs(self.lhs_divergence - self.rhs_divergence),
+            abs(self.lhs_drift - self.rhs_drift),
+        )
+
+
+def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> IntegrationByPartsReport:
+    pg = gg.pg
+    theta, cov = data.theta, data.cov
+    w = gg.area_weight
+    theta_t = np.einsum("an,an->n", theta, pg.T_coord)
+    sharp = _sharp(pg, theta)
+    pair_grad_div = np.einsum("an,an->n", sharp, cov.div_grad)
+    lhs_div = -gg.grid.integrate(pair_grad_div * w)
+    rhs_div = gg.grid.integrate((cov.div**2 + cov.div * theta_t) * w)
+
+    drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
+    lhs_drift = -gg.grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
+    v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
+    h_v = np.einsum("ijn,jn->in", np.einsum("ijpn,pn->ijn", pg.h3, frame_mean_curvature(pg)), v_frame)
+    mean_curv_pair = np.einsum("in,in->n", h_v, v_frame)
+    rhs_drift = gg.grid.integrate((cov.div * theta_t + mean_curv_pair + theta_t**2) * w)
+    return IntegrationByPartsReport(lhs_div, rhs_div, lhs_drift, rhs_drift)
+
+
+def scalar_laplacian(pg: PointGeometry, scalar_jet) -> np.ndarray:
+    """Laplace-Beltrami  g^{ab} (d_a d_b v - Gamma^l_ab d_l v)  of a scalar jet at pg's points."""
+    hess = scalar_jet.d2 - np.einsum("labn,ln->abn", pg.Gamma, scalar_jet.d1)
+    return np.einsum("abn,abn->n", pg.g_inv, hess)
+
+
+def scalar_gradient_pairing(pg: PointGeometry, a_jet, b_jet) -> np.ndarray:
+    """<grad a, grad b>_g at each point, from scalar jets at pg's points."""
+    return np.einsum("abn,an,bn->n", pg.g_inv, a_jet.d1, b_jet.d1)

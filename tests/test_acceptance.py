@@ -12,14 +12,10 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
+from oracles import first_variation_fd, integration_by_parts_report
 from soliton_stability.geometry import curvature_tensor
 from soliton_stability.reports import reports_to_json
-from soliton_stability.stability import (
-    default_grid_for_support,
-    first_variation_fd,
-    integration_by_parts_report,
-    prepare_variation,
-)
+from soliton_stability.stability import default_grid_for_support, prepare_variation
 from soliton_stability.variations import ricci_identity_residual
 from soliton_stability.wirtinger import closed_form_deviations
 

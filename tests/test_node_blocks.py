@@ -1,6 +1,7 @@
-"""Node blocks: the certificate, chart jets and jet-arithmetic fields give the
-same bits at every block size, keep a NaN, and hold memory to one block; and
-covariant calculus forms no rank-3 array per one-form."""
+"""Node blocks: the certificate, chart jets, jet-arithmetic fields and the
+per-variation passes give the same bits at every block size, keep a NaN, and
+hold memory to one block; and covariant calculus forms no rank-3 array per
+one-form."""
 
 import tracemalloc
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from soliton_stability import geometry, jets
+from soliton_stability import geometry, jets, stability
 from soliton_stability.charts import Chart
 from soliton_stability.cli import EXIT_FAIL, main
 from soliton_stability.errors import ImmersionError
@@ -18,6 +19,11 @@ EXPRESSION_GRIM_REAPER = {
     "name": "expression_grim_reaper",
     "domain": [[-1.47, 1.47], [-3.0, 3.0]],
     "components": ["-log(cos(x))", "x", "y", "0"],
+}
+GRIM_REAPER_X_LINE = {
+    "name": "grim_reaper_x_line",
+    "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
+    "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
 }
 
 
@@ -205,6 +211,59 @@ def test_chart_jet_memory_is_bounded(grim_reaper):
     assert overheads[1] - overheads[0] <= mask + slack, overheads
 
 
+# (chart, one-form, cells, points per cell): 15^2 = 225 and 6^3 = 216 nodes, neither a multiple of 7
+VARIATION_CASES = {
+    "grim_reaper": ("grim_reaper", ss.random_hamiltonian_variation, 3, 5),
+    "grim_reaper_x_line": (GRIM_REAPER_X_LINE, ss.random_hamiltonian_variation, 2, 3),
+    "non_closed": ("grim_reaper", ss.random_generic_variation, 3, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(VARIATION_CASES))
+def test_variation_reports_are_block_invariant(monkeypatch, case):
+    spec, make_form, cells, points = VARIATION_CASES[case]
+    chart = ss.chart_from_config(spec)
+    d = chart.domain.shape[0]
+    support = ss.default_support_box(chart.domain)
+    grid = ss.tensor_rule(support, cells=cells, points_per_cell=points)
+    assert grid.nodes.shape[0] % 7
+    theta = make_form(support, seed=3)
+    reports = {}
+    for size in (10**9, 1, 7):
+        monkeypatch.setattr(stability, "VARIATION_BLOCK", size)
+        gg = ss.grid_geometry(chart, np.eye(2 * d)[0], grid)
+        # the blocks cover the nodes in order, and none has one node (size 1 runs as 2)
+        edges = [(rows.start, rows.stop) for rows, _ in gg.blocks]
+        assert [a for a, _ in edges[1:]] == [b for _, b in edges[:-1]]
+        assert (edges[0][0], edges[-1][1]) == (0, grid.nodes.shape[0])
+        assert min(b - a for a, b in edges) >= 2
+        assert max(b - a for a, b in edges) <= max(size, 2) + 1
+        reports[size] = ss.evaluate_variation(gg, theta, seed=3).to_dict()
+    assert reports[1] == reports[10**9]
+    assert reports[7] == reports[10**9]
+    if case == "non_closed":
+        assert reports[7]["lagrangian_defect"] > 0.1
+
+
+@pytest.mark.parametrize("spec", ["grim_reaper", GRIM_REAPER_X_LINE], ids=["d2", "d3"])
+def test_block_geometry_matches_the_full_grid(spec):
+    chart = ss.chart_from_config(spec)
+    d = chart.domain.shape[0]
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=3 if d == 3 else 5)
+    lazy = ("K", "P", "Q", "dg_inv", "T_coord", "h3", "frame_coeff", "nu")
+    for size in (1, 7):
+        pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)  # forms dg_inv only
+        parts = [(rows, pg.take(rows)) for rows in jets.node_blocks(grid.nodes.shape[0], size)]
+        for name in lazy:
+            for rows, part in parts:
+                assert np.array_equal(getattr(part, name), getattr(pg, name)[..., rows]), (size, name)
+    # once formed on the whole batch, a property reaches a new part as a view
+    rows = slice(3, 10)
+    part = pg.take(rows)
+    assert all(np.shares_memory(getattr(part, name), getattr(pg, name)) for name in lazy)
+    assert np.array_equal(part.points, pg.points[rows]) and part.T is pg.T
+
+
 def test_covariant_calculus_memory_is_bounded():
     """At d = 3, one call stays below the d^3-per-node pair ``dnabla`` and ``second``.
 
@@ -227,3 +286,22 @@ def test_covariant_calculus_memory_is_bounded():
     _, peak = traced_peak(ss.covariant_calculus, fj.val, fj.d1, fj.d2, pg)
     rank3_pair = 2 * 3**3 * grid.nodes.shape[0] * 8
     assert peak < rank3_pair, (peak, rank3_pair)
+
+
+def test_fd_oracle_memory_is_bounded(monkeypatch, grim_reaper, T, gr_support):
+    """Beyond its inputs, the fd oracle holds its four step densities and one block.
+
+    That is ``4 N + 64 VARIATION_BLOCK`` floats; the oracle formed on the
+    whole grid at once peaked at 20 floats per node.
+    """
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 512)
+    grid = ss.tensor_rule(gr_support, cells=20, points_per_cell=8)
+    gg = ss.grid_geometry(grim_reaper, T, grid)
+    n = grid.nodes.shape[0]
+    assert len(gg.blocks) >= 8 and n == 25_600
+    data = ss.prepare_variation(gg, ss.random_hamiltonian_variation(gr_support, seed=2))
+    warm = ss.second_variation_fd_oracle(gg, data)
+    value, peak = traced_peak(ss.second_variation_fd_oracle, gg, data)
+    assert value == warm
+    bound = (4 * n + 64 * 512) * 8
+    assert peak < bound, (peak / (8 * n), bound)

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import functional_value
-from soliton_stability.errors import NotASolitonError
-from soliton_stability.geometry import batch_det
-from soliton_stability.stability import (
-    _deformation,
-    _deformed_functional,
-    default_grid_for_support,
+from oracles import (
+    deformed_functional,
     first_variation_fd,
+    functional_value,
     integration_by_parts_report,
-    prepare_variation,
     scalar_gradient_pairing,
     scalar_laplacian,
 )
+from soliton_stability.errors import NotASolitonError
+from soliton_stability.geometry import batch_det
+from soliton_stability.stability import default_grid_for_support, prepare_variation
 
 
 def zero_form(support):
@@ -249,12 +247,11 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T)
     grid = ss.tensor_rule(ss.default_support_box(perturbed.domain), cells=10, points_per_cell=6)
     for gg in (gr_geometry_small, ss.grid_geometry(perturbed, T, grid)):
         data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=4))
-        deformation = _deformation(gg, data)
         # bit for bit: at s = 0 the deformed metric is point_geometry's, and
         # both sides use the same weight and the same determinant.  Pointwise
         # last-bit differences of two determinants can cancel in the quadrature
         # sum, so the shared determinant is also checked node by node.
-        assert _deformed_functional(gg, deformation, 0.0) == gg.functional_at_rest
+        assert deformed_functional(gg, data, 0.0) == gg.functional_at_rest
         assert np.array_equal(gg.pg.sqrt_det_g, np.sqrt(batch_det(gg.pg.g)))
         # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
         v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
@@ -263,4 +260,4 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T)
             g = np.einsum("man,mbn->nab", tang, tang)
             weight = np.exp(gg.pg.T @ (gg.pg.positions + s * v_val))
             direct = gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
-            assert abs(_deformed_functional(gg, deformation, s) - direct) <= 1e-14 * abs(direct)
+            assert abs(deformed_functional(gg, data, s) - direct) <= 1e-14 * abs(direct)
