@@ -33,7 +33,6 @@ from .errors import (
 from .geometry import (
     DiagnosticsReport,
     PointGeometry,
-    curvature_tensor,
     kaehler_pullback,
     mean_curvature_vector,
     point_geometry,

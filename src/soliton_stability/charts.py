@@ -90,7 +90,10 @@ def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
             f"chart {chart.name!r} returned {out.val.shape[0]} components, expected {chart.ambient_dim}"
         )
     if not out.is_finite():
-        raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data")
+        arrays = [a for a in (out.val, out.d1, out.d2, out.d3) if a is not None]
+        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in arrays], axis=0)
+        bad = pts[np.flatnonzero(~finite)[0]].tolist()
+        raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data at point {bad}")
     return out
 
 

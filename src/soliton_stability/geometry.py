@@ -13,8 +13,8 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``ddg[e, c, a, b, n]``   partial_e partial_c g_ab
 * ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g
 * ``Gamma_partial[e, k, a, b, n]``  partial_e Gamma^k_ab
-* ``K[l, n]``, ``P[l, c, n]``, ``Q[e, l, n]``  the traces g^ab Gamma^l_ab,
-  g^ab d_a Gamma^l_bc and g^ab d_e Gamma^l_ab (P and Q need order-3 jets)
+* ``K[l, n]``, ``P[l, c, n]``  the traces g^ab Gamma^l_ab and
+  g^ab d_a Gamma^l_bc (P needs order-3 jets)
 * ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
   (the normal projection of partial^2 Phi via the Gauss formula)
 * ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
@@ -25,15 +25,14 @@ order, e_i = (L^-1)_ia d_a Phi with g = L L^T, so it is deterministic; L, L^-1
 and the adjugate inverse of g are closed forms over node rows.  The one
 normal frame, ``nu_i = J e_i``, exists only on Lagrangian charts, where J maps
 the tangent space onto the normal space; reading ``nu`` on any other chart
-raises UnsupportedChartError.  The translator defect, the mean curvature
-vector and the Gauss side of the curvature use ambient normal components, so
-they hold on every chart.  Frames are formed on first use, and every reported
-scalar is gauge invariant.
+raises UnsupportedChartError.  The translator defect and the mean curvature
+vector use ambient normal components, so they hold on every chart.  Frames
+are formed on first use, and every reported scalar is gauge invariant.
 
 Christoffel symbols and their derivatives are assembled intrinsically from
-metric derivatives, not from ambient projections, so the curvature tensor
-computed from them is genuinely independent of the second-fundamental-form
-route used by the Gauss-equation cross-check.
+metric derivatives, not from ambient projections, so a curvature tensor built
+from them is independent of the second fundamental form; the tests check the
+two against each other through the Gauss equation.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from .charts import Chart, apply_J, eval_jets
 from .errors import EvaluationError, ImmersionError, UnsupportedChartError
-from .jets import Jet, node_blocks
+from .jets import node_blocks
 
 __all__ = [
     "PointGeometry",
@@ -60,7 +59,6 @@ __all__ = [
     "mean_curvature_vector",
     "translator_defect",
     "soliton_residual",
-    "curvature_tensor",
     "kaehler_pullback",
 ]
 
@@ -126,10 +124,6 @@ class PointGeometry:
     @cached_property
     def P(self) -> np.ndarray:  # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]
         return np.einsum("abn,albcn->lcn", self.g_inv, self.Gamma_partial)
-
-    @cached_property
-    def Q(self) -> np.ndarray:  # (d, d, N) Q_e^l = g^ab d_e Gamma^l_ab, at [e, l]
-        return np.einsum("abn,elabn->eln", self.g_inv, self.Gamma_partial)
 
     @cached_property
     def T_coord(self) -> np.ndarray:  # (d, N) coordinate components of tangential T
@@ -221,26 +215,19 @@ def kaehler_pullback(tangents: np.ndarray) -> np.ndarray:
     return np.einsum("pan,pbn->abn", apply_J(tangents), tangents)
 
 
-def point_geometry(chart: Chart, T, points, jets: Jet | None = None) -> PointGeometry:
+def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     """Compute all pointwise geometric quantities at a batch of points.
 
-    ``T`` is the translation direction, of length ``chart.ambient_dim``.  Pass
-    ``jets`` to reuse a chart evaluation at ``points``; order-3 jets retain the
-    Christoffel derivatives needed by curvature and rough Laplacians, order-2
-    jets leave ``Gamma_partial`` as None.  Without ``jets`` they are evaluated
-    here at order 3, and their third derivatives are freed once read.
+    ``T`` is the translation direction, of length ``chart.ambient_dim``.  The
+    chart's jets are evaluated here at ``order``: order 3 gives the Christoffel
+    derivatives that rough Laplacians read, and its third derivatives are freed
+    once read; order 2 leaves ``Gamma_partial`` as None.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (chart.ambient_dim,):
         raise ValueError(f"T has shape {T.shape}, chart {chart.name!r} needs ({chart.ambient_dim},)")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if jets is None:
-        jets = eval_jets(chart, pts, order=3)
-    elif not jets.is_finite():
-        arrays = [a for a in (jets.val, jets.d1, jets.d2, jets.d3) if a is not None]
-        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in arrays], axis=0)
-        bad = pts[np.flatnonzero(~finite)[0]].tolist()
-        raise EvaluationError(f"jets given for chart {chart.name!r} are not finite at point {bad}")
+    jets = eval_jets(chart, pts, order=order)
     x, t, d2, d3 = jets.val, jets.d1, jets.d2, jets.d3
     del jets
 
@@ -323,7 +310,7 @@ def soliton_residual(chart: Chart, T, grid) -> DiagnosticsReport:
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     resid, defect = [], []
     for rows in node_blocks(pts.shape[0]):
-        pg = point_geometry(chart, T, pts[rows], jets=eval_jets(chart, pts[rows], order=2))
+        pg = point_geometry(chart, T, pts[rows], order=2)
         resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=0)))
         defect.append(np.max(np.abs(kaehler_pullback(pg.tangents))))
     return DiagnosticsReport(
@@ -332,47 +319,3 @@ def soliton_residual(chart: Chart, T, grid) -> DiagnosticsReport:
         max_soliton_residual=float(np.max(resid)),
         max_lagrangian_defect=float(np.max(defect)),
     )
-
-
-def curvature_tensor(pg: PointGeometry):
-    """Riemann tensor by two routes plus the Ricci tensor, all frame-valued.
-
-    Returns ``(riem_intrinsic, riem_gauss, ricci)`` where
-
-    * ``riem_intrinsic`` comes from Christoffel symbols and their derivatives
-      (metric data only),
-    * ``riem_gauss`` is assembled from the ambient second fundamental form
-      h_ij = h(e_i, e_j) via the Gauss equation
-      R_ijkl = <h_ik, h_jl> - <h_il, h_jk>,
-    * ``ricci`` is its trace  R_ik = <H, h_ik> - <h_ji, h_jk>.
-
-    The Gauss side pairs ambient normal vectors, so it needs no normal frame
-    and holds on every chart.
-
-    Index convention: ``R[i,j,k,l,n] = <R(e_i, e_j) e_l, e_k>`` with
-    ``R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]``, which makes
-    the sphere direction positive and matches the Gauss form above; the
-    node axis is last, as everywhere.  ``pg`` must come from order-3 chart jets.
-    """
-    if pg.Gamma_partial is None:
-        raise ValueError("curvature needs order-3 jets (Gamma_partial missing)")
-    G, dG = pg.Gamma, pg.Gamma_partial
-    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    r_up = (
-        np.einsum("iljkn->lijkn", dG)
-        - np.einsum("jlikn->lijkn", dG)
-        + np.einsum("limn,mjkn->lijkn", G, G)
-        - np.einsum("ljmn,mikn->lijkn", G, G)
-    )
-    r_coord = np.einsum("kmn,mijln->ijkln", pg.g, r_up)
-    A = pg.frame_coeff
-    riem_intrinsic = r_coord
-    for _ in range(4):  # one frame index per pass, first to last: (a, b, c, d) -> (i, j, k, l)
-        riem_intrinsic = np.einsum("ain,a...n->...in", A, riem_intrinsic)
-    h = np.einsum("bjn,qabn->qajn", A, pg.h_coord)
-    h = np.einsum("ain,qajn->ijqn", A, h)
-    riem_gauss = np.einsum("ikqn,jlqn->ijkln", h, h) - np.einsum("ilqn,jkqn->ijkln", h, h)
-    ricci = np.einsum("qn,ikqn->ikn", mean_curvature_vector(pg), h) - np.einsum(
-        "jiqn,jkqn->ikn", h, h
-    )
-    return riem_intrinsic, riem_gauss, ricci

@@ -188,7 +188,7 @@ def _node_data(pg: PointGeometry, theta, dtheta, ddtheta):
     """One block's covariant data, |nabla theta|_g^2 and V, from the form's jets there."""
     cov = covariant_calculus(theta, dtheta, ddtheta, pg)
     nabla_sq = _metric_square(pg, cov.nabla)
-    return cov.nabla, cov.div, cov.laplacian, cov.div_grad, nabla_sq, normal_field_from_form(theta, pg)
+    return cov.nabla, cov.div, cov.laplacian, nabla_sq, normal_field_from_form(theta, pg)
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
@@ -307,7 +307,6 @@ def second_variation_fd_oracle(
     data: VariationData,
     steps: tuple[float, float] = DEFAULT_FD_STEPS,
     soliton_tol: float = DEFAULT_SOLITON_TOL,
-    instability_tol: float | None = None,
 ) -> float:
     """Second difference of the box-local functional along Phi + s V.
 
@@ -330,16 +329,7 @@ def second_variation_fd_oracle(
     up1, down1, up2, down2 = map(gg.grid.integrate, _by_block(gg, densities, data.theta, data.dtheta, data.v))
     d1, d2 = (up1 - 2 * f0 + down1) / h1**2, (up2 - 2 * f0 + down2) / h2**2
     r2 = (h1 / h2) ** 2
-    value = (r2 * d2 - d1) / (r2 - 1)
-    if instability_tol is not None and abs(value - d2) > instability_tol:
-        log.warning(
-            "fd oracle extrapolation levels disagree by %.3e (> %.3e); "
-            "step sizes %s may be unreliable",
-            abs(value - d2),
-            instability_tol,
-            steps,
-        )
-    return value
+    return (r2 * d2 - d1) / (r2 - 1)
 
 
 def default_grid_for_support(

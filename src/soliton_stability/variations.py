@@ -43,7 +43,6 @@ __all__ = [
     "random_generic_variation",
     "lagrangian_defect",
     "covariant_calculus",
-    "ricci_identity_residual",
     "normal_field_from_form",
     "variation_field_jets",
     "default_support_box",
@@ -354,13 +353,11 @@ class CovariantData:
     * ``nabla[a, b, n] = (nabla_a theta)_b``
     * ``div[n] = g^{ab} nabla_a theta_b``  (divergence of theta^sharp)
     * ``laplacian[c, n]`` rough (connection) Laplacian of theta
-    * ``div_grad[a, n] = partial_a div`` (gradient of the scalar divergence)
     """
 
     nabla: np.ndarray
     div: np.ndarray
     laplacian: np.ndarray
-    div_grad: np.ndarray
 
 
 def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantData:
@@ -368,12 +365,11 @@ def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantDa
 
     The form enters node-last: ``theta[a, n]``, ``dtheta[a, c, n] = d_c theta_a``
     and ``ddtheta[a, c, e, n] = d_c d_e theta_a`` (d = partial).  The traces
-    contract those jets against pg's K, P and Q, so no rank-3 array is formed
+    contract those jets against pg's K and P, so no rank-3 array is formed
     per form:
 
         lap_c = g^ab d_a d_b theta_c - P^l_c theta_l
                 - Gamma^l_bc g^ab (d_a theta_l + (nabla_a theta)_l) - K^l (nabla_l theta)_c
-        d_e div = d_e g^ab (nabla_a theta)_b + g^ab d_e d_a theta_b - Q_e^l theta_l - K^l d_e theta_l
     """
     if pg.Gamma_partial is None:
         raise ValueError("covariant calculus needs order-3 chart jets")
@@ -383,27 +379,7 @@ def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantDa
     raised = np.einsum("abn,aln->bln", g_inv, np.einsum("lan->aln", dtheta) + nabla)
     lap = np.einsum("abn,cabn->cn", g_inv, ddtheta) - np.einsum("lcn,ln->cn", pg.P, theta)
     lap = lap - np.einsum("lbcn,bln->cn", G, raised) - np.einsum("ln,lcn->cn", pg.K, nabla)
-    div_grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,baen->en", g_inv, ddtheta)
-    div_grad = div_grad - np.einsum("eln,ln->en", pg.Q, theta) - np.einsum("ln,len->en", pg.K, dtheta)
-    return CovariantData(nabla=nabla, div=div, laplacian=lap, div_grad=div_grad)
-
-
-def ricci_identity_residual(theta, cov: CovariantData, pg: PointGeometry, ricci: np.ndarray) -> float:
-    """Pointwise residual of the commutation identity used by the square form.
-
-    For closed theta, trace-commuting second covariant derivatives gives
-    ``(rough Laplacian theta)_i = partial_i(div) + Ric_ik theta^k`` in an
-    orthonormal frame; the residual measures all three terms computed by
-    independent code paths (jet calculus for the left side and the gradient,
-    the Gauss equation for the Ricci term).  ``theta`` (d, N) and ``cov``
-    (from :func:`covariant_calculus`) are at pg's points.
-    """
-    A = pg.frame_coeff
-    v_frame = np.einsum("ain,an->in", A, theta)
-    lap_frame = np.einsum("ain,an->in", A, cov.laplacian)
-    grad_div_frame = np.einsum("ain,an->in", A, cov.div_grad)
-    resid = lap_frame - grad_div_frame - np.einsum("ikn,kn->in", ricci, v_frame)
-    return float(np.max(np.abs(resid)))
+    return CovariantData(nabla=nabla, div=div, laplacian=lap)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
     """
     require_cylinder_dims(chart.dim, chart.ambient_dim)
     pts = uniform_grid(chart, n)
-    pg = point_geometry(chart, T, pts)
+    pg = point_geometry(chart, T, pts, order=2)
     x = pts[:, 0]
     sec = 1.0 / np.cos(x)
 

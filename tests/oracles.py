@@ -8,8 +8,10 @@ calculus with the node axis first, the LAPACK inverse, Cholesky frame and
 full-batch rank check of per-node metrics, a polynomial field monomial by
 monomial, the deformed functional on the whole grid and its first variation
 by finite differences, both sides of the square-form proof's integrations by
-parts, the Laplace-Beltrami operator of a scalar) or reads a structural property
-off a result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
+parts, the Laplace-Beltrami operator of a scalar) or checks a proof step (the
+Riemann tensor intrinsically and by the Gauss equation, the Ricci identity
+through the gradient of the divergence) or reads a structural property off a
+result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
@@ -25,7 +27,13 @@ from soliton_stability.errors import DomainError
 from soliton_stability.geometry import RANK_TOL, PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
 from soliton_stability.stability import GridGeometry, VariationData, _deformation, _sharp, _weighted_area_density
-from soliton_stability.variations import OneFormField, ScalarField, _jet_arithmetic, _polynomial_coefficients
+from soliton_stability.variations import (
+    OneFormField,
+    ScalarField,
+    _jet_arithmetic,
+    _polynomial_coefficients,
+    covariant_calculus,
+)
 
 # ---------------------------------------------------------------------------
 # jets
@@ -229,6 +237,86 @@ def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# proof steps: curvature by two routes and the Ricci identity
+
+
+def curvature_tensor(pg: PointGeometry):
+    """Riemann tensor by two routes plus the Ricci tensor, all frame-valued.
+
+    Returns ``(riem_intrinsic, riem_gauss, ricci)`` where
+
+    * ``riem_intrinsic`` comes from Christoffel symbols and their derivatives
+      (metric data only),
+    * ``riem_gauss`` is assembled from the ambient second fundamental form
+      h_ij = h(e_i, e_j) via the Gauss equation
+      R_ijkl = <h_ik, h_jl> - <h_il, h_jk>,
+    * ``ricci`` is its trace  R_ik = <H, h_ik> - <h_ji, h_jk>.
+
+    The Gauss side pairs ambient normal vectors, so it needs no normal frame
+    and holds on every chart.
+
+    Index convention: ``R[i,j,k,l,n] = <R(e_i, e_j) e_l, e_k>`` with
+    ``R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]``, which makes
+    the sphere direction positive and matches the Gauss form above; the
+    node axis is last, as everywhere.  ``pg`` must come from order-3 chart jets.
+    """
+    if pg.Gamma_partial is None:
+        raise ValueError("curvature needs order-3 jets (Gamma_partial missing)")
+    G, dG = pg.Gamma, pg.Gamma_partial
+    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+    r_up = (
+        np.einsum("iljkn->lijkn", dG)
+        - np.einsum("jlikn->lijkn", dG)
+        + np.einsum("limn,mjkn->lijkn", G, G)
+        - np.einsum("ljmn,mikn->lijkn", G, G)
+    )
+    r_coord = np.einsum("kmn,mijln->ijkln", pg.g, r_up)
+    A = pg.frame_coeff
+    riem_intrinsic = r_coord
+    for _ in range(4):  # one frame index per pass, first to last: (a, b, c, d) -> (i, j, k, l)
+        riem_intrinsic = np.einsum("ain,a...n->...in", A, riem_intrinsic)
+    h = np.einsum("bjn,qabn->qajn", A, pg.h_coord)
+    h = np.einsum("ain,qajn->ijqn", A, h)
+    riem_gauss = np.einsum("ikqn,jlqn->ijkln", h, h) - np.einsum("ilqn,jkqn->ijkln", h, h)
+    ricci = np.einsum("qn,ikqn->ikn", mean_curvature_vector(pg), h) - np.einsum(
+        "jiqn,jkqn->ikn", h, h
+    )
+    return riem_intrinsic, riem_gauss, ricci
+
+
+def div_grad(fj: J.Jet, pg: PointGeometry) -> np.ndarray:
+    """``partial_e div theta^sharp``, shape (d, N), from order-2 form jets at pg's points.
+
+    With ``Q_e^l = g^ab partial_e Gamma^l_ab`` and pg's ``K^l = g^ab Gamma^l_ab``,
+
+        d_e div = d_e g^ab (nabla_a theta)_b + g^ab d_e d_a theta_b - Q_e^l theta_l - K^l d_e theta_l
+    """
+    theta, dtheta, ddtheta = fj.val, fj.d1, fj.d2
+    nabla = covariant_calculus(theta, dtheta, ddtheta, pg).nabla
+    Q = np.einsum("abn,elabn->eln", pg.g_inv, pg.Gamma_partial)
+    grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,baen->en", pg.g_inv, ddtheta)
+    return grad - np.einsum("eln,ln->en", Q, theta) - np.einsum("ln,len->en", pg.K, dtheta)
+
+
+def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> float:
+    """Pointwise residual of the commutation identity used by the square form.
+
+    For closed theta, trace-commuting second covariant derivatives gives
+    ``(rough Laplacian theta)_i = partial_i(div) + Ric_ik theta^k`` in an
+    orthonormal frame; the residual measures all three terms computed by
+    independent code paths (jet calculus for the left side and the gradient,
+    the Gauss equation for the Ricci term).  ``fj`` holds the form's order-2
+    jets at pg's points and ``ricci`` is :func:`curvature_tensor`'s.
+    """
+    A = pg.frame_coeff
+    v_frame = np.einsum("ain,an->in", A, fj.val)
+    lap_frame = np.einsum("ain,an->in", A, covariant_calculus(fj.val, fj.d1, fj.d2, pg).laplacian)
+    grad_div_frame = np.einsum("ain,an->in", A, div_grad(fj, pg))
+    resid = lap_frame - grad_div_frame - np.einsum("ikn,kn->in", ricci, v_frame)
+    return float(np.max(np.abs(resid)))
+
+
+# ---------------------------------------------------------------------------
 # LAPACK references for per-node metrics ``g[a, b, n]``
 
 
@@ -424,13 +512,14 @@ class IntegrationByPartsReport:
         )
 
 
-def integration_by_parts_report(gg: GridGeometry, data: VariationData) -> IntegrationByPartsReport:
+def integration_by_parts_report(gg: GridGeometry, fj: J.Jet) -> IntegrationByPartsReport:
+    """Both sides of each identity for the form whose order-2 jets at gg's nodes are ``fj``."""
     pg = gg.pg
-    theta, cov = data.theta, data.cov
+    theta, cov = fj.val, covariant_calculus(fj.val, fj.d1, fj.d2, pg)
     w = gg.area_weight
     theta_t = np.einsum("an,an->n", theta, pg.T_coord)
     sharp = _sharp(pg, theta)
-    pair_grad_div = np.einsum("an,an->n", sharp, cov.div_grad)
+    pair_grad_div = np.einsum("an,an->n", sharp, div_grad(fj, pg))
     lhs_div = -gg.grid.integrate(pair_grad_div * w)
     rhs_div = gg.grid.integrate((cov.div**2 + cov.div * theta_t) * w)
 

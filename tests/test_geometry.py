@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soliton_stability as ss
+import soliton_stability.jets as J
 from oracles import (
+    curvature_tensor,
     frame_mean_curvature,
     frame_translator_defect,
     full_rank_message,
@@ -90,8 +92,7 @@ GRIM_REAPER_X_LINE = {
 def test_frame_equals_lapack_bits_on_suite_grids(chart, cells, points_per_cell):
     # the default second-variation grid and the 3-d benchmark grid, each on its default support
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells, points_per_cell)
-    jets = ss.eval_jets(chart, grid.nodes, order=2)
-    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], grid.nodes, jets=jets)
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], grid.nodes, order=2)
     assert np.array_equal(pg.frame_coeff, lapack_frame(pg.g))
 
 
@@ -317,7 +318,7 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
     # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
     for chart in (grim_reaper, flat_plane, perturbed, ss.non_lagrangian_patch()):
         grid = ss.uniform_grid(chart, 12)
-        r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, T, grid))
+        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, grid))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
         assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
@@ -325,7 +326,7 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
 
 def test_cylinder_is_intrinsically_flat(grim_reaper, T):
     grid = ss.uniform_grid(grim_reaper, 10)
-    r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(grim_reaper, T, grid))
+    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(grim_reaper, T, grid))
     assert np.max(np.abs(r_int)) < 1e-12
     assert np.max(np.abs(ric)) < 1e-12
 
@@ -340,7 +341,7 @@ def test_curved_graph_sign_convention(T):
         }
     )
     pts = np.array([[1e-8, 1e-8]])
-    r_int, r_gauss, ric = ss.curvature_tensor(ss.point_geometry(chart, T, pts))
+    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts))
     assert np.isclose(r_int[0, 1, 0, 1, 0], 1.0, atol=1e-6)
     assert np.allclose(ric[..., 0], np.eye(2), atol=1e-6)
     assert np.max(np.abs(r_int - r_gauss)) < 1e-8
@@ -382,18 +383,30 @@ def test_wrong_length_T_raises(grim_reaper):
         ss.point_geometry(grim_reaper, [1.0, 0.0, 0.0], np.array([[0.1, 0.1]]))
 
 
+# at x = 0.2 each term first fails at its slot's level: log(0.1 - x) is NaN,
+# sqrt(0.2 - x) is 0 with an infinite slope, (0.2 - x)**1.5 has an infinite d2
+NON_FINITE_FROM = {"val": "log(0.1 - x)", "d1": "sqrt(0.2 - x)", "d2": "(0.2 - x)**1.5"}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("slot", ["val", "d1", "d2"])
+@pytest.mark.parametrize("slot", list(NON_FINITE_FROM))
 def test_non_finite_given_jets_raise_naming_the_point(d, slot):
-    """Unchecked, a NaN tangent would give NaN geometry at d = 2 and numpy's LinAlgError at d = 3."""
+    """The chart evaluation names the first point whose jets are not finite, at whichever
+    level they stop being finite; unchecked, a NaN tangent would give NaN geometry at
+    d = 2 and numpy's LinAlgError at d = 3."""
     components = [c for v in variable_names(d) for c in (f"sin({v})", f"{v}*{v}")]
+    components[0] = f"sin(x) + {NON_FINITE_FROM[slot]}"
     chart = ss.chart_from_config({"domain": [[-1.0, 1.0]] * d, "components": components})
     pts = np.linspace(-0.5, 0.5, 5 * d).reshape(5, d)
-    jets = ss.eval_jets(chart, pts, order=2)
-    getattr(jets, slot)[(0,) * (getattr(jets, slot).ndim - 1) + (3,)] = np.nan
-    message = f"jets given for chart 'expression_chart' are not finite at point {pts[3].tolist()}"
+    pts[:, 0] = [-0.4, -0.2, 0.0, 0.2, 0.4]  # points 0-2 are finite, points 3 and 4 are not
+    message = f"chart 'expression_chart' produced non-finite jet data at point {pts[3].tolist()}"
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
-        ss.point_geometry(chart, np.eye(2 * d)[0], pts, jets=jets)
+        ss.point_geometry(chart, np.eye(2 * d)[0], pts, order=2)
+    raw = J.evaluate(chart.map_jets, pts[3:4], 2)  # unchecked
+    levels = ["val", "d1", "d2"]
+    finite = [bool(np.isfinite(getattr(raw, name)).all()) for name in levels]
+    k = levels.index(slot)
+    assert finite[: k + 1] == [True] * k + [False]
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_CHARTS))

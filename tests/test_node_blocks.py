@@ -29,7 +29,7 @@ GRIM_REAPER_X_LINE = {
 
 def unblocked_residual(chart, T, pts):
     """The certificate as one batch, the reference every block size must match."""
-    pg = ss.point_geometry(chart, T, pts, jets=ss.eval_jets(chart, pts, order=2))
+    pg = ss.point_geometry(chart, T, pts, order=2)
     resid = np.linalg.norm(translator_defect(pg), axis=0)
     defect = np.max(np.abs(kaehler_pullback(pg.tangents)), axis=(0, 1))
     return ss.DiagnosticsReport(
@@ -57,6 +57,23 @@ def test_soliton_residual_is_block_invariant(monkeypatch, T, spec):
         monkeypatch.setattr(jets, "NODE_BLOCK", size)
         report = ss.soliton_residual(chart, T, pts)
         assert report.to_dict() == expected.to_dict(), size
+
+
+def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
+    """The chart evaluation is the one finiteness check: point_geometry takes no jets to re-check."""
+    pts = ss.uniform_grid(grim_reaper, 9)
+    monkeypatch.setattr(jets, "NODE_BLOCK", 10)
+    checked = []
+    is_finite = jets.Jet.is_finite
+
+    def counted(jet):
+        checked.append(jet.val.shape[-1])
+        return is_finite(jet)
+
+    monkeypatch.setattr(jets.Jet, "is_finite", counted)
+    ss.soliton_residual(grim_reaper, T, pts)
+    assert checked == [rows.stop - rows.start for rows in jets.node_blocks(pts.shape[0])]
+    assert len(checked) == 9
 
 
 def test_jet_arithmetic_fields_are_block_invariant(monkeypatch):
@@ -250,7 +267,7 @@ def test_block_geometry_matches_the_full_grid(spec):
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=3 if d == 3 else 5)
-    lazy = ("K", "P", "Q", "dg_inv", "T_coord", "h3", "frame_coeff", "nu")
+    lazy = ("K", "P", "dg_inv", "T_coord", "h3", "frame_coeff", "nu")
     for size in (1, 7):
         pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)  # forms dg_inv only
         parts = [(rows, pg.take(rows)) for rows in jets.node_blocks(grid.nodes.shape[0], size)]
@@ -281,7 +298,7 @@ def test_covariant_calculus_memory_is_bounded():
     grid = ss.tensor_rule(support, cells=4, points_per_cell=5)
     pg = ss.point_geometry(chart, np.eye(6)[0], grid.nodes)
     fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
-    for trace in (pg.dg_inv, pg.K, pg.P, pg.Q):  # formed once per geometry, not per form
+    for trace in (pg.dg_inv, pg.K, pg.P):  # formed once per geometry, not per form
         assert trace.shape[-1] == grid.nodes.shape[0]
     _, peak = traced_peak(ss.covariant_calculus, fj.val, fj.d1, fj.d2, pg)
     rank3_pair = 2 * 3**3 * grid.nodes.shape[0] * 8

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import frame_covariant_matrix, one_form_pullback, reference_polynomial_field
+from oracles import (
+    curvature_tensor,
+    div_grad,
+    frame_covariant_matrix,
+    one_form_pullback,
+    reference_polynomial_field,
+    ricci_identity_residual,
+)
 import soliton_stability.jets as J
 from soliton_stability.errors import ConfigurationError, DomainError, UnsupportedChartError
-from soliton_stability.geometry import curvature_tensor
-from soliton_stability.variations import (
-    _support_mask,
-    ricci_identity_residual,
-    window_jet,
-)
+from soliton_stability.variations import _support_mask, window_jet
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +218,8 @@ def test_ricci_identity(gr_geometry_small):
     gg = gr_geometry_small
     _, _, ricci = curvature_tensor(gg.pg)
     for seed in range(10):
-        theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-        data = ss.prepare_variation(gg, theta)
-        resid = ricci_identity_residual(data.theta, data.cov, gg.pg, ricci)
-        assert resid < 1e-7
+        fj = ss.random_hamiltonian_variation(gg.grid.box, seed=seed).eval_jets(gg.grid, order=2)
+        assert ricci_identity_residual(fj, gg.pg, ricci) < 1e-7
 
 
 def test_ricci_identity_on_curved_chart(perturbed, T):
@@ -229,8 +229,31 @@ def test_ricci_identity_on_curved_chart(perturbed, T):
     gg = ss.grid_geometry(perturbed, T, grid)
     _, _, ricci = curvature_tensor(gg.pg)
     assert np.max(np.abs(ricci)) > 1e-4
-    data = ss.prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=3))
-    assert ricci_identity_residual(data.theta, data.cov, gg.pg, ricci) < 1e-7
+    fj = ss.random_hamiltonian_variation(support, seed=3).eval_jets(grid, order=2)
+    assert ricci_identity_residual(fj, gg.pg, ricci) < 1e-7
+
+
+# u = x^3/6 + x y^2/2 + y z^2/2 + x z; its gradient graph (x, u_x, y, u_y, z, u_z) is Lagrangian
+CURVED_GRADIENT_GRAPH_3D = {
+    "name": "curved_gradient_graph",
+    "domain": [[-1.0, 1.0]] * 3,
+    "components": ["x", "x*x/2 + y*y/2 + z", "y", "x*y + z*z/2", "z", "y*z + x"],
+}
+
+
+def test_gauss_and_ricci_identities_on_a_curved_3d_chart():
+    """The Gauss equation and the Ricci identity at d = 3, where Ric has no 2-d shortcut."""
+    chart = ss.chart_from_config(CURVED_GRADIENT_GRAPH_3D)
+    support = ss.default_support_box(chart.domain)
+    grid = ss.tensor_rule(support, 2, 6)
+    pg = ss.point_geometry(chart, np.eye(6)[0], grid.nodes)
+    assert pg.lagrangian
+    r_int, r_gauss, ricci = curvature_tensor(pg)
+    assert np.max(np.abs(ricci)) > 1e-4
+    assert np.max(np.abs(r_int - r_gauss)) < 1e-8
+    for seed in (1, 2, 3):
+        fj = ss.random_hamiltonian_variation(support, seed=seed).eval_jets(grid, order=2)
+        assert ricci_identity_residual(fj, pg, ricci) < 1e-7
 
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
@@ -377,8 +400,9 @@ def test_covariant_calculus_matches_index_notation(domain, components):
         "div_grad": np.einsum("neab,nab->ne", dg_inv, nabla) + np.einsum("nab,neab->ne", g_inv, dnabla),
     }
     cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
+    computed = {"nabla": cov.nabla, "div": cov.div, "laplacian": cov.laplacian, "div_grad": div_grad(fj, pg)}
     for name, ref in reference.items():
-        got = np.moveaxis(getattr(cov, name), -1, 0)
+        got = np.moveaxis(computed[name], -1, 0)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
 
