@@ -90,9 +90,7 @@ def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
             f"chart {chart.name!r} returned {out.val.shape[0]} components, expected {chart.ambient_dim}"
         )
     if not out.is_finite():
-        arrays = [a for a in (out.val, out.d1, out.d2, out.d3) if a is not None]
-        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in arrays], axis=0)
-        bad = pts[np.flatnonzero(~finite)[0]].tolist()
+        bad = pts[out.first_non_finite()].tolist()
         raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data at point {bad}")
     return out
 
@@ -168,14 +166,10 @@ BUILTIN_CHARTS: dict[str, Callable[..., Chart]] = {
 }
 
 
-def builtin_chart(name: str, **params) -> Chart:
-    try:
-        factory = BUILTIN_CHARTS[name]
-    except KeyError:
-        raise ExpressionError(
-            f"unknown chart {name!r}; builtins are {sorted(BUILTIN_CHARTS)}"
-        ) from None
-    return factory(**params)
+def builtin_chart(name: str) -> Chart:
+    if name not in BUILTIN_CHARTS:
+        raise ExpressionError(f"unknown chart {name!r}; builtins are {sorted(BUILTIN_CHARTS)}")
+    return BUILTIN_CHARTS[name]()
 
 
 def chart_from_config(spec) -> Chart:

@@ -226,10 +226,8 @@ def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: 
         ]
 
     grid = default_grid_for_support(chart, support, grid_cfg["cells"], grid_cfg["points_per_cell"])
-    gg = grid_geometry(chart, T, grid)
-    reports = run_variation_suite(
-        gg, variations, tuple(cfg["fd_steps"]), tols["soliton_residual"], workers
-    )
+    gg = grid_geometry(chart, T, grid, tols["soliton_residual"])
+    reports = run_variation_suite(gg, variations, tuple(cfg["fd_steps"]), workers)
 
     if demonstrate_failure:
         report = reports[0]
@@ -365,11 +363,9 @@ def main(argv=None) -> int:
             )
         if args.command == "verify-soliton":
             return cmd_verify_soliton(cfg)
-        if args.command == "second-variation":
-            return cmd_second_variation(cfg, args.demonstrate_failure, args.workers)
         if args.command == "cylinder":
             return cmd_cylinder(cfg)
-        parser.error(f"unknown command {args.command}")
+        return cmd_second_variation(cfg, args.demonstrate_failure, args.workers)
     except (ConfigurationError, ExpressionError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
@@ -379,7 +375,6 @@ def main(argv=None) -> int:
     except SolitonStabilityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
-    return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -93,7 +93,6 @@ def compile_expression(expr: str, var_names: Sequence[str]) -> Callable:
         except RecursionError:  # compiled near the limit, called from a deeper stack
             raise ExpressionError("expression nests too deeply") from None
 
-    fn.expression = expr  # type: ignore[attr-defined]
     return fn
 
 

@@ -70,7 +70,6 @@ class PointGeometry:
     """All pointwise geometric data of a chart at a batch of points, node axis last."""
 
     T: np.ndarray             # (m,) translation direction
-    points: np.ndarray        # (N, d) parameter points
     positions: np.ndarray     # (m, N)
     tangents: np.ndarray      # (m, d, N)
     hessian: np.ndarray       # (m, d, d, N)
@@ -142,7 +141,7 @@ class PointGeometry:
         part = copy.copy(self)
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray) and name != "T":
-                vars(part)[name] = value[rows] if name == "points" else value[..., rows]
+                vars(part)[name] = value[..., rows]
         return part
 
 
@@ -255,7 +254,6 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
 
     pg = PointGeometry(
         T=T,
-        points=pts,
         positions=x,
         tangents=t,
         hessian=d2,

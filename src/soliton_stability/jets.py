@@ -52,13 +52,20 @@ NODE_BLOCK = 4096
 
 
 def node_blocks(n: int, size: int | None = None) -> list[slice]:
-    """Consecutive row slices of at most ``size`` (default ``NODE_BLOCK``) rows covering ``range(n)``.
+    """Consecutive row slices of ``size`` (default ``NODE_BLOCK``) rows covering ``range(n)``.
 
-    ``n = 0`` gives one empty slice, so an empty batch still runs (and fails)
-    as it would unblocked.
+    No block has one row unless n = 1.  On one node, numpy's einsum sums the
+    small indices of a contiguous operand as a SIMD dot product, in another
+    order than along a row of nodes (|nabla theta|_g^2 moved in its last bit).
+    So blocks have at least 2 rows, and a one-row remainder joins the block
+    before it.  ``n = 0`` gives one empty slice, so an empty batch still runs
+    (and fails) as it would unblocked.
     """
-    size = size or NODE_BLOCK
-    return [slice(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
+    size = max(size or NODE_BLOCK, 2)
+    rows = [slice(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
+    if len(rows) > 1 and n - rows[-1].start == 1:
+        rows[-2:] = [slice(rows[-2].start, n)]
+    return rows
 
 
 @functools.cache
@@ -115,6 +122,13 @@ class Jet:
     def is_finite(self) -> bool:
         """Whether the value and every derivative are finite everywhere."""
         return all(a is None or np.all(np.isfinite(a)) for a in (self.val, self.d1, self.d2, self.d3))
+
+    def first_non_finite(self) -> int:
+        """The first node whose value or some derivative is not finite, for a jet that
+        fails :meth:`is_finite`, so a refusal can name the point."""
+        arrays = [a for a in (self.val, self.d1, self.d2, self.d3) if a is not None]
+        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in arrays], axis=0)
+        return int(np.flatnonzero(~finite)[0])
 
     # -- helpers ---------------------------------------------------------
 

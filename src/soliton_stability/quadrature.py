@@ -28,10 +28,10 @@ def _axis_rule(lo: float, hi: float, cells: int, points_per_cell: int):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor-product rule over a box; ``nodes`` is (N, d), ``weights`` (N,)."""
+    """Tensor-product rule over a box, ``cells`` cells per axis; ``nodes`` is (N, d), ``weights`` (N,)."""
 
     box: np.ndarray
-    cells: tuple[int, ...]
+    cells: int
     points_per_cell: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -49,20 +49,17 @@ class QuadratureGrid:
     def describe(self) -> dict:
         return {
             "box": [list(map(float, row)) for row in self.box],
-            "cells": list(self.cells),
+            "cells": [self.cells] * self.box.shape[0],
             "points_per_cell": self.points_per_cell,
         }
 
 
-def tensor_rule(box, cells: int | tuple = 40, points_per_cell: int = 8) -> QuadratureGrid:
-    """Composite Gauss-Legendre rule over the closed box ``[[lo, hi], ...]``."""
+def tensor_rule(box, cells: int = 40, points_per_cell: int = 8) -> QuadratureGrid:
+    """Composite Gauss-Legendre rule over the closed box ``[[lo, hi], ...]``, ``cells`` cells per axis."""
     box = np.asarray(box, dtype=float)
-    d = box.shape[0]
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValueError("box rows must be [lo, hi] with lo < hi")
-    if isinstance(cells, int):
-        cells = (cells,) * d
-    axes = [_axis_rule(lo, hi, c, points_per_cell) for (lo, hi), c in zip(box, cells)]
+    axes = [_axis_rule(lo, hi, cells, points_per_cell) for lo, hi in box]
     axis_nodes = tuple(a[0] for a in axes)
     axis_weights = tuple(a[1] for a in axes)
     mesh = np.meshgrid(*axis_nodes, indexing="ij")
@@ -73,7 +70,7 @@ def tensor_rule(box, cells: int | tuple = 40, points_per_cell: int = 8) -> Quadr
         weights = weights * w.reshape(-1)
     return QuadratureGrid(
         box=box,
-        cells=tuple(cells),
+        cells=cells,
         points_per_cell=points_per_cell,
         nodes=nodes,
         weights=weights,

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import EvaluationError
 from .stability import (
     DEFAULT_FD_STEPS,
-    DEFAULT_SOLITON_TOL,
     GridGeometry,
     first_variation,
     prepare_variation,
@@ -84,17 +83,16 @@ def evaluate_variation(
     theta: OneFormField,
     seed: int | None = None,
     fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
-    soliton_tol: float = DEFAULT_SOLITON_TOL,
 ) -> VariationReport:
     """Run every route on one variation and bundle the numbers."""
     # every route refuses off criticality; refuse before forming V, which needs
     # a Lagrangian chart
-    require_soliton(gg, soliton_tol)
+    require_soliton(gg)
     data = prepare_variation(gg, theta)
-    op = second_variation_operator(gg, data, soliton_tol)
-    dv = second_variation_divergence(gg, data, soliton_tol)
-    sq = second_variation_square(gg, data, soliton_tol)
-    fd = second_variation_fd_oracle(gg, data, fd_steps, soliton_tol)
+    op = second_variation_operator(gg, data)
+    dv = second_variation_divergence(gg, data)
+    sq = second_variation_square(gg, data)
+    fd = second_variation_fd_oracle(gg, data, fd_steps)
     scale = variation_scale(gg, data)
     denom = scale if scale > 0 else 1.0
     pairwise = max(abs(op - dv), abs(op - sq), abs(dv - sq)) / denom
@@ -121,7 +119,6 @@ def run_variation_suite(
     gg: GridGeometry,
     variations: list[tuple[int | None, OneFormField]],
     fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
-    soliton_tol: float = DEFAULT_SOLITON_TOL,
     workers: int = 1,
 ) -> list[VariationReport]:
     """Evaluate each ``(seed, theta)`` of ``variations`` on the shared geometry ``gg``.
@@ -132,7 +129,7 @@ def run_variation_suite(
 
     def one(item):
         seed, theta = item
-        return evaluate_variation(gg, theta, seed, fd_steps, soliton_tol)
+        return evaluate_variation(gg, theta, seed, fd_steps)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

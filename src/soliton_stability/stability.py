@@ -27,7 +27,9 @@ associated one-form theta, by four routes:
 
 The straight-line flow is justified exactly at critical points, where the
 second derivative of F depends only on the first-order variation field; off
-critical points the fd route is meaningless and the analytic routes refuse.
+critical points the fd route is meaningless, so every route refuses when the
+grid's translator residual exceeds ``GridGeometry.soliton_tol``, the criticality
+tolerance, which is set once, in :func:`grid_geometry`.
 
 The drift term reads ``<T, grad V_i>`` as the covariant derivative of theta
 along the tangential part of T, evaluated on the frame; the fd oracle is the
@@ -47,7 +49,6 @@ from .geometry import PointGeometry, batch_det, point_geometry, translator_defec
 from .jets import node_blocks
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
-    CovariantData,
     OneFormField,
     covariant_calculus,
     lagrangian_defect,
@@ -82,9 +83,10 @@ DEFAULT_FD_STEPS = (2e-3, 1e-3)
 DEFAULT_CLOSED_TOL = 1e-9
 
 # Rows per node block of the per-variation passes (prepare_variation, the
-# operator and divergence routes, variation_scale and the fd oracle).  Each
-# block writes its integrand into one full-length array that is summed once,
-# so the block size changes no output bit; it keeps the temporaries in cache.
+# operator and divergence routes, variation_scale and the fd oracle), cut by
+# jets.node_blocks.  Each block writes its integrand into one full-length
+# array that is summed once, so the block size changes no output bit; it
+# keeps the temporaries in cache.
 # Not jets.NODE_BLOCK: at NODE_BLOCK = 8192, verify-soliton on the perfbench
 # certify config (360,000 points) peaks at 55.1 MB RSS against 47.9 MB.  On a
 # 2-vCPU VM (numpy 2.4.6) the in-process 20-variation suite on the default
@@ -97,8 +99,9 @@ VARIATION_BLOCK = 8192
 @dataclass
 class GridGeometry:
     """What the routes read at the nodes of a quadrature grid, formed once, node axis last:
-    the point geometry, ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,) and
-    ``blocks``, pairs of node rows and the point geometry there, views of ``pg``."""
+    the point geometry, ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,),
+    ``blocks``, pairs of node rows and the point geometry there, views of ``pg``, and
+    the translator residual with the tolerance :func:`require_soliton` judges it by."""
 
     chart: Chart
     grid: QuadratureGrid
@@ -107,32 +110,21 @@ class GridGeometry:
     translator_defect: np.ndarray
     area_weight: np.ndarray
     soliton_residual: float
+    soliton_tol: float
     functional_at_rest: float
 
 
-def grid_geometry(chart: Chart, T, grid: QuadratureGrid) -> GridGeometry:
+def grid_geometry(
+    chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
+) -> GridGeometry:
     # point_geometry evaluates the chart jets itself, so it frees their third derivatives once read
     pg = point_geometry(chart, T, grid.nodes)
     defect = translator_defect(pg)
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
     w = pg.weight * pg.sqrt_det_g
     pg.lagrangian  # a grid-wide flag: formed before the blocks, which carry it over
-    blocks = tuple((rows, pg.take(rows)) for rows in _variation_blocks(w.shape[0]))
-    return GridGeometry(chart, grid, pg, blocks, defect, w, resid, grid.integrate(w))
-
-
-def _variation_blocks(n: int) -> list[slice]:
-    """Row slices of ``VARIATION_BLOCK`` nodes covering ``range(n)``, none of one node unless n = 1.
-
-    On one node, numpy's einsum sums the small indices of a contiguous
-    operand as a SIMD dot product, in another order than along a row of
-    nodes: |nabla theta|_g^2 moved in its last bit.  So the block size is at
-    least 2, and a one-node remainder joins the block before it.
-    """
-    rows = node_blocks(n, max(VARIATION_BLOCK, 2))
-    if len(rows) > 1 and rows[-1].stop - rows[-1].start == 1:
-        rows[-2:] = [slice(rows[-2].start, n)]
-    return rows
+    blocks = tuple((rows, pg.take(rows)) for rows in node_blocks(w.shape[0], VARIATION_BLOCK))
+    return GridGeometry(chart, grid, pg, blocks, defect, w, resid, soliton_tol, grid.integrate(w))
 
 
 def _by_block(gg: GridGeometry, fn, *arrays) -> tuple[np.ndarray, ...]:
@@ -166,10 +158,10 @@ def _deformation(pg: PointGeometry, theta: np.ndarray, dtheta: np.ndarray):
     return t_dv + t_dv.swapaxes(0, 1), quad
 
 
-def require_soliton(gg: GridGeometry, tol: float) -> None:
-    """Refuse with NotASolitonError when the chart's translator residual exceeds ``tol``."""
-    if gg.soliton_residual > tol:
-        raise NotASolitonError(gg.soliton_residual, tol)
+def require_soliton(gg: GridGeometry) -> None:
+    """Refuse with NotASolitonError when the chart's translator residual exceeds ``gg.soliton_tol``."""
+    if gg.soliton_residual > gg.soliton_tol:
+        raise NotASolitonError(gg.soliton_residual, gg.soliton_tol)
 
 
 @dataclass
@@ -178,17 +170,18 @@ class VariationData:
 
     theta: np.ndarray        # (d, N) theta_a
     dtheta: np.ndarray       # (d, d, N) partial_c theta_a at [a, c]
-    cov: CovariantData
+    nabla: np.ndarray        # (d, d, N) (nabla_a theta)_b at [a, b]
+    div: np.ndarray          # (N,) g^{ab} nabla_a theta_b, the divergence of theta^sharp
+    laplacian: np.ndarray    # (d, N) rough Laplacian of theta
     nabla_sq: np.ndarray     # (N,) |nabla theta|_g^2
     v: np.ndarray            # (m, N) normal field V = J theta^sharp
     defect: float            # max |partial_a theta_b - partial_b theta_a|
 
 
 def _node_data(pg: PointGeometry, theta, dtheta, ddtheta):
-    """One block's covariant data, |nabla theta|_g^2 and V, from the form's jets there."""
-    cov = covariant_calculus(theta, dtheta, ddtheta, pg)
-    nabla_sq = _metric_square(pg, cov.nabla)
-    return cov.nabla, cov.div, cov.laplacian, nabla_sq, normal_field_from_form(theta, pg)
+    """One block's covariant derivatives, |nabla theta|_g^2 and V, from the form's jets there."""
+    nabla, div, laplacian = covariant_calculus(theta, dtheta, ddtheta, pg)
+    return nabla, div, laplacian, _metric_square(pg, nabla), normal_field_from_form(theta, pg)
 
 
 def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
@@ -197,8 +190,8 @@ def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
     The form jets are one evaluation on the whole grid; the rest runs in node blocks.
     """
     fj = theta.eval_jets(gg.grid, order=2)
-    *cov, nabla_sq, v = _by_block(gg, _node_data, fj.val, fj.d1, fj.d2)
-    return VariationData(fj.val, fj.d1, CovariantData(*cov), nabla_sq, v, lagrangian_defect(fj.d1))
+    per_node = _by_block(gg, _node_data, fj.val, fj.d1, fj.d2)
+    return VariationData(fj.val, fj.d1, *per_node, lagrangian_defect(fj.d1))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
@@ -236,15 +229,13 @@ def variation_scale(gg: GridGeometry, data: VariationData) -> float:
     return gg.grid.integrate(integrand)
 
 
-def second_variation_operator(
-    gg: GridGeometry, data: VariationData, soliton_tol: float = DEFAULT_SOLITON_TOL
-) -> float:
+def second_variation_operator(gg: GridGeometry, data: VariationData) -> float:
     """Second-order route through the rough Laplacian of theta.
 
     The curvature term is assembled from the frame components h_ijk, pairing
     the variation against itself through the full second fundamental form.
     """
-    require_soliton(gg, soliton_tol)
+    require_soliton(gg)
 
     def density(pg, theta, nabla, laplacian, w):
         drift = np.einsum("cn,cbn->bn", pg.T_coord, nabla)
@@ -253,21 +244,18 @@ def second_variation_operator(
         h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
         return ((pair + np.einsum("kln,kln->n", h_v, h_v)) * w,)
 
-    cov = data.cov
-    (integrand,) = _by_block(gg, density, data.theta, cov.nabla, cov.laplacian, gg.area_weight)
+    (integrand,) = _by_block(gg, density, data.theta, data.nabla, data.laplacian, gg.area_weight)
     return -gg.grid.integrate(integrand)
 
 
-def second_variation_divergence(
-    gg: GridGeometry, data: VariationData, soliton_tol: float = DEFAULT_SOLITON_TOL
-) -> float:
+def second_variation_divergence(gg: GridGeometry, data: VariationData) -> float:
     """First-order route:  int (|nabla theta|^2 - |h paired with V|^2) w dmu.
 
     The curvature term here goes through the ambient-valued second
     fundamental form and the ambient variation field, independent of the
     frame route used by the operator form.
     """
-    require_soliton(gg, soliton_tol)
+    require_soliton(gg)
 
     def density(pg, nabla_sq, v, w):
         h_v = np.einsum("mabn,mn->abn", pg.h_coord, v)
@@ -277,11 +265,7 @@ def second_variation_divergence(
     return gg.grid.integrate(integrand)
 
 
-def second_variation_square(
-    gg: GridGeometry,
-    data: VariationData,
-    soliton_tol: float = DEFAULT_SOLITON_TOL,
-) -> float:
+def second_variation_square(gg: GridGeometry, data: VariationData) -> float:
     """Perfect-square route:  int (div theta^sharp + theta(T^top))^2 w dmu.
 
     Nonnegative by construction.  Equals the other routes only for closed
@@ -289,7 +273,7 @@ def second_variation_square(
     refusing, because the mismatch for non-closed forms is itself a test
     subject.
     """
-    require_soliton(gg, soliton_tol)
+    require_soliton(gg)
     defect = data.defect
     if defect > DEFAULT_CLOSED_TOL:
         log.warning(
@@ -298,7 +282,7 @@ def second_variation_square(
             defect,
             DEFAULT_CLOSED_TOL,
         )
-    q = data.cov.div + np.einsum("an,an->n", data.theta, gg.pg.T_coord)
+    q = data.div + np.einsum("an,an->n", data.theta, gg.pg.T_coord)
     return gg.grid.integrate(q * q * gg.area_weight)
 
 
@@ -306,7 +290,6 @@ def second_variation_fd_oracle(
     gg: GridGeometry,
     data: VariationData,
     steps: tuple[float, float] = DEFAULT_FD_STEPS,
-    soliton_tol: float = DEFAULT_SOLITON_TOL,
 ) -> float:
     """Second difference of the box-local functional along Phi + s V.
 
@@ -315,7 +298,7 @@ def second_variation_fd_oracle(
     block forms its metric pieces C and Q and the weighted-area densities of
     the four deformed charts; each density is integrated once, over the grid.
     """
-    require_soliton(gg, soliton_tol)
+    require_soliton(gg)
     h1, h2 = steps
 
     def densities(pg, theta, dtheta, v):

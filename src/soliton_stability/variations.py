@@ -3,14 +3,15 @@
 A normal field V on a Lagrangian chart corresponds to the one-form
 ``theta = -i_V omega`` (equivalently ``V = J theta^sharp``); closed forms are
 the Lagrangian variations and exact forms the Hamiltonian ones.  Fields are
-built from a smooth expression times a polynomial window
+built from a smooth expression times a polynomial window on every axis,
 
     B(s) = (1 - s^2)^4,   s the coordinate rescaled to the support box,
 
 which vanishes to third order on the support boundary: smooth enough for the
 third-order jets used downstream, with none of the overflow trouble of
 exponential cutoffs.  Field values are forced to exactly zero outside the
-support box.
+support box.  :func:`covariant_calculus` returns the plain arrays nabla theta,
+div theta^sharp and the rough Laplacian of a form's jets.
 
 On rectangular domains every closed form is exact, so the ``hamiltonian``
 kind covers the closed class that the stability statements downstream are
@@ -19,6 +20,7 @@ phrased for.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +36,6 @@ from .quadrature import QuadratureGrid
 __all__ = [
     "ScalarField",
     "OneFormField",
-    "CovariantData",
     "scalar_field_from_expression",
     "random_polynomial_field",
     "hamiltonian_variation",
@@ -105,52 +106,42 @@ class ScalarField:
             raw = self.evaluate(where, order)
         out = _mask_jet(raw, _support_mask(where, self.support))
         if not out.is_finite():
-            raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data")
+            bad = pts[out.first_non_finite()].tolist()
+            raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data at point {bad}")
         return out
 
 
-def _jet_arithmetic(support: np.ndarray, fn, window: Sequence[bool]):
-    """Evaluator of ``fn(coordinate jets)`` times the bump on each windowed axis.
+def _jet_arithmetic(support: np.ndarray, fn):
+    """Evaluator of ``fn(coordinate jets)`` times the bump on every axis.
 
-    Axes left unwindowed must vanish on the support boundary by construction
-    of ``fn`` itself (used for sharp-constant tests).  A plain-number result
-    becomes a constant jet before the bump multiplies it, so the product is
-    jet times jet and the signs of its zero derivatives do not depend on the
-    constant's sign.  :func:`jets.evaluate` runs it in node blocks.
+    A plain-number result becomes a constant jet before the bump multiplies
+    it, so the product is jet times jet and the signs of its zero derivatives
+    do not depend on the constant's sign.  :func:`jets.evaluate` runs it in
+    node blocks.
     """
 
     def windowed(seeds):
         raw = fn(seeds)
         if not isinstance(raw, J.Jet):
             raw = J.constant(raw, len(seeds), seeds[0].order, batch_shape=seeds[0].val.shape)
-        for i, flag in enumerate(window):
-            if flag:
-                raw = raw * window_jet(seeds[i], support[i, 0], support[i, 1])
+        for seed, (lo, hi) in zip(seeds, support):
+            raw = raw * window_jet(seed, lo, hi)
         return raw
 
     return lambda where, order: J.evaluate(windowed, _nodes(where), order)
 
 
-def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:
-    """``expr`` times the bump on every axis, or on the axes flagged in ``window``."""
+def scalar_field_from_expression(expr: str, support) -> ScalarField:
+    """``expr`` times the bump on every axis."""
     support = np.asarray(support, dtype=float)
-    d = support.shape[0]
-    fn = compile_expression(expr, variable_names(d))
-    win = tuple(window) if window is not None else (True,) * d
-    return ScalarField(support, _jet_arithmetic(support, lambda seeds: fn(*seeds), win), name=expr)
+    fn = compile_expression(expr, variable_names(support.shape[0]))
+    return ScalarField(support, _jet_arithmetic(support, lambda seeds: fn(*seeds)), name=expr)
 
 
 def _monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
-    if dim == 1:
-        return [(k,) for k in range(degree + 1)]
-    out = []
-    for total in range(degree + 1):
-        for head in range(total + 1):
-            for rest in _monomial_exponents(dim - 1, total - head):
-                if sum(rest) == total - head:
-                    out.append((head,) + rest)
-    # deterministic order: by total degree, then lexicographic
-    return sorted(set(out), key=lambda e: (sum(e), e))
+    """Exponent tuples of total degree <= ``degree``, by total degree, then lexicographic."""
+    exps = (e for e in itertools.product(range(degree + 1), repeat=dim) if sum(e) <= degree)
+    return sorted(exps, key=lambda e: (sum(e), e))
 
 
 _BUMP_COEFFS = np.array([1.0, 0.0, -4.0, 0.0, 6.0, 0.0, -4.0, 0.0, 1.0])  # (1 - s^2)^4
@@ -258,7 +249,7 @@ def _polynomial_jet_arithmetic(support: np.ndarray, seed: int, degree: int):
             levels.append(J._expand(part[tuple(sum(i == a for i in idx) for a in range(d))], d, rank))
         return J.Jet(order, *levels)
 
-    return _jet_arithmetic(support, polynomial, (True,) * d)
+    return _jet_arithmetic(support, polynomial)
 
 
 def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
@@ -346,25 +337,14 @@ def lagrangian_defect(dtheta: np.ndarray) -> float:
 # covariant calculus
 
 
-@dataclass(frozen=True)
-class CovariantData:
-    """Covariant derivatives of a one-form at a batch of points, node axis last.
+def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry):
+    """``(nabla, div, laplacian)`` of a one-form at pg's points, node axis last.
 
-    * ``nabla[a, b, n] = (nabla_a theta)_b``
-    * ``div[n] = g^{ab} nabla_a theta_b``  (divergence of theta^sharp)
-    * ``laplacian[c, n]`` rough (connection) Laplacian of theta
-    """
-
-    nabla: np.ndarray
-    div: np.ndarray
-    laplacian: np.ndarray
-
-
-def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantData:
-    """Assemble nabla(theta), its trace, and the rough Laplacian at pg's points.
-
-    The form enters node-last: ``theta[a, n]``, ``dtheta[a, c, n] = d_c theta_a``
-    and ``ddtheta[a, c, e, n] = d_c d_e theta_a`` (d = partial).  The traces
+    ``nabla[a, b, n] = (nabla_a theta)_b``, ``div[n] = g^{ab} nabla_a theta_b``
+    (the divergence of theta^sharp) and ``laplacian[c, n]``, the rough
+    (connection) Laplacian of theta.  The form enters node-last:
+    ``theta[a, n]``, ``dtheta[a, c, n] = d_c theta_a`` and
+    ``ddtheta[a, c, e, n] = d_c d_e theta_a`` (d = partial).  The traces
     contract those jets against pg's K and P, so no rank-3 array is formed
     per form:
 
@@ -379,7 +359,7 @@ def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry) -> CovariantDa
     raised = np.einsum("abn,aln->bln", g_inv, np.einsum("lan->aln", dtheta) + nabla)
     lap = np.einsum("abn,cabn->cn", g_inv, ddtheta) - np.einsum("lcn,ln->cn", pg.P, theta)
     lap = lap - np.einsum("lbcn,bln->cn", G, raised) - np.einsum("ln,lcn->cn", pg.K, nabla)
-    return CovariantData(nabla=nabla, div=div, laplacian=lap)
+    return nabla, div, lap
 
 
 # ---------------------------------------------------------------------------

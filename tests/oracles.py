@@ -11,7 +11,8 @@ by finite differences, both sides of the square-form proof's integrations by
 parts, the Laplace-Beltrami operator of a scalar) or checks a proof step (the
 Riemann tensor intrinsically and by the Gauss equation, the Ricci identity
 through the gradient of the divergence) or reads a structural property off a
-result (index symmetry of a jet, one derivative of a jet).  Jets are node-last,
+result (index symmetry of a jet, one derivative of a jet) or builds a field the
+package does not offer (one windowed in y alone).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
@@ -24,6 +25,7 @@ import numpy as np
 import soliton_stability.jets as J
 from soliton_stability.charts import Chart, eval_jets
 from soliton_stability.errors import DomainError
+from soliton_stability.expressions import compile_expression, variable_names
 from soliton_stability.geometry import RANK_TOL, PointGeometry, mean_curvature_vector
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule
 from soliton_stability.stability import GridGeometry, VariationData, _deformation, _sharp, _weighted_area_density
@@ -33,6 +35,7 @@ from soliton_stability.variations import (
     _jet_arithmetic,
     _polynomial_coefficients,
     covariant_calculus,
+    window_jet,
 )
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,7 @@ def div_grad(fj: J.Jet, pg: PointGeometry) -> np.ndarray:
         d_e div = d_e g^ab (nabla_a theta)_b + g^ab d_e d_a theta_b - Q_e^l theta_l - K^l d_e theta_l
     """
     theta, dtheta, ddtheta = fj.val, fj.d1, fj.d2
-    nabla = covariant_calculus(theta, dtheta, ddtheta, pg).nabla
+    nabla, _, _ = covariant_calculus(theta, dtheta, ddtheta, pg)
     Q = np.einsum("abn,elabn->eln", pg.g_inv, pg.Gamma_partial)
     grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,baen->en", pg.g_inv, ddtheta)
     return grad - np.einsum("eln,ln->en", Q, theta) - np.einsum("ln,len->en", pg.K, dtheta)
@@ -309,8 +312,9 @@ def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> 
     jets at pg's points and ``ricci`` is :func:`curvature_tensor`'s.
     """
     A = pg.frame_coeff
+    _, _, laplacian = covariant_calculus(fj.val, fj.d1, fj.d2, pg)
     v_frame = np.einsum("ain,an->in", A, fj.val)
-    lap_frame = np.einsum("ain,an->in", A, covariant_calculus(fj.val, fj.d1, fj.d2, pg).laplacian)
+    lap_frame = np.einsum("ain,an->in", A, laplacian)
     grad_div_frame = np.einsum("ain,an->in", A, div_grad(fj, pg))
     resid = lap_frame - grad_div_frame - np.einsum("ikn,kn->in", ricci, v_frame)
     return float(np.max(np.abs(resid)))
@@ -443,8 +447,21 @@ def reference_polynomial_field(support, seed: int, degree: int = 4) -> ScalarFie
             acc = term if acc is None else acc + term
         return acc
 
-    evaluate = _jet_arithmetic(support, polynomial, (True,) * d)
-    return ScalarField(support, evaluate, name=f"reference(seed={seed})")
+    return ScalarField(support, _jet_arithmetic(support, polynomial), name=f"reference(seed={seed})")
+
+
+def y_windowed_field(expr: str, support) -> ScalarField:
+    """``expr`` in x, y times the bump in y alone, for a field that vanishes on the x edges of
+    the support box by itself (a sharp-constant case the package's fields, windowed on every
+    axis, cannot reach)."""
+    support = np.asarray(support, dtype=float)
+    fn = compile_expression(expr, variable_names(2))
+
+    def evaluate(where, order):
+        pts = where.nodes if isinstance(where, QuadratureGrid) else where
+        return J.evaluate(lambda s: fn(*s) * window_jet(s[1], *support[1]), pts, order)
+
+    return ScalarField(support, evaluate, name=f"{expr} * window(y)")
 
 
 def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> OneFormField:
@@ -515,20 +532,21 @@ class IntegrationByPartsReport:
 def integration_by_parts_report(gg: GridGeometry, fj: J.Jet) -> IntegrationByPartsReport:
     """Both sides of each identity for the form whose order-2 jets at gg's nodes are ``fj``."""
     pg = gg.pg
-    theta, cov = fj.val, covariant_calculus(fj.val, fj.d1, fj.d2, pg)
+    theta = fj.val
+    nabla, div, _ = covariant_calculus(theta, fj.d1, fj.d2, pg)
     w = gg.area_weight
     theta_t = np.einsum("an,an->n", theta, pg.T_coord)
     sharp = _sharp(pg, theta)
     pair_grad_div = np.einsum("an,an->n", sharp, div_grad(fj, pg))
     lhs_div = -gg.grid.integrate(pair_grad_div * w)
-    rhs_div = gg.grid.integrate((cov.div**2 + cov.div * theta_t) * w)
+    rhs_div = gg.grid.integrate((div**2 + div * theta_t) * w)
 
-    drift = np.einsum("cn,cbn->bn", pg.T_coord, cov.nabla)
+    drift = np.einsum("cn,cbn->bn", pg.T_coord, nabla)
     lhs_drift = -gg.grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
     v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
     h_v = np.einsum("ijn,jn->in", np.einsum("ijpn,pn->ijn", pg.h3, frame_mean_curvature(pg)), v_frame)
     mean_curv_pair = np.einsum("in,in->n", h_v, v_frame)
-    rhs_drift = gg.grid.integrate((cov.div * theta_t + mean_curv_pair + theta_t**2) * w)
+    rhs_drift = gg.grid.integrate((div * theta_t + mean_curv_pair + theta_t**2) * w)
     return IntegrationByPartsReport(lhs_div, rhs_div, lhs_drift, rhs_drift)
 
 

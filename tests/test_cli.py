@@ -175,6 +175,26 @@ def test_second_variation_non_soliton_exits_3(tmp_path):
         assert code == EXIT_PRECONDITION
 
 
+def test_configured_soliton_tolerance_is_the_one_the_routes_judge(tmp_path):
+    """Raised above the perturbed chart's residual (about 0.1), the tolerance lets every
+    route run there; off criticality they then disagree, so the suite fails with exit 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "chart": "perturbed_grim_reaper",
+                "grid": {"cells": 4, "points_per_cell": 4},
+                "variations": {"count": 1},
+                "tolerances": {"soliton_residual": 1.0},
+            }
+        )
+    )
+    out = tmp_path / "r.json"
+    assert run_cli("second-variation", "--config", str(cfg), "--out", str(out)) == EXIT_FAIL
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["max_pairwise_rel_diff"] > 1e-4
+
+
 @pytest.fixture(scope="module")
 def small_suite_config(tmp_path_factory):
     """Coarser grid keeps the CLI suite tests quick; accuracy margins are huge."""

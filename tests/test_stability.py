@@ -185,9 +185,9 @@ def test_flat_plane_square_form_reduces_to_drift_laplacian(fp_geometry_small):
     phi = ss.random_polynomial_field(gg.grid.box, seed=21)
     data = prepare_variation(gg, ss.hamiltonian_variation(phi))
     sq = ss.second_variation_square(gg, data)
-    pj = phi.eval_jets(gg.pg.points, order=2)
+    pj = phi.eval_jets(gg.grid.nodes, order=2)
     integrand = (pj.d2[0, 0] + pj.d2[1, 1] + pj.d1[0]) ** 2 * np.exp(
-        gg.pg.points[:, 0]
+        gg.grid.nodes[:, 0]
     )
     direct = gg.grid.integrate(integrand)
     assert abs(sq - direct) <= 1e-10 * max(1.0, abs(direct))
@@ -202,8 +202,8 @@ def test_drift_divergence_identity(gr_geometry_small):
     for seed in (2, 14):
         v = ss.random_polynomial_field(gg.grid.box, seed=seed)
         w = ss.random_polynomial_field(gg.grid.box, seed=seed + 1000)
-        vj = v.eval_jets(pg.points, order=2)
-        wj = w.eval_jets(pg.points, order=2)
+        vj = v.eval_jets(gg.grid.nodes, order=2)
+        wj = w.eval_jets(gg.grid.nodes, order=2)
         drift_lap = scalar_laplacian(pg, vj) + np.einsum("an,an->n", pg.T_coord, vj.d1)
         lhs = gg.grid.integrate(drift_lap * wj.val * gg.area_weight)
         rhs = -gg.grid.integrate(scalar_gradient_pairing(pg, vj, wj) * gg.area_weight)

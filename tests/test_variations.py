@@ -1,5 +1,8 @@
 """One-form fields, covariant calculus, and the normal-field correspondence."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,11 @@ from oracles import (
     one_form_pullback,
     reference_polynomial_field,
     ricci_identity_residual,
+    y_windowed_field,
 )
 import soliton_stability.jets as J
 from soliton_stability.errors import ConfigurationError, DomainError, UnsupportedChartError
-from soliton_stability.variations import _support_mask, window_jet
+from soliton_stability.variations import _monomial_exponents, _support_mask, window_jet
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +178,7 @@ def test_exact_forms_are_closed(support):
 
 def test_hand_differentiated_potential(support):
     # phi = cos(x) * window(y): theta_x = -sin(x) * window(y) inside the support
-    phi = ss.scalar_field_from_expression("cos(x)", support, window=(False, True))
+    phi = y_windowed_field("cos(x)", support)
     theta = ss.hamiltonian_variation(phi)
     pts = interior_points(support, 5)
     fj = theta.eval_jets(pts, order=1)
@@ -205,12 +209,12 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
     gg = fp_geometry_small
     support = gg.grid.box
     phi = ss.random_polynomial_field(support, seed=9)
-    fj = ss.hamiltonian_variation(phi).eval_jets(gg.pg.points, order=2)
-    cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
+    fj = ss.hamiltonian_variation(phi).eval_jets(gg.grid.nodes, order=2)
+    _, div, _ = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
     # flat coordinates: divergence of d(phi) is the coordinate Laplacian
-    pj = phi.eval_jets(gg.pg.points, order=2)
+    pj = phi.eval_jets(gg.grid.nodes, order=2)
     flat_lap = pj.d2[0, 0] + pj.d2[1, 1]
-    assert np.max(np.abs(cov.div - flat_lap)) < 1e-11
+    assert np.max(np.abs(div - flat_lap)) < 1e-11
 
 
 def test_ricci_identity(gr_geometry_small):
@@ -258,16 +262,16 @@ def test_gauss_and_ricci_identities_on_a_curved_3d_chart():
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
     gg = gr_geometry_small
-    fj = ss.random_hamiltonian_variation(gg.grid.box, seed=4).eval_jets(gg.pg.points, order=2)
-    cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
-    nf = frame_covariant_matrix(cov.nabla, gg.pg)
+    fj = ss.random_hamiltonian_variation(gg.grid.box, seed=4).eval_jets(gg.grid.nodes, order=2)
+    nabla, _, _ = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
+    nf = frame_covariant_matrix(nabla, gg.pg)
     assert np.max(np.abs(nf - nf.swapaxes(0, 1))) < 1e-9
 
 
 def test_round_trip_form_field_form(gr_geometry_small):
     gg = gr_geometry_small
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=8)
-    val = theta.eval_jets(gg.pg.points, order=1).val
+    val = theta.eval_jets(gg.grid.nodes, order=1).val
     v = ss.normal_field_from_form(val, gg.pg)
     back = one_form_pullback(gg.pg, v)
     assert np.max(np.abs(back - val)) < 1e-12
@@ -296,11 +300,11 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
     data = ss.prepare_variation(gg, theta)
     v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
-    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.pg.points, order=1).val, gg.pg)
+    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.grid.nodes, order=1).val, gg.pg)
     assert np.max(np.abs(v_val - v_direct)) < 1e-12
     # derivative slot cross-checked by finite differences at one interior node
-    idx = len(gg.pg.points) // 2
-    u0 = gg.pg.points[idx]
+    idx = len(gg.grid.nodes) // 2
+    u0 = gg.grid.nodes[idx]
     h = 1e-5
     for axis in range(2):
         up, um = u0.copy(), u0.copy()
@@ -399,8 +403,8 @@ def test_covariant_calculus_matches_index_notation(domain, components):
         "laplacian": np.einsum("nab,nabc->nc", g_inv, second),
         "div_grad": np.einsum("neab,nab->ne", dg_inv, nabla) + np.einsum("nab,neab->ne", g_inv, dnabla),
     }
-    cov = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
-    computed = {"nabla": cov.nabla, "div": cov.div, "laplacian": cov.laplacian, "div_grad": div_grad(fj, pg)}
+    nabla, div, laplacian = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
+    computed = {"nabla": nabla, "div": div, "laplacian": laplacian, "div_grad": div_grad(fj, pg)}
     for name, ref in reference.items():
         got = np.moveaxis(computed[name], -1, 0)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
@@ -424,6 +428,32 @@ def test_non_finite_field_is_reported(support):
     bad = ss.scalar_field_from_expression("log(x - 100)", support)
     with pytest.raises(ss.EvaluationError):
         bad.eval_jets(np.array([[0.0, 0.0]]), order=2)
+
+
+def test_non_finite_field_names_the_point():
+    box = [[-1, 1], [-1, 1]]
+    bad = ss.scalar_field_from_expression("log(x - 0.1)", box)
+    message = "scalar field 'log(x - 0.1)' produced non-finite jet data at point [0.0, 0.0]"
+    with pytest.raises(ss.EvaluationError, match=f"^{re.escape(message)}$"):
+        bad.eval_jets([[0.5, 0], [0, 0]], order=2)
+    # on a grid, the first node in the grid's C order where 0.1 - x - y <= 0
+    grid = ss.tensor_rule(box, cells=3, points_per_cell=2)
+    first = grid.nodes[np.flatnonzero(grid.nodes.sum(axis=1) >= 0.1)[0]]
+    assert first[0] > grid.axis_nodes[0][0]  # not the first row of the grid
+    tilted = ss.scalar_field_from_expression("log(0.1 - x - y)", box)
+    message = f"scalar field 'log(0.1 - x - y)' produced non-finite jet data at point {first.tolist()}"
+    with pytest.raises(ss.EvaluationError, match=f"^{re.escape(message)}$"):
+        tilted.eval_jets(grid, order=1)
+
+
+def test_monomial_exponents_in_order():
+    assert _monomial_exponents(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    for d in range(1, 5):
+        for degree in range(5):
+            exps = _monomial_exponents(d, degree)
+            assert len(exps) == math.comb(d + degree, d) == len(set(exps))
+            assert exps == sorted(exps, key=lambda e: (sum(e), e))
+            assert all(len(e) == d and sum(e) <= degree for e in exps)
 
 
 def test_support_margin_validation(grim_reaper):
