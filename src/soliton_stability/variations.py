@@ -9,9 +9,15 @@ built from a smooth expression times a polynomial window on every axis,
 
 which vanishes to third order on the support boundary: smooth enough for the
 third-order jets used downstream, with none of the overflow trouble of
-exponential cutoffs.  Field values are forced to exactly zero outside the
-support box.  :func:`covariant_calculus` returns the plain arrays nabla theta,
-div theta^sharp and the rough Laplacian of a form's jets.
+exponential cutoffs.  Expression fields take their jets by jet arithmetic.
+Polynomial fields keep the window factored on every axis when d != 2: each
+axis gives ``W_k = d^k/dx^k [s^p B(s)]`` at its own nodes, with B's
+derivatives from jet arithmetic on one-variable jets, and the coefficient
+tensor is contracted against the W_k one axis at a time.  At d = 2 the
+windowed field is expanded into one bivariate polynomial.  Field values are
+forced to exactly zero outside the support box.  :func:`covariant_calculus`
+returns the plain arrays nabla theta, div theta^sharp and the rough
+Laplacian of a form's jets.
 
 On rectangular domains every closed form is exact, so the ``hamiltonian``
 kind covers the closed class that the stability statements downstream are
@@ -21,6 +27,7 @@ phrased for.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,11 +82,12 @@ def _nodes(where) -> np.ndarray:
 
 
 def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
-    """Zero a jet at the nodes (its last axis) where keep is False."""
-    if np.all(keep):
-        return jet
-    arrays = (jet.val, jet.d1, jet.d2, jet.d3)
-    return J.Jet(jet.order, *(None if a is None else np.where(keep, a, 0.0) for a in arrays))
+    """Zero a jet in place at the nodes (its last axis) where keep is False."""
+    if not np.all(keep):
+        for a in (jet.val, jet.d1, jet.d2, jet.d3):
+            if a is not None:
+                np.copyto(a, 0.0, where=~keep)
+    return jet
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,9 @@ class ScalarField:
 
     ``evaluate(where, order)`` returns the field's jet at scattered points
     ``(N, d)`` or at the nodes of a :class:`QuadratureGrid`, in the grid's
-    order.  :meth:`eval_jets` forces it to exactly zero outside the support
-    box and refuses points of another dimension and non-finite data.
+    order, in arrays of its own: :meth:`eval_jets` zeroes them in place
+    outside the support box, and refuses points of another dimension and
+    non-finite data.
     """
 
     support: np.ndarray
@@ -216,40 +225,63 @@ def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
     return evaluate
 
 
-def _polynomial_jet_arithmetic(support: np.ndarray, seed: int, degree: int):
-    """Evaluator of (polynomial * bump) for a support box of any dimension.
+def _factored_window(x: np.ndarray, lo: float, hi: float, ncoef: int, order: int) -> np.ndarray:
+    """``W[k, n, p] = d^k/dx^k [s^p B(s)]`` at the nodes x, k <= order.
 
-    Each partial ``(k_0 ... k_{d-1})`` of the polynomial is its dense
-    ``(degree+1)^d`` coefficient tensor contracted one axis at a time against
-    the derivative Vandermonde matrices at the block's nodes, summed over the
-    power p by a Python loop so that no bit depends on the node block.  Only
-    the nonzero boxes are summed: other powers below ``degree + 1 - p`` and
-    derivative orders k <= p.  The bump multiplies by jet arithmetic.
+    Leibniz on the derivative Vandermonde matrices and the bump's
+    derivatives, which :func:`window_jet` gives on one-variable jets.
+    """
+    v = _derivative_vandermonde(x, lo, hi, ncoef, order)
+    bump = J.evaluate(lambda seeds: window_jet(seeds[0], lo, hi), x[:, None], order)
+    b = [a.reshape(-1) for a in (bump.val, bump.d1, bump.d2, bump.d3)[: order + 1]]
+    w = [sum(math.comb(k, j) * v[j] * b[k - j][:, None] for j in range(k + 1)) for k in range(order + 1)]
+    return np.stack(w)
+
+
+def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
+    """Evaluator of (polynomial * bump) for a support box of any dimension, the bump factored per axis.
+
+    The dense ``(degree+1)^d`` coefficient tensor is contracted against each
+    axis's :func:`_factored_window` in turn, carrying only the partials of
+    total order <= order, each summed over the power p by a Python loop, so
+    every node sees the same multiply-adds in the same order.  On a
+    QuadratureGrid the windows form at the axis nodes and broadcast along
+    their own axis, so the full grid forms only at the last axis; scattered
+    points run in the node blocks of :func:`jets.evaluate`.
     """
     d = support.shape[0]
-    coeffs = np.zeros((degree + 1,) * d)
+    ncoef = degree + 1
+    coeffs = np.zeros((ncoef,) * d)
     for c, exps in zip(*_polynomial_coefficients(d, seed, degree)):
         coeffs[exps] = c
 
-    def polynomial(seeds):
-        order = seeds[0].order
-        part = coeffs[..., None]  # (p_a, ..., p_{d-1}, k_0, ..., k_{a-1}, node)
-        for axis, x in enumerate(seeds):
-            v = np.stack([vk.T for vk in _derivative_vandermonde(x.val, *support[axis], degree + 1, order)])
-            acc = np.zeros(part.shape[1:-1] + v.shape[:1] + v.shape[-1:])
-            for p in range(degree + 1):
-                box = (slice(degree + 1 - p),) * (d - 1 - axis)
-                k = slice(p + 1)  # V_k vanishes at powers p < k
-                acc[box + (..., k, slice(None))] += part[p][box][..., None, :] * v[k, p]
-            part = acc
-        # part[k_0, ..., k_{d-1}, n]; a sorted index tuple's partial counts each axis in it
-        levels = [part[(0,) * d]]
+    def contract(axes, order: int, grid: bool) -> J.Jet:
+        # parts[(k_0, ..., k_a)]: the tensor contracted over axes 0..a, its other powers first
+        parts = {(): coeffs.reshape(coeffs.shape + (1,) * (d if grid else 1))}
+        for a, (x, (lo, hi)) in enumerate(zip(axes, support)):
+            shape = (1,) * a + x.shape + (1,) * (d - 1 - a) if grid else x.shape
+            w = _factored_window(x, lo, hi, ncoef, order).swapaxes(1, 2).reshape((order + 1, ncoef) + shape)
+            done, parts = parts, {}
+            for ks, part in done.items():
+                for k in range(order + 1 - sum(ks)):
+                    acc = part[0] * w[k, 0]
+                    for p in range(1, ncoef):
+                        acc += part[p] * w[k, p]
+                    parts[ks + (k,)] = acc
+        # a sorted index tuple's partial counts each axis in it
+        levels = [parts.pop((0,) * d).reshape(-1)]
         for rank in range(1, order + 1):
             idx, _ = J._sym_index(d, rank)
-            levels.append(J._expand(part[tuple(sum(i == a for i in idx) for a in range(d))], d, rank))
+            counts = [tuple(t.count(a) for a in range(d)) for t in zip(*idx)]
+            levels.append(J._expand(np.stack([parts.pop(k).reshape(-1) for k in counts]), d, rank))
         return J.Jet(order, *levels)
 
-    return _jet_arithmetic(support, polynomial)
+    def evaluate(where, order: int) -> J.Jet:
+        if isinstance(where, QuadratureGrid):
+            return contract(where.axis_nodes, order, grid=True)
+        return J.evaluate(lambda seeds: contract([s.val for s in seeds], order, grid=False), where, order)
+
+    return evaluate
 
 
 def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
@@ -257,11 +289,12 @@ def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
 
     Coefficients are uniform in [-1, 1] from a seeded generator; the seed is
     recorded in reports so suites are reproducible.  At d = 2 the windowed
-    field's jets come in closed form from per-axis Vandermonde matrices;
-    otherwise the polynomial's jets do, and the bump's come from jet arithmetic.
+    field's jets come in closed form from per-axis Vandermonde matrices of the
+    expanded window; otherwise from per-axis factored windows ``W_k``, whose
+    bump derivatives :func:`window_jet` gives on one-variable jets.
     """
     support = np.asarray(support, dtype=float)
-    make = _polynomial_bump_evaluator if support.shape[0] == 2 else _polynomial_jet_arithmetic
+    make = _polynomial_bump_evaluator if support.shape[0] == 2 else _factored_window_evaluator
     return ScalarField(support, make(support, seed, degree), name=f"poly(seed={seed},deg={degree})")
 
 

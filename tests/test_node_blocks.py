@@ -245,6 +245,19 @@ def test_chart_jet_memory_is_bounded(grim_reaper):
     assert overheads[1] - overheads[0] <= mask + slack, overheads
 
 
+def test_polynomial_field_memory_on_a_grid_stays_near_its_jet():
+    """A d = 3 field on suite3d's 27,000-node grid, which reaches past the support box, peaks
+    at most 2x its order-3 jet: only the 20 distinct partials form on the whole grid, and the
+    mask zeroes the jet in place."""
+    domain = np.array(GRIM_REAPER_X_LINE["domain"])
+    grid = ss.tensor_rule(domain, cells=3, points_per_cell=10)
+    phi = ss.random_polynomial_field(ss.default_support_box(domain), seed=3)
+    phi.eval_jets(grid, 3)  # first-call caches stay out of the peak
+    out, peak = traced_peak(phi.eval_jets, grid, 3)
+    assert np.any(out.val == 0.0) and grid.nodes.shape[0] > jets.NODE_BLOCK
+    assert peak <= 2 * sum(a.nbytes for a in (out.val, out.d1, out.d2, out.d3))
+
+
 # (chart, one-form, cells, points per cell): 15^2 = 225 and 6^3 = 216 nodes, neither a multiple of 7
 VARIATION_CASES = {
     "grim_reaper": ("grim_reaper", ss.random_hamiltonian_variation, 3, 5),
