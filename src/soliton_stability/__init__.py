@@ -48,7 +48,9 @@ from .reports import (
     run_variation_suite,
 )
 from .stability import (
+    GridBlock,
     GridGeometry,
+    fd_second_difference,
     first_variation,
     grid_geometry,
     prepare_variation,

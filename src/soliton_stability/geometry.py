@@ -37,7 +37,6 @@ two against each other through the Gauss equation.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -67,7 +66,12 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 
 @dataclass
 class PointGeometry:
-    """All pointwise geometric data of a chart at a batch of points, node axis last."""
+    """All pointwise geometric data of a chart at a batch of points, node axis last.
+
+    A grid block (:func:`stability.grid_geometry`) sets the construction
+    intermediates ``sqrt_det_g``, ``dg``, ``Gamma_partial`` and ``weight`` to
+    None once it has formed what the routes read from them.
+    """
 
     T: np.ndarray             # (m,) translation direction
     positions: np.ndarray     # (m, N)
@@ -75,12 +79,12 @@ class PointGeometry:
     hessian: np.ndarray       # (m, d, d, N)
     g: np.ndarray             # (d, d, N)
     g_inv: np.ndarray         # (d, d, N)
-    sqrt_det_g: np.ndarray    # (N,)
-    dg: np.ndarray            # (d, d, d, N)
+    sqrt_det_g: np.ndarray | None  # (N,)
+    dg: np.ndarray | None     # (d, d, d, N)
     Gamma: np.ndarray         # (d, d, d, N)
     Gamma_partial: np.ndarray | None  # (d, d, d, d, N); None for order-2 jets
     h_coord: np.ndarray       # (m, d, d, N)
-    weight: np.ndarray        # (N,) translation weight exp(<T, Phi>)
+    weight: np.ndarray | None  # (N,) translation weight exp(<T, Phi>)
 
     # every property below is formed on first use; soliton_residual reads T_coord only
 
@@ -121,7 +125,9 @@ class PointGeometry:
         return np.einsum("abn,labn->ln", self.g_inv, self.Gamma)
 
     @cached_property
-    def P(self) -> np.ndarray:  # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]
+    def P(self) -> np.ndarray | None:  # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]; None at order 2
+        if self.Gamma_partial is None:
+            return None
         return np.einsum("abn,albcn->lcn", self.g_inv, self.Gamma_partial)
 
     @cached_property
@@ -134,15 +140,6 @@ class PointGeometry:
         h_nu = np.einsum("qabn,qpn->abpn", self.h_coord, self.nu)
         h_nu = np.einsum("ain,abpn->ibpn", A, h_nu)
         return np.einsum("bjn,ibpn->ijpn", A, h_nu)
-
-    def take(self, rows: slice) -> PointGeometry:
-        """The geometry at node rows ``rows``: views of every node-last array,
-        each property already formed included; the others form on the part's first use."""
-        part = copy.copy(self)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray) and name != "T":
-                vars(part)[name] = value[..., rows]
-        return part
 
 
 @dataclass

@@ -1,19 +1,24 @@
 """Composite tensor-product Gauss-Legendre quadrature with deterministic sums.
 
 Nodes are ordered cell-major along each axis and the tensor product is
-flattened in C order (last axis fastest).  Integrals are evaluated with a
-single ``np.sum`` over that fixed ordering (pairwise summation), so repeated
-runs produce bit-identical values.
+flattened in C order (last axis fastest).  An x-row is the nodes that share
+one axis-0 node; a block of consecutive x-rows is a tensor grid itself
+(:meth:`QuadratureGrid.rows`).  Every integral is reduced one way: the
+weighted values of each x-row are summed by ``np.sum`` in C order, then one
+``np.sum`` runs over the row sums (:func:`total`).  A row sum depends on its
+own row alone, so a pass over row blocks that hands back each block's row
+sums, in order, gives the same bits as the whole grid at once, whatever the
+block size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["QuadratureGrid", "tensor_rule"]
+__all__ = ["QuadratureGrid", "tensor_rule", "total"]
 
 
 def _axis_rule(lo: float, hi: float, cells: int, points_per_cell: int):
@@ -42,9 +47,27 @@ class QuadratureGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.axis_nodes)
 
+    def rows(self, i0: int, i1: int) -> QuadratureGrid:
+        """The sub-grid on axis-0 nodes ``i0:i1``, a tensor grid with ``nodes`` and ``weights``
+        as views of this grid's; ``box`` and ``cells`` stay this grid's."""
+        per_row = self.weights.shape[0] // self.axis_nodes[0].shape[0]
+        nodes = slice(i0 * per_row, i1 * per_row)
+        return replace(
+            self,
+            nodes=self.nodes[nodes],
+            weights=self.weights[nodes],
+            axis_nodes=(self.axis_nodes[0][i0:i1],) + self.axis_nodes[1:],
+            axis_weights=(self.axis_weights[0][i0:i1],) + self.axis_weights[1:],
+        )
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """The weighted sum over each x-row, in C order: (rows,)."""
+        weighted = np.asarray(values).reshape(-1) * self.weights
+        return np.sum(weighted.reshape(self.axis_nodes[0].shape[0], -1), axis=1)
+
     def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum in the documented deterministic order."""
-        return float(np.sum(np.asarray(values).reshape(-1) * self.weights))
+        """Weighted sum in the documented deterministic order: the :func:`total` of the row sums."""
+        return total(self.row_sums(values))
 
     def describe(self) -> dict:
         return {
@@ -52,6 +75,11 @@ class QuadratureGrid:
             "cells": [self.cells] * self.box.shape[0],
             "points_per_cell": self.points_per_cell,
         }
+
+
+def total(row_sums) -> float:
+    """The integral from the x-row sums of a grid, in C order: one ``np.sum`` over them."""
+    return float(np.sum(row_sums))
 
 
 def tensor_rule(box, cells: int = 40, points_per_cell: int = 8) -> QuadratureGrid:

@@ -18,9 +18,11 @@ from typing import Any
 import numpy as np
 
 from .errors import EvaluationError
+from .quadrature import total
 from .stability import (
     DEFAULT_FD_STEPS,
     GridGeometry,
+    fd_second_difference,
     first_variation,
     prepare_variation,
     require_soliton,
@@ -29,6 +31,7 @@ from .stability import (
     second_variation_operator,
     second_variation_square,
     variation_scale,
+    warn_if_not_closed,
 )
 from .variations import OneFormField
 
@@ -78,22 +81,57 @@ class VariationReport:
         return out
 
 
+# the routes that evaluate_variation runs on each block, each handing back the block's row sums
+ROUTES = {
+    "first_var": first_variation,
+    "Fpp_operator": second_variation_operator,
+    "Fpp_divergence": second_variation_divergence,
+    "Fpp_square": second_variation_square,
+    "scale": variation_scale,
+}
+
+
 def evaluate_variation(
     gg: GridGeometry,
     theta: OneFormField,
     seed: int | None = None,
     fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
 ) -> VariationReport:
-    """Run every route on one variation and bundle the numbers."""
+    """Run every route on one variation, one row block of ``gg`` at a time, and bundle the numbers.
+
+    Each block is finished before the next starts: its form jets and
+    per-variation arrays are block-sized and freed before the next block's
+    form.  Two half-measures, each measured on the default 102,400-node suite
+    in fresh processes, cut memory but cost time through first-touch page
+    faults: whole-grid per-variation arrays over blocked geometry took 106k
+    minor faults against 20k, 0.29 s of system time against 0.11 s and 1.82 s
+    of wall time against 1.58 s (medians of 8 alternating runs), and holding
+    every block's ``VariationData`` took 115k faults, about 3.4k-4.9k per
+    variation.  A program that frees whole-grid temporaries raises glibc's
+    dynamic mmap and trim thresholds, so later arrays of that size reuse the
+    heap; block-sized arrays stay below them and reuse it from the start.
+
+    Each route's row sums are added once, by ``quadrature.total``, as
+    ``QuadratureGrid.integrate`` adds them, so no value depends on the block size.
+    """
     # every route refuses off criticality; refuse before forming V, which needs
     # a Lagrangian chart
     require_soliton(gg)
-    data = prepare_variation(gg, theta)
-    op = second_variation_operator(gg, data)
-    dv = second_variation_divergence(gg, data)
-    sq = second_variation_square(gg, data)
-    fd = second_variation_fd_oracle(gg, data, fd_steps)
-    scale = variation_scale(gg, data)
+    sums: dict[str, list[np.ndarray]] = {name: [] for name in (*ROUTES, "fd")}
+    defects = []
+    for block in gg.blocks:
+        data = prepare_variation(block, theta)
+        defects.append(data.defect)
+        for name, route in ROUTES.items():
+            sums[name].append(route(block, data))
+        sums["fd"].append(second_variation_fd_oracle(block, data, fd_steps))
+        del data
+    defect = float(np.max(defects))  # np.max keeps a NaN
+    warn_if_not_closed(defect)
+    fd_rows = np.concatenate(sums.pop("fd"), axis=1)
+    integral = {name: total(np.concatenate(parts)) for name, parts in sums.items()}
+    op, dv, sq, scale = (integral[name] for name in ("Fpp_operator", "Fpp_divergence", "Fpp_square", "scale"))
+    fd = fd_second_difference([total(rows) for rows in fd_rows], fd_steps)
     denom = scale if scale > 0 else 1.0
     pairwise = max(abs(op - dv), abs(op - sq), abs(dv - sq)) / denom
     fd_rel = max(abs(fd - op), abs(fd - dv), abs(fd - sq)) / denom
@@ -103,12 +141,12 @@ def evaluate_variation(
         kind=theta.kind,
         grid=gg.grid.describe(),
         F_value=gg.functional_at_rest,
-        first_var=first_variation(gg, data),
+        first_var=integral["first_var"],
         Fpp_operator=op,
         Fpp_divergence=dv,
         Fpp_square=sq,
         Fpp_fd=fd,
-        lagrangian_defect=data.defect,
+        lagrangian_defect=defect,
         scale=scale,
         max_pairwise_rel_diff=pairwise,
         fd_rel_diff=fd_rel,

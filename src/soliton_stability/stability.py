@@ -20,16 +20,29 @@ associated one-form theta, by four routes:
                   step re-integrates the exact metric of the deformed chart,
                   g(s) = g + s C + s^2 Q with C = t^T dV + dV^T t and
                   Q = dV^T dV (t the tangents, dV the derivative of V).  C,
-                  Q and the weighted-area densities of the four steps are
-                  formed one node block at a time; each density is then
-                  integrated once, over the whole grid.  It uses no
-                  covariant or second-fundamental-form quantity.
+                  Q and the weighted-area densities rho(s) of the four steps
+                  are formed one row block at a time and paired, node by
+                  node, into the second differences
+                  rho(h) - 2 rho(0) + rho(-h), whose row sums the block hands
+                  back; :func:`fd_second_difference` divides the two grid
+                  totals by h^2 and extrapolates.  Differencing before
+                  summing keeps the sums' rounding out of the 1/h^2
+                  amplification.  It uses no covariant or
+                  second-fundamental-form quantity.
+
+The grid geometry is built one row block of the quadrature grid at a time
+(:class:`GridBlock`), and each route is a function of one block and the
+variation's data there (:func:`prepare_variation`) that returns the block's
+row sums (:meth:`QuadratureGrid.row_sums`).  ``reports.evaluate_variation``
+runs every route, and it alone: block by block, in node order, and it adds
+each route's row sums once, by ``quadrature.total``, so no value depends on
+the block size.
 
 The straight-line flow is justified exactly at critical points, where the
 second derivative of F depends only on the first-order variation field; off
-critical points the fd route is meaningless, so every route refuses when the
-grid's translator residual exceeds ``GridGeometry.soliton_tol``, the criticality
-tolerance, which is set once, in :func:`grid_geometry`.
+critical points the fd route is meaningless, so ``evaluate_variation`` refuses
+every route when the grid's translator residual exceeds ``GridGeometry.soliton_tol``,
+the criticality tolerance, which is set once, in :func:`grid_geometry`.
 
 The drift term reads ``<T, grad V_i>`` as the covariant derivative of theta
 along the tangential part of T, evaluated on the frame; the fd oracle is the
@@ -47,7 +60,7 @@ from .charts import Chart
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
 from .jets import node_blocks
-from .quadrature import QuadratureGrid, tensor_rule
+from .quadrature import QuadratureGrid, tensor_rule, total
 from .variations import (
     OneFormField,
     covariant_calculus,
@@ -60,6 +73,7 @@ from .variations import (
 log = logging.getLogger("soliton_stability")
 
 __all__ = [
+    "GridBlock",
     "GridGeometry",
     "grid_geometry",
     "VariationData",
@@ -70,6 +84,8 @@ __all__ = [
     "second_variation_divergence",
     "second_variation_square",
     "second_variation_fd_oracle",
+    "fd_second_difference",
+    "warn_if_not_closed",
     "variation_scale",
     "default_grid_for_support",
     "DEFAULT_SOLITON_TOL",
@@ -82,62 +98,81 @@ DEFAULT_SOLITON_TOL = 1e-8
 DEFAULT_FD_STEPS = (2e-3, 1e-3)
 DEFAULT_CLOSED_TOL = 1e-9
 
-# Rows per node block of the per-variation passes (prepare_variation, the
-# operator and divergence routes, variation_scale and the fd oracle), cut by
-# jets.node_blocks.  Each block writes its integrand into one full-length
-# array that is summed once, so the block size changes no output bit; it
+# Nodes per row block of the grid geometry, rounded down to whole x-rows:
+# each block holds max(1, VARIATION_BLOCK // row length) rows, cut by
+# jets.node_blocks, so a block is a tensor grid and has at least 2 nodes.
+# Each block's geometry is built once, and each variation runs block by block;
+# the row-sum reduction makes the block size change no output bit, so it only
 # keeps the temporaries in cache.
 # Not jets.NODE_BLOCK: at NODE_BLOCK = 8192, verify-soliton on the perfbench
 # certify config (360,000 points) peaks at 55.1 MB RSS against 47.9 MB.  On a
 # 2-vCPU VM (numpy 2.4.6) the in-process 20-variation suite on the default
 # 102,400-node grid took 1,564 / 1,545 / 1,542 ms at 4,096 / 8,192 / 16,384
-# rows, and 1,914 ms unblocked (medians of 5 alternating rounds); larger
-# blocks hold larger temporaries for no further gain.
+# nodes per block, and 1,914 ms unblocked (medians of 5 alternating rounds,
+# measured with node-aligned blocks); larger blocks hold larger temporaries
+# for no further gain.
 VARIATION_BLOCK = 8192
 
 
 @dataclass
+class GridBlock:
+    """What the routes read on one row block of the grid, node axis last: the sub-grid, the
+    point geometry with the traces the routes read formed once and the construction
+    intermediates dropped, ``T^perp - H`` (m, N) and ``exp(<T, Phi>) sqrt(det g)`` (N,)."""
+
+    grid: QuadratureGrid
+    pg: PointGeometry
+    translator_defect: np.ndarray
+    area_weight: np.ndarray
+
+
+@dataclass
 class GridGeometry:
-    """What the routes read at the nodes of a quadrature grid, formed once, node axis last:
-    the point geometry, ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,),
-    ``blocks``, pairs of node rows and the point geometry there, views of ``pg``, and
-    the translator residual with the tolerance :func:`require_soliton` judges it by."""
+    """The grid's row blocks, in node order, with the translator residual, the tolerance
+    :func:`require_soliton` judges it by and the functional at rest, each over the whole grid."""
 
     chart: Chart
     grid: QuadratureGrid
-    pg: PointGeometry
-    blocks: tuple[tuple[slice, PointGeometry], ...]
-    translator_defect: np.ndarray
-    area_weight: np.ndarray
+    blocks: tuple[GridBlock, ...]
     soliton_residual: float
     soliton_tol: float
     functional_at_rest: float
 
 
+def _grid_block(chart: Chart, T, grid: QuadratureGrid) -> GridBlock:
+    # point_geometry evaluates the chart jets itself, so it frees their third derivatives once read
+    pg = point_geometry(chart, T, grid.nodes)
+    defect = translator_defect(pg)  # forms T_coord
+    w = pg.weight * pg.sqrt_det_g
+    pg.dg_inv, pg.K, pg.P, pg.frame_coeff, pg.lagrangian  # what the routes read, and this block's flag
+    pg.sqrt_det_g = pg.dg = pg.Gamma_partial = pg.weight = None
+    return GridBlock(grid, pg, defect, w)
+
+
 def grid_geometry(
     chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
 ) -> GridGeometry:
-    # point_geometry evaluates the chart jets itself, so it frees their third derivatives once read
-    pg = point_geometry(chart, T, grid.nodes)
-    defect = translator_defect(pg)
-    resid = float(np.max(np.linalg.norm(defect, axis=0)))
-    w = pg.weight * pg.sqrt_det_g
-    pg.lagrangian  # a grid-wide flag: formed before the blocks, which carry it over
-    blocks = tuple((rows, pg.take(rows)) for rows in node_blocks(w.shape[0], VARIATION_BLOCK))
-    return GridGeometry(chart, grid, pg, blocks, defect, w, resid, soliton_tol, grid.integrate(w))
+    """The geometry of ``grid`` one row block at a time; no whole-grid geometry is held.
 
-
-def _by_block(gg: GridGeometry, fn, *arrays) -> tuple[np.ndarray, ...]:
-    """``fn(pg, *array rows)`` on each node block of ``gg``, its node-last results
-    written into full-length arrays, so a sum over them runs in the unblocked order."""
-    out = None
-    for rows, pg in gg.blocks:
-        part = fn(pg, *(a[..., rows] for a in arrays))
-        if out is None:
-            out = tuple(np.empty(p.shape[:-1] + gg.area_weight.shape) for p in part)
-        for full, p in zip(out, part):
-            full[..., rows] = p
-    return out
+    Every block carries the grid-wide Lagrangian flag, and on a Lagrangian
+    chart the frame components ``h3`` of the second fundamental form, whose
+    normal frame is then dropped.
+    """
+    per_row = grid.weights.shape[0] // grid.shape[0]
+    size = max(1, VARIATION_BLOCK // per_row) * per_row
+    blocks = tuple(
+        _grid_block(chart, T, grid.rows(nodes.start // per_row, nodes.stop // per_row))
+        for nodes in node_blocks(grid.weights.shape[0], size)
+    )
+    lagrangian = all(b.pg.lagrangian for b in blocks)
+    for b in blocks:
+        b.pg.lagrangian = lagrangian
+        if lagrangian:
+            b.pg.h3
+            del b.pg.nu
+    resid = float(np.max([np.max(np.linalg.norm(b.translator_defect, axis=0)) for b in blocks]))
+    at_rest = total(np.concatenate([b.grid.row_sums(b.area_weight) for b in blocks]))
+    return GridGeometry(chart, grid, blocks, resid, soliton_tol, at_rest)
 
 
 def _weighted_area_density(T: np.ndarray, values, g) -> np.ndarray:
@@ -166,7 +201,7 @@ def require_soliton(gg: GridGeometry) -> None:
 
 @dataclass
 class VariationData:
-    """One variation evaluated once at the grid nodes, shared by all routes (node axis last)."""
+    """One variation evaluated once at a block's nodes, shared by all routes (node axis last)."""
 
     theta: np.ndarray        # (d, N) theta_a
     dtheta: np.ndarray       # (d, d, N) partial_c theta_a at [a, c]
@@ -178,20 +213,14 @@ class VariationData:
     defect: float            # max |partial_a theta_b - partial_b theta_a|
 
 
-def _node_data(pg: PointGeometry, theta, dtheta, ddtheta):
-    """One block's covariant derivatives, |nabla theta|_g^2 and V, from the form's jets there."""
-    nabla, div, laplacian = covariant_calculus(theta, dtheta, ddtheta, pg)
-    return nabla, div, laplacian, _metric_square(pg, nabla), normal_field_from_form(theta, pg)
-
-
-def prepare_variation(gg: GridGeometry, theta: OneFormField) -> VariationData:
-    """Form jets, covariant derivatives, |nabla theta|_g^2, V and the closedness defect, once.
-
-    The form jets are one evaluation on the whole grid; the rest runs in node blocks.
-    """
-    fj = theta.eval_jets(gg.grid, order=2)
-    per_node = _by_block(gg, _node_data, fj.val, fj.d1, fj.d2)
-    return VariationData(fj.val, fj.d1, *per_node, lagrangian_defect(fj.d1))
+def prepare_variation(block: GridBlock, theta: OneFormField) -> VariationData:
+    """Form jets on the block's sub-grid, covariant derivatives, |nabla theta|_g^2, V and the
+    closedness defect there, once."""
+    fj = theta.eval_jets(block.grid, order=2)
+    pg = block.pg
+    nabla, div, laplacian = covariant_calculus(fj.val, fj.d1, fj.d2, pg)
+    nabla_sq, v = _metric_square(pg, nabla), normal_field_from_form(fj.val, pg)
+    return VariationData(fj.val, fj.d1, nabla, div, laplacian, nabla_sq, v, lagrangian_defect(fj.d1))
 
 
 def _sharp(pg: PointGeometry, form: np.ndarray) -> np.ndarray:
@@ -209,72 +238,62 @@ def _metric_square(pg: PointGeometry, tensor: np.ndarray) -> np.ndarray:
     return np.einsum("abn,abn->n", raised, tensor)
 
 
-def first_variation(gg: GridGeometry, data: VariationData) -> float:
-    """d/ds of box-local F: the pairing  int <T^perp - H, V> w dmu."""
-    integrand = np.einsum("pn,pn->n", gg.translator_defect, data.v)
-    return gg.grid.integrate(integrand * gg.area_weight)
+def first_variation(block: GridBlock, data: VariationData) -> np.ndarray:
+    """d/ds of box-local F, the pairing  int <T^perp - H, V> w dmu: the block's row sums."""
+    integrand = np.einsum("pn,pn->n", block.translator_defect, data.v)
+    return block.grid.row_sums(integrand * block.area_weight)
 
 
-def variation_scale(gg: GridGeometry, data: VariationData) -> float:
-    """Size of the variation:  int (|theta|_g^2 + |nabla theta|_g^2) w dmu.
+def variation_scale(block: GridBlock, data: VariationData) -> np.ndarray:
+    """Size of the variation,  int (|theta|_g^2 + |nabla theta|_g^2) w dmu: the block's row sums.
 
     Used as the denominator of all relative agreement tolerances so that tiny
     fields cannot pass checks by accident.
     """
-
-    def density(pg, theta, nabla_sq, w):
-        return ((np.einsum("an,an->n", _sharp(pg, theta), theta) + nabla_sq) * w,)
-
-    (integrand,) = _by_block(gg, density, data.theta, data.nabla_sq, gg.area_weight)
-    return gg.grid.integrate(integrand)
+    theta_sq = np.einsum("an,an->n", _sharp(block.pg, data.theta), data.theta)
+    return block.grid.row_sums((theta_sq + data.nabla_sq) * block.area_weight)
 
 
-def second_variation_operator(gg: GridGeometry, data: VariationData) -> float:
-    """Second-order route through the rough Laplacian of theta.
+def second_variation_operator(block: GridBlock, data: VariationData) -> np.ndarray:
+    """Second-order route through the rough Laplacian of theta: the block's row sums.
 
     The curvature term is assembled from the frame components h_ijk, pairing
     the variation against itself through the full second fundamental form.
     """
-    require_soliton(gg)
-
-    def density(pg, theta, nabla, laplacian, w):
-        drift = np.einsum("cn,cbn->bn", pg.T_coord, nabla)
-        pair = np.einsum("an,an->n", _sharp(pg, theta), laplacian + drift)
-        v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
-        h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
-        return ((pair + np.einsum("kln,kln->n", h_v, h_v)) * w,)
-
-    (integrand,) = _by_block(gg, density, data.theta, data.nabla, data.laplacian, gg.area_weight)
-    return -gg.grid.integrate(integrand)
+    pg = block.pg
+    drift = np.einsum("cn,cbn->bn", pg.T_coord, data.nabla)
+    pair = np.einsum("an,an->n", _sharp(pg, data.theta), data.laplacian + drift)
+    v_frame = np.einsum("ain,an->in", pg.frame_coeff, data.theta)
+    h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
+    return -block.grid.row_sums((pair + np.einsum("kln,kln->n", h_v, h_v)) * block.area_weight)
 
 
-def second_variation_divergence(gg: GridGeometry, data: VariationData) -> float:
-    """First-order route:  int (|nabla theta|^2 - |h paired with V|^2) w dmu.
+def second_variation_divergence(block: GridBlock, data: VariationData) -> np.ndarray:
+    """First-order route,  int (|nabla theta|^2 - |h paired with V|^2) w dmu: the block's row sums.
 
     The curvature term here goes through the ambient-valued second
     fundamental form and the ambient variation field, independent of the
     frame route used by the operator form.
     """
-    require_soliton(gg)
-
-    def density(pg, nabla_sq, v, w):
-        h_v = np.einsum("mabn,mn->abn", pg.h_coord, v)
-        return ((nabla_sq - _metric_square(pg, h_v)) * w,)
-
-    (integrand,) = _by_block(gg, density, data.nabla_sq, data.v, gg.area_weight)
-    return gg.grid.integrate(integrand)
+    h_v = np.einsum("mabn,mn->abn", block.pg.h_coord, data.v)
+    return block.grid.row_sums((data.nabla_sq - _metric_square(block.pg, h_v)) * block.area_weight)
 
 
-def second_variation_square(gg: GridGeometry, data: VariationData) -> float:
-    """Perfect-square route:  int (div theta^sharp + theta(T^top))^2 w dmu.
+def second_variation_square(block: GridBlock, data: VariationData) -> np.ndarray:
+    """Perfect-square route,  int (div theta^sharp + theta(T^top))^2 w dmu: the block's row sums.
 
     Nonnegative by construction.  Equals the other routes only for closed
-    theta; a defect above ``DEFAULT_CLOSED_TOL`` logs a warning instead of
-    refusing, because the mismatch for non-closed forms is itself a test
-    subject.
+    theta; ``evaluate_variation`` logs :func:`warn_if_not_closed` once per variation
+    instead of refusing, because the mismatch for non-closed forms is itself a
+    test subject.
     """
-    require_soliton(gg)
-    defect = data.defect
+    q = data.div + np.einsum("an,an->n", data.theta, block.pg.T_coord)
+    return block.grid.row_sums(q * q * block.area_weight)
+
+
+def warn_if_not_closed(defect: float) -> None:
+    """Log that the square route does not apply when the grid-wide closedness defect exceeds
+    ``DEFAULT_CLOSED_TOL``."""
     if defect > DEFAULT_CLOSED_TOL:
         log.warning(
             "square-form route on a non-closed form (defect %.3e > %.3e); "
@@ -282,35 +301,39 @@ def second_variation_square(gg: GridGeometry, data: VariationData) -> float:
             defect,
             DEFAULT_CLOSED_TOL,
         )
-    q = data.div + np.einsum("an,an->n", data.theta, gg.pg.T_coord)
-    return gg.grid.integrate(q * q * gg.area_weight)
 
 
 def second_variation_fd_oracle(
-    gg: GridGeometry,
+    block: GridBlock,
     data: VariationData,
     steps: tuple[float, float] = DEFAULT_FD_STEPS,
-) -> float:
-    """Second difference of the box-local functional along Phi + s V.
+) -> np.ndarray:
+    """The block's row sums of the second differences of the box-local functional along
+    Phi + s V: ``rho(h) - 2 rho(0) + rho(-h)`` for h = h1, h2, with rho(s) the weighted-area
+    density of the deformed chart, (2, rows), for :func:`fd_second_difference`.
 
-    Richardson-extrapolated over the two given steps.  Valid only at critical
-    points, where the value depends on the variation field alone.  Each node
-    block forms its metric pieces C and Q and the weighted-area densities of
-    the four deformed charts; each density is integrated once, over the grid.
+    The block forms its metric pieces C and Q and the densities of the four
+    deformed charts; rho(0) is the block's area weight.
     """
-    require_soliton(gg)
+    pg = block.pg
+    cross, quad = _deformation(pg, data.theta, data.dtheta)
+
+    def density(s):
+        return _weighted_area_density(pg.T, pg.positions + s * data.v, pg.g + s * cross + (s * s) * quad)
+
+    rest = 2 * block.area_weight
+    return np.stack([block.grid.row_sums(density(h) - rest + density(-h)) for h in steps])
+
+
+def fd_second_difference(second_differences, steps: tuple[float, float] = DEFAULT_FD_STEPS) -> float:
+    """Second derivative of the box-local functional along Phi + s V, from the grid totals of
+    ``F(h) - 2 F(0) + F(-h)`` at the two steps, Richardson-extrapolated.
+
+    Valid only at critical points, where the value depends on the variation
+    field alone.
+    """
     h1, h2 = steps
-
-    def densities(pg, theta, dtheta, v):
-        cross, quad = _deformation(pg, theta, dtheta)
-        return tuple(
-            _weighted_area_density(pg.T, pg.positions + s * v, pg.g + s * cross + (s * s) * quad)
-            for s in (h1, -h1, h2, -h2)
-        )
-
-    f0 = gg.functional_at_rest
-    up1, down1, up2, down2 = map(gg.grid.integrate, _by_block(gg, densities, data.theta, data.dtheta, data.v))
-    d1, d2 = (up1 - 2 * f0 + down1) / h1**2, (up2 - 2 * f0 + down2) / h2**2
+    d1, d2 = (diff / h**2 for diff, h in zip(second_differences, steps))
     r2 = (h1 / h2) ** 2
     return (r2 * d2 - d1) / (r2 - 1)
 

@@ -14,8 +14,10 @@ Polynomial fields keep the window factored on every axis when d != 2: each
 axis gives ``W_k = d^k/dx^k [s^p B(s)]`` at its own nodes, with B's
 derivatives from jet arithmetic on one-variable jets, and the coefficient
 tensor is contracted against the W_k one axis at a time.  At d = 2 the
-windowed field is expanded into one bivariate polynomial.  Field values are
-forced to exactly zero outside the support box.  :func:`covariant_calculus`
+windowed field is expanded into one bivariate polynomial.  Fields evaluate
+on a QuadratureGrid only; a row block of a grid is a grid, and gets the whole
+grid's jets there bit for bit.  Field values are forced to exactly zero
+outside the support box.  :func:`covariant_calculus`
 returns the plain arrays nabla theta, div theta^sharp and the rough
 Laplacian of a form's jets.
 
@@ -26,6 +28,7 @@ phrased for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,21 +67,12 @@ def window_jet(u: J.Jet, lo: float, hi: float) -> J.Jet:
     return (1.0 - s * s) ** 4
 
 
-def _support_mask(where, support: np.ndarray) -> np.ndarray:
-    """Which points ``(N, d)`` lie in the box; on a grid, the C-order outer AND of per-axis masks."""
-    if not isinstance(where, QuadratureGrid):
-        return np.all((where >= support[:, 0]) & (where <= support[:, 1]), axis=1)
+def _support_mask(grid: QuadratureGrid, support: np.ndarray) -> np.ndarray:
+    """Which grid nodes lie in the box: the C-order outer AND of per-axis masks."""
     keep = np.ones((), dtype=bool)
-    for x, (lo, hi) in zip(where.axis_nodes, support):
+    for x, (lo, hi) in zip(grid.axis_nodes, support):
         keep = np.logical_and.outer(keep, (x >= lo) & (x <= hi))
     return keep.reshape(-1)
-
-
-def _nodes(where) -> np.ndarray:
-    """The (N, d) points of a QuadratureGrid or of a point batch."""
-    if isinstance(where, QuadratureGrid):
-        return where.nodes
-    return np.atleast_2d(np.asarray(where, dtype=float))
 
 
 def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
@@ -94,26 +88,26 @@ def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
 class ScalarField:
     """Compactly supported scalar on the parameter domain with exact jets.
 
-    ``evaluate(where, order)`` returns the field's jet at scattered points
-    ``(N, d)`` or at the nodes of a :class:`QuadratureGrid`, in the grid's
-    order, in arrays of its own: :meth:`eval_jets` zeroes them in place
-    outside the support box, and refuses points of another dimension and
-    non-finite data.
+    ``evaluate(grid, order)`` returns the field's jet at the nodes of a
+    :class:`QuadratureGrid`, in the grid's order, in arrays of its own:
+    :meth:`eval_jets` zeroes them in place outside the support box, and
+    refuses a grid of another dimension and non-finite data.  A row block of a
+    grid (:meth:`QuadratureGrid.rows`) is a grid, so fields evaluate block by
+    block.
     """
 
     support: np.ndarray
-    evaluate: Callable[[object, int], J.Jet]
+    evaluate: Callable[[QuadratureGrid, int], J.Jet]
     name: str = ""
 
-    def eval_jets(self, where, order: int = 3) -> J.Jet:
-        pts = _nodes(where)
+    def eval_jets(self, grid: QuadratureGrid, order: int = 3) -> J.Jet:
+        pts = grid.nodes
         if pts.shape[1] != self.support.shape[0]:
             raise DomainError(f"points have dimension {pts.shape[1]}, field has {self.support.shape[0]}")
-        where = where if isinstance(where, QuadratureGrid) else pts
         # a domain error inside the field surfaces as the non-finite check below
         with np.errstate(all="ignore"):
-            raw = self.evaluate(where, order)
-        out = _mask_jet(raw, _support_mask(where, self.support))
+            raw = self.evaluate(grid, order)
+        out = _mask_jet(raw, _support_mask(grid, self.support))
         if not out.is_finite():
             bad = pts[out.first_non_finite()].tolist()
             raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data at point {bad}")
@@ -137,7 +131,7 @@ def _jet_arithmetic(support: np.ndarray, fn):
             raw = raw * window_jet(seed, lo, hi)
         return raw
 
-    return lambda where, order: J.evaluate(windowed, _nodes(where), order)
+    return lambda grid, order: J.evaluate(windowed, grid.nodes, order)
 
 
 def scalar_field_from_expression(expr: str, support) -> ScalarField:
@@ -154,6 +148,14 @@ def _monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
 
 
 _BUMP_COEFFS = np.array([1.0, 0.0, -4.0, 0.0, 6.0, 0.0, -4.0, 0.0, 1.0])  # (1 - s^2)^4
+
+
+def _per_axis_cache(make):
+    """``make(x, order)`` formed once per axis-node array and order: the factors of the axes
+    >= 1, which every row block of a grid shares.  Keyed by the nodes' bytes, so equal
+    nodes hit whatever array holds them; the factors are read, never written."""
+    cached = functools.lru_cache(maxsize=4)(lambda key, order: make(np.frombuffer(key), order))
+    return lambda x, order: cached(np.ascontiguousarray(x, dtype=float).tobytes(), order)
 
 
 def _derivative_vandermonde(x: np.ndarray, lo: float, hi: float, ncoef: int, order: int):
@@ -188,8 +190,9 @@ def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
     The windowed field is itself one bivariate polynomial ``s^T C t`` in the
     normalized coordinates, so the (i, j) partial is ``V_i(s)^T C V_j(t)``
     with per-axis derivative Vandermonde matrices.  On a tensor grid that is
-    one small matrix product per partial, evaluated once per axis node; at
-    scattered points the same matrices are contracted row by row.
+    one small matrix product per partial, evaluated once per axis node; the
+    y-axis matrices, which every row block of a grid shares, form once per
+    field.
     """
     full = np.zeros((degree + 9, degree + 9))
     bump2d = np.outer(_BUMP_COEFFS, _BUMP_COEFFS)
@@ -197,18 +200,23 @@ def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
     for c, (i, j) in sorted(zip(*_polynomial_coefficients(2, seed, degree)), key=lambda t: t[1]):
         full[i : i + 9, j : j + 9] += c * bump2d
 
-    def evaluate(where, order: int) -> J.Jet:
-        grid = isinstance(where, QuadratureGrid)
-        x, y = where.axis_nodes if grid else (where[:, 0], where[:, 1])
-        n = x.shape[0] * y.shape[0] if grid else x.shape[0]
-        vx = _derivative_vandermonde(x, *support[0], full.shape[0], order)
+    @_per_axis_cache
+    def columns(y: np.ndarray, order: int) -> list[np.ndarray]:
         vy = _derivative_vandermonde(y, *support[1], full.shape[1], order)
-        rows = [v @ full for v in vx]
+        return [np.ascontiguousarray(v.T) for v in vy]
+
+    def evaluate(grid: QuadratureGrid, order: int) -> J.Jet:
+        x, y = grid.axis_nodes
+        n = x.shape[0] * y.shape[0]
+        # einsum, not matmul: OpenBLAS rounds a row by how many rows it multiplies at once (on
+        # one row, and at degree 8 on any count not a multiple of 4), and it threads the second
+        # product, whose threads then spin idle; einsum's rows depend on their own row alone
+        vx = _derivative_vandermonde(x, *support[0], full.shape[0], order)
+        rows = [np.einsum("ip,pq->iq", v, full) for v in vx]
+        vy = columns(y, order)
 
         def dval(i, j):
-            if grid:  # einsum, not matmul: OpenBLAS threads this product, then its threads spin idle
-                return np.einsum("ip,pj->ij", rows[i], np.ascontiguousarray(vy[j].T)).reshape(n)
-            return np.einsum("np,np->n", rows[i], vy[j])
+            return np.einsum("ip,pj->ij", rows[i], vy[j]).reshape(n)
 
         val = dval(0, 0)
         # the slots of d2 and d3 in row-major order, each distinct partial formed once
@@ -244,10 +252,10 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
     The dense ``(degree+1)^d`` coefficient tensor is contracted against each
     axis's :func:`_factored_window` in turn, carrying only the partials of
     total order <= order, each summed over the power p by a Python loop, so
-    every node sees the same multiply-adds in the same order.  On a
-    QuadratureGrid the windows form at the axis nodes and broadcast along
-    their own axis, so the full grid forms only at the last axis; scattered
-    points run in the node blocks of :func:`jets.evaluate`.
+    every node sees the same multiply-adds in the same order.  The windows
+    form at the axis nodes and broadcast along their own axis, so the full
+    grid forms only at the last axis; the windows of the axes >= 1, which
+    every row block of a grid shares, form once per field.
     """
     d = support.shape[0]
     ncoef = degree + 1
@@ -255,12 +263,19 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
     for c, exps in zip(*_polynomial_coefficients(d, seed, degree)):
         coeffs[exps] = c
 
-    def contract(axes, order: int, grid: bool) -> J.Jet:
+    def window(a: int, x: np.ndarray, order: int) -> np.ndarray:
+        shape = (1,) * a + x.shape + (1,) * (d - 1 - a)
+        w = _factored_window(x, *support[a], ncoef, order)
+        return w.swapaxes(1, 2).reshape((order + 1, ncoef) + shape)
+
+    shared = [_per_axis_cache(functools.partial(window, a)) for a in range(1, d)]
+
+    def evaluate(grid: QuadratureGrid, order: int) -> J.Jet:
         # parts[(k_0, ..., k_a)]: the tensor contracted over axes 0..a, its other powers first
-        parts = {(): coeffs.reshape(coeffs.shape + (1,) * (d if grid else 1))}
-        for a, (x, (lo, hi)) in enumerate(zip(axes, support)):
-            shape = (1,) * a + x.shape + (1,) * (d - 1 - a) if grid else x.shape
-            w = _factored_window(x, lo, hi, ncoef, order).swapaxes(1, 2).reshape((order + 1, ncoef) + shape)
+        parts = {(): coeffs.reshape(coeffs.shape + (1,) * d)}
+        x0, *rest = grid.axis_nodes
+        windows = [window(0, x0, order)] + [w(x, order) for w, x in zip(shared, rest)]
+        for w in windows:
             done, parts = parts, {}
             for ks, part in done.items():
                 for k in range(order + 1 - sum(ks)):
@@ -275,11 +290,6 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
             counts = [tuple(t.count(a) for a in range(d)) for t in zip(*idx)]
             levels.append(J._expand(np.stack([parts.pop(k).reshape(-1) for k in counts]), d, rank))
         return J.Jet(order, *levels)
-
-    def evaluate(where, order: int) -> J.Jet:
-        if isinstance(where, QuadratureGrid):
-            return contract(where.axis_nodes, order, grid=True)
-        return J.evaluate(lambda seeds: contract([s.val for s in seeds], order, grid=False), where, order)
 
     return evaluate
 
@@ -315,16 +325,16 @@ class OneFormField:
     fields: tuple
     potential: ScalarField | None = None
 
-    def eval_jets(self, where, order: int = 2) -> J.Jet:
-        """The components' jets at scattered points ``(N, d)`` or at a QuadratureGrid's nodes.
+    def eval_jets(self, grid: QuadratureGrid, order: int = 2) -> J.Jet:
+        """The components' jets at a QuadratureGrid's nodes.
 
         Node axis last: ``val[a, n] = theta_a``, ``d1[a, c, n] = partial_c
         theta_a`` and ``d2[a, c, e, n] = partial_c partial_e theta_a``.
         """
         if self.potential is not None:
-            phi = self.potential.eval_jets(where, order=order + 1)
+            phi = self.potential.eval_jets(grid, order=order + 1)
             return J.Jet(order, phi.d1, phi.d2, phi.d3)
-        return J.stack([f.eval_jets(where, order=order) for f in self.fields])
+        return J.stack([f.eval_jets(grid, order=order) for f in self.fields])
 
 
 def hamiltonian_variation(phi: ScalarField) -> OneFormField:
@@ -384,7 +394,7 @@ def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry):
         lap_c = g^ab d_a d_b theta_c - P^l_c theta_l
                 - Gamma^l_bc g^ab (d_a theta_l + (nabla_a theta)_l) - K^l (nabla_l theta)_c
     """
-    if pg.Gamma_partial is None:
+    if pg.P is None:
         raise ValueError("covariant calculus needs order-3 chart jets")
     G, g_inv = pg.Gamma, pg.g_inv
     nabla = np.einsum("ban->abn", dtheta) - np.einsum("labn,ln->abn", G, theta)

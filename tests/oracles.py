@@ -6,13 +6,14 @@ one-form from frame components, the translator defect through the tangent
 frame, the box-local functional on a fresh grid, the geometry and covariant
 calculus with the node axis first, the LAPACK inverse, Cholesky frame and
 full-batch rank check of per-node metrics, a polynomial field monomial by
-monomial, the deformed functional on the whole grid and its first variation
-by finite differences, both sides of the square-form proof's integrations by
+monomial, the whole grid as one block with its full point geometry, the
+deformed functional on it and its first variation by finite differences, both sides of the square-form proof's integrations by
 parts, the Laplace-Beltrami operator of a scalar) or checks a proof step (the
 Riemann tensor intrinsically and by the Gauss equation, the Ricci identity
 through the gradient of the divergence) or reads a structural property off a
-result (index symmetry of a jet, one derivative of a jet) or builds a field the
-package does not offer (one windowed in y alone).  Jets are node-last,
+result (index symmetry of a jet, one derivative of a jet) or builds what the
+package does not offer (a field windowed in y alone, a tensor grid on given
+axis nodes).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
@@ -26,9 +27,22 @@ import soliton_stability.jets as J
 from soliton_stability.charts import Chart, eval_jets
 from soliton_stability.errors import DomainError
 from soliton_stability.expressions import compile_expression, variable_names
-from soliton_stability.geometry import RANK_TOL, PointGeometry, mean_curvature_vector
-from soliton_stability.quadrature import QuadratureGrid, tensor_rule
-from soliton_stability.stability import GridGeometry, VariationData, _deformation, _sharp, _weighted_area_density
+from soliton_stability.geometry import (
+    RANK_TOL,
+    PointGeometry,
+    mean_curvature_vector,
+    point_geometry,
+    translator_defect,
+)
+from soliton_stability.quadrature import QuadratureGrid, tensor_rule, total
+from soliton_stability.stability import (
+    GridBlock,
+    GridGeometry,
+    VariationData,
+    _deformation,
+    _sharp,
+    _weighted_area_density,
+)
 from soliton_stability.variations import (
     OneFormField,
     ScalarField,
@@ -457,9 +471,8 @@ def y_windowed_field(expr: str, support) -> ScalarField:
     support = np.asarray(support, dtype=float)
     fn = compile_expression(expr, variable_names(2))
 
-    def evaluate(where, order):
-        pts = where.nodes if isinstance(where, QuadratureGrid) else where
-        return J.evaluate(lambda s: fn(*s) * window_jet(s[1], *support[1]), pts, order)
+    def evaluate(grid, order):
+        return J.evaluate(lambda s: fn(*s) * window_jet(s[1], *support[1]), grid.nodes, order)
 
     return ScalarField(support, evaluate, name=f"{expr} * window(y)")
 
@@ -474,9 +487,8 @@ def cylinder_form_from_normal_components(v3: ScalarField, v4: ScalarField) -> On
     insensitive to closedness.
     """
 
-    def sec_scaled(where, order):
-        pts = where.nodes if isinstance(where, QuadratureGrid) else where
-        return v3.eval_jets(where, order) / J.cos(J.variables(pts, order)[0])
+    def sec_scaled(grid, order):
+        return v3.eval_jets(grid, order) / J.cos(J.variables(grid.nodes, order)[0])
 
     comp_x = ScalarField(v3.support, sec_scaled, name="v3/cos(x)")
     return OneFormField(np.asarray(v3.support, float), "generic", fields=(comp_x, v4))
@@ -491,18 +503,41 @@ def frame_mean_curvature(pg: PointGeometry) -> np.ndarray:
     return np.einsum("qpn,qn->pn", pg.nu, mean_curvature_vector(pg))
 
 
-def deformed_functional(gg: GridGeometry, data: VariationData, s: float) -> float:
-    """Box-local F of the chart  Phi + s V, from its metric g(s) on the whole grid at once."""
-    cross, quad = _deformation(gg.pg, data.theta, data.dtheta)
-    g = gg.pg.g + s * cross + (s * s) * quad
-    return gg.grid.integrate(_weighted_area_density(gg.pg.T, gg.pg.positions + s * data.v, g))
+def tensor_grid(*axes) -> QuadratureGrid:
+    """The tensor grid on the given axis nodes, with unit weights: fields evaluate only on
+    grids, so a point of the plane is the 1 x 1 grid on its coordinates."""
+    axis_nodes = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in axes)
+    mesh = np.meshgrid(*axis_nodes, indexing="ij")
+    nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    box = np.array([[x.min(), x.max()] for x in axis_nodes])
+    weights = tuple(np.ones_like(x) for x in axis_nodes)
+    return QuadratureGrid(box, 1, 1, nodes, np.ones(nodes.shape[0]), axis_nodes, weights)
 
 
-def first_variation_fd(gg: GridGeometry, data: VariationData, step: float = 2e-3) -> float:
+def whole_grid_block(gg: GridGeometry) -> GridBlock:
+    """The whole grid of ``gg`` as one block, every field of its point geometry kept: for
+    tests that read per-node arrays on the whole grid, or run a route off criticality."""
+    pg = point_geometry(gg.chart, gg.blocks[0].pg.T, gg.grid.nodes)
+    return GridBlock(gg.grid, pg, translator_defect(pg), pg.weight * pg.sqrt_det_g)
+
+
+def route_integral(route, block: GridBlock, data: VariationData) -> float:
+    """A route's integral over ``block``: the total of the row sums it hands back."""
+    return total(route(block, data))
+
+
+def deformed_functional(block: GridBlock, data: VariationData, s: float) -> float:
+    """Box-local F of the chart  Phi + s V, from its metric g(s) on the block at once."""
+    cross, quad = _deformation(block.pg, data.theta, data.dtheta)
+    g = block.pg.g + s * cross + (s * s) * quad
+    return block.grid.integrate(_weighted_area_density(block.pg.T, block.pg.positions + s * data.v, g))
+
+
+def first_variation_fd(block: GridBlock, data: VariationData, step: float = 2e-3) -> float:
     """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
 
     def central(h):
-        return (deformed_functional(gg, data, h) - deformed_functional(gg, data, -h)) / (2 * h)
+        return (deformed_functional(block, data, h) - deformed_functional(block, data, -h)) / (2 * h)
 
     d1, d2 = central(step), central(step / 2)
     return (4 * d2 - d1) / 3
@@ -529,24 +564,24 @@ class IntegrationByPartsReport:
         )
 
 
-def integration_by_parts_report(gg: GridGeometry, fj: J.Jet) -> IntegrationByPartsReport:
-    """Both sides of each identity for the form whose order-2 jets at gg's nodes are ``fj``."""
-    pg = gg.pg
+def integration_by_parts_report(block: GridBlock, fj: J.Jet) -> IntegrationByPartsReport:
+    """Both sides of each identity for the form whose order-2 jets at the block's nodes are ``fj``."""
+    pg, grid = block.pg, block.grid
     theta = fj.val
     nabla, div, _ = covariant_calculus(theta, fj.d1, fj.d2, pg)
-    w = gg.area_weight
+    w = block.area_weight
     theta_t = np.einsum("an,an->n", theta, pg.T_coord)
     sharp = _sharp(pg, theta)
     pair_grad_div = np.einsum("an,an->n", sharp, div_grad(fj, pg))
-    lhs_div = -gg.grid.integrate(pair_grad_div * w)
-    rhs_div = gg.grid.integrate((div**2 + div * theta_t) * w)
+    lhs_div = -grid.integrate(pair_grad_div * w)
+    rhs_div = grid.integrate((div**2 + div * theta_t) * w)
 
     drift = np.einsum("cn,cbn->bn", pg.T_coord, nabla)
-    lhs_drift = -gg.grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
+    lhs_drift = -grid.integrate(np.einsum("an,an->n", sharp, drift) * w)
     v_frame = np.einsum("ain,an->in", pg.frame_coeff, theta)
     h_v = np.einsum("ijn,jn->in", np.einsum("ijpn,pn->ijn", pg.h3, frame_mean_curvature(pg)), v_frame)
     mean_curv_pair = np.einsum("in,in->n", h_v, v_frame)
-    rhs_drift = gg.grid.integrate((div * theta_t + mean_curv_pair + theta_t**2) * w)
+    rhs_drift = grid.integrate((div * theta_t + mean_curv_pair + theta_t**2) * w)
     return IntegrationByPartsReport(lhs_div, rhs_div, lhs_drift, rhs_drift)
 
 

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import curvature_tensor, first_variation_fd, integration_by_parts_report, ricci_identity_residual
+from oracles import (
+    curvature_tensor,
+    first_variation_fd,
+    integration_by_parts_report,
+    ricci_identity_residual,
+    route_integral,
+    whole_grid_block,
+)
 from soliton_stability.reports import reports_to_json
 from soliton_stability.stability import default_grid_for_support, prepare_variation
 from soliton_stability.wirtinger import closed_form_deviations
@@ -89,26 +96,24 @@ def test_criterion_3_identity_suite(suite):
 def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
     reports, _ = suite
     assert all(r.max_pairwise_rel_diff < 1e-6 for r in reports)
-    data = prepare_variation(default_gg, ss.random_generic_variation(default_gg.grid.box, seed=7))
-    op = ss.second_variation_operator(default_gg, data)
-    sq = ss.second_variation_square(default_gg, data)
-    scale = ss.variation_scale(default_gg, data)
-    gap = abs(sq - op) / scale
+    r = ss.evaluate_variation(default_gg, ss.random_generic_variation(default_gg.grid.box, seed=7))
+    gap = abs(r.Fpp_square - r.Fpp_operator) / r.scale
     assert gap > 1e-2
     report(4, "closedness-hypothesis", f"(non-closed gap {gap:.2e} vs closed < 1e-6)")
 
 
 def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
-    _, _, ricci = curvature_tensor(default_gg.pg)
+    block = whole_grid_block(default_gg)
+    _, _, ricci = curvature_tensor(block.pg)
     worst_ricci = 0.0
     worst_parts = 0.0
     for seed in range(SUITE_SEED, SUITE_SEED + 10):
         theta = ss.random_hamiltonian_variation(default_gg.grid.box, seed=seed)
-        data = prepare_variation(default_gg, theta)
+        data = prepare_variation(block, theta)
         fj = theta.eval_jets(default_gg.grid, order=2)
-        worst_ricci = max(worst_ricci, ricci_identity_residual(fj, default_gg.pg, ricci))
-        rep = integration_by_parts_report(default_gg, fj)
-        scale = ss.variation_scale(default_gg, data)
+        worst_ricci = max(worst_ricci, ricci_identity_residual(fj, block.pg, ricci))
+        rep = integration_by_parts_report(block, fj)
+        scale = route_integral(ss.variation_scale, block, data)
         worst_parts = max(worst_parts, rep.max_mismatch() / scale)
     assert worst_ricci <= 1e-7
     assert worst_parts <= 1e-6
@@ -149,12 +154,12 @@ def test_criterion_7_criticality(suite, flat_plane, T, perturbed):
     assert worst_fp <= 1e-9
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
-    gg = ss.grid_geometry(perturbed, T, grid)
+    block = whole_grid_block(ss.grid_geometry(perturbed, T, grid))
     worst_fd = 0.0
     for seed in (SUITE_SEED, SUITE_SEED + 1):
-        data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=seed))
-        fv = ss.first_variation(gg, data)
-        fd = first_variation_fd(gg, data)
+        data = prepare_variation(block, ss.random_hamiltonian_variation(support, seed=seed))
+        fv = route_integral(ss.first_variation, block, data)
+        fd = first_variation_fd(block, data)
         worst_fd = max(worst_fd, abs(fv - fd) / abs(fd))
     assert worst_fd <= 1e-6
     report(

@@ -19,7 +19,7 @@ import pytest
 
 import soliton_stability as ss
 import soliton_stability.jets as J
-from oracles import div_grad, node_first_covariant, node_first_geometry
+from oracles import div_grad, node_first_covariant, node_first_geometry, tensor_grid
 
 # u = 0.3 x^3 + 0.2 x^2 y - 0.25 x y z + 0.15 y^2 z + 0.1 z^3 + 0.4 x y + 0.2 y z
 CUBIC_GRADIENT_GRAPH = {
@@ -60,9 +60,9 @@ PRODUCERS = {
     "evaluate-stacked": (lambda: J.evaluate(lambda s: [s[1] * s[0], 1.0], POINTS2, 3), (2,), 2, 30, 3),
     "chart": (lambda: ss.eval_jets(ss.grim_reaper_cylinder(), POINTS2, 3), (4,), 2, 30, 3),
     "chart-3d": (lambda: ss.eval_jets(_cubic(), POINTS3, 2), (6,), 3, 30, 2),
-    "field-closed-form-points": (lambda: _scalar(SUPPORT2).eval_jets(POINTS2, 3), (), 2, 30, 3),
+    "field-closed-form-row": (lambda: _scalar(SUPPORT2).eval_jets(GRID2.rows(2, 3), 3), (), 2, 6, 3),
     "field-closed-form-grid": (lambda: _scalar(SUPPORT2).eval_jets(GRID2, 3), (), 2, 36, 3),
-    "field-arithmetic-points": (lambda: _scalar(SUPPORT3).eval_jets(POINTS3, 3), (), 3, 30, 3),
+    "field-arithmetic-row": (lambda: _scalar(SUPPORT3).eval_jets(GRID3.rows(2, 3), 3), (), 3, 36, 3),
     "field-arithmetic-grid": (lambda: _scalar(SUPPORT3).eval_jets(GRID3, 1), (), 3, 216, 1),
     "form-hamiltonian": (
         lambda: ss.hamiltonian_variation(_scalar(SUPPORT2)).eval_jets(GRID2), (2,), 2, 36, 2
@@ -95,11 +95,13 @@ def case(request):
     d = chart.dim
     support = ss.default_support_box(chart.domain)
     rng = np.random.default_rng(31 + d)
-    pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.05, 0.95, size=(64, d))
-    pg = ss.point_geometry(chart, np.eye(2 * d)[0], pts)
-    jets = ss.eval_jets(chart, pts, order=3)
+    # 64 nodes on a tensor grid of random axis nodes
+    per_axis = round(64 ** (1 / d))
+    grid = tensor_grid(*(lo + (hi - lo) * rng.uniform(0.05, 0.95, size=per_axis) for lo, hi in support))
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)
+    jets = ss.eval_jets(chart, grid.nodes, order=3)
     # a generic form, so nabla theta has no symmetry either
-    fj = ss.random_generic_variation(support, seed=13).eval_jets(pts, order=2)
+    fj = ss.random_generic_variation(support, seed=13).eval_jets(grid, order=2)
     return chart, pg, jets, fj
 
 

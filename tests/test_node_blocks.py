@@ -1,9 +1,11 @@
-"""Node blocks: the certificate, chart jets, jet-arithmetic fields and the
-per-variation passes give the same bits at every block size, keep a NaN, and
-hold memory to one block; and covariant calculus forms no rank-3 array per
-one-form."""
+"""Node blocks: the certificate, chart jets, jet-arithmetic fields, the grid
+geometry's row blocks and the variations run over them give the same bits at
+every block size, keep a NaN, and hold memory to one block; and covariant
+calculus forms no rank-3 array per one-form."""
 
+import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import soliton_stability as ss
 from soliton_stability import geometry, jets, stability
 from soliton_stability.charts import Chart
 from soliton_stability.cli import EXIT_FAIL, main
-from soliton_stability.errors import ImmersionError
+from soliton_stability.errors import ImmersionError, UnsupportedChartError
 from soliton_stability.geometry import kaehler_pullback, translator_defect
 
 EXPRESSION_GRIM_REAPER = {
@@ -94,7 +96,6 @@ def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
 
 
 def test_jet_arithmetic_fields_are_block_invariant(monkeypatch):
-    rng = np.random.default_rng(11)
     support3 = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
     support2 = ss.default_support_box([[-1.47, 1.47], [-3.0, 3.0]])
     cases = [
@@ -103,9 +104,8 @@ def test_jet_arithmetic_fields_are_block_invariant(monkeypatch):
     ]
     for field, support in cases:
         grid = ss.tensor_rule(1.1 * support, cells=1, points_per_cell=3)
-        pts = rng.uniform(support[:, 0], support[:, 1], size=(20, support.shape[0]))
-        for where in (grid, pts):
-            n = grid.nodes.shape[0] if where is grid else pts.shape[0]
+        for where in (grid, grid.rows(1, 3)):
+            n = where.nodes.shape[0]
             monkeypatch.setattr(jets, "NODE_BLOCK", 10**9)
             expected = field.eval_jets(where, order=3)
             for size in block_sizes(n):
@@ -258,57 +258,187 @@ def test_polynomial_field_memory_on_a_grid_stays_near_its_jet():
     assert peak <= 2 * sum(a.nbytes for a in (out.val, out.d1, out.d2, out.d3))
 
 
-# (chart, one-form, cells, points per cell): 15^2 = 225 and 6^3 = 216 nodes, neither a multiple of 7
+# (chart, one-form, cells, points per cell, rows per block): rows of 15 and 36 nodes
 VARIATION_CASES = {
-    "grim_reaper": ("grim_reaper", ss.random_hamiltonian_variation, 3, 5),
-    "grim_reaper_x_line": (GRIM_REAPER_X_LINE, ss.random_hamiltonian_variation, 2, 3),
-    "non_closed": ("grim_reaper", ss.random_generic_variation, 3, 5),
+    "grim_reaper": ("grim_reaper", ss.random_hamiltonian_variation, 3, 5, (1, 2, 7)),
+    "grim_reaper_x_line": (GRIM_REAPER_X_LINE, ss.random_hamiltonian_variation, 2, 3, (1, 2, 4)),
+    "non_closed": ("grim_reaper", ss.random_generic_variation, 3, 5, (1, 2, 7)),
 }
+
+
+def row_blocks(gg):
+    """The sub-grids of ``gg``'s blocks cover its rows in order, each a view of its nodes."""
+    grid = gg.grid
+    per_row = grid.nodes.shape[0] // grid.shape[0]
+    axis0 = np.concatenate([b.grid.axis_nodes[0] for b in gg.blocks])
+    assert np.array_equal(axis0, grid.axis_nodes[0])
+    for b in gg.blocks:
+        assert b.grid.nodes.shape[0] == b.grid.shape[0] * per_row
+        assert np.shares_memory(b.grid.nodes, grid.nodes) and np.shares_memory(b.grid.weights, grid.weights)
+    return [b.grid.shape[0] for b in gg.blocks]
 
 
 @pytest.mark.parametrize("case", list(VARIATION_CASES))
 def test_variation_reports_are_block_invariant(monkeypatch, case):
-    spec, make_form, cells, points = VARIATION_CASES[case]
+    """Blocks of whole rows, one row among them, give the bits of one block over the grid."""
+    spec, make_form, cells, points, row_counts = VARIATION_CASES[case]
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     support = ss.default_support_box(chart.domain)
     grid = ss.tensor_rule(support, cells=cells, points_per_cell=points)
-    assert grid.nodes.shape[0] % 7
+    per_row = grid.nodes.shape[0] // grid.shape[0]
     theta = make_form(support, seed=3)
     reports = {}
-    for size in (10**9, 1, 7):
+    for rows in (None,) + row_counts:
+        size = 10**9 if rows is None else rows * per_row + per_row // 2  # rounds down to whole rows
         monkeypatch.setattr(stability, "VARIATION_BLOCK", size)
         gg = ss.grid_geometry(chart, np.eye(2 * d)[0], grid)
-        # the blocks cover the nodes in order, and none has one node (size 1 runs as 2)
-        edges = [(rows.start, rows.stop) for rows, _ in gg.blocks]
-        assert [a for a, _ in edges[1:]] == [b for _, b in edges[:-1]]
-        assert (edges[0][0], edges[-1][1]) == (0, grid.nodes.shape[0])
-        assert min(b - a for a, b in edges) >= 2
-        assert max(b - a for a, b in edges) <= max(size, 2) + 1
-        reports[size] = ss.evaluate_variation(gg, theta, seed=3).to_dict()
-    assert reports[1] == reports[10**9]
-    assert reports[7] == reports[10**9]
+        sizes = row_blocks(gg)
+        assert sizes == [grid.shape[0]] if rows is None else sizes[:-1] == [rows] * (len(sizes) - 1)
+        reports[rows] = ss.evaluate_variation(gg, theta, seed=3).to_dict()
+    for rows in row_counts:
+        assert reports[rows] == reports[None], rows
     if case == "non_closed":
-        assert reports[7]["lagrangian_defect"] > 0.1
+        assert reports[1]["lagrangian_defect"] > 0.1
+
+
+def test_one_node_rows_run_in_blocks_of_two_rows(monkeypatch, grim_reaper, T):
+    """A grid whose rows hold one node keeps jets.node_blocks's no-one-node rule."""
+    grid = ss.tensor_rule(ss.default_support_box(grim_reaper.domain), cells=1, points_per_cell=1)
+    grid = replace(grid, nodes=np.repeat(grid.nodes, 5, axis=0), weights=np.repeat(grid.weights, 5))
+    grid = replace(grid, axis_nodes=(np.linspace(-0.5, 0.5, 5), grid.axis_nodes[1]))
+    grid = replace(grid, nodes=np.stack([grid.axis_nodes[0], np.zeros(5)], axis=1))
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 1)
+    assert row_blocks(ss.grid_geometry(grim_reaper, T, grid)) == [2, 3]
+
+
+# the arrays a block keeps: what the routes read; every other field of point_geometry is dropped
+KEPT = ("positions", "tangents", "hessian", "g", "g_inv", "Gamma", "h_coord")
+FORMED = ("dg_inv", "K", "P", "T_coord", "frame_coeff", "h3")
+DROPPED = ("sqrt_det_g", "dg", "Gamma_partial", "weight")
 
 
 @pytest.mark.parametrize("spec", ["grim_reaper", GRIM_REAPER_X_LINE], ids=["d2", "d3"])
-def test_block_geometry_matches_the_full_grid(spec):
+def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
+    """Each block holds the whole grid's geometry at its rows, bit for bit, with the traces
+    the routes read formed and the construction intermediates dropped."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=3 if d == 3 else 5)
-    lazy = ("K", "P", "dg_inv", "T_coord", "h3", "frame_coeff", "nu")
-    for size in (1, 7):
-        pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)  # forms dg_inv only
-        parts = [(rows, pg.take(rows)) for rows in jets.node_blocks(grid.nodes.shape[0], size)]
-        for name in lazy:
-            for rows, part in parts:
-                assert np.array_equal(getattr(part, name), getattr(pg, name)[..., rows]), (size, name)
-    # once formed on the whole batch, a property reaches a new part as a view
-    rows = slice(3, 10)
-    part = pg.take(rows)
-    assert all(np.shares_memory(getattr(part, name), getattr(pg, name)) for name in lazy)
-    assert part.T is pg.T
+    T = np.eye(2 * d)[0]
+    full = ss.point_geometry(chart, T, grid.nodes)
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 2 * grid.nodes.shape[0] // grid.shape[0])
+    gg = ss.grid_geometry(chart, T, grid)
+    assert len(gg.blocks) == grid.shape[0] // 2
+    start = 0
+    for block in gg.blocks:
+        rows = slice(start, start + block.grid.nodes.shape[0])
+        start = rows.stop
+        pg = block.pg
+        assert pg.lagrangian is True and pg.T is full.T
+        assert set(vars(pg)) == {"T", "lagrangian", *KEPT, *FORMED, *DROPPED}
+        for name in KEPT + FORMED:
+            assert np.array_equal(getattr(pg, name), getattr(full, name)[..., rows]), name
+        assert all(getattr(pg, name) is None for name in DROPPED)
+        assert np.array_equal(block.translator_defect, translator_defect(full)[:, rows])
+        assert np.array_equal(block.area_weight, (full.weight * full.sqrt_det_g)[rows])
+    assert gg.functional_at_rest == grid.integrate(full.weight * full.sqrt_det_g)
+
+
+def test_every_block_carries_the_grid_wide_lagrangian_flag(monkeypatch, T):
+    """A chart Lagrangian on its first rows only: no block forms h3, and the first block,
+    Lagrangian by itself, refuses the normal field V = J theta^sharp."""
+    chart = ss.chart_from_config(
+        {
+            "name": "bent_patch",
+            "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+            "components": ["x", "0", "y", "1e-9*exp(20*x)*y"],
+        }
+    )
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=4)
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 2 * 8)
+    gg = ss.grid_geometry(chart, T, grid)
+    assert ss.point_geometry(chart, T, gg.blocks[0].grid.nodes).lagrangian
+    assert [b.pg.lagrangian for b in gg.blocks] == [False] * 4
+    assert not any("h3" in vars(b.pg) or "nu" in vars(b.pg) for b in gg.blocks)
+    with pytest.raises(UnsupportedChartError):
+        ss.prepare_variation(gg.blocks[0], ss.random_hamiltonian_variation(grid.box, seed=1))
+
+
+@pytest.mark.parametrize(
+    "spec, cells, points, held, peak",
+    [("grim_reaper", 20, 8, 94, 110), (GRIM_REAPER_X_LINE, 3, 10, 263, 340)],
+    ids=["d2", "d3"],
+)
+def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
+    """The geometry holds what the routes read, 93 floats per node at d = 2 and 262 at d = 3,
+    and builds it one row block at a time.  The whole-grid build held 101 and 324 and peaked
+    at 143 and 558."""
+    chart = ss.chart_from_config(spec)
+    d = chart.domain.shape[0]
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=cells, points_per_cell=points)
+    n = grid.nodes.shape[0]
+    ss.grid_geometry(chart, np.eye(2 * d)[0], grid)  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        gg = ss.grid_geometry(chart, np.eye(2 * d)[0], grid)
+        held_bytes, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gg.blocks) > 2
+    assert held_bytes < held * 8 * n, held_bytes / (8 * n)
+    assert peak_bytes < peak * 8 * n, peak_bytes / (8 * n)
+
+
+def test_variation_memory_does_not_grow_with_the_grid(monkeypatch, grim_reaper, T, gr_support):
+    """A variation holds one block's arrays at a time: its peak is the same on 6,400 and
+    25,600 nodes.  With whole-grid per-variation arrays it grew with the grid, to 28
+    floats per node."""
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 1024)
+    theta = ss.random_hamiltonian_variation(gr_support, seed=2)
+    peaks = []
+    for cells in (20, 40):
+        gg = ss.grid_geometry(grim_reaper, T, ss.tensor_rule(gr_support, cells=cells, points_per_cell=4))
+        warm = ss.evaluate_variation(gg, theta)
+        report, peak = traced_peak(ss.evaluate_variation, gg, theta)
+        assert report == warm
+        peaks.append(peak)
+    assert peaks[1] < 1.1 * peaks[0] + 64 * 1024, peaks
+    assert peaks[1] < 4 * 25_600 * 8, peaks  # 4 floats per node
+
+
+def test_square_route_warns_once_per_variation(monkeypatch, caplog, gr_geometry_small):
+    """The non-closed warning reads the grid-wide defect, once, not once per block."""
+    grid = gr_geometry_small.grid
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * grid.nodes.shape[0] // grid.shape[0])
+    gg = ss.grid_geometry(gr_geometry_small.chart, gr_geometry_small.blocks[0].pg.T, grid)
+    assert len(gg.blocks) == 15
+    with caplog.at_level(logging.WARNING, logger="soliton_stability"):
+        report = ss.evaluate_variation(gg, ss.random_generic_variation(grid.box, seed=7))
+    assert [r.message for r in caplog.records] == [
+        f"square-form route on a non-closed form (defect {report.lagrangian_defect:.3e} > 1.000e-09); "
+        "its value will not match the other routes"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="soliton_stability"):
+        ss.evaluate_variation(gg, ss.random_hamiltonian_variation(grid.box, seed=7))
+    assert caplog.records == []
+
+
+def test_covariant_calculus_needs_the_order_three_trace():
+    """The guard tests P, which a block keeps, not Gamma_partial, which it drops."""
+    chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
+    support = ss.default_support_box(chart.domain)
+    grid = ss.tensor_rule(support, cells=1, points_per_cell=3)
+    fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
+    T = np.eye(6)[0]
+    with pytest.raises(ValueError, match="order-3 chart jets"):
+        ss.covariant_calculus(fj.val, fj.d1, fj.d2, ss.point_geometry(chart, T, grid.nodes, order=2))
+    (block,) = ss.grid_geometry(chart, T, grid).blocks
+    assert block.pg.Gamma_partial is None
+    full = ss.point_geometry(chart, T, grid.nodes)
+    got, want = (ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg) for pg in (block.pg, full))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_covariant_calculus_memory_is_bounded():
@@ -336,19 +466,18 @@ def test_covariant_calculus_memory_is_bounded():
 
 
 def test_fd_oracle_memory_is_bounded(monkeypatch, grim_reaper, T, gr_support):
-    """Beyond its inputs, the fd oracle holds its four step densities and one block.
-
-    That is ``4 N + 64 VARIATION_BLOCK`` floats; the oracle formed on the
-    whole grid at once peaked at 20 floats per node.
-    """
+    """On one block the fd oracle holds its metric pieces, one deformed chart's temporaries
+    and the row sums: 49 floats per node of the block, whatever the grid size.  Over
+    blocks of node rows that wrote into whole-grid densities it held 4 floats per node of
+    the grid beyond them."""
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 512)
     grid = ss.tensor_rule(gr_support, cells=20, points_per_cell=8)
     gg = ss.grid_geometry(grim_reaper, T, grid)
-    n = grid.nodes.shape[0]
-    assert len(gg.blocks) >= 8 and n == 25_600
-    data = ss.prepare_variation(gg, ss.random_hamiltonian_variation(gr_support, seed=2))
-    warm = ss.second_variation_fd_oracle(gg, data)
-    value, peak = traced_peak(ss.second_variation_fd_oracle, gg, data)
-    assert value == warm
-    bound = (4 * n + 64 * 512) * 8
-    assert peak < bound, (peak / (8 * n), bound)
+    assert len(gg.blocks) >= 8 and grid.nodes.shape[0] == 25_600
+    block = gg.blocks[3]
+    data = ss.prepare_variation(block, ss.random_hamiltonian_variation(gr_support, seed=2))
+    warm = ss.second_variation_fd_oracle(block, data)
+    value, peak = traced_peak(ss.second_variation_fd_oracle, block, data)
+    assert np.array_equal(value, warm) and value.shape == (2, block.grid.shape[0])
+    bound = 56 * block.grid.nodes.shape[0] * 8
+    assert peak < bound, (peak / (8 * block.grid.nodes.shape[0]), bound)

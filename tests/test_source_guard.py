@@ -17,6 +17,10 @@
   ``soliton_tol``.  ``VariationData`` holds the arrays of ``covariant_calculus``
   itself, with no ``CovariantData`` wrapper; node blocks follow the one rule
   of ``jets.node_blocks``; every field is windowed on every axis.
+* The routes run over the grid's row blocks and nowhere else: no whole-grid
+  point geometry on ``GridGeometry``, no ``take`` of node rows, no
+  ``_by_block`` writes into full-length arrays, and fields evaluate on grids
+  only, with no scattered-point branch.
 
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
@@ -48,6 +52,8 @@ FORBIDDEN = {
     ),
     "second node-block rule": r"\b_variation_blocks\b",
     "per-axis window option": r"(scalar_field_from_expression|_jet_arithmetic)\([^)]*\bwindow\b",
+    "whole-grid path beside the row blocks": r"\b_by_block\b|\bgg\.pg\b|\.take\(rows\)",
+    "scattered-point field branch": r"isinstance\(where, QuadratureGrid\)",
 }
 
 # one sample per pattern that the guard must flag, at the sample's first line
@@ -56,7 +62,7 @@ CAUGHT = {
     "LAPACK Cholesky": "from numpy.linalg import cholesky, eigvalsh",
     "dense complex-structure einsum": 'nu = np.einsum("pq,qin->pin", J, e)',
     "deleted structure object": "def soliton_residual(chart, structure: AmbientStructure, grid):",
-    "test-only curvature tensor": "_, _, ricci = curvature_tensor(gg.pg)",
+    "test-only curvature tensor": "_, _, ricci = curvature_tensor(block.pg)",
     "test-only Ricci identity": "resid = ricci_identity_residual(theta, cov, pg, ricci)",
     "test-only gradient of the divergence": 'div_grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla)',
     "deleted fd level-gap option": "if instability_tol is not None and abs(value - d2) > instability_tol:",
@@ -67,8 +73,10 @@ CAUGHT = {
         "def second_variation_square(\n    gg: GridGeometry,\n    data: VariationData,\n"
         "    soliton_tol: float = DEFAULT_SOLITON_TOL,\n) -> float:"
     ),
-    "second node-block rule": "blocks = tuple((rows, pg.take(rows)) for rows in _variation_blocks(n))",
+    "second node-block rule": "blocks = tuple(grid.rows(r.start, r.stop) for r in _variation_blocks(n))",
     "per-axis window option": "def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:",
+    "whole-grid path beside the row blocks": "q = data.div + np.einsum(\"an,an->n\", data.theta, gg.pg.T_coord)",
+    "scattered-point field branch": "x, y = where.axis_nodes if isinstance(where, QuadratureGrid) else where.T",
 }
 
 

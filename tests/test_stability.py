@@ -11,8 +11,10 @@ from oracles import (
     first_variation_fd,
     functional_value,
     integration_by_parts_report,
+    route_integral,
     scalar_gradient_pairing,
     scalar_laplacian,
+    whole_grid_block,
 )
 from soliton_stability.errors import NotASolitonError
 from soliton_stability.geometry import batch_det
@@ -48,20 +50,18 @@ def test_functional_flat_plane(flat_plane, T):
 def test_first_variation_vanishes_on_translators(gr_geometry_small, fp_geometry_small):
     for gg in (gr_geometry_small, fp_geometry_small):
         for seed in range(5):
-            data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
-            fv = ss.first_variation(gg, data)
-            scale = ss.variation_scale(gg, data)
-            assert abs(fv) <= 1e-9 * scale
+            report = ss.evaluate_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+            assert abs(report.first_var) <= 1e-9 * report.scale
 
 
 def test_first_variation_matches_fd_off_criticality(perturbed, T):
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
-    gg = ss.grid_geometry(perturbed, T, grid)
+    block = whole_grid_block(ss.grid_geometry(perturbed, T, grid))
     for seed in (3, 17):
-        data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=seed))
-        fv = ss.first_variation(gg, data)
-        fd = first_variation_fd(gg, data)
+        data = prepare_variation(block, ss.random_hamiltonian_variation(support, seed=seed))
+        fv = route_integral(ss.first_variation, block, data)
+        fd = first_variation_fd(block, data)
         assert abs(fv) > 1e-4  # genuinely away from criticality
         assert abs(fv - fd) <= 1e-6 * abs(fd)
 
@@ -73,24 +73,20 @@ def test_first_variation_matches_fd_off_criticality(perturbed, T):
 def test_zero_variation_gives_zeros(gr_geometry_small):
     gg = gr_geometry_small
     theta = zero_form(gg.grid.box)
-    data = prepare_variation(gg, theta)
-    assert ss.second_variation_operator(gg, data) == 0.0
-    assert ss.second_variation_divergence(gg, data) == 0.0
-    assert ss.second_variation_square(gg, data) == 0.0
-    assert abs(ss.second_variation_fd_oracle(gg, data)) < 1e-12
-    rep = integration_by_parts_report(gg, theta.eval_jets(gg.grid, order=2))
+    report = ss.evaluate_variation(gg, theta)
+    assert report.Fpp_operator == 0.0
+    assert report.Fpp_divergence == 0.0
+    assert report.Fpp_square == 0.0
+    assert abs(report.Fpp_fd) < 1e-12
+    rep = integration_by_parts_report(whole_grid_block(gg), theta.eval_jets(gg.grid, order=2))
     assert rep.max_mismatch() == 0.0
 
 
 def test_route_agreement_on_cylinder(gr_geometry_small):
     gg = gr_geometry_small
     for seed in range(1, 6):
-        data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
-        op = ss.second_variation_operator(gg, data)
-        dv = ss.second_variation_divergence(gg, data)
-        sq = ss.second_variation_square(gg, data)
-        fd = ss.second_variation_fd_oracle(gg, data)
-        scale = ss.variation_scale(gg, data)
+        r = ss.evaluate_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+        op, dv, sq, fd, scale = r.Fpp_operator, r.Fpp_divergence, r.Fpp_square, r.Fpp_fd, r.scale
         assert sq >= 0.0
         assert max(abs(op - dv), abs(op - sq), abs(dv - sq)) <= 1e-6 * scale
         assert abs(fd - sq) <= 1e-4 * scale
@@ -114,18 +110,15 @@ def test_quadratic_homogeneity(gr_geometry_small):
     support = gg.grid.box
     phi = ss.random_polynomial_field(support, seed=6)
     lam = 2.0
-    phi2 = ss.ScalarField(support, lambda where, order: phi.eval_jets(where, order) * lam, name="scaled")
+    phi2 = ss.ScalarField(support, lambda grid, order: phi.eval_jets(grid, order) * lam, name="scaled")
     form1, form2 = ss.hamiltonian_variation(phi), ss.hamiltonian_variation(phi2)
-    th1, th2 = prepare_variation(gg, form1), prepare_variation(gg, form2)
-    for route in (
-        ss.second_variation_operator,
-        ss.second_variation_divergence,
-        ss.second_variation_square,
-    ):
-        q1, q2 = route(gg, th1), route(gg, th2)
+    r1, r2 = ss.evaluate_variation(gg, form1), ss.evaluate_variation(gg, form2)
+    for route in ("Fpp_operator", "Fpp_divergence", "Fpp_square"):
+        q1, q2 = getattr(r1, route), getattr(r2, route)
         assert abs(q2 - lam**2 * q1) <= 1e-12 * max(1.0, abs(q2))
-    rep1 = integration_by_parts_report(gg, form1.eval_jets(gg.grid, order=2))
-    rep2 = integration_by_parts_report(gg, form2.eval_jets(gg.grid, order=2))
+    block = whole_grid_block(gg)
+    rep1 = integration_by_parts_report(block, form1.eval_jets(gg.grid, order=2))
+    rep2 = integration_by_parts_report(block, form2.eval_jets(gg.grid, order=2))
     for a, b in (
         (rep1.lhs_divergence, rep2.lhs_divergence),
         (rep1.rhs_divergence, rep2.rhs_divergence),
@@ -137,26 +130,22 @@ def test_quadratic_homogeneity(gr_geometry_small):
 
 def test_integration_by_parts_identities(gr_geometry_small):
     gg = gr_geometry_small
+    block = whole_grid_block(gg)
     for seed in range(10):
         theta = ss.random_hamiltonian_variation(gg.grid.box, seed=seed)
-        data = prepare_variation(gg, theta)
-        rep = integration_by_parts_report(gg, theta.eval_jets(gg.grid, order=2))
-        scale = ss.variation_scale(gg, data)
+        rep = integration_by_parts_report(block, theta.eval_jets(gg.grid, order=2))
+        scale = route_integral(ss.variation_scale, block, prepare_variation(block, theta))
         assert abs(rep.lhs_divergence - rep.rhs_divergence) <= 1e-6 * scale
         assert abs(rep.lhs_drift - rep.rhs_drift) <= 1e-6 * scale
 
 
 def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
     gg = gr_geometry_small
-    data = prepare_variation(gg, ss.random_generic_variation(gg.grid.box, seed=7))
-    assert data.defect > 0.1
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
-        sq = ss.second_variation_square(gg, data)
+        r = ss.evaluate_variation(gg, ss.random_generic_variation(gg.grid.box, seed=7))
+    assert r.lagrangian_defect > 0.1
     assert any("non-closed" in rec.message for rec in caplog.records)
-    op = ss.second_variation_operator(gg, data)
-    dv = ss.second_variation_divergence(gg, data)
-    fd = ss.second_variation_fd_oracle(gg, data)
-    scale = ss.variation_scale(gg, data)
+    op, dv, sq, fd, scale = r.Fpp_operator, r.Fpp_divergence, r.Fpp_square, r.Fpp_fd, r.scale
     # operator/divergence/fd do not need closedness and still agree
     assert abs(op - dv) <= 1e-6 * scale
     assert abs(fd - op) <= 1e-4 * scale
@@ -164,49 +153,47 @@ def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
     assert abs(sq - op) / scale > 1e-2
 
 
-def test_routes_refuse_off_criticality(perturbed, T):
+def test_routes_refuse_off_criticality(perturbed, T, monkeypatch):
+    """evaluate_variation refuses every route before it forms a variation's jets on any block."""
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=6, points_per_cell=4)
     gg = ss.grid_geometry(perturbed, T, grid)
-    data = prepare_variation(gg, ss.random_hamiltonian_variation(support, seed=1))
-    for route in (
-        ss.second_variation_operator,
-        ss.second_variation_divergence,
-        ss.second_variation_square,
-        ss.second_variation_fd_oracle,
-    ):
-        with pytest.raises(NotASolitonError):
-            route(gg, data)
+    theta = ss.random_hamiltonian_variation(support, seed=1)
+    monkeypatch.setattr(ss.reports, "prepare_variation", lambda *args: pytest.fail("formed jets"))
+    with pytest.raises(NotASolitonError):
+        ss.evaluate_variation(gg, theta)
+    with pytest.raises(NotASolitonError):
+        ss.run_variation_suite(gg, [(1, theta)])
 
 
 def test_flat_plane_square_form_reduces_to_drift_laplacian(fp_geometry_small):
     """On the plane with tangent T the square integrand is (lap phi + phi_x)^2 e^x."""
     gg = fp_geometry_small
     phi = ss.random_polynomial_field(gg.grid.box, seed=21)
-    data = prepare_variation(gg, ss.hamiltonian_variation(phi))
-    sq = ss.second_variation_square(gg, data)
-    pj = phi.eval_jets(gg.grid.nodes, order=2)
+    report = ss.evaluate_variation(gg, ss.hamiltonian_variation(phi))
+    sq = report.Fpp_square
+    pj = phi.eval_jets(gg.grid, order=2)
     integrand = (pj.d2[0, 0] + pj.d2[1, 1] + pj.d1[0]) ** 2 * np.exp(
         gg.grid.nodes[:, 0]
     )
     direct = gg.grid.integrate(integrand)
     assert abs(sq - direct) <= 1e-10 * max(1.0, abs(direct))
-    fd = ss.second_variation_fd_oracle(gg, data)
-    assert abs(fd - direct) <= 1e-4 * max(1.0, ss.variation_scale(gg, data))
+    assert abs(report.Fpp_fd - direct) <= 1e-4 * max(1.0, report.scale)
 
 
 def test_drift_divergence_identity(gr_geometry_small):
     """int (lap v + <T, grad v>) w e^f dmu == -int <grad v, grad w> e^f dmu."""
     gg = gr_geometry_small
-    pg = gg.pg
+    block = whole_grid_block(gg)
+    pg, area_weight = block.pg, block.area_weight
     for seed in (2, 14):
         v = ss.random_polynomial_field(gg.grid.box, seed=seed)
         w = ss.random_polynomial_field(gg.grid.box, seed=seed + 1000)
-        vj = v.eval_jets(gg.grid.nodes, order=2)
-        wj = w.eval_jets(gg.grid.nodes, order=2)
+        vj = v.eval_jets(gg.grid, order=2)
+        wj = w.eval_jets(gg.grid, order=2)
         drift_lap = scalar_laplacian(pg, vj) + np.einsum("an,an->n", pg.T_coord, vj.d1)
-        lhs = gg.grid.integrate(drift_lap * wj.val * gg.area_weight)
-        rhs = -gg.grid.integrate(scalar_gradient_pairing(pg, vj, wj) * gg.area_weight)
+        lhs = gg.grid.integrate(drift_lap * wj.val * area_weight)
+        rhs = -gg.grid.integrate(scalar_gradient_pairing(pg, vj, wj) * area_weight)
         scale = gg.grid.integrate(
             (
                 vj.val**2
@@ -214,7 +201,7 @@ def test_drift_divergence_identity(gr_geometry_small):
                 + scalar_gradient_pairing(pg, vj, vj)
                 + scalar_gradient_pairing(pg, wj, wj)
             )
-            * gg.area_weight
+            * area_weight
         )
         assert abs(lhs - rhs) <= 1e-6 * scale
 
@@ -225,12 +212,8 @@ def test_grid_convergence_of_reported_integrals(grim_reaper, T, gr_support):
     for cells in (10, 20):
         grid = ss.tensor_rule(gr_support, cells=cells, points_per_cell=8)
         gg = ss.grid_geometry(grim_reaper, T, grid)
-        data = prepare_variation(gg, theta)
-        values[cells] = (
-            ss.second_variation_square(gg, data),
-            ss.variation_scale(gg, data),
-            gg.functional_at_rest,
-        )
+        report = ss.evaluate_variation(gg, theta)
+        values[cells] = (report.Fpp_square, report.scale, gg.functional_at_rest)
     for a, b in zip(values[10], values[20]):
         assert abs(a - b) <= 1e-8 * abs(b)
 
@@ -240,18 +223,20 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T)
     # terms, where two determinant formulas round differently
     grid = ss.tensor_rule(ss.default_support_box(perturbed.domain), cells=10, points_per_cell=6)
     for gg in (gr_geometry_small, ss.grid_geometry(perturbed, T, grid)):
-        data = prepare_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=4))
+        block = whole_grid_block(gg)
+        pg = block.pg
+        data = prepare_variation(block, ss.random_hamiltonian_variation(gg.grid.box, seed=4))
         # bit for bit: at s = 0 the deformed metric is point_geometry's, and
         # both sides use the same weight and the same determinant.  Pointwise
         # last-bit differences of two determinants can cancel in the quadrature
         # sum, so the shared determinant is also checked node by node.
-        assert deformed_functional(gg, data, 0.0) == gg.functional_at_rest
-        assert np.array_equal(gg.pg.sqrt_det_g, np.sqrt(batch_det(gg.pg.g)))
+        assert deformed_functional(block, data, 0.0) == gg.functional_at_rest
+        assert np.array_equal(pg.sqrt_det_g, np.sqrt(batch_det(pg.g)))
         # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
-        v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
+        v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, pg)
         for s in (2e-3, -1e-3, 0.5):
-            tang = gg.pg.tangents + s * v_d1
+            tang = pg.tangents + s * v_d1
             g = np.einsum("man,mbn->nab", tang, tang)
-            weight = np.exp(gg.pg.T @ (gg.pg.positions + s * v_val))
+            weight = np.exp(pg.T @ (pg.positions + s * v_val))
             direct = gg.grid.integrate(weight * np.sqrt(np.linalg.det(g)))
-            assert abs(deformed_functional(gg, data, s) - direct) <= 1e-14 * abs(direct)
+            assert abs(deformed_functional(block, data, s) - direct) <= 1e-14 * abs(direct)

@@ -14,6 +14,8 @@ from oracles import (
     one_form_pullback,
     reference_polynomial_field,
     ricci_identity_residual,
+    tensor_grid,
+    whole_grid_block,
     y_windowed_field,
 )
 import soliton_stability.jets as J
@@ -26,10 +28,13 @@ def support(gr_support):
     return gr_support
 
 
-def interior_points(support, n=7):
-    axes = [np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in support]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+def interior_grid(support, n=7):
+    return tensor_grid(*(np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in support))
+
+
+def shifted(grid, step):
+    """The tensor grid of ``grid``'s nodes moved by ``step``."""
+    return tensor_grid(*(x + h for x, h in zip(grid.axis_nodes, step)))
 
 
 def test_window_vanishes_to_third_order(support):
@@ -44,15 +49,15 @@ def test_window_vanishes_to_third_order(support):
 
 def test_field_zero_outside_support(support):
     phi = ss.random_polynomial_field(support, seed=2)
-    outside = np.array([[support[0, 1] + 0.05, 0.0], [0.0, support[1, 1] + 0.2]])
-    j = phi.eval_jets(outside, order=3)
-    for arr in (j.val, j.d1, j.d2, j.d3):
-        assert np.all(arr == 0.0)
+    for outside in ([support[0, 1] + 0.05, 0.0], [0.0, support[1, 1] + 0.2]):
+        j = phi.eval_jets(tensor_grid(*outside), order=3)
+        for arr in (j.val, j.d1, j.d2, j.d3):
+            assert np.all(arr == 0.0)
 
 
 def assert_matches_reference(support, box, seed, rtol=1e-13):
     """A random potential at orders 1-3 and a random generic form at order 2 against their
-    per-monomial builds, at interior points and on a grid over ``box``, each jet level to
+    per-monomial builds, on an interior grid and on a grid over ``box``, each jet level to
     ``rtol`` of its largest entry."""
     d = support.shape[0]
     potential = (ss.random_polynomial_field(support, seed), reference_polynomial_field(support, seed))
@@ -62,7 +67,7 @@ def assert_matches_reference(support, box, seed, rtol=1e-13):
     )
     cases = [potential + (order,) for order in (1, 2, 3)] + [form + (2,)]
     grid = ss.tensor_rule(box, cells=3, points_per_cell=4)
-    for where in (interior_points(support, 5), grid):
+    for where in (interior_grid(support, 5), grid):
         for field, reference, order in cases:
             got, want = field.eval_jets(where, order=order), reference.eval_jets(where, order=order)
             assert got.order == want.order == order
@@ -123,12 +128,18 @@ SUPPORT_3D = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
 
 
 def test_closed_form_polynomial_jets_stay_within_the_jet_op_budget(jet_ops):
-    """One node block of scattered points runs 5 outermost Jet operations per axis, the bump's
-    on one-variable jets; the per-monomial build ran 130 for this d = 3 order-3 field."""
-    pts = np.random.default_rng(4).uniform(SUPPORT_3D[:, 0], SUPPORT_3D[:, 1], size=(J.NODE_BLOCK, 3))
-    jet = ss.random_polynomial_field(SUPPORT_3D, seed=3).eval_jets(pts, order=3)
-    assert jet.d3.shape == (3, 3, 3, J.NODE_BLOCK)
+    """A grid runs 5 outermost Jet operations per axis, the bump's on one-variable jets; the
+    per-monomial build ran 130 for this d = 3 order-3 field.  A further row block of the same
+    grid runs them on axis 0 alone: the windows of the axes >= 1 form once per field."""
+    grid = ss.tensor_rule(SUPPORT_3D, cells=2, points_per_cell=8)
+    phi = ss.random_polynomial_field(SUPPORT_3D, seed=3)
+    jet = phi.eval_jets(grid.rows(0, 4), order=3)
+    assert jet.d3.shape == (3, 3, 3, 4 * 16 * 16)
     assert 0 < jet_ops["ops"] <= 5 * 3, jet_ops
+    first = jet_ops["ops"]
+    for i0 in range(4, 16, 4):
+        phi.eval_jets(grid.rows(i0, i0 + 4), order=3)
+    assert 0 < jet_ops["ops"] - first <= 3 * 5, jet_ops
 
 
 def test_grid_jet_ops_do_not_grow_with_the_grid(jet_ops):
@@ -145,66 +156,75 @@ def test_grid_jet_ops_do_not_grow_with_the_grid(jet_ops):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_grid_jets_match_scattered_points_across_the_support_edge(d):
+@pytest.mark.parametrize("degree", [4, 8])
+def test_grid_jets_match_row_blocks_across_the_support_edge(d, degree):
     """On a grid straddling the support box, the per-axis mask is the per-node mask,
-    the jets outside the box are exactly 0, and the grid jets (the per-axis matrix products at
-    d = 2) match the scattered-point path at the same nodes."""
+    the jets outside the box are exactly 0, and every block of rows (one row, two, seven)
+    gives the whole grid's jets there bit for bit.  At degree 8 a BLAS product of the
+    d = 2 rows would round by how many rows it multiplies at once."""
     support = np.array([[-1.0, 1.0], [-2.0, 2.0], [-0.5, 1.5]])[:d]
     box = np.array([[-1.4, 0.3], [-1.4, 2.9], [-0.8, 1.7]])[:d]  # past an edge on every axis
-    grid = ss.tensor_rule(box, cells=3, points_per_cell=4)
+    grid = ss.tensor_rule(box, cells=3, points_per_cell=5)
     keep = _support_mask(grid, support)
-    assert np.array_equal(keep, _support_mask(grid.nodes, support))
+    assert np.array_equal(keep, np.all((grid.nodes >= support[:, 0]) & (grid.nodes <= support[:, 1]), axis=1))
     assert 0 < np.count_nonzero(keep) < keep.size
-    phi = ss.random_polynomial_field(support, seed=4)
-    on_grid, at_points = phi.eval_jets(grid, order=3), phi.eval_jets(grid.nodes, order=3)
+    phi = ss.random_polynomial_field(support, seed=4, degree=degree)
+    on_grid = phi.eval_jets(grid, order=3)
+    per_row = keep.size // 15
     for name in ("val", "d1", "d2", "d3"):
-        a, b = getattr(on_grid, name), getattr(at_points, name)
-        assert np.all(a[..., ~keep] == 0.0), name
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+        assert np.all(getattr(on_grid, name)[..., ~keep] == 0.0), name
+    for size in (1, 2, 7):
+        for i0 in range(0, 15, size):
+            i1 = min(i0 + size, 15)
+            part = phi.eval_jets(grid.rows(i0, i1), order=3)
+            for name in ("val", "d1", "d2", "d3"):
+                want = getattr(on_grid, name)[..., i0 * per_row : i1 * per_row]
+                assert np.array_equal(getattr(part, name), want), (size, i0, name)
 
 
 def test_polynomial_field_in_three_variables():
     """The d = 3 node-block field: each jet level against central differences of the one below."""
     support = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
     phi = ss.random_polynomial_field(support, seed=3)
-    pts = interior_points(support, 3)
-    jet = phi.eval_jets(pts, order=3)
+    inner = interior_grid(support, 3)
+    jet = phi.eval_jets(inner, order=3)
     scale = 1.0 + max(float(np.max(np.abs(a))) for a in (jet.val, jet.d1, jet.d2, jet.d3))
     h = 1e-5
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        up, down = phi.eval_jets(pts + step, order=2), phi.eval_jets(pts - step, order=2)
+        up, down = phi.eval_jets(shifted(inner, step), order=2), phi.eval_jets(shifted(inner, -step), order=2)
         assert np.max(np.abs((up.val - down.val) / (2 * h) - jet.d1[k])) <= 1e-8 * scale
         assert np.max(np.abs((up.d1 - down.d1) / (2 * h) - jet.d2[:, k])) <= 1e-8 * scale
         assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - jet.d3[..., k, :])) <= 1e-8 * scale
-    # a quadrature grid gives the same jets at its nodes, and exact zeros past the support
+    # a quadrature grid gives exact zeros past the support, and its row blocks its own jets
     grid = ss.tensor_rule(1.2 * support, cells=2, points_per_cell=3)
     on_grid = phi.eval_jets(grid, order=3)
     outside = ~np.all((grid.nodes >= support[:, 0]) & (grid.nodes <= support[:, 1]), axis=1)
     assert np.any(outside)
     for name in ("val", "d1", "d2", "d3"):
         arr = getattr(on_grid, name)
-        assert np.array_equal(arr, getattr(phi.eval_jets(grid.nodes, order=3), name))
+        assert np.array_equal(arr[..., 36:], getattr(phi.eval_jets(grid.rows(1, 6), order=3), name))
         assert np.all(arr[..., outside] == 0.0)
     assert np.any(on_grid.val[~outside] != 0.0)
 
 
 def test_exact_forms_are_closed(support):
-    pts = interior_points(support)
+    grid = interior_grid(support)
     for seed in range(5):
         theta = ss.random_hamiltonian_variation(support, seed=seed)
-        assert ss.lagrangian_defect(theta.eval_jets(pts, order=1).d1) <= 1e-12
+        assert ss.lagrangian_defect(theta.eval_jets(grid, order=1).d1) <= 1e-12
     zero = ss.hamiltonian_variation(ss.scalar_field_from_expression("0", support))
-    assert ss.lagrangian_defect(zero.eval_jets(pts, order=1).d1) == 0.0
+    assert ss.lagrangian_defect(zero.eval_jets(grid, order=1).d1) == 0.0
 
 
 def test_hand_differentiated_potential(support):
     # phi = cos(x) * window(y): theta_x = -sin(x) * window(y) inside the support
     phi = y_windowed_field("cos(x)", support)
     theta = ss.hamiltonian_variation(phi)
-    pts = interior_points(support, 5)
-    fj = theta.eval_jets(pts, order=1)
+    grid = interior_grid(support, 5)
+    fj = theta.eval_jets(grid, order=1)
+    pts = grid.nodes
     lo, hi = support[1]
     s, t = J.variables(pts, order=1)
     taper = window_jet(t, lo, hi)
@@ -215,9 +235,8 @@ def test_generic_form_is_not_closed(support):
     theta = ss.generic_variation(
         [ss.scalar_field_from_expression("1", support), ss.scalar_field_from_expression("0", support)]
     )
-    pts = interior_points(support)
     assert theta.kind == "generic"
-    assert ss.lagrangian_defect(theta.eval_jets(pts, order=1).d1) > 1e-3
+    assert ss.lagrangian_defect(theta.eval_jets(interior_grid(support), order=1).d1) > 1e-3
 
 
 def test_components_must_share_support(support):
@@ -232,10 +251,10 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
     gg = fp_geometry_small
     support = gg.grid.box
     phi = ss.random_polynomial_field(support, seed=9)
-    fj = ss.hamiltonian_variation(phi).eval_jets(gg.grid.nodes, order=2)
-    _, div, _ = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
+    fj = ss.hamiltonian_variation(phi).eval_jets(gg.grid, order=2)
+    _, div, _ = ss.covariant_calculus(fj.val, fj.d1, fj.d2, whole_grid_block(gg).pg)
     # flat coordinates: divergence of d(phi) is the coordinate Laplacian
-    pj = phi.eval_jets(gg.grid.nodes, order=2)
+    pj = phi.eval_jets(gg.grid, order=2)
     flat_lap = pj.d2[0, 0] + pj.d2[1, 1]
     assert np.max(np.abs(div - flat_lap)) < 1e-11
 
@@ -243,21 +262,22 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
 def test_ricci_identity(gr_geometry_small):
     """Rough Laplacian vs gradient-of-divergence plus Ricci, for closed forms."""
     gg = gr_geometry_small
-    _, _, ricci = curvature_tensor(gg.pg)
+    pg = whole_grid_block(gg).pg
+    _, _, ricci = curvature_tensor(pg)
     for seed in range(10):
         fj = ss.random_hamiltonian_variation(gg.grid.box, seed=seed).eval_jets(gg.grid, order=2)
-        assert ricci_identity_residual(fj, gg.pg, ricci) < 1e-7
+        assert ricci_identity_residual(fj, pg, ricci) < 1e-7
 
 
 def test_ricci_identity_on_curved_chart(perturbed, T):
     """Same identity where the Ricci term is genuinely nonzero."""
     support = ss.default_support_box(perturbed.domain)
     grid = ss.tensor_rule(support, cells=6, points_per_cell=5)
-    gg = ss.grid_geometry(perturbed, T, grid)
-    _, _, ricci = curvature_tensor(gg.pg)
+    pg = ss.point_geometry(perturbed, T, grid.nodes)
+    _, _, ricci = curvature_tensor(pg)
     assert np.max(np.abs(ricci)) > 1e-4
     fj = ss.random_hamiltonian_variation(support, seed=3).eval_jets(grid, order=2)
-    assert ricci_identity_residual(fj, gg.pg, ricci) < 1e-7
+    assert ricci_identity_residual(fj, pg, ricci) < 1e-7
 
 
 # u = x^3/6 + x y^2/2 + y z^2/2 + x z; its gradient graph (x, u_x, y, u_y, z, u_z) is Lagrangian
@@ -285,21 +305,23 @@ def test_gauss_and_ricci_identities_on_a_curved_3d_chart():
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
     gg = gr_geometry_small
-    fj = ss.random_hamiltonian_variation(gg.grid.box, seed=4).eval_jets(gg.grid.nodes, order=2)
-    nabla, _, _ = ss.covariant_calculus(fj.val, fj.d1, fj.d2, gg.pg)
-    nf = frame_covariant_matrix(nabla, gg.pg)
+    pg = whole_grid_block(gg).pg
+    fj = ss.random_hamiltonian_variation(gg.grid.box, seed=4).eval_jets(gg.grid, order=2)
+    nabla, _, _ = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
+    nf = frame_covariant_matrix(nabla, pg)
     assert np.max(np.abs(nf - nf.swapaxes(0, 1))) < 1e-9
 
 
 def test_round_trip_form_field_form(gr_geometry_small):
     gg = gr_geometry_small
+    pg = whole_grid_block(gg).pg
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=8)
-    val = theta.eval_jets(gg.grid.nodes, order=1).val
-    v = ss.normal_field_from_form(val, gg.pg)
-    back = one_form_pullback(gg.pg, v)
+    val = theta.eval_jets(gg.grid, order=1).val
+    v = ss.normal_field_from_form(val, pg)
+    back = one_form_pullback(pg, v)
     assert np.max(np.abs(back - val)) < 1e-12
     # V is normal: orthogonal to both tangents
-    tang = np.einsum("pn,pan->an", v, gg.pg.tangents)
+    tang = np.einsum("pn,pan->an", v, pg.tangents)
     assert np.max(np.abs(tang)) < 1e-12
 
 
@@ -320,23 +342,22 @@ def test_correspondence_requires_lagrangian(T):
 
 def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reaper, T):
     gg = gr_geometry_small
+    block = whole_grid_block(gg)
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=12)
-    data = ss.prepare_variation(gg, theta)
-    v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, gg.pg)
-    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.grid.nodes, order=1).val, gg.pg)
+    data = ss.prepare_variation(block, theta)
+    v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, block.pg)
+    v_direct = ss.normal_field_from_form(theta.eval_jets(gg.grid, order=1).val, block.pg)
     assert np.max(np.abs(v_val - v_direct)) < 1e-12
     # derivative slot cross-checked by finite differences at one interior node
     idx = len(gg.grid.nodes) // 2
     u0 = gg.grid.nodes[idx]
     h = 1e-5
     for axis in range(2):
-        up, um = u0.copy(), u0.copy()
-        up[axis] += h
-        um[axis] -= h
-        pts = np.array([up, um])
-        pg_pair = ss.point_geometry(grim_reaper, T, pts)
-        v_pair = ss.normal_field_from_form(theta.eval_jets(pts, order=1).val, pg_pair)
-        fd = (v_pair[:, 0] - v_pair[:, 1]) / (2 * h)
+        # the two-node grid u0 - h e_axis, u0 + h e_axis
+        pair = tensor_grid(*([u - h, u + h] if a == axis else [u] for a, u in enumerate(u0)))
+        pg_pair = ss.point_geometry(grim_reaper, T, pair.nodes)
+        v_pair = ss.normal_field_from_form(theta.eval_jets(pair, order=1).val, pg_pair)
+        fd = (v_pair[:, 1] - v_pair[:, 0]) / (2 * h)
         assert np.max(np.abs(v_d1[:, axis, idx] - fd)) < 1e-8
 
 
@@ -357,24 +378,24 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     support = ss.default_support_box(chart.domain)
     theta = ss.random_hamiltonian_variation(support, seed=21)
     rng = np.random.default_rng(d)
-    pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(4, d))
+    grid = tensor_grid(*(lo + (hi - lo) * rng.uniform(0.1, 0.9, size=2) for lo, hi in support))
 
-    pg = ss.point_geometry(chart, T, pts)
-    fj = theta.eval_jets(pts, order=1)
+    pg = ss.point_geometry(chart, T, grid.nodes)
+    fj = theta.eval_jets(grid, order=1)
     v_d1 = ss.variation_field_jets(fj.val, fj.d1, pg)
-    assert v_d1.shape == (2 * d, d, 4)
+    assert v_d1.shape == (2 * d, d, 2**d)
     assert np.max(np.abs(v_d1)) > 1e-3
 
     def field(q):
         return ss.normal_field_from_form(
-            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, T, q)
+            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, T, q.nodes)
         )
 
     h = 1e-5
     for axis in range(d):
         step = np.zeros(d)
         step[axis] = h
-        fd = (field(pts + step) - field(pts - step)) / (2 * h)
+        fd = (field(shifted(grid, step)) - field(shifted(grid, -step))) / (2 * h)
         assert np.max(np.abs(v_d1[:, axis] - fd)) < 1e-8
 
 
@@ -402,10 +423,10 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     d = chart.dim
     support = ss.default_support_box(chart.domain)
     rng = np.random.default_rng(d)
-    pts = support[:, 0] + (support[:, 1] - support[:, 0]) * rng.uniform(0.1, 0.9, size=(50, d))
-    pg = ss.point_geometry(chart, np.eye(2 * d)[0], pts)
+    grid = tensor_grid(*(lo + (hi - lo) * rng.uniform(0.1, 0.9, size=4) for lo, hi in support))
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)
     # a generic form, so nabla theta has no symmetry that could hide a transposition
-    fj = ss.random_generic_variation(support, seed=5).eval_jets(pts, order=2)
+    fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
     G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(pg.Gamma_partial, -1, 0)
     g_inv, dg_inv = np.moveaxis(pg.g_inv, -1, 0), np.moveaxis(pg.dg_inv, -1, 0)
 
@@ -444,13 +465,13 @@ def test_covariant_calculus_matches_index_notation(domain, components):
 @pytest.mark.parametrize("dim", [1, 3])
 def test_field_refuses_points_of_another_dimension(support, make, dim):
     with pytest.raises(DomainError, match=rf"^points have dimension {dim}, field has 2$"):
-        make(support).eval_jets(np.zeros((4, dim)), order=2)
+        make(support).eval_jets(tensor_grid(*([0.0, 0.5],) * dim), order=2)
 
 
 def test_non_finite_field_is_reported(support):
     bad = ss.scalar_field_from_expression("log(x - 100)", support)
     with pytest.raises(ss.EvaluationError):
-        bad.eval_jets(np.array([[0.0, 0.0]]), order=2)
+        bad.eval_jets(tensor_grid(0.0, 0.0), order=2)
 
 
 def test_non_finite_field_names_the_point():
@@ -458,7 +479,7 @@ def test_non_finite_field_names_the_point():
     bad = ss.scalar_field_from_expression("log(x - 0.1)", box)
     message = "scalar field 'log(x - 0.1)' produced non-finite jet data at point [0.0, 0.0]"
     with pytest.raises(ss.EvaluationError, match=f"^{re.escape(message)}$"):
-        bad.eval_jets([[0.5, 0], [0, 0]], order=2)
+        bad.eval_jets(tensor_grid([0.5, 0.0], 0.0), order=2)
     # on a grid, the first node in the grid's C order where 0.1 - x - y <= 0
     grid = ss.tensor_rule(box, cells=3, points_per_cell=2)
     first = grid.nodes[np.flatnonzero(grid.nodes.sum(axis=1) >= 0.1)[0]]

@@ -41,14 +41,14 @@ def test_divergence_route_reproduces_closed_form(grim_reaper, T, gr_support):
     gg = ss.grid_geometry(grim_reaper, T, grid)
     v3 = ss.random_polynomial_field(gr_support, seed=11)
     v4 = ss.random_polynomial_field(gr_support, seed=111)
-    data = ss.prepare_variation(gg, cylinder_form_from_normal_components(v3, v4))
+    report = ss.evaluate_variation(gg, cylinder_form_from_normal_components(v3, v4))
     res = ss.cylinder_stability_integrals(v3, v4, grid)
     expected = res.gradient_integral - res.curvature_integral
-    dv = ss.second_variation_divergence(gg, data)
+    dv = report.Fpp_divergence
     assert abs(dv - expected) <= 1e-8 * max(1.0, abs(expected))
     # the one-form built this way is generically non-closed, but the
     # second-order route is also closedness-free and must agree
-    op = ss.second_variation_operator(gg, data)
+    op = report.Fpp_operator
     assert abs(op - expected) <= 1e-8 * max(1.0, abs(expected))
 
 
