@@ -71,7 +71,7 @@ def apply_J(v: np.ndarray) -> np.ndarray:
 
 
 def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
-    """The chart map's exact jets up to ``order``, in node blocks.
+    """The chart map's exact jets up to ``order`` at all of the points.
 
     Component axis first, node axis last: ``val`` (m, N), ``d1`` (m, d, N),
     ``d2`` (m, d, d, N) and ``d3`` (m, d, d, d, N).

@@ -177,9 +177,12 @@ def chart_and_T(cfg: dict) -> tuple[Chart, list]:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ lead, the derivative axes come next, and ``val[..., n]``, ``d1[..., a, n]``,
 derivatives exactly (to round-off) by the product and chain rules, which is
 what makes the downstream geometric identity checks discretization-free.
 
-:func:`evaluate` runs a function of coordinate jets over a point set in node
-blocks; vector-valued results (chart maps, one-forms) are jets stacked along
-axis 0.
+:func:`evaluate` runs a function of coordinate jets on the points it is
+given; vector-valued results (chart maps, one-forms) are jets stacked along
+axis 0.  Cutting a large point set into blocks is the caller's business
+(``geometry.node_blocks``).
 
 Mixed partials are bit-symmetric: the product and chain rules compute each
 distinct entry of ``d2``/``d3`` once, at its sorted index tuple
@@ -33,7 +34,6 @@ __all__ = [
     "constant",
     "stack",
     "evaluate",
-    "node_blocks",
     "sin",
     "cos",
     "tan",
@@ -41,31 +41,6 @@ __all__ = [
     "log",
     "sqrt",
 ]
-
-
-# Rows per node block of evaluate and of soliton_residual.  Every per-node
-# quantity depends on its own node alone, so the block size changes no output
-# bit; it bounds the temporaries.  On a 2-vCPU VM (numpy 2.4.6), 4096 rows
-# beat 8192 and 16384 on perfbench certify (peak RSS 52 / 59 / 74 MB at equal
-# wall time) and suite3d (wall 3.13 / 3.32 / 3.40 s).
-NODE_BLOCK = 4096
-
-
-def node_blocks(n: int, size: int | None = None) -> list[slice]:
-    """Consecutive row slices of ``size`` (default ``NODE_BLOCK``) rows covering ``range(n)``.
-
-    No block has one row unless n = 1.  On one node, numpy's einsum sums the
-    small indices of a contiguous operand as a SIMD dot product, in another
-    order than along a row of nodes (|nabla theta|_g^2 moved in its last bit).
-    So blocks have at least 2 rows, and a one-row remainder joins the block
-    before it.  ``n = 0`` gives one empty slice, so an empty batch still runs
-    (and fails) as it would unblocked.
-    """
-    size = max(size or NODE_BLOCK, 2)
-    rows = [slice(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
-    if len(rows) > 1 and n - rows[-1].start == 1:
-        rows[-2:] = [slice(rows[-2].start, n)]
-    return rows
 
 
 @functools.cache
@@ -296,31 +271,20 @@ def stack(jets) -> Jet:
 
 
 def evaluate(fn, points, order: int) -> Jet:
-    """``fn(coordinate jets)`` at the ``(N, d)`` points, one node block at a time.
+    """``fn(coordinate jets)`` at all of the ``(N, d)`` points.
 
     ``fn`` returns a jet, or a sequence of components (jets, or plain numbers
     for constant ones) that is stacked along axis 0.  Floating-point
     errors are ignored, so a domain error surfaces to the caller's
-    :meth:`Jet.is_finite` check.  Each block is written into the result in
-    node order.
+    :meth:`Jet.is_finite` check.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
-    out = None
-    for rows in node_blocks(n):
-        seeds = variables(pts[rows], order)
-        with np.errstate(all="ignore"):
-            jet = fn(seeds)
-        if not isinstance(jet, Jet):
-            batch = seeds[0].val.shape
-            jet = stack([c if isinstance(c, Jet) else constant(c, d, order, batch) for c in jet])
-        arrays = (jet.val, jet.d1, jet.d2, jet.d3)
-        if out is None:
-            out = [None if a is None else np.empty(a.shape[:-1] + (n,)) for a in arrays]
-        for dst, src in zip(out, arrays):
-            if dst is not None:
-                dst[..., rows] = src
-    return Jet(jet.order, *out)
+    seeds = variables(points, order)
+    with np.errstate(all="ignore"):
+        jet = fn(seeds)
+    if isinstance(jet, Jet):
+        return jet
+    batch = seeds[0].val.shape
+    return stack([c if isinstance(c, Jet) else constant(c, len(seeds), order, batch) for c in jet])
 
 
 def sin(u):

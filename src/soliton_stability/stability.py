@@ -58,8 +58,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import NotASolitonError
-from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
-from .jets import node_blocks
+from .geometry import PointGeometry, batch_det, point_blocks, translator_defect
 from .quadrature import QuadratureGrid, tensor_rule, total
 from .variations import (
     OneFormField,
@@ -100,17 +99,14 @@ DEFAULT_CLOSED_TOL = 1e-9
 
 # Nodes per row block of the grid geometry, rounded down to whole x-rows:
 # each block holds max(1, VARIATION_BLOCK // row length) rows, cut by
-# jets.node_blocks, so a block is a tensor grid and has at least 2 nodes.
+# geometry.point_blocks, so a block is a tensor grid and has at least 2 nodes.
 # Each block's geometry is built once, and each variation runs block by block;
 # the row-sum reduction makes the block size change no output bit, so it only
 # keeps the temporaries in cache.
-# Not jets.NODE_BLOCK: at NODE_BLOCK = 8192, verify-soliton on the perfbench
-# certify config (360,000 points) peaks at 55.1 MB RSS against 47.9 MB.  On a
-# 2-vCPU VM (numpy 2.4.6) the in-process 20-variation suite on the default
-# 102,400-node grid took 1,564 / 1,545 / 1,542 ms at 4,096 / 8,192 / 16,384
-# nodes per block, and 1,914 ms unblocked (medians of 5 alternating rounds,
-# measured with node-aligned blocks); larger blocks hold larger temporaries
-# for no further gain.
+# On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6), second-variation on the perfbench
+# suite2d config took 2.40 / 2.09 / 1.92 s at 4,096 / 8,192 / 16,384 nodes per
+# block and peaked at 120.0 / 121.2 / 122.8 MB RSS (medians of 8 alternating
+# rounds of fresh processes); 16,384 won only 5 of the 8 pairs against 8,192.
 VARIATION_BLOCK = 8192
 
 
@@ -139,11 +135,9 @@ class GridGeometry:
     functional_at_rest: float
 
 
-def _grid_block(chart: Chart, T, grid: QuadratureGrid) -> GridBlock:
-    # point_geometry evaluates the chart jets itself, so it frees their third derivatives once read
-    pg = point_geometry(chart, T, grid.nodes)
+def _grid_block(grid: QuadratureGrid, pg: PointGeometry) -> GridBlock:
     defect = translator_defect(pg)  # forms T_coord
-    w = pg.weight * pg.sqrt_det_g
+    w = _weighted_area_density(pg.T, pg.positions, pg.g)
     pg.dg_inv, pg.K, pg.P, pg.frame_coeff, pg.lagrangian  # what the routes read, and this block's flag
     pg.sqrt_det_g = pg.dg = pg.Gamma_partial = pg.weight = None
     return GridBlock(grid, pg, defect, w)
@@ -161,8 +155,8 @@ def grid_geometry(
     per_row = grid.weights.shape[0] // grid.shape[0]
     size = max(1, VARIATION_BLOCK // per_row) * per_row
     blocks = tuple(
-        _grid_block(chart, T, grid.rows(nodes.start // per_row, nodes.stop // per_row))
-        for nodes in node_blocks(grid.weights.shape[0], size)
+        _grid_block(grid.rows(rows.start // per_row, rows.stop // per_row), pg)
+        for rows, pg in point_blocks(chart, T, grid.nodes, size=size)
     )
     lagrangian = all(b.pg.lagrangian for b in blocks)
     for b in blocks:

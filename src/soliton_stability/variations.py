@@ -119,8 +119,8 @@ def _jet_arithmetic(support: np.ndarray, fn):
 
     A plain-number result becomes a constant jet before the bump multiplies
     it, so the product is jet times jet and the signs of its zero derivatives
-    do not depend on the constant's sign.  :func:`jets.evaluate` runs it in
-    node blocks.
+    do not depend on the constant's sign.  :func:`jets.evaluate` runs it on
+    the grid's nodes, a row block's sub-grid when a variation runs.
     """
 
     def windowed(seeds):

@@ -518,7 +518,8 @@ def whole_grid_block(gg: GridGeometry) -> GridBlock:
     """The whole grid of ``gg`` as one block, every field of its point geometry kept: for
     tests that read per-node arrays on the whole grid, or run a route off criticality."""
     pg = point_geometry(gg.chart, gg.blocks[0].pg.T, gg.grid.nodes)
-    return GridBlock(gg.grid, pg, translator_defect(pg), pg.weight * pg.sqrt_det_g)
+    area_weight = _weighted_area_density(pg.T, pg.positions, pg.g)
+    return GridBlock(gg.grid, pg, translator_defect(pg), area_weight)
 
 
 def route_integral(route, block: GridBlock, data: VariationData) -> float:

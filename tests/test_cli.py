@@ -418,3 +418,20 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert info.value.code == EXIT_CONFIG
     assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, via):
+    """A report that cannot be written is a configuration error, not a traceback."""
+    out = tmp_path / "missing" / "r.json"
+    if via == "flag":
+        code = run_cli("verify-soliton", "--out", str(out))
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"path": str(out)}}))
+        code = run_cli("verify-soliton", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write output {str(out)!r}: No such file or directory\n"
+    )
+    assert not out.parent.exists()

@@ -54,7 +54,7 @@ def _cubic():
 
 # name -> (producer, component axes, parameters, nodes, order); at d = 2 the
 # windowed polynomial field has closed-form jets, at d = 3 only its polynomial
-# does and the bump runs jet arithmetic in node blocks
+# does and the bump runs jet arithmetic on one-variable jets at each axis's nodes
 PRODUCERS = {
     "evaluate-scalar": (lambda: J.evaluate(lambda s: J.sin(s[0]) * s[1], POINTS2, 3), (), 2, 30, 3),
     "evaluate-stacked": (lambda: J.evaluate(lambda s: [s[1] * s[0], 1.0], POINTS2, 3), (2,), 2, 30, 3),
@@ -72,8 +72,7 @@ PRODUCERS = {
 
 
 @pytest.mark.parametrize("name", list(PRODUCERS))
-def test_jets_are_node_last_and_contiguous(monkeypatch, name):
-    monkeypatch.setattr(J, "NODE_BLOCK", 7)  # several blocks, written into one result
+def test_jets_are_node_last_and_contiguous(name):
     produce, lead, d, n, order = PRODUCERS[name]
     jet = produce()
     assert (jet.order, jet.nvars) == (order, d)

@@ -1,8 +1,10 @@
-"""Node blocks: the certificate, chart jets, jet-arithmetic fields, the grid
+"""Node blocks: the certificate, the cylinder's closed-form deviations, the grid
 geometry's row blocks and the variations run over them give the same bits at
-every block size, keep a NaN, and hold memory to one block; and covariant
-calculus forms no rank-3 array per one-form."""
+every block size, keep a NaN, and hold memory to one block; chart jets and
+jet-arithmetic fields on a block are the whole evaluation's jets there; and
+covariant calculus forms no rank-3 array per one-form."""
 
+import itertools
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -11,11 +13,11 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from soliton_stability import geometry, jets, stability
+from soliton_stability import geometry, jets, stability, wirtinger
 from soliton_stability.charts import Chart
 from soliton_stability.cli import EXIT_FAIL, main
 from soliton_stability.errors import ImmersionError, UnsupportedChartError
-from soliton_stability.geometry import kaehler_pullback, translator_defect
+from soliton_stability.geometry import kaehler_pullback, node_blocks, translator_defect
 
 EXPRESSION_GRIM_REAPER = {
     "name": "expression_grim_reaper",
@@ -56,7 +58,7 @@ def test_soliton_residual_is_block_invariant(monkeypatch, T, spec):
     pts = ss.uniform_grid(chart, 9)
     expected = unblocked_residual(chart, T, pts)
     for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(jets, "NODE_BLOCK", size)
+        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
         report = ss.soliton_residual(chart, T, pts)
         assert report.to_dict() == expected.to_dict(), size
 
@@ -65,7 +67,7 @@ def test_node_blocks_have_at_least_two_rows():
     """Blocks cover the rows in order; a one-row remainder joins the block before it."""
 
     def sizes(n, size):
-        rows = jets.node_blocks(n, size)
+        rows = node_blocks(n, size)
         assert [r.start for r in rows[1:]] == [r.stop for r in rows[:-1]]
         assert (rows[0].start, rows[-1].stop) == (0, n)
         return [r.stop - r.start for r in rows]
@@ -73,7 +75,7 @@ def test_node_blocks_have_at_least_two_rows():
     assert sizes(81, 10) == [10] * 7 + [11]
     assert sizes(80, 10) == [10] * 8
     assert sizes(1, 10) == [1]
-    assert jets.node_blocks(0) == [slice(0, 0)]
+    assert node_blocks(0) == [slice(0, 0)]
     assert sizes(7, 1) == [2, 2, 3]
     assert sizes(8, 1) == [2] * 4
 
@@ -81,7 +83,7 @@ def test_node_blocks_have_at_least_two_rows():
 def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
     """The chart evaluation is the one finiteness check: point_geometry takes no jets to re-check."""
     pts = ss.uniform_grid(grim_reaper, 9)
-    monkeypatch.setattr(jets, "NODE_BLOCK", 10)
+    monkeypatch.setattr(geometry, "NODE_BLOCK", 10)
     checked = []
     is_finite = jets.Jet.is_finite
 
@@ -91,11 +93,25 @@ def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
 
     monkeypatch.setattr(jets.Jet, "is_finite", counted)
     ss.soliton_residual(grim_reaper, T, pts)
-    assert checked == [rows.stop - rows.start for rows in jets.node_blocks(pts.shape[0])]
+    assert checked == [rows.stop - rows.start for rows in node_blocks(pts.shape[0])]
     assert len(checked) == 8  # 81 points: seven blocks of 10, then one of 11
 
 
-def test_jet_arithmetic_fields_are_block_invariant(monkeypatch):
+def block_of(jet, rows):
+    """``jet`` at the nodes ``rows``."""
+    arrays = (jet.val, jet.d1, jet.d2, jet.d3)
+    return jets.Jet(jet.order, *(None if a is None else a[..., rows] for a in arrays))
+
+
+def assert_jets_equal(got, want, where):
+    assert (got.order, got.val.shape[:-1]) == (want.order, want.val.shape[:-1]), where
+    for name in ("val", "d1", "d2", "d3"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a is None if b is None else np.array_equal(a, b), (where, name)
+
+
+def test_jet_arithmetic_fields_are_block_invariant():
+    """Every block of whole rows, one row among them, gets the whole grid's jets there."""
     support3 = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
     support2 = ss.default_support_box([[-1.47, 1.47], [-3.0, 3.0]])
     cases = [
@@ -103,42 +119,37 @@ def test_jet_arithmetic_fields_are_block_invariant(monkeypatch):
         (ss.scalar_field_from_expression("sin(x)*exp(y)/(2 + cos(x*y))", support2), support2),
     ]
     for field, support in cases:
-        grid = ss.tensor_rule(1.1 * support, cells=1, points_per_cell=3)
-        for where in (grid, grid.rows(1, 3)):
-            n = where.nodes.shape[0]
-            monkeypatch.setattr(jets, "NODE_BLOCK", 10**9)
-            expected = field.eval_jets(where, order=3)
-            for size in block_sizes(n):
-                monkeypatch.setattr(jets, "NODE_BLOCK", size)
-                jet = field.eval_jets(where, order=3)
-                for name in ("val", "d1", "d2", "d3"):
-                    assert np.array_equal(getattr(jet, name), getattr(expected, name)), size
+        grid = ss.tensor_rule(1.1 * support, cells=2, points_per_cell=2)
+        per_row = grid.nodes.shape[0] // grid.shape[0]
+        whole = field.eval_jets(grid, order=3)
+        for i, j in itertools.combinations(range(grid.shape[0] + 1), 2):
+            jet = field.eval_jets(grid.rows(i, j), order=3)
+            assert_jets_equal(jet, block_of(whole, slice(i * per_row, j * per_row)), (i, j))
 
 
 @pytest.mark.parametrize(
     "spec", ["grim_reaper", EXPRESSION_GRIM_REAPER], ids=["grim_reaper", "expression_grim_reaper"]
 )
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_chart_jets_are_block_invariant(monkeypatch, spec, order):
-    # the expression chart's fourth component "0" is a plain number, promoted per block
+def test_chart_jets_are_block_invariant(spec, order):
+    """Chart jets on each node block are the whole evaluation's there: the property the
+    row blocks' bit identity rests on."""
+    # the expression chart's fourth component "0" is a plain number, promoted per call
     chart = ss.chart_from_config(spec)
     pts = ss.uniform_grid(chart, 9)
-    monkeypatch.setattr(jets, "NODE_BLOCK", 10**9)
-    expected = ss.eval_jets(chart, pts, order=order)
-    assert expected.val.shape == (4, pts.shape[0])
+    whole = ss.eval_jets(chart, pts, order=order)
+    assert whole.val.shape == (4, pts.shape[0])
+    assert (whole.order, whole.d2 is None, whole.d3 is None) == (order, order < 2, order < 3)
     for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(jets, "NODE_BLOCK", size)
-        jet = ss.eval_jets(chart, pts, order=order)
-        assert (jet.order, jet.d2 is None, jet.d3 is None) == (order, order < 2, order < 3)
-        for name in ("val", "d1", "d2", "d3"):
-            got, want = getattr(jet, name), getattr(expected, name)
-            assert got is None if want is None else np.array_equal(got, want), (size, name)
+        for rows in node_blocks(pts.shape[0], size):
+            jet = ss.eval_jets(chart, pts[rows], order=order)
+            assert_jets_equal(jet, block_of(whole, rows), (size, rows))
 
 
 @pytest.mark.parametrize("container", [tuple, iter], ids=["tuple", "iterator"])
-def test_chart_map_jets_may_return_any_sequence(monkeypatch, container):
+def test_chart_map_jets_may_return_any_sequence(container):
     # Chart.map_jets is typed Sequence: a tuple (or any iterable) of components
-    # gives the same jets as a list, on the one-block and the many-block path
+    # gives the same jets as a list, on all the points and on each node block
     chart = ss.grim_reaper_cylinder()
     other = Chart(
         "grim_reaper_tuple",
@@ -147,12 +158,9 @@ def test_chart_map_jets_may_return_any_sequence(monkeypatch, container):
         lambda seeds: container(chart.map_jets(seeds)),
     )
     pts = ss.uniform_grid(chart, 9)
-    for size in (10**9, 7):
-        monkeypatch.setattr(jets, "NODE_BLOCK", size)
-        expected = ss.eval_jets(chart, pts, order=3)
-        jet = ss.eval_jets(other, pts, order=3)
-        for name in ("val", "d1", "d2", "d3"):
-            assert np.array_equal(getattr(jet, name), getattr(expected, name)), (size, name)
+    for rows in [slice(None)] + node_blocks(pts.shape[0], 7):
+        want = ss.eval_jets(chart, pts[rows], order=3)
+        assert_jets_equal(ss.eval_jets(other, pts[rows], order=3), want, rows)
 
 
 def test_rank_deficiency_message_is_block_invariant(monkeypatch, T):
@@ -163,7 +171,7 @@ def test_rank_deficiency_message_is_block_invariant(monkeypatch, T):
     pts = ss.uniform_grid(chart, 9)
     messages = set()
     for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(jets, "NODE_BLOCK", size)
+        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
         with pytest.raises(ImmersionError, match=r"at point \[-0\.8, 0\.0\]") as info:
             ss.soliton_residual(chart, T, pts)
         messages.add(str(info.value))
@@ -186,7 +194,7 @@ def nan_in_third_block(monkeypatch):
 
 
 def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, T):
-    monkeypatch.setattr(jets, "NODE_BLOCK", 16)
+    monkeypatch.setattr(geometry, "NODE_BLOCK", 16)
     calls = nan_in_third_block(monkeypatch)
     report = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 10))
     assert len(calls) == 7
@@ -195,7 +203,7 @@ def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, 
 
 
 def test_nan_certificate_fails_verify_soliton(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(jets, "NODE_BLOCK", 512)
+    monkeypatch.setattr(geometry, "NODE_BLOCK", 512)
     calls = nan_in_third_block(monkeypatch)
     out = tmp_path / "report.json"
     assert main(["verify-soliton", "--out", str(out)]) == EXIT_FAIL
@@ -218,7 +226,7 @@ def traced_peak(fn, *args):
 
 def test_soliton_residual_memory_is_bounded(grim_reaper, T):
     """Peak memory grows with the input points only, not with the geometry."""
-    block = jets.NODE_BLOCK
+    block = geometry.NODE_BLOCK
     rng = np.random.default_rng(5)
     lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
     small = rng.uniform(0.9 * lo, 0.9 * hi, size=(4 * block, 2))
@@ -229,20 +237,45 @@ def test_soliton_residual_memory_is_bounded(grim_reaper, T):
     assert peak_large - peak_small <= (large.nbytes - small.nbytes) + slack
 
 
-def test_chart_jet_memory_is_bounded(grim_reaper):
-    """Beyond the result, chart jets hold one block of temporaries at any size."""
-    block = jets.NODE_BLOCK
-    rng = np.random.default_rng(7)
-    lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
-    overheads = []
+def test_closed_form_deviations_are_block_invariant(monkeypatch, grim_reaper, T):
+    """The cylinder's deviations are the same dict at every block size, and a NaN in one
+    node of a later block reaches it."""
+    dicts = []
+    for size in block_sizes(81):
+        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
+        dicts.append(ss.closed_form_deviations(grim_reaper, T, 9))
+    assert dicts[1:] == dicts[:1] * 2 and all(map(np.isfinite, dicts[0].values())), dicts
+
+    monkeypatch.setattr(geometry, "NODE_BLOCK", 16)
+    clean = ss.closed_form_deviations(grim_reaper, T, 10)
+    calls = []
+
+    def curvature(pg):
+        out = geometry.mean_curvature_vector(pg)
+        calls.append(out.shape[1])
+        if len(calls) == 3:
+            out[:, out.shape[1] // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(wirtinger, "mean_curvature_vector", curvature)
+    deviations = ss.closed_form_deviations(grim_reaper, T, 10)
+    assert len(calls) == 7
+    assert np.isnan(deviations.pop("mean_curvature"))
+    assert deviations == {k: v for k, v in clean.items() if k != "mean_curvature"}
+
+
+def test_closed_form_deviations_memory_is_bounded(grim_reaper, T):
+    """Peak memory grows with the sampled points only: one block's geometry is held at a time.
+    The whole-point-set build peaked at about 1.1 kB per point (415 MB RSS at 600 x 600)."""
+    block = geometry.NODE_BLOCK
+    peaks, points = [], []
     for blocks in (4, 16):
-        pts = rng.uniform(0.9 * lo, 0.9 * hi, size=(blocks * block, 2))
-        out, peak = traced_peak(ss.eval_jets, grim_reaper, pts, 3)
-        result = sum(a.nbytes for a in (out.val, out.d1, out.d2, out.d3))
-        overheads.append(peak - result)
-    mask = (16 - 4) * block  # the domain check's mask, one byte per point
-    slack = 64 * 1024  # the per-block slices and interpreter bookkeeping
-    assert overheads[1] - overheads[0] <= mask + slack, overheads
+        n = int(np.sqrt(blocks * block))
+        _, peak = traced_peak(ss.closed_form_deviations, grim_reaper, T, n)
+        peaks.append(peak)
+        points.append(ss.uniform_grid(grim_reaper, n).nbytes)
+    slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
+    assert peaks[1] - peaks[0] <= (points[1] - points[0]) + slack, (peaks, points)
 
 
 def test_polynomial_field_memory_on_a_grid_stays_near_its_jet():
@@ -254,7 +287,7 @@ def test_polynomial_field_memory_on_a_grid_stays_near_its_jet():
     phi = ss.random_polynomial_field(ss.default_support_box(domain), seed=3)
     phi.eval_jets(grid, 3)  # first-call caches stay out of the peak
     out, peak = traced_peak(phi.eval_jets, grid, 3)
-    assert np.any(out.val == 0.0) and grid.nodes.shape[0] > jets.NODE_BLOCK
+    assert np.any(out.val == 0.0) and grid.nodes.shape[0] > geometry.NODE_BLOCK
     assert peak <= 2 * sum(a.nbytes for a in (out.val, out.d1, out.d2, out.d3))
 
 
@@ -303,7 +336,7 @@ def test_variation_reports_are_block_invariant(monkeypatch, case):
 
 
 def test_one_node_rows_run_in_blocks_of_two_rows(monkeypatch, grim_reaper, T):
-    """A grid whose rows hold one node keeps jets.node_blocks's no-one-node rule."""
+    """A grid whose rows hold one node keeps geometry.node_blocks's no-one-node rule."""
     grid = ss.tensor_rule(ss.default_support_box(grim_reaper.domain), cells=1, points_per_cell=1)
     grid = replace(grid, nodes=np.repeat(grid.nodes, 5, axis=0), weights=np.repeat(grid.weights, 5))
     grid = replace(grid, axis_nodes=(np.linspace(-0.5, 0.5, 5), grid.axis_nodes[1]))

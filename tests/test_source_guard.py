@@ -15,8 +15,11 @@
   ``grid_geometry``: ``require_soliton`` takes the grid geometry alone, and no
   route, ``evaluate_variation`` or ``run_variation_suite`` takes a
   ``soliton_tol``.  ``VariationData`` holds the arrays of ``covariant_calculus``
-  itself, with no ``CovariantData`` wrapper; node blocks follow the one rule
-  of ``jets.node_blocks``; every field is windowed on every axis.
+  itself, with no ``CovariantData`` wrapper; every field is windowed on every
+  axis.
+* Points are cut into blocks in ``geometry`` alone, by ``node_blocks`` through
+  ``point_blocks``: ``jets.evaluate`` evaluates what it is given, and no other
+  module imports or reads the block rule from ``jets``.
 * The routes run over the grid's row blocks and nowhere else: no whole-grid
   point geometry on ``GridGeometry``, no ``take`` of node rows, no
   ``_by_block`` writes into full-length arrays, and fields evaluate on grids
@@ -54,6 +57,9 @@ FORBIDDEN = {
     "per-axis window option": r"(scalar_field_from_expression|_jet_arithmetic)\([^)]*\bwindow\b",
     "whole-grid path beside the row blocks": r"\b_by_block\b|\bgg\.pg\b|\.take\(rows\)",
     "scattered-point field branch": r"isinstance\(where, QuadratureGrid\)",
+    "node-block rule outside geometry": (
+        r"from \.jets import (\([^)]*|[^\n]*)\bnode_blocks\b|\b(J|jets)\.(node_blocks|NODE_BLOCK)\b"
+    ),
 }
 
 # one sample per pattern that the guard must flag, at the sample's first line
@@ -77,6 +83,7 @@ CAUGHT = {
     "per-axis window option": "def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:",
     "whole-grid path beside the row blocks": "q = data.div + np.einsum(\"an,an->n\", data.theta, gg.pg.T_coord)",
     "scattered-point field branch": "x, y = where.axis_nodes if isinstance(where, QuadratureGrid) else where.T",
+    "node-block rule outside geometry": "from .jets import Jet, node_blocks, stack",
 }
 
 
@@ -96,6 +103,11 @@ def test_guard_flags_each_pattern_and_nothing_else():
         assert violations(line) == [(1, why)], why
     assert violations("eigmin = np.linalg.eigvalsh(g)\nout[0::2] = v[1::2]") == []
     assert violations("pg = point_geometry(chart, T, pts[rows], order=2)\njets = eval_jets(chart, pts)") == []
+    in_geometry = "from .geometry import NODE_BLOCK, node_blocks\nfrom .jets import Jet\nJ.evaluate(f, x, 3)"
+    assert violations(in_geometry) == []
+    from_jets = ("for rows in J.node_blocks(n):", "n = jets.NODE_BLOCK", "from .jets import (\n  Jet,\n  node_blocks)")
+    for line in from_jets:
+        assert violations(line) == [(1, "node-block rule outside geometry")], line
     kept = (
         "def grid_geometry(\n    chart, T, grid, soliton_tol: float = DEFAULT_SOLITON_TOL\n) -> GridGeometry:\n"
         "    require_soliton(gg)\n    raw = raw * window_jet(seed, lo, hi)\n"
