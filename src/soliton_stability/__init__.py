@@ -48,10 +48,10 @@ from .reports import (
     run_variation_suite,
 )
 from .stability import (
-    GridBlock,
     GridGeometry,
     fd_second_difference,
     first_variation,
+    grid_blocks,
     grid_geometry,
     prepare_variation,
     second_variation_divergence,

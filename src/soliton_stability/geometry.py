@@ -41,7 +41,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Any, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -309,14 +309,20 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
 
 
 def point_blocks(
-    chart: Chart, T, points, order: int = 3, size: int | None = None
-) -> Iterator[tuple[slice, PointGeometry]]:
-    """``(rows, point_geometry(chart, T, points[rows], order))`` over :func:`node_blocks`
-    of ``size`` rows, in node order: the one walk that cuts points into blocks, so no
-    geometry of the whole point set forms, whatever the number of points."""
+    chart: Chart,
+    T,
+    points,
+    per_block: Callable[[slice, PointGeometry], Any],
+    order: int = 3,
+    size: int | None = None,
+) -> list:
+    """``per_block(rows, point_geometry(chart, T, points[rows], order))`` over :func:`node_blocks`
+    of ``size`` rows, in node order: the one walk that cuts points into blocks.  A block's
+    geometry is dropped when ``per_block`` returns, before the next one is built, so one
+    block's geometry is held at a time, whatever the number of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    for rows in node_blocks(pts.shape[0], size):
-        yield rows, point_geometry(chart, T, pts[rows], order)
+    blocks = node_blocks(pts.shape[0], size)
+    return [per_block(rows, point_geometry(chart, T, pts[rows], order)) for rows in blocks]
 
 
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
@@ -342,10 +348,12 @@ def soliton_residual(chart: Chart, T, points) -> DiagnosticsReport:
     the per-block maxima are kept, and ``np.max`` over them keeps a NaN.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    resid, defect = [], []
-    for _, pg in point_blocks(chart, T, pts, order=2):
-        resid.append(np.max(np.linalg.norm(translator_defect(pg), axis=0)))
-        defect.append(np.max(np.abs(kaehler_pullback(pg.tangents))))
+
+    def maxima(rows, pg):
+        resid = np.max(np.linalg.norm(translator_defect(pg), axis=0))
+        return resid, np.max(np.abs(kaehler_pullback(pg.tangents)))
+
+    resid, defect = zip(*point_blocks(chart, T, pts, maxima, order=2))
     return DiagnosticsReport(
         chart=chart.name,
         grid={"kind": "points", "count": int(pts.shape[0])},

@@ -12,8 +12,10 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from typing import Any
+from functools import partial
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -92,55 +94,90 @@ ROUTES = {
 
 
 def evaluate_variation(
-    gg: GridGeometry,
-    theta: OneFormField,
-    seed: int | None = None,
-    fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
-) -> VariationReport:
-    """Run every route on one variation, one row block of ``gg`` at a time, and bundle the numbers.
+    block: GridGeometry, theta: OneFormField, fd_steps: tuple[float, float] = DEFAULT_FD_STEPS
+) -> dict[str, np.ndarray]:
+    """Run every route on one variation over one row block: the row sums of each of
+    :data:`ROUTES`, the fd oracle's second differences ``"fd"`` (2, rows) and the block's
+    closedness defect ``"lagrangian_defect"`` (1,), each to be joined along its last axis
+    with the other blocks'.
 
-    Each block is finished before the next starts: its form jets and
-    per-variation arrays are block-sized and freed before the next block's
-    form.  Two half-measures, each measured on the default 102,400-node suite
-    in fresh processes, cut memory but cost time through first-touch page
-    faults: whole-grid per-variation arrays over blocked geometry took 106k
-    minor faults against 20k, 0.29 s of system time against 0.11 s and 1.82 s
-    of wall time against 1.58 s (medians of 8 alternating runs), and holding
-    every block's ``VariationData`` took 115k faults, about 3.4k-4.9k per
-    variation.  A program that frees whole-grid temporaries raises glibc's
-    dynamic mmap and trim thresholds, so later arrays of that size reuse the
-    heap; block-sized arrays stay below them and reuse it from the start.
-
-    Each route's row sums are added once, by ``quadrature.total``, as
-    ``QuadratureGrid.integrate`` adds them, so no value depends on the block size.
+    The variation's form jets and per-node arrays are block-sized and freed
+    when it returns, so the next variation reuses their heap pages.  On the
+    default 102,400-node suite, whole-grid per-variation arrays took 106k minor
+    page faults against 20k and 0.29 s of system time against 0.11 s, and
+    holding every block's ``VariationData`` took 115k faults.
     """
     # every route refuses off criticality; refuse before forming V, which needs
     # a Lagrangian chart
-    require_soliton(gg)
-    sums: dict[str, list[np.ndarray]] = {name: [] for name in (*ROUTES, "fd")}
-    defects = []
-    for block in gg.blocks:
-        data = prepare_variation(block, theta)
-        defects.append(data.defect)
-        for name, route in ROUTES.items():
-            sums[name].append(route(block, data))
-        sums["fd"].append(second_variation_fd_oracle(block, data, fd_steps))
-        del data
-    defect = float(np.max(defects))  # np.max keeps a NaN
+    require_soliton(block)
+    data = prepare_variation(block, theta)
+    sums = {name: route(block, data) for name, route in ROUTES.items()}
+    sums["fd"] = second_variation_fd_oracle(block, data, fd_steps)
+    sums["lagrangian_defect"] = np.array([data.defect])
+    return sums
+
+
+def run_variation_suite(
+    blocks: Iterable[GridGeometry],
+    variations: list[tuple[int | None, OneFormField]],
+    fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
+    workers: int = 1,
+) -> list[VariationReport]:
+    """Evaluate each ``(seed, theta)`` of ``variations`` over the row blocks of one grid.
+
+    ``blocks`` is the walk :func:`stability.grid_blocks`, or any sequence of
+    geometries that cover a grid's rows in order.  Geometry blocks are outer
+    and variations inner: each block's geometry is formed once, every
+    variation runs on it, and it is dropped before the next is built, so no
+    geometry of the whole grid is held.  Only row sums are kept: the functional
+    at rest, and per variation 7 floats per x-row and its defect per block.
+    The reports are assembled after the walk, each integral adding its row
+    sums once, by ``quadrature.total``, as ``QuadratureGrid.integrate`` does, so
+    no value depends on the block size.
+
+    With ``workers > 1`` the variations of each block run on one thread pool;
+    results keep the order of ``variations`` either way.
+    """
+    thetas = [theta for _, theta in variations]
+    at_rest, sums = np.empty(0), [{} for _ in variations]
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for block in blocks:
+            at_rest = np.append(at_rest, block.grid.row_sums(block.area_weight))
+            each = partial(evaluate_variation, block, fd_steps=fd_steps)
+            sums = [_join(old, new) for old, new in zip(sums, run(each, thetas))]
+            chart, grid = block.chart.name, block.grid.describe()  # a row block keeps its grid's box
+            del block, each  # drop this block's geometry before the next is built
+    F = total(at_rest)
+    return [
+        _report(chart, grid, F, seed, theta.kind, rows, fd_steps)
+        for (seed, theta), rows in zip(variations, sums)
+    ]
+
+
+def _join(sums: dict[str, np.ndarray], block_sums: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A variation's row sums so far with the next block's joined on along the last axis."""
+    if not sums:
+        return block_sums
+    return {name: np.concatenate([sums[name], value], axis=-1) for name, value in block_sums.items()}
+
+
+def _report(chart, grid, F, seed, kind, sums, fd_steps) -> VariationReport:
+    """One variation's report from its row sums over the whole grid."""
+    defect = float(np.max(sums["lagrangian_defect"]))  # np.max keeps a NaN
     warn_if_not_closed(defect)
-    fd_rows = np.concatenate(sums.pop("fd"), axis=1)
-    integral = {name: total(np.concatenate(parts)) for name, parts in sums.items()}
+    integral = {name: total(sums[name]) for name in ROUTES}
     op, dv, sq, scale = (integral[name] for name in ("Fpp_operator", "Fpp_divergence", "Fpp_square", "scale"))
-    fd = fd_second_difference([total(rows) for rows in fd_rows], fd_steps)
+    fd = fd_second_difference([total(rows) for rows in sums["fd"]], fd_steps)
     denom = scale if scale > 0 else 1.0
     pairwise = max(abs(op - dv), abs(op - sq), abs(dv - sq)) / denom
     fd_rel = max(abs(fd - op), abs(fd - dv), abs(fd - sq)) / denom
     return VariationReport(
-        chart=gg.chart.name,
+        chart=chart,
         seed=seed,
-        kind=theta.kind,
-        grid=gg.grid.describe(),
-        F_value=gg.functional_at_rest,
+        kind=kind,
+        grid=grid,
+        F_value=F,
         first_var=integral["first_var"],
         Fpp_operator=op,
         Fpp_divergence=dv,
@@ -151,28 +188,6 @@ def evaluate_variation(
         max_pairwise_rel_diff=pairwise,
         fd_rel_diff=fd_rel,
     )
-
-
-def run_variation_suite(
-    gg: GridGeometry,
-    variations: list[tuple[int | None, OneFormField]],
-    fd_steps: tuple[float, float] = DEFAULT_FD_STEPS,
-    workers: int = 1,
-) -> list[VariationReport]:
-    """Evaluate each ``(seed, theta)`` of ``variations`` on the shared geometry ``gg``.
-
-    With ``workers > 1`` the per-variation evaluations run on a thread pool;
-    results keep the order of ``variations`` either way.
-    """
-
-    def one(item):
-        seed, theta = item
-        return evaluate_variation(gg, theta, seed, fd_steps)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, variations))
-    return [one(item) for item in variations]
 
 
 def reports_to_json(reports, extra: dict | None = None) -> str:

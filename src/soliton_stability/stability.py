@@ -30,19 +30,22 @@ associated one-form theta, by four routes:
                   amplification.  It uses no covariant or
                   second-fundamental-form quantity.
 
-The grid geometry is built one row block of the quadrature grid at a time
-(:class:`GridBlock`), and each route is a function of one block and the
-variation's data there (:func:`prepare_variation`) that returns the block's
-row sums (:meth:`QuadratureGrid.row_sums`).  ``reports.evaluate_variation``
-runs every route, and it alone: block by block, in node order, and it adds
-each route's row sums once, by ``quadrature.total``, so no value depends on
-the block size.
+The quadrature grid is walked one row block at a time (:func:`grid_blocks`),
+and each block's geometry (:class:`GridGeometry`) is built once and dropped
+before the next.  Each route is a function of one block and the variation's
+data there (:func:`prepare_variation`) that returns the block's row sums
+(:meth:`QuadratureGrid.row_sums`).  ``reports.evaluate_variation`` runs every
+route on one block, and ``reports.run_variation_suite`` runs every variation
+on each block as the walk reaches it, then adds each route's row sums once, by
+``quadrature.total``, so no value depends on the block size.
 
 The straight-line flow is justified exactly at critical points, where the
 second derivative of F depends only on the first-order variation field; off
 critical points the fd route is meaningless, so ``evaluate_variation`` refuses
-every route when the grid's translator residual exceeds ``GridGeometry.soliton_tol``,
-the criticality tolerance, which is set once, in :func:`grid_geometry`.
+every route on a block whose translator residual exceeds
+``GridGeometry.soliton_tol``, and the walk refuses the whole grid, naming its
+largest residual.  The criticality tolerance is set once, in
+:func:`grid_blocks`, which hands it to each block's :func:`grid_geometry`.
 
 The drift term reads ``<T, grad V_i>`` as the covariant derivative of theta
 along the tangential part of T, evaluated on the frame; the fd oracle is the
@@ -53,18 +56,20 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .charts import Chart
 from .errors import NotASolitonError
-from .geometry import PointGeometry, batch_det, point_blocks, translator_defect
+from .geometry import PointGeometry, batch_det, node_blocks, point_geometry, translator_defect
 from .quadrature import QuadratureGrid, tensor_rule, total
 from .variations import (
     OneFormField,
     covariant_calculus,
     lagrangian_defect,
     normal_field_from_form,
+    require_lagrangian,
     require_support_inside,
     variation_field_jets,
 )
@@ -72,9 +77,9 @@ from .variations import (
 log = logging.getLogger("soliton_stability")
 
 __all__ = [
-    "GridBlock",
     "GridGeometry",
     "grid_geometry",
+    "grid_blocks",
     "VariationData",
     "prepare_variation",
     "require_soliton",
@@ -97,76 +102,86 @@ DEFAULT_SOLITON_TOL = 1e-8
 DEFAULT_FD_STEPS = (2e-3, 1e-3)
 DEFAULT_CLOSED_TOL = 1e-9
 
-# Nodes per row block of the grid geometry, rounded down to whole x-rows:
-# each block holds max(1, VARIATION_BLOCK // row length) rows, cut by
-# geometry.point_blocks, so a block is a tensor grid and has at least 2 nodes.
-# Each block's geometry is built once, and each variation runs block by block;
-# the row-sum reduction makes the block size change no output bit, so it only
-# keeps the temporaries in cache.
+# Nodes per row block of the grid walk, rounded down to whole x-rows: each
+# block holds max(1, VARIATION_BLOCK // row length) rows, cut by
+# geometry.node_blocks, so a block is a tensor grid and has at least 2 nodes.
+# Each block's geometry is built once, every variation runs on it, and it is
+# dropped before the next is built; the row-sum reduction makes the block size
+# change no output bit, so it sets the memory held (93 floats per node of a
+# block at d = 2, 262 at d = 3) against the fixed costs paid per block.
 # On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6), second-variation on the perfbench
-# suite2d config took 2.40 / 2.09 / 1.92 s at 4,096 / 8,192 / 16,384 nodes per
-# block and peaked at 120.0 / 121.2 / 122.8 MB RSS (medians of 8 alternating
-# rounds of fresh processes); 16,384 won only 5 of the 8 pairs against 8,192.
+# suite2d config took 2.25 / 1.99 / 1.94 s at 4,096 / 8,192 / 16,384 nodes per
+# block and peaked at 49.1 / 54.8 / 65.5 MB RSS (medians of 8 alternating rounds
+# of fresh processes); 8,192 beat 4,096 in 6 of 8 pairs, and 16,384 beat 8,192
+# in only 4 of 10 more, at 20% more memory.
 VARIATION_BLOCK = 8192
 
 
 @dataclass
-class GridBlock:
-    """What the routes read on one row block of the grid, node axis last: the sub-grid, the
-    point geometry with the traces the routes read formed once and the construction
-    intermediates dropped, ``T^perp - H`` (m, N) and ``exp(<T, Phi>) sqrt(det g)`` (N,)."""
+class GridGeometry:
+    """What the routes read on a tensor grid, node axis last: the point geometry with the
+    traces the routes read formed once and the construction intermediates dropped,
+    ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,), the largest |T^perp - H| on
+    the grid and the tolerance :func:`require_soliton` judges it by.  The grid is a row block
+    of a quadrature grid on the walk of :func:`grid_blocks`, or any tensor grid in tests."""
 
+    chart: Chart
     grid: QuadratureGrid
     pg: PointGeometry
     translator_defect: np.ndarray
     area_weight: np.ndarray
-
-
-@dataclass
-class GridGeometry:
-    """The grid's row blocks, in node order, with the translator residual, the tolerance
-    :func:`require_soliton` judges it by and the functional at rest, each over the whole grid."""
-
-    chart: Chart
-    grid: QuadratureGrid
-    blocks: tuple[GridBlock, ...]
     soliton_residual: float
     soliton_tol: float
-    functional_at_rest: float
-
-
-def _grid_block(grid: QuadratureGrid, pg: PointGeometry) -> GridBlock:
-    defect = translator_defect(pg)  # forms T_coord
-    w = _weighted_area_density(pg.T, pg.positions, pg.g)
-    pg.dg_inv, pg.K, pg.P, pg.frame_coeff, pg.lagrangian  # what the routes read, and this block's flag
-    pg.sqrt_det_g = pg.dg = pg.Gamma_partial = pg.weight = None
-    return GridBlock(grid, pg, defect, w)
 
 
 def grid_geometry(
     chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
 ) -> GridGeometry:
-    """The geometry of ``grid`` one row block at a time; no whole-grid geometry is held.
+    """The geometry of the tensor grid ``grid``, built at once.
 
-    Every block carries the grid-wide Lagrangian flag, and on a Lagrangian
-    chart the frame components ``h3`` of the second fundamental form, whose
-    normal frame is then dropped.
+    On a Lagrangian grid it forms the frame components ``h3`` of the second
+    fundamental form and drops the normal frame they are formed from.
+    """
+    pg = point_geometry(chart, T, grid.nodes)
+    defect = translator_defect(pg)  # forms T_coord
+    w = _weighted_area_density(pg.T, pg.positions, pg.g)
+    pg.dg_inv, pg.K, pg.P, pg.frame_coeff  # what the routes read
+    pg.sqrt_det_g = pg.dg = pg.Gamma_partial = pg.weight = None
+    if pg.lagrangian:
+        pg.h3
+        del pg.nu
+    resid = float(np.max(np.linalg.norm(defect, axis=0)))
+    return GridGeometry(chart, grid, pg, defect, w, resid, soliton_tol)
+
+
+def grid_blocks(
+    chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
+) -> Iterator[GridGeometry]:
+    """The :func:`grid_geometry` of each row block of ``grid``, in node order, each built when
+    the walk reaches it; the walk drops each block before it builds the next.
+
+    A block is yielded only while every block so far is Lagrangian and within
+    ``soliton_tol``.  After the first that is not, the rest are still built for
+    the grid-wide residual, and the walk ends by refusing the grid: with
+    NotASolitonError naming that residual if it exceeds ``soliton_tol``, else
+    with :func:`require_lagrangian`'s UnsupportedChartError.
     """
     per_row = grid.weights.shape[0] // grid.shape[0]
     size = max(1, VARIATION_BLOCK // per_row) * per_row
-    blocks = tuple(
-        _grid_block(grid.rows(rows.start // per_row, rows.stop // per_row), pg)
-        for rows, pg in point_blocks(chart, T, grid.nodes, size=size)
-    )
-    lagrangian = all(b.pg.lagrangian for b in blocks)
-    for b in blocks:
-        b.pg.lagrangian = lagrangian
-        if lagrangian:
-            b.pg.h3
-            del b.pg.nu
-    resid = float(np.max([np.max(np.linalg.norm(b.translator_defect, axis=0)) for b in blocks]))
-    at_rest = total(np.concatenate([b.grid.row_sums(b.area_weight) for b in blocks]))
-    return GridGeometry(chart, grid, blocks, resid, soliton_tol, at_rest)
+    residuals, lagrangian, refused = [], True, False
+    for rows in node_blocks(grid.weights.shape[0], size):
+        block = grid_geometry(chart, T, grid.rows(rows.start // per_row, rows.stop // per_row), soliton_tol)
+        residuals.append(block.soliton_residual)
+        lagrangian = lagrangian and block.pg.lagrangian
+        refused = refused or not lagrangian or block.soliton_residual > soliton_tol
+        if not refused:
+            yield block
+        del block
+    if refused:
+        resid = float(np.max(residuals))  # np.max keeps a NaN
+        if resid > soliton_tol:
+            raise NotASolitonError(resid, soliton_tol)
+        require_lagrangian(lagrangian)
 
 
 def _weighted_area_density(T: np.ndarray, values, g) -> np.ndarray:
@@ -188,7 +203,7 @@ def _deformation(pg: PointGeometry, theta: np.ndarray, dtheta: np.ndarray):
 
 
 def require_soliton(gg: GridGeometry) -> None:
-    """Refuse with NotASolitonError when the chart's translator residual exceeds ``gg.soliton_tol``."""
+    """Refuse with NotASolitonError when the grid's translator residual exceeds ``gg.soliton_tol``."""
     if gg.soliton_residual > gg.soliton_tol:
         raise NotASolitonError(gg.soliton_residual, gg.soliton_tol)
 
@@ -207,7 +222,7 @@ class VariationData:
     defect: float            # max |partial_a theta_b - partial_b theta_a|
 
 
-def prepare_variation(block: GridBlock, theta: OneFormField) -> VariationData:
+def prepare_variation(block: GridGeometry, theta: OneFormField) -> VariationData:
     """Form jets on the block's sub-grid, covariant derivatives, |nabla theta|_g^2, V and the
     closedness defect there, once."""
     fj = theta.eval_jets(block.grid, order=2)
@@ -232,13 +247,13 @@ def _metric_square(pg: PointGeometry, tensor: np.ndarray) -> np.ndarray:
     return np.einsum("abn,abn->n", raised, tensor)
 
 
-def first_variation(block: GridBlock, data: VariationData) -> np.ndarray:
+def first_variation(block: GridGeometry, data: VariationData) -> np.ndarray:
     """d/ds of box-local F, the pairing  int <T^perp - H, V> w dmu: the block's row sums."""
     integrand = np.einsum("pn,pn->n", block.translator_defect, data.v)
     return block.grid.row_sums(integrand * block.area_weight)
 
 
-def variation_scale(block: GridBlock, data: VariationData) -> np.ndarray:
+def variation_scale(block: GridGeometry, data: VariationData) -> np.ndarray:
     """Size of the variation,  int (|theta|_g^2 + |nabla theta|_g^2) w dmu: the block's row sums.
 
     Used as the denominator of all relative agreement tolerances so that tiny
@@ -248,7 +263,7 @@ def variation_scale(block: GridBlock, data: VariationData) -> np.ndarray:
     return block.grid.row_sums((theta_sq + data.nabla_sq) * block.area_weight)
 
 
-def second_variation_operator(block: GridBlock, data: VariationData) -> np.ndarray:
+def second_variation_operator(block: GridGeometry, data: VariationData) -> np.ndarray:
     """Second-order route through the rough Laplacian of theta: the block's row sums.
 
     The curvature term is assembled from the frame components h_ijk, pairing
@@ -262,7 +277,7 @@ def second_variation_operator(block: GridBlock, data: VariationData) -> np.ndarr
     return -block.grid.row_sums((pair + np.einsum("kln,kln->n", h_v, h_v)) * block.area_weight)
 
 
-def second_variation_divergence(block: GridBlock, data: VariationData) -> np.ndarray:
+def second_variation_divergence(block: GridGeometry, data: VariationData) -> np.ndarray:
     """First-order route,  int (|nabla theta|^2 - |h paired with V|^2) w dmu: the block's row sums.
 
     The curvature term here goes through the ambient-valued second
@@ -273,7 +288,7 @@ def second_variation_divergence(block: GridBlock, data: VariationData) -> np.nda
     return block.grid.row_sums((data.nabla_sq - _metric_square(block.pg, h_v)) * block.area_weight)
 
 
-def second_variation_square(block: GridBlock, data: VariationData) -> np.ndarray:
+def second_variation_square(block: GridGeometry, data: VariationData) -> np.ndarray:
     """Perfect-square route,  int (div theta^sharp + theta(T^top))^2 w dmu: the block's row sums.
 
     Nonnegative by construction.  Equals the other routes only for closed
@@ -298,7 +313,7 @@ def warn_if_not_closed(defect: float) -> None:
 
 
 def second_variation_fd_oracle(
-    block: GridBlock,
+    block: GridGeometry,
     data: VariationData,
     steps: tuple[float, float] = DEFAULT_FD_STEPS,
 ) -> np.ndarray:

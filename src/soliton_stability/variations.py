@@ -57,6 +57,7 @@ __all__ = [
     "normal_field_from_form",
     "variation_field_jets",
     "default_support_box",
+    "require_lagrangian",
     "require_support_inside",
 ]
 
@@ -409,16 +410,20 @@ def covariant_calculus(theta, dtheta, ddtheta, pg: PointGeometry):
 # correspondence with normal fields
 
 
+def require_lagrangian(lagrangian: bool) -> None:
+    """Refuse with UnsupportedChartError unless the chart is Lagrangian, the one case where J
+    maps tangents to normals."""
+    if not lagrangian:
+        raise UnsupportedChartError("the one-form/normal-field correspondence needs a Lagrangian chart")
+
+
 def normal_field_from_form(theta: np.ndarray, pg: PointGeometry) -> np.ndarray:
     """Ambient normal field V = J theta^sharp, shape (m, N), from ``theta`` (d, N).
 
     Only meaningful on Lagrangian charts, where J maps tangent to normal
     space; the inverse correspondence is ``theta = -i_V omega``.
     """
-    if not pg.lagrangian:
-        raise UnsupportedChartError(
-            "the one-form/normal-field correspondence needs a Lagrangian chart"
-        )
+    require_lagrangian(pg.lagrangian)
     sharp = np.einsum("ban,an->bn", pg.g_inv, theta)
     ambient = np.einsum("qbn,bn->qn", pg.tangents, sharp)
     return apply_J(ambient)

@@ -111,8 +111,8 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
     """
     require_cylinder_dims(chart.dim, chart.ambient_dim)
     pts = uniform_grid(chart, n)
-    maxima = []
-    for rows, pg in point_blocks(chart, T, pts, order=2):
+
+    def maxima(rows, pg):
         x = pts[rows, 0]
         sec = 1.0 / np.cos(x)
         g_exact, h_exact = np.zeros_like(pg.g), np.zeros_like(pg.h_coord)
@@ -120,9 +120,11 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
         h_exact[0, 0, 0], h_exact[1, 0, 0] = 1.0, -np.tan(x)
         curvature = np.linalg.norm(mean_curvature_vector(pg), axis=0) - np.cos(x)
         deviations = (pg.g - g_exact, pg.sqrt_det_g - sec, pg.h_coord - h_exact, curvature, pg.weight - sec)
-        maxima.append([np.max(np.abs(a)) for a in deviations])
+        return [np.max(np.abs(a)) for a in deviations]
+
     names = ("metric", "area_density", "second_fundamental_form", "mean_curvature", "weight")
-    return dict(zip(names, map(float, np.max(maxima, axis=0))))  # np.max, not max: it keeps a NaN
+    per_block = point_blocks(chart, T, pts, maxima, order=2)
+    return dict(zip(names, map(float, np.max(per_block, axis=0))))  # np.max, not max: it keeps a NaN
 
 
 def _thomas_solve(lower: float, diag: float, upper: float, rhs: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ one-form from frame components, the translator defect through the tangent
 frame, the box-local functional on a fresh grid, the geometry and covariant
 calculus with the node axis first, the LAPACK inverse, Cholesky frame and
 full-batch rank check of per-node metrics, a polynomial field monomial by
-monomial, the whole grid as one block with its full point geometry, the
-deformed functional on it and its first variation by finite differences, both sides of the square-form proof's integrations by
+monomial, a grid geometry with its full point geometry, one variation's report on one
+block, the deformed functional on it and its first variation by finite differences, both sides of the square-form proof's integrations by
 parts, the Laplace-Beltrami operator of a scalar) or checks a proof step (the
 Riemann tensor intrinsically and by the Gauss equation, the Ricci identity
 through the gradient of the divergence) or reads a structural property off a
@@ -19,7 +19,7 @@ as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,11 +32,10 @@ from soliton_stability.geometry import (
     PointGeometry,
     mean_curvature_vector,
     point_geometry,
-    translator_defect,
 )
 from soliton_stability.quadrature import QuadratureGrid, tensor_rule, total
+from soliton_stability.reports import VariationReport, run_variation_suite
 from soliton_stability.stability import (
-    GridBlock,
     GridGeometry,
     VariationData,
     _deformation,
@@ -514,27 +513,30 @@ def tensor_grid(*axes) -> QuadratureGrid:
     return QuadratureGrid(box, 1, 1, nodes, np.ones(nodes.shape[0]), axis_nodes, weights)
 
 
-def whole_grid_block(gg: GridGeometry) -> GridBlock:
-    """The whole grid of ``gg`` as one block, every field of its point geometry kept: for
-    tests that read per-node arrays on the whole grid, or run a route off criticality."""
-    pg = point_geometry(gg.chart, gg.blocks[0].pg.T, gg.grid.nodes)
-    area_weight = _weighted_area_density(pg.T, pg.positions, pg.g)
-    return GridBlock(gg.grid, pg, translator_defect(pg), area_weight)
+def whole_grid_block(gg: GridGeometry) -> GridGeometry:
+    """``gg`` with every field of its point geometry kept: for tests that read the per-node
+    arrays a grid geometry drops, such as the normal frame or the translation weight."""
+    return replace(gg, pg=point_geometry(gg.chart, gg.pg.T, gg.grid.nodes))
 
 
-def route_integral(route, block: GridBlock, data: VariationData) -> float:
+def variation_report(gg: GridGeometry, theta: OneFormField, seed: int | None = None) -> VariationReport:
+    """One variation's report with ``gg`` as the only block."""
+    return run_variation_suite([gg], [(seed, theta)])[0]
+
+
+def route_integral(route, block: GridGeometry, data: VariationData) -> float:
     """A route's integral over ``block``: the total of the row sums it hands back."""
     return total(route(block, data))
 
 
-def deformed_functional(block: GridBlock, data: VariationData, s: float) -> float:
+def deformed_functional(block: GridGeometry, data: VariationData, s: float) -> float:
     """Box-local F of the chart  Phi + s V, from its metric g(s) on the block at once."""
     cross, quad = _deformation(block.pg, data.theta, data.dtheta)
     g = block.pg.g + s * cross + (s * s) * quad
     return block.grid.integrate(_weighted_area_density(block.pg.T, block.pg.positions + s * data.v, g))
 
 
-def first_variation_fd(block: GridBlock, data: VariationData, step: float = 2e-3) -> float:
+def first_variation_fd(block: GridGeometry, data: VariationData, step: float = 2e-3) -> float:
     """Richardson-extrapolated central difference of s -> F(Phi + s V)."""
 
     def central(h):
@@ -565,7 +567,7 @@ class IntegrationByPartsReport:
         )
 
 
-def integration_by_parts_report(block: GridBlock, fj: J.Jet) -> IntegrationByPartsReport:
+def integration_by_parts_report(block: GridGeometry, fj: J.Jet) -> IntegrationByPartsReport:
     """Both sides of each identity for the form whose order-2 jets at the block's nodes are ``fj``."""
     pg, grid = block.pg, block.grid
     theta = fj.val

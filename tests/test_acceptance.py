@@ -18,6 +18,7 @@ from oracles import (
     integration_by_parts_report,
     ricci_identity_residual,
     route_integral,
+    variation_report,
     whole_grid_block,
 )
 from soliton_stability.reports import reports_to_json
@@ -48,7 +49,8 @@ def seeded_variations(support, count):
 @pytest.fixture(scope="module")
 def suite(gr_support, default_gg):
     t0 = time.perf_counter()
-    reports = ss.run_variation_suite(default_gg, seeded_variations(gr_support, SUITE_COUNT))
+    blocks = ss.grid_blocks(default_gg.chart, default_gg.pg.T, default_gg.grid)
+    reports = ss.run_variation_suite(blocks, seeded_variations(gr_support, SUITE_COUNT))
     return reports, time.perf_counter() - t0
 
 
@@ -96,7 +98,7 @@ def test_criterion_3_identity_suite(suite):
 def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
     reports, _ = suite
     assert all(r.max_pairwise_rel_diff < 1e-6 for r in reports)
-    r = ss.evaluate_variation(default_gg, ss.random_generic_variation(default_gg.grid.box, seed=7))
+    r = variation_report(default_gg, ss.random_generic_variation(default_gg.grid.box, seed=7))
     gap = abs(r.Fpp_square - r.Fpp_operator) / r.scale
     assert gap > 1e-2
     report(4, "closedness-hypothesis", f"(non-closed gap {gap:.2e} vs closed < 1e-6)")
@@ -149,7 +151,7 @@ def test_criterion_7_criticality(suite, flat_plane, T, perturbed):
     fp_support = ss.default_support_box(flat_plane.domain)
     fp_grid = default_grid_for_support(flat_plane, fp_support, cells=12, points_per_cell=6)
     fp_gg = ss.grid_geometry(flat_plane, T, fp_grid)
-    fp_reports = ss.run_variation_suite(fp_gg, seeded_variations(fp_support, 10))
+    fp_reports = ss.run_variation_suite([fp_gg], seeded_variations(fp_support, 10))
     worst_fp = max(abs(r.first_var) / r.scale for r in fp_reports)
     assert worst_fp <= 1e-9
     support = ss.default_support_box(perturbed.domain)
@@ -173,8 +175,8 @@ def test_criterion_8_determinism(grim_reaper, T, gr_support, suite):
     reports_a, _ = suite
     json_a = reports_to_json(reports_a)
     grid = default_grid_for_support(grim_reaper, gr_support, cells=40, points_per_cell=8)
-    gg = ss.grid_geometry(grim_reaper, T, grid)
-    reports_b = ss.run_variation_suite(gg, seeded_variations(gr_support, SUITE_COUNT), workers=1)
+    blocks = ss.grid_blocks(grim_reaper, T, grid)
+    reports_b = ss.run_variation_suite(blocks, seeded_variations(gr_support, SUITE_COUNT), workers=1)
     json_b = reports_to_json(reports_b)
     assert json_a.encode() == json_b.encode()
     report(8, "determinism", f"({len(json_a)} bytes, identical)")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from soliton_stability import cli
 from soliton_stability.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -305,6 +306,26 @@ def test_cylinder_on_non_lagrangian_chart_reports_geometry(tmp_path):
     data = json.loads(out.read_text())
     assert data["geometry_ok"] is False
     assert data["passed"] is False
+
+
+def test_cylinder_geometry_check_fails_on_a_nan_after_the_first_deviation(tmp_path, monkeypatch):
+    """A NaN in a later deviation fails geometry_ok: the builtin max would skip it."""
+    deviations = cli.closed_form_deviations
+
+    def with_nan(*args):
+        geo = deviations(*args)
+        geo["mean_curvature"] = float("nan")
+        return geo
+
+    payloads = []
+    monkeypatch.setattr(cli, "closed_form_deviations", with_nan)
+    monkeypatch.setattr(cli, "reports_to_json", lambda payload: payloads.append(payload) or "")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 4, "points_per_cell": 4}, "dirichlet_intervals": 400}))
+    assert run_cli("cylinder", "--config", str(cfg), "--out", str(tmp_path / "cyl.json")) == EXIT_FAIL
+    (checks,) = payloads
+    assert list(checks["geometry_deviations"])[0] != "mean_curvature"
+    assert checks["geometry_ok"] is False and checks["passed"] is False
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ jet-arithmetic fields on a block are the whole evaluation's jets there; and
 covariant calculus forms no rank-3 array per one-form."""
 
 import itertools
+import json
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -15,8 +16,8 @@ import pytest
 import soliton_stability as ss
 from soliton_stability import geometry, jets, stability, wirtinger
 from soliton_stability.charts import Chart
-from soliton_stability.cli import EXIT_FAIL, main
-from soliton_stability.errors import ImmersionError, UnsupportedChartError
+from soliton_stability.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main
+from soliton_stability.errors import ImmersionError, NotASolitonError, UnsupportedChartError
 from soliton_stability.geometry import kaehler_pullback, node_blocks, translator_defect
 
 EXPRESSION_GRIM_REAPER = {
@@ -237,6 +238,28 @@ def test_soliton_residual_memory_is_bounded(grim_reaper, T):
     assert peak_large - peak_small <= (large.nbytes - small.nbytes) + slack
 
 
+@pytest.mark.parametrize("build", ["soliton_residual", "closed_form_deviations"])
+def test_point_blocks_hold_one_block_geometry_at_a_time(grim_reaper, T, build):
+    """16 blocks peak as one does, beyond the points themselves: each block's geometry is
+    dropped before the next is built.  Holding the previous block's while building the next
+    peaked at 5.45 MB for soliton_residual on 16 blocks of 4,096 points, against 3.08 MB on one."""
+    block = geometry.NODE_BLOCK
+    rng = np.random.default_rng(5)
+    lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
+    points = {1: rng.uniform(0.9 * lo, 0.9 * hi, size=(block, 2))}
+    points[16] = rng.uniform(0.9 * lo, 0.9 * hi, size=(16 * block, 2))
+    side = {1: int(np.sqrt(block)), 16: int(np.sqrt(16 * block))}  # 64 x 64 and 256 x 256
+    peaks, grown = {}, 0
+    for blocks in (1, 16):
+        if build == "soliton_residual":
+            _, peaks[blocks] = traced_peak(ss.soliton_residual, grim_reaper, T, points[blocks])
+        else:
+            _, peaks[blocks] = traced_peak(ss.closed_form_deviations, grim_reaper, T, side[blocks])
+            grown = ss.uniform_grid(grim_reaper, side[16]).nbytes - ss.uniform_grid(grim_reaper, side[1]).nbytes
+    slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
+    assert peaks[16] - peaks[1] <= grown + slack, peaks
+
+
 def test_closed_form_deviations_are_block_invariant(monkeypatch, grim_reaper, T):
     """The cylinder's deviations are the same dict at every block size, and a NaN in one
     node of a later block reaches it."""
@@ -299,16 +322,15 @@ VARIATION_CASES = {
 }
 
 
-def row_blocks(gg):
-    """The sub-grids of ``gg``'s blocks cover its rows in order, each a view of its nodes."""
-    grid = gg.grid
+def row_blocks(grid, blocks):
+    """The sub-grids of ``blocks`` cover ``grid``'s rows in order, each a view of its nodes."""
     per_row = grid.nodes.shape[0] // grid.shape[0]
-    axis0 = np.concatenate([b.grid.axis_nodes[0] for b in gg.blocks])
+    axis0 = np.concatenate([b.grid.axis_nodes[0] for b in blocks])
     assert np.array_equal(axis0, grid.axis_nodes[0])
-    for b in gg.blocks:
+    for b in blocks:
         assert b.grid.nodes.shape[0] == b.grid.shape[0] * per_row
         assert np.shares_memory(b.grid.nodes, grid.nodes) and np.shares_memory(b.grid.weights, grid.weights)
-    return [b.grid.shape[0] for b in gg.blocks]
+    return [b.grid.shape[0] for b in blocks]
 
 
 @pytest.mark.parametrize("case", list(VARIATION_CASES))
@@ -325,10 +347,10 @@ def test_variation_reports_are_block_invariant(monkeypatch, case):
     for rows in (None,) + row_counts:
         size = 10**9 if rows is None else rows * per_row + per_row // 2  # rounds down to whole rows
         monkeypatch.setattr(stability, "VARIATION_BLOCK", size)
-        gg = ss.grid_geometry(chart, np.eye(2 * d)[0], grid)
-        sizes = row_blocks(gg)
+        blocks = list(ss.grid_blocks(chart, np.eye(2 * d)[0], grid))
+        sizes = row_blocks(grid, blocks)
         assert sizes == [grid.shape[0]] if rows is None else sizes[:-1] == [rows] * (len(sizes) - 1)
-        reports[rows] = ss.evaluate_variation(gg, theta, seed=3).to_dict()
+        reports[rows] = ss.run_variation_suite(blocks, [(3, theta)])[0].to_dict()
     for rows in row_counts:
         assert reports[rows] == reports[None], rows
     if case == "non_closed":
@@ -342,7 +364,7 @@ def test_one_node_rows_run_in_blocks_of_two_rows(monkeypatch, grim_reaper, T):
     grid = replace(grid, axis_nodes=(np.linspace(-0.5, 0.5, 5), grid.axis_nodes[1]))
     grid = replace(grid, nodes=np.stack([grid.axis_nodes[0], np.zeros(5)], axis=1))
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 1)
-    assert row_blocks(ss.grid_geometry(grim_reaper, T, grid)) == [2, 3]
+    assert row_blocks(grid, list(ss.grid_blocks(grim_reaper, T, grid))) == [2, 3]
 
 
 # the arrays a block keeps: what the routes read; every other field of point_geometry is dropped
@@ -354,17 +376,18 @@ DROPPED = ("sqrt_det_g", "dg", "Gamma_partial", "weight")
 @pytest.mark.parametrize("spec", ["grim_reaper", GRIM_REAPER_X_LINE], ids=["d2", "d3"])
 def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
     """Each block holds the whole grid's geometry at its rows, bit for bit, with the traces
-    the routes read formed and the construction intermediates dropped."""
+    the routes read formed and the construction intermediates dropped; the reported
+    functional at rest is the whole grid's."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=3 if d == 3 else 5)
     T = np.eye(2 * d)[0]
     full = ss.point_geometry(chart, T, grid.nodes)
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 2 * grid.nodes.shape[0] // grid.shape[0])
-    gg = ss.grid_geometry(chart, T, grid)
-    assert len(gg.blocks) == grid.shape[0] // 2
+    blocks = list(ss.grid_blocks(chart, T, grid))
+    assert len(blocks) == grid.shape[0] // 2
     start = 0
-    for block in gg.blocks:
+    for block in blocks:
         rows = slice(start, start + block.grid.nodes.shape[0])
         start = rows.stop
         pg = block.pg
@@ -375,87 +398,190 @@ def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
         assert all(getattr(pg, name) is None for name in DROPPED)
         assert np.array_equal(block.translator_defect, translator_defect(full)[:, rows])
         assert np.array_equal(block.area_weight, (full.weight * full.sqrt_det_g)[rows])
-    assert gg.functional_at_rest == grid.integrate(full.weight * full.sqrt_det_g)
+        assert block.soliton_residual == np.max(np.linalg.norm(block.translator_defect, axis=0))
+    (report,) = ss.run_variation_suite(blocks, [(1, ss.random_hamiltonian_variation(grid.box, seed=1))])
+    assert report.F_value == grid.integrate(full.weight * full.sqrt_det_g)
 
 
-def test_every_block_carries_the_grid_wide_lagrangian_flag(monkeypatch, T):
-    """A chart Lagrangian on its first rows only: no block forms h3, and the first block,
-    Lagrangian by itself, refuses the normal field V = J theta^sharp."""
+def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
+    """A translator to within soliton_tol whose Kaehler pullback passes the Lagrangian test
+    on its first row only: the walk yields the first block, Lagrangian by itself, and no later
+    one, then refuses the grid as a whole; a grid geometry that is not Lagrangian forms no h3
+    and refuses the normal field V = J theta^sharp."""
+    # the pullback is |d/dx 4e-9 exp(x - 0.8)|: 8.5e-10 on the first row, 1.1e-9 on the second
     chart = ss.chart_from_config(
         {
-            "name": "bent_patch",
+            "name": "bent_plane",
             "domain": [[-1.0, 1.0], [-1.0, 1.0]],
-            "components": ["x", "0", "y", "1e-9*exp(20*x)*y"],
+            "components": ["x", "0", "y", "4e-9*exp(x - 0.8)"],
         }
     )
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=4)
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 2 * 8)
+    theta = ss.random_hamiltonian_variation(grid.box, seed=1)
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 8)
+    walk = ss.grid_blocks(chart, T, grid)
+    first = next(walk)
+    assert first.pg.lagrangian and "h3" in vars(first.pg)
+    assert first.soliton_residual <= first.soliton_tol
+    with pytest.raises(UnsupportedChartError, match="needs a Lagrangian chart"):
+        next(walk)
+    with pytest.raises(UnsupportedChartError, match="needs a Lagrangian chart"):
+        ss.run_variation_suite(ss.grid_blocks(chart, T, grid), [(1, theta)])
     gg = ss.grid_geometry(chart, T, grid)
-    assert ss.point_geometry(chart, T, gg.blocks[0].grid.nodes).lagrangian
-    assert [b.pg.lagrangian for b in gg.blocks] == [False] * 4
-    assert not any("h3" in vars(b.pg) or "nu" in vars(b.pg) for b in gg.blocks)
+    assert not gg.pg.lagrangian and not any(name in vars(gg.pg) for name in ("h3", "nu"))
     with pytest.raises(UnsupportedChartError):
-        ss.prepare_variation(gg.blocks[0], ss.random_hamiltonian_variation(grid.box, seed=1))
+        ss.prepare_variation(gg, theta)
 
 
 @pytest.mark.parametrize(
     "spec, cells, points, held, peak",
-    [("grim_reaper", 20, 8, 94, 110), (GRIM_REAPER_X_LINE, 3, 10, 263, 340)],
+    [("grim_reaper", 20, 8, 94, 146), (GRIM_REAPER_X_LINE, 3, 10, 263, 562)],
     ids=["d2", "d3"],
 )
 def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
-    """The geometry holds what the routes read, 93 floats per node at d = 2 and 262 at d = 3,
-    and builds it one row block at a time.  The whole-grid build held 101 and 324 and peaked
-    at 143 and 558."""
+    """A block's geometry holds what the routes read, 93 floats per node at d = 2 and 262 at
+    d = 3, and its build peaks at 143 and 558 per node of the block.  The walk holds one
+    block at a time, so it peaks as the largest block's build does, whatever the number of
+    blocks.  Holding every block's geometry held 93 and 262 floats per node of the grid and
+    peaked at 110 and 340; the whole-grid build held 101 and 324 and peaked at 143 and 558."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
+    T = np.eye(2 * d)[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=cells, points_per_cell=points)
-    n = grid.nodes.shape[0]
-    ss.grid_geometry(chart, np.eye(2 * d)[0], grid)  # first-call caches stay out of the count
+    ss.grid_geometry(chart, T, grid.rows(0, 2))  # first-call caches stay out of the count
+    sizes = []
+
+    def walk():
+        for block in ss.grid_blocks(chart, T, grid):
+            sizes.append(block.grid.shape[0])
+            del block
+
+    _, walk_peak = traced_peak(walk)
+    largest = max(sizes) * grid.nodes.shape[0] // grid.shape[0]
     tracemalloc.start()
     try:
-        gg = ss.grid_geometry(chart, np.eye(2 * d)[0], grid)
+        gg = ss.grid_geometry(chart, T, grid.rows(0, max(sizes)))
         held_bytes, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(gg.blocks) > 2
-    assert held_bytes < held * 8 * n, held_bytes / (8 * n)
-    assert peak_bytes < peak * 8 * n, peak_bytes / (8 * n)
+    assert len(sizes) > 2 and gg.grid.nodes.shape[0] == largest
+    assert held_bytes < held * 8 * largest, held_bytes / (8 * largest)
+    assert peak_bytes < peak * 8 * largest, peak_bytes / (8 * largest)
+    assert walk_peak < peak * 8 * largest, walk_peak / (8 * largest)
 
 
 def test_variation_memory_does_not_grow_with_the_grid(monkeypatch, grim_reaper, T, gr_support):
-    """A variation holds one block's arrays at a time: its peak is the same on 6,400 and
-    25,600 nodes.  With whole-grid per-variation arrays it grew with the grid, to 28
-    floats per node."""
+    """A variation holds one block's arrays at a time: over blocks built beforehand, its peak
+    is the same on 6,400 and 25,600 nodes.  With whole-grid per-variation arrays it grew
+    with the grid, to 28 floats per node."""
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 1024)
-    theta = ss.random_hamiltonian_variation(gr_support, seed=2)
+    variations = [(2, ss.random_hamiltonian_variation(gr_support, seed=2))]
     peaks = []
     for cells in (20, 40):
-        gg = ss.grid_geometry(grim_reaper, T, ss.tensor_rule(gr_support, cells=cells, points_per_cell=4))
-        warm = ss.evaluate_variation(gg, theta)
-        report, peak = traced_peak(ss.evaluate_variation, gg, theta)
-        assert report == warm
+        blocks = list(ss.grid_blocks(grim_reaper, T, ss.tensor_rule(gr_support, cells=cells, points_per_cell=4)))
+        warm = ss.run_variation_suite(blocks, variations)
+        reports, peak = traced_peak(ss.run_variation_suite, blocks, variations)
+        assert reports == warm
         peaks.append(peak)
     assert peaks[1] < 1.1 * peaks[0] + 64 * 1024, peaks
     assert peaks[1] < 4 * 25_600 * 8, peaks  # 4 floats per node
+
+
+def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, gr_support):
+    """Geometry blocks outer, variations inner: from 10 to 40 cells, from one block of 1,600
+    nodes to 16, the suite's peak, its geometry included, grows by no more than the row sums
+    it keeps (7 per x-row per variation, and the functional at rest) and 32 kB of bookkeeping.
+    Every block's geometry held for the whole run grew it by 93 floats per node, and the
+    previous block's held while the next was built by 93 per node of a block."""
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 1600)  # 40 rows of 40 nodes, 10 of 160
+    variations = [(seed, ss.random_hamiltonian_variation(gr_support, seed)) for seed in (1, 2)]
+    peaks, rows = [], []
+    for cells in (10, 40):
+        grid = ss.tensor_rule(gr_support, cells=cells, points_per_cell=4)
+        ss.run_variation_suite(ss.grid_blocks(grim_reaper, T, grid), variations)  # first-call caches
+        _, peak = traced_peak(ss.run_variation_suite, ss.grid_blocks(grim_reaper, T, grid), variations)
+        peaks.append(peak)
+        rows.append(grid.shape[0])
+    row_sums = (rows[1] - rows[0]) * (7 * len(variations) + 1) * 8
+    assert peaks[1] - peaks[0] <= row_sums + 32 * 1024, (peaks, row_sums)
 
 
 def test_square_route_warns_once_per_variation(monkeypatch, caplog, gr_geometry_small):
     """The non-closed warning reads the grid-wide defect, once, not once per block."""
     grid = gr_geometry_small.grid
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * grid.nodes.shape[0] // grid.shape[0])
-    gg = ss.grid_geometry(gr_geometry_small.chart, gr_geometry_small.blocks[0].pg.T, grid)
-    assert len(gg.blocks) == 15
+    chart, T = gr_geometry_small.chart, gr_geometry_small.pg.T
+    assert len(list(ss.grid_blocks(chart, T, grid))) == 15
+    generic = ss.random_generic_variation(grid.box, seed=7)
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
-        report = ss.evaluate_variation(gg, ss.random_generic_variation(grid.box, seed=7))
+        (report,) = ss.run_variation_suite(ss.grid_blocks(chart, T, grid), [(7, generic)])
     assert [r.message for r in caplog.records] == [
         f"square-form route on a non-closed form (defect {report.lagrangian_defect:.3e} > 1.000e-09); "
         "its value will not match the other routes"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
-        ss.evaluate_variation(gg, ss.random_hamiltonian_variation(grid.box, seed=7))
+        ss.run_variation_suite(ss.grid_blocks(chart, T, grid), [(7, ss.random_hamiltonian_variation(grid.box, seed=7))])
     assert caplog.records == []
+
+
+def small_suite(tmp_path, chart, cells, points):
+    """A 3-variation second-variation config, written to ``tmp_path``."""
+    path = tmp_path / "cfg.json"
+    cfg = {"chart": chart, "grid": {"cells": cells, "points_per_cell": points}, "variations": {"count": 3}}
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made through the module."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_workers_give_the_bytes_of_one_worker_over_row_blocks(monkeypatch, tmp_path, capsys):
+    """With 4 row blocks, --workers 2 runs each block's variations on one thread pool and
+    prints the bytes of --workers 1."""
+    cfg = small_suite(tmp_path, "grim_reaper", cells=12, points=6)
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 18 * 72)
+    built = count_calls(monkeypatch, stability, "grid_geometry")
+    stdout = {}
+    for workers in ("1", "2"):
+        assert main(["second-variation", "--config", cfg, "--workers", workers]) == EXIT_PASS
+        stdout[workers] = capsys.readouterr().out
+    assert len(built) == 2 * 4
+    assert stdout["2"] == stdout["1"] and json.loads(stdout["1"])["summary"]["count"] == 3
+
+
+def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch, tmp_path, capsys):
+    """The residual passes on the first two of 4 blocks, so the variations run there; the
+    third block refuses, the fourth is still built, and exit 3 names its larger residual."""
+    chart = {
+        "name": "grim_reaper_bent_late",
+        "domain": [[-1.47, 1.47], [-3.0, 3.0]],
+        "components": ["-log(cos(x)) + 1e-12*exp(10*x)", "x", "y", "0"],
+    }
+    cfg = small_suite(tmp_path, chart, cells=4, points=4)
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * 16)
+    spec = ss.chart_from_config(chart)
+    grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
+    T = [1.0, 0.0, 0.0, 0.0]
+    residuals = [ss.grid_geometry(spec, T, grid.rows(i, i + 4)).soliton_residual for i in range(0, 16, 4)]
+    tol = stability.DEFAULT_SOLITON_TOL
+    assert max(residuals[:2]) <= tol < residuals[2] < residuals[3]
+    assert residuals[3] == ss.grid_geometry(spec, T, grid).soliton_residual
+    built = count_calls(monkeypatch, stability, "grid_geometry")
+    evaluated = count_calls(monkeypatch, ss.reports, "evaluate_variation")
+    assert main(["second-variation", "--config", cfg]) == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", f"precondition violation: {NotASolitonError(residuals[3], tol)}\n")
+    assert (len(built), len(evaluated)) == (4, 2 * 3)
 
 
 def test_covariant_calculus_needs_the_order_three_trace():
@@ -467,7 +593,7 @@ def test_covariant_calculus_needs_the_order_three_trace():
     T = np.eye(6)[0]
     with pytest.raises(ValueError, match="order-3 chart jets"):
         ss.covariant_calculus(fj.val, fj.d1, fj.d2, ss.point_geometry(chart, T, grid.nodes, order=2))
-    (block,) = ss.grid_geometry(chart, T, grid).blocks
+    block = ss.grid_geometry(chart, T, grid)
     assert block.pg.Gamma_partial is None
     full = ss.point_geometry(chart, T, grid.nodes)
     got, want = (ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg) for pg in (block.pg, full))
@@ -505,9 +631,9 @@ def test_fd_oracle_memory_is_bounded(monkeypatch, grim_reaper, T, gr_support):
     the grid beyond them."""
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 512)
     grid = ss.tensor_rule(gr_support, cells=20, points_per_cell=8)
-    gg = ss.grid_geometry(grim_reaper, T, grid)
-    assert len(gg.blocks) >= 8 and grid.nodes.shape[0] == 25_600
-    block = gg.blocks[3]
+    blocks = list(ss.grid_blocks(grim_reaper, T, grid))
+    assert len(blocks) >= 8 and grid.nodes.shape[0] == 25_600
+    block = blocks[3]
     data = ss.prepare_variation(block, ss.random_hamiltonian_variation(gr_support, seed=2))
     warm = ss.second_variation_fd_oracle(block, data)
     value, peak = traced_peak(ss.second_variation_fd_oracle, block, data)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
+from oracles import variation_report
 from soliton_stability.errors import EvaluationError
 from soliton_stability.reports import CSV_COLUMNS, reports_to_csv, reports_to_json
 
 
 def _one_report(gg):
     theta = ss.random_hamiltonian_variation(gg.grid.box, seed=3)
-    return ss.evaluate_variation(gg, theta, seed=3)
+    return variation_report(gg, theta, seed=3)
 
 
 def test_report_field_contract(gr_geometry_small):

@@ -24,6 +24,10 @@
   point geometry on ``GridGeometry``, no ``take`` of node rows, no
   ``_by_block`` writes into full-length arrays, and fields evaluate on grids
   only, with no scattered-point branch.
+* Geometry blocks are outer and variations inner: the suite walks
+  ``grid_blocks`` and holds one block's geometry at a time, so no tuple of
+  every block's geometry (``gg.blocks``, ``blocks: tuple[GridBlock, ...]``)
+  comes back.
 
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
@@ -60,6 +64,7 @@ FORBIDDEN = {
     "node-block rule outside geometry": (
         r"from \.jets import (\([^)]*|[^\n]*)\bnode_blocks\b|\b(J|jets)\.(node_blocks|NODE_BLOCK)\b"
     ),
+    "grid-wide tuple of block geometry": r"\bgg\.blocks\b|\btuple\[Grid(Block|Geometry)\b",
 }
 
 # one sample per pattern that the guard must flag, at the sample's first line
@@ -84,6 +89,7 @@ CAUGHT = {
     "whole-grid path beside the row blocks": "q = data.div + np.einsum(\"an,an->n\", data.theta, gg.pg.T_coord)",
     "scattered-point field branch": "x, y = where.axis_nodes if isinstance(where, QuadratureGrid) else where.T",
     "node-block rule outside geometry": "from .jets import Jet, node_blocks, stack",
+    "grid-wide tuple of block geometry": "    blocks: tuple[GridBlock, ...]",
 }
 
 
@@ -115,6 +121,11 @@ def test_guard_flags_each_pattern_and_nothing_else():
         "    return _jet_arithmetic(support, polynomial)\n    soliton_tol: float"
     )
     assert violations(kept) == []
+    held = ("for block in gg.blocks:", "blocks: tuple[GridGeometry, ...] = ()")
+    for line in held:
+        assert violations(line) == [(1, "grid-wide tuple of block geometry")], line
+    walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
+    assert violations(walk) == []
 
 
 def test_every_module_is_scanned():

@@ -14,6 +14,7 @@ from oracles import (
     route_integral,
     scalar_gradient_pairing,
     scalar_laplacian,
+    variation_report,
     whole_grid_block,
 )
 from soliton_stability.errors import NotASolitonError
@@ -50,7 +51,7 @@ def test_functional_flat_plane(flat_plane, T):
 def test_first_variation_vanishes_on_translators(gr_geometry_small, fp_geometry_small):
     for gg in (gr_geometry_small, fp_geometry_small):
         for seed in range(5):
-            report = ss.evaluate_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+            report = variation_report(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
             assert abs(report.first_var) <= 1e-9 * report.scale
 
 
@@ -73,7 +74,7 @@ def test_first_variation_matches_fd_off_criticality(perturbed, T):
 def test_zero_variation_gives_zeros(gr_geometry_small):
     gg = gr_geometry_small
     theta = zero_form(gg.grid.box)
-    report = ss.evaluate_variation(gg, theta)
+    report = variation_report(gg, theta)
     assert report.Fpp_operator == 0.0
     assert report.Fpp_divergence == 0.0
     assert report.Fpp_square == 0.0
@@ -85,7 +86,7 @@ def test_zero_variation_gives_zeros(gr_geometry_small):
 def test_route_agreement_on_cylinder(gr_geometry_small):
     gg = gr_geometry_small
     for seed in range(1, 6):
-        r = ss.evaluate_variation(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
+        r = variation_report(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=seed))
         op, dv, sq, fd, scale = r.Fpp_operator, r.Fpp_divergence, r.Fpp_square, r.Fpp_fd, r.scale
         assert sq >= 0.0
         assert max(abs(op - dv), abs(op - sq), abs(dv - sq)) <= 1e-6 * scale
@@ -97,7 +98,7 @@ def test_route_agreement_on_flat_plane_suite(flat_plane, T):
     grid = default_grid_for_support(flat_plane, support, cells=12, points_per_cell=6)
     gg = ss.grid_geometry(flat_plane, T, grid)
     variations = [(s, ss.random_hamiltonian_variation(support, s)) for s in range(1, 21)]
-    reports = ss.run_variation_suite(gg, variations)
+    reports = ss.run_variation_suite([gg], variations)
     for r in reports:
         assert r.Fpp_square >= 0.0
         assert r.max_pairwise_rel_diff <= 1e-6
@@ -112,7 +113,7 @@ def test_quadratic_homogeneity(gr_geometry_small):
     lam = 2.0
     phi2 = ss.ScalarField(support, lambda grid, order: phi.eval_jets(grid, order) * lam, name="scaled")
     form1, form2 = ss.hamiltonian_variation(phi), ss.hamiltonian_variation(phi2)
-    r1, r2 = ss.evaluate_variation(gg, form1), ss.evaluate_variation(gg, form2)
+    r1, r2 = variation_report(gg, form1), variation_report(gg, form2)
     for route in ("Fpp_operator", "Fpp_divergence", "Fpp_square"):
         q1, q2 = getattr(r1, route), getattr(r2, route)
         assert abs(q2 - lam**2 * q1) <= 1e-12 * max(1.0, abs(q2))
@@ -142,7 +143,7 @@ def test_integration_by_parts_identities(gr_geometry_small):
 def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
     gg = gr_geometry_small
     with caplog.at_level(logging.WARNING, logger="soliton_stability"):
-        r = ss.evaluate_variation(gg, ss.random_generic_variation(gg.grid.box, seed=7))
+        r = variation_report(gg, ss.random_generic_variation(gg.grid.box, seed=7))
     assert r.lagrangian_defect > 0.1
     assert any("non-closed" in rec.message for rec in caplog.records)
     op, dv, sq, fd, scale = r.Fpp_operator, r.Fpp_divergence, r.Fpp_square, r.Fpp_fd, r.scale
@@ -154,7 +155,8 @@ def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
 
 
 def test_routes_refuse_off_criticality(perturbed, T, monkeypatch):
-    """evaluate_variation refuses every route before it forms a variation's jets on any block."""
+    """evaluate_variation refuses every route before it forms a variation's jets, and the
+    walk refuses the grid before any block's."""
     support = ss.default_support_box(perturbed.domain)
     grid = default_grid_for_support(perturbed, support, cells=6, points_per_cell=4)
     gg = ss.grid_geometry(perturbed, T, grid)
@@ -162,15 +164,16 @@ def test_routes_refuse_off_criticality(perturbed, T, monkeypatch):
     monkeypatch.setattr(ss.reports, "prepare_variation", lambda *args: pytest.fail("formed jets"))
     with pytest.raises(NotASolitonError):
         ss.evaluate_variation(gg, theta)
-    with pytest.raises(NotASolitonError):
-        ss.run_variation_suite(gg, [(1, theta)])
+    for blocks in ([gg], ss.grid_blocks(perturbed, T, grid)):
+        with pytest.raises(NotASolitonError):
+            ss.run_variation_suite(blocks, [(1, theta)])
 
 
 def test_flat_plane_square_form_reduces_to_drift_laplacian(fp_geometry_small):
     """On the plane with tangent T the square integrand is (lap phi + phi_x)^2 e^x."""
     gg = fp_geometry_small
     phi = ss.random_polynomial_field(gg.grid.box, seed=21)
-    report = ss.evaluate_variation(gg, ss.hamiltonian_variation(phi))
+    report = variation_report(gg, ss.hamiltonian_variation(phi))
     sq = report.Fpp_square
     pj = phi.eval_jets(gg.grid, order=2)
     integrand = (pj.d2[0, 0] + pj.d2[1, 1] + pj.d1[0]) ** 2 * np.exp(
@@ -212,8 +215,8 @@ def test_grid_convergence_of_reported_integrals(grim_reaper, T, gr_support):
     for cells in (10, 20):
         grid = ss.tensor_rule(gr_support, cells=cells, points_per_cell=8)
         gg = ss.grid_geometry(grim_reaper, T, grid)
-        report = ss.evaluate_variation(gg, theta)
-        values[cells] = (report.Fpp_square, report.scale, gg.functional_at_rest)
+        report = variation_report(gg, theta)
+        values[cells] = (report.Fpp_square, report.scale, report.F_value)
     for a, b in zip(values[10], values[20]):
         assert abs(a - b) <= 1e-8 * abs(b)
 
@@ -230,7 +233,7 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T)
         # both sides use the same weight and the same determinant.  Pointwise
         # last-bit differences of two determinants can cancel in the quadrature
         # sum, so the shared determinant is also checked node by node.
-        assert deformed_functional(block, data, 0.0) == gg.functional_at_rest
+        assert deformed_functional(block, data, 0.0) == gg.grid.integrate(gg.area_weight)
         assert np.array_equal(pg.sqrt_det_g, np.sqrt(batch_det(pg.g)))
         # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
         v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, pg)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import cylinder_form_from_normal_components, y_windowed_field
+from oracles import cylinder_form_from_normal_components, variation_report, y_windowed_field
 from soliton_stability.errors import ConfigurationError, ConvergenceError
 
 
@@ -41,7 +41,7 @@ def test_divergence_route_reproduces_closed_form(grim_reaper, T, gr_support):
     gg = ss.grid_geometry(grim_reaper, T, grid)
     v3 = ss.random_polynomial_field(gr_support, seed=11)
     v4 = ss.random_polynomial_field(gr_support, seed=111)
-    report = ss.evaluate_variation(gg, cylinder_form_from_normal_components(v3, v4))
+    report = variation_report(gg, cylinder_form_from_normal_components(v3, v4))
     res = ss.cylinder_stability_integrals(v3, v4, grid)
     expected = res.gradient_integral - res.curvature_integral
     dv = report.Fpp_divergence
