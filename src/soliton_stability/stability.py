@@ -123,7 +123,7 @@ class GridGeometry:
     traces the routes read formed once and the construction intermediates dropped,
     ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,), the largest |T^perp - H| on
     the grid and the tolerance :func:`require_soliton` judges it by.  The grid is a row block
-    of a quadrature grid on the walk of :func:`grid_blocks`, or any tensor grid in tests."""
+    of a quadrature grid on the walk of :func:`grid_blocks`, or a whole one."""
 
     chart: Chart
     grid: QuadratureGrid
@@ -179,7 +179,7 @@ def grid_blocks(
         del block
     if refused:
         resid = float(np.max(residuals))  # np.max keeps a NaN
-        if resid > soliton_tol:
+        if not resid <= soliton_tol:  # a NaN refuses too: some block exceeded the tolerance
             raise NotASolitonError(resid, soliton_tol)
         require_lagrangian(lagrangian)
 

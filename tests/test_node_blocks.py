@@ -560,17 +560,20 @@ def test_workers_give_the_bytes_of_one_worker_over_row_blocks(monkeypatch, tmp_p
     assert stdout["2"] == stdout["1"] and json.loads(stdout["1"])["summary"]["count"] == 3
 
 
+# a translator to within 1e-8 on its first 11 of 16 rows at 4 x 4 points, up to 3.6e-7 on the last
+BENT_LATE = {
+    "name": "grim_reaper_bent_late",
+    "domain": [[-1.47, 1.47], [-3.0, 3.0]],
+    "components": ["-log(cos(x)) + 1e-12*exp(10*x)", "x", "y", "0"],
+}
+
+
 def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch, tmp_path, capsys):
     """The residual passes on the first two of 4 blocks, so the variations run there; the
     third block refuses, the fourth is still built, and exit 3 names its larger residual."""
-    chart = {
-        "name": "grim_reaper_bent_late",
-        "domain": [[-1.47, 1.47], [-3.0, 3.0]],
-        "components": ["-log(cos(x)) + 1e-12*exp(10*x)", "x", "y", "0"],
-    }
-    cfg = small_suite(tmp_path, chart, cells=4, points=4)
+    cfg = small_suite(tmp_path, BENT_LATE, cells=4, points=4)
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * 16)
-    spec = ss.chart_from_config(chart)
+    spec = ss.chart_from_config(BENT_LATE)
     grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
     T = [1.0, 0.0, 0.0, 0.0]
     residuals = [ss.grid_geometry(spec, T, grid.rows(i, i + 4)).soliton_residual for i in range(0, 16, 4)]
@@ -582,6 +585,29 @@ def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch,
     assert main(["second-variation", "--config", cfg]) == EXIT_PRECONDITION
     assert capsys.readouterr() == ("", f"precondition violation: {NotASolitonError(residuals[3], tol)}\n")
     assert (len(built), len(evaluated)) == (4, 2 * 3)
+
+
+def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch):
+    """A NaN residual on the first block is no refusal by itself, as before the walk, but it
+    cannot hide a later block off criticality: the walk refuses with the NaN grid maximum."""
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * 16)
+    calls = []
+
+    def defect(pg):
+        out = translator_defect(pg)
+        calls.append(out.shape[1])
+        if len(calls) == 1:
+            out[:, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(stability, "translator_defect", defect)
+    spec = ss.chart_from_config(BENT_LATE)
+    grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
+    walk = ss.grid_blocks(spec, [1.0, 0.0, 0.0, 0.0], grid)
+    assert np.isnan(next(walk).soliton_residual)
+    with pytest.raises(NotASolitonError) as info:
+        list(walk)
+    assert np.isnan(info.value.residual) and len(calls) == 4
 
 
 def test_covariant_calculus_needs_the_order_three_trace():
