@@ -63,7 +63,7 @@ import numpy as np
 from .charts import Chart
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, node_blocks, point_geometry, translator_defect
-from .quadrature import QuadratureGrid, tensor_rule, total
+from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
     covariant_calculus,
