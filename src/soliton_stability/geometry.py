@@ -65,9 +65,10 @@ __all__ = [
 RANK_TOL = 1e-8
 LAGRANGIAN_DETECT_TOL = 1e-9
 
-# Rows per block of point_blocks, which grid_geometry hands its own row-rounded
-# size (stability.VARIATION_BLOCK).  No output bit depends on it; it bounds the
-# temporaries.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6), verify-soliton on
+# Rows per block of point_blocks, the walk over scattered points (soliton_residual,
+# wirtinger.closed_form_deviations); a grid's row blocks take their size,
+# stability.VARIATION_BLOCK, through node_blocks.  No output bit depends on it;
+# it bounds the temporaries.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6), verify-soliton on
 # the perfbench certify config (360,000 points) peaked at 41.8 / 43.8 / 50.1 MB
 # RSS at 2,048 / 4,096 / 8,192 rows in 0.54 / 0.52 / 0.47 s (medians of 5
 # alternating rounds of fresh processes), and cylinder at 600 x 600 diagnostic
@@ -308,21 +309,14 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     return pg
 
 
-def point_blocks(
-    chart: Chart,
-    T,
-    points,
-    per_block: Callable[[slice, PointGeometry], Any],
-    order: int = 3,
-    size: int | None = None,
-) -> list:
-    """``per_block(rows, point_geometry(chart, T, points[rows], order))`` over :func:`node_blocks`
-    of ``size`` rows, in node order: the one walk that cuts points into blocks.  A block's
+def point_blocks(chart: Chart, T, points, per_block: Callable[[slice, PointGeometry], Any]) -> list:
+    """``per_block(rows, point_geometry(chart, T, points[rows], order=2))`` over
+    :func:`node_blocks`, in node order: the one walk that cuts points into blocks.  A block's
     geometry is dropped when ``per_block`` returns, before the next one is built, so one
     block's geometry is held at a time, whatever the number of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    blocks = node_blocks(pts.shape[0], size)
-    return [per_block(rows, point_geometry(chart, T, pts[rows], order)) for rows in blocks]
+    blocks = node_blocks(pts.shape[0])
+    return [per_block(rows, point_geometry(chart, T, pts[rows], order=2)) for rows in blocks]
 
 
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
@@ -353,7 +347,7 @@ def soliton_residual(chart: Chart, T, points) -> DiagnosticsReport:
         resid = np.max(np.linalg.norm(translator_defect(pg), axis=0))
         return resid, np.max(np.abs(kaehler_pullback(pg.tangents)))
 
-    resid, defect = zip(*point_blocks(chart, T, pts, maxima, order=2))
+    resid, defect = zip(*point_blocks(chart, T, pts, maxima))
     return DiagnosticsReport(
         chart=chart.name,
         grid={"kind": "points", "count": int(pts.shape[0])},

@@ -135,6 +135,11 @@ def run_variation_suite(
     sums once, by ``quadrature.total``, as ``QuadratureGrid.integrate`` does, so
     no value depends on the block size.
 
+    A variation that fails on a block does not pre-empt the walk's own errors:
+    the rest of the blocks are built first, so a later block's refusal or chart
+    error is raised, as it was when the whole grid was built before any
+    variation ran, and the variation's error only if the walk ends cleanly.
+
     With ``workers > 1`` the variations of each block run on one thread pool;
     results keep the order of ``variations`` either way.
     """
@@ -145,9 +150,16 @@ def run_variation_suite(
         for block in blocks:
             at_rest = np.append(at_rest, block.grid.row_sums(block.area_weight))
             each = partial(evaluate_variation, block, fd_steps=fd_steps)
-            sums = [_join(old, new) for old, new in zip(sums, run(each, thetas))]
+            try:
+                block_sums = list(run(each, thetas))
+            except Exception:
+                del block, each
+                for _ in blocks:  # a later block's refusal wins, as when the grid came first
+                    pass
+                raise
+            sums = [_join(old, new) for old, new in zip(sums, block_sums)]
             chart, grid = block.chart.name, block.grid.describe()  # a row block keeps its grid's box
-            del block, each  # drop this block's geometry before the next is built
+            del block, each, block_sums  # drop this block's geometry before the next is built
     F = total(at_rest)
     return [
         _report(chart, grid, F, seed, theta.kind, rows, fd_steps)

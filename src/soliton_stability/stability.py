@@ -163,25 +163,24 @@ def grid_blocks(
     A block is yielded only while every block so far is Lagrangian and within
     ``soliton_tol``.  After the first that is not, the rest are still built for
     the grid-wide residual, and the walk ends by refusing the grid: with
-    NotASolitonError naming that residual if it exceeds ``soliton_tol``, else
+    NotASolitonError naming that residual if some block's exceeds ``soliton_tol``
+    (a NaN residual is no refusal by itself, but the maximum keeps it), else
     with :func:`require_lagrangian`'s UnsupportedChartError.
     """
     per_row = grid.weights.shape[0] // grid.shape[0]
     size = max(1, VARIATION_BLOCK // per_row) * per_row
-    residuals, lagrangian, refused = [], True, False
+    residuals, lagrangian, off = [], True, False
     for rows in node_blocks(grid.weights.shape[0], size):
         block = grid_geometry(chart, T, grid.rows(rows.start // per_row, rows.stop // per_row), soliton_tol)
         residuals.append(block.soliton_residual)
         lagrangian = lagrangian and block.pg.lagrangian
-        refused = refused or not lagrangian or block.soliton_residual > soliton_tol
-        if not refused:
+        off = off or block.soliton_residual > soliton_tol
+        if lagrangian and not off:
             yield block
         del block
-    if refused:
-        resid = float(np.max(residuals))  # np.max keeps a NaN
-        if not resid <= soliton_tol:  # a NaN refuses too: some block exceeded the tolerance
-            raise NotASolitonError(resid, soliton_tol)
-        require_lagrangian(lagrangian)
+    if off:  # the grid-wide maximum, by np.max, which keeps a NaN another block may hold
+        raise NotASolitonError(float(np.max(residuals)), soliton_tol)
+    require_lagrangian(lagrangian)
 
 
 def _weighted_area_density(T: np.ndarray, values, g) -> np.ndarray:

@@ -123,7 +123,7 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
         return [np.max(np.abs(a)) for a in deviations]
 
     names = ("metric", "area_density", "second_fundamental_form", "mean_curvature", "weight")
-    per_block = point_blocks(chart, T, pts, maxima, order=2)
+    per_block = point_blocks(chart, T, pts, maxima)
     return dict(zip(names, map(float, np.max(per_block, axis=0))))  # np.max, not max: it keeps a NaN
 
 

@@ -403,19 +403,20 @@ def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
     assert report.F_value == grid.integrate(full.weight * full.sqrt_det_g)
 
 
+# a translator to within soliton_tol whose Kaehler pullback, |d/dx 4e-9 exp(x - 0.8)|, passes
+# the Lagrangian test on the first row of 2 x 4 points only: 8.5e-10 there, 1.1e-9 on the second
+BENT_PLANE = {
+    "name": "bent_plane",
+    "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+    "components": ["x", "0", "y", "4e-9*exp(x - 0.8)"],
+}
+
+
 def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
-    """A translator to within soliton_tol whose Kaehler pullback passes the Lagrangian test
-    on its first row only: the walk yields the first block, Lagrangian by itself, and no later
-    one, then refuses the grid as a whole; a grid geometry that is not Lagrangian forms no h3
-    and refuses the normal field V = J theta^sharp."""
-    # the pullback is |d/dx 4e-9 exp(x - 0.8)|: 8.5e-10 on the first row, 1.1e-9 on the second
-    chart = ss.chart_from_config(
-        {
-            "name": "bent_plane",
-            "domain": [[-1.0, 1.0], [-1.0, 1.0]],
-            "components": ["x", "0", "y", "4e-9*exp(x - 0.8)"],
-        }
-    )
+    """On BENT_PLANE, the walk yields the first block, Lagrangian by itself, and no later one,
+    then refuses the grid as a whole; a grid geometry that is not Lagrangian forms no h3 and
+    refuses the normal field V = J theta^sharp."""
+    chart = ss.chart_from_config(BENT_PLANE)
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=4)
     theta = ss.random_hamiltonian_variation(grid.box, seed=1)
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 8)
@@ -587,10 +588,41 @@ def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch,
     assert (len(built), len(evaluated)) == (4, 2 * 3)
 
 
-def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch):
-    """A NaN residual on the first block is no refusal by itself, as before the walk, but it
-    cannot hide a later block off criticality: the walk refuses with the NaN grid maximum."""
+def test_a_later_refusal_wins_over_a_variation_failing_on_an_earlier_block(monkeypatch, tmp_path, capsys):
+    """A potential that is not finite on the first of 4 blocks does not pre-empt the third
+    block's refusal: the walk builds every block, and exit 3 names the grid-wide residual, as
+    when the whole grid was built before any variation ran."""
+    path = tmp_path / "cfg.json"
+    grid_cfg, variations = {"cells": 4, "points_per_cell": 4}, {"potentials": ["log(x + 1)"]}
+    cfg = {"chart": BENT_LATE, "grid": grid_cfg, "variations": variations}
+    path.write_text(json.dumps(cfg))
     monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * 16)
+    spec = ss.chart_from_config(BENT_LATE)
+    grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
+    resid = ss.grid_geometry(spec, [1.0, 0.0, 0.0, 0.0], grid).soliton_residual
+    built = count_calls(monkeypatch, stability, "grid_geometry")
+    evaluated = count_calls(monkeypatch, ss.reports, "evaluate_variation")
+    assert main(["second-variation", "--config", str(path)]) == EXIT_PRECONDITION
+    err = NotASolitonError(resid, stability.DEFAULT_SOLITON_TOL)
+    assert capsys.readouterr() == ("", f"precondition violation: {err}\n")
+    assert (len(built), len(evaluated)) == (4, 1)
+    cfg["chart"] = "grim_reaper"  # with no refusal, the potential's own error is raised
+    path.write_text(json.dumps(cfg))
+    assert main(["second-variation", "--config", str(path)]) == EXIT_FAIL
+    assert "'log(x + 1)' produced non-finite jet data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, cells, block, refusal",
+    [(BENT_LATE, 4, 4 * 16, NotASolitonError), (BENT_PLANE, 2, 8, UnsupportedChartError)],
+    ids=["off_criticality", "not_lagrangian"],
+)
+def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch, spec, cells, block, refusal):
+    """A NaN residual on the first block is no refusal by itself, as before the walk, but it
+    cannot hide a later refusal: a block off criticality refuses with the NaN grid maximum,
+    and a block that is not Lagrangian, with every residual within soliton_tol, refuses with
+    UnsupportedChartError, not with the NaN."""
+    monkeypatch.setattr(stability, "VARIATION_BLOCK", block)
     calls = []
 
     def defect(pg):
@@ -601,13 +633,14 @@ def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch):
         return out
 
     monkeypatch.setattr(stability, "translator_defect", defect)
-    spec = ss.chart_from_config(BENT_LATE)
-    grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
+    spec = ss.chart_from_config(spec)
+    grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=cells, points_per_cell=4)
     walk = ss.grid_blocks(spec, [1.0, 0.0, 0.0, 0.0], grid)
     assert np.isnan(next(walk).soliton_residual)
-    with pytest.raises(NotASolitonError) as info:
+    with pytest.raises(refusal) as info:
         list(walk)
-    assert np.isnan(info.value.residual) and len(calls) == 4
+    assert len(calls) == grid.nodes.shape[0] // block
+    assert np.isnan(info.value.residual) if refusal is NotASolitonError else "Lagrangian" in str(info.value)
 
 
 def test_covariant_calculus_needs_the_order_three_trace():
