@@ -21,6 +21,7 @@ import numpy as np
 from . import jets as J
 from .errors import DomainError, EvaluationError, ExpressionError
 from .expressions import compile_expression, is_finite_number, variable_names
+from .quadrature import QuadratureGrid
 
 __all__ = [
     "Chart",
@@ -219,8 +220,9 @@ def _is_interval(row) -> bool:
     return pair and row[0] < row[1]
 
 
-def uniform_grid(chart: Chart, n: int = 50) -> np.ndarray:
-    """Uniform interior sampling grid, ``n`` points per axis, endpoints excluded."""
-    axes = [np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in chart.domain]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+def uniform_grid(chart: Chart, n: int = 50) -> QuadratureGrid:
+    """Uniform interior sampling grid, ``n`` points per axis, endpoints excluded: the tensor
+    grid of those axes.  Its weights are the spacing, which no diagnostic reads."""
+    axes = tuple(np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in chart.domain)
+    spacing = tuple(np.full(n, (hi - lo) / (n + 1)) for lo, hi in chart.domain)
+    return QuadratureGrid(chart.domain, n, 1, axes, spacing)

@@ -22,6 +22,7 @@ level.  All defaults are embedded, so every command runs with no arguments.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -344,7 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc serve arrays up to 32 MB from its heap and keep 64 MB of it freed,
+    so each row block reuses the previous block's memory (a no-op without ``mallopt``).  By
+    default every block's arrays were faulted in anew: verify-soliton on the perfbench
+    certify config took 67,173 minor page faults and 0.33 s, against 6,695 and 0.19 s."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     level = os.environ.get("SOLITON_STABILITY_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()

@@ -29,6 +29,9 @@ raises UnsupportedChartError.  The translator defect and the mean curvature
 vector use ambient normal components, so they hold on every chart.  Frames
 are formed on first use, and every reported scalar is gauge invariant.
 
+The diagnostics (:func:`soliton_residual`) walk a grid's row blocks, one
+block's order-2 geometry at a time.
+
 Christoffel symbols and their derivatives are assembled intrinsically from
 metric derivatives, not from ambient projections, so a curvature tensor built
 from them is independent of the second fundamental form; the tests check the
@@ -41,12 +44,13 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from .charts import Chart, apply_J, eval_jets
 from .errors import EvaluationError, ImmersionError, UnsupportedChartError
+from .quadrature import QuadratureGrid
 
 __all__ = [
     "PointGeometry",
@@ -54,8 +58,6 @@ __all__ = [
     "batch_det",
     "adjugate",
     "point_geometry",
-    "node_blocks",
-    "point_blocks",
     "mean_curvature_vector",
     "translator_defect",
     "soliton_residual",
@@ -64,34 +66,6 @@ __all__ = [
 
 RANK_TOL = 1e-8
 LAGRANGIAN_DETECT_TOL = 1e-9
-
-# Rows per block of point_blocks, the walk over scattered points (soliton_residual,
-# wirtinger.closed_form_deviations); a grid's row blocks take their size,
-# stability.VARIATION_BLOCK, through node_blocks.  No output bit depends on it;
-# it bounds the temporaries.  On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6), verify-soliton on
-# the perfbench certify config (360,000 points) peaked at 41.8 / 43.8 / 50.1 MB
-# RSS at 2,048 / 4,096 / 8,192 rows in 0.54 / 0.52 / 0.47 s (medians of 5
-# alternating rounds of fresh processes), and cylinder at 600 x 600 diagnostic
-# points at 48.6 / 48.8 / 52.5 MB: 8,192 saves 10% of the time for 14% more memory.
-NODE_BLOCK = 4096
-
-
-def node_blocks(n: int, size: int | None = None) -> list[slice]:
-    """Consecutive row slices of ``size`` (default ``NODE_BLOCK``) rows covering ``range(n)``.
-
-    No block has one row unless n = 1.  On one node, numpy's einsum sums the
-    small indices of a contiguous operand as a SIMD dot product, in another
-    order than along a row of nodes (|nabla theta|_g^2 moved in its last bit).
-    So blocks have at least 2 rows, and a one-row remainder joins the block
-    before it.  ``n = 0`` gives one empty slice, so an empty batch still runs
-    (and fails) as it would unblocked.
-    """
-    size = max(size or NODE_BLOCK, 2)
-    rows = [slice(i, min(i + size, n)) for i in range(0, max(n, 1), size)]
-    if len(rows) > 1 and n - rows[-1].start == 1:
-        rows[-2:] = [slice(rows[-2].start, n)]
-    return rows
-
 
 @dataclass
 class PointGeometry:
@@ -309,16 +283,6 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     return pg
 
 
-def point_blocks(chart: Chart, T, points, per_block: Callable[[slice, PointGeometry], Any]) -> list:
-    """``per_block(rows, point_geometry(chart, T, points[rows], order=2))`` over
-    :func:`node_blocks`, in node order: the one walk that cuts points into blocks.  A block's
-    geometry is dropped when ``per_block`` returns, before the next one is built, so one
-    block's geometry is held at a time, whatever the number of points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    blocks = node_blocks(pts.shape[0])
-    return [per_block(rows, point_geometry(chart, T, pts[rows], order=2)) for rows in blocks]
-
-
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
     """Ambient mean curvature H = g^{ab} (d^2 Phi)^perp_ab, shape (m, N)."""
     return np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
@@ -333,24 +297,26 @@ def translator_defect(pg: PointGeometry) -> np.ndarray:
     return t_perp - mean_curvature_vector(pg)
 
 
-def soliton_residual(chart: Chart, T, points) -> DiagnosticsReport:
-    """Maxima of |T^perp - H| and of the Kaehler pullback over the points.
+def soliton_residual(chart: Chart, T, grid: QuadratureGrid) -> DiagnosticsReport:
+    """Maxima of |T^perp - H| and of the Kaehler pullback over the nodes of ``grid``.
 
     A vanishing residual certifies the translator equation; the pullback
-    certifies the Lagrangian condition.  The points run through
-    :func:`point_blocks`, so memory is bounded at any number of points; only
-    the per-block maxima are kept, and ``np.max`` over them keeps a NaN.
+    certifies the Lagrangian condition.  The grid is walked one row block at a
+    time (:meth:`QuadratureGrid.blocks`), and each block's order-2 geometry is
+    dropped before the next is built, so memory is bounded at any number of
+    points; only the per-block maxima are kept, and ``np.max`` over them keeps
+    a NaN.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
 
-    def maxima(rows, pg):
+    def maxima(points):
+        pg = point_geometry(chart, T, points, order=2)
         resid = np.max(np.linalg.norm(translator_defect(pg), axis=0))
         return resid, np.max(np.abs(kaehler_pullback(pg.tangents)))
 
-    resid, defect = zip(*point_blocks(chart, T, pts, maxima))
+    resid, defect = zip(*[maxima(block.nodes) for block in grid.blocks()])
     return DiagnosticsReport(
         chart=chart.name,
-        grid={"kind": "points", "count": int(pts.shape[0])},
+        grid={"kind": "points", "count": math.prod(grid.shape)},
         max_soliton_residual=float(np.max(resid)),
         max_lagrangian_defect=float(np.max(defect)),
     )

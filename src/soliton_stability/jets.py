@@ -11,8 +11,8 @@ what makes the downstream geometric identity checks discretization-free.
 
 :func:`evaluate` runs a function of coordinate jets on the points it is
 given; vector-valued results (chart maps, one-forms) are jets stacked along
-axis 0.  Cutting a large point set into blocks is the caller's business
-(``geometry.node_blocks``).
+axis 0.  Cutting a large grid into blocks is the caller's business
+(``quadrature.QuadratureGrid.blocks``).
 
 Mixed partials are bit-symmetric: the product and chain rules compute each
 distinct entry of ``d2``/``d3`` once, at its sorted index tuple

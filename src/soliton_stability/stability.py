@@ -30,10 +30,11 @@ associated one-form theta, by four routes:
                   amplification.  It uses no covariant or
                   second-fundamental-form quantity.
 
-The quadrature grid is walked one row block at a time (:func:`grid_blocks`),
-and each block's geometry (:class:`GridGeometry`) is built once and dropped
-before the next.  Each route is a function of one block and the variation's
-data there (:func:`prepare_variation`) that returns the block's row sums
+The quadrature grid is walked one row block at a time (:func:`grid_blocks`, over
+:meth:`QuadratureGrid.blocks`, the one cut of a grid), and each block's
+geometry (:class:`GridGeometry`) is built once and dropped before the next.
+Each route is a function of one block and the variation's data there
+(:func:`prepare_variation`) that returns the block's row sums
 (:meth:`QuadratureGrid.row_sums`).  ``reports.evaluate_variation`` runs every
 route on one block, and ``reports.run_variation_suite`` runs every variation
 on each block as the walk reaches it, then adds each route's row sums once, by
@@ -62,7 +63,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import NotASolitonError
-from .geometry import PointGeometry, batch_det, node_blocks, point_geometry, translator_defect
+from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
@@ -95,27 +96,11 @@ __all__ = [
     "DEFAULT_SOLITON_TOL",
     "DEFAULT_FD_STEPS",
     "DEFAULT_CLOSED_TOL",
-    "VARIATION_BLOCK",
 ]
 
 DEFAULT_SOLITON_TOL = 1e-8
 DEFAULT_FD_STEPS = (2e-3, 1e-3)
 DEFAULT_CLOSED_TOL = 1e-9
-
-# Nodes per row block of the grid walk, rounded down to whole x-rows: each
-# block holds max(1, VARIATION_BLOCK // row length) rows, cut by
-# geometry.node_blocks, so a block is a tensor grid and has at least 2 nodes.
-# Each block's geometry is built once, every variation runs on it, and it is
-# dropped before the next is built; the row-sum reduction makes the block size
-# change no output bit, so it sets the memory held (93 floats per node of a
-# block at d = 2, 262 at d = 3) against the fixed costs paid per block.
-# On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6), second-variation on the perfbench
-# suite2d config took 2.25 / 1.99 / 1.94 s at 4,096 / 8,192 / 16,384 nodes per
-# block and peaked at 49.1 / 54.8 / 65.5 MB RSS (medians of 8 alternating rounds
-# of fresh processes); 8,192 beat 4,096 in 6 of 8 pairs, and 16,384 beat 8,192
-# in only 4 of 10 more, at 20% more memory.
-VARIATION_BLOCK = 8192
-
 
 @dataclass
 class GridGeometry:
@@ -157,8 +142,9 @@ def grid_geometry(
 def grid_blocks(
     chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
 ) -> Iterator[GridGeometry]:
-    """The :func:`grid_geometry` of each row block of ``grid``, in node order, each built when
-    the walk reaches it; the walk drops each block before it builds the next.
+    """The :func:`grid_geometry` of each row block of ``grid`` (:meth:`QuadratureGrid.blocks`),
+    in node order, each built when the walk reaches it; the walk drops each block before it
+    builds the next.
 
     A block is yielded only while every block so far is Lagrangian and within
     ``soliton_tol``.  After the first that is not, the rest are still built for
@@ -167,11 +153,9 @@ def grid_blocks(
     (a NaN residual is no refusal by itself, but the maximum keeps it), else
     with :func:`require_lagrangian`'s UnsupportedChartError.
     """
-    per_row = grid.weights.shape[0] // grid.shape[0]
-    size = max(1, VARIATION_BLOCK // per_row) * per_row
     residuals, lagrangian, off = [], True, False
-    for rows in node_blocks(grid.weights.shape[0], size):
-        block = grid_geometry(chart, T, grid.rows(rows.start // per_row, rows.stop // per_row), soliton_tol)
+    for part in grid.blocks():
+        block = grid_geometry(chart, T, part, soliton_tol)
         residuals.append(block.soliton_residual)
         lagrangian = lagrangian and block.pg.lagrangian
         off = off or block.soliton_residual > soliton_tol

@@ -102,15 +102,15 @@ class ScalarField:
     name: str = ""
 
     def eval_jets(self, grid: QuadratureGrid, order: int = 3) -> J.Jet:
-        pts = grid.nodes
-        if pts.shape[1] != self.support.shape[0]:
-            raise DomainError(f"points have dimension {pts.shape[1]}, field has {self.support.shape[0]}")
+        d = len(grid.shape)
+        if d != self.support.shape[0]:
+            raise DomainError(f"points have dimension {d}, field has {self.support.shape[0]}")
         # a domain error inside the field surfaces as the non-finite check below
         with np.errstate(all="ignore"):
             raw = self.evaluate(grid, order)
         out = _mask_jet(raw, _support_mask(grid, self.support))
         if not out.is_finite():
-            bad = pts[out.first_non_finite()].tolist()
+            bad = grid.nodes[out.first_non_finite()].tolist()
             raise EvaluationError(f"scalar field {self.name!r} produced non-finite jet data at point {bad}")
         return out
 

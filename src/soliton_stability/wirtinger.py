@@ -22,8 +22,8 @@ import numpy as np
 
 from .charts import uniform_grid
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import mean_curvature_vector, point_blocks
-from .quadrature import QuadratureGrid
+from .geometry import mean_curvature_vector, point_geometry
+from .quadrature import QuadratureGrid, total
 from .variations import ScalarField
 
 __all__ = [
@@ -62,37 +62,36 @@ def require_cylinder_dims(d: int, m: int = 4) -> None:
 def cylinder_stability_integrals(
     v3: ScalarField, v4: ScalarField, grid: QuadratureGrid
 ) -> CylinderIntegrals:
-    """Evaluate the closed-form integrals on a tensor quadrature grid.
+    """Evaluate the closed-form integrals on a tensor quadrature grid, one row block at a time.
 
     ``v3``/``v4`` are the normal components of the variation in the cylinder's
     natural normal frame in C^2; both must be supported inside the 2-d grid box.
+    The fields are evaluated per block of :meth:`QuadratureGrid.blocks`; the
+    gradient integral is the :func:`quadrature.total` of the blocks' row sums,
+    and each y-slice's sums over x add the x-rows one at a time, in order, by
+    ``np.add.accumulate``, so no value depends on the block size.
     """
     require_cylinder_dims(len(grid.shape))
-    nx, ny = grid.shape
-    j3 = v3.eval_jets(grid, order=1)
-    j4 = v4.eval_jets(grid, order=1)
-    x = grid.nodes[:, 0].reshape(nx, ny)
-    sec2 = 1.0 / np.cos(x) ** 2
-    wx = grid.axis_weights[0]
+    ny = grid.shape[1]
+    slices = np.zeros((1, 2, ny))  # per y-slice: sum over x of wx v3^2 and of wx (d_x v3)^2
+    gradient = []
+    for block in grid.blocks():
+        j3, j4 = v3.eval_jets(block, order=1), v4.eval_jets(block, order=1)
+        val3 = j3.val.reshape(-1, ny)
+        dx3, dy3 = j3.d1.reshape(2, -1, ny)
+        dx4, dy4 = j4.d1.reshape(2, -1, ny)
+        sec2 = 1.0 / np.cos(block.axis_nodes[0][:, None]) ** 2
+        gradient.append(block.row_sums(dx3**2 + dx4**2 + sec2 * (dy3**2 + dy4**2)))
+        rows = block.axis_weights[0][:, None, None] * np.stack([val3**2, dx3**2], axis=1)
+        slices = np.add.accumulate(np.concatenate([slices, rows]), axis=0)[-1:]
+    slice_lhs, slice_rhs = slices[0]
     wy = grid.axis_weights[1]
-
-    val3 = j3.val.reshape(nx, ny)
-    dx3, dy3 = j3.d1.reshape(2, nx, ny)
-    dx4, dy4 = j4.d1.reshape(2, nx, ny)
-
-    slice_lhs = np.einsum("i,ij->j", wx, val3**2)
-    slice_rhs = np.einsum("i,ij->j", wx, dx3**2)
     wirtinger_lhs = float(np.sum(wy * slice_lhs))
-    wirtinger_rhs = float(np.sum(wy * slice_rhs))
-
-    curvature = wirtinger_lhs
-    grad_plain = np.einsum("i,ij,j->", wx, dx3**2 + dx4**2, wy)
-    grad_weighted = np.einsum("i,ij,j->", wx, sec2 * (dy3**2 + dy4**2), wy)
     return CylinderIntegrals(
-        curvature_integral=curvature,
-        gradient_integral=float(grad_plain + grad_weighted),
+        curvature_integral=wirtinger_lhs,
+        gradient_integral=total(np.concatenate(gradient)),
         wirtinger_lhs=wirtinger_lhs,
-        wirtinger_rhs=wirtinger_rhs,
+        wirtinger_rhs=float(np.sum(wy * slice_rhs)),
         slice_lhs=slice_lhs,
         slice_rhs=slice_rhs,
     )
@@ -106,14 +105,15 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
     ambient second-fundamental-form component is h(d_x, d_x) = (1, -tan x, 0, 0),
     and |H| = cos x.  Returns one max-abs deviation per quantity; no normal
     frame is read, so any chart with 2 parameters in C^2 gets a report.  The
-    points run through :func:`geometry.point_blocks`, so one block's geometry
-    is held at a time.
+    ``n`` x ``n`` diagnostic grid is walked one row block at a time
+    (:meth:`QuadratureGrid.blocks`), and each block's order-2 geometry is
+    dropped before the next is built.
     """
     require_cylinder_dims(chart.dim, chart.ambient_dim)
-    pts = uniform_grid(chart, n)
 
-    def maxima(rows, pg):
-        x = pts[rows, 0]
+    def maxima(points):
+        pg = point_geometry(chart, T, points, order=2)
+        x = points[:, 0]
         sec = 1.0 / np.cos(x)
         g_exact, h_exact = np.zeros_like(pg.g), np.zeros_like(pg.h_coord)
         g_exact[0, 0], g_exact[1, 1] = sec**2, 1.0
@@ -123,7 +123,7 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
         return [np.max(np.abs(a)) for a in deviations]
 
     names = ("metric", "area_density", "second_fundamental_form", "mean_curvature", "weight")
-    per_block = point_blocks(chart, T, pts, maxima)
+    per_block = [maxima(block.nodes) for block in uniform_grid(chart, n).blocks()]
     return dict(zip(names, map(float, np.max(per_block, axis=0))))  # np.max, not max: it keeps a NaN
 
 

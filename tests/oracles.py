@@ -506,11 +506,8 @@ def tensor_grid(*axes) -> QuadratureGrid:
     """The tensor grid on the given axis nodes, with unit weights: fields evaluate only on
     grids, so a point of the plane is the 1 x 1 grid on its coordinates."""
     axis_nodes = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in axes)
-    mesh = np.meshgrid(*axis_nodes, indexing="ij")
-    nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
     box = np.array([[x.min(), x.max()] for x in axis_nodes])
-    weights = tuple(np.ones_like(x) for x in axis_nodes)
-    return QuadratureGrid(box, 1, 1, nodes, np.ones(nodes.shape[0]), axis_nodes, weights)
+    return QuadratureGrid(box, 1, 1, axis_nodes, tuple(np.ones_like(x) for x in axis_nodes))
 
 
 def whole_grid_block(gg: GridGeometry) -> GridGeometry:

@@ -121,7 +121,7 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     assert worst_parts <= 1e-6
     gauss_worst = 0.0
     for chart in (grim_reaper, ss.perturbed_grim_reaper(0.05), ss.flat_lagrangian_plane()):
-        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, ss.uniform_grid(chart, 20)))
+        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, ss.uniform_grid(chart, 20).nodes))
         gauss_worst = max(gauss_worst, float(np.max(np.abs(r_int - r_gauss))))
     assert gauss_worst <= 1e-8
     report(

@@ -203,5 +203,5 @@ def test_chart_from_config_errors():
 
 def test_uniform_grid_is_interior(grim_reaper):
     grid = ss.uniform_grid(grim_reaper, 9)
-    assert grid.shape == (81, 2)
-    assert np.all(grim_reaper.contains(grid))
+    assert grid.shape == (9, 9) and grid.nodes.shape == (81, 2)
+    assert np.all(grim_reaper.contains(grid.nodes))

@@ -1,5 +1,6 @@
 """Exit-code contract, report formats, and byte determinism of the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -326,6 +327,47 @@ def test_cylinder_geometry_check_fails_on_a_nan_after_the_first_deviation(tmp_pa
     (checks,) = payloads
     assert list(checks["geometry_deviations"])[0] != "mean_curvature"
     assert checks["geometry_ok"] is False and checks["passed"] is False
+
+
+def cylinder_checks(tmp_path):
+    """Run ``cylinder`` on a small grid; its exit code and its report."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "cyl.json"
+    grid = {"cells": 4, "points_per_cell": 4, "diagnostic_points": 10}
+    cfg.write_text(json.dumps({"grid": grid, "dirichlet_intervals": 400}))
+    code = run_cli("cylinder", "--config", str(cfg), "--out", str(out))
+    return code, json.loads(out.read_text())
+
+
+GATES = ("geometry_ok", "stability_inequality_ok", "wirtinger_slices_ok", "dirichlet_gap_ok")
+
+
+def test_cylinder_fails_on_a_dirichlet_gap_outside_its_tolerance(tmp_path, monkeypatch):
+    tol = load_config(None)["tolerances"]["dirichlet_gap"]
+    monkeypatch.setattr(cli, "dirichlet_gap", lambda n: 1.0 + 2 * tol)
+    code, checks = cylinder_checks(tmp_path)
+    assert code == EXIT_FAIL and checks["passed"] is False
+    assert checks["dirichlet_gap"]["eigenvalue"] == 1.0 + 2 * tol
+    assert {gate: checks[gate] for gate in GATES} == {**dict.fromkeys(GATES, True), "dirichlet_gap_ok": False}
+
+
+def test_cylinder_fails_on_a_slice_above_its_wirtinger_bound(tmp_path, monkeypatch):
+    """One y-slice of one pair with lhs > rhs fails the slice gate alone, judged by the real
+    ``CylinderIntegrals.slices_hold``."""
+    integrals, calls = cli.cylinder_stability_integrals, []
+
+    def one_slice_over(*args):
+        res = integrals(*args)
+        calls.append(res)
+        if len(calls) > 1:
+            return res
+        lhs = res.slice_lhs.copy()
+        lhs[len(lhs) // 2] = res.slice_rhs[len(lhs) // 2] + 1.0
+        return dataclasses.replace(res, slice_lhs=lhs)
+
+    monkeypatch.setattr(cli, "cylinder_stability_integrals", one_slice_over)
+    code, checks = cylinder_checks(tmp_path)
+    assert code == EXIT_FAIL and checks["passed"] is False and len(calls) == 10
+    assert {gate: checks[gate] for gate in GATES} == {**dict.fromkeys(GATES, True), "wirtinger_slices_ok": False}
 
 
 @pytest.mark.parametrize(

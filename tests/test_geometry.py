@@ -222,7 +222,7 @@ def test_mean_curvature_closed_form(grim_reaper, T):
 
 def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, T):
     for chart in (grim_reaper, perturbed):
-        pts = ss.uniform_grid(chart, 12)
+        pts = ss.uniform_grid(chart, 12).nodes
         pg = ss.point_geometry(chart, T, pts)
         e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
         ee = np.einsum("pin,pjn->ijn", e, e)
@@ -256,7 +256,7 @@ def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, T):
 
 def test_translator_identity_for_normal_components(grim_reaper, T):
     # H_p = <T, nu_p> on a translator
-    pts = ss.uniform_grid(grim_reaper, 15)
+    pts = ss.uniform_grid(grim_reaper, 15).nodes
     pg = ss.point_geometry(grim_reaper, T, pts)
     T_norm = np.einsum("q,qpn->pn", T, pg.nu)
     assert np.max(np.abs(frame_mean_curvature(pg) - T_norm)) < 1e-10
@@ -279,7 +279,7 @@ def test_translator_identity_for_normal_components(grim_reaper, T):
 def test_translator_defect_matches_frame_projection(spec):
     """T - t g^-1 <T, t> is the frame projection T - sum <T, e_i> e_i, on any chart."""
     chart = ss.chart_from_config(spec)
-    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7))
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7).nodes)
     assert np.max(np.abs(translator_defect(pg) - frame_translator_defect(pg))) <= 1e-14
 
 
@@ -318,7 +318,7 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
     # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
     for chart in (grim_reaper, flat_plane, perturbed, ss.non_lagrangian_patch()):
         grid = ss.uniform_grid(chart, 12)
-        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, grid))
+        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, grid.nodes))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
         assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
@@ -326,7 +326,7 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
 
 def test_cylinder_is_intrinsically_flat(grim_reaper, T):
     grid = ss.uniform_grid(grim_reaper, 10)
-    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(grim_reaper, T, grid))
+    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(grim_reaper, T, grid.nodes))
     assert np.max(np.abs(r_int)) < 1e-12
     assert np.max(np.abs(ric)) < 1e-12
 
@@ -413,7 +413,7 @@ def test_non_finite_given_jets_raise_naming_the_point(d, slot):
 def test_lagrangian_flag_is_detected_on_builtin_charts(T, name):
     """The pullback is exactly 0 on the Lagrangian builtins and 1 on the other: far from the 1e-9 cut."""
     chart = ss.builtin_chart(name)
-    pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 60))
+    pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 60).nodes)
     lagrangian = name != "non_lagrangian_patch"
     assert pg.lagrangian is lagrangian
     assert np.max(np.abs(kaehler_pullback(pg.tangents))) == (0.0 if lagrangian else 1.0)

@@ -1,24 +1,27 @@
-"""Node blocks: the certificate, the cylinder's closed-form deviations, the grid
-geometry's row blocks and the variations run over them give the same bits at
-every block size, keep a NaN, and hold memory to one block; chart jets and
-jet-arithmetic fields on a block are the whole evaluation's jets there; and
-covariant calculus forms no rank-3 array per one-form."""
+"""Row blocks, the one cut of a grid (``QuadratureGrid.blocks``): the certificate, the
+cylinder's closed-form deviations and integrals, the grid geometry's row blocks and
+the variations run over them give the same bits at every block size, keep a NaN,
+and hold memory to one block; chart jets and jet-arithmetic fields on a block are
+the whole evaluation's jets there; and covariant calculus forms no rank-3 array per
+one-form."""
 
 import itertools
 import json
 import logging
+import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import soliton_stability as ss
-from soliton_stability import geometry, jets, stability, wirtinger
+from oracles import tensor_grid
+from soliton_stability import geometry, jets, quadrature, stability, wirtinger
 from soliton_stability.charts import Chart
 from soliton_stability.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main
 from soliton_stability.errors import ImmersionError, NotASolitonError, UnsupportedChartError
-from soliton_stability.geometry import kaehler_pullback, node_blocks, translator_defect
+from soliton_stability.geometry import kaehler_pullback, translator_defect
+from soliton_stability.quadrature import QuadratureGrid
 
 EXPRESSION_GRIM_REAPER = {
     "name": "expression_grim_reaper",
@@ -45,8 +48,18 @@ def unblocked_residual(chart, T, pts):
     )
 
 
-def block_sizes(n):
-    return (1, 7, n)
+def block_sizes(grid):
+    """Nodes per block that cut ``grid`` into one row each, two rows each, and one block."""
+    return (1, 2 * math.prod(grid.shape[1:]) + 1, math.prod(grid.shape))
+
+
+def node_slices(grid):
+    """Each block of ``grid.blocks()`` with the slice of the grid's nodes it covers."""
+    start = 0
+    for block in grid.blocks():
+        rows = slice(start, start + math.prod(block.shape))
+        start = rows.stop
+        yield rows, block
 
 
 @pytest.mark.parametrize(
@@ -56,35 +69,43 @@ def block_sizes(n):
 )
 def test_soliton_residual_is_block_invariant(monkeypatch, T, spec):
     chart = ss.chart_from_config(spec)
-    pts = ss.uniform_grid(chart, 9)
-    expected = unblocked_residual(chart, T, pts)
-    for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
-        report = ss.soliton_residual(chart, T, pts)
+    grid = ss.uniform_grid(chart, 9)
+    expected = unblocked_residual(chart, T, grid.nodes)
+    for size in block_sizes(grid):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
+        report = ss.soliton_residual(chart, T, grid)
         assert report.to_dict() == expected.to_dict(), size
 
 
-def test_node_blocks_have_at_least_two_rows():
-    """Blocks cover the rows in order; a one-row remainder joins the block before it."""
+def test_row_blocks_have_at_least_two_nodes(monkeypatch):
+    """Blocks cover the x-rows in order, ``BLOCK_NODES`` rounded down to whole rows and at
+    least one row; rows of one node go two to a block, and a one-node remainder joins the
+    block before it."""
 
-    def sizes(n, size):
-        rows = node_blocks(n, size)
-        assert [r.start for r in rows[1:]] == [r.stop for r in rows[:-1]]
-        assert (rows[0].start, rows[-1].stop) == (0, n)
-        return [r.stop - r.start for r in rows]
+    def sizes(nx, per_row, size):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
+        grid = tensor_grid(np.arange(float(nx)), np.arange(float(per_row)))
+        blocks = list(grid.blocks())
+        assert np.array_equal(np.concatenate([b.axis_nodes[0] for b in blocks]), grid.axis_nodes[0])
+        assert all(b.axis_nodes[1] is grid.axis_nodes[1] for b in blocks)
+        return [b.shape[0] for b in blocks]
 
-    assert sizes(81, 10) == [10] * 7 + [11]
-    assert sizes(80, 10) == [10] * 8
-    assert sizes(1, 10) == [1]
-    assert node_blocks(0) == [slice(0, 0)]
-    assert sizes(7, 1) == [2, 2, 3]
-    assert sizes(8, 1) == [2] * 4
+    assert sizes(81, 1, 10) == [10] * 7 + [11]
+    assert sizes(80, 1, 10) == [10] * 8
+    assert sizes(1, 1, 10) == [1]
+    assert sizes(7, 1, 1) == [2, 2, 3]
+    assert sizes(8, 1, 1) == [2] * 4
+    assert sizes(10, 3, 7) == [2] * 5
+    assert sizes(10, 3, 1) == [1] * 10
+    assert sizes(10, 3, 2) == [1] * 10
+    assert sizes(10, 3, 100) == [10]
+    assert sizes(5, 36, 8192) == [5]
 
 
 def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
     """The chart evaluation is the one finiteness check: point_geometry takes no jets to re-check."""
-    pts = ss.uniform_grid(grim_reaper, 9)
-    monkeypatch.setattr(geometry, "NODE_BLOCK", 10)
+    grid = ss.uniform_grid(grim_reaper, 9)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
     checked = []
     is_finite = jets.Jet.is_finite
 
@@ -93,9 +114,9 @@ def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
         return is_finite(jet)
 
     monkeypatch.setattr(jets.Jet, "is_finite", counted)
-    ss.soliton_residual(grim_reaper, T, pts)
-    assert checked == [rows.stop - rows.start for rows in node_blocks(pts.shape[0])]
-    assert len(checked) == 8  # 81 points: seven blocks of 10, then one of 11
+    ss.soliton_residual(grim_reaper, T, grid)
+    assert checked == [rows.stop - rows.start for rows, _ in node_slices(grid)]
+    assert checked == [18] * 4 + [9]  # 9 rows of 9 points: four blocks of two rows, then one
 
 
 def block_of(jet, rows):
@@ -132,18 +153,19 @@ def test_jet_arithmetic_fields_are_block_invariant():
     "spec", ["grim_reaper", EXPRESSION_GRIM_REAPER], ids=["grim_reaper", "expression_grim_reaper"]
 )
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_chart_jets_are_block_invariant(spec, order):
-    """Chart jets on each node block are the whole evaluation's there: the property the
+def test_chart_jets_are_block_invariant(monkeypatch, spec, order):
+    """Chart jets on each row block are the whole evaluation's there: the property the
     row blocks' bit identity rests on."""
     # the expression chart's fourth component "0" is a plain number, promoted per call
     chart = ss.chart_from_config(spec)
-    pts = ss.uniform_grid(chart, 9)
-    whole = ss.eval_jets(chart, pts, order=order)
-    assert whole.val.shape == (4, pts.shape[0])
+    grid = ss.uniform_grid(chart, 9)
+    whole = ss.eval_jets(chart, grid.nodes, order=order)
+    assert whole.val.shape == (4, 81)
     assert (whole.order, whole.d2 is None, whole.d3 is None) == (order, order < 2, order < 3)
-    for size in block_sizes(pts.shape[0]):
-        for rows in node_blocks(pts.shape[0], size):
-            jet = ss.eval_jets(chart, pts[rows], order=order)
+    for size in block_sizes(grid):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
+        for rows, block in node_slices(grid):
+            jet = ss.eval_jets(chart, block.nodes, order=order)
             assert_jets_equal(jet, block_of(whole, rows), (size, rows))
 
 
@@ -158,8 +180,8 @@ def test_chart_map_jets_may_return_any_sequence(container):
         chart.ambient_dim,
         lambda seeds: container(chart.map_jets(seeds)),
     )
-    pts = ss.uniform_grid(chart, 9)
-    for rows in [slice(None)] + node_blocks(pts.shape[0], 7):
+    pts = ss.uniform_grid(chart, 9).nodes
+    for rows in (slice(None), slice(0, 18), slice(18, 81)):
         want = ss.eval_jets(chart, pts[rows], order=3)
         assert_jets_equal(ss.eval_jets(other, pts[rows], order=3), want, rows)
 
@@ -169,12 +191,12 @@ def test_rank_deficiency_message_is_block_invariant(monkeypatch, T):
     chart = ss.chart_from_config(
         {"name": "cusp", "domain": [[-1, 1], [-1, 1]], "components": ["x", "0", "y**3", "0"]}
     )
-    pts = ss.uniform_grid(chart, 9)
+    grid = ss.uniform_grid(chart, 9)
     messages = set()
-    for size in block_sizes(pts.shape[0]):
-        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
+    for size in block_sizes(grid):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
         with pytest.raises(ImmersionError, match=r"at point \[-0\.8, 0\.0\]") as info:
-            ss.soliton_residual(chart, T, pts)
+            ss.soliton_residual(chart, T, grid)
         messages.add(str(info.value))
     assert len(messages) == 1
 
@@ -195,16 +217,16 @@ def nan_in_third_block(monkeypatch):
 
 
 def test_nan_in_a_later_block_reaches_the_certificate(monkeypatch, grim_reaper, T):
-    monkeypatch.setattr(geometry, "NODE_BLOCK", 16)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
     calls = nan_in_third_block(monkeypatch)
     report = ss.soliton_residual(grim_reaper, T, ss.uniform_grid(grim_reaper, 10))
-    assert len(calls) == 7
+    assert calls == [20] * 5
     assert np.isnan(report.max_soliton_residual)
     assert report.max_lagrangian_defect == 0.0
 
 
 def test_nan_certificate_fails_verify_soliton(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(geometry, "NODE_BLOCK", 512)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 500)
     calls = nan_in_third_block(monkeypatch)
     out = tmp_path / "report.json"
     assert main(["verify-soliton", "--out", str(out)]) == EXIT_FAIL
@@ -225,51 +247,48 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_soliton_residual_memory_is_bounded(grim_reaper, T):
-    """Peak memory grows with the input points only, not with the geometry."""
-    block = geometry.NODE_BLOCK
-    rng = np.random.default_rng(5)
-    lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
-    small = rng.uniform(0.9 * lo, 0.9 * hi, size=(4 * block, 2))
-    large = rng.uniform(0.9 * lo, 0.9 * hi, size=(16 * block, 2))
+def test_soliton_residual_memory_is_bounded(monkeypatch, grim_reaper, T):
+    """Peak memory does not grow with the points: the diagnostic grid is its axes, and
+    one row block's geometry is held at a time.  From 4 blocks to 16 it grows by the axes,
+    the per-block maxima and bookkeeping alone."""
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 4096)
+    small, large = ss.uniform_grid(grim_reaper, 128), ss.uniform_grid(grim_reaper, 256)
+    assert [len(list(g.blocks())) for g in (small, large)] == [4, 16]
     _, peak_small = traced_peak(ss.soliton_residual, grim_reaper, T, small)
     _, peak_large = traced_peak(ss.soliton_residual, grim_reaper, T, large)
     slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
-    assert peak_large - peak_small <= (large.nbytes - small.nbytes) + slack
+    assert peak_large - peak_small <= slack, (peak_small, peak_large)
 
 
 @pytest.mark.parametrize("build", ["soliton_residual", "closed_form_deviations"])
-def test_point_blocks_hold_one_block_geometry_at_a_time(grim_reaper, T, build):
-    """16 blocks peak as one does, beyond the points themselves: each block's geometry is
-    dropped before the next is built.  Holding the previous block's while building the next
+def test_diagnostic_walk_holds_one_block_geometry_at_a_time(monkeypatch, grim_reaper, T, build):
+    """16 row blocks of 4,096 points peak as one does: each block's geometry is dropped
+    before the next is built.  Holding the previous block's while building the next
     peaked at 5.45 MB for soliton_residual on 16 blocks of 4,096 points, against 3.08 MB on one."""
-    block = geometry.NODE_BLOCK
-    rng = np.random.default_rng(5)
-    lo, hi = grim_reaper.domain[:, 0], grim_reaper.domain[:, 1]
-    points = {1: rng.uniform(0.9 * lo, 0.9 * hi, size=(block, 2))}
-    points[16] = rng.uniform(0.9 * lo, 0.9 * hi, size=(16 * block, 2))
-    side = {1: int(np.sqrt(block)), 16: int(np.sqrt(16 * block))}  # 64 x 64 and 256 x 256
-    peaks, grown = {}, 0
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 4096)
+    side = {1: 64, 16: 256}  # 64 x 64 and 256 x 256, 4,096 points per block
+    peaks = {}
     for blocks in (1, 16):
         if build == "soliton_residual":
-            _, peaks[blocks] = traced_peak(ss.soliton_residual, grim_reaper, T, points[blocks])
+            grid = ss.uniform_grid(grim_reaper, side[blocks])
+            assert len(list(grid.blocks())) == blocks
+            _, peaks[blocks] = traced_peak(ss.soliton_residual, grim_reaper, T, grid)
         else:
             _, peaks[blocks] = traced_peak(ss.closed_form_deviations, grim_reaper, T, side[blocks])
-            grown = ss.uniform_grid(grim_reaper, side[16]).nbytes - ss.uniform_grid(grim_reaper, side[1]).nbytes
-    slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
-    assert peaks[16] - peaks[1] <= grown + slack, peaks
+    slack = 64 * 1024  # the axes, the per-block maxima and interpreter bookkeeping
+    assert peaks[16] - peaks[1] <= slack, peaks
 
 
 def test_closed_form_deviations_are_block_invariant(monkeypatch, grim_reaper, T):
     """The cylinder's deviations are the same dict at every block size, and a NaN in one
     node of a later block reaches it."""
     dicts = []
-    for size in block_sizes(81):
-        monkeypatch.setattr(geometry, "NODE_BLOCK", size)
+    for size in block_sizes(ss.uniform_grid(grim_reaper, 9)):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
         dicts.append(ss.closed_form_deviations(grim_reaper, T, 9))
     assert dicts[1:] == dicts[:1] * 2 and all(map(np.isfinite, dicts[0].values())), dicts
 
-    monkeypatch.setattr(geometry, "NODE_BLOCK", 16)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
     clean = ss.closed_form_deviations(grim_reaper, T, 10)
     calls = []
 
@@ -282,23 +301,22 @@ def test_closed_form_deviations_are_block_invariant(monkeypatch, grim_reaper, T)
 
     monkeypatch.setattr(wirtinger, "mean_curvature_vector", curvature)
     deviations = ss.closed_form_deviations(grim_reaper, T, 10)
-    assert len(calls) == 7
+    assert calls == [20] * 5
     assert np.isnan(deviations.pop("mean_curvature"))
     assert deviations == {k: v for k, v in clean.items() if k != "mean_curvature"}
 
 
 def test_closed_form_deviations_memory_is_bounded(grim_reaper, T):
-    """Peak memory grows with the sampled points only: one block's geometry is held at a time.
-    The whole-point-set build peaked at about 1.1 kB per point (415 MB RSS at 600 x 600)."""
-    block = geometry.NODE_BLOCK
-    peaks, points = [], []
-    for blocks in (4, 16):
-        n = int(np.sqrt(blocks * block))
+    """Peak memory does not grow with the sampled points: the diagnostic grid is its axes,
+    and one row block's geometry is held at a time.  The whole-point-set build peaked at
+    about 1.1 kB per point (415 MB RSS at 600 x 600)."""
+    peaks = []
+    for blocks in (4, 16):  # 8,192 points per block at 181 x 181 and 362 x 362
+        n = int(np.sqrt(blocks * quadrature.BLOCK_NODES))
         _, peak = traced_peak(ss.closed_form_deviations, grim_reaper, T, n)
         peaks.append(peak)
-        points.append(ss.uniform_grid(grim_reaper, n).nbytes)
-    slack = 64 * 1024  # the per-block maxima and interpreter bookkeeping
-    assert peaks[1] - peaks[0] <= (points[1] - points[0]) + slack, (peaks, points)
+    slack = 64 * 1024  # the axes, the per-block maxima and interpreter bookkeeping
+    assert peaks[1] - peaks[0] <= slack, peaks
 
 
 def test_polynomial_field_memory_on_a_grid_stays_near_its_jet():
@@ -310,8 +328,51 @@ def test_polynomial_field_memory_on_a_grid_stays_near_its_jet():
     phi = ss.random_polynomial_field(ss.default_support_box(domain), seed=3)
     phi.eval_jets(grid, 3)  # first-call caches stay out of the peak
     out, peak = traced_peak(phi.eval_jets, grid, 3)
-    assert np.any(out.val == 0.0) and grid.nodes.shape[0] > geometry.NODE_BLOCK
+    assert np.any(out.val == 0.0) and grid.nodes.shape[0] > quadrature.BLOCK_NODES
     assert peak <= 2 * sum(a.nbytes for a in (out.val, out.d1, out.d2, out.d3))
+
+
+# (command, config, nodes per block that cut its grids into rows of one, of more, and whole)
+COMMAND_CASES = {
+    "verify_soliton_d3": (
+        "verify-soliton",
+        {"chart": GRIM_REAPER_X_LINE, "T": [1.0, 0, 0, 0, 0, 0], "grid": {"diagnostic_points": 12}},
+        (1, 300, 10**9),
+    ),
+    "verify_soliton_d2": ("verify-soliton", {"grid": {"diagnostic_points": 20}}, (1, 50, 10**9)),
+    "cylinder_d2": (
+        "cylinder",
+        {"grid": {"cells": 4, "points_per_cell": 4, "diagnostic_points": 10}, "dirichlet_intervals": 400},
+        (1, 50, 10**9),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COMMAND_CASES))
+def test_command_output_is_byte_identical_at_every_block_size(monkeypatch, tmp_path, capsys, case):
+    """verify-soliton on grim reaper x line in C^3 and on the grim reaper, and cylinder (whose
+    per-slice sums span blocks), pass and print the same bytes whatever the block size."""
+    command, cfg, sizes = COMMAND_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    blocks, cuts = QuadratureGrid.blocks, []
+
+    def counted(grid):
+        cut = list(blocks(grid))
+        cuts[-1].append((len(cut), grid.shape[0]))
+        return iter(cut)
+
+    monkeypatch.setattr(QuadratureGrid, "blocks", counted)
+    outputs = []
+    for size in sizes:
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
+        cuts.append([])
+        assert main([command, "--config", str(path)]) == EXIT_PASS
+        outputs.append(capsys.readouterr())
+    assert outputs[1:] == outputs[:1] * 2 and json.loads(outputs[0].out)["passed"] is True
+    one_row, several_rows, whole = cuts  # (blocks, rows) of each grid cut
+    assert all(n == rows for n, rows in one_row) and all(1 < n < rows for n, rows in several_rows)
+    assert all(n == 1 for n, _ in whole), cuts
 
 
 # (chart, one-form, cells, points per cell, rows per block): rows of 15 and 36 nodes
@@ -323,13 +384,15 @@ VARIATION_CASES = {
 
 
 def row_blocks(grid, blocks):
-    """The sub-grids of ``blocks`` cover ``grid``'s rows in order, each a view of its nodes."""
+    """The sub-grids of ``blocks`` cover ``grid``'s rows in order, each on views of its axes."""
     per_row = grid.nodes.shape[0] // grid.shape[0]
     axis0 = np.concatenate([b.grid.axis_nodes[0] for b in blocks])
     assert np.array_equal(axis0, grid.axis_nodes[0])
     for b in blocks:
         assert b.grid.nodes.shape[0] == b.grid.shape[0] * per_row
-        assert np.shares_memory(b.grid.nodes, grid.nodes) and np.shares_memory(b.grid.weights, grid.weights)
+        assert np.shares_memory(b.grid.axis_nodes[0], grid.axis_nodes[0])
+        assert np.shares_memory(b.grid.axis_weights[0], grid.axis_weights[0])
+        assert all(x is y for x, y in zip(b.grid.axis_nodes[1:], grid.axis_nodes[1:]))
     return [b.grid.shape[0] for b in blocks]
 
 
@@ -346,7 +409,7 @@ def test_variation_reports_are_block_invariant(monkeypatch, case):
     reports = {}
     for rows in (None,) + row_counts:
         size = 10**9 if rows is None else rows * per_row + per_row // 2  # rounds down to whole rows
-        monkeypatch.setattr(stability, "VARIATION_BLOCK", size)
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
         blocks = list(ss.grid_blocks(chart, np.eye(2 * d)[0], grid))
         sizes = row_blocks(grid, blocks)
         assert sizes == [grid.shape[0]] if rows is None else sizes[:-1] == [rows] * (len(sizes) - 1)
@@ -358,12 +421,9 @@ def test_variation_reports_are_block_invariant(monkeypatch, case):
 
 
 def test_one_node_rows_run_in_blocks_of_two_rows(monkeypatch, grim_reaper, T):
-    """A grid whose rows hold one node keeps geometry.node_blocks's no-one-node rule."""
-    grid = ss.tensor_rule(ss.default_support_box(grim_reaper.domain), cells=1, points_per_cell=1)
-    grid = replace(grid, nodes=np.repeat(grid.nodes, 5, axis=0), weights=np.repeat(grid.weights, 5))
-    grid = replace(grid, axis_nodes=(np.linspace(-0.5, 0.5, 5), grid.axis_nodes[1]))
-    grid = replace(grid, nodes=np.stack([grid.axis_nodes[0], np.zeros(5)], axis=1))
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 1)
+    """A grid whose rows hold one node keeps the walk's no-one-node rule."""
+    grid = tensor_grid(np.linspace(-0.5, 0.5, 5), 0.0)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1)
     assert row_blocks(grid, list(ss.grid_blocks(grim_reaper, T, grid))) == [2, 3]
 
 
@@ -383,7 +443,7 @@ def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=3 if d == 3 else 5)
     T = np.eye(2 * d)[0]
     full = ss.point_geometry(chart, T, grid.nodes)
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 2 * grid.nodes.shape[0] // grid.shape[0])
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 2 * grid.nodes.shape[0] // grid.shape[0])
     blocks = list(ss.grid_blocks(chart, T, grid))
     assert len(blocks) == grid.shape[0] // 2
     start = 0
@@ -419,7 +479,7 @@ def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
     chart = ss.chart_from_config(BENT_PLANE)
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=4)
     theta = ss.random_hamiltonian_variation(grid.box, seed=1)
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 8)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 8)
     walk = ss.grid_blocks(chart, T, grid)
     first = next(walk)
     assert first.pg.lagrangian and "h3" in vars(first.pg)
@@ -475,7 +535,7 @@ def test_variation_memory_does_not_grow_with_the_grid(monkeypatch, grim_reaper, 
     """A variation holds one block's arrays at a time: over blocks built beforehand, its peak
     is the same on 6,400 and 25,600 nodes.  With whole-grid per-variation arrays it grew
     with the grid, to 28 floats per node."""
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 1024)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1024)
     variations = [(2, ss.random_hamiltonian_variation(gr_support, seed=2))]
     peaks = []
     for cells in (20, 40):
@@ -494,7 +554,7 @@ def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, g
     it keeps (7 per x-row per variation, and the functional at rest) and 32 kB of bookkeeping.
     Every block's geometry held for the whole run grew it by 93 floats per node, and the
     previous block's held while the next was built by 93 per node of a block."""
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 1600)  # 40 rows of 40 nodes, 10 of 160
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1600)  # 40 rows of 40 nodes, 10 of 160
     variations = [(seed, ss.random_hamiltonian_variation(gr_support, seed)) for seed in (1, 2)]
     peaks, rows = [], []
     for cells in (10, 40):
@@ -510,7 +570,7 @@ def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, g
 def test_square_route_warns_once_per_variation(monkeypatch, caplog, gr_geometry_small):
     """The non-closed warning reads the grid-wide defect, once, not once per block."""
     grid = gr_geometry_small.grid
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * grid.nodes.shape[0] // grid.shape[0])
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 4 * grid.nodes.shape[0] // grid.shape[0])
     chart, T = gr_geometry_small.chart, gr_geometry_small.pg.T
     assert len(list(ss.grid_blocks(chart, T, grid))) == 15
     generic = ss.random_generic_variation(grid.box, seed=7)
@@ -551,7 +611,7 @@ def test_workers_give_the_bytes_of_one_worker_over_row_blocks(monkeypatch, tmp_p
     """With 4 row blocks, --workers 2 runs each block's variations on one thread pool and
     prints the bytes of --workers 1."""
     cfg = small_suite(tmp_path, "grim_reaper", cells=12, points=6)
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 18 * 72)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 18 * 72)
     built = count_calls(monkeypatch, stability, "grid_geometry")
     stdout = {}
     for workers in ("1", "2"):
@@ -573,7 +633,7 @@ def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch,
     """The residual passes on the first two of 4 blocks, so the variations run there; the
     third block refuses, the fourth is still built, and exit 3 names its larger residual."""
     cfg = small_suite(tmp_path, BENT_LATE, cells=4, points=4)
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * 16)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 4 * 16)
     spec = ss.chart_from_config(BENT_LATE)
     grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
     T = [1.0, 0.0, 0.0, 0.0]
@@ -596,7 +656,7 @@ def test_a_later_refusal_wins_over_a_variation_failing_on_an_earlier_block(monke
     grid_cfg, variations = {"cells": 4, "points_per_cell": 4}, {"potentials": ["log(x + 1)"]}
     cfg = {"chart": BENT_LATE, "grid": grid_cfg, "variations": variations}
     path.write_text(json.dumps(cfg))
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 4 * 16)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 4 * 16)
     spec = ss.chart_from_config(BENT_LATE)
     grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=4, points_per_cell=4)
     resid = ss.grid_geometry(spec, [1.0, 0.0, 0.0, 0.0], grid).soliton_residual
@@ -622,7 +682,7 @@ def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch, spec, cells, 
     cannot hide a later refusal: a block off criticality refuses with the NaN grid maximum,
     and a block that is not Lagrangian, with every residual within soliton_tol, refuses with
     UnsupportedChartError, not with the NaN."""
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", block)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
     calls = []
 
     def defect(pg):
@@ -688,7 +748,7 @@ def test_fd_oracle_memory_is_bounded(monkeypatch, grim_reaper, T, gr_support):
     and the row sums: 49 floats per node of the block, whatever the grid size.  Over
     blocks of node rows that wrote into whole-grid densities it held 4 floats per node of
     the grid beyond them."""
-    monkeypatch.setattr(stability, "VARIATION_BLOCK", 512)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 512)
     grid = ss.tensor_rule(gr_support, cells=20, points_per_cell=8)
     blocks = list(ss.grid_blocks(grim_reaper, T, grid))
     assert len(blocks) >= 8 and grid.nodes.shape[0] == 25_600

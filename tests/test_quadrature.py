@@ -1,5 +1,7 @@
 """Tensor-product Gauss-Legendre rule: exactness and determinism."""
 
+import tracemalloc
+
 import numpy as np
 
 from soliton_stability import tensor_rule
@@ -52,17 +54,30 @@ def test_refinement_changes_analytic_integral_below_tolerance():
 
 
 def test_row_blocks_are_tensor_grids_of_views():
-    """A block of x-rows is a tensor grid whose nodes and weights are views of the grid's."""
+    """A block of x-rows is a tensor grid on views of the grid's axes, and forms the grid's
+    nodes and weights at its rows."""
     grid = tensor_rule([[-1.0, 1.0], [0.0, 2.0], [3.0, 4.0]], cells=2, points_per_cell=3)
     part = grid.rows(2, 5)
     assert part.shape == (3, 6, 6)
-    assert np.shares_memory(part.nodes, grid.nodes) and np.shares_memory(part.weights, grid.weights)
+    assert np.shares_memory(part.axis_nodes[0], grid.axis_nodes[0])
+    assert np.shares_memory(part.axis_weights[0], grid.axis_weights[0])
     assert np.array_equal(part.nodes, grid.nodes[2 * 36 : 5 * 36])
     assert np.array_equal(part.weights, grid.weights[2 * 36 : 5 * 36])
     assert part.axis_nodes[1] is grid.axis_nodes[1] and part.axis_nodes[2] is grid.axis_nodes[2]
     assert np.array_equal(part.axis_nodes[0], grid.axis_nodes[0][2:5])
     mesh = np.meshgrid(*part.axis_nodes, indexing="ij")
     assert np.array_equal(part.nodes, np.stack([m.reshape(-1) for m in mesh], axis=1))
+
+
+def test_weights_are_axis_products_in_axis_order():
+    """The weights formed from the axes are ``1 * w0 * w1 * w2`` node by node, multiplied in
+    axis order: the bits of the whole-grid product of meshgrids they replace."""
+    grid = tensor_rule([[-1.0, 1.0], [0.0, 2.0], [3.0, 4.0]], cells=3, points_per_cell=5)
+    want = np.ones(grid.nodes.shape[0])
+    for w in np.meshgrid(*grid.axis_weights, indexing="ij"):
+        want = want * w.reshape(-1)
+    assert np.array_equal(grid.weights, want)
+    assert grid.weights.shape == (15**3,) and grid.nodes.shape == (15**3, 3)
 
 
 def test_integral_is_one_sum_over_row_sums_at_any_block_size():
@@ -81,3 +96,17 @@ def test_integral_is_one_sum_over_row_sums_at_any_block_size():
                 for i in range(0, 15, size)
             ]
             assert np.array_equal(np.concatenate(parts), rows), size
+
+
+def test_a_grid_holds_its_axes_alone():
+    """A 2,560,000-node rule holds its two axes and nothing per node: a whole-grid layout
+    (the meshgrids, nodes and weights it kept) peaked at 8 floats per node."""
+    tracemalloc.start()
+    try:
+        grid = tensor_rule([[-1.0, 1.0], [-2.0, 2.0]], cells=200, points_per_cell=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (1600, 1600)
+    assert peak < 128 * 1024, peak  # 85.6 kB: the axes and their construction
+    assert [b.shape[0] for b in grid.blocks()] == [5] * 320

@@ -7,6 +7,7 @@ import pytest
 
 import soliton_stability as ss
 from oracles import variation_report
+from soliton_stability.cli import EXIT_PASS, main
 from soliton_stability.errors import EvaluationError
 from soliton_stability.reports import CSV_COLUMNS, reports_to_csv, reports_to_json
 
@@ -73,3 +74,33 @@ def test_json_rejects_non_finite_numbers():
         reports_to_json([{"x": float("nan")}], extra={"passed": True})
     with pytest.raises(EvaluationError, match=r"^c\.1 is -inf"):
         reports_to_json({"c": np.array([0.0, -np.inf])})
+
+
+def route_gaps(report):
+    """``max_pairwise_rel_diff`` and ``fd_rel_diff`` formed from the report's routes and scale."""
+    op, dv, sq, fd = (report[k] for k in ("Fpp_operator", "Fpp_divergence", "Fpp_square", "Fpp_fd"))
+    denom = report["scale"] if report["scale"] > 0 else 1.0
+    pairwise = max(abs(op - dv), abs(op - sq), abs(dv - sq)) / denom
+    return pairwise, max(abs(fd - op), abs(fd - dv), abs(fd - sq)) / denom
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--demonstrate-failure", "--seed", "7"], ["--count", "1"]],
+    ids=["demonstrate_failure", "default"],
+)
+def test_route_gaps_are_the_ones_the_routes_give(tmp_path, argv):
+    """Each reported gap equals its value recomputed from the four routes and the scale, bit for
+    bit.  On the non-closed seed-7 variation the divergence-square pair is the largest route
+    gap and the fd-square pair the largest fd gap, so a gap that drops either pair moves."""
+    out = tmp_path / "report.json"
+    assert main(["second-variation", *argv, "--out", str(out)]) == EXIT_PASS
+    data = json.loads(out.read_text())
+    reports = data if argv[0] == "--demonstrate-failure" else data["reports"]
+    for report in reports:
+        assert (report["max_pairwise_rel_diff"], report["fd_rel_diff"]) == route_gaps(report)
+    if argv[0] == "--demonstrate-failure":
+        (report,) = reports
+        op, dv, sq, fd = (report[k] for k in ("Fpp_operator", "Fpp_divergence", "Fpp_square", "Fpp_fd"))
+        assert abs(dv - sq) > max(abs(op - sq), abs(op - dv))
+        assert abs(fd - sq) > 1e6 * max(abs(fd - op), abs(fd - dv))

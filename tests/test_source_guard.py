@@ -17,9 +17,15 @@
   ``soliton_tol``.  ``VariationData`` holds the arrays of ``covariant_calculus``
   itself, with no ``CovariantData`` wrapper; every field is windowed on every
   axis.
-* Points are cut into blocks in ``geometry`` alone, by ``node_blocks`` through
-  ``point_blocks``: ``jets.evaluate`` evaluates what it is given, and no other
-  module imports or reads the block rule from ``jets``.
+* A grid is cut into blocks in ``quadrature`` alone, by
+  ``QuadratureGrid.blocks``, which every command walks: no other module
+  calls ``.rows(``, reads ``BLOCK_NODES``, splits arrays or ranges over
+  block starts, or indexes points by a block of rows, and no module lays a
+  grid out by ``meshgrid`` outside ``quadrature`` (which forms a grid's
+  nodes from its axes only when they are read).  The scattered-point walk
+  and its block rules (``point_blocks``, ``node_blocks``, ``NODE_BLOCK``,
+  ``VARIATION_BLOCK``) stay deleted everywhere; ``jets.evaluate`` evaluates
+  what it is given.
 * The routes run over the grid's row blocks and nowhere else: no whole-grid
   point geometry on ``GridGeometry``, no ``take`` of node rows, no
   ``_by_block`` writes into full-length arrays, and fields evaluate on grids
@@ -29,6 +35,7 @@
   every block's geometry (``gg.blocks``, ``blocks: tuple[GridBlock, ...]``)
   comes back.
 
+Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
 """
@@ -61,10 +68,15 @@ FORBIDDEN = {
     "per-axis window option": r"(scalar_field_from_expression|_jet_arithmetic)\([^)]*\bwindow\b",
     "whole-grid path beside the row blocks": r"\b_by_block\b|\bgg\.pg\b|\.take\(rows\)",
     "scattered-point field branch": r"isinstance\(where, QuadratureGrid\)",
-    "node-block rule outside geometry": (
-        r"from \.jets import (\([^)]*|[^\n]*)\bnode_blocks\b|\b(J|jets)\.(node_blocks|NODE_BLOCK)\b"
-    ),
+    "deleted point walk or block rule": r"\b(node_blocks|point_blocks|NODE_BLOCK|VARIATION_BLOCK)\b",
     "grid-wide tuple of block geometry": r"\bgg\.blocks\b|\btuple\[Grid(Block|Geometry)\b",
+}
+
+OUTSIDE_QUADRATURE = {
+    "meshgrid outside quadrature": r"\bmeshgrid\b",
+    "block cut outside quadrature": (
+        r"\.rows\(|\bBLOCK_NODES\b|\barray_split\b|\brange\(\s*0\s*,[^,()]*,|\[\s*rows\s*[\],]"
+    ),
 }
 
 # one sample per pattern that the guard must flag, at the sample's first line
@@ -77,28 +89,32 @@ CAUGHT = {
     "test-only Ricci identity": "resid = ricci_identity_residual(theta, cov, pg, ricci)",
     "test-only gradient of the divergence": 'div_grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla)',
     "deleted fd level-gap option": "if instability_tol is not None and abs(value - d2) > instability_tol:",
-    "jets given to point_geometry": "pg = point_geometry(chart, T, pts[rows], jets=eval_jets(chart, pts[rows], order=2))",
+    "jets given to point_geometry": "pg = point_geometry(chart, T, pts, jets=eval_jets(chart, pts, order=2))",
     "deleted covariant wrapper": "return VariationData(fj.val, fj.d1, CovariantData(*cov), nabla_sq, v, defect)",
     "tolerance passed to require_soliton": "require_soliton(gg, soliton_tol)",
     "route with its own soliton tolerance": (
         "def second_variation_square(\n    gg: GridGeometry,\n    data: VariationData,\n"
         "    soliton_tol: float = DEFAULT_SOLITON_TOL,\n) -> float:"
     ),
-    "second node-block rule": "blocks = tuple(grid.rows(r.start, r.stop) for r in _variation_blocks(n))",
+    "second node-block rule": "for rows in _variation_blocks(n):",
     "per-axis window option": "def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:",
     "whole-grid path beside the row blocks": "q = data.div + np.einsum(\"an,an->n\", data.theta, gg.pg.T_coord)",
     "scattered-point field branch": "x, y = where.axis_nodes if isinstance(where, QuadratureGrid) else where.T",
-    "node-block rule outside geometry": "from .jets import Jet, node_blocks, stack",
+    "deleted point walk or block rule": "from .jets import Jet, node_blocks, stack",
+    "meshgrid outside quadrature": "mesh = np.meshgrid(*axes, indexing=\"ij\")",
+    "block cut outside quadrature": "block = grid.rows(i0, i1)",
     "grid-wide tuple of block geometry": "    blocks: tuple[GridBlock, ...]",
 }
 
 
-def violations(text: str) -> list[tuple[int, str]]:
-    """``(line number, why)`` once per line a pattern starts to match on, by line, then pattern."""
+def violations(text: str, module: str = "") -> list[tuple[int, str]]:
+    """``(line number, why)`` once per line a pattern starts to match on, by line, then pattern;
+    ``module`` is the file's name, which exempts ``quadrature.py`` from ``OUTSIDE_QUADRATURE``."""
+    rules = FORBIDDEN if module == "quadrature.py" else {**FORBIDDEN, **OUTSIDE_QUADRATURE}
     return sorted(
         {
             (text.count("\n", 0, match.start()) + 1, why)
-            for why, pattern in FORBIDDEN.items()
+            for why, pattern in rules.items()
             for match in re.finditer(pattern, text)
         }
     )
@@ -108,12 +124,35 @@ def test_guard_flags_each_pattern_and_nothing_else():
     for why, line in CAUGHT.items():
         assert violations(line) == [(1, why)], why
     assert violations("eigmin = np.linalg.eigvalsh(g)\nout[0::2] = v[1::2]") == []
-    assert violations("pg = point_geometry(chart, T, pts[rows], order=2)\njets = eval_jets(chart, pts)") == []
-    in_geometry = "from .geometry import NODE_BLOCK, node_blocks\nfrom .jets import Jet\nJ.evaluate(f, x, 3)"
-    assert violations(in_geometry) == []
-    from_jets = ("for rows in J.node_blocks(n):", "n = jets.NODE_BLOCK", "from .jets import (\n  Jet,\n  node_blocks)")
-    for line in from_jets:
-        assert violations(line) == [(1, "node-block rule outside geometry")], line
+    assert violations("pg = point_geometry(chart, T, block.nodes, order=2)\njets = eval_jets(chart, pts)") == []
+    assert violations("from .jets import Jet\nJ.evaluate(f, x, 3)\nfor block in grid.blocks():") == []
+    deleted = (
+        "for rows in J.node_blocks(n):",
+        "n = jets.NODE_BLOCK",
+        "from .jets import (\n  Jet,\n  node_blocks)",
+        "from .geometry import point_blocks",
+        "size = VARIATION_BLOCK // per_row",
+    )
+    for line in deleted:
+        for module in ("geometry.py", "quadrature.py"):
+            assert [why for _, why in violations(line, module)] == ["deleted point walk or block rule"], line
+    cuts = (
+        "for i0 in range(0, nx, step):",
+        "step = BLOCK_NODES // per_row",
+        "from .quadrature import BLOCK_NODES, total",
+        "for part in np.array_split(pts, 4):",
+        "pg = point_geometry(chart, T, pts[rows], order=2)",
+        "x = pts[rows, 0]",
+        "part = block.grid.rows(0, 2)",
+    )
+    for line in cuts:
+        assert violations(line, "wirtinger.py") == [(1, "block cut outside quadrature")], line
+        assert violations(line, "quadrature.py") == [], line
+    mesh = "mesh = np.meshgrid(*self.axis_nodes, indexing=\"ij\")"
+    assert violations(mesh, "charts.py") == [(1, "meshgrid outside quadrature")]
+    assert violations(mesh, "quadrature.py") == []
+    walk_rows = "for i in range(n):\nrows = slice(0, 3)\nx = block.axis_nodes[0][:, None]\nfor rows in grid.blocks():"
+    assert violations(walk_rows, "stability.py") == []
     kept = (
         "def grid_geometry(\n    chart, T, grid, soliton_tol: float = DEFAULT_SOLITON_TOL\n) -> GridGeometry:\n"
         "    require_soliton(gg)\n    raw = raw * window_jet(seed, lo, hi)\n"
@@ -134,4 +173,4 @@ def test_every_module_is_scanned():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_keeps_settled_decisions(path):
-    assert violations(path.read_text(encoding="utf-8")) == []
+    assert violations(path.read_text(encoding="utf-8"), path.name) == []

@@ -169,6 +169,20 @@ def test_routes_refuse_off_criticality(perturbed, T, monkeypatch):
             ss.run_variation_suite(blocks, [(1, theta)])
 
 
+def test_the_walk_refuses_exactly_above_the_grid_wide_residual(perturbed, T, monkeypatch):
+    """On the perturbed grim reaper, with r the largest residual over the walk's blocks, the
+    walk refuses a tolerance of r / 2 naming r, and yields every block at 2 r."""
+    grid = ss.tensor_rule(ss.default_support_box(perturbed.domain), cells=4, points_per_cell=4)
+    monkeypatch.setattr(ss.quadrature, "BLOCK_NODES", 4 * 16)
+    residuals = [block.soliton_residual for block in ss.grid_blocks(perturbed, T, grid, np.inf)]
+    r = max(residuals)
+    assert len(residuals) == 4 and 0 < r < np.inf
+    with pytest.raises(NotASolitonError) as info:
+        list(ss.grid_blocks(perturbed, T, grid, r / 2))
+    assert (info.value.residual, info.value.tolerance) == (r, r / 2)
+    assert len(list(ss.grid_blocks(perturbed, T, grid, 2 * r))) == 4
+
+
 def test_flat_plane_square_form_reduces_to_drift_laplacian(fp_geometry_small):
     """On the plane with tangent T the square integrand is (lap phi + phi_x)^2 e^x."""
     gg = fp_geometry_small
