@@ -10,11 +10,9 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``tangents[p, a, n]``    d_a Phi;  ``hessian[p, a, b, n]``  d_a d_b Phi
 * ``g[a, b, n]``           induced metric  <d_a Phi, d_b Phi>
 * ``dg[c, a, b, n]``       partial_c g_ab
-* ``ddg[e, c, a, b, n]``   partial_e partial_c g_ab
 * ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g
-* ``Gamma_partial[e, k, a, b, n]``  partial_e Gamma^k_ab
 * ``K[l, n]``, ``P[l, c, n]``  the traces g^ab Gamma^l_ab and
-  g^ab d_a Gamma^l_bc (P needs order-3 jets)
+  g^ab d_a Gamma^l_bc; P is formed at build from the order-3 jets
 * ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
   (the normal projection of partial^2 Phi via the Gauss formula)
 * ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
@@ -32,10 +30,10 @@ are formed on first use, and every reported scalar is gauge invariant.
 The diagnostics (:func:`soliton_residual`) walk a grid's row blocks, one
 block's order-2 geometry at a time.
 
-Christoffel symbols and their derivatives are assembled intrinsically from
-metric derivatives, not from ambient projections, so a curvature tensor built
-from them is independent of the second fundamental form; the tests check the
-two against each other through the Gauss equation.
+Christoffel symbols are assembled from metric derivatives, not ambient
+projections; of order 3 only their trace P is formed, straight from the third
+jets.  The tests check a curvature tensor from independent Christoffel
+derivatives against the second fundamental form by the Gauss equation.
 """
 
 from __future__ import annotations
@@ -71,9 +69,10 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 class PointGeometry:
     """All pointwise geometric data of a chart at a batch of points, node axis last.
 
-    A grid block (:func:`stability.grid_geometry`) sets the construction
-    intermediates ``sqrt_det_g``, ``dg``, ``Gamma_partial`` and ``weight`` to
-    None once it has formed what the routes read from them.
+    ``P`` is formed at build from order-3 jets and is None at order 2.  A grid
+    block (:func:`stability.grid_geometry`) sets the construction intermediates
+    ``sqrt_det_g``, ``dg`` and ``weight`` to None once it has formed what the
+    routes read from them.
     """
 
     T: np.ndarray             # (m,) translation direction
@@ -85,7 +84,7 @@ class PointGeometry:
     sqrt_det_g: np.ndarray | None  # (N,)
     dg: np.ndarray | None     # (d, d, d, N)
     Gamma: np.ndarray         # (d, d, d, N)
-    Gamma_partial: np.ndarray | None  # (d, d, d, d, N); None for order-2 jets
+    P: np.ndarray | None      # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]; None for order-2 jets
     h_coord: np.ndarray       # (m, d, d, N)
     weight: np.ndarray | None  # (N,) translation weight exp(<T, Phi>)
 
@@ -126,12 +125,6 @@ class PointGeometry:
     @cached_property
     def K(self) -> np.ndarray:  # (d, N) K^l = g^ab Gamma^l_ab
         return np.einsum("abn,labn->ln", self.g_inv, self.Gamma)
-
-    @cached_property
-    def P(self) -> np.ndarray | None:  # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]; None at order 2
-        if self.Gamma_partial is None:
-            return None
-        return np.einsum("abn,albcn->lcn", self.g_inv, self.Gamma_partial)
 
     @cached_property
     def T_coord(self) -> np.ndarray:  # (d, N) coordinate components of tangential T
@@ -218,9 +211,13 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     """Compute all pointwise geometric quantities at a batch of points.
 
     ``T`` is the translation direction, of length ``chart.ambient_dim``.  The
-    chart's jets are evaluated here at ``order``: order 3 gives the Christoffel
-    derivatives that rough Laplacians read, and its third derivatives are freed
-    once read; order 2 leaves ``Gamma_partial`` as None.
+    chart's jets are evaluated here at ``order``: order 3 gives the trace ``P``
+    that rough Laplacians read, and its third derivatives are freed once read;
+    order 2 leaves ``P`` as None.  With Gamma^l_bc = 1/2 g^lk [k,b,c], the terms
+    of g^ab d_a [k,b,c] symmetric in (c, k) cancel, so no d Gamma is formed:
+
+        P^l_c = 1/2 g^ab (d_a g^lk) [k,b,c] + g^lk (<Lambda_c, d_k Phi> + M_ck),
+        Lambda_c = g^ef d_c d_e d_f Phi,   M_ck = g^ef <d_c d_e Phi, d_k d_f Phi>.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (chart.ambient_dim,):
@@ -235,6 +232,9 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     _require_full_rank(chart.name, pts, g, det)
     g_inv = adjugate(g) / det
     sqrt_det_g = np.sqrt(det)
+    # Lambda[m, c] = g^ef d_c d_e d_f Phi: the third jets, the largest array, are read here alone
+    lam = None if d3 is None else np.einsum("efn,mcefn->mcn", g_inv, d3)
+    del d3
 
     # dg[c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
     dg = np.einsum("macn,mbn->cabn", d2, t)
@@ -262,24 +262,15 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
         sqrt_det_g=sqrt_det_g,
         dg=dg,
         Gamma=Gamma,
-        Gamma_partial=None,
+        P=None,
         h_coord=h_coord,
         weight=weight,
     )
-    if d3 is not None:
-        # ddg[e,c,a,b] = d_e d_c g_ab, by Leibniz on <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
-        ddg = (
-            np.einsum("macen,mbn->ecabn", d3, t)
-            + np.einsum("macn,mben->ecabn", d2, d2)
-            + np.einsum("maen,mbcn->ecabn", d2, d2)
-            + np.einsum("man,mbcen->ecabn", t, d3)
-        )
-        dbracket = np.einsum("eabln->elabn", ddg) + np.einsum("ebaln->elabn", ddg) - ddg
-        del d3, ddg  # the largest arrays go once read, to bound the peak
-        pg.Gamma_partial = 0.5 * (
-            np.einsum("ekln,labn->ekabn", pg.dg_inv, bracket)
-            + np.einsum("kln,elabn->ekabn", g_inv, dbracket)
-        )
+    if lam is not None:
+        inv_part = np.einsum("alkn,akcn->lcn", pg.dg_inv, np.einsum("abn,kbcn->akcn", g_inv, bracket))
+        jet_part = np.einsum("efn,mcen->mcfn", g_inv, d2)  # then <Lambda_c, Phi_k> + M_ck at [c, k]
+        jet_part = np.einsum("mcn,mkn->ckn", lam, t) + np.einsum("mcfn,mkfn->ckn", jet_part, d2)
+        pg.P = 0.5 * inv_part + np.einsum("lkn,ckn->lcn", g_inv, jet_part)
     return pg
 
 

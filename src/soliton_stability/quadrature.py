@@ -1,8 +1,8 @@
 """Composite tensor-product Gauss-Legendre quadrature with deterministic sums.
 
-A grid is its axes; its (N, d) ``nodes`` and (N,) ``weights`` are formed when
-read, so only the grid they are read on is laid out.  Nodes are ordered
-cell-major along each axis, flattened in C order (last axis fastest).  An
+A grid is its axes; its (N, d) ``nodes`` are formed on each read and its (N,)
+``weights`` on the first, so only the grid they are read on is laid out.  Nodes
+are ordered cell-major along each axis, flattened in C order (last axis fastest).  An
 x-row is the nodes that share one axis-0 node; a block of x-rows is a tensor
 grid itself (:meth:`QuadratureGrid.rows`), and :meth:`QuadratureGrid.blocks`
 is the one cut into blocks, which every command walks.  Every integral is
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -23,7 +24,8 @@ __all__ = ["QuadratureGrid", "tensor_rule", "total", "BLOCK_NODES"]
 
 # Nodes per block of QuadratureGrid.blocks, rounded down to whole x-rows; no
 # output bit depends on it.  It sets the memory a block holds (93 floats per
-# node of grid geometry at d = 2, 262 at d = 3) against per-block fixed costs.
+# node of grid geometry at d = 2, 262 at d = 3; its build peaks at 129 and 483,
+# where the chart's order-3 jets are evaluated) against per-block fixed costs.
 # On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6, fresh processes), second-variation
 # on the perfbench suite2d config took 2.25 / 1.99 / 1.94 s at 4,096 / 8,192 /
 # 16,384 nodes and peaked at 49.1 / 54.8 / 65.5 MB RSS (16,384 won 4 of 10
@@ -65,9 +67,10 @@ class QuadratureGrid:
             nodes[..., a] = x.reshape((-1,) + (1,) * (d - 1 - a))
         return nodes.reshape(-1, d)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """The (N,) weights ``w0 * w1 * ...``, multiplied in axis order, formed on each read."""
+        """The (N,) weights ``w0 * w1 * ...``, multiplied in axis order, formed on the first read
+        and kept: the commands read them on row blocks only, never on a whole grid."""
         weights = self.axis_weights[0]
         for w in self.axis_weights[1:]:
             weights = (weights[:, None] * w).reshape(-1)

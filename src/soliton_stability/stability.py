@@ -130,8 +130,8 @@ def grid_geometry(
     pg = point_geometry(chart, T, grid.nodes)
     defect = translator_defect(pg)  # forms T_coord
     w = _weighted_area_density(pg.T, pg.positions, pg.g)
-    pg.dg_inv, pg.K, pg.P, pg.frame_coeff  # what the routes read
-    pg.sqrt_det_g = pg.dg = pg.Gamma_partial = pg.weight = None
+    pg.dg_inv, pg.K, pg.frame_coeff  # what the routes read
+    pg.sqrt_det_g = pg.dg = pg.weight = None
     if pg.lagrangian:
         pg.h3
         del pg.nu

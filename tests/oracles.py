@@ -256,13 +256,13 @@ def one_form_pullback(pg: PointGeometry, field: np.ndarray) -> np.ndarray:
 # proof steps: curvature by two routes and the Ricci identity
 
 
-def curvature_tensor(pg: PointGeometry):
+def curvature_tensor(pg: PointGeometry, dG: np.ndarray):
     """Riemann tensor by two routes plus the Ricci tensor, all frame-valued.
 
     Returns ``(riem_intrinsic, riem_gauss, ricci)`` where
 
-    * ``riem_intrinsic`` comes from Christoffel symbols and their derivatives
-      (metric data only),
+    * ``riem_intrinsic`` comes from pg's Christoffel symbols and their
+      derivatives ``dG`` (:func:`christoffel_partial`; metric data only),
     * ``riem_gauss`` is assembled from the ambient second fundamental form
       h_ij = h(e_i, e_j) via the Gauss equation
       R_ijkl = <h_ik, h_jl> - <h_il, h_jk>,
@@ -274,11 +274,9 @@ def curvature_tensor(pg: PointGeometry):
     Index convention: ``R[i,j,k,l,n] = <R(e_i, e_j) e_l, e_k>`` with
     ``R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]``, which makes
     the sphere direction positive and matches the Gauss form above; the
-    node axis is last, as everywhere.  ``pg`` must come from order-3 chart jets.
+    node axis is last, as everywhere.
     """
-    if pg.Gamma_partial is None:
-        raise ValueError("curvature needs order-3 jets (Gamma_partial missing)")
-    G, dG = pg.Gamma, pg.Gamma_partial
+    G = pg.Gamma
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
     r_up = (
         np.einsum("iljkn->lijkn", dG)
@@ -300,21 +298,22 @@ def curvature_tensor(pg: PointGeometry):
     return riem_intrinsic, riem_gauss, ricci
 
 
-def div_grad(fj: J.Jet, pg: PointGeometry) -> np.ndarray:
+def div_grad(fj: J.Jet, pg: PointGeometry, dG: np.ndarray) -> np.ndarray:
     """``partial_e div theta^sharp``, shape (d, N), from order-2 form jets at pg's points.
 
-    With ``Q_e^l = g^ab partial_e Gamma^l_ab`` and pg's ``K^l = g^ab Gamma^l_ab``,
+    With ``Q_e^l = g^ab partial_e Gamma^l_ab`` from the Christoffel derivatives
+    ``dG`` (:func:`christoffel_partial`) and pg's ``K^l = g^ab Gamma^l_ab``,
 
         d_e div = d_e g^ab (nabla_a theta)_b + g^ab d_e d_a theta_b - Q_e^l theta_l - K^l d_e theta_l
     """
     theta, dtheta, ddtheta = fj.val, fj.d1, fj.d2
     nabla, _, _ = covariant_calculus(theta, dtheta, ddtheta, pg)
-    Q = np.einsum("abn,elabn->eln", pg.g_inv, pg.Gamma_partial)
+    Q = np.einsum("abn,elabn->eln", pg.g_inv, dG)
     grad = np.einsum("eabn,abn->en", pg.dg_inv, nabla) + np.einsum("abn,baen->en", pg.g_inv, ddtheta)
     return grad - np.einsum("eln,ln->en", Q, theta) - np.einsum("ln,len->en", pg.K, dtheta)
 
 
-def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> float:
+def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray, dG: np.ndarray) -> float:
     """Pointwise residual of the commutation identity used by the square form.
 
     For closed theta, trace-commuting second covariant derivatives gives
@@ -322,13 +321,14 @@ def ricci_identity_residual(fj: J.Jet, pg: PointGeometry, ricci: np.ndarray) -> 
     orthonormal frame; the residual measures all three terms computed by
     independent code paths (jet calculus for the left side and the gradient,
     the Gauss equation for the Ricci term).  ``fj`` holds the form's order-2
-    jets at pg's points and ``ricci`` is :func:`curvature_tensor`'s.
+    jets at pg's points, ``ricci`` is :func:`curvature_tensor`'s and ``dG``
+    the Christoffel derivatives there (:func:`christoffel_partial`).
     """
     A = pg.frame_coeff
     _, _, laplacian = covariant_calculus(fj.val, fj.d1, fj.d2, pg)
     v_frame = np.einsum("ain,an->in", A, fj.val)
     lap_frame = np.einsum("ain,an->in", A, laplacian)
-    grad_div_frame = np.einsum("ain,an->in", A, div_grad(fj, pg))
+    grad_div_frame = np.einsum("ain,an->in", A, div_grad(fj, pg, dG))
     resid = lap_frame - grad_div_frame - np.einsum("ikn,kn->in", ricci, v_frame)
     return float(np.max(np.abs(resid)))
 
@@ -398,6 +398,14 @@ def node_first_geometry(jets: J.Jet) -> dict:
         "Gamma_partial": Gamma_partial,
         "h_coord": h_coord,
     }
+
+
+def christoffel_partial(chart: Chart, points) -> np.ndarray:
+    """``partial_e Gamma^k_ab`` at [e, k, a, b, n], node axis last, at ``points``: the
+    :func:`node_first_geometry` of the chart's order-3 jets there.  The package forms
+    only its trace ``P``, straight from the jets."""
+    jets = eval_jets(chart, np.atleast_2d(np.asarray(points, dtype=float)), order=3)
+    return np.moveaxis(node_first_geometry(jets)["Gamma_partial"], 0, -1)
 
 
 def node_first_covariant(fj: J.Jet, geo: dict) -> dict:
@@ -572,7 +580,8 @@ def integration_by_parts_report(block: GridGeometry, fj: J.Jet) -> IntegrationBy
     w = block.area_weight
     theta_t = np.einsum("an,an->n", theta, pg.T_coord)
     sharp = _sharp(pg, theta)
-    pair_grad_div = np.einsum("an,an->n", sharp, div_grad(fj, pg))
+    grad_div = div_grad(fj, pg, christoffel_partial(block.chart, grid.nodes))
+    pair_grad_div = np.einsum("an,an->n", sharp, grad_div)
     lhs_div = -grid.integrate(pair_grad_div * w)
     rhs_div = grid.integrate((div**2 + div * theta_t) * w)
 

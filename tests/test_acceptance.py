@@ -13,6 +13,7 @@ import pytest
 
 import soliton_stability as ss
 from oracles import (
+    christoffel_partial,
     curvature_tensor,
     first_variation_fd,
     integration_by_parts_report,
@@ -106,14 +107,15 @@ def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
 
 def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     block = whole_grid_block(default_gg)
-    _, _, ricci = curvature_tensor(block.pg)
+    dG = christoffel_partial(block.chart, block.grid.nodes)
+    _, _, ricci = curvature_tensor(block.pg, dG)
     worst_ricci = 0.0
     worst_parts = 0.0
     for seed in range(SUITE_SEED, SUITE_SEED + 10):
         theta = ss.random_hamiltonian_variation(default_gg.grid.box, seed=seed)
         data = prepare_variation(block, theta)
         fj = theta.eval_jets(default_gg.grid, order=2)
-        worst_ricci = max(worst_ricci, ricci_identity_residual(fj, block.pg, ricci))
+        worst_ricci = max(worst_ricci, ricci_identity_residual(fj, block.pg, ricci, dG))
         rep = integration_by_parts_report(block, fj)
         scale = route_integral(ss.variation_scale, block, data)
         worst_parts = max(worst_parts, rep.max_mismatch() / scale)
@@ -121,7 +123,8 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     assert worst_parts <= 1e-6
     gauss_worst = 0.0
     for chart in (grim_reaper, ss.perturbed_grim_reaper(0.05), ss.flat_lagrangian_plane()):
-        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, ss.uniform_grid(chart, 20).nodes))
+        pts = ss.uniform_grid(chart, 20).nodes
+        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
         gauss_worst = max(gauss_worst, float(np.max(np.abs(r_int - r_gauss))))
     assert gauss_worst <= 1e-8
     report(

@@ -4,9 +4,11 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from soliton_stability import cli
+import soliton_stability as ss
+from soliton_stability import cli, geometry, reports
 from soliton_stability.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -327,6 +329,67 @@ def test_cylinder_geometry_check_fails_on_a_nan_after_the_first_deviation(tmp_pa
     (checks,) = payloads
     assert list(checks["geometry_deviations"])[0] != "mean_curvature"
     assert checks["geometry_ok"] is False and checks["passed"] is False
+
+
+@pytest.mark.parametrize("factor, code", [(2.0, EXIT_FAIL), (1.0, EXIT_PASS)], ids=["above", "at"])
+def test_verify_soliton_judges_the_lagrangian_defect_by_its_tolerance(tmp_path, monkeypatch, factor, code):
+    """A Kaehler pullback at twice the Lagrangian tolerance fails verify-soliton while the
+    translator residual passes; one at the tolerance passes."""
+    tol = load_config(None)["tolerances"]["lagrangian_defect"]
+    monkeypatch.setattr(geometry, "kaehler_pullback", lambda t: np.full((1, 1, t.shape[-1]), factor * tol))
+    out = tmp_path / "report.json"
+    assert run_cli("verify-soliton", "--out", str(out)) == code
+    data = json.loads(out.read_text())
+    assert data["max_lagrangian_defect"] == factor * tol
+    assert data["max_soliton_residual"] <= data["tolerances"]["soliton_residual"]
+    assert data["passed"] is (code == EXIT_PASS)
+
+
+def second_variation_gates(tmp_path, monkeypatch, route, rows):
+    """Run second-variation on a small suite with the route ``route`` of ``reports.ROUTES``
+    giving ``rows(real row sums, block, data)``; its exit code and each gate's verdict over
+    the reports.  The agreement tolerances are opened to 1e3, so a positivity gate can fail
+    while the routes disagree; the positivity tolerance stays at its default."""
+    real = reports.ROUTES[route]
+    monkeypatch.setitem(reports.ROUTES, route, lambda block, data: rows(real(block, data), block, data))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sv.json"
+    opened = {"route_agreement": 1e3, "fd_agreement": 1e3}
+    grid = {"cells": 8, "points_per_cell": 6}
+    cfg.write_text(json.dumps({"grid": grid, "variations": {"count": 2}, "tolerances": opened}))
+    code = run_cli("second-variation", "--config", str(cfg), "--out", str(out))
+    data = json.loads(out.read_text())
+    tol = load_config(None)["tolerances"]["operator_positivity"]
+    gates = {
+        "route_agreement": all(r["max_pairwise_rel_diff"] <= 1e3 for r in data["reports"]),
+        "fd_agreement": all(r["fd_rel_diff"] <= 1e3 for r in data["reports"]),
+        "square_nonnegative": all(r["Fpp_square"] >= 0.0 for r in data["reports"]),
+        "operator_positive": all(r["Fpp_operator"] >= -tol * r["scale"] for r in data["reports"]),
+    }
+    assert data["summary"]["passed"] is (code == EXIT_PASS)
+    return code, gates
+
+
+SV_GATES = ("route_agreement", "fd_agreement", "square_nonnegative", "operator_positive")
+
+
+def test_second_variation_fails_on_a_negative_square_route(tmp_path, monkeypatch):
+    code, gates = second_variation_gates(tmp_path, monkeypatch, "Fpp_square", lambda rows, *_: -rows)
+    assert code == EXIT_FAIL
+    assert gates == {**dict.fromkeys(SV_GATES, True), "square_nonnegative": False}
+
+
+@pytest.mark.parametrize("factor, code", [(2.0, EXIT_FAIL), (0.5, EXIT_PASS)], ids=["below", "within"])
+def test_second_variation_judges_operator_positivity_by_its_tolerance(tmp_path, monkeypatch, factor, code):
+    """The operator route at -2 tol * scale fails the positivity gate alone; at -tol/2 * scale
+    every gate passes."""
+    tol = load_config(None)["tolerances"]["operator_positivity"]
+
+    def below(rows, block, data):
+        return -factor * tol * ss.variation_scale(block, data)
+
+    got, gates = second_variation_gates(tmp_path, monkeypatch, "Fpp_operator", below)
+    assert got == code
+    assert gates == {**dict.fromkeys(SV_GATES, True), "operator_positive": code == EXIT_PASS}
 
 
 def cylinder_checks(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import soliton_stability as ss
 import soliton_stability.jets as J
 from oracles import (
+    christoffel_partial,
     curvature_tensor,
     frame_mean_curvature,
     frame_translator_defect,
@@ -318,7 +319,8 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
     # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
     for chart in (grim_reaper, flat_plane, perturbed, ss.non_lagrangian_patch()):
         grid = ss.uniform_grid(chart, 12)
-        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, grid.nodes))
+        pts = grid.nodes
+        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
         assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
@@ -326,7 +328,8 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
 
 def test_cylinder_is_intrinsically_flat(grim_reaper, T):
     grid = ss.uniform_grid(grim_reaper, 10)
-    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(grim_reaper, T, grid.nodes))
+    pg = ss.point_geometry(grim_reaper, T, grid.nodes)
+    r_int, r_gauss, ric = curvature_tensor(pg, christoffel_partial(grim_reaper, grid.nodes))
     assert np.max(np.abs(r_int)) < 1e-12
     assert np.max(np.abs(ric)) < 1e-12
 
@@ -341,7 +344,7 @@ def test_curved_graph_sign_convention(T):
         }
     )
     pts = np.array([[1e-8, 1e-8]])
-    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts))
+    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
     assert np.isclose(r_int[0, 1, 0, 1, 0], 1.0, atol=1e-6)
     assert np.allclose(ric[..., 0], np.eye(2), atol=1e-6)
     assert np.max(np.abs(r_int - r_gauss)) < 1e-8

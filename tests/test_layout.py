@@ -35,6 +35,13 @@ CUBIC_GRADIENT_GRAPH = {
     ],
 }
 
+# a Lagrangian graph over a 3-box whose Christoffel derivatives vary from node to node
+GRAPH_IN_C3 = {
+    "name": "graph_in_c3",
+    "domain": [[-1.0, 1.0]] * 3,
+    "components": ["x", "0.3*sin(x*y)", "y", "0.2*x*z", "z", "0.25*y*y + 0.1*x*z*z"],
+}
+
 SUPPORT2 = ss.default_support_box([[-1.47, 1.47], [-3.0, 3.0]])
 SUPPORT3 = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
 GRID2 = ss.tensor_rule(SUPPORT2, cells=2, points_per_cell=3)  # 36 nodes
@@ -128,6 +135,7 @@ def test_case_is_lagrangian_with_a_full_metric(case):
 def test_point_geometry_matches_node_first_reference(case):
     _, pg, jets, _ = case
     reference = node_first_geometry(jets)
+    del reference["Gamma_partial"]  # the package forms only its trace P (see below)
     for name, ref in reference.items():
         assert_matches(getattr(pg, name), ref, name)
     assert_close(pg.tangents, jets.d1, "tangents")
@@ -135,10 +143,35 @@ def test_point_geometry_matches_node_first_reference(case):
     assert_close(pg.positions, jets.val, "positions")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["perturbed_grim_reaper", CUBIC_GRADIENT_GRAPH, GRAPH_IN_C3],
+    ids=["perturbed_grim_reaper", "cubic_gradient_graph", "graph_in_c3"],
+)
+def test_christoffel_trace_matches_the_node_first_christoffel_derivatives(spec):
+    """P, formed straight from the third jets, is g^ab d_a Gamma^l_bc of the node-first
+    Christoffel derivatives to 1e-13 of its largest entry, at d = 2 and d = 3; an order-2
+    geometry has none."""
+    chart = ss.chart_from_config(spec)
+    d = chart.dim
+    rng = np.random.default_rng(5 + d)
+    per_axis = round(125 ** (1 / d))
+    axes = (lo + (hi - lo) * rng.uniform(0.05, 0.95, size=per_axis) for lo, hi in chart.domain)
+    nodes, T = tensor_grid(*axes).nodes, np.eye(2 * d)[0]
+    geo = node_first_geometry(ss.eval_jets(chart, nodes, order=3))
+    want = np.einsum("nab,nalbc->lcn", geo["g_inv"], geo["Gamma_partial"])
+    scale = np.max(np.abs(want))
+    assert scale > 0.1
+    assert np.max(np.abs(ss.point_geometry(chart, T, nodes).P - want)) <= 1e-13 * scale
+    assert ss.point_geometry(chart, T, nodes, order=2).P is None
+
+
 def test_covariant_calculus_matches_node_first_reference(case):
     _, pg, jets, fj = case
-    reference = node_first_covariant(fj, node_first_geometry(jets))
+    geo = node_first_geometry(jets)
+    reference = node_first_covariant(fj, geo)
     nabla, div, laplacian = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
-    computed = {"nabla": nabla, "div": div, "laplacian": laplacian, "div_grad": div_grad(fj, pg)}
+    grad = div_grad(fj, pg, np.moveaxis(geo["Gamma_partial"], 0, -1))
+    computed = {"nabla": nabla, "div": div, "laplacian": laplacian, "div_grad": grad}
     for name, ref in reference.items():
         assert_matches(computed[name], ref, name)

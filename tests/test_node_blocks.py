@@ -428,9 +428,9 @@ def test_one_node_rows_run_in_blocks_of_two_rows(monkeypatch, grim_reaper, T):
 
 
 # the arrays a block keeps: what the routes read; every other field of point_geometry is dropped
-KEPT = ("positions", "tangents", "hessian", "g", "g_inv", "Gamma", "h_coord")
-FORMED = ("dg_inv", "K", "P", "T_coord", "frame_coeff", "h3")
-DROPPED = ("sqrt_det_g", "dg", "Gamma_partial", "weight")
+KEPT = ("positions", "tangents", "hessian", "g", "g_inv", "Gamma", "P", "h_coord")
+FORMED = ("dg_inv", "K", "T_coord", "frame_coeff", "h3")
+DROPPED = ("sqrt_det_g", "dg", "weight")
 
 
 @pytest.mark.parametrize("spec", ["grim_reaper", GRIM_REAPER_X_LINE], ids=["d2", "d3"])
@@ -496,15 +496,15 @@ def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
 
 @pytest.mark.parametrize(
     "spec, cells, points, held, peak",
-    [("grim_reaper", 20, 8, 94, 146), (GRIM_REAPER_X_LINE, 3, 10, 263, 562)],
+    [("grim_reaper", 20, 8, 94, 131), (GRIM_REAPER_X_LINE, 3, 10, 263, 490)],
     ids=["d2", "d3"],
 )
 def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
     """A block's geometry holds what the routes read, 93 floats per node at d = 2 and 262 at
-    d = 3, and its build peaks at 143 and 558 per node of the block.  The walk holds one
-    block at a time, so it peaks as the largest block's build does, whatever the number of
-    blocks.  Holding every block's geometry held 93 and 262 floats per node of the grid and
-    peaked at 110 and 340; the whole-grid build held 101 and 324 and peaked at 143 and 558."""
+    d = 3, and its build peaks at 129 and 483 per node of the block, where the chart's
+    order-3 jets are evaluated; the Christoffel trace P is formed from them without any
+    d^4-per-node tensor, whose forming peaked at 145 and 561.  The walk holds one block at a
+    time, so it peaks as the largest block's build does, whatever the number of blocks."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     T = np.eye(2 * d)[0]
@@ -546,6 +546,25 @@ def test_variation_memory_does_not_grow_with_the_grid(monkeypatch, grim_reaper, 
         peaks.append(peak)
     assert peaks[1] < 1.1 * peaks[0] + 64 * 1024, peaks
     assert peaks[1] < 4 * 25_600 * 8, peaks  # 4 floats per node
+
+
+def test_each_block_forms_its_weights_once_and_the_grid_never(monkeypatch, grim_reaper, T, gr_support):
+    """A row block forms its quadrature weights on its first row sum and keeps them for every
+    other route and variation; they are its rows of the grid's weights, and the walk never
+    forms the whole grid's."""
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 256)
+    grid = ss.tensor_rule(gr_support, cells=4, points_per_cell=8)
+    blocks = list(ss.grid_blocks(grim_reaper, T, grid))
+    variations = [(seed, ss.random_hamiltonian_variation(gr_support, seed=seed)) for seed in (1, 2)]
+    ss.run_variation_suite(blocks, variations)
+    assert len(blocks) > 2 and "weights" not in vars(grid)
+    whole, start = ss.tensor_rule(gr_support, cells=4, points_per_cell=8).weights, 0
+    for block in blocks:
+        kept = vars(block.grid)["weights"]
+        assert block.grid.weights is kept
+        assert np.array_equal(kept, whole[start : start + kept.size])
+        start += kept.size
+    assert start == whole.size
 
 
 def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, gr_support):
@@ -704,7 +723,7 @@ def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch, spec, cells, 
 
 
 def test_covariant_calculus_needs_the_order_three_trace():
-    """The guard tests P, which a block keeps, not Gamma_partial, which it drops."""
+    """The guard tests P, which a block keeps and an order-2 geometry leaves as None."""
     chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
     support = ss.default_support_box(chart.domain)
     grid = ss.tensor_rule(support, cells=1, points_per_cell=3)
@@ -713,7 +732,7 @@ def test_covariant_calculus_needs_the_order_three_trace():
     with pytest.raises(ValueError, match="order-3 chart jets"):
         ss.covariant_calculus(fj.val, fj.d1, fj.d2, ss.point_geometry(chart, T, grid.nodes, order=2))
     block = ss.grid_geometry(chart, T, grid)
-    assert block.pg.Gamma_partial is None
+    assert block.pg.P is not None
     full = ss.point_geometry(chart, T, grid.nodes)
     got, want = (ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg) for pg in (block.pg, full))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

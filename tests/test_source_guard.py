@@ -34,6 +34,9 @@
   ``grid_blocks`` and holds one block's geometry at a time, so no tuple of
   every block's geometry (``gg.blocks``, ``blocks: tuple[GridBlock, ...]``)
   comes back.
+* The only order-3 geometry is the Christoffel trace ``P``, formed straight
+  from the chart's third jets: the d^4-per-node tensors it was contracted
+  from (``ddg``, ``dbracket``, ``Gamma_partial``) stay deleted.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
@@ -70,6 +73,7 @@ FORBIDDEN = {
     "scattered-point field branch": r"isinstance\(where, QuadratureGrid\)",
     "deleted point walk or block rule": r"\b(node_blocks|point_blocks|NODE_BLOCK|VARIATION_BLOCK)\b",
     "grid-wide tuple of block geometry": r"\bgg\.blocks\b|\btuple\[Grid(Block|Geometry)\b",
+    "deleted order-3 Christoffel tensor": r"\b(Gamma_partial|ddg|dbracket)\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -104,6 +108,7 @@ CAUGHT = {
     "meshgrid outside quadrature": "mesh = np.meshgrid(*axes, indexing=\"ij\")",
     "block cut outside quadrature": "block = grid.rows(i0, i1)",
     "grid-wide tuple of block geometry": "    blocks: tuple[GridBlock, ...]",
+    "deleted order-3 Christoffel tensor": 'dbracket = np.einsum("eabln->elabn", ddg) - ddg',
 }
 
 
@@ -163,6 +168,11 @@ def test_guard_flags_each_pattern_and_nothing_else():
     held = ("for block in gg.blocks:", "blocks: tuple[GridGeometry, ...] = ()")
     for line in held:
         assert violations(line) == [(1, "grid-wide tuple of block geometry")], line
+    order3 = ("pg.Gamma_partial = 0.5 * dbracket", "Gamma_partial: np.ndarray | None", "del d3, ddg")
+    for line in order3:
+        assert violations(line) == [(1, "deleted order-3 Christoffel tensor")], line
+    trace = 'bracket = dg - dg.swapaxes(1, 2)\npg.P = 0.5 * np.einsum("alkn,akcn->lcn", pg.dg_inv, x)'
+    assert violations(trace) == []
     walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
     assert violations(walk) == []
 

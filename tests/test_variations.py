@@ -8,6 +8,7 @@ import pytest
 
 import soliton_stability as ss
 from oracles import (
+    christoffel_partial,
     curvature_tensor,
     div_grad,
     frame_covariant_matrix,
@@ -261,22 +262,22 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
 def test_ricci_identity(gr_geometry_small):
     """Rough Laplacian vs gradient-of-divergence plus Ricci, for closed forms."""
     gg = gr_geometry_small
-    pg = whole_grid_block(gg).pg
-    _, _, ricci = curvature_tensor(pg)
+    pg, dG = whole_grid_block(gg).pg, christoffel_partial(gg.chart, gg.grid.nodes)
+    _, _, ricci = curvature_tensor(pg, dG)
     for seed in range(10):
         fj = ss.random_hamiltonian_variation(gg.grid.box, seed=seed).eval_jets(gg.grid, order=2)
-        assert ricci_identity_residual(fj, pg, ricci) < 1e-7
+        assert ricci_identity_residual(fj, pg, ricci, dG) < 1e-7
 
 
 def test_ricci_identity_on_curved_chart(perturbed, T):
     """Same identity where the Ricci term is genuinely nonzero."""
     support = ss.default_support_box(perturbed.domain)
     grid = ss.tensor_rule(support, cells=6, points_per_cell=5)
-    pg = ss.point_geometry(perturbed, T, grid.nodes)
-    _, _, ricci = curvature_tensor(pg)
+    pg, dG = ss.point_geometry(perturbed, T, grid.nodes), christoffel_partial(perturbed, grid.nodes)
+    _, _, ricci = curvature_tensor(pg, dG)
     assert np.max(np.abs(ricci)) > 1e-4
     fj = ss.random_hamiltonian_variation(support, seed=3).eval_jets(grid, order=2)
-    assert ricci_identity_residual(fj, pg, ricci) < 1e-7
+    assert ricci_identity_residual(fj, pg, ricci, dG) < 1e-7
 
 
 # u = x^3/6 + x y^2/2 + y z^2/2 + x z; its gradient graph (x, u_x, y, u_y, z, u_z) is Lagrangian
@@ -292,14 +293,14 @@ def test_gauss_and_ricci_identities_on_a_curved_3d_chart():
     chart = ss.chart_from_config(CURVED_GRADIENT_GRAPH_3D)
     support = ss.default_support_box(chart.domain)
     grid = ss.tensor_rule(support, 2, 6)
-    pg = ss.point_geometry(chart, np.eye(6)[0], grid.nodes)
+    pg, dG = ss.point_geometry(chart, np.eye(6)[0], grid.nodes), christoffel_partial(chart, grid.nodes)
     assert pg.lagrangian
-    r_int, r_gauss, ricci = curvature_tensor(pg)
+    r_int, r_gauss, ricci = curvature_tensor(pg, dG)
     assert np.max(np.abs(ricci)) > 1e-4
     assert np.max(np.abs(r_int - r_gauss)) < 1e-8
     for seed in (1, 2, 3):
         fj = ss.random_hamiltonian_variation(support, seed=seed).eval_jets(grid, order=2)
-        assert ricci_identity_residual(fj, pg, ricci) < 1e-7
+        assert ricci_identity_residual(fj, pg, ricci, dG) < 1e-7
 
 
 def test_frame_covariant_symmetry_for_closed_forms(gr_geometry_small):
@@ -426,7 +427,8 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)
     # a generic form, so nabla theta has no symmetry that could hide a transposition
     fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
-    G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(pg.Gamma_partial, -1, 0)
+    dG_last = christoffel_partial(chart, grid.nodes)
+    G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(dG_last, -1, 0)
     g_inv, dg_inv = np.moveaxis(pg.g_inv, -1, 0), np.moveaxis(pg.dg_inv, -1, 0)
 
     nabla = np.einsum("ban->nab", fj.d1) - np.einsum("nlab,ln->nab", G, fj.val)
@@ -447,7 +449,7 @@ def test_covariant_calculus_matches_index_notation(domain, components):
         "div_grad": np.einsum("neab,nab->ne", dg_inv, nabla) + np.einsum("nab,neab->ne", g_inv, dnabla),
     }
     nabla, div, laplacian = ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg)
-    computed = {"nabla": nabla, "div": div, "laplacian": laplacian, "div_grad": div_grad(fj, pg)}
+    computed = {"nabla": nabla, "div": div, "laplacian": laplacian, "div_grad": div_grad(fj, pg, dG_last)}
     for name, ref in reference.items():
         got = np.moveaxis(computed[name], -1, 0)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
