@@ -10,16 +10,15 @@ built from a smooth expression times a polynomial window on every axis,
 which vanishes to third order on the support boundary: smooth enough for the
 third-order jets used downstream, with none of the overflow trouble of
 exponential cutoffs.  Expression fields take their jets by jet arithmetic.
-Polynomial fields keep the window factored on every axis when d != 2: each
-axis gives ``W_k = d^k/dx^k [s^p B(s)]`` at its own nodes, with B's
-derivatives from jet arithmetic on one-variable jets, and the coefficient
-tensor is contracted against the W_k one axis at a time.  At d = 2 the
-windowed field is expanded into one bivariate polynomial.  Fields evaluate
-on a QuadratureGrid only; a row block of a grid is a grid, and gets the whole
-grid's jets there bit for bit.  Field values are forced to exactly zero
-outside the support box.  :func:`covariant_calculus`
-returns the plain arrays nabla theta, div theta^sharp and the rough
-Laplacian of a form's jets.
+Polynomial fields keep the window factored on every axis: each axis gives
+``W_k = d^k/dx^k [s^p B(s)]`` at its own nodes, with B's derivatives in
+closed form at d = 2 and from jet arithmetic on one-variable jets otherwise,
+and the coefficient tensor is contracted against the W_k one axis at a time.
+Fields evaluate on a QuadratureGrid only; a row block of a grid is a grid,
+and gets the whole grid's jets there bit for bit.  Field values are forced to
+exactly zero outside the support box.  :func:`covariant_calculus` returns the
+plain arrays nabla theta, div theta^sharp and the rough Laplacian of a form's
+jets.
 
 On rectangular domains every closed form is exact, so the ``hamiltonian``
 kind covers the closed class that the stability statements downstream are
@@ -148,9 +147,6 @@ def _monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(exps, key=lambda e: (sum(e), e))
 
 
-_BUMP_COEFFS = np.array([1.0, 0.0, -4.0, 0.0, 6.0, 0.0, -4.0, 0.0, 1.0])  # (1 - s^2)^4
-
-
 def _per_axis_cache(make):
     """``make(x, order)`` formed once per axis-node array and order: the factors of the axes
     >= 1, which every row block of a grid shares.  Keyed by the nodes' bytes, so equal
@@ -159,15 +155,14 @@ def _per_axis_cache(make):
     return lambda x, order: cached(np.ascontiguousarray(x, dtype=float).tobytes(), order)
 
 
-def _derivative_vandermonde(x: np.ndarray, lo: float, hi: float, ncoef: int, order: int):
-    """``[V_0, ..., V_order]`` with ``V_k[n, p] = d^k/dx^k s(x)^p`` at the nodes x.
+def _derivative_vandermonde(s: np.ndarray, scale: float, ncoef: int, order: int):
+    """``[V_0, ..., V_order]`` with ``V_k[n, p] = d^k/dx^k s(x)^p`` at the nodes' s.
 
-    ``s`` is x rescaled from [lo, hi] to [-1, 1], so the k-th derivative
-    carries the affine chain-rule factor ``(2 / (hi - lo))^k``.
+    ``s = scale * (x - mid)`` is x rescaled to [-1, 1], so the k-th derivative
+    carries the chain-rule factor ``scale**k``.  The powers are a running
+    product, not libm ``pow``.
     """
-    scale = 2.0 / (hi - lo)
-    s = scale * (x - 0.5 * (lo + hi))
-    powers = s[:, None] ** np.arange(ncoef)
+    powers = np.cumprod(np.column_stack([np.ones_like(s)] + [s] * (ncoef - 1)), axis=1)
     out = [powers]
     falling = np.ones(ncoef)  # p (p - 1) ... (p - k + 1), zero for p < k
     for k in range(1, order + 1):
@@ -178,6 +173,20 @@ def _derivative_vandermonde(x: np.ndarray, lo: float, hi: float, ncoef: int, ord
     return out
 
 
+def _bump_derivatives(s: np.ndarray, scale: float) -> list[np.ndarray]:
+    """``[B, B', B'', B''']`` of the bump B = u^4, u = 1 - s^2, in closed form at the
+    nodes' s, the k-th derivative in x carrying ``scale**k`` as in
+    :func:`_derivative_vandermonde`."""
+    u = 1.0 - s * s
+    u2 = u * u
+    return [
+        u2 * u2,
+        (-8.0 * scale) * s * u * u2,
+        scale**2 * (48.0 * s * s - 8.0 * u) * u2,
+        scale**3 * (144.0 * u - 192.0 * s * s) * s * u,
+    ]
+
+
 def _polynomial_coefficients(d: int, seed: int, degree: int):
     """Seeded coefficients, uniform in [-1, 1], and the exponents they multiply."""
     exponents = _monomial_exponents(d, degree)
@@ -185,64 +194,23 @@ def _polynomial_coefficients(d: int, seed: int, degree: int):
     return coeffs, exponents
 
 
-def _polynomial_bump_evaluator(support: np.ndarray, seed: int, degree: int):
-    """Closed-form jets for (polynomial * bump) on a 2-d support box.
-
-    The windowed field is itself one bivariate polynomial ``s^T C t`` in the
-    normalized coordinates, so the (i, j) partial is ``V_i(s)^T C V_j(t)``
-    with per-axis derivative Vandermonde matrices.  On a tensor grid that is
-    one small matrix product per partial, evaluated once per axis node; the
-    y-axis matrices, which every row block of a grid shares, form once per
-    field.
-    """
-    full = np.zeros((degree + 9, degree + 9))
-    bump2d = np.outer(_BUMP_COEFFS, _BUMP_COEFFS)
-    # the blocks overlap, so their summation order sets the last bits: keep it row-major
-    for c, (i, j) in sorted(zip(*_polynomial_coefficients(2, seed, degree)), key=lambda t: t[1]):
-        full[i : i + 9, j : j + 9] += c * bump2d
-
-    @_per_axis_cache
-    def columns(y: np.ndarray, order: int) -> list[np.ndarray]:
-        vy = _derivative_vandermonde(y, *support[1], full.shape[1], order)
-        return [np.ascontiguousarray(v.T) for v in vy]
-
-    def evaluate(grid: QuadratureGrid, order: int) -> J.Jet:
-        x, y = grid.axis_nodes
-        n = x.shape[0] * y.shape[0]
-        # einsum, not matmul: OpenBLAS rounds a row by how many rows it multiplies at once (on
-        # one row, and at degree 8 on any count not a multiple of 4), and it threads the second
-        # product, whose threads then spin idle; einsum's rows depend on their own row alone
-        vx = _derivative_vandermonde(x, *support[0], full.shape[0], order)
-        rows = [np.einsum("ip,pq->iq", v, full) for v in vx]
-        vy = columns(y, order)
-
-        def dval(i, j):
-            return np.einsum("ip,pj->ij", rows[i], vy[j]).reshape(n)
-
-        val = dval(0, 0)
-        # the slots of d2 and d3 in row-major order, each distinct partial formed once
-        d1 = np.stack([dval(1, 0), dval(0, 1)])
-        d2 = d3 = None
-        if order >= 2:
-            v11 = dval(1, 1)
-            d2 = np.stack([dval(2, 0), v11, v11, dval(0, 2)]).reshape(2, 2, n)
-        if order >= 3:
-            v21, v12 = dval(2, 1), dval(1, 2)
-            d3 = np.stack([dval(3, 0), v21, v21, v12, v21, v12, v12, dval(0, 3)]).reshape(2, 2, 2, n)
-        return J.Jet(order, val, d1, d2, d3)
-
-    return evaluate
-
-
-def _factored_window(x: np.ndarray, lo: float, hi: float, ncoef: int, order: int) -> np.ndarray:
+def _factored_window(
+    x: np.ndarray, lo: float, hi: float, ncoef: int, order: int, closed_bump: bool
+) -> np.ndarray:
     """``W[k, n, p] = d^k/dx^k [s^p B(s)]`` at the nodes x, k <= order.
 
     Leibniz on the derivative Vandermonde matrices and the bump's
-    derivatives, which :func:`window_jet` gives on one-variable jets.
+    derivatives: :func:`_bump_derivatives` if ``closed_bump``, else
+    :func:`window_jet` on one-variable jets.
     """
-    v = _derivative_vandermonde(x, lo, hi, ncoef, order)
-    bump = J.evaluate(lambda seeds: window_jet(seeds[0], lo, hi), x[:, None], order)
-    b = [a.reshape(-1) for a in (bump.val, bump.d1, bump.d2, bump.d3)[: order + 1]]
+    scale = 2.0 / (hi - lo)
+    s = scale * (x - 0.5 * (lo + hi))
+    v = _derivative_vandermonde(s, scale, ncoef, order)
+    if closed_bump:
+        b = _bump_derivatives(s, scale)
+    else:
+        bump = J.evaluate(lambda seeds: window_jet(seeds[0], lo, hi), x[:, None], order)
+        b = [a.reshape(-1) for a in (bump.val, bump.d1, bump.d2, bump.d3)[: order + 1]]
     w = [sum(math.comb(k, j) * v[j] * b[k - j][:, None] for j in range(k + 1)) for k in range(order + 1)]
     return np.stack(w)
 
@@ -252,22 +220,24 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
 
     The dense ``(degree+1)^d`` coefficient tensor is contracted against each
     axis's :func:`_factored_window` in turn, carrying only the partials of
-    total order <= order, each summed over the power p by a Python loop, so
-    every node sees the same multiply-adds in the same order.  The windows
-    form at the axis nodes and broadcast along their own axis, so the full
-    grid forms only at the last axis; the windows of the axes >= 1, which
-    every row block of a grid shares, form once per field.
+    total order <= order.  Before the last axis each is summed over the power
+    p by a Python loop, so every node sees the same multiply-adds in the same
+    order; the last axis is one product per partial.  The windows form at the
+    axis nodes and broadcast along their own axis, so the full grid forms only
+    at the last axis; the windows of the axes >= 1, which every row block of a
+    grid shares, form once per field.
     """
     d = support.shape[0]
     ncoef = degree + 1
     coeffs = np.zeros((ncoef,) * d)
     for c, exps in zip(*_polynomial_coefficients(d, seed, degree)):
         coeffs[exps] = c
+    closed_bump = d == 2  # d != 2 takes the bump's jets by jet arithmetic: perfbench's suite3d counts its ops
 
     def window(a: int, x: np.ndarray, order: int) -> np.ndarray:
         shape = (1,) * a + x.shape + (1,) * (d - 1 - a)
-        w = _factored_window(x, *support[a], ncoef, order)
-        return w.swapaxes(1, 2).reshape((order + 1, ncoef) + shape)
+        w = _factored_window(x, *support[a], ncoef, order, closed_bump)
+        return np.ascontiguousarray(w.swapaxes(1, 2)).reshape((order + 1, ncoef) + shape)
 
     shared = [_per_axis_cache(functools.partial(window, a)) for a in range(1, d)]
 
@@ -275,8 +245,8 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
         # parts[(k_0, ..., k_a)]: the tensor contracted over axes 0..a, its other powers first
         parts = {(): coeffs.reshape(coeffs.shape + (1,) * d)}
         x0, *rest = grid.axis_nodes
-        windows = [window(0, x0, order)] + [w(x, order) for w, x in zip(shared, rest)]
-        for w in windows:
+        *outer, last = [window(0, x0, order)] + [w(x, order) for w, x in zip(shared, rest)]
+        for w in outer:
             done, parts = parts, {}
             for ks, part in done.items():
                 for k in range(order + 1 - sum(ks)):
@@ -284,12 +254,21 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
                     for p in range(1, ncoef):
                         acc += part[p] * w[k, p]
                     parts[ks + (k,)] = acc
-        # a sorted index tuple's partial counts each axis in it
-        levels = [parts.pop((0,) * d).reshape(-1)]
+        # einsum, not matmul: OpenBLAS rounds a row by how many rows it multiplies at once (on
+        # one row, and at degree 8 on any count not a multiple of 4); einsum's rows depend on
+        # their own row alone
+        done, parts = parts, {}
+        for ks, part in done.items():
+            rows = np.ascontiguousarray(part.reshape(ncoef, -1).T)
+            for k in range(order + 1 - sum(ks)):
+                parts[ks + (k,)] = np.einsum("ip,pj->ij", rows, last[k].reshape(ncoef, -1)).reshape(-1)
+        # the partial at an index tuple counts each axis in it; a rank's partials go once stacked
+        levels = [parts.pop((0,) * d)]
         for rank in range(1, order + 1):
-            idx, _ = J._sym_index(d, rank)
-            counts = [tuple(t.count(a) for a in range(d)) for t in zip(*idx)]
-            levels.append(J._expand(np.stack([parts.pop(k).reshape(-1) for k in counts]), d, rank))
+            slots = itertools.product(range(d), repeat=rank)
+            full = np.stack([parts[tuple(t.count(a) for a in range(d))] for t in slots])
+            levels.append(full.reshape((d,) * rank + (-1,)))
+            parts = {ks: part for ks, part in parts.items() if sum(ks) > rank}
         return J.Jet(order, *levels)
 
     return evaluate
@@ -299,14 +278,12 @@ def random_polynomial_field(support, seed: int, degree: int = 4) -> ScalarField:
     """Random polynomial (in support-normalized coordinates) times the bump.
 
     Coefficients are uniform in [-1, 1] from a seeded generator; the seed is
-    recorded in reports so suites are reproducible.  At d = 2 the windowed
-    field's jets come in closed form from per-axis Vandermonde matrices of the
-    expanded window; otherwise from per-axis factored windows ``W_k``, whose
-    bump derivatives :func:`window_jet` gives on one-variable jets.
+    recorded in reports so suites are reproducible.  In every d the jets come
+    from per-axis factored windows ``W_k`` (:func:`_factored_window_evaluator`).
     """
     support = np.asarray(support, dtype=float)
-    make = _polynomial_bump_evaluator if support.shape[0] == 2 else _factored_window_evaluator
-    return ScalarField(support, make(support, seed, degree), name=f"poly(seed={seed},deg={degree})")
+    evaluate = _factored_window_evaluator(support, seed, degree)
+    return ScalarField(support, evaluate, name=f"poly(seed={seed},deg={degree})")
 
 
 # ---------------------------------------------------------------------------

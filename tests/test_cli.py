@@ -247,6 +247,7 @@ def test_demonstrate_failure_mode(small_suite_config, tmp_path):
     rec = json.loads(out.read_text())[0]
     assert rec["kind"] == "generic"
     assert rec["square_operator_gap"] > 1e-2
+    assert rec["square_operator_gap"] == abs(rec["Fpp_square"] - rec["Fpp_operator"]) / rec["scale"]
     assert rec["demonstrated"] is True
     csv_out = tmp_path / "fail.csv"
     code = run_cli(

@@ -9,7 +9,7 @@ import soliton_stability as ss
 from oracles import variation_report
 from soliton_stability.cli import EXIT_PASS, main
 from soliton_stability.errors import EvaluationError
-from soliton_stability.reports import CSV_COLUMNS, reports_to_csv, reports_to_json
+from soliton_stability.reports import CSV_COLUMNS, ROUTES, reports_to_csv, reports_to_json
 
 
 def _one_report(gg):
@@ -89,18 +89,30 @@ def route_gaps(report):
     [["--demonstrate-failure", "--seed", "7"], ["--count", "1"]],
     ids=["demonstrate_failure", "default"],
 )
-def test_route_gaps_are_the_ones_the_routes_give(tmp_path, argv):
+def test_route_gaps_are_the_ones_the_routes_give(tmp_path, monkeypatch, argv):
     """Each reported gap equals its value recomputed from the four routes and the scale, bit for
-    bit.  On the non-closed seed-7 variation the divergence-square pair is the largest route
-    gap and the fd-square pair the largest fd gap, so a gap that drops either pair moves."""
-    out = tmp_path / "report.json"
-    assert main(["second-variation", *argv, "--out", str(out)]) == EXIT_PASS
-    data = json.loads(out.read_text())
-    reports = data if argv[0] == "--demonstrate-failure" else data["reports"]
-    for report in reports:
-        assert (report["max_pairwise_rel_diff"], report["fd_rel_diff"]) == route_gaps(report)
+    bit.  On the non-closed seed-7 variation the fd-square pair is the largest fd gap, by a
+    factor over 1e6.  Its operator and divergence routes agree to their last bits, so which of
+    them lies further from the square route is left to rounding; a second run scales the
+    divergence route by 1 + 1e-6, which makes the divergence-square pair the largest route gap
+    by about 2e-6.  So a gap that drops either pair moves."""
+
+    def run(name):
+        out = tmp_path / name
+        assert main(["second-variation", *argv, "--out", str(out)]) == EXIT_PASS
+        data = json.loads(out.read_text())
+        reports = data if argv[0] == "--demonstrate-failure" else data["reports"]
+        for report in reports:
+            assert (report["max_pairwise_rel_diff"], report["fd_rel_diff"]) == route_gaps(report)
+        return reports
+
+    reports = run("report.json")
     if argv[0] == "--demonstrate-failure":
         (report,) = reports
         op, dv, sq, fd = (report[k] for k in ("Fpp_operator", "Fpp_divergence", "Fpp_square", "Fpp_fd"))
-        assert abs(dv - sq) > max(abs(op - sq), abs(op - dv))
         assert abs(fd - sq) > 1e6 * max(abs(fd - op), abs(fd - dv))
+        divergence = ROUTES["Fpp_divergence"]
+        monkeypatch.setitem(ROUTES, "Fpp_divergence", lambda block, data: (1 + 1e-6) * divergence(block, data))
+        (report,) = run("scaled.json")
+        op, dv, sq = (report[k] for k in ("Fpp_operator", "Fpp_divergence", "Fpp_square"))
+        assert abs(dv - sq) > max(abs(op - sq), abs(op - dv)) + 1e-6

@@ -37,6 +37,9 @@
 * The only order-3 geometry is the Christoffel trace ``P``, formed straight
   from the chart's third jets: the d^4-per-node tensors it was contracted
   from (``ddg``, ``dbracket``, ``Gamma_partial``) stay deleted.
+* One evaluator serves polynomial fields in every d, the bump factored per
+  axis: the d = 2 expanded window (``_polynomial_bump_evaluator`` over
+  ``_BUMP_COEFFS``) stays deleted.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
@@ -74,6 +77,7 @@ FORBIDDEN = {
     "deleted point walk or block rule": r"\b(node_blocks|point_blocks|NODE_BLOCK|VARIATION_BLOCK)\b",
     "grid-wide tuple of block geometry": r"\bgg\.blocks\b|\btuple\[Grid(Block|Geometry)\b",
     "deleted order-3 Christoffel tensor": r"\b(Gamma_partial|ddg|dbracket)\b",
+    "deleted expanded-window evaluator": r"\b(_polynomial_bump_evaluator|_BUMP_COEFFS)\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -109,6 +113,9 @@ CAUGHT = {
     "block cut outside quadrature": "block = grid.rows(i0, i1)",
     "grid-wide tuple of block geometry": "    blocks: tuple[GridBlock, ...]",
     "deleted order-3 Christoffel tensor": 'dbracket = np.einsum("eabln->elabn", ddg) - ddg',
+    "deleted expanded-window evaluator": (
+        "make = _polynomial_bump_evaluator if support.shape[0] == 2 else _factored_window_evaluator"
+    ),
 }
 
 
@@ -173,6 +180,10 @@ def test_guard_flags_each_pattern_and_nothing_else():
         assert violations(line) == [(1, "deleted order-3 Christoffel tensor")], line
     trace = 'bracket = dg - dg.swapaxes(1, 2)\npg.P = 0.5 * np.einsum("alkn,akcn->lcn", pg.dg_inv, x)'
     assert violations(trace) == []
+    window = "bump2d = np.outer(_BUMP_COEFFS, _BUMP_COEFFS)"
+    assert violations(window) == [(1, "deleted expanded-window evaluator")]
+    closed = "b = _bump_derivatives(s, scale)\nw = _factored_window(x, *support[a], ncoef, order, closed_bump)"
+    assert violations(closed) == []
     walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
     assert violations(walk) == []
 

@@ -19,7 +19,7 @@ from oracles import (
 )
 from soliton_stability.errors import NotASolitonError
 from soliton_stability.geometry import batch_det
-from soliton_stability.stability import default_grid_for_support, prepare_variation
+from soliton_stability.stability import DEFAULT_FD_STEPS, default_grid_for_support, prepare_variation
 
 
 def zero_form(support):
@@ -104,6 +104,19 @@ def test_route_agreement_on_flat_plane_suite(flat_plane, T):
         assert r.max_pairwise_rel_diff <= 1e-6
         assert r.fd_rel_diff <= 1e-4
         assert r.Fpp_operator >= -1e-6 * r.scale
+
+
+def test_richardson_extrapolation_takes_the_quartic_term_out():
+    """F(s) = c s^2 + e s^4 has second differences 2c h^2 + 2e h^4, which the extrapolation over
+    the squared step ratio takes to F''(0) = 2c exactly; over the plain ratio h1/h2 it would
+    leave 2c - 4e h2^2, 5.99998 at c = 3, e = 5."""
+    c, e = 3.0, 5.0
+
+    def F(s):
+        return c * s**2 + e * s**4
+
+    diffs = [F(h) - 2 * F(0.0) + F(-h) for h in DEFAULT_FD_STEPS]
+    assert abs(ss.fd_second_difference(diffs, DEFAULT_FD_STEPS) - 2 * c) <= 1e-12 * 2 * c
 
 
 def test_quadratic_homogeneity(gr_geometry_small):

@@ -21,7 +21,7 @@ from oracles import (
 )
 import soliton_stability.jets as J
 from soliton_stability.errors import ConfigurationError, DomainError, UnsupportedChartError
-from soliton_stability.variations import _monomial_exponents, _support_mask, window_jet
+from soliton_stability.variations import _factored_window, _monomial_exponents, _support_mask, window_jet
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +79,23 @@ def assert_matches_reference(support, box, seed, rtol=1e-13):
 
 
 def test_polynomial_fast_path_matches_builder(support):
-    """The d = 2 closed form of the windowed field, on a grid that also reaches past the box.
-
-    Its expanded window cancels near the support edge: at seed 5, the worst of seeds 0-19,
-    d2 is 1.6e-13 of its largest entry from the per-monomial build, which is itself within
-    1e-15 of an extended-precision evaluation.
-    """
-    assert_matches_reference(support, 1.2 * support, seed=5, rtol=2e-13)
+    """The d = 2 windowed field, on a grid that also reaches past the box: over seeds 0-19 the
+    largest gap is 1.2e-15 of a jet level's largest entry from the per-monomial build."""
+    assert_matches_reference(support, 1.2 * support, seed=5, rtol=1e-14)
     outer = ss.tensor_rule(1.2 * support, cells=3, points_per_cell=4)
     assert np.any(ss.random_polynomial_field(support, seed=5).eval_jets(outer, order=1).val == 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.2, 1.2), (-0.7, 1.9), (-2.0, 2.0)])
+def test_closed_form_bump_matches_the_window_jet(lo, hi):
+    """With one power (p = 0) the factored window W_k is the bump's k-th derivative: in closed
+    form, as at d = 2, against window_jet on one-variable jets, at nodes spanning [lo, hi] with
+    both edges, each level to 1e-15 of its largest entry."""
+    x = np.linspace(lo, hi, 41)
+    closed = _factored_window(x, lo, hi, 1, 3, closed_bump=True)
+    by_jets = _factored_window(x, lo, hi, 1, 3, closed_bump=False)
+    for k in range(4):
+        assert np.max(np.abs(closed[k] - by_jets[k])) <= 1e-15 * np.max(np.abs(by_jets[k])), k
 
 
 @pytest.mark.parametrize("d", [1, 3])
