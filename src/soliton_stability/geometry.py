@@ -223,9 +223,7 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     if T.shape != (chart.ambient_dim,):
         raise ValueError(f"T has shape {T.shape}, chart {chart.name!r} needs ({chart.ambient_dim},)")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = eval_jets(chart, pts, order=order)
-    x, t, d2, d3 = jets.val, jets.d1, jets.d2, jets.d3
-    del jets
+    x, t, d2, *d3 = eval_jets(chart, pts, order=order).levels  # d3: the third jets at order 3, else []
 
     g = np.einsum("man,mbn->abn", t, t)
     det = batch_det(g)
@@ -233,7 +231,7 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     g_inv = adjugate(g) / det
     sqrt_det_g = np.sqrt(det)
     # Lambda[m, c] = g^ef d_c d_e d_f Phi: the third jets, the largest array, are read here alone
-    lam = None if d3 is None else np.einsum("efn,mcefn->mcn", g_inv, d3)
+    lam = np.einsum("efn,mcefn->mcn", g_inv, *d3) if d3 else None
     del d3
 
     # dg[c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>

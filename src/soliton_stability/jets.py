@@ -94,55 +94,39 @@ class Jet:
     def nvars(self) -> int:
         return self.d1.shape[-2]
 
+    @property
+    def levels(self) -> tuple:
+        """``(val, d1, ..., d_order)``, which ``Jet(order, *levels)`` rebuilds; the fields
+        above ``order`` are None, and no other module of the package reads them."""
+        return (self.val, self.d1, self.d2, self.d3)[: self.order + 1]
+
     def is_finite(self) -> bool:
         """Whether the value and every derivative are finite everywhere."""
-        return all(a is None or np.all(np.isfinite(a)) for a in (self.val, self.d1, self.d2, self.d3))
+        return all(np.all(np.isfinite(a)) for a in self.levels)
 
     def first_non_finite(self) -> int:
         """The first node whose value or some derivative is not finite, for a jet that
         fails :meth:`is_finite`, so a refusal can name the point."""
-        arrays = [a for a in (self.val, self.d1, self.d2, self.d3) if a is not None]
-        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in arrays], axis=0)
+        finite = np.all([np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0) for a in self.levels], axis=0)
         return int(np.flatnonzero(~finite)[0])
 
     # -- helpers ---------------------------------------------------------
 
     def truncated(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet(
-            order,
-            self.val,
-            self.d1,
-            self.d2 if order >= 2 else None,
-            self.d3 if order >= 3 else None,
-        )
+        return self if order >= self.order else Jet(order, *self.levels[: order + 1])
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            k = min(self.order, other.order)
-            a, b = self.truncated(k), other.truncated(k)
-            return Jet(
-                k,
-                a.val + b.val,
-                a.d1 + b.d1,
-                None if k < 2 else a.d2 + b.d2,
-                None if k < 3 else a.d3 + b.d3,
-            )
-        return Jet(self.order, self.val + other, self.d1, self.d2, self.d3)
+            # zip stops at the shorter levels: the sum truncates to the lower order
+            return Jet(min(self.order, other.order), *(a + b for a, b in zip(self.levels, other.levels)))
+        return Jet(self.order, self.val + other, *self.levels[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(
-            self.order,
-            -self.val,
-            -self.d1,
-            None if self.d2 is None else -self.d2,
-            None if self.d3 is None else -self.d3,
-        )
+        return Jet(self.order, *(-a for a in self.levels))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
@@ -153,13 +137,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = np.asarray(other)
-            return Jet(
-                self.order,
-                self.val * c,
-                self.d1 * _lift(c, 1),
-                None if self.d2 is None else self.d2 * _lift(c, 2),
-                None if self.d3 is None else self.d3 * _lift(c, 3),
-            )
+            return Jet(self.order, *(a * _lift(c, k) for k, a in enumerate(self.levels)))
         order = min(self.order, other.order)
         u, v = self.truncated(order), other.truncated(order)
         uv, vv = _lift(u.val, 1), _lift(v.val, 1)
@@ -255,19 +233,13 @@ def constant(value, nvars: int, order: int = 3, batch_shape=None) -> Jet:
     if batch_shape is not None:
         val = np.broadcast_to(val, batch_shape).copy()
     lead, n = val.shape[:-1], val.shape[-1:]
-    return Jet(
-        order,
-        val,
-        np.zeros(lead + (nvars,) + n),
-        np.zeros(lead + (nvars, nvars) + n) if order >= 2 else None,
-        np.zeros(lead + (nvars, nvars, nvars) + n) if order >= 3 else None,
-    )
+    return Jet(order, val, *(np.zeros(lead + (nvars,) * k + n) for k in range(1, order + 1)))
 
 
 def stack(jets) -> Jet:
-    """Jets of one order stacked along axis 0: ``d1[p, a, n]`` is partial_a of jet p at node n."""
-    fields = zip(*[(j.val, j.d1, j.d2, j.d3) for j in jets])
-    return Jet(jets[0].order, *(None if f[0] is None else np.stack(f) for f in fields))
+    """Jets stacked along axis 0, at the lowest of their orders: ``d1[p, a, n]`` is partial_a
+    of jet p at node n."""
+    return Jet(min(j.order for j in jets), *(np.stack(level) for level in zip(*[j.levels for j in jets])))
 
 
 def evaluate(fn, points, order: int) -> Jet:

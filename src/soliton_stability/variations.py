@@ -14,6 +14,8 @@ Polynomial fields keep the window factored on every axis: each axis gives
 ``W_k = d^k/dx^k [s^p B(s)]`` at its own nodes, with B's derivatives in
 closed form at d = 2 and from jet arithmetic on one-variable jets otherwise,
 and the coefficient tensor is contracted against the W_k one axis at a time.
+A window depends on its axis nodes, support interval, degree and order alone,
+so one module cache forms it once for every field and row block that reads it.
 Fields evaluate on a QuadratureGrid only; a row block of a grid is a grid,
 and gets the whole grid's jets there bit for bit.  Field values are forced to
 exactly zero outside the support box.  :func:`covariant_calculus` returns the
@@ -78,9 +80,8 @@ def _support_mask(grid: QuadratureGrid, support: np.ndarray) -> np.ndarray:
 def _mask_jet(jet: J.Jet, keep: np.ndarray) -> J.Jet:
     """Zero a jet in place at the nodes (its last axis) where keep is False."""
     if not np.all(keep):
-        for a in (jet.val, jet.d1, jet.d2, jet.d3):
-            if a is not None:
-                np.copyto(a, 0.0, where=~keep)
+        for a in jet.levels:
+            np.copyto(a, 0.0, where=~keep)
     return jet
 
 
@@ -147,14 +148,6 @@ def _monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(exps, key=lambda e: (sum(e), e))
 
 
-def _per_axis_cache(make):
-    """``make(x, order)`` formed once per axis-node array and order: the factors of the axes
-    >= 1, which every row block of a grid shares.  Keyed by the nodes' bytes, so equal
-    nodes hit whatever array holds them; the factors are read, never written."""
-    cached = functools.lru_cache(maxsize=4)(lambda key, order: make(np.frombuffer(key), order))
-    return lambda x, order: cached(np.ascontiguousarray(x, dtype=float).tobytes(), order)
-
-
 def _derivative_vandermonde(s: np.ndarray, scale: float, ncoef: int, order: int):
     """``[V_0, ..., V_order]`` with ``V_k[n, p] = d^k/dx^k s(x)^p`` at the nodes' s.
 
@@ -194,15 +187,16 @@ def _polynomial_coefficients(d: int, seed: int, degree: int):
     return coeffs, exponents
 
 
-def _factored_window(
-    x: np.ndarray, lo: float, hi: float, ncoef: int, order: int, closed_bump: bool
+@functools.lru_cache(maxsize=64)
+def _axis_window(
+    nodes: bytes, lo: float, hi: float, ncoef: int, order: int, closed_bump: bool
 ) -> np.ndarray:
-    """``W[k, n, p] = d^k/dx^k [s^p B(s)]`` at the nodes x, k <= order.
-
-    Leibniz on the derivative Vandermonde matrices and the bump's
-    derivatives: :func:`_bump_derivatives` if ``closed_bump``, else
-    :func:`window_jet` on one-variable jets.
-    """
+    """``W[k, p, n] = d^k/dx^k [s^p B(s)]`` at the axis nodes x (``nodes``, their float64 bytes),
+    k <= order, read-only: Leibniz on the derivative Vandermonde matrices and the bump's
+    derivatives, :func:`_bump_derivatives` if ``closed_bump``, else :func:`window_jet` on
+    one-variable jets.  No seed enters, so one cache serves every field of a run; threads
+    racing on a key form the same bits twice."""
+    x = np.frombuffer(nodes)
     scale = 2.0 / (hi - lo)
     s = scale * (x - 0.5 * (lo + hi))
     v = _derivative_vandermonde(s, scale, ncoef, order)
@@ -210,22 +204,25 @@ def _factored_window(
         b = _bump_derivatives(s, scale)
     else:
         bump = J.evaluate(lambda seeds: window_jet(seeds[0], lo, hi), x[:, None], order)
-        b = [a.reshape(-1) for a in (bump.val, bump.d1, bump.d2, bump.d3)[: order + 1]]
+        b = [a.reshape(-1) for a in bump.levels]
     w = [sum(math.comb(k, j) * v[j] * b[k - j][:, None] for j in range(k + 1)) for k in range(order + 1)]
-    return np.stack(w)
+    w = np.ascontiguousarray(np.stack(w).swapaxes(1, 2))
+    w.flags.writeable = False
+    return w
 
 
 def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
     """Evaluator of (polynomial * bump) for a support box of any dimension, the bump factored per axis.
 
     The dense ``(degree+1)^d`` coefficient tensor is contracted against each
-    axis's :func:`_factored_window` in turn, carrying only the partials of
+    axis's :func:`_axis_window` in turn, carrying only the partials of
     total order <= order.  Before the last axis each is summed over the power
     p by a Python loop, so every node sees the same multiply-adds in the same
     order; the last axis is one product per partial.  The windows form at the
     axis nodes and broadcast along their own axis, so the full grid forms only
-    at the last axis; the windows of the axes >= 1, which every row block of a
-    grid shares, form once per field.
+    at the last axis.  Every axis is one lookup in the module's window cache:
+    a run forms each window once, shared by every field and, on the axes >= 1,
+    by every row block of the grid.
     """
     d = support.shape[0]
     ncoef = degree + 1
@@ -235,17 +232,14 @@ def _factored_window_evaluator(support: np.ndarray, seed: int, degree: int):
     closed_bump = d == 2  # d != 2 takes the bump's jets by jet arithmetic: perfbench's suite3d counts its ops
 
     def window(a: int, x: np.ndarray, order: int) -> np.ndarray:
-        shape = (1,) * a + x.shape + (1,) * (d - 1 - a)
-        w = _factored_window(x, *support[a], ncoef, order, closed_bump)
-        return np.ascontiguousarray(w.swapaxes(1, 2)).reshape((order + 1, ncoef) + shape)
-
-    shared = [_per_axis_cache(functools.partial(window, a)) for a in range(1, d)]
+        nodes = np.ascontiguousarray(x, dtype=float).tobytes()
+        w = _axis_window(nodes, *support[a], ncoef, order, closed_bump)
+        return w.reshape((order + 1, ncoef) + (1,) * a + x.shape + (1,) * (d - 1 - a))
 
     def evaluate(grid: QuadratureGrid, order: int) -> J.Jet:
         # parts[(k_0, ..., k_a)]: the tensor contracted over axes 0..a, its other powers first
         parts = {(): coeffs.reshape(coeffs.shape + (1,) * d)}
-        x0, *rest = grid.axis_nodes
-        *outer, last = [window(0, x0, order)] + [w(x, order) for w, x in zip(shared, rest)]
+        *outer, last = [window(a, x, order) for a, x in enumerate(grid.axis_nodes)]
         for w in outer:
             done, parts = parts, {}
             for ks, part in done.items():
@@ -311,7 +305,7 @@ class OneFormField:
         """
         if self.potential is not None:
             phi = self.potential.eval_jets(grid, order=order + 1)
-            return J.Jet(order, phi.d1, phi.d2, phi.d3)
+            return J.Jet(order, *phi.levels[1:])
         return J.stack([f.eval_jets(grid, order=order) for f in self.fields])
 
 

@@ -182,6 +182,36 @@ def test_chain_rule_kernel_matches_broadcast_reference(d, order, batch):
     _assert_kernel_matches(J._compose(u, *f), reference_compose(u, *f))
 
 
+LEVEL_NAMES = ("val", "d1", "d2", "d3")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("orders", list(itertools.product([1, 2, 3], repeat=2)))
+@pytest.mark.parametrize("batch", ["N", "N-p", "N-p with N"])
+def test_every_result_carries_its_levels_alone(d, orders, batch):
+    """Each operation's result has ``order + 1`` levels, all arrays, and every level field
+    above its order is None: jet and constant operands, mixed orders and batch shapes."""
+    rng = np.random.default_rng([d, *orders, len(batch)])
+    shapes = {"N": ((16,), (16,)), "N-p": ((5, 16), (5, 16)), "N-p with N": ((5, 16), (16,))}[batch]
+    u, v = (_random_jet(rng, shape, d, k) for shape, k in zip(shapes, orders))
+    pts = rng.uniform(0.1, 0.9, (16, d))
+    with np.errstate(all="ignore"):
+        results = [u + v, v + u, u - v, v - u, u * v, v * u, u / v, v / u, -u]
+        results += [u + 1.5, 1.5 + u, u - 2.0, 2.0 - u, u * 3.0, 3.0 * u, u / 2.0, 2.0 / u]
+        results += [u**0, u**1, u**2, u**3, u**-1.5, u**0.5]
+        results += [f(u) for f in (J.sin, J.cos, J.tan, J.exp, J.log, J.sqrt)]
+        results += [u.truncated(k) for k in (1, 2, 3)] + [J.stack([u, u.truncated(v.order)]), J.stack([v])]
+        results += [J.constant(u.val, d, k) for k in orders]
+        results += [J.constant(1.0, d, k, batch_shape=shapes[1]) for k in orders]
+        results += [J.evaluate(lambda s: J.sin(s[0]) * s[-1], pts, k) for k in orders]
+        results += [J.evaluate(lambda s: [s[0] / (1.0 + s[-1]), 2.0], pts, k) for k in orders]
+    for n, r in enumerate(results):
+        assert len(r.levels) == r.order + 1 and all(isinstance(a, np.ndarray) for a in r.levels), n
+        assert all(getattr(r, name) is None for name in LEVEL_NAMES[r.order + 1 :]), n
+        assert all(a is getattr(r, name) for a, name in zip(r.levels, LEVEL_NAMES)), n
+    assert [r.order for r in results[:9]] == [min(orders)] * 8 + [orders[0]]
+
+
 def test_partial_extraction():
     pts = np.array([[0.25, -0.4]])
     x, y = J.variables(pts, order=3)

@@ -121,8 +121,7 @@ def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
 
 def block_of(jet, rows):
     """``jet`` at the nodes ``rows``."""
-    arrays = (jet.val, jet.d1, jet.d2, jet.d3)
-    return jets.Jet(jet.order, *(None if a is None else a[..., rows] for a in arrays))
+    return jets.Jet(jet.order, *(a[..., rows] for a in jet.levels))
 
 
 def assert_jets_equal(got, want, where):

@@ -40,8 +40,14 @@
 * One evaluator serves polynomial fields in every d, the bump factored per
   axis: the d = 2 expanded window (``_polynomial_bump_evaluator`` over
   ``_BUMP_COEFFS``) stays deleted.
+* A bump window belongs to its axis: one module cache serves every field,
+  and the per-field cache (``_per_axis_cache``) stays deleted.
+* A jet is its levels: only ``jets.py`` lists ``val, d1, d2, d3`` by hand, so
+  only it knows that a level above the order is None; every other module
+  reads ``Jet.levels``.
 
-Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``.
+Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
+and those in ``OUTSIDE_JETS`` in every module but ``jets.py``.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
 """
@@ -78,6 +84,7 @@ FORBIDDEN = {
     "grid-wide tuple of block geometry": r"\bgg\.blocks\b|\btuple\[Grid(Block|Geometry)\b",
     "deleted order-3 Christoffel tensor": r"\b(Gamma_partial|ddg|dbracket)\b",
     "deleted expanded-window evaluator": r"\b(_polynomial_bump_evaluator|_BUMP_COEFFS)\b",
+    "deleted per-field window cache": r"\b_per_axis_cache\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -86,6 +93,13 @@ OUTSIDE_QUADRATURE = {
         r"\.rows\(|\bBLOCK_NODES\b|\barray_split\b|\brange\(\s*0\s*,[^,()]*,|\[\s*rows\s*[\],]"
     ),
 }
+
+OUTSIDE_JETS = {
+    "jet levels listed by hand": r"\b(\w+)\.val\s*,\s*\1\.d1\s*,\s*\1\.d2\s*,\s*\1\.d3\b",
+}
+
+# the module each set of patterns exempts
+OUTSIDE = {"quadrature.py": OUTSIDE_QUADRATURE, "jets.py": OUTSIDE_JETS}
 
 # one sample per pattern that the guard must flag, at the sample's first line
 CAUGHT = {
@@ -116,13 +130,20 @@ CAUGHT = {
     "deleted expanded-window evaluator": (
         "make = _polynomial_bump_evaluator if support.shape[0] == 2 else _factored_window_evaluator"
     ),
+    "deleted per-field window cache": (
+        "shared = [_per_axis_cache(functools.partial(window, a)) for a in range(1, d)]"
+    ),
+    "jet levels listed by hand": "for a in (jet.val, jet.d1, jet.d2, jet.d3):",
 }
 
 
 def violations(text: str, module: str = "") -> list[tuple[int, str]]:
     """``(line number, why)`` once per line a pattern starts to match on, by line, then pattern;
-    ``module`` is the file's name, which exempts ``quadrature.py`` from ``OUTSIDE_QUADRATURE``."""
-    rules = FORBIDDEN if module == "quadrature.py" else {**FORBIDDEN, **OUTSIDE_QUADRATURE}
+    ``module`` is the file's name, which exempts it from the patterns ``OUTSIDE`` gives it."""
+    rules = dict(FORBIDDEN)
+    for home, patterns in OUTSIDE.items():
+        if module != home:
+            rules.update(patterns)
     return sorted(
         {
             (text.count("\n", 0, match.start()) + 1, why)
@@ -182,8 +203,17 @@ def test_guard_flags_each_pattern_and_nothing_else():
     assert violations(trace) == []
     window = "bump2d = np.outer(_BUMP_COEFFS, _BUMP_COEFFS)"
     assert violations(window) == [(1, "deleted expanded-window evaluator")]
-    closed = "b = _bump_derivatives(s, scale)\nw = _factored_window(x, *support[a], ncoef, order, closed_bump)"
+    closed = "b = _bump_derivatives(s, scale)\nw = _axis_window(nodes, *support[a], ncoef, order, closed_bump)"
     assert violations(closed) == []
+    by_hand = (
+        "x, t, d2, d3 = jets.val, jets.d1, jets.d2, jets.d3",
+        "arrays = (jet.val,\n    jet.d1, jet.d2,\n    jet.d3)",
+    )
+    for text in by_hand:
+        assert violations(text, "geometry.py") == [(1, "jet levels listed by hand")], text
+        assert violations(text, "jets.py") == [], text
+    levels = "x, t, d2, *d3 = eval_jets(chart, pts, order=order).levels\npairs = (u.val, v.d1, u.d2, v.d3)"
+    assert violations(levels, "geometry.py") == []
     walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
     assert violations(walk) == []
 

@@ -20,8 +20,9 @@ from oracles import (
     y_windowed_field,
 )
 import soliton_stability.jets as J
+from soliton_stability import quadrature
 from soliton_stability.errors import ConfigurationError, DomainError, UnsupportedChartError
-from soliton_stability.variations import _factored_window, _monomial_exponents, _support_mask, window_jet
+from soliton_stability.variations import _axis_window, _monomial_exponents, _support_mask, window_jet
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +93,8 @@ def test_closed_form_bump_matches_the_window_jet(lo, hi):
     form, as at d = 2, against window_jet on one-variable jets, at nodes spanning [lo, hi] with
     both edges, each level to 1e-15 of its largest entry."""
     x = np.linspace(lo, hi, 41)
-    closed = _factored_window(x, lo, hi, 1, 3, closed_bump=True)
-    by_jets = _factored_window(x, lo, hi, 1, 3, closed_bump=False)
+    closed = _axis_window(x.tobytes(), lo, hi, 1, 3, closed_bump=True)
+    by_jets = _axis_window(x.tobytes(), lo, hi, 1, 3, closed_bump=False)
     for k in range(4):
         assert np.max(np.abs(closed[k] - by_jets[k])) <= 1e-15 * np.max(np.abs(by_jets[k])), k
 
@@ -112,7 +113,9 @@ def test_closed_form_polynomial_jets_match_the_per_monomial_builder(d):
 
 @pytest.fixture
 def jet_ops(monkeypatch):
-    """Counts of outermost Jet operations (``a - b`` is one), as perfbench counts them."""
+    """Counts of outermost Jet operations (``a - b`` is one), as perfbench counts them, from a
+    cleared window cache, so no window an earlier test formed is missing from the count."""
+    _axis_window.cache_clear()
     counts = {"ops": 0, "depth": 0}
 
     def counted(fn):
@@ -139,7 +142,7 @@ SUPPORT_3D = ss.default_support_box([[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]])
 def test_closed_form_polynomial_jets_stay_within_the_jet_op_budget(jet_ops):
     """A grid runs 5 outermost Jet operations per axis, the bump's on one-variable jets; the
     per-monomial build ran 130 for this d = 3 order-3 field.  A further row block of the same
-    grid runs them on axis 0 alone: the windows of the axes >= 1 form once per field."""
+    grid runs them on axis 0 alone: the windows of the axes >= 1 are formed once."""
     grid = ss.tensor_rule(SUPPORT_3D, cells=2, points_per_cell=8)
     phi = ss.random_polynomial_field(SUPPORT_3D, seed=3)
     jet = phi.eval_jets(grid.rows(0, 4), order=3)
@@ -161,6 +164,44 @@ def test_grid_jet_ops_do_not_grow_with_the_grid(jet_ops):
         phi.eval_jets(ss.tensor_rule(SUPPORT_3D, cells=cells, points_per_cell=points), order=3)
         ops.append(jet_ops["ops"] - before)
     assert 0 < ops[0] == ops[1] <= 5 * 3, ops
+
+
+def test_a_suite_forms_each_window_once(monkeypatch, grim_reaper, T, gr_support):
+    """A 20-field suite at one worker forms one window per row block on axis 0 and one on
+    axis 1, which every block shares: the count does not grow with the fields."""
+    grid = ss.tensor_rule(gr_support, cells=4, points_per_cell=6)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 8 * grid.shape[1])
+    blocks = len(list(grid.blocks()))
+    assert blocks == 3
+    variations = [(seed, ss.random_hamiltonian_variation(gr_support, seed)) for seed in range(1, 21)]
+    _axis_window.cache_clear()
+    reports = ss.run_variation_suite(ss.grid_blocks(grim_reaper, T, grid), variations, workers=1)
+    assert len(reports) == 20
+    assert _axis_window.cache_info().misses == blocks + 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_jets_do_not_depend_on_the_window_cache(monkeypatch, d):
+    """A polynomial field's jets on every row block, at two block sizes, are the whole grid's
+    bits whether the windows come from a cleared cache or a warm one; a cached window is
+    read-only, so no caller can change what the next field reads."""
+    support = SUPPORT_3D[:d]
+    grid = ss.tensor_rule(1.1 * support, cells=2, points_per_cell=4)
+    per_row = grid.nodes.shape[0] // grid.shape[0]
+    phi = ss.random_polynomial_field(support, seed=5)
+    _axis_window.cache_clear()
+    whole = [level.tobytes() for level in phi.eval_jets(grid, order=3).levels]
+    for rows in (2, 3):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", rows * per_row)
+        _axis_window.cache_clear()
+        for cache in ("cleared", "warm"):
+            parts = [phi.eval_jets(block, order=3).levels for block in grid.blocks()]
+            joined = [np.concatenate(level, axis=-1).tobytes() for level in zip(*parts)]
+            assert joined == whole, (rows, cache)
+    window = _axis_window(grid.axis_nodes[0].tobytes(), *support[0], 5, 3, d == 2)
+    assert window.shape == (4, 5, grid.shape[0])
+    with pytest.raises(ValueError):
+        window[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("d", [2, 3])
