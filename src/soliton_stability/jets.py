@@ -11,13 +11,20 @@ what makes the downstream geometric identity checks discretization-free.
 
 :func:`evaluate` runs a function of coordinate jets on the points it is
 given; vector-valued results (chart maps, one-forms) are jets stacked along
-axis 0.  Cutting a large grid into blocks is the caller's business
+axis 0, each component written straight into the stacked levels and then
+dropped.  The coordinate seeds of :func:`variables` hold only their values:
+their unit first derivatives and zero higher ones are read-only views
+broadcast along the nodes.  So a chart evaluation peaks at its output, the
+components it returns and the seeds' values: at order 3, 283 floats per node
+for grim reaper x line in C^3 (240 of output, one 40-float component and 3 of
+seeds), where seeds that held their zeros and a copy by ``np.stack`` peaked
+at 480.  Cutting a large grid into blocks is the caller's business
 (``quadrature.QuadratureGrid.blocks``).
 
 Mixed partials are bit-symmetric: the product and chain rules compute each
 distinct entry of ``d2``/``d3`` once, at its sorted index tuple
 ``i <= j (<= k)`` (10 of 27 ``d3`` entries at d = 3), and copy it to every
-other slot, and the coordinate seeds of :func:`variables` are zero there.
+other slot, and the coordinate seeds are zero there.
 """
 
 from __future__ import annotations
@@ -218,13 +225,17 @@ def _compose(u: Jet, f0, f1, f2=None, f3=None) -> Jet:
 
 
 def variables(points: np.ndarray, order: int = 3) -> list[Jet]:
-    """Coordinate seed jets, batch shape ``(N,)``, for points of shape ``(N, d)``."""
+    """Coordinate seed jets, batch shape ``(N,)``, for points of shape ``(N, d)``.
+
+    A seed holds only its values: its first derivative is a unit vector and its
+    second and third derivatives are zeros, each a read-only view broadcast along
+    the nodes, so the seeds of a block hold ``d`` floats per node.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts.shape[1]
-    seeds = [constant(pts[:, i].copy(), d, order) for i in range(d)]
-    for i, seed in enumerate(seeds):
-        seed.d1[i] = 1.0
-    return seeds
+    n, d = pts.shape
+    zeros = [np.broadcast_to(0.0, (d,) * k + (n,)) for k in range(2, order + 1)]
+    unit = np.eye(d)[:, :, None]
+    return [Jet(order, pts[:, i].copy(), np.broadcast_to(unit[i], (d, n)), *zeros) for i in range(d)]
 
 
 def constant(value, nvars: int, order: int = 3, batch_shape=None) -> Jet:
@@ -236,27 +247,54 @@ def constant(value, nvars: int, order: int = 3, batch_shape=None) -> Jet:
     return Jet(order, val, *(np.zeros(lead + (nvars,) * k + n) for k in range(1, order + 1)))
 
 
+def _stacked(components: list, nvars: int, order: int, batch_shape: tuple) -> Jet:
+    """``components`` stacked along axis 0, at the lowest of their orders and ``order``.
+
+    Each component, a jet or a plain number for a constant one, is written into
+    the result's levels and then dropped from the list, so only the result and
+    the components not yet written are held; a plain number is written as its
+    value and zero derivatives.
+    """
+    order = min([order] + [c.order for c in components if isinstance(c, Jet)])
+    lead, n = (len(components),) + batch_shape[:-1], batch_shape[-1:]
+    levels = [np.empty(lead + (nvars,) * k + n) for k in range(order + 1)]
+    for p, c in enumerate(components):
+        components[p] = None
+        if isinstance(c, Jet) and (c.val.shape != batch_shape or c.nvars != nvars):
+            raise ValueError(
+                f"component {p} has batch shape {c.val.shape} in {c.nvars} variables, "
+                f"not {batch_shape} in {nvars}"
+            )
+        for level, a in zip(levels, c.levels if isinstance(c, Jet) else (c,) + (0.0,) * order):
+            level[p] = a
+    return Jet(order, *levels)
+
+
 def stack(jets) -> Jet:
     """Jets stacked along axis 0, at the lowest of their orders: ``d1[p, a, n]`` is partial_a
     of jet p at node n."""
-    return Jet(min(j.order for j in jets), *(np.stack(level) for level in zip(*[j.levels for j in jets])))
+    jets = list(jets)
+    return _stacked(jets, jets[0].nvars, jets[0].order, jets[0].val.shape)
 
 
 def evaluate(fn, points, order: int) -> Jet:
-    """``fn(coordinate jets)`` at all of the ``(N, d)`` points.
+    """``fn(coordinate jets)`` at all of the ``(N, d)`` points, in arrays of its own.
 
     ``fn`` returns a jet, or a sequence of components (jets, or plain numbers
-    for constant ones) that is stacked along axis 0.  Floating-point
-    errors are ignored, so a domain error surfaces to the caller's
-    :meth:`Jet.is_finite` check.
+    for constant ones) that is stacked along axis 0, each component written
+    into the result and dropped in turn.  A returned jet's read-only levels,
+    the broadcast derivatives a seed lends it, are copied, so the caller may
+    write every level in place.  Floating-point errors are ignored, so a
+    domain error surfaces to the caller's :meth:`Jet.is_finite` check.
     """
     seeds = variables(points, order)
     with np.errstate(all="ignore"):
-        jet = fn(seeds)
-    if isinstance(jet, Jet):
-        return jet
-    batch = seeds[0].val.shape
-    return stack([c if isinstance(c, Jet) else constant(c, len(seeds), order, batch) for c in jet])
+        out = fn(seeds)
+    if isinstance(out, Jet):
+        return Jet(out.order, *(a if a.flags.writeable else a.copy() for a in out.levels))
+    components = list(out)
+    del out  # else the returned sequence keeps each written component alive
+    return _stacked(components, len(seeds), order, seeds[0].val.shape)
 
 
 def sin(u):

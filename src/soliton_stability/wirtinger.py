@@ -128,21 +128,23 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
 
 
 def _thomas_solve(lower: float, diag: float, upper: float, rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve with constant bands (Thomas algorithm)."""
-    n = rhs.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper / diag
-    dp[0] = rhs[0] / diag
-    for i in range(1, n):
+    """Tridiagonal solve with constant bands (Thomas algorithm).
+
+    Both sweeps run on Python floats: each step is the same IEEE double
+    operation as on numpy scalars, without their per-element overhead.  One
+    list holds the right-hand side, then the forward sweep's values, then the
+    solution.
+    """
+    x = rhs.tolist()
+    cp = [upper / diag]
+    x[0] = x[0] / diag
+    for i in range(1, len(x)):
         denom = diag - lower * cp[i - 1]
-        cp[i] = upper / denom
-        dp[i] = (rhs[i] - lower * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+        cp.append(upper / denom)
+        x[i] = (x[i] - lower * x[i - 1]) / denom
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = x[i] - cp[i] * x[i + 1]
+    return np.array(x)
 
 
 def dirichlet_ground_state(n: int, max_iter: int = 500, rtol: float = 1e-14):

@@ -1,6 +1,7 @@
 """Exactness and structure of the truncated Taylor arithmetic."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 import soliton_stability as ss
 import soliton_stability.jets as J
-from oracles import finite_difference_jet, partial, reference_compose, reference_product, symmetry_defect
+from oracles import (
+    finite_difference_jet,
+    partial,
+    reference_compose,
+    reference_product,
+    symmetry_defect,
+    tensor_grid,
+)
+from soliton_stability.charts import BUILTIN_CHARTS
 from soliton_stability.errors import EvaluationError, ExpressionError
 
 
@@ -210,6 +219,106 @@ def test_every_result_carries_its_levels_alone(d, orders, batch):
         assert all(getattr(r, name) is None for name in LEVEL_NAMES[r.order + 1 :]), n
         assert all(a is getattr(r, name) for a, name in zip(r.levels, LEVEL_NAMES)), n
     assert [r.order for r in results[:9]] == [min(orders)] * 8 + [orders[0]]
+
+
+def test_seeds_hold_only_their_values():
+    """A seed's derivatives are read-only views broadcast along the nodes, so the seeds of
+    10,000 points in three variables hold their 3 floats per node and no per-node zeros
+    (order-3 seeds that held theirs took 40 floats per node each)."""
+    n, d = 10_000, 3
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (n, d))
+    tracemalloc.start()
+    try:
+        seeds = J.variables(pts, order=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= d * n * 8 + 4096, held / (8 * n)
+    for i, seed in enumerate(seeds):
+        assert [a.shape for a in seed.levels] == [(n,), (d, n), (d, d, n), (d, d, d, n)]
+        assert seed.val.flags.owndata and np.array_equal(seed.val, pts[:, i])
+        assert not any(a.flags.writeable for a in seed.levels[1:])
+        assert np.array_equal(seed.d1, np.eye(d)[i][:, None] * np.ones(n))
+        assert not np.any(seed.d2) and not np.any(seed.d3)
+
+
+# fn paths of jets.evaluate: a returned jet (a bare seed, one that shares a seed's derivatives,
+# a fresh one) or components (jets, bare seeds and plain numbers, in a list or a tuple)
+EVALUATE_PATHS = {
+    "bare seed": lambda s: s[0],
+    "seed plus a constant": lambda s: s[1] + 1.5,
+    "jet": lambda s: J.sin(s[0]) * s[1],
+    "list": lambda s: [s[0], 0.0, s[1] * s[0], s[1]],
+    "tuple": lambda s: (s[1], -2),
+}
+
+
+@pytest.mark.parametrize("path", list(EVALUATE_PATHS))
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_evaluate_returns_levels_of_its_own(path, order):
+    """Every level ``evaluate`` returns is writeable and C-contiguous and shares memory with
+    no other level, the points or another evaluation, so a field's mask can zero it in
+    place: on every path, a bare seed's included."""
+    fn = EVALUATE_PATHS[path]
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (9, 2))
+    first, second = J.evaluate(fn, pts, order), J.evaluate(fn, pts, order)
+    assert first.order == order
+    for k, a in enumerate(first.levels):
+        assert a.flags.writeable and a.flags.c_contiguous, k
+        assert not np.shares_memory(a, pts) and not np.shares_memory(a, second.levels[k]), k
+        assert not any(np.shares_memory(a, b) for b in first.levels[k + 1 :]), k
+
+
+def test_a_field_of_a_bare_seed_is_masked_in_place():
+    """``ScalarField.eval_jets`` zeroes its jet in place outside the support box, so a field
+    whose jet is a bare coordinate seed needs levels of its own."""
+    support = np.array([[-1.0, 0.0], [-1.0, 1.0]])
+    field = ss.ScalarField(support, lambda grid, k: J.evaluate(lambda s: s[0], grid.nodes, k))
+    grid = tensor_grid(np.linspace(-0.9, 0.9, 4), np.linspace(-0.5, 0.5, 3))
+    out = field.eval_jets(grid, 3)
+    inside = grid.nodes[:, 0] <= 0.0
+    assert np.any(~inside) and not any(np.any(a[..., ~inside]) for a in out.levels)
+    assert np.array_equal(out.val[inside], grid.nodes[inside, 0])
+    assert np.all(out.d1[0, inside] == 1.0) and not np.any(out.d1[1]) and not np.any(out.d3)
+
+
+# an expression chart with constant components ("0", and "-0", whose value is -0.0) and a
+# bare coordinate ("x"), which the chart returns as its seed
+CONSTANTS_AND_SEEDS = {
+    "name": "constants_and_seeds",
+    "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+    "components": ["x", "0", "y * sin(x)", "-0"],
+}
+
+
+@pytest.mark.parametrize(
+    "spec", [*BUILTIN_CHARTS, CONSTANTS_AND_SEEDS], ids=[*BUILTIN_CHARTS, "constants_and_seeds"]
+)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_chart_jets_are_the_stacked_components(spec, order):
+    """The levels written straight into the stacked result are ``np.stack`` of the chart's
+    components, each plain number promoted to a constant jet, bit for bit."""
+    chart = ss.chart_from_config(spec)
+    pts = ss.uniform_grid(chart, 7).nodes
+    seeds = J.variables(pts, order)
+    components = [
+        c if isinstance(c, J.Jet) else J.constant(c, chart.dim, order, batch_shape=(pts.shape[0],))
+        for c in chart.map_jets(seeds)
+    ]
+    want = [np.stack(level) for level in zip(*[c.levels for c in components])]
+    got = ss.eval_jets(chart, pts, order)
+    assert got.order == order and len(got.levels) == len(want)
+    for a, b in zip(got.levels, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_lower_order_component_truncates_the_result():
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, (5, 2))
+    full = J.evaluate(lambda s: [J.sin(s[0]), s[1], 2.0], pts, 3)
+    cut = J.evaluate(lambda s: [J.sin(s[0]), s[1].truncated(1), 2.0], pts, 3)
+    assert (cut.order, cut.d2, cut.d3) == (1, None, None) and cut.d1.shape == (3, 2, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(cut.levels, full.levels))
+    assert J.stack([full, cut]).order == 1 and J.stack([cut, full]).order == 1
 
 
 def test_partial_extraction():

@@ -495,15 +495,19 @@ def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
 
 @pytest.mark.parametrize(
     "spec, cells, points, held, peak",
-    [("grim_reaper", 20, 8, 94, 131), (GRIM_REAPER_X_LINE, 3, 10, 263, 490)],
+    [("grim_reaper", 20, 8, 94, 116), (GRIM_REAPER_X_LINE, 3, 10, 263, 317)],
     ids=["d2", "d3"],
 )
 def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
     """A block's geometry holds what the routes read, 93 floats per node at d = 2 and 262 at
-    d = 3, and its build peaks at 129 and 483 per node of the block, where the chart's
-    order-3 jets are evaluated; the Christoffel trace P is formed from them without any
-    d^4-per-node tensor, whose forming peaked at 145 and 561.  The walk holds one block at a
-    time, so it peaks as the largest block's build does, whatever the number of blocks."""
+    d = 3, and its build peaks at 112 and 308 per node of the block, while the Christoffel
+    trace P forms.  The chart's order-3 jets are written straight into their stacked levels
+    from coordinate seeds without per-node derivatives, and P is formed, and its temporaries
+    freed, before ``h_coord``: with seeds that held zero derivatives, a copy of the
+    components and P formed last, the build peaked at 129 and 483, inside the chart's jets.
+    P is formed from them without any d^4-per-node tensor, whose forming peaked at 145 and
+    561.  The walk holds one block at a time, so it peaks as the largest block's build does,
+    whatever the number of blocks."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     T = np.eye(2 * d)[0]
@@ -528,6 +532,43 @@ def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
     assert held_bytes < held * 8 * largest, held_bytes / (8 * largest)
     assert peak_bytes < peak * 8 * largest, peak_bytes / (8 * largest)
     assert walk_peak < peak * 8 * largest, walk_peak / (8 * largest)
+
+
+def test_chart_jets_memory_d3():
+    """At d = 3 an order-3 chart evaluation peaks at its output, the seeds' values and one
+    component: grim reaper x line's one non-constant, non-coordinate component is its jet of
+    40 floats per node, on 240 of output and 3 of seeds.  Seeds with per-node zero
+    derivatives and the components copied by ``np.stack`` peaked at 480."""
+    chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=3, points_per_cell=10)
+    points = grid.rows(0, 9).nodes
+    ss.eval_jets(chart, points[:2], 3)  # first-call caches stay out of the peak
+    out, peak = traced_peak(ss.eval_jets, chart, points, 3)
+    n, (m, d) = points.shape[0], out.d1.shape[:2]
+    output = sum(a.nbytes for a in out.levels)
+    bound = output + output // m + d * n * 8 + 32 * 1024
+    assert (output, n) == (240 * 8 * n, 8100)
+    assert peak <= bound, (peak / (8 * n), bound / (8 * n))
+
+
+def test_variation_memory_above_its_block_d3():
+    """On a held d = 3 block of 8,100 nodes, one variation peaks 77 floats per node above it:
+    ``prepare_variation`` peaks at 70 and keeps 32, and the fd oracle peaks at 45 above
+    them.  With the block's build at 308 per node and its geometry holding 262, this phase
+    sets a d = 3 run's peak."""
+    chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
+    support = ss.default_support_box(chart.domain)
+    grid = ss.tensor_rule(support, cells=3, points_per_cell=10)
+    block = ss.grid_geometry(chart, np.eye(6)[0], grid.rows(0, 9))
+    theta = ss.random_hamiltonian_variation(support, seed=3)
+    n = block.grid.nodes.shape[0]
+    ss.evaluate_variation(block, theta)  # first-call caches stay out of the peaks
+    data, prepare_peak = traced_peak(ss.prepare_variation, block, theta)
+    _, fd_peak = traced_peak(ss.second_variation_fd_oracle, block, data)
+    del data
+    _, variation_peak = traced_peak(ss.evaluate_variation, block, theta)
+    per_node = [p / (8 * n) for p in (prepare_peak, fd_peak, variation_peak)]
+    assert n == 8100 and all(p <= b for p, b in zip(per_node, (72, 47, 80))), per_node
 
 
 def test_variation_memory_does_not_grow_with_the_grid(monkeypatch, grim_reaper, T, gr_support):

@@ -8,6 +8,7 @@ import pytest
 
 import soliton_stability as ss
 from oracles import cylinder_form_from_normal_components, variation_report, y_windowed_field
+from soliton_stability import wirtinger
 from soliton_stability.errors import ConfigurationError, ConvergenceError
 
 
@@ -91,6 +92,22 @@ def test_dirichlet_eigenvector_is_cosine():
     c = np.cos(x)
     angle = math.acos(min(1.0, abs(v @ c) / (np.linalg.norm(v) * np.linalg.norm(c))))
     assert angle < 1e-2
+
+
+def test_dirichlet_gap_keeps_its_bits():
+    """The Thomas sweeps on Python floats run the same double operations in the same order
+    as on numpy scalars, so the default 2,000-interval eigenvalue keeps its last bit."""
+    assert ss.dirichlet_gap(2000) == 0.9999997943832363
+
+
+def test_thomas_solve_matches_a_dense_solve():
+    rng = np.random.default_rng(5)
+    rhs = rng.normal(size=12)
+    lower, diag, upper = -1.3, 3.1, -0.7
+    dense = np.diag(np.full(12, diag)) + np.diag(np.full(11, lower), -1) + np.diag(np.full(11, upper), 1)
+    got = wirtinger._thomas_solve(lower, diag, upper, rhs)
+    assert got.shape == rhs.shape
+    assert np.allclose(got, np.linalg.solve(dense, rhs), rtol=1e-13, atol=1e-14)
 
 
 def test_dirichlet_rejects_tiny_grids():
