@@ -104,8 +104,9 @@ SCHEMA: dict[str, Any] = {
     },
     "fd_steps": (
         list(DEFAULT_FD_STEPS),
-        "two distinct positive finite numbers",
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_positive, v)) and v[0] != v[1],
+        "two distinct positive numbers whose squares and squared ratio are finite and nonzero",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_positive, v)) and v[0] != v[1]
+        and all(0 < s * s <= sys.float_info.max for s in (float(v[0]), float(v[1]), v[0] / v[1])),
     ),
     "tolerances": {
         "soliton_residual": (DEFAULT_SOLITON_TOL, *_POSITIVE),

@@ -9,10 +9,10 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``positions[p, n]``      the chart map Phi
 * ``tangents[p, a, n]``    d_a Phi;  ``hessian[p, a, b, n]``  d_a d_b Phi
 * ``g[a, b, n]``           induced metric  <d_a Phi, d_b Phi>
-* ``dg[c, a, b, n]``       partial_c g_ab
+* ``area_weight[n]``       the weighted area density exp(<T, Phi>) sqrt(det g)
 * ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g
-* ``K[l, n]``, ``P[l, c, n]``  the traces g^ab Gamma^l_ab and
-  g^ab d_a Gamma^l_bc; P is formed at build from the order-3 jets
+* ``dg_inv[e, k, l, n]``, ``K[l, n]``, ``P[l, c, n]``  d_e g^kl and the traces
+  g^ab Gamma^l_ab and g^ab d_a Gamma^l_bc, formed at build from order-3 jets
 * ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
   (the normal projection of partial^2 Phi via the Gauss formula)
 * ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
@@ -55,6 +55,7 @@ __all__ = [
     "DiagnosticsReport",
     "batch_det",
     "adjugate",
+    "weighted_area_density",
     "point_geometry",
     "mean_curvature_vector",
     "translator_defect",
@@ -67,14 +68,7 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 
 @dataclass
 class PointGeometry:
-    """All pointwise geometric data of a chart at a batch of points, node axis last.
-
-    ``P`` is formed at build from order-3 jets, with the ``dg_inv`` it reads, and
-    is None at order 2, where ``dg_inv`` is formed on first use.  A grid
-    block (:func:`stability.grid_geometry`) sets the construction intermediates
-    ``sqrt_det_g``, ``dg`` and ``weight`` to None once it has formed what the
-    routes read from them.
-    """
+    """Pointwise geometry of a chart at a batch of points, node axis last; each field is formed at build."""
 
     T: np.ndarray             # (m,) translation direction
     positions: np.ndarray     # (m, N)
@@ -82,12 +76,12 @@ class PointGeometry:
     hessian: np.ndarray       # (m, d, d, N)
     g: np.ndarray             # (d, d, N)
     g_inv: np.ndarray         # (d, d, N)
-    sqrt_det_g: np.ndarray | None  # (N,)
-    dg: np.ndarray | None     # (d, d, d, N)
+    area_weight: np.ndarray   # (N,) exp(<T, Phi>) sqrt(det g)
     Gamma: np.ndarray         # (d, d, d, N)
+    dg_inv: np.ndarray | None  # (d, d, d, N) d_e g^kl; None for order-2 jets
+    K: np.ndarray | None      # (d, N) K^l = g^ab Gamma^l_ab; None for order-2 jets
     P: np.ndarray | None      # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]; None for order-2 jets
     h_coord: np.ndarray       # (m, d, d, N)
-    weight: np.ndarray | None  # (N,) translation weight exp(<T, Phi>)
 
     # every property below is formed on first use; soliton_residual reads T_coord only
 
@@ -118,14 +112,6 @@ class PointGeometry:
             raise UnsupportedChartError("the normal frame nu_i = J e_i needs a Lagrangian chart")
         e = np.einsum("man,ain->min", self.tangents, self.frame_coeff)
         return apply_J(e)
-
-    @cached_property
-    def dg_inv(self) -> np.ndarray:  # (d, d, d, N) d_e g^kl
-        return -np.einsum("kpn,epqn,qln->ekln", self.g_inv, self.dg, self.g_inv)
-
-    @cached_property
-    def K(self) -> np.ndarray:  # (d, N) K^l = g^ab Gamma^l_ab
-        return np.einsum("abn,labn->ln", self.g_inv, self.Gamma)
 
     @cached_property
     def T_coord(self) -> np.ndarray:  # (d, N) coordinate components of tangential T
@@ -180,6 +166,16 @@ def adjugate(a: np.ndarray) -> np.ndarray:
     return adj
 
 
+def weighted_area_density(T: np.ndarray, positions, det, chart: str | None = None) -> np.ndarray:
+    """The weighted area density exp(<T, x>) sqrt(det g) (N,) at positions x (m, N); given the
+    ``chart``'s name, it refuses an exp(<T, x>) that overflows with EvaluationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp(np.einsum("p,pn->n", T, positions))
+    if chart is not None and not np.all(np.isfinite(weight)):
+        raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart!r}")
+    return weight * np.sqrt(det)
+
+
 def _require_full_rank(name: str, pts: np.ndarray, g: np.ndarray, det: np.ndarray) -> None:
     """Raise ImmersionError at the first point whose metric has eigvalsh <= RANK_TOL**2.
 
@@ -214,12 +210,12 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     ``T`` is the translation direction, of length ``chart.ambient_dim``.  The
     chart's jets are evaluated here at ``order``: order 3 gives the trace ``P``
     that rough Laplacians read, and its third derivatives are freed once read;
-    order 2 leaves ``P`` as None.  ``P`` and ``dg_inv`` are formed right after
-    Gamma, and the bracket, Lambda and P's temporaries are freed before
-    ``h_coord`` is formed, so a block's order-3 build peaks while P forms: 308
-    floats per node at d = 3 and 112 at d = 2.  With Gamma^l_bc = 1/2 g^lk
-    [k,b,c], the terms of g^ab d_a [k,b,c] symmetric in (c, k) cancel, so no
-    d Gamma is formed:
+    order 2 leaves ``dg_inv``, ``K`` and ``P`` as None.  They are formed right
+    after Gamma, and the metric derivatives, the bracket, Lambda and P's
+    temporaries are freed before ``h_coord`` is formed, so a block's order-3
+    build peaks while P forms: 308 floats per node at d = 3 and 112 at d = 2.
+    With Gamma^l_bc = 1/2 g^lk [k,b,c], the terms of g^ab d_a [k,b,c] symmetric
+    in (c, k) cancel, so no d Gamma is formed:
 
         P^l_c = 1/2 g^ab (d_a g^lk) [k,b,c] + g^lk (<Lambda_c, d_k Phi> + M_ck),
         Lambda_c = g^ef d_c d_e d_f Phi,   M_ck = g^ef <d_c d_e Phi, d_k d_f Phi>.
@@ -234,7 +230,7 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     det = batch_det(g)
     _require_full_rank(chart.name, pts, g, det)
     g_inv = adjugate(g) / det
-    sqrt_det_g = np.sqrt(det)
+    area_weight = weighted_area_density(T, x, det, chart.name)
     # Lambda[m, c] = g^ef d_c d_e d_f Phi: the third jets, the largest array, are read here alone
     lam = np.einsum("efn,mcefn->mcn", g_inv, *d3) if d3 else None
     del d3
@@ -246,7 +242,7 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     # bracket[l,a,b] = d_a g_bl + d_b g_al - d_l g_ab
     bracket = np.einsum("abln->labn", dg) + np.einsum("baln->labn", dg) - dg
     Gamma = 0.5 * np.einsum("kln,labn->kabn", g_inv, bracket)
-    dg_inv = P = None
+    dg_inv = K = P = None
     if lam is not None:  # P before h_coord, so bracket, lam and P's temporaries are freed first
         dg_inv = -np.einsum("kpn,epqn,qln->ekln", g_inv, dg, g_inv)
         inv_part = np.einsum("alkn,akcn->lcn", dg_inv, np.einsum("abn,kbcn->akcn", g_inv, bracket))
@@ -254,33 +250,25 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
         jet_part = np.einsum("mcn,mkn->ckn", lam, t) + np.einsum("mcfn,mkfn->ckn", jet_part, d2)
         P = 0.5 * inv_part + np.einsum("lkn,ckn->lcn", g_inv, jet_part)
         del inv_part, jet_part
-    del bracket, lam
+        K = np.einsum("abn,labn->ln", g_inv, Gamma)
+    del dg, bracket, lam
 
     # Gauss formula: the normal part of the coordinate Hessian of the map
     h_coord = d2 - np.einsum("kabn,mkn->mabn", Gamma, t)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.exp(np.einsum("p,pn->n", T, x))
-    if not np.all(np.isfinite(weight)):
-        raise EvaluationError(f"translation weight exp(<T, x>) overflows on chart {chart.name!r}")
-
-    pg = PointGeometry(
+    return PointGeometry(
         T=T,
         positions=x,
         tangents=t,
         hessian=d2,
         g=g,
         g_inv=g_inv,
-        sqrt_det_g=sqrt_det_g,
-        dg=dg,
+        area_weight=area_weight,
         Gamma=Gamma,
+        dg_inv=dg_inv,
+        K=K,
         P=P,
         h_coord=h_coord,
-        weight=weight,
     )
-    if dg_inv is not None:
-        pg.dg_inv = dg_inv  # formed for P; the routes read it too
-    return pg
 
 
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:

@@ -83,7 +83,7 @@ class VariationReport:
         return out
 
 
-# the routes that evaluate_variation runs on each block, each handing back the block's row sums
+# the routes that evaluate_variation runs on each block, each handing back its integrand
 ROUTES = {
     "first_var": first_variation,
     "Fpp_operator": second_variation_operator,
@@ -97,9 +97,9 @@ def evaluate_variation(
     block: GridGeometry, theta: OneFormField, fd_steps: tuple[float, float] = DEFAULT_FD_STEPS
 ) -> dict[str, np.ndarray]:
     """Run every route on one variation over one row block: the row sums of each of
-    :data:`ROUTES`, the fd oracle's second differences ``"fd"`` (2, rows) and the block's
-    closedness defect ``"lagrangian_defect"`` (1,), each to be joined along its last axis
-    with the other blocks'.
+    :data:`ROUTES`' integrands times ``area_weight``, the fd oracle's ``"fd"`` (2, rows) and
+    the block's closedness defect ``"lagrangian_defect"`` (1,), each to be joined along its
+    last axis with the other blocks'.
 
     The variation's form jets and per-node arrays are block-sized and freed
     when it returns, so the next variation reuses their heap pages.  On the
@@ -110,8 +110,8 @@ def evaluate_variation(
     # every route refuses off criticality; refuse before forming V, which needs
     # a Lagrangian chart
     require_soliton(block)
-    data = prepare_variation(block, theta)
-    sums = {name: route(block, data) for name, route in ROUTES.items()}
+    data, weight = prepare_variation(block, theta), block.pg.area_weight
+    sums = {name: block.grid.row_sums(route(block, data) * weight) for name, route in ROUTES.items()}
     sums["fd"] = second_variation_fd_oracle(block, data, fd_steps)
     sums["lagrangian_defect"] = np.array([data.defect])
     return sums
@@ -148,7 +148,7 @@ def run_variation_suite(
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for block in blocks:
-            at_rest = np.append(at_rest, block.grid.row_sums(block.area_weight))
+            at_rest = np.append(at_rest, block.grid.row_sums(block.pg.area_weight))
             each = partial(evaluate_variation, block, fd_steps=fd_steps)
             try:
                 block_sums = list(run(each, thetas))

@@ -34,9 +34,9 @@ The quadrature grid is walked one row block at a time (:func:`grid_blocks`, over
 :meth:`QuadratureGrid.blocks`, the one cut of a grid), and each block's
 geometry (:class:`GridGeometry`) is built once and dropped before the next.
 Each route is a function of one block and the variation's data there
-(:func:`prepare_variation`) that returns the block's row sums
-(:meth:`QuadratureGrid.row_sums`).  ``reports.evaluate_variation`` runs every
-route on one block, and ``reports.run_variation_suite`` runs every variation
+(:func:`prepare_variation`) that returns its integrand at the block's nodes.
+``reports.evaluate_variation`` weights each by ``PointGeometry.area_weight`` and
+takes its row sums, and ``reports.run_variation_suite`` runs every variation
 on each block as the walk reaches it, then adds each route's row sums once, by
 ``quadrature.total``, so no value depends on the block size.
 
@@ -63,7 +63,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import NotASolitonError
-from .geometry import PointGeometry, batch_det, point_geometry, translator_defect
+from .geometry import PointGeometry, batch_det, point_geometry, translator_defect, weighted_area_density
 from .quadrature import QuadratureGrid, tensor_rule
 from .variations import (
     OneFormField,
@@ -104,17 +104,14 @@ DEFAULT_CLOSED_TOL = 1e-9
 
 @dataclass
 class GridGeometry:
-    """What the routes read on a tensor grid, node axis last: the point geometry with the
-    traces the routes read formed once and the construction intermediates dropped,
-    ``T^perp - H`` (m, N), ``exp(<T, Phi>) sqrt(det g)`` (N,), the largest |T^perp - H| on
-    the grid and the tolerance :func:`require_soliton` judges it by.  The grid is a row block
-    of a quadrature grid on the walk of :func:`grid_blocks`, or a whole one."""
+    """What the routes read on a tensor grid, node axis last: the point geometry, ``T^perp - H``
+    (m, N), its largest norm and the tolerance :func:`require_soliton` judges that by.  The
+    grid is a row block of a quadrature grid on the walk of :func:`grid_blocks`, or a whole one."""
 
     chart: Chart
     grid: QuadratureGrid
     pg: PointGeometry
     translator_defect: np.ndarray
-    area_weight: np.ndarray
     soliton_residual: float
     soliton_tol: float
 
@@ -129,14 +126,11 @@ def grid_geometry(
     """
     pg = point_geometry(chart, T, grid.nodes)
     defect = translator_defect(pg)  # forms T_coord
-    w = _weighted_area_density(pg.T, pg.positions, pg.g)
-    pg.dg_inv, pg.K, pg.frame_coeff  # what the routes read
-    pg.sqrt_det_g = pg.dg = pg.weight = None
     if pg.lagrangian:
         pg.h3
         del pg.nu
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
-    return GridGeometry(chart, grid, pg, defect, w, resid, soliton_tol)
+    return GridGeometry(chart, grid, pg, defect, resid, soliton_tol)
 
 
 def grid_blocks(
@@ -165,11 +159,6 @@ def grid_blocks(
     if off:  # the grid-wide maximum, by np.max, which keeps a NaN another block may hold
         raise NotASolitonError(float(np.max(residuals)), soliton_tol)
     require_lagrangian(lagrangian)
-
-
-def _weighted_area_density(T: np.ndarray, values, g) -> np.ndarray:
-    """exp(<T, x>) sqrt(det g) at positions ``values`` (m, N) with metric ``g`` (d, d, N)."""
-    return np.exp(np.einsum("p,pn->n", T, values)) * np.sqrt(batch_det(g))
 
 
 def _deformation(pg: PointGeometry, theta: np.ndarray, dtheta: np.ndarray):
@@ -231,23 +220,21 @@ def _metric_square(pg: PointGeometry, tensor: np.ndarray) -> np.ndarray:
 
 
 def first_variation(block: GridGeometry, data: VariationData) -> np.ndarray:
-    """d/ds of box-local F, the pairing  int <T^perp - H, V> w dmu: the block's row sums."""
-    integrand = np.einsum("pn,pn->n", block.translator_defect, data.v)
-    return block.grid.row_sums(integrand * block.area_weight)
+    """d/ds of box-local F, the pairing  int <T^perp - H, V> w dmu: its integrand."""
+    return np.einsum("pn,pn->n", block.translator_defect, data.v)
 
 
 def variation_scale(block: GridGeometry, data: VariationData) -> np.ndarray:
-    """Size of the variation,  int (|theta|_g^2 + |nabla theta|_g^2) w dmu: the block's row sums.
+    """Size of the variation,  int (|theta|_g^2 + |nabla theta|_g^2) w dmu: its integrand.
 
     Used as the denominator of all relative agreement tolerances so that tiny
     fields cannot pass checks by accident.
     """
-    theta_sq = np.einsum("an,an->n", _sharp(block.pg, data.theta), data.theta)
-    return block.grid.row_sums((theta_sq + data.nabla_sq) * block.area_weight)
+    return np.einsum("an,an->n", _sharp(block.pg, data.theta), data.theta) + data.nabla_sq
 
 
 def second_variation_operator(block: GridGeometry, data: VariationData) -> np.ndarray:
-    """Second-order route through the rough Laplacian of theta: the block's row sums.
+    """Second-order route through the rough Laplacian of theta: its integrand.
 
     The curvature term is assembled from the frame components h_ijk, pairing
     the variation against itself through the full second fundamental form.
@@ -257,22 +244,22 @@ def second_variation_operator(block: GridGeometry, data: VariationData) -> np.nd
     pair = np.einsum("an,an->n", _sharp(pg, data.theta), data.laplacian + drift)
     v_frame = np.einsum("ain,an->in", pg.frame_coeff, data.theta)
     h_v = np.einsum("klpn,pn->kln", pg.h3, v_frame)
-    return -block.grid.row_sums((pair + np.einsum("kln,kln->n", h_v, h_v)) * block.area_weight)
+    return -(pair + np.einsum("kln,kln->n", h_v, h_v))
 
 
 def second_variation_divergence(block: GridGeometry, data: VariationData) -> np.ndarray:
-    """First-order route,  int (|nabla theta|^2 - |h paired with V|^2) w dmu: the block's row sums.
+    """First-order route,  int (|nabla theta|^2 - |h paired with V|^2) w dmu: its integrand.
 
     The curvature term here goes through the ambient-valued second
     fundamental form and the ambient variation field, independent of the
     frame route used by the operator form.
     """
     h_v = np.einsum("mabn,mn->abn", block.pg.h_coord, data.v)
-    return block.grid.row_sums((data.nabla_sq - _metric_square(block.pg, h_v)) * block.area_weight)
+    return data.nabla_sq - _metric_square(block.pg, h_v)
 
 
 def second_variation_square(block: GridGeometry, data: VariationData) -> np.ndarray:
-    """Perfect-square route,  int (div theta^sharp + theta(T^top))^2 w dmu: the block's row sums.
+    """Perfect-square route,  int (div theta^sharp + theta(T^top))^2 w dmu: its integrand.
 
     Nonnegative by construction.  Equals the other routes only for closed
     theta; ``evaluate_variation`` logs :func:`warn_if_not_closed` once per variation
@@ -280,7 +267,7 @@ def second_variation_square(block: GridGeometry, data: VariationData) -> np.ndar
     test subject.
     """
     q = data.div + np.einsum("an,an->n", data.theta, block.pg.T_coord)
-    return block.grid.row_sums(q * q * block.area_weight)
+    return q * q
 
 
 def warn_if_not_closed(defect: float) -> None:
@@ -305,16 +292,18 @@ def second_variation_fd_oracle(
     density of the deformed chart, (2, rows), for :func:`fd_second_difference`.
 
     The block forms its metric pieces C and Q and the densities of the four
-    deformed charts; rho(0) is the block's area weight.
+    deformed charts; an overflow there is a NaN that the report names, not a warning.
     """
     pg = block.pg
     cross, quad = _deformation(pg, data.theta, data.dtheta)
 
     def density(s):
-        return _weighted_area_density(pg.T, pg.positions + s * data.v, pg.g + s * cross + (s * s) * quad)
+        det = batch_det(pg.g + s * cross + (s * s) * quad)
+        return weighted_area_density(pg.T, pg.positions + s * data.v, det)
 
-    rest = 2 * block.area_weight
-    return np.stack([block.grid.row_sums(density(h) - rest + density(-h)) for h in steps])
+    rest = 2 * pg.area_weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([block.grid.row_sums(density(h) - rest + density(-h)) for h in steps])
 
 
 def fd_second_difference(second_differences, steps: tuple[float, float] = DEFAULT_FD_STEPS) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .charts import uniform_grid
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import mean_curvature_vector, point_geometry
+from .geometry import batch_det, mean_curvature_vector, point_geometry
 from .quadrature import QuadratureGrid, total
 from .variations import ScalarField
 
@@ -119,7 +119,8 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
         g_exact[0, 0], g_exact[1, 1] = sec**2, 1.0
         h_exact[0, 0, 0], h_exact[1, 0, 0] = 1.0, -np.tan(x)
         curvature = np.linalg.norm(mean_curvature_vector(pg), axis=0) - np.cos(x)
-        deviations = (pg.g - g_exact, pg.sqrt_det_g - sec, pg.h_coord - h_exact, curvature, pg.weight - sec)
+        area_density, weight = np.sqrt(batch_det(pg.g)), np.exp(np.einsum("p,pn->n", pg.T, pg.positions))
+        deviations = (pg.g - g_exact, area_density - sec, pg.h_coord - h_exact, curvature, weight - sec)
         return [np.max(np.abs(a)) for a in deviations]
 
     names = ("metric", "area_density", "second_fundamental_form", "mean_curvature", "weight")

@@ -30,17 +30,18 @@ from soliton_stability.expressions import compile_expression, variable_names
 from soliton_stability.geometry import (
     RANK_TOL,
     PointGeometry,
+    batch_det,
     mean_curvature_vector,
     point_geometry,
+    weighted_area_density,
 )
-from soliton_stability.quadrature import QuadratureGrid, tensor_rule, total
+from soliton_stability.quadrature import QuadratureGrid, tensor_rule
 from soliton_stability.reports import VariationReport, run_variation_suite
 from soliton_stability.stability import (
     GridGeometry,
     VariationData,
     _deformation,
     _sharp,
-    _weighted_area_density,
 )
 from soliton_stability.variations import (
     OneFormField,
@@ -225,7 +226,7 @@ def functional_value(chart: Chart, T, box, cells: int = 40, points_per_cell: int
     grid = tensor_rule(box, cells, points_per_cell)
     jets = eval_jets(chart, grid.nodes, order=1)
     g = np.einsum("man,mbn->abn", jets.d1, jets.d1)
-    return grid.integrate(_weighted_area_density(np.asarray(T, dtype=float), jets.val, g))
+    return grid.integrate(weighted_area_density(np.asarray(T, dtype=float), jets.val, batch_det(g)))
 
 
 def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
@@ -519,8 +520,8 @@ def tensor_grid(*axes) -> QuadratureGrid:
 
 
 def whole_grid_block(gg: GridGeometry) -> GridGeometry:
-    """``gg`` with every field of its point geometry kept: for tests that read the per-node
-    arrays a grid geometry drops, such as the normal frame or the translation weight."""
+    """``gg`` with its point geometry built afresh, so the normal frame a grid geometry drops
+    can be read."""
     return replace(gg, pg=point_geometry(gg.chart, gg.pg.T, gg.grid.nodes))
 
 
@@ -530,15 +531,15 @@ def variation_report(gg: GridGeometry, theta: OneFormField, seed: int | None = N
 
 
 def route_integral(route, block: GridGeometry, data: VariationData) -> float:
-    """A route's integral over ``block``: the total of the row sums it hands back."""
-    return total(route(block, data))
+    """A route's integral over ``block``: its integrand against the weighted area density."""
+    return block.grid.integrate(route(block, data) * block.pg.area_weight)
 
 
 def deformed_functional(block: GridGeometry, data: VariationData, s: float) -> float:
     """Box-local F of the chart  Phi + s V, from its metric g(s) on the block at once."""
     cross, quad = _deformation(block.pg, data.theta, data.dtheta)
     g = block.pg.g + s * cross + (s * s) * quad
-    return block.grid.integrate(_weighted_area_density(block.pg.T, block.pg.positions + s * data.v, g))
+    return block.grid.integrate(weighted_area_density(block.pg.T, block.pg.positions + s * data.v, batch_det(g)))
 
 
 def first_variation_fd(block: GridGeometry, data: VariationData, step: float = 2e-3) -> float:
@@ -577,7 +578,7 @@ def integration_by_parts_report(block: GridGeometry, fj: J.Jet) -> IntegrationBy
     pg, grid = block.pg, block.grid
     theta = fj.val
     nabla, div, _ = covariant_calculus(theta, fj.d1, fj.d2, pg)
-    w = block.area_weight
+    w = block.pg.area_weight
     theta_t = np.einsum("an,an->n", theta, pg.T_coord)
     sharp = _sharp(pg, theta)
     grad_div = div_grad(fj, pg, christoffel_partial(block.chart, grid.nodes))

@@ -73,6 +73,9 @@ def test_readme_config_block_is_the_defaults():
         {"fd_steps": [1e-3, 1e-3]},
         {"fd_steps": [0, 1e-3]},
         {"fd_steps": [1e-3]},
+        {"fd_steps": [1e-300, 2e-300]},
+        {"fd_steps": [1e300, 2e300]},
+        {"fd_steps": [1e150, 1e-150]},
         {"grid": {"cells": 2.5}},
         {"grid": {"points_per_cell": 4.0}},
         {"variations": {"count": "3"}},
@@ -96,6 +99,9 @@ def test_readme_config_block_is_the_defaults():
         "equal_steps",
         "zero_step",
         "one_step",
+        "steps_squaring_to_zero",
+        "steps_squaring_to_inf",
+        "step_ratio_squaring_to_inf",
         "fractional_cells",
         "float_points",
         "text_count",
@@ -123,6 +129,10 @@ def test_malformed_numeric_config_exits_2(tmp_path, capsys, override):
     assert run_cli("second-variation", "--config", str(bad), "--out", str(out)) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fd_steps_far_from_the_default_are_accepted():
+    assert load_config(None, {"fd_steps": [50, 25]})["fd_steps"] == [50, 25]
 
 
 DEEP = "x" + "+x" * 1000
@@ -285,6 +295,19 @@ def test_non_finite_result_exits_1_without_output(tmp_path, capsys, command):
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err == "error: translation weight exp(<T, x>) overflows on chart 'grim_reaper'\n"
+    assert not out.exists()
+
+
+def test_an_overflowing_fd_step_exits_1_with_one_error_line(tmp_path, capsys):
+    # the deformed charts' weighted area overflows at these steps, leaving Fpp_fd NaN;
+    # forming it prints no numpy warning, so the sanitizer's line is all of stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"variations": {"count": 1}, "fd_steps": [1e100, 5e99], "grid": {"cells": 4, "points_per_cell": 4}})
+    )
+    out = tmp_path / "r.json"
+    assert run_cli("second-variation", "--config", str(cfg), "--out", str(out)) == EXIT_FAIL
+    assert capsys.readouterr().err == "error: reports.0.Fpp_fd is nan, which a JSON report cannot hold\n"
     assert not out.exists()
 
 

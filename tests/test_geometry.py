@@ -181,11 +181,11 @@ def test_metric_and_weight_closed_forms(grim_reaper, T):
     assert np.allclose(pg.g[0, 1], 0.0, atol=1e-15)
     assert np.allclose(pg.g[1, 1], 1.0, atol=1e-15)
     assert np.allclose(pg.g_inv[0, 0], 1.0 / sec2, atol=1e-13)
-    assert np.allclose(pg.sqrt_det_g, np.sqrt(sec2), atol=1e-12)
-    assert np.allclose(pg.weight, 1.0 / np.cos(x), atol=1e-12)
-    # spot values: g = diag(4, 1) and weight 2 at x = pi/3
+    # the area density sec x times the translation weight sec x
+    assert np.allclose(pg.area_weight, sec2, atol=1e-12)
+    # spot values: g = diag(4, 1) and weighted area density 4 at x = pi/3
     assert np.allclose(pg.g[..., 0], np.diag([4.0, 1.0]), atol=1e-12)
-    assert np.isclose(pg.weight[0], 2.0, atol=1e-12)
+    assert np.isclose(pg.area_weight[0], 4.0, atol=1e-12)
     assert np.allclose(np.einsum("abn,bcn->acn", pg.g, pg.g_inv), np.eye(2)[..., None], atol=1e-12)
 
 

@@ -426,20 +426,32 @@ def test_one_node_rows_run_in_blocks_of_two_rows(monkeypatch, grim_reaper, T):
     assert row_blocks(grid, list(ss.grid_blocks(grim_reaper, T, grid))) == [2, 3]
 
 
-# the arrays a block keeps: what the routes read; every other field of point_geometry is dropped
-KEPT = ("positions", "tangents", "hessian", "g", "g_inv", "Gamma", "P", "h_coord")
-FORMED = ("dg_inv", "K", "T_coord", "frame_coeff", "h3")
-DROPPED = ("sqrt_det_g", "dg", "weight")
+# grim reaper x R^2 in C^4: the smallest d = 4 translator
+GRIM_REAPER_X_PLANE = {
+    "name": "grim_reaper_x_plane",
+    "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]],
+    "components": ["-log(cos(u1))", "u1", "u2", "0", "u3", "0", "u4", "0"],
+}
+
+# the arrays a block holds, all formed at build: what the routes read, and nothing else
+BUILT = (
+    "positions", "tangents", "hessian", "g", "g_inv", "area_weight", "Gamma", "dg_inv", "K", "P", "h_coord"
+)
+FORMED = ("T_coord", "frame_coeff", "h3")
 
 
-@pytest.mark.parametrize("spec", ["grim_reaper", GRIM_REAPER_X_LINE], ids=["d2", "d3"])
-def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
-    """Each block holds the whole grid's geometry at its rows, bit for bit, with the traces
-    the routes read formed and the construction intermediates dropped; the reported
+@pytest.mark.parametrize(
+    "spec, points",
+    [("grim_reaper", 5), (GRIM_REAPER_X_LINE, 3), (GRIM_REAPER_X_PLANE, 2)],
+    ids=["d2", "d3", "d4"],
+)
+def test_block_geometry_matches_the_full_grid(monkeypatch, spec, points):
+    """Each block holds the whole grid's geometry at its rows, bit for bit: the fields its
+    build forms and the frame traces the routes read, and nothing else; the reported
     functional at rest is the whole grid's."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
-    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=3 if d == 3 else 5)
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=points)
     T = np.eye(2 * d)[0]
     full = ss.point_geometry(chart, T, grid.nodes)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 2 * grid.nodes.shape[0] // grid.shape[0])
@@ -451,15 +463,13 @@ def test_block_geometry_matches_the_full_grid(monkeypatch, spec):
         start = rows.stop
         pg = block.pg
         assert pg.lagrangian is True and pg.T is full.T
-        assert set(vars(pg)) == {"T", "lagrangian", *KEPT, *FORMED, *DROPPED}
-        for name in KEPT + FORMED:
+        assert set(vars(pg)) == {"T", "lagrangian", *BUILT, *FORMED}
+        for name in BUILT + FORMED:
             assert np.array_equal(getattr(pg, name), getattr(full, name)[..., rows]), name
-        assert all(getattr(pg, name) is None for name in DROPPED)
         assert np.array_equal(block.translator_defect, translator_defect(full)[:, rows])
-        assert np.array_equal(block.area_weight, (full.weight * full.sqrt_det_g)[rows])
         assert block.soliton_residual == np.max(np.linalg.norm(block.translator_defect, axis=0))
     (report,) = ss.run_variation_suite(blocks, [(1, ss.random_hamiltonian_variation(grid.box, seed=1))])
-    assert report.F_value == grid.integrate(full.weight * full.sqrt_det_g)
+    assert report.F_value == grid.integrate(full.area_weight)
 
 
 # a translator to within soliton_tol whose Kaehler pullback, |d/dx 4e-9 exp(x - 0.8)|, passes
@@ -532,6 +542,34 @@ def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
     assert held_bytes < held * 8 * largest, held_bytes / (8 * largest)
     assert peak_bytes < peak * 8 * largest, peak_bytes / (8 * largest)
     assert walk_peak < peak * 8 * largest, walk_peak / (8 * largest)
+
+
+@pytest.mark.parametrize(
+    "spec, cells, points, held, peak",
+    [("grim_reaper", 20, 8, 63, 81), (GRIM_REAPER_X_LINE, 3, 10, 184, 240)],
+    ids=["d2", "d3"],
+)
+def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
+    """The order-2 build the certificates read holds 61 floats per node at d = 2 and 178 at
+    d = 3, and peaks at 78 and 233: it keeps the weighted area density alone, not the metric
+    derivatives, sqrt(det g) and exp(<T, x>) beside it, with which it held 70 and 206 and
+    peaked at 86 and 260."""
+    chart = ss.chart_from_config(spec)
+    d = chart.domain.shape[0]
+    T = np.eye(2 * d)[0]
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=cells, points_per_cell=points)
+    nodes = grid.rows(0, 8192 * grid.shape[0] // grid.nodes.shape[0]).nodes
+    ss.point_geometry(chart, T, nodes[:4], order=2)  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        pg = ss.point_geometry(chart, T, nodes, order=2)
+        held_bytes, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = nodes.shape[0]
+    assert pg.P is None and n > 8000
+    assert held_bytes < held * 8 * n, held_bytes / (8 * n)
+    assert peak_bytes < peak * 8 * n, peak_bytes / (8 * n)
 
 
 def test_chart_jets_memory_d3():

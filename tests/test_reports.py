@@ -7,6 +7,7 @@ import pytest
 
 import soliton_stability as ss
 from oracles import variation_report
+from soliton_stability import quadrature
 from soliton_stability.cli import EXIT_PASS, main
 from soliton_stability.errors import EvaluationError
 from soliton_stability.reports import CSV_COLUMNS, ROUTES, reports_to_csv, reports_to_json
@@ -39,6 +40,20 @@ def test_report_field_contract(gr_geometry_small):
         assert key in d
     assert d["kind"] == "hamiltonian"
     assert d["grid"]["cells"] == [10, 10]
+
+
+def test_each_route_returns_one_value_per_node_of_its_block(monkeypatch, grim_reaper, T, gr_support):
+    """A route is its integrand at the block's nodes; ``evaluate_variation`` alone weights it
+    and sums its rows."""
+    grid = ss.tensor_rule(gr_support, cells=4, points_per_cell=4)  # 16 rows of 16 nodes
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
+    theta = ss.random_hamiltonian_variation(gr_support, seed=3)
+    blocks = list(ss.grid_blocks(grim_reaper, T, grid))
+    assert len(blocks) == 4
+    for block in blocks:
+        data = ss.prepare_variation(block, theta)
+        for name, route in ROUTES.items():
+            assert route(block, data).shape == block.grid.nodes.shape[:1], name
 
 
 def test_json_round_trips_floats_exactly(gr_geometry_small):

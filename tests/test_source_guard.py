@@ -45,6 +45,12 @@
 * A jet is its levels: only ``jets.py`` lists ``val, d1, d2, d3`` by hand, so
   only it knows that a level above the order is None; every other module
   reads ``Jet.levels``.
+* A block's geometry is built once and holds what is read: one evaluator,
+  ``geometry.weighted_area_density``, forms the weighted area, which
+  ``PointGeometry.area_weight`` holds.  The intermediates ``sqrt_det_g``, the
+  second evaluator ``_weighted_area_density`` and the grid geometry's own
+  ``area_weight`` stay deleted, and no field of a built point geometry is set
+  to None.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
 and those in ``OUTSIDE_JETS`` in every module but ``jets.py``.
@@ -85,6 +91,10 @@ FORBIDDEN = {
     "deleted order-3 Christoffel tensor": r"\b(Gamma_partial|ddg|dbracket)\b",
     "deleted expanded-window evaluator": r"\b(_polynomial_bump_evaluator|_BUMP_COEFFS)\b",
     "deleted per-field window cache": r"\b_per_axis_cache\b",
+    "deleted area-density intermediate": r"\bsqrt_det_g\b",
+    "deleted second area evaluator": r"\b_weighted_area_density\b",
+    "geometry field nulled after its build": r"\bpg\.\w+\s*=\s*(pg\.\w+\s*=\s*)*None\b",
+    "area weight beside the point geometry": r"\b(block|gg)\.area_weight\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -134,6 +144,10 @@ CAUGHT = {
         "shared = [_per_axis_cache(functools.partial(window, a)) for a in range(1, d)]"
     ),
     "jet levels listed by hand": "for a in (jet.val, jet.d1, jet.d2, jet.d3):",
+    "deleted area-density intermediate": "sqrt_det_g = np.sqrt(det)",
+    "deleted second area evaluator": "w = _weighted_area_density(pg.T, pg.positions, pg.g)",
+    "geometry field nulled after its build": "pg.frame_coeff = pg.nu = None",
+    "area weight beside the point geometry": "at_rest = block.grid.row_sums(block.area_weight)",
 }
 
 
@@ -216,6 +230,8 @@ def test_guard_flags_each_pattern_and_nothing_else():
     assert violations(levels, "geometry.py") == []
     walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
     assert violations(walk) == []
+    built = "weight = block.pg.area_weight\nif pg.P is None:\ndg_inv = K = P = None\nif pg.K == None:"
+    assert violations(built) == []
 
 
 def test_every_module_is_scanned():

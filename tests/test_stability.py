@@ -18,7 +18,7 @@ from oracles import (
     whole_grid_block,
 )
 from soliton_stability.errors import NotASolitonError
-from soliton_stability.geometry import batch_det
+from soliton_stability.geometry import batch_det, weighted_area_density
 from soliton_stability.stability import DEFAULT_FD_STEPS, default_grid_for_support, prepare_variation
 
 
@@ -215,7 +215,7 @@ def test_drift_divergence_identity(gr_geometry_small):
     """int (lap v + <T, grad v>) w e^f dmu == -int <grad v, grad w> e^f dmu."""
     gg = gr_geometry_small
     block = whole_grid_block(gg)
-    pg, area_weight = block.pg, block.area_weight
+    pg, area_weight = block.pg, block.pg.area_weight
     for seed in (2, 14):
         v = ss.random_polynomial_field(gg.grid.box, seed=seed)
         w = ss.random_polynomial_field(gg.grid.box, seed=seed + 1000)
@@ -257,11 +257,11 @@ def test_deformed_functional_reuses_rest_metric(gr_geometry_small, perturbed, T)
         pg = block.pg
         data = prepare_variation(block, ss.random_hamiltonian_variation(gg.grid.box, seed=4))
         # bit for bit: at s = 0 the deformed metric is point_geometry's, and
-        # both sides use the same weight and the same determinant.  Pointwise
+        # both sides use the same evaluator and the same determinant.  Pointwise
         # last-bit differences of two determinants can cancel in the quadrature
-        # sum, so the shared determinant is also checked node by node.
-        assert deformed_functional(block, data, 0.0) == gg.grid.integrate(gg.area_weight)
-        assert np.array_equal(pg.sqrt_det_g, np.sqrt(batch_det(pg.g)))
+        # sum, so the shared density is also checked node by node.
+        assert deformed_functional(block, data, 0.0) == gg.grid.integrate(gg.pg.area_weight)
+        assert np.array_equal(pg.area_weight, weighted_area_density(pg.T, pg.positions, batch_det(pg.g)))
         # g + s C + s^2 Q is the Gram matrix of the deformed tangents t + s dV
         v_val, v_d1 = data.v, ss.variation_field_jets(data.theta, data.dtheta, pg)
         for s in (2e-3, -1e-3, 0.5):
