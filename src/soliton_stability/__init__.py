@@ -10,13 +10,8 @@ nonnegative perfect-square integral.
 from .charts import (
     Chart,
     apply_J,
-    builtin_chart,
     chart_from_config,
     eval_jets,
-    flat_lagrangian_plane,
-    grim_reaper_cylinder,
-    non_lagrangian_patch,
-    perturbed_grim_reaper,
     uniform_grid,
 )
 from .errors import (

@@ -4,10 +4,11 @@ A :class:`Chart` maps a rectangular parameter box into ambient space and is
 evaluated through jet arithmetic, so tangents, second fundamental data and
 Christoffel derivatives downstream are exact to round-off.  The ambient space
 is C^n with its standard complex structure, which :func:`apply_J` applies by
-index; the translation direction T is a plain vector of length 2n.  Builtin
-charts cover the test matter: the grim reaper cylinder translator, the flat
-Lagrangian plane, a Lagrangian perturbation of the cylinder that is no longer
-a translator, and a non-Lagrangian graph patch.
+index; the translation direction T is a plain vector of length 2n.  Every
+chart is built by :func:`chart_from_config` from an expression spec, the
+builtins included: :data:`BUILTIN_CHARTS` holds the specs of the grim reaper
+cylinder translator, the flat Lagrangian plane, a Lagrangian perturbation of
+the cylinder that is no longer a translator, and a non-Lagrangian graph patch.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ __all__ = [
     "Chart",
     "apply_J",
     "eval_jets",
-    "grim_reaper_cylinder",
-    "flat_lagrangian_plane",
-    "perturbed_grim_reaper",
-    "non_lagrangian_patch",
-    "builtin_chart",
     "chart_from_config",
     "BUILTIN_CHARTS",
     "uniform_grid",
@@ -97,93 +93,41 @@ def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
 
 
 # ---------------------------------------------------------------------------
-# builtin charts
-
-
-def grim_reaper_cylinder(delta: float = 0.1, y_extent: float = 3.0) -> Chart:
-    """Product of the planar grim reaper curve (-log cos x, x) with a line.
-
-    The x-range is truncated to [-pi/2 + delta, pi/2 - delta] because both the
-    chart and the translation weight blow up at |x| = pi/2.
-    """
-
-    def mapping(params):
-        x, y = params
-        return [-J.log(J.cos(x)), x, y, 0.0]
-
-    dom = np.array([[-math.pi / 2 + delta, math.pi / 2 - delta], [-y_extent, y_extent]])
-    return Chart("grim_reaper", dom, 4, mapping)
-
-
-def flat_lagrangian_plane(extent: float = 3.0) -> Chart:
-    """The plane (x, 0, y, 0): a trivial translator for any tangent T."""
-
-    def mapping(params):
-        x, y = params
-        return [x, 0.0, y, 0.0]
-
-    dom = np.array([[-extent, extent], [-extent, extent]])
-    return Chart("flat_plane", dom, 4, mapping)
-
-
-def perturbed_grim_reaper(eps: float = 0.05, delta: float = 0.1, y_extent: float = 3.0) -> Chart:
-    """Lagrangian perturbation of the grim reaper cylinder; not a translator.
-
-    Generated by adding -eps*cos(x)*sin(y) to the graph potential, so the
-    first ambient coordinate gains eps*sin(x)*sin(y) and the fourth becomes
-    eps*cos(x)*cos(y).  Closedness of the generating form keeps the Kaehler
-    pullback exactly zero for every eps.
-    """
-
-    def mapping(params):
-        x, y = params
-        return [
-            -J.log(J.cos(x)) + eps * J.sin(x) * J.sin(y),
-            x,
-            y,
-            eps * J.cos(x) * J.cos(y),
-        ]
-
-    dom = np.array([[-math.pi / 2 + delta, math.pi / 2 - delta], [-y_extent, y_extent]])
-    return Chart(f"perturbed_grim_reaper(eps={eps})", dom, 4, mapping)
-
-
-def non_lagrangian_patch(extent: float = 1.0) -> Chart:
-    """Graph patch (x, y, x^2, 0); its Kaehler pullback is identically 1."""
-
-    def mapping(params):
-        x, y = params
-        return [x, y, x * x, 0.0]
-
-    dom = np.array([[-extent, extent], [-extent, extent]])
-    return Chart("non_lagrangian_patch", dom, 4, mapping)
-
-
-BUILTIN_CHARTS: dict[str, Callable[..., Chart]] = {
-    "grim_reaper": grim_reaper_cylinder,
-    "flat_plane": flat_lagrangian_plane,
-    "perturbed_grim_reaper": perturbed_grim_reaper,
-    "non_lagrangian_patch": non_lagrangian_patch,
+# builtin charts: expression specs, each named by its key unless it names itself.
+# Both grim reapers stop x 0.1 short of +-pi/2, where the chart and the translation
+# weight blow up.  The perturbation adds -0.05*cos(x)*sin(y) to the cylinder's graph
+# potential (the first coordinate gains 0.05*sin(x)*sin(y), the fourth becomes
+# 0.05*cos(x)*cos(y)); its generating form is closed, so the Kaehler pullback stays
+# exactly zero, but the chart is no longer a translator.
+BUILTIN_CHARTS: dict[str, dict] = {
+    "grim_reaper": {
+        "domain": [[-math.pi / 2 + 0.1, math.pi / 2 - 0.1], [-3.0, 3.0]],
+        "components": ["-log(cos(x))", "x", "y", "0"],
+    },
+    "flat_plane": {"domain": [[-3.0, 3.0], [-3.0, 3.0]], "components": ["x", "0", "y", "0"]},
+    "perturbed_grim_reaper": {
+        "name": "perturbed_grim_reaper(eps=0.05)",
+        "domain": [[-math.pi / 2 + 0.1, math.pi / 2 - 0.1], [-3.0, 3.0]],
+        "components": ["-log(cos(x)) + 0.05 * sin(x) * sin(y)", "x", "y", "0.05 * cos(x) * cos(y)"],
+    },
+    "non_lagrangian_patch": {"domain": [[-1.0, 1.0], [-1.0, 1.0]], "components": ["x", "y", "x * x", "0"]},
 }
 
 
-def builtin_chart(name: str) -> Chart:
-    if name not in BUILTIN_CHARTS:
-        raise ExpressionError(f"unknown chart {name!r}; builtins are {sorted(BUILTIN_CHARTS)}")
-    return BUILTIN_CHARTS[name]()
-
-
 def chart_from_config(spec) -> Chart:
-    """Build a chart from a name or an expression-tree definition.
+    """Build a chart from a builtin name or an expression spec, the one way to build a chart.
 
-    Expression charts are dictionaries
+    A spec is a dictionary
     ``{"name": str, "domain": [[lo, hi], ...], "components": [expr, ...]}``
     with components written in the grammar of
-    :mod:`soliton_stability.expressions` over variables ``x, y`` (or
-    ``u1..ud``).
+    :mod:`soliton_stability.expressions` over variables ``x, y, z`` (or
+    ``u1..ud``).  A name is a key of :data:`BUILTIN_CHARTS`, whose spec is
+    compiled the same way.
     """
     if isinstance(spec, str):
-        return builtin_chart(spec)
+        if spec not in BUILTIN_CHARTS:
+            raise ExpressionError(f"unknown chart {spec!r}; builtins are {sorted(BUILTIN_CHARTS)}")
+        spec = {"name": spec, **BUILTIN_CHARTS[spec]}
     if not isinstance(spec, dict):
         raise ExpressionError("chart spec must be a name or a mapping")
     for key in spec:

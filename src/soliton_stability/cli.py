@@ -160,7 +160,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict[str, An
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deeply
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     given = {key: value for key, value in (overrides or {}).items() if value is not None}
     return _resolve(SCHEMA, raw, given)

@@ -66,6 +66,12 @@ __all__ = [
 RANK_TOL = 1e-8
 LAGRANGIAN_DETECT_TOL = 1e-9
 
+
+def lagrangian_dims(d: int, m: int) -> bool:
+    """The dimension rule of a Lagrangian chart: d parameters in C^d, so m = 2d."""
+    return m == 2 * d
+
+
 @dataclass
 class PointGeometry:
     """Pointwise geometry of a chart at a batch of points, node axis last; each field is formed at build."""
@@ -89,7 +95,7 @@ class PointGeometry:
     def lagrangian(self) -> bool:
         """Whether the Kaehler pullback vanishes, to LAGRANGIAN_DETECT_TOL, at every point."""
         m, d = self.tangents.shape[:2]
-        if m != 2 * d:
+        if not lagrangian_dims(d, m):
             return False
         defect = float(np.max(np.abs(kaehler_pullback(self.tangents))))
         return defect < LAGRANGIAN_DETECT_TOL
@@ -289,12 +295,18 @@ def soliton_residual(chart: Chart, T, grid: QuadratureGrid) -> DiagnosticsReport
     """Maxima of |T^perp - H| and of the Kaehler pullback over the nodes of ``grid``.
 
     A vanishing residual certifies the translator equation; the pullback
-    certifies the Lagrangian condition.  The grid is walked one row block at a
+    certifies the Lagrangian condition, so a chart whose dimensions no
+    Lagrangian chart has (:func:`lagrangian_dims`) is refused with
+    UnsupportedChartError.  The grid is walked one row block at a
     time (:meth:`QuadratureGrid.blocks`), and each block's order-2 geometry is
     dropped before the next is built, so memory is bounded at any number of
     points; only the per-block maxima are kept, and ``np.max`` over them keeps
     a NaN.
     """
+    if not lagrangian_dims(chart.dim, chart.ambient_dim):
+        raise UnsupportedChartError(
+            f"a Lagrangian chart has m = 2d; chart {chart.name!r} has d = {chart.dim}, m = {chart.ambient_dim}"
+        )
 
     def maxima(points):
         pg = point_geometry(chart, T, points, order=2)

@@ -11,17 +11,17 @@ def T():
 
 @pytest.fixture(scope="session")
 def grim_reaper():
-    return ss.grim_reaper_cylinder()
+    return ss.chart_from_config("grim_reaper")
 
 
 @pytest.fixture(scope="session")
 def flat_plane():
-    return ss.flat_lagrangian_plane()
+    return ss.chart_from_config("flat_plane")
 
 
 @pytest.fixture(scope="session")
 def perturbed():
-    return ss.perturbed_grim_reaper(0.05)
+    return ss.chart_from_config("perturbed_grim_reaper")
 
 
 @pytest.fixture(scope="session")

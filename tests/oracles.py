@@ -13,12 +13,13 @@ Riemann tensor intrinsically and by the Gauss equation, the Ricci identity
 through the gradient of the divergence) or reads a structural property off a
 result (index symmetry of a jet, one derivative of a jet) or builds what the
 package does not offer (a field windowed in y alone, a tensor grid on given
-axis nodes).  Jets are node-last,
+axis nodes, the builtin charts as hand-written jet closures).  Jets are node-last,
 as in the package: ``d1[..., a, n]``, ``d2[..., a, b, n]``, ``d3[..., a, b, c, n]``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,6 +131,49 @@ def partial(jet: J.Jet, i: int) -> J.Jet:
         jet.d2[..., i, :, :],
         None if jet.d3 is None else jet.d3[..., i, :, :, :],
     )
+
+
+# ---------------------------------------------------------------------------
+# the builtin charts as hand-written jet closures
+
+
+def _reference_chart(name: str, domain, mapping) -> Chart:
+    return Chart(name, np.array(domain), 4, mapping)
+
+
+def _grim_reaper(params):
+    x, y = params
+    return [-J.log(J.cos(x)), x, y, 0.0]
+
+
+def _flat_plane(params):
+    x, y = params
+    return [x, 0.0, y, 0.0]
+
+
+def _perturbed_grim_reaper(params, eps=0.05):
+    x, y = params
+    return [-J.log(J.cos(x)) + eps * J.sin(x) * J.sin(y), x, y, eps * J.cos(x) * J.cos(y)]
+
+
+def _non_lagrangian_patch(params):
+    x, y = params
+    return [x, y, x * x, 0.0]
+
+
+_REAPER_DOMAIN = [[-math.pi / 2 + 0.1, math.pi / 2 - 0.1], [-3.0, 3.0]]
+
+# builtin name -> the chart its spec compiles to, written out by hand
+REFERENCE_CHARTS = {
+    "grim_reaper": _reference_chart("grim_reaper", _REAPER_DOMAIN, _grim_reaper),
+    "flat_plane": _reference_chart("flat_plane", [[-3.0, 3.0], [-3.0, 3.0]], _flat_plane),
+    "perturbed_grim_reaper": _reference_chart(
+        "perturbed_grim_reaper(eps=0.05)", _REAPER_DOMAIN, _perturbed_grim_reaper
+    ),
+    "non_lagrangian_patch": _reference_chart(
+        "non_lagrangian_patch", [[-1.0, 1.0], [-1.0, 1.0]], _non_lagrangian_patch
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     assert worst_ricci <= 1e-7
     assert worst_parts <= 1e-6
     gauss_worst = 0.0
-    for chart in (grim_reaper, ss.perturbed_grim_reaper(0.05), ss.flat_lagrangian_plane()):
+    for chart in (grim_reaper, ss.chart_from_config("perturbed_grim_reaper"), ss.chart_from_config("flat_plane")):
         pts = ss.uniform_grid(chart, 20).nodes
         r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
         gauss_worst = max(gauss_worst, float(np.max(np.abs(r_int - r_gauss))))

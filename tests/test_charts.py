@@ -1,7 +1,9 @@
 """Builtin charts, the expression grammar, and the jet oracle monitor."""
 
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soliton_stability as ss
-from oracles import fd_discrepancy, finite_difference_jet, standard_J
+from oracles import REFERENCE_CHARTS, fd_discrepancy, finite_difference_jet, standard_J
+from soliton_stability.charts import BUILTIN_CHARTS
 from soliton_stability.errors import DomainError, EvaluationError, ExpressionError
 from soliton_stability.expressions import compile_expression
 import soliton_stability.jets as J
@@ -198,7 +201,25 @@ def test_chart_from_config_errors():
     with pytest.raises(ExpressionError):
         ss.chart_from_config({"domain": [[0, 1]], "components": ["x", "x"], "extra": 1})
     with pytest.raises(ExpressionError):
-        ss.builtin_chart("no_such_chart")
+        ss.chart_from_config("no_such_chart")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CHARTS))
+def test_builtin_chart_is_its_hand_written_closure(name):
+    """Each builtin spec compiles to the chart its reference closure writes out: the same
+    name, domain and order-3 jets, bit for bit."""
+    chart, reference = ss.chart_from_config(name), REFERENCE_CHARTS[name]
+    assert (chart.name, chart.ambient_dim) == (reference.name, reference.ambient_dim)
+    assert chart.domain.tobytes() == reference.domain.tobytes()
+    nodes = ss.uniform_grid(chart, 7).nodes
+    got, want = ss.eval_jets(chart, nodes, 3).levels, ss.eval_jets(reference, nodes, 3).levels
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_readme_lists_the_builtin_charts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"`chart` is a builtin name \(([^)]*)\)", readme)
+    assert re.findall(r"`(\w+)`", listed) == sorted(BUILTIN_CHARTS)
 
 
 def test_uniform_grid_is_interior(grim_reaper):

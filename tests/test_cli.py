@@ -58,6 +58,10 @@ def test_config_parse_error_exits_2(tmp_path):
     for top_level in ([1], 5):
         bad.write_text(json.dumps(top_level))
         assert run_cli("verify-soliton", "--config", str(bad)) == EXIT_CONFIG
+    # not UTF-8, nested past the JSON decoder's recursion limit, an int past Python's digit limit
+    for raw in (b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b'{"grid": {"cells": ' + b"9" * 5000 + b"}}"):
+        bad.write_bytes(raw)
+        assert run_cli("verify-soliton", "--config", str(bad)) == EXIT_CONFIG
 
 
 def test_readme_config_block_is_the_defaults():
@@ -480,6 +484,31 @@ def test_cylinder_refuses_a_chart_of_another_dimension(tmp_path, capsys, chart, 
     d, m = len(chart["domain"]), len(T)
     message = f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}"
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        {"name": "line_in_c2", "domain": [[-1.0, 1.0]], "components": ["x", "0", "0", "0"]},
+        {"name": "plane_in_c3", "domain": [[-1.0, 1.0]] * 2, "components": ["x", "0", "y", "0", "0", "0"]},
+    ],
+    ids=["line_in_c2", "plane_in_c3"],
+)
+@pytest.mark.parametrize("command", ["verify-soliton", "second-variation"])
+def test_a_chart_of_non_lagrangian_dimensions_exits_1(tmp_path, capsys, chart, command):
+    """A chart with m != 2d passes no Lagrangian gate: its Kaehler pullback may vanish, but
+    no such chart is Lagrangian."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    T = [1.0] + [0.0] * (len(chart["components"]) - 1)
+    cfg.write_text(json.dumps({"chart": chart, "T": T, "grid": {"cells": 4, "points_per_cell": 4}}))
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_FAIL
+    d, m = len(chart["domain"]), len(T)
+    if command == "verify-soliton":
+        message = f"a Lagrangian chart has m = 2d; chart {chart['name']!r} has d = {d}, m = {m}"
+    else:
+        message = "the one-form/normal-field correspondence needs a Lagrangian chart"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

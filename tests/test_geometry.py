@@ -87,7 +87,7 @@ GRIM_REAPER_X_LINE = {
 
 @pytest.mark.parametrize(
     "chart, cells, points_per_cell",
-    [(ss.builtin_chart("grim_reaper"), 40, 8), (ss.chart_from_config(GRIM_REAPER_X_LINE), 3, 10)],
+    [(ss.chart_from_config("grim_reaper"), 40, 8), (ss.chart_from_config(GRIM_REAPER_X_LINE), 3, 10)],
     ids=["grim_reaper", "grim_reaper_x_line"],
 )
 def test_frame_equals_lapack_bits_on_suite_grids(chart, cells, points_per_cell):
@@ -310,14 +310,14 @@ def test_soliton_residual_certificates(grim_reaper, flat_plane, perturbed, T):
 
 
 def test_lagrangian_defect_on_non_lagrangian_patch(T):
-    patch = ss.non_lagrangian_patch()
+    patch = ss.chart_from_config("non_lagrangian_patch")
     defect = ss.soliton_residual(patch, T, ss.uniform_grid(patch, 10)).max_lagrangian_defect
     assert defect > 0.5  # identically 1 for this patch
 
 
 def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
     # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
-    for chart in (grim_reaper, flat_plane, perturbed, ss.non_lagrangian_patch()):
+    for chart in (grim_reaper, flat_plane, perturbed, ss.chart_from_config("non_lagrangian_patch")):
         grid = ss.uniform_grid(chart, 12)
         pts = grid.nodes
         r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
@@ -415,7 +415,7 @@ def test_non_finite_given_jets_raise_naming_the_point(d, slot):
 @pytest.mark.parametrize("name", list(BUILTIN_CHARTS))
 def test_lagrangian_flag_is_detected_on_builtin_charts(T, name):
     """The pullback is exactly 0 on the Lagrangian builtins and 1 on the other: far from the 1e-9 cut."""
-    chart = ss.builtin_chart(name)
+    chart = ss.chart_from_config(name)
     pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 60).nodes)
     lagrangian = name != "non_lagrangian_patch"
     assert pg.lagrangian is lagrangian

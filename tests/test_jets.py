@@ -339,7 +339,7 @@ def test_taylor_remainder_order(u):
     The direction needs a solid component along the curved coordinate so the
     remainder sits well above the round-off floor at both steps.
     """
-    chart = ss.grim_reaper_cylinder()
+    chart = ss.chart_from_config("grim_reaper")
     v = np.array([0.8, 0.6])
     j = ss.eval_jets(chart, np.array([u]))
 
@@ -361,7 +361,7 @@ def test_taylor_remainder_order(u):
 
 
 def test_finite_difference_oracle_agrees():
-    chart = ss.grim_reaper_cylinder()
+    chart = ss.chart_from_config("grim_reaper")
     exact = ss.eval_jets(chart, np.array([[0.0, 0.0]]))
     fd = finite_difference_jet(chart, [0.0, 0.0], h=1e-4)
     assert np.max(np.abs(fd.d1 - exact.d1)) < 1e-7

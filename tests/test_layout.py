@@ -65,7 +65,7 @@ def _cubic():
 PRODUCERS = {
     "evaluate-scalar": (lambda: J.evaluate(lambda s: J.sin(s[0]) * s[1], POINTS2, 3), (), 2, 30, 3),
     "evaluate-stacked": (lambda: J.evaluate(lambda s: [s[1] * s[0], 1.0], POINTS2, 3), (2,), 2, 30, 3),
-    "chart": (lambda: ss.eval_jets(ss.grim_reaper_cylinder(), POINTS2, 3), (4,), 2, 30, 3),
+    "chart": (lambda: ss.eval_jets(ss.chart_from_config("grim_reaper"), POINTS2, 3), (4,), 2, 30, 3),
     "chart-3d": (lambda: ss.eval_jets(_cubic(), POINTS3, 2), (6,), 3, 30, 2),
     "field-closed-form-row": (lambda: _scalar(SUPPORT2).eval_jets(GRID2.rows(2, 3), 3), (), 2, 6, 3),
     "field-closed-form-grid": (lambda: _scalar(SUPPORT2).eval_jets(GRID2, 3), (), 2, 36, 3),

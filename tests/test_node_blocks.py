@@ -172,7 +172,7 @@ def test_chart_jets_are_block_invariant(monkeypatch, spec, order):
 def test_chart_map_jets_may_return_any_sequence(container):
     # Chart.map_jets is typed Sequence: a tuple (or any iterable) of components
     # gives the same jets as a list, on all the points and on each node block
-    chart = ss.grim_reaper_cylinder()
+    chart = ss.chart_from_config("grim_reaper")
     other = Chart(
         "grim_reaper_tuple",
         chart.domain,

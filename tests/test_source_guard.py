@@ -51,6 +51,12 @@
   second evaluator ``_weighted_area_density`` and the grid geometry's own
   ``area_weight`` stay deleted, and no field of a built point geometry is set
   to None.
+* Every chart is an expression spec, built by ``chart_from_config``: the
+  builtins are the specs in ``BUILTIN_CHARTS``, and the factories that wrote
+  them as jet closures (``grim_reaper_cylinder``, ``flat_lagrangian_plane``,
+  ``perturbed_grim_reaper``, ``non_lagrangian_patch``) and their lookup
+  ``builtin_chart`` stay deleted; ``tests/oracles.py`` keeps the closures as a
+  reference.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
 and those in ``OUTSIDE_JETS`` in every module but ``jets.py``.
@@ -95,6 +101,10 @@ FORBIDDEN = {
     "deleted second area evaluator": r"\b_weighted_area_density\b",
     "geometry field nulled after its build": r"\bpg\.\w+\s*=\s*(pg\.\w+\s*=\s*)*None\b",
     "area weight beside the point geometry": r"\b(block|gg)\.area_weight\b",
+    "deleted builtin chart factory": (
+        r"\bdef (grim_reaper_cylinder|flat_lagrangian_plane|perturbed_grim_reaper|non_lagrangian_patch)\b"
+    ),
+    "deleted builtin chart lookup": r"\bbuiltin_chart\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -148,6 +158,8 @@ CAUGHT = {
     "deleted second area evaluator": "w = _weighted_area_density(pg.T, pg.positions, pg.g)",
     "geometry field nulled after its build": "pg.frame_coeff = pg.nu = None",
     "area weight beside the point geometry": "at_rest = block.grid.row_sums(block.area_weight)",
+    "deleted builtin chart factory": "def grim_reaper_cylinder(delta: float = 0.1, y_extent: float = 3.0) -> Chart:",
+    "deleted builtin chart lookup": "        return builtin_chart(spec)",
 }
 
 
@@ -230,6 +242,11 @@ def test_guard_flags_each_pattern_and_nothing_else():
     assert violations(levels, "geometry.py") == []
     walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
     assert violations(walk) == []
+    factories = ("def flat_lagrangian_plane(", "def perturbed_grim_reaper(eps", "def non_lagrangian_patch(")
+    for line in factories:
+        assert violations(line) == [(1, "deleted builtin chart factory")], line
+    specs = 'BUILTIN_CHARTS = {"perturbed_grim_reaper": {"name": "perturbed_grim_reaper(eps=0.05)"}}'
+    assert violations(specs + "\nreturn chart_from_config(name)") == []
     built = "weight = block.pg.area_weight\nif pg.P is None:\ndg_inv = K = P = None\nif pg.K == None:"
     assert violations(built) == []
 

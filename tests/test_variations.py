@@ -383,7 +383,7 @@ def test_unit_form_gives_unit_normal(grim_reaper, T):
 
 
 def test_correspondence_requires_lagrangian(T):
-    patch = ss.non_lagrangian_patch()
+    patch = ss.chart_from_config("non_lagrangian_patch")
     pg = ss.point_geometry(patch, T, np.array([[0.1, 0.1]]))
     with pytest.raises(UnsupportedChartError):
         ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
