@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
-from .errors import DomainError, EvaluationError, ExpressionError
+from .errors import DomainError, EvaluationError, ExpressionError, UnsupportedChartError
 from .expressions import compile_expression, is_finite_number, variable_names
 from .quadrature import QuadratureGrid
 
@@ -65,6 +65,19 @@ def apply_J(v: np.ndarray) -> np.ndarray:
     out[0::2] = v[1::2]
     np.negative(v[0::2], out=out[1::2])
     return out
+
+
+def lagrangian_dims(d: int, m: int) -> bool:
+    """The dimension rule of a Lagrangian chart: d parameters in C^d, so m = 2d."""
+    return m == 2 * d
+
+
+def require_lagrangian_dims(chart: Chart) -> None:
+    """Refuse with UnsupportedChartError a chart whose dimensions no Lagrangian chart has."""
+    if not lagrangian_dims(chart.dim, chart.ambient_dim):
+        raise UnsupportedChartError(
+            f"a Lagrangian chart has m = 2d; chart {chart.name!r} has d = {chart.dim}, m = {chart.ambient_dim}"
+        )
 
 
 def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:

@@ -6,17 +6,21 @@ Subcommands
                        sampling grid; exit 0 iff both are below tolerance.
 ``second-variation``   the seeded variation suite with all four routes; exit 0
                        iff every report satisfies route agreement, oracle
-                       agreement and positivity.  With ``--demonstrate-failure``
-                       a non-closed variation is run instead and exit 0 means
-                       the square/operator mismatch exceeded its threshold.
+                       agreement, positivity and closedness of its one-form
+                       (``tolerances.lagrangian_defect``).  With
+                       ``--demonstrate-failure`` a non-closed variation is run
+                       instead and exit 0 means the square/operator mismatch
+                       exceeded its threshold.
 ``cylinder``           the full grim reaper cylinder pipeline: geometry
                        closed forms, stability inequality for random variation
                        pairs, per-slice Wirtinger checks and the discrete
                        Dirichlet gap.
 
-Exit codes: 0 pass, 1 check failed, 2 configuration error, 3 precondition
-violation (not a translator).  ``SOLITON_STABILITY_LOG`` selects the log
-level.  All defaults are embedded, so every command runs with no arguments.
+Each command returns its text and its verdict; :func:`main` writes the text
+and maps the verdict to an exit code: 0 pass, 1 check failed, 2 configuration
+error, 3 precondition violation (not a translator).  ``SOLITON_STABILITY_LOG``
+selects the log level.  All defaults are embedded, so every command runs with
+no arguments.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .wirtinger import (
     closed_form_deviations,
     cylinder_stability_integrals,
     dirichlet_gap,
-    require_cylinder_dims,
 )
 
 EXIT_PASS = 0
@@ -191,27 +194,20 @@ def _emit(text: str, path: str | None) -> None:
 # commands
 
 
-def cmd_verify_soliton(cfg: dict) -> int:
-    chart, T = chart_and_T(cfg)
+def cmd_verify_soliton(cfg: dict, chart: Chart, T: list) -> tuple[str, bool]:
     grid = uniform_grid(chart, cfg["grid"]["diagnostic_points"])
     report = soliton_residual(chart, T, grid)
-    tols = cfg["tolerances"]
+    tols = {key: cfg["tolerances"][key] for key in ("soliton_residual", "lagrangian_defect")}
     passed = (
         report.max_soliton_residual <= tols["soliton_residual"]
         and report.max_lagrangian_defect <= tols["lagrangian_defect"]
     )
-    payload = report.to_dict()
-    payload["tolerances"] = {
-        "soliton_residual": tols["soliton_residual"],
-        "lagrangian_defect": tols["lagrangian_defect"],
-    }
-    payload["passed"] = passed
-    _emit(reports_to_json(payload), cfg["output"]["path"])
-    return EXIT_PASS if passed else EXIT_FAIL
+    return reports_to_json({**report.to_dict(), "tolerances": tols, "passed": passed}), passed
 
 
-def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: int = 1) -> int:
-    chart, T = chart_and_T(cfg)
+def cmd_second_variation(
+    cfg: dict, chart: Chart, T: list, demonstrate_failure: bool = False, workers: int = 1
+) -> tuple[str, bool]:
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     var_cfg = cfg["variations"]
@@ -249,21 +245,17 @@ def cmd_second_variation(cfg: dict, demonstrate_failure: bool = False, workers: 
             and r.fd_rel_diff <= tols["fd_agreement"]
             and r.Fpp_square >= 0.0
             and r.Fpp_operator >= -tols["operator_positivity"] * r.scale
+            and r.lagrangian_defect <= tols["lagrangian_defect"]
             for r in reports
         )
         summary = {"passed": ok, "count": len(reports)}
     if cfg["output"]["format"] == "csv":
-        text = reports_to_csv(reports)
-    else:
-        text = reports_to_json(reports, extra=summary)
-    _emit(text, cfg["output"]["path"])
-    return EXIT_PASS if ok else EXIT_FAIL
+        return reports_to_csv(reports), ok
+    return reports_to_json(reports, extra=summary), ok
 
 
-def cmd_cylinder(cfg: dict) -> int:
+def cmd_cylinder(cfg: dict, chart: Chart, T: list) -> tuple[str, bool]:
     """Full closed-form pipeline on the grim reaper cylinder."""
-    chart, T = chart_and_T(cfg)
-    require_cylinder_dims(chart.dim, chart.ambient_dim)
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     checks: dict[str, Any] = {}
@@ -296,8 +288,8 @@ def cmd_cylinder(cfg: dict) -> int:
             }
         )
     checks["stability_pairs"] = pair_rows
-    checks["stability_inequality_ok"] = bool(inequality_ok)
-    checks["wirtinger_slices_ok"] = bool(slices_ok)
+    checks["stability_inequality_ok"] = inequality_ok
+    checks["wirtinger_slices_ok"] = slices_ok
 
     n = cfg["dirichlet_intervals"]
     gap = dirichlet_gap(n)
@@ -307,8 +299,7 @@ def cmd_cylinder(cfg: dict) -> int:
 
     passed = geo_ok and inequality_ok and slices_ok and gap_ok
     checks["passed"] = passed
-    _emit(reports_to_json(checks), cfg["output"]["path"])
-    return EXIT_PASS if passed else EXIT_FAIL
+    return reports_to_json(checks), passed
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +370,15 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"output.format must be 'json' for {args.command}, got {cfg['output']['format']!r}"
             )
+        chart, T = chart_and_T(cfg)
         if args.command == "verify-soliton":
-            return cmd_verify_soliton(cfg)
-        if args.command == "cylinder":
-            return cmd_cylinder(cfg)
-        return cmd_second_variation(cfg, args.demonstrate_failure, args.workers)
+            text, passed = cmd_verify_soliton(cfg, chart, T)
+        elif args.command == "cylinder":
+            text, passed = cmd_cylinder(cfg, chart, T)
+        else:
+            text, passed = cmd_second_variation(cfg, chart, T, args.demonstrate_failure, args.workers)
+        _emit(text, cfg["output"]["path"])  # inside the try: an unwritable path exits 2
+        return EXIT_PASS if passed else EXIT_FAIL
     except (ConfigurationError, ExpressionError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

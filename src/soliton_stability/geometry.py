@@ -46,7 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from .charts import Chart, apply_J, eval_jets
+from .charts import Chart, apply_J, eval_jets, lagrangian_dims, require_lagrangian_dims
 from .errors import EvaluationError, ImmersionError, UnsupportedChartError
 from .quadrature import QuadratureGrid
 
@@ -65,11 +65,6 @@ __all__ = [
 
 RANK_TOL = 1e-8
 LAGRANGIAN_DETECT_TOL = 1e-9
-
-
-def lagrangian_dims(d: int, m: int) -> bool:
-    """The dimension rule of a Lagrangian chart: d parameters in C^d, so m = 2d."""
-    return m == 2 * d
 
 
 @dataclass
@@ -296,17 +291,13 @@ def soliton_residual(chart: Chart, T, grid: QuadratureGrid) -> DiagnosticsReport
 
     A vanishing residual certifies the translator equation; the pullback
     certifies the Lagrangian condition, so a chart whose dimensions no
-    Lagrangian chart has (:func:`lagrangian_dims`) is refused with
-    UnsupportedChartError.  The grid is walked one row block at a
-    time (:meth:`QuadratureGrid.blocks`), and each block's order-2 geometry is
-    dropped before the next is built, so memory is bounded at any number of
-    points; only the per-block maxima are kept, and ``np.max`` over them keeps
-    a NaN.
+    Lagrangian chart has is refused first, by :func:`charts.require_lagrangian_dims`.
+    The grid is walked one row block at a time (:meth:`QuadratureGrid.blocks`),
+    and each block's order-2 geometry is dropped before the next is built, so
+    memory is bounded at any number of points; only the per-block maxima are
+    kept, and ``np.max`` over them keeps a NaN.
     """
-    if not lagrangian_dims(chart.dim, chart.ambient_dim):
-        raise UnsupportedChartError(
-            f"a Lagrangian chart has m = 2d; chart {chart.name!r} has d = {chart.dim}, m = {chart.ambient_dim}"
-        )
+    require_lagrangian_dims(chart)
 
     def maxima(points):
         pg = point_geometry(chart, T, points, order=2)

@@ -190,26 +190,16 @@ def _report(chart, grid, F, seed, kind, sums, fd_steps) -> VariationReport:
         kind=kind,
         grid=grid,
         F_value=F,
-        first_var=integral["first_var"],
-        Fpp_operator=op,
-        Fpp_divergence=dv,
-        Fpp_square=sq,
         Fpp_fd=fd,
         lagrangian_defect=defect,
-        scale=scale,
         max_pairwise_rel_diff=pairwise,
         fd_rel_diff=fd_rel,
+        **integral,
     )
 
 
 def reports_to_json(reports, extra: dict | None = None) -> str:
-    payload: Any
-    if isinstance(reports, (list, tuple)):
-        payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in reports]
-    else:
-        payload = reports.to_dict() if hasattr(reports, "to_dict") else reports
-    if extra is not None:
-        payload = {"summary": extra, "reports": payload}
+    payload = reports if extra is None else {"summary": extra, "reports": reports}
     return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -218,25 +208,17 @@ def reports_to_csv(reports) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        d = r.to_dict()
-        writer.writerow(
-            [
-                d["chart"],
-                d["seed"],
-                repr(d["lagrangian_defect"]),
-                repr(d["Fpp_operator"]),
-                repr(d["Fpp_divergence"]),
-                repr(d["Fpp_square"]),
-                repr(d["Fpp_fd"]),
-                repr(d["max_pairwise_rel_diff"]),
-            ]
-        )
+        routes = (r.Fpp_operator, r.Fpp_divergence, r.Fpp_square, r.Fpp_fd)
+        floats = (r.lagrangian_defect, *routes, r.max_pairwise_rel_diff)
+        writer.writerow([r.chart, r.seed, *map(repr, floats)])
     return buf.getvalue()
 
 
 def _plain(obj, key: str = ""):
-    """Recursively convert numpy scalars/arrays for json serialization; a float
-    that is not finite raises EvaluationError naming its dotted ``key``."""
+    """Recursively convert reports (by ``to_dict``) and numpy scalars/arrays for json
+    serialization; a float that is not finite raises EvaluationError naming its dotted ``key``."""
+    if hasattr(obj, "to_dict"):
+        obj = obj.to_dict()
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, dict):

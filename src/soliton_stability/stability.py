@@ -61,7 +61,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, require_lagrangian_dims
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect, weighted_area_density
 from .quadrature import QuadratureGrid, tensor_rule
@@ -138,7 +138,8 @@ def grid_blocks(
 ) -> Iterator[GridGeometry]:
     """The :func:`grid_geometry` of each row block of ``grid`` (:meth:`QuadratureGrid.blocks`),
     in node order, each built when the walk reaches it; the walk drops each block before it
-    builds the next.
+    builds the next.  A chart whose dimensions no Lagrangian chart has is refused before any
+    block is built, by :func:`charts.require_lagrangian_dims`.
 
     A block is yielded only while every block so far is Lagrangian and within
     ``soliton_tol``.  After the first that is not, the rest are still built for
@@ -147,6 +148,7 @@ def grid_blocks(
     (a NaN residual is no refusal by itself, but the maximum keeps it), else
     with :func:`require_lagrangian`'s UnsupportedChartError.
     """
+    require_lagrangian_dims(chart)
     residuals, lagrangian, off = [], True, False
     for part in grid.blocks():
         block = grid_geometry(chart, T, part, soliton_tol)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from soliton_stability import cli, geometry, reports
+from soliton_stability import cli, geometry, reports, stability
 from soliton_stability.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -420,6 +420,42 @@ def test_second_variation_judges_operator_positivity_by_its_tolerance(tmp_path, 
     assert gates == {**dict.fromkeys(SV_GATES, True), "operator_positive": code == EXIT_PASS}
 
 
+@pytest.mark.parametrize("factor, code", [(2.0, EXIT_FAIL), (1.0, EXIT_PASS)], ids=["above", "at"])
+def test_second_variation_judges_the_closedness_defect_by_its_tolerance(
+    small_suite_config, tmp_path, monkeypatch, factor, code
+):
+    """A closedness defect at twice the Lagrangian tolerance fails second-variation while every
+    other gate passes at its default tolerance; one at the tolerance passes."""
+    tols = load_config(None)["tolerances"]
+    monkeypatch.setattr(stability, "lagrangian_defect", lambda dtheta: factor * tols["lagrangian_defect"])
+    out = tmp_path / "sv.json"
+    assert run_cli("second-variation", "--config", small_suite_config, "--out", str(out)) == code
+    data = json.loads(out.read_text())
+    assert data["summary"]["passed"] is (code == EXIT_PASS)
+    for r in data["reports"]:
+        assert r["lagrangian_defect"] == factor * tols["lagrangian_defect"]
+        assert r["max_pairwise_rel_diff"] <= tols["route_agreement"] and r["fd_rel_diff"] <= tols["fd_agreement"]
+        assert r["Fpp_square"] >= 0.0 and r["Fpp_operator"] >= -tols["operator_positivity"] * r["scale"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("second-variation",), EXIT_PASS),
+        (("verify-soliton", "--chart", "perturbed_grim_reaper"), EXIT_FAIL),
+        (("second-variation", "--format", "csv"), EXIT_PASS),
+        (("cylinder",), EXIT_PASS),
+    ],
+    ids=["pass", "fail", "csv", "cylinder"],
+)
+def test_main_writes_each_command_once(small_suite_config, capsys, monkeypatch, args, code):
+    """A command returns its text and verdict; ``main`` writes the text once, pass or fail."""
+    emitted, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda text, path: emitted.append(text) or emit(text, path))
+    assert run_cli(*args, "--config", small_suite_config) == code
+    assert emitted == [capsys.readouterr().out]
+
+
 def cylinder_checks(tmp_path):
     """Run ``cylinder`` on a small grid; its exit code and its report."""
     cfg, out = tmp_path / "cfg.json", tmp_path / "cyl.json"
@@ -492,24 +528,25 @@ def test_cylinder_refuses_a_chart_of_another_dimension(tmp_path, capsys, chart, 
     [
         {"name": "line_in_c2", "domain": [[-1.0, 1.0]], "components": ["x", "0", "0", "0"]},
         {"name": "plane_in_c3", "domain": [[-1.0, 1.0]] * 2, "components": ["x", "0", "y", "0", "0", "0"]},
+        {"name": "bowl_in_c3", "domain": [[-1.0, 1.0]] * 2, "components": ["x", "0", "y", "0", "x*x", "0"]},
     ],
-    ids=["line_in_c2", "plane_in_c3"],
+    ids=["line_in_c2", "plane_in_c3", "off_criticality_in_c3"],
 )
 @pytest.mark.parametrize("command", ["verify-soliton", "second-variation"])
-def test_a_chart_of_non_lagrangian_dimensions_exits_1(tmp_path, capsys, chart, command):
+def test_a_chart_of_non_lagrangian_dimensions_exits_1(tmp_path, capsys, monkeypatch, chart, command):
     """A chart with m != 2d passes no Lagrangian gate: its Kaehler pullback may vanish, but
-    no such chart is Lagrangian."""
+    no such chart is Lagrangian.  Both commands refuse it with one message before any grid
+    geometry is built, also when the chart is off criticality."""
+    built, original = [], stability.grid_geometry
+    monkeypatch.setattr(stability, "grid_geometry", lambda *args: built.append(args) or original(*args))
     cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
     T = [1.0] + [0.0] * (len(chart["components"]) - 1)
     cfg.write_text(json.dumps({"chart": chart, "T": T, "grid": {"cells": 4, "points_per_cell": 4}}))
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_FAIL
     d, m = len(chart["domain"]), len(T)
-    if command == "verify-soliton":
-        message = f"a Lagrangian chart has m = 2d; chart {chart['name']!r} has d = {d}, m = {m}"
-    else:
-        message = "the one-form/normal-field correspondence needs a Lagrangian chart"
+    message = f"a Lagrangian chart has m = 2d; chart {chart['name']!r} has d = {d}, m = {m}"
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert not out.exists() and built == []
 
 
 def test_cylinder_tightened_tolerance_documents_error_budget(tmp_path):

@@ -10,6 +10,7 @@ from oracles import variation_report
 from soliton_stability import quadrature
 from soliton_stability.cli import EXIT_PASS, main
 from soliton_stability.errors import EvaluationError
+from soliton_stability.geometry import DiagnosticsReport
 from soliton_stability.reports import CSV_COLUMNS, ROUTES, reports_to_csv, reports_to_json
 
 
@@ -70,10 +71,20 @@ def test_csv_round_trips_floats_exactly(gr_geometry_small):
     text = reports_to_csv([rep])
     header, row = text.strip().splitlines()
     assert header.split(",") == CSV_COLUMNS
-    cells = row.split(",")
-    assert cells[0] == rep.chart
-    assert float(cells[3]) == rep.Fpp_operator
-    assert float(cells[5]) == rep.Fpp_square
+    floats = ("lagrangian_defect", "Fpp_operator", "Fpp_divergence", "Fpp_square", "Fpp_fd", "max_pairwise_rel_diff")
+    assert row.split(",") == [rep.chart, str(rep.seed), *(repr(getattr(rep, name)) for name in floats)]
+
+
+def test_json_reads_every_report_by_its_to_dict(gr_geometry_small):
+    """A report object, a list of them and a dict holding both serialize as their ``to_dict``
+    forms do, with or without a summary."""
+    rep = _one_report(gr_geometry_small)
+    diag = DiagnosticsReport("c", {"kind": "points", "count": 4}, 1e-12, 0.0)
+    given = (diag, [rep, rep], {"d": diag, "r": [rep]})
+    plain = (diag.to_dict(), [rep.to_dict()] * 2, {"d": diag.to_dict(), "r": [rep.to_dict()]})
+    for obj, as_dict in zip(given, plain):
+        assert reports_to_json(obj) == reports_to_json(as_dict)
+        assert reports_to_json(obj, extra={"passed": True}) == reports_to_json(as_dict, extra={"passed": True})
 
 
 def test_json_handles_numpy_scalars():

@@ -57,6 +57,9 @@
   ``perturbed_grim_reaper``, ``non_lagrangian_patch``) and their lookup
   ``builtin_chart`` stay deleted; ``tests/oracles.py`` keeps the closures as a
   reference.
+* A command returns its text and its verdict, and ``cli.main`` writes the
+  text and maps the verdict to an exit code: no ``cmd_*`` returns an exit
+  code or calls ``_emit`` on a report it serialized.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
 and those in ``OUTSIDE_JETS`` in every module but ``jets.py``.
@@ -105,6 +108,8 @@ FORBIDDEN = {
         r"\bdef (grim_reaper_cylinder|flat_lagrangian_plane|perturbed_grim_reaper|non_lagrangian_patch)\b"
     ),
     "deleted builtin chart lookup": r"\bbuiltin_chart\b",
+    "command returning an exit code": r"def cmd_\w+\([^)]*\)\s*->\s*int\b",
+    "command writing its own output": r"_emit\(reports_to_(json|csv)\(",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -160,6 +165,8 @@ CAUGHT = {
     "area weight beside the point geometry": "at_rest = block.grid.row_sums(block.area_weight)",
     "deleted builtin chart factory": "def grim_reaper_cylinder(delta: float = 0.1, y_extent: float = 3.0) -> Chart:",
     "deleted builtin chart lookup": "        return builtin_chart(spec)",
+    "command returning an exit code": "def cmd_second_variation(\n    cfg: dict, demonstrate_failure: bool = False\n) -> int:",
+    "command writing its own output": '    _emit(reports_to_json(checks), cfg["output"]["path"])',
 }
 
 
@@ -249,6 +256,11 @@ def test_guard_flags_each_pattern_and_nothing_else():
     assert violations(specs + "\nreturn chart_from_config(name)") == []
     built = "weight = block.pg.area_weight\nif pg.P is None:\ndg_inv = K = P = None\nif pg.K == None:"
     assert violations(built) == []
+    main = (
+        "def cmd_cylinder(cfg: dict, chart: Chart, T: list) -> tuple[str, bool]:\n"
+        '    return reports_to_json(checks), passed\n_emit(text, cfg["output"]["path"])\ndef main(argv=None) -> int:'
+    )
+    assert violations(main) == []
 
 
 def test_every_module_is_scanned():
