@@ -151,7 +151,7 @@ def chart_from_config(spec) -> Chart:
     except KeyError as exc:
         raise ExpressionError(f"chart spec missing key {exc}") from None
     if not (isinstance(rows, list) and rows and all(map(_is_interval, rows))):
-        raise ExpressionError("chart domain must be rows of [lo, hi] finite numbers with lo < hi")
+        raise ExpressionError("chart domain must be rows [lo, hi], lo < hi, with lo, hi, hi - lo and lo + hi finite")
     if not (
         isinstance(components, list) and components and all(isinstance(c, str) for c in components)
     ):
@@ -172,9 +172,11 @@ def chart_from_config(spec) -> Chart:
 
 
 def _is_interval(row) -> bool:
-    """Whether ``row`` is ``[lo, hi]`` with finite numbers lo < hi."""
-    pair = isinstance(row, list) and len(row) == 2 and all(map(is_finite_number, row))
-    return pair and row[0] < row[1]
+    """Whether ``row`` is ``[lo, hi]``, finite numbers lo < hi with a finite width and midpoint."""
+    if not (isinstance(row, list) and len(row) == 2 and all(map(is_finite_number, row))):
+        return False
+    lo, hi = map(float, row)
+    return lo < hi and is_finite_number(hi - lo) and is_finite_number(lo + hi)
 
 
 def uniform_grid(chart: Chart, n: int = 50) -> QuadratureGrid:

@@ -44,7 +44,7 @@ from .expressions import is_finite_number
 from .geometry import soliton_residual
 from .quadrature import tensor_rule
 from .reports import reports_to_csv, reports_to_json, run_variation_suite
-from .stability import DEFAULT_FD_STEPS, DEFAULT_SOLITON_TOL, default_grid_for_support, grid_blocks
+from .stability import DEFAULT_FD_STEPS, DEFAULT_SOLITON_TOL, grid_blocks
 from .variations import (
     default_support_box,
     hamiltonian_variation,
@@ -226,7 +226,7 @@ def cmd_second_variation(
             for i in range(var_cfg["count"])
         ]
 
-    grid = default_grid_for_support(chart, support, grid_cfg["cells"], grid_cfg["points_per_cell"])
+    grid = tensor_rule(support, grid_cfg["cells"], grid_cfg["points_per_cell"])
     blocks = grid_blocks(chart, T, grid, tols["soliton_residual"])
     reports = run_variation_suite(blocks, variations, tuple(cfg["fd_steps"]), workers)
 
@@ -259,13 +259,13 @@ def cmd_cylinder(cfg: dict, chart: Chart, T: list) -> tuple[str, bool]:
     tols = cfg["tolerances"]
     grid_cfg = cfg["grid"]
     checks: dict[str, Any] = {}
+    support = default_support_box(chart.domain, grid_cfg["support_shrink"])
 
-    geo = closed_form_deviations(chart, T, grid_cfg["diagnostic_points"])
+    geo = closed_form_deviations(chart, T, uniform_grid(chart, grid_cfg["diagnostic_points"]))
     checks["geometry_deviations"] = geo
     geo_ok = all(v <= tols["geometry_oracle"] for v in geo.values())  # a NaN fails
     checks["geometry_ok"] = geo_ok
 
-    support = default_support_box(chart.domain, grid_cfg["support_shrink"])
     grid = tensor_rule(support, grid_cfg["cells"], grid_cfg["points_per_cell"])
     seed = cfg["variations"]["seed"]
     degree = cfg["variations"]["degree"]

@@ -27,8 +27,9 @@ raises UnsupportedChartError.  The translator defect and the mean curvature
 vector use ambient normal components, so they hold on every chart.  Frames
 are formed on first use, and every reported scalar is gauge invariant.
 
-The diagnostics (:func:`soliton_residual`) walk a grid's row blocks, one
-block's order-2 geometry at a time.
+The certificates walk a grid's row blocks, one block's order-2 geometry at a
+time, by :func:`grid_maxima`: :func:`soliton_residual` here and the cylinder's
+closed-form deviations in :mod:`wirtinger`.
 
 Christoffel symbols are assembled from metric derivatives, not ambient
 projections; of order 3 only their trace P is formed, straight from the third
@@ -59,6 +60,7 @@ __all__ = [
     "point_geometry",
     "mean_curvature_vector",
     "translator_defect",
+    "grid_maxima",
     "soliton_residual",
     "kaehler_pullback",
 ]
@@ -286,28 +288,32 @@ def translator_defect(pg: PointGeometry) -> np.ndarray:
     return t_perp - mean_curvature_vector(pg)
 
 
+def grid_maxima(chart: Chart, T, grid: QuadratureGrid, quantities) -> list[float]:
+    """The one certificate walk: over the nodes of ``grid``, the maximum of |value| of each array
+    that ``quantities(pg, points)`` returns, ``pg`` a row block's order-2 geometry at its
+    ``points``.  Each block (:meth:`QuadratureGrid.blocks`) is built inside a function that
+    returns only its maxima, so it is dropped before the next is built and memory is bounded
+    at any number of points; ``np.max`` over the blocks' maxima keeps a NaN."""
+
+    def block_maxima(points):
+        pg = point_geometry(chart, T, points, order=2)
+        return [np.max(np.abs(a)) for a in quantities(pg, points)]
+
+    return [float(m) for m in np.max([block_maxima(block.nodes) for block in grid.blocks()], axis=0)]
+
+
 def soliton_residual(chart: Chart, T, grid: QuadratureGrid) -> DiagnosticsReport:
-    """Maxima of |T^perp - H| and of the Kaehler pullback over the nodes of ``grid``.
+    """Maxima of |T^perp - H| and of the Kaehler pullback over the nodes of ``grid``, by
+    :func:`grid_maxima`.
 
     A vanishing residual certifies the translator equation; the pullback
     certifies the Lagrangian condition, so a chart whose dimensions no
     Lagrangian chart has is refused first, by :func:`charts.require_lagrangian_dims`.
-    The grid is walked one row block at a time (:meth:`QuadratureGrid.blocks`),
-    and each block's order-2 geometry is dropped before the next is built, so
-    memory is bounded at any number of points; only the per-block maxima are
-    kept, and ``np.max`` over them keeps a NaN.
     """
     require_lagrangian_dims(chart)
 
-    def maxima(points):
-        pg = point_geometry(chart, T, points, order=2)
-        resid = np.max(np.linalg.norm(translator_defect(pg), axis=0))
-        return resid, np.max(np.abs(kaehler_pullback(pg.tangents)))
+    def certificates(pg, _):
+        return np.linalg.norm(translator_defect(pg), axis=0), kaehler_pullback(pg.tangents)
 
-    resid, defect = zip(*[maxima(block.nodes) for block in grid.blocks()])
-    return DiagnosticsReport(
-        chart=chart.name,
-        grid={"kind": "points", "count": math.prod(grid.shape)},
-        max_soliton_residual=float(np.max(resid)),
-        max_lagrangian_defect=float(np.max(defect)),
-    )
+    maxima = grid_maxima(chart, T, grid, certificates)
+    return DiagnosticsReport(chart.name, {"kind": "points", "count": math.prod(grid.shape)}, *maxima)

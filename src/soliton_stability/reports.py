@@ -54,6 +54,8 @@ CSV_COLUMNS = [
     "Fpp_square",
     "Fpp_fd",
     "max_pairwise_rel_diff",
+    "scale",
+    "fd_rel_diff",
 ]
 
 
@@ -204,13 +206,15 @@ def reports_to_json(reports, extra: dict | None = None) -> str:
 
 
 def reports_to_csv(reports) -> str:
+    """:data:`CSV_COLUMNS` (floats by ``repr``), then each ``extra`` key the reports carry."""
+    extras = list(dict.fromkeys(key for r in reports for key in r.extra))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(CSV_COLUMNS + extras)
     for r in reports:
         routes = (r.Fpp_operator, r.Fpp_divergence, r.Fpp_square, r.Fpp_fd)
-        floats = (r.lagrangian_defect, *routes, r.max_pairwise_rel_diff)
-        writer.writerow([r.chart, r.seed, *map(repr, floats)])
+        floats = (r.lagrangian_defect, *routes, r.max_pairwise_rel_diff, r.scale, r.fd_rel_diff)
+        writer.writerow([r.chart, r.seed, *map(repr, floats), *(r.extra.get(key, "") for key in extras)])
     return buf.getvalue()
 
 

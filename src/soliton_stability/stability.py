@@ -64,14 +64,13 @@ import numpy as np
 from .charts import Chart, require_lagrangian_dims
 from .errors import NotASolitonError
 from .geometry import PointGeometry, batch_det, point_geometry, translator_defect, weighted_area_density
-from .quadrature import QuadratureGrid, tensor_rule
+from .quadrature import QuadratureGrid
 from .variations import (
     OneFormField,
     covariant_calculus,
     lagrangian_defect,
     normal_field_from_form,
     require_lagrangian,
-    require_support_inside,
     variation_field_jets,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "fd_second_difference",
     "warn_if_not_closed",
     "variation_scale",
-    "default_grid_for_support",
     "DEFAULT_SOLITON_TOL",
     "DEFAULT_FD_STEPS",
     "DEFAULT_CLOSED_TOL",
@@ -319,11 +317,3 @@ def fd_second_difference(second_differences, steps: tuple[float, float] = DEFAUL
     d1, d2 = (diff / h**2 for diff, h in zip(second_differences, steps))
     r2 = (h1 / h2) ** 2
     return (r2 * d2 - d1) / (r2 - 1)
-
-
-def default_grid_for_support(
-    chart: Chart, support, cells: int = 40, points_per_cell: int = 8
-) -> QuadratureGrid:
-    """Quadrature grid over the (validated) support box of a variation."""
-    require_support_inside(chart.domain, support)
-    return tensor_rule(support, cells, points_per_cell)

@@ -59,7 +59,6 @@ __all__ = [
     "variation_field_jets",
     "default_support_box",
     "require_lagrangian",
-    "require_support_inside",
 ]
 
 
@@ -430,28 +429,13 @@ def variation_field_jets(theta: np.ndarray, dtheta: np.ndarray, pg: PointGeometr
 
 
 def default_support_box(domain, shrink: float = 0.8) -> np.ndarray:
-    """Support box concentric with the domain, scaled by ``shrink`` per axis."""
+    """Support box concentric with the domain, scaled by ``shrink`` per axis: the one support
+    rule.  A box that is empty in floating point (some row without lo < hi, as a ``shrink``
+    too small for the domain's width leaves) is refused with ConfigurationError."""
     domain = np.asarray(domain, dtype=float)
     mid = 0.5 * (domain[:, 0] + domain[:, 1])
     half = 0.5 * (domain[:, 1] - domain[:, 0]) * shrink
-    return np.stack([mid - half, mid + half], axis=1)
-
-
-def require_support_inside(domain, support) -> None:
-    """Check the support clears the domain boundary by >= 2 grid cells.
-
-    The cell size is taken at the default 40-cell resolution regardless of
-    the runtime quadrature (a coarser integration rule does not loosen the
-    geometric clearance a variation needs from the domain boundary).
-    """
-    domain = np.asarray(domain, dtype=float)
-    support = np.asarray(support, dtype=float)
-    widths = support[:, 1] - support[:, 0]
-    margin = 2.0 * widths / 40.0
-    lo_ok = support[:, 0] - domain[:, 0] >= margin - 1e-15
-    hi_ok = domain[:, 1] - support[:, 1] >= margin - 1e-15
-    if not (np.all(lo_ok) & np.all(hi_ok)):
-        raise ConfigurationError(
-            f"support box {support.tolist()} too close to the domain boundary "
-            f"{domain.tolist()} (needs two grid cells of margin)"
-        )
+    box = np.stack([mid - half, mid + half], axis=1)
+    if not np.all(box[:, 0] < box[:, 1]):
+        raise ConfigurationError(f"support_shrink {shrink!r} leaves an empty support box {box.tolist()}")
+    return box

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import uniform_grid
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import batch_det, mean_curvature_vector, point_geometry
+from .geometry import batch_det, grid_maxima, mean_curvature_vector
 from .quadrature import QuadratureGrid, total
 from .variations import ScalarField
 
@@ -97,22 +96,19 @@ def cylinder_stability_integrals(
     )
 
 
-def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
-    """Max deviation of numeric cylinder geometry from its closed forms.
+def closed_form_deviations(chart, T, grid: QuadratureGrid) -> dict[str, float]:
+    """Max deviation of numeric cylinder geometry from its closed forms on the diagnostic ``grid``.
 
     On the grim reaper cylinder the metric is diag(1/cos^2 x, 1), the area
     density and translation weight are both 1/cos x, the only nonzero
     ambient second-fundamental-form component is h(d_x, d_x) = (1, -tan x, 0, 0),
-    and |H| = cos x.  Returns one max-abs deviation per quantity; no normal
-    frame is read, so any chart with 2 parameters in C^2 gets a report.  The
-    ``n`` x ``n`` diagnostic grid is walked one row block at a time
-    (:meth:`QuadratureGrid.blocks`), and each block's order-2 geometry is
-    dropped before the next is built.
+    and |H| = cos x.  Returns one max-abs deviation per quantity, by
+    :func:`geometry.grid_maxima`; no normal frame is read, so any chart with 2
+    parameters in C^2 gets a report.
     """
     require_cylinder_dims(chart.dim, chart.ambient_dim)
 
-    def maxima(points):
-        pg = point_geometry(chart, T, points, order=2)
+    def deviations(pg, points):
         x = points[:, 0]
         sec = 1.0 / np.cos(x)
         g_exact, h_exact = np.zeros_like(pg.g), np.zeros_like(pg.h_coord)
@@ -120,12 +116,10 @@ def closed_form_deviations(chart, T, n: int = 50) -> dict[str, float]:
         h_exact[0, 0, 0], h_exact[1, 0, 0] = 1.0, -np.tan(x)
         curvature = np.linalg.norm(mean_curvature_vector(pg), axis=0) - np.cos(x)
         area_density, weight = np.sqrt(batch_det(pg.g)), np.exp(np.einsum("p,pn->n", pg.T, pg.positions))
-        deviations = (pg.g - g_exact, area_density - sec, pg.h_coord - h_exact, curvature, weight - sec)
-        return [np.max(np.abs(a)) for a in deviations]
+        return pg.g - g_exact, area_density - sec, pg.h_coord - h_exact, curvature, weight - sec
 
     names = ("metric", "area_density", "second_fundamental_form", "mean_curvature", "weight")
-    per_block = [maxima(block.nodes) for block in uniform_grid(chart, n).blocks()]
-    return dict(zip(names, map(float, np.max(per_block, axis=0))))  # np.max, not max: it keeps a NaN
+    return dict(zip(names, grid_maxima(chart, T, grid, deviations)))
 
 
 def _thomas_solve(lower: float, diag: float, upper: float, rhs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from oracles import (
     whole_grid_block,
 )
 from soliton_stability.reports import reports_to_json
-from soliton_stability.stability import default_grid_for_support, prepare_variation
+from soliton_stability.stability import prepare_variation
 from soliton_stability.wirtinger import closed_form_deviations
 
 SUITE_SEED = 1
@@ -36,7 +36,7 @@ def report(n, name, detail=""):
 
 @pytest.fixture(scope="module")
 def default_gg(grim_reaper, T, gr_support):
-    grid = default_grid_for_support(grim_reaper, gr_support, cells=40, points_per_cell=8)
+    grid = ss.tensor_rule(gr_support, cells=40, points_per_cell=8)
     return ss.grid_geometry(grim_reaper, T, grid)
 
 
@@ -57,7 +57,7 @@ def suite(gr_support, default_gg):
 
 def test_criterion_1_geometry_oracle(grim_reaper, T):
     t0 = time.perf_counter()
-    dev = closed_form_deviations(grim_reaper, T, n=50)
+    dev = closed_form_deviations(grim_reaper, T, ss.uniform_grid(grim_reaper, 50))
     elapsed = time.perf_counter() - t0
     assert max(dev.values()) <= 1e-10, dev
     assert elapsed < 5.0
@@ -152,13 +152,13 @@ def test_criterion_7_criticality(suite, flat_plane, T, perturbed):
     worst = max(abs(r.first_var) / r.scale for r in reports)
     assert worst <= 1e-9
     fp_support = ss.default_support_box(flat_plane.domain)
-    fp_grid = default_grid_for_support(flat_plane, fp_support, cells=12, points_per_cell=6)
+    fp_grid = ss.tensor_rule(fp_support, cells=12, points_per_cell=6)
     fp_gg = ss.grid_geometry(flat_plane, T, fp_grid)
     fp_reports = ss.run_variation_suite([fp_gg], seeded_variations(fp_support, 10))
     worst_fp = max(abs(r.first_var) / r.scale for r in fp_reports)
     assert worst_fp <= 1e-9
     support = ss.default_support_box(perturbed.domain)
-    grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
+    grid = ss.tensor_rule(support, cells=20, points_per_cell=8)
     block = whole_grid_block(ss.grid_geometry(perturbed, T, grid))
     worst_fd = 0.0
     for seed in (SUITE_SEED, SUITE_SEED + 1):
@@ -177,7 +177,7 @@ def test_criterion_7_criticality(suite, flat_plane, T, perturbed):
 def test_criterion_8_determinism(grim_reaper, T, gr_support, suite):
     reports_a, _ = suite
     json_a = reports_to_json(reports_a)
-    grid = default_grid_for_support(grim_reaper, gr_support, cells=40, points_per_cell=8)
+    grid = ss.tensor_rule(gr_support, cells=40, points_per_cell=8)
     blocks = ss.grid_blocks(grim_reaper, T, grid)
     reports_b = ss.run_variation_suite(blocks, seeded_variations(gr_support, SUITE_COUNT), workers=1)
     json_b = reports_to_json(reports_b)

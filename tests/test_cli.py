@@ -277,9 +277,43 @@ def test_demonstrate_failure_mode(small_suite_config, tmp_path):
         str(csv_out),
     )
     assert code == EXIT_PASS
-    lines = csv_out.read_text().strip().splitlines()
-    assert lines[0].split(",") == CSV_COLUMNS
-    assert len(lines) == 2
+    header, row = csv_out.read_text().strip().splitlines()
+    assert header.split(",") == CSV_COLUMNS + ["square_operator_gap", "demonstrated"]
+    assert row.split(",")[-2:] == [repr(rec["square_operator_gap"]), "True"]
+
+
+COMMANDS = ("verify-soliton", "second-variation", "cylinder")
+
+
+def plane(domain):
+    return {"domain": domain, "components": ["x", "0", "y", "0"]}
+
+
+@pytest.mark.parametrize(
+    "override, codes",
+    [
+        ({"grid": {"support_shrink": 0.95}}, (EXIT_PASS, EXIT_PASS, EXIT_PASS)),
+        ({"chart": plane([[1, 2], [1, 2]]), "grid": {"support_shrink": 1e-300}}, (EXIT_PASS, EXIT_CONFIG, EXIT_CONFIG)),
+        ({"chart": plane([[-1e308, 1e308], [-1, 1]])}, (EXIT_CONFIG,) * 3),
+    ],
+    ids=["shrink_0.95", "empty_support_box", "overflowing_domain"],
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_support_rule_is_one_for_every_command(tmp_path, capsys, override, codes, command):
+    """``variations.default_support_box`` is the one support rule: every ``support_shrink`` in
+    (0, 1) is accepted, a box that is empty in floating point is refused where a support box
+    is made, and a domain whose width or midpoint overflows is refused when the chart is
+    built, each refusal with one stderr line."""
+    grid = {"cells": 12, "points_per_cell": 8, "diagnostic_points": 10, **override.get("grid", {})}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**override, "grid": grid, "variations": {"count": 2}}))
+    code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err
+    assert code == codes[COMMANDS.index(command)]
+    if code == EXIT_PASS:
+        assert err == ""
+    else:
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["verify-soliton", "second-variation", "cylinder"])

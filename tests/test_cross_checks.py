@@ -7,7 +7,6 @@ import numpy as np
 
 import soliton_stability as ss
 from oracles import REFERENCE_CHARTS, variation_report
-from soliton_stability.stability import default_grid_for_support
 
 
 def test_complex_structure_maps_tangents_to_scaled_normals(grim_reaper):
@@ -28,7 +27,7 @@ def test_flat_plane_translator_for_other_tangent_directions(flat_plane):
         rep = ss.soliton_residual(flat_plane, T, ss.uniform_grid(flat_plane, 10))
         assert rep.max_soliton_residual <= 1e-14
         support = ss.default_support_box(flat_plane.domain)
-        grid = default_grid_for_support(flat_plane, support, cells=10, points_per_cell=6)
+        grid = ss.tensor_rule(support, cells=10, points_per_cell=6)
         gg = ss.grid_geometry(flat_plane, T, grid)
         r = variation_report(gg, ss.random_hamiltonian_variation(support, seed=5))
         op, sq, fd, scale = r.Fpp_operator, r.Fpp_square, r.Fpp_fd, r.scale
@@ -61,7 +60,7 @@ def test_expression_chart_runs_the_full_pipeline(T):
     theta = ss.random_hamiltonian_variation(support, seed=9)
     values = []
     for chart in (expr_chart, REFERENCE_CHARTS["grim_reaper"]):
-        grid = default_grid_for_support(chart, support, cells=10, points_per_cell=6)
+        grid = ss.tensor_rule(support, cells=10, points_per_cell=6)
         gg = ss.grid_geometry(chart, T, grid)
         values.append(variation_report(gg, theta).Fpp_square)
     assert abs(values[0] - values[1]) <= 1e-12 * max(1.0, abs(values[1]))
@@ -83,7 +82,7 @@ def test_tilted_lagrangian_plane_is_translator_when_t_tangent(T):
     # skew coordinates: non-orthogonal metric, still exactly flat
     pg = ss.point_geometry(chart, T, np.array([[0.1, -0.3]]))
     assert abs(pg.g[0, 1, 0] - 0.5) < 1e-15
-    grid = default_grid_for_support(chart, ss.default_support_box(chart.domain), cells=10, points_per_cell=6)
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=10, points_per_cell=6)
     gg = ss.grid_geometry(chart, T, grid)
     r = variation_report(gg, ss.random_hamiltonian_variation(gg.grid.box, seed=2))
     sq, op, scale = r.Fpp_square, r.Fpp_operator, r.scale

@@ -268,12 +268,9 @@ def test_diagnostic_walk_holds_one_block_geometry_at_a_time(monkeypatch, grim_re
     side = {1: 64, 16: 256}  # 64 x 64 and 256 x 256, 4,096 points per block
     peaks = {}
     for blocks in (1, 16):
-        if build == "soliton_residual":
-            grid = ss.uniform_grid(grim_reaper, side[blocks])
-            assert len(list(grid.blocks())) == blocks
-            _, peaks[blocks] = traced_peak(ss.soliton_residual, grim_reaper, T, grid)
-        else:
-            _, peaks[blocks] = traced_peak(ss.closed_form_deviations, grim_reaper, T, side[blocks])
+        grid = ss.uniform_grid(grim_reaper, side[blocks])
+        assert len(list(grid.blocks())) == blocks
+        _, peaks[blocks] = traced_peak(getattr(ss, build), grim_reaper, T, grid)
     slack = 64 * 1024  # the axes, the per-block maxima and interpreter bookkeeping
     assert peaks[16] - peaks[1] <= slack, peaks
 
@@ -284,11 +281,11 @@ def test_closed_form_deviations_are_block_invariant(monkeypatch, grim_reaper, T)
     dicts = []
     for size in block_sizes(ss.uniform_grid(grim_reaper, 9)):
         monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
-        dicts.append(ss.closed_form_deviations(grim_reaper, T, 9))
+        dicts.append(ss.closed_form_deviations(grim_reaper, T, ss.uniform_grid(grim_reaper, 9)))
     assert dicts[1:] == dicts[:1] * 2 and all(map(np.isfinite, dicts[0].values())), dicts
 
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
-    clean = ss.closed_form_deviations(grim_reaper, T, 10)
+    clean = ss.closed_form_deviations(grim_reaper, T, ss.uniform_grid(grim_reaper, 10))
     calls = []
 
     def curvature(pg):
@@ -299,7 +296,7 @@ def test_closed_form_deviations_are_block_invariant(monkeypatch, grim_reaper, T)
         return out
 
     monkeypatch.setattr(wirtinger, "mean_curvature_vector", curvature)
-    deviations = ss.closed_form_deviations(grim_reaper, T, 10)
+    deviations = ss.closed_form_deviations(grim_reaper, T, ss.uniform_grid(grim_reaper, 10))
     assert calls == [20] * 5
     assert np.isnan(deviations.pop("mean_curvature"))
     assert deviations == {k: v for k, v in clean.items() if k != "mean_curvature"}
@@ -312,7 +309,7 @@ def test_closed_form_deviations_memory_is_bounded(grim_reaper, T):
     peaks = []
     for blocks in (4, 16):  # 8,192 points per block at 181 x 181 and 362 x 362
         n = int(np.sqrt(blocks * quadrature.BLOCK_NODES))
-        _, peak = traced_peak(ss.closed_form_deviations, grim_reaper, T, n)
+        _, peak = traced_peak(ss.closed_form_deviations, grim_reaper, T, ss.uniform_grid(grim_reaper, n))
         peaks.append(peak)
     slack = 64 * 1024  # the axes, the per-block maxima and interpreter bookkeeping
     assert peaks[1] - peaks[0] <= slack, peaks

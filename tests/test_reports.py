@@ -1,5 +1,6 @@
 """Report serialization: field contract, float fidelity, numpy conversion."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -71,8 +72,20 @@ def test_csv_round_trips_floats_exactly(gr_geometry_small):
     text = reports_to_csv([rep])
     header, row = text.strip().splitlines()
     assert header.split(",") == CSV_COLUMNS
-    floats = ("lagrangian_defect", "Fpp_operator", "Fpp_divergence", "Fpp_square", "Fpp_fd", "max_pairwise_rel_diff")
+    routes = ("Fpp_operator", "Fpp_divergence", "Fpp_square", "Fpp_fd")
+    floats = ("lagrangian_defect", *routes, "max_pairwise_rel_diff", "scale", "fd_rel_diff")
     assert row.split(",") == [rep.chart, str(rep.seed), *(repr(getattr(rep, name)) for name in floats)]
+    assert [float(cell) for cell in row.split(",")[2:]] == [getattr(rep, name) for name in floats]
+    # then each extra key the reports carry, in the order it first appears, empty where absent
+    shown = dataclasses.replace(rep, extra={"square_operator_gap": 0.1 + 0.2, "demonstrated": True})
+    named = dataclasses.replace(rep, seed=None, extra={"potential": "x*y"})
+    header, *rows = reports_to_csv([shown, named]).strip().splitlines()
+    assert header.split(",") == CSV_COLUMNS + ["square_operator_gap", "demonstrated", "potential"]
+    assert [row.split(",")[1:2] + row.split(",")[-3:] for row in rows] == [
+        [str(rep.seed), repr(0.1 + 0.2), "True", ""],
+        ["", "", "", "x*y"],
+    ]
+    assert float(rows[0].split(",")[-3]) == 0.1 + 0.2
 
 
 def test_json_reads_every_report_by_its_to_dict(gr_geometry_small):

@@ -60,9 +60,15 @@
 * A command returns its text and its verdict, and ``cli.main`` writes the
   text and maps the verdict to an exit code: no ``cmd_*`` returns an exit
   code or calls ``_emit`` on a report it serialized.
+* ``variations.default_support_box`` is the one support rule, refusing an
+  empty box: the two-grid-cell margin (``require_support_inside``) and the
+  grid builder that applied it (``default_grid_for_support``) stay deleted.
+* One walk takes the certificates' order-2 geometry, ``geometry.grid_maxima``:
+  no module but ``geometry.py`` calls ``point_geometry`` at order 2.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
-and those in ``OUTSIDE_JETS`` in every module but ``jets.py``.
+those in ``OUTSIDE_JETS`` in every module but ``jets.py``, and those in
+``OUTSIDE_GEOMETRY`` in every module but ``geometry.py``.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
 """
@@ -110,6 +116,7 @@ FORBIDDEN = {
     "deleted builtin chart lookup": r"\bbuiltin_chart\b",
     "command returning an exit code": r"def cmd_\w+\([^)]*\)\s*->\s*int\b",
     "command writing its own output": r"_emit\(reports_to_(json|csv)\(",
+    "deleted support margin rule": r"\b(require_support_inside|default_grid_for_support)\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -123,8 +130,12 @@ OUTSIDE_JETS = {
     "jet levels listed by hand": r"\b(\w+)\.val\s*,\s*\1\.d1\s*,\s*\1\.d2\s*,\s*\1\.d3\b",
 }
 
+OUTSIDE_GEOMETRY = {
+    "order-2 geometry outside geometry": r"\bpoint_geometry\([^()]*\border\s*=\s*2\b",
+}
+
 # the module each set of patterns exempts
-OUTSIDE = {"quadrature.py": OUTSIDE_QUADRATURE, "jets.py": OUTSIDE_JETS}
+OUTSIDE = {"quadrature.py": OUTSIDE_QUADRATURE, "jets.py": OUTSIDE_JETS, "geometry.py": OUTSIDE_GEOMETRY}
 
 # one sample per pattern that the guard must flag, at the sample's first line
 CAUGHT = {
@@ -167,6 +178,8 @@ CAUGHT = {
     "deleted builtin chart lookup": "        return builtin_chart(spec)",
     "command returning an exit code": "def cmd_second_variation(\n    cfg: dict, demonstrate_failure: bool = False\n) -> int:",
     "command writing its own output": '    _emit(reports_to_json(checks), cfg["output"]["path"])',
+    "deleted support margin rule": "    require_support_inside(chart.domain, support)",
+    "order-2 geometry outside geometry": "        pg = point_geometry(chart, T, points, order=2)",
 }
 
 
@@ -190,7 +203,12 @@ def test_guard_flags_each_pattern_and_nothing_else():
     for why, line in CAUGHT.items():
         assert violations(line) == [(1, why)], why
     assert violations("eigmin = np.linalg.eigvalsh(g)\nout[0::2] = v[1::2]") == []
-    assert violations("pg = point_geometry(chart, T, block.nodes, order=2)\njets = eval_jets(chart, pts)") == []
+    order2 = "pg = point_geometry(chart, T, block.nodes, order=2)\njets = eval_jets(chart, pts)"
+    assert violations(order2, "geometry.py") == []
+    assert violations(order2, "wirtinger.py") == [(1, "order-2 geometry outside geometry")]
+    support = "pg = point_geometry(chart, T, grid.nodes)\nbox = default_support_box(chart.domain, shrink)"
+    assert violations(support, "stability.py") == []
+    assert violations("grid = default_grid_for_support(chart, support)") == [(1, "deleted support margin rule")]
     assert violations("from .jets import Jet\nJ.evaluate(f, x, 3)\nfor block in grid.blocks():") == []
     deleted = (
         "for rows in J.node_blocks(n):",
@@ -207,7 +225,7 @@ def test_guard_flags_each_pattern_and_nothing_else():
         "step = BLOCK_NODES // per_row",
         "from .quadrature import BLOCK_NODES, total",
         "for part in np.array_split(pts, 4):",
-        "pg = point_geometry(chart, T, pts[rows], order=2)",
+        "pg = point_geometry(chart, T, pts[rows])",
         "x = pts[rows, 0]",
         "part = block.grid.rows(0, 2)",
     )

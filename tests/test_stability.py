@@ -19,7 +19,7 @@ from oracles import (
 )
 from soliton_stability.errors import NotASolitonError
 from soliton_stability.geometry import batch_det, weighted_area_density
-from soliton_stability.stability import DEFAULT_FD_STEPS, default_grid_for_support, prepare_variation
+from soliton_stability.stability import DEFAULT_FD_STEPS, prepare_variation
 
 
 def zero_form(support):
@@ -57,7 +57,7 @@ def test_first_variation_vanishes_on_translators(gr_geometry_small, fp_geometry_
 
 def test_first_variation_matches_fd_off_criticality(perturbed, T):
     support = ss.default_support_box(perturbed.domain)
-    grid = default_grid_for_support(perturbed, support, cells=20, points_per_cell=8)
+    grid = ss.tensor_rule(support, cells=20, points_per_cell=8)
     block = whole_grid_block(ss.grid_geometry(perturbed, T, grid))
     for seed in (3, 17):
         data = prepare_variation(block, ss.random_hamiltonian_variation(support, seed=seed))
@@ -95,7 +95,7 @@ def test_route_agreement_on_cylinder(gr_geometry_small):
 
 def test_route_agreement_on_flat_plane_suite(flat_plane, T):
     support = ss.default_support_box(flat_plane.domain)
-    grid = default_grid_for_support(flat_plane, support, cells=12, points_per_cell=6)
+    grid = ss.tensor_rule(support, cells=12, points_per_cell=6)
     gg = ss.grid_geometry(flat_plane, T, grid)
     variations = [(s, ss.random_hamiltonian_variation(support, s)) for s in range(1, 21)]
     reports = ss.run_variation_suite([gg], variations)
@@ -171,7 +171,7 @@ def test_routes_refuse_off_criticality(perturbed, T, monkeypatch):
     """evaluate_variation refuses every route before it forms a variation's jets, and the
     walk refuses the grid before any block's."""
     support = ss.default_support_box(perturbed.domain)
-    grid = default_grid_for_support(perturbed, support, cells=6, points_per_cell=4)
+    grid = ss.tensor_rule(support, cells=6, points_per_cell=4)
     gg = ss.grid_geometry(perturbed, T, grid)
     theta = ss.random_hamiltonian_variation(support, seed=1)
     monkeypatch.setattr(ss.reports, "prepare_variation", lambda *args: pytest.fail("formed jets"))

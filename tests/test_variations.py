@@ -548,11 +548,3 @@ def test_monomial_exponents_in_order():
             assert len(exps) == math.comb(d + degree, d) == len(set(exps))
             assert exps == sorted(exps, key=lambda e: (sum(e), e))
             assert all(len(e) == d and sum(e) <= degree for e in exps)
-
-
-def test_support_margin_validation(grim_reaper):
-    domain = grim_reaper.domain
-    ss.variations.require_support_inside(domain, ss.default_support_box(domain))
-    hugging = domain.copy()  # zero margin
-    with pytest.raises(ConfigurationError):
-        ss.variations.require_support_inside(domain, hugging)

@@ -121,7 +121,7 @@ def test_dirichlet_nonconvergence_flag():
 
 
 def test_closed_form_deviations_within_budget(grim_reaper, T):
-    dev = ss.closed_form_deviations(grim_reaper, T, 50)
+    dev = ss.closed_form_deviations(grim_reaper, T, ss.uniform_grid(grim_reaper, 50))
     assert set(dev) == {
         "metric",
         "area_density",
@@ -152,7 +152,7 @@ def test_closed_form_deviations_refuse_a_chart_of_another_dimension(config, m):
     d = chart.dim
     message = f"cylinder needs a chart with 2 parameters in C^2, got {d} in R^{m}"
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(message)}$"):
-        ss.closed_form_deviations(chart, np.eye(m)[0], 5)
+        ss.closed_form_deviations(chart, np.eye(m)[0], ss.uniform_grid(chart, 5))
 
 
 def test_cylinder_integrals_refuse_a_grid_of_another_dimension(gr_support):
