@@ -10,11 +10,11 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``tangents[p, a, n]``    d_a Phi;  ``hessian[p, a, b, n]``  d_a d_b Phi
 * ``g[a, b, n]``           induced metric  <d_a Phi, d_b Phi>
 * ``area_weight[n]``       the weighted area density exp(<T, Phi>) sqrt(det g)
-* ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g
+* ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g, from order-3 jets only
 * ``dg_inv[e, k, l, n]``, ``K[l, n]``, ``P[l, c, n]``  d_e g^kl and the traces
   g^ab Gamma^l_ab and g^ab d_a Gamma^l_bc, formed at build from order-3 jets
 * ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
-  (the normal projection of partial^2 Phi via the Gauss formula)
+  by the Gauss formula d_a d_b Phi - Gamma^k_ab d_k Phi, from order-3 jets only
 * ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
 * ``nu[p, i, n]``          the normal frame nu_i = J e_i (Lagrangian charts only)
 
@@ -29,7 +29,9 @@ are formed on first use, and every reported scalar is gauge invariant.
 
 The certificates walk a grid's row blocks, one block's order-2 geometry at a
 time, by :func:`grid_maxima`: :func:`soliton_residual` here and the cylinder's
-closed-form deviations in :mod:`wirtinger`.
+closed-form deviations in :mod:`wirtinger`.  That build stops at the metric:
+the Gamma term of the Laplacian of an immersion is tangential, so the certificates
+take H = (g^ab d_a d_b Phi)^perp by :func:`normal_part`, which needs g^-1 alone.
 
 Christoffel symbols are assembled from metric derivatives, not ambient
 projections; of order 3 only their trace P is formed, straight from the third
@@ -58,6 +60,7 @@ __all__ = [
     "adjugate",
     "weighted_area_density",
     "point_geometry",
+    "normal_part",
     "mean_curvature_vector",
     "translator_defect",
     "grid_maxima",
@@ -80,13 +83,13 @@ class PointGeometry:
     g: np.ndarray             # (d, d, N)
     g_inv: np.ndarray         # (d, d, N)
     area_weight: np.ndarray   # (N,) exp(<T, Phi>) sqrt(det g)
-    Gamma: np.ndarray         # (d, d, d, N)
-    dg_inv: np.ndarray | None  # (d, d, d, N) d_e g^kl; None for order-2 jets
-    K: np.ndarray | None      # (d, N) K^l = g^ab Gamma^l_ab; None for order-2 jets
-    P: np.ndarray | None      # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]; None for order-2 jets
-    h_coord: np.ndarray       # (m, d, d, N)
+    Gamma: np.ndarray | None = None    # (d, d, d, N); None for order-2 jets, as are the four below
+    dg_inv: np.ndarray | None = None   # (d, d, d, N) d_e g^kl
+    K: np.ndarray | None = None        # (d, N) K^l = g^ab Gamma^l_ab
+    P: np.ndarray | None = None        # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]
+    h_coord: np.ndarray | None = None  # (m, d, d, N) by the Gauss formula
 
-    # every property below is formed on first use; soliton_residual reads T_coord only
+    # every property below is formed on first use; the certificates read none of them
 
     @cached_property
     def lagrangian(self) -> bool:
@@ -213,10 +216,11 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     ``T`` is the translation direction, of length ``chart.ambient_dim``.  The
     chart's jets are evaluated here at ``order``: order 3 gives the trace ``P``
     that rough Laplacians read, and its third derivatives are freed once read;
-    order 2 leaves ``dg_inv``, ``K`` and ``P`` as None.  They are formed right
-    after Gamma, and the metric derivatives, the bracket, Lambda and P's
-    temporaries are freed before ``h_coord`` is formed, so a block's order-3
-    build peaks while P forms: 308 floats per node at d = 3 and 112 at d = 2.
+    order 2 stops at ``area_weight``, leaving ``Gamma``, ``dg_inv``, ``K``, ``P``
+    and ``h_coord`` None.  ``dg_inv``, ``K`` and ``P`` are formed right after Gamma,
+    and the metric derivatives, the bracket, Lambda and P's temporaries are freed
+    before ``h_coord`` is formed, so a block's order-3 build peaks while P forms:
+    308 floats per node at d = 3 and 112 at d = 2.
     With Gamma^l_bc = 1/2 g^lk [k,b,c], the terms of g^ab d_a [k,b,c] symmetric
     in (c, k) cancel, so no d Gamma is formed:
 
@@ -234,8 +238,10 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     _require_full_rank(chart.name, pts, g, det)
     g_inv = adjugate(g) / det
     area_weight = weighted_area_density(T, x, det, chart.name)
+    if not d3:
+        return PointGeometry(T, x, t, d2, g, g_inv, area_weight)
     # Lambda[m, c] = g^ef d_c d_e d_f Phi: the third jets, the largest array, are read here alone
-    lam = np.einsum("efn,mcefn->mcn", g_inv, *d3) if d3 else None
+    lam = np.einsum("efn,mcefn->mcn", g_inv, *d3)
     del d3
 
     # dg[c,a,b] = <Phi_ac, Phi_b> + <Phi_a, Phi_bc>
@@ -245,15 +251,13 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     # bracket[l,a,b] = d_a g_bl + d_b g_al - d_l g_ab
     bracket = np.einsum("abln->labn", dg) + np.einsum("baln->labn", dg) - dg
     Gamma = 0.5 * np.einsum("kln,labn->kabn", g_inv, bracket)
-    dg_inv = K = P = None
-    if lam is not None:  # P before h_coord, so bracket, lam and P's temporaries are freed first
-        dg_inv = -np.einsum("kpn,epqn,qln->ekln", g_inv, dg, g_inv)
-        inv_part = np.einsum("alkn,akcn->lcn", dg_inv, np.einsum("abn,kbcn->akcn", g_inv, bracket))
-        jet_part = np.einsum("efn,mcen->mcfn", g_inv, d2)  # then <Lambda_c, Phi_k> + M_ck at [c, k]
-        jet_part = np.einsum("mcn,mkn->ckn", lam, t) + np.einsum("mcfn,mkfn->ckn", jet_part, d2)
-        P = 0.5 * inv_part + np.einsum("lkn,ckn->lcn", g_inv, jet_part)
-        del inv_part, jet_part
-        K = np.einsum("abn,labn->ln", g_inv, Gamma)
+    dg_inv = -np.einsum("kpn,epqn,qln->ekln", g_inv, dg, g_inv)
+    inv_part = np.einsum("alkn,akcn->lcn", dg_inv, np.einsum("abn,kbcn->akcn", g_inv, bracket))
+    jet_part = np.einsum("efn,mcen->mcfn", g_inv, d2)  # then <Lambda_c, Phi_k> + M_ck at [c, k]
+    jet_part = np.einsum("mcn,mkn->ckn", lam, t) + np.einsum("mcfn,mkfn->ckn", jet_part, d2)
+    P = 0.5 * inv_part + np.einsum("lkn,ckn->lcn", g_inv, jet_part)
+    del inv_part, jet_part
+    K = np.einsum("abn,labn->ln", g_inv, Gamma)
     del dg, bracket, lam
 
     # Gauss formula: the normal part of the coordinate Hessian of the map
@@ -274,18 +278,21 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     )
 
 
+def normal_part(pg: PointGeometry, v: np.ndarray) -> np.ndarray:
+    """The normal part v - d_a Phi g^ab <d_b Phi, v> of an ambient array v (m, ..., N)."""
+    coeff = np.einsum("abn,b...n->a...n", pg.g_inv, np.einsum("pbn,p...n->b...n", pg.tangents, v))
+    return v - np.einsum("pan,a...n->p...n", pg.tangents, coeff)
+
+
 def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:
-    """Ambient mean curvature H = g^{ab} (d^2 Phi)^perp_ab, shape (m, N)."""
-    return np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
+    """Ambient mean curvature H = (g^ab d_a d_b Phi)^perp, shape (m, N); the Gamma term is tangential."""
+    return normal_part(pg, np.einsum("abn,mabn->mn", pg.g_inv, pg.hessian))
 
 
 def translator_defect(pg: PointGeometry) -> np.ndarray:
-    """The translator-equation field T^perp - H, shape (m, N); zero on a translator.
-
-    T^perp = T - d_a Phi T^a, with T^a = g^ab <T, d_b Phi> the tangential part.
-    """
-    t_perp = pg.T[:, None] - np.einsum("pan,an->pn", pg.tangents, pg.T_coord)
-    return t_perp - mean_curvature_vector(pg)
+    """The translator-equation field T^perp - H = (T - g^ab d_a d_b Phi)^perp, shape (m, N);
+    zero on a translator."""
+    return normal_part(pg, pg.T[:, None] - np.einsum("abn,mabn->mn", pg.g_inv, pg.hessian))
 
 
 def grid_maxima(chart: Chart, T, grid: QuadratureGrid, quantities) -> list[float]:

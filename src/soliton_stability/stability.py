@@ -123,7 +123,8 @@ def grid_geometry(
     fundamental form and drops the normal frame they are formed from.
     """
     pg = point_geometry(chart, T, grid.nodes)
-    defect = translator_defect(pg)  # forms T_coord
+    pg.T_coord  # the operator and square routes read it
+    defect = translator_defect(pg)
     if pg.lagrangian:
         pg.h3
         del pg.nu

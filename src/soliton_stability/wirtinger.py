@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import batch_det, grid_maxima, mean_curvature_vector
+from .geometry import batch_det, grid_maxima, mean_curvature_vector, normal_part
 from .quadrature import QuadratureGrid, total
 from .variations import ScalarField
 
@@ -111,12 +111,13 @@ def closed_form_deviations(chart, T, grid: QuadratureGrid) -> dict[str, float]:
     def deviations(pg, points):
         x = points[:, 0]
         sec = 1.0 / np.cos(x)
-        g_exact, h_exact = np.zeros_like(pg.g), np.zeros_like(pg.h_coord)
+        g_exact = np.zeros_like(pg.g)
         g_exact[0, 0], g_exact[1, 1] = sec**2, 1.0
-        h_exact[0, 0, 0], h_exact[1, 0, 0] = 1.0, -np.tan(x)
+        sff = normal_part(pg, pg.hessian)  # less h(d_x, d_x), in place: no closed-form array is formed
+        sff[0, 0, 0], sff[1, 0, 0] = sff[0, 0, 0] - 1.0, sff[1, 0, 0] + np.tan(x)
         curvature = np.linalg.norm(mean_curvature_vector(pg), axis=0) - np.cos(x)
         area_density, weight = np.sqrt(batch_det(pg.g)), np.exp(np.einsum("p,pn->n", pg.T, pg.positions))
-        return pg.g - g_exact, area_density - sec, pg.h_coord - h_exact, curvature, weight - sec
+        return pg.g - g_exact, area_density - sec, sff, curvature, weight - sec
 
     names = ("metric", "area_density", "second_fundamental_form", "mean_curvature", "weight")
     return dict(zip(names, grid_maxima(chart, T, grid, deviations)))

@@ -280,6 +280,13 @@ def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
     return t_perp - mean_curvature_vector(pg)
 
 
+def gauss_translator_defect(pg: PointGeometry) -> np.ndarray:
+    """T^perp - H as T - d_a Phi T^a - g^ab h_ab, with h_coord the order-3 Gauss formula
+    d_a d_b Phi - Gamma^k_ab d_k Phi and Gamma from metric derivatives."""
+    t_perp = pg.T[:, None] - np.einsum("pan,an->pn", pg.tangents, pg.T_coord)
+    return t_perp - np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
+
+
 def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:
     """nabla(theta) expressed in the orthonormal tangent frame, (d, d, N)."""
     A = pg.frame_coeff

@@ -43,7 +43,7 @@ def test_verify_soliton_fails_on_perturbed_chart(tmp_path):
     code = run_cli("verify-soliton", "--chart", "perturbed_grim_reaper", "--out", str(out))
     assert code == EXIT_FAIL
     data = json.loads(out.read_text())
-    assert data["max_soliton_residual"] > 1e-3
+    assert abs(data["max_soliton_residual"] - 0.09975140173631185) <= 1e-14 * 0.09975140173631185
     assert data["passed"] is False
 
 

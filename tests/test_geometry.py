@@ -17,6 +17,7 @@ from oracles import (
     frame_mean_curvature,
     frame_translator_defect,
     full_rank_message,
+    gauss_translator_defect,
     lapack_frame,
     lapack_inverse,
 )
@@ -30,6 +31,7 @@ from soliton_stability.geometry import (
     adjugate,
     batch_det,
     kaehler_pullback,
+    normal_part,
     translator_defect,
 )
 
@@ -282,6 +284,24 @@ def test_translator_defect_matches_frame_projection(spec):
     chart = ss.chart_from_config(spec)
     pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7).nodes)
     assert np.max(np.abs(translator_defect(pg) - frame_translator_defect(pg))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["grim_reaper", "perturbed_grim_reaper", "non_lagrangian_patch", GRIM_REAPER_X_LINE],
+    ids=["grim_reaper", "perturbed", "non_lagrangian_patch", "grim_reaper_x_line"],
+)
+def test_normal_projection_matches_the_gauss_formula(spec):
+    """The certificates project d^2 Phi onto the normal space by the metric alone; the order-3
+    Gauss formula subtracts Gamma^k_ab d_k Phi with Gamma from metric derivatives.  The two
+    give h_coord, H = g^ab h_ab and T^perp - H to 1e-13 of max |d^2 Phi|, on every chart."""
+    chart = ss.chart_from_config(spec)
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7).nodes)
+    tol = 1e-13 * np.max(np.abs(pg.hessian))
+    assert np.max(np.abs(normal_part(pg, pg.hessian) - pg.h_coord)) <= tol
+    H = np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
+    assert np.max(np.abs(ss.mean_curvature_vector(pg) - H)) <= tol
+    assert np.max(np.abs(translator_defect(pg) - gauss_translator_defect(pg))) <= tol
 
 
 def test_soliton_residual_forms_no_frame(monkeypatch, grim_reaper, T):

@@ -152,7 +152,7 @@ def test_point_geometry_matches_node_first_reference(case):
 def test_christoffel_trace_matches_the_node_first_christoffel_derivatives(spec):
     """P, formed straight from the third jets, is g^ab d_a Gamma^l_bc of the node-first
     Christoffel derivatives to 1e-13 of its largest entry, at d = 2 and d = 3; an order-2
-    geometry has none."""
+    geometry has none, nor Gamma and h_coord."""
     chart = ss.chart_from_config(spec)
     d = chart.dim
     rng = np.random.default_rng(5 + d)
@@ -164,7 +164,8 @@ def test_christoffel_trace_matches_the_node_first_christoffel_derivatives(spec):
     scale = np.max(np.abs(want))
     assert scale > 0.1
     assert np.max(np.abs(ss.point_geometry(chart, T, nodes).P - want)) <= 1e-13 * scale
-    assert ss.point_geometry(chart, T, nodes, order=2).P is None
+    lean = ss.point_geometry(chart, T, nodes, order=2)
+    assert lean.P is None and lean.Gamma is None and lean.h_coord is None
 
 
 def test_covariant_calculus_matches_node_first_reference(case):

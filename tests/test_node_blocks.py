@@ -543,14 +543,15 @@ def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
 
 @pytest.mark.parametrize(
     "spec, cells, points, held, peak",
-    [("grim_reaper", 20, 8, 63, 81), (GRIM_REAPER_X_LINE, 3, 10, 184, 240)],
+    [("grim_reaper", 20, 8, 38, 42), (GRIM_REAPER_X_LINE, 3, 10, 98, 107)],
     ids=["d2", "d3"],
 )
 def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
-    """The order-2 build the certificates read holds 61 floats per node at d = 2 and 178 at
-    d = 3, and peaks at 78 and 233: it keeps the weighted area density alone, not the metric
-    derivatives, sqrt(det g) and exp(<T, x>) beside it, with which it held 70 and 206 and
-    peaked at 86 and 260."""
+    """The order-2 build the certificates read holds 37 floats per node at d = 2 and 97 at
+    d = 3, and peaks at 41 and 106: it stops at the metric, its inverse and the weighted area
+    density, with no Christoffel symbols or Gauss-formula h_coord, with which it held 61 and
+    178 and peaked at 78 and 233 (70 and 206, peaks 86 and 260, with the metric derivatives,
+    sqrt(det g) and exp(<T, x>) kept beside them)."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     T = np.eye(2 * d)[0]
@@ -564,7 +565,7 @@ def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
     finally:
         tracemalloc.stop()
     n = nodes.shape[0]
-    assert pg.P is None and n > 8000
+    assert pg.P is None and pg.Gamma is None and pg.h_coord is None and n > 8000
     assert held_bytes < held * 8 * n, held_bytes / (8 * n)
     assert peak_bytes < peak * 8 * n, peak_bytes / (8 * n)
 

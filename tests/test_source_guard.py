@@ -65,10 +65,16 @@
   grid builder that applied it (``default_grid_for_support``) stay deleted.
 * One walk takes the certificates' order-2 geometry, ``geometry.grid_maxima``:
   no module but ``geometry.py`` calls ``point_geometry`` at order 2.
+* The certificates read the metric alone, the order-2 build: ``h_coord`` and
+  ``Gamma``, which only an order-3 build forms, are read neither in
+  ``wirtinger.py`` nor in ``geometry``'s certificate functions (``normal_part``,
+  ``mean_curvature_vector``, ``translator_defect``, ``grid_maxima``,
+  ``soliton_residual``), which project onto the normal space by ``g^-1``.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
 those in ``OUTSIDE_JETS`` in every module but ``jets.py``, and those in
-``OUTSIDE_GEOMETRY`` in every module but ``geometry.py``.
+``OUTSIDE_GEOMETRY`` in every module but ``geometry.py``; patterns in
+``INSIDE_GEOMETRY`` and ``INSIDE_WIRTINGER`` hold in that module only.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
 """
@@ -134,8 +140,21 @@ OUTSIDE_GEOMETRY = {
     "order-2 geometry outside geometry": r"\bpoint_geometry\([^()]*\border\s*=\s*2\b",
 }
 
-# the module each set of patterns exempts
+# a certificate function's body runs to the next line that starts with a name, "@" or "#"
+INSIDE_GEOMETRY = {
+    "order-3 field in a certificate function": (
+        r"(?m)^def (normal_part|mean_curvature_vector|translator_defect|grid_maxima|soliton_residual)\("
+        r"(?:(?!\n[\w@#])[\s\S])*?\.(h_coord|Gamma)\b"
+    ),
+}
+
+INSIDE_WIRTINGER = {
+    "order-3 field in wirtinger": r"\.(h_coord|Gamma)\b",
+}
+
+# the module each set of patterns exempts, and the module each set holds in alone
 OUTSIDE = {"quadrature.py": OUTSIDE_QUADRATURE, "jets.py": OUTSIDE_JETS, "geometry.py": OUTSIDE_GEOMETRY}
+INSIDE = {"geometry.py": INSIDE_GEOMETRY, "wirtinger.py": INSIDE_WIRTINGER}
 
 # one sample per pattern that the guard must flag, at the sample's first line
 CAUGHT = {
@@ -180,13 +199,19 @@ CAUGHT = {
     "command writing its own output": '    _emit(reports_to_json(checks), cfg["output"]["path"])',
     "deleted support margin rule": "    require_support_inside(chart.domain, support)",
     "order-2 geometry outside geometry": "        pg = point_geometry(chart, T, points, order=2)",
+    "order-3 field in a certificate function": (
+        'def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:\n    """H."""\n'
+        '    return np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)'
+    ),
+    "order-3 field in wirtinger": "        g_exact, h_exact = np.zeros_like(pg.g), np.zeros_like(pg.h_coord)",
 }
 
 
 def violations(text: str, module: str = "") -> list[tuple[int, str]]:
     """``(line number, why)`` once per line a pattern starts to match on, by line, then pattern;
-    ``module`` is the file's name, which exempts it from the patterns ``OUTSIDE`` gives it."""
-    rules = dict(FORBIDDEN)
+    ``module`` is the file's name, which exempts it from the patterns ``OUTSIDE`` gives it and
+    holds it to those ``INSIDE`` gives it."""
+    rules = dict(FORBIDDEN, **INSIDE.get(module, {}))
     for home, patterns in OUTSIDE.items():
         if module != home:
             rules.update(patterns)
@@ -201,7 +226,8 @@ def violations(text: str, module: str = "") -> list[tuple[int, str]]:
 
 def test_guard_flags_each_pattern_and_nothing_else():
     for why, line in CAUGHT.items():
-        assert violations(line) == [(1, why)], why
+        module = next((home for home, patterns in INSIDE.items() if why in patterns), "")
+        assert violations(line, module) == [(1, why)], why
     assert violations("eigmin = np.linalg.eigvalsh(g)\nout[0::2] = v[1::2]") == []
     order2 = "pg = point_geometry(chart, T, block.nodes, order=2)\njets = eval_jets(chart, pts)"
     assert violations(order2, "geometry.py") == []
@@ -279,6 +305,24 @@ def test_guard_flags_each_pattern_and_nothing_else():
         '    return reports_to_json(checks), passed\n_emit(text, cfg["output"]["path"])\ndef main(argv=None) -> int:'
     )
     assert violations(main) == []
+    certificate = CAUGHT["order-3 field in a certificate function"]
+    assert violations(certificate, "stability.py") == []
+    assert violations("x = 1\n\n" + certificate, "geometry.py")[0][0] == 3
+    lean = (
+        'def translator_defect(\n    pg: PointGeometry,\n) -> np.ndarray:\n    """T^perp - H."""\n'
+        "    return normal_part(pg, pg.T[:, None] - pg.hessian)\n\n\n"
+        "@dataclass\nclass PointGeometry:\n    h_coord: np.ndarray | None = None\n"
+        "    def h3(self):\n        return self.h_coord\n"
+        "def point_geometry(chart, T, points):\n    h_coord = d2 - np.einsum(\"kabn,mkn->mabn\", Gamma, t)\n"
+        "    return pg.Gamma, pg.h_coord"
+    )
+    assert violations(lean, "geometry.py") == []
+    assert violations(lean, "wirtinger.py") == [(n, "order-3 field in wirtinger") for n in (12, 15)]
+    read = (
+        "def soliton_residual(\n    chart, T, grid\n) -> DiagnosticsReport:\n"
+        "    def certificates(pg, _):\n\n        return pg.Gamma"
+    )
+    assert violations(read, "geometry.py") == [(1, "order-3 field in a certificate function")]
 
 
 def test_every_module_is_scanned():
