@@ -13,8 +13,6 @@ contiguous, so a contraction over small indices runs over rows of nodes:
 * ``Gamma[k, a, b, n]``    Christoffel symbols Gamma^k_ab of g, from order-3 jets only
 * ``dg_inv[e, k, l, n]``, ``K[l, n]``, ``P[l, c, n]``  d_e g^kl and the traces
   g^ab Gamma^l_ab and g^ab d_a Gamma^l_bc, formed at build from order-3 jets
-* ``h_coord[p, a, b, n]``  ambient components of the second fundamental form
-  by the Gauss formula d_a d_b Phi - Gamma^k_ab d_k Phi, from order-3 jets only
 * ``frame_coeff[a, i, n]`` coefficients with e_i = frame_coeff[a, i] d_a Phi
 * ``nu[p, i, n]``          the normal frame nu_i = J e_i (Lagrangian charts only)
 
@@ -32,6 +30,9 @@ time, by :func:`grid_maxima`: :func:`soliton_residual` here and the cylinder's
 closed-form deviations in :mod:`wirtinger`.  That build stops at the metric:
 the Gamma term of the Laplacian of an immersion is tangential, so the certificates
 take H = (g^ab d_a d_b Phi)^perp by :func:`normal_part`, which needs g^-1 alone.
+No build forms the second fundamental form by the Gauss formula: ``h3`` and the
+divergence route pair d_a d_b Phi with normal fields, where the tangential
+Gamma^k_ab d_k Phi pairs to zero.
 
 Christoffel symbols are assembled from metric derivatives, not ambient
 projections; of order 3 only their trace P is formed, straight from the third
@@ -87,7 +88,6 @@ class PointGeometry:
     dg_inv: np.ndarray | None = None   # (d, d, d, N) d_e g^kl
     K: np.ndarray | None = None        # (d, N) K^l = g^ab Gamma^l_ab
     P: np.ndarray | None = None        # (d, d, N) P^l_c = g^ab d_a Gamma^l_bc, at [l, c]
-    h_coord: np.ndarray | None = None  # (m, d, d, N) by the Gauss formula
 
     # every property below is formed on first use; the certificates read none of them
 
@@ -125,8 +125,10 @@ class PointGeometry:
 
     @cached_property
     def h3(self) -> np.ndarray:  # (d, d, d, N) h_ijk
+        """h_ijk = <h(e_i, e_j), nu_k> from the Hessian: <d_a d_b Phi, nu_k> = <h_ab, nu_k> only
+        because nu_k is normal, and so orthogonal to the Gauss formula's Gamma^l_ab d_l Phi."""
         A = self.frame_coeff
-        h_nu = np.einsum("qabn,qpn->abpn", self.h_coord, self.nu)
+        h_nu = np.einsum("qabn,qpn->abpn", self.hessian, self.nu)
         h_nu = np.einsum("ain,abpn->ibpn", A, h_nu)
         return np.einsum("bjn,ibpn->ijpn", A, h_nu)
 
@@ -214,19 +216,19 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     """Compute all pointwise geometric quantities at a batch of points.
 
     ``T`` is the translation direction, of length ``chart.ambient_dim``.  The
-    chart's jets are evaluated here at ``order``: order 3 gives the trace ``P``
-    that rough Laplacians read, and its third derivatives are freed once read;
-    order 2 stops at ``area_weight``, leaving ``Gamma``, ``dg_inv``, ``K``, ``P``
-    and ``h_coord`` None.  ``dg_inv``, ``K`` and ``P`` are formed right after Gamma,
-    and the metric derivatives, the bracket, Lambda and P's temporaries are freed
-    before ``h_coord`` is formed, so a block's order-3 build peaks while P forms:
-    308 floats per node at d = 3 and 112 at d = 2.
+    chart's jets are evaluated here at ``order``, 2 or 3: order 3 gives the trace
+    ``P`` that rough Laplacians read, and its third derivatives are freed once read;
+    order 2 stops at ``area_weight``, leaving ``Gamma``, ``dg_inv``, ``K`` and ``P``
+    None.  A block's order-3 build peaks while P forms: 308 floats per node at
+    d = 3 and 112 at d = 2.
     With Gamma^l_bc = 1/2 g^lk [k,b,c], the terms of g^ab d_a [k,b,c] symmetric
     in (c, k) cancel, so no d Gamma is formed:
 
         P^l_c = 1/2 g^ab (d_a g^lk) [k,b,c] + g^lk (<Lambda_c, d_k Phi> + M_ck),
         Lambda_c = g^ef d_c d_e d_f Phi,   M_ck = g^ef <d_c d_e Phi, d_k d_f Phi>.
     """
+    if order not in (2, 3):
+        raise ValueError(f"point_geometry takes order 2 or 3, not {order!r}")
     T = np.asarray(T, dtype=float)
     if T.shape != (chart.ambient_dim,):
         raise ValueError(f"T has shape {T.shape}, chart {chart.name!r} needs ({chart.ambient_dim},)")
@@ -256,12 +258,7 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     jet_part = np.einsum("efn,mcen->mcfn", g_inv, d2)  # then <Lambda_c, Phi_k> + M_ck at [c, k]
     jet_part = np.einsum("mcn,mkn->ckn", lam, t) + np.einsum("mcfn,mkfn->ckn", jet_part, d2)
     P = 0.5 * inv_part + np.einsum("lkn,ckn->lcn", g_inv, jet_part)
-    del inv_part, jet_part
     K = np.einsum("abn,labn->ln", g_inv, Gamma)
-    del dg, bracket, lam
-
-    # Gauss formula: the normal part of the coordinate Hessian of the map
-    h_coord = d2 - np.einsum("kabn,mkn->mabn", Gamma, t)
     return PointGeometry(
         T=T,
         positions=x,
@@ -274,7 +271,6 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
         dg_inv=dg_inv,
         K=K,
         P=P,
-        h_coord=h_coord,
     )
 
 

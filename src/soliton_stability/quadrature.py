@@ -23,8 +23,8 @@ from numpy.polynomial.legendre import leggauss
 __all__ = ["QuadratureGrid", "tensor_rule", "total", "BLOCK_NODES"]
 
 # Nodes per block of QuadratureGrid.blocks, rounded down to whole x-rows; no
-# output bit depends on it.  It sets the memory a block holds (93 floats per
-# node of grid geometry at d = 2, 262 at d = 3; its build peaks at 112 and 308,
+# output bit depends on it.  It sets the memory a block holds (77 floats per
+# node of grid geometry at d = 2, 208 at d = 3; its build peaks at 112 and 308,
 # while the Christoffel trace P forms) against per-block fixed costs.
 # On a 2-vCPU VM (Python 3.11.7, numpy 2.4.6, fresh processes), second-variation
 # on the perfbench suite2d config took 2.25 / 1.99 / 1.94 s at 4,096 / 8,192 /

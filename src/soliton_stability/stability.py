@@ -251,11 +251,11 @@ def second_variation_operator(block: GridGeometry, data: VariationData) -> np.nd
 def second_variation_divergence(block: GridGeometry, data: VariationData) -> np.ndarray:
     """First-order route,  int (|nabla theta|^2 - |h paired with V|^2) w dmu: its integrand.
 
-    The curvature term here goes through the ambient-valued second
-    fundamental form and the ambient variation field, independent of the
-    frame route used by the operator form.
+    The curvature term pairs the ambient Hessian d_a d_b Phi with the ambient
+    variation field, independent of the frame route used by the operator form;
+    that pairing is <h_ab, V> only because V = J theta^sharp is normal.
     """
-    h_v = np.einsum("mabn,mn->abn", block.pg.h_coord, data.v)
+    h_v = np.einsum("mabn,mn->abn", block.pg.hessian, data.v)
     return data.nabla_sq - _metric_square(block.pg, h_v)
 
 

@@ -2,9 +2,9 @@
 
 Each helper recomputes something the package computes another way (finite
 differences against exact jets, the product and chain rules slot by slot, a
-one-form from frame components, the translator defect through the tangent
-frame, the box-local functional on a fresh grid, the geometry and covariant
-calculus with the node axis first, the LAPACK inverse, Cholesky frame and
+one-form from frame components, the second fundamental form by the Gauss
+formula, the translator defect through the tangent frame, the box-local
+functional on a fresh grid, the geometry and covariant calculus with the node axis first, the LAPACK inverse, Cholesky frame and
 full-batch rank check of per-node metrics, a polynomial field monomial by
 monomial, a grid geometry with its full point geometry, one variation's report on one
 block, the deformed functional on it and its first variation by finite differences, both sides of the square-form proof's integrations by
@@ -280,11 +280,29 @@ def frame_translator_defect(pg: PointGeometry) -> np.ndarray:
     return t_perp - mean_curvature_vector(pg)
 
 
+def gauss_second_fundamental_form(pg: PointGeometry) -> np.ndarray:
+    """Ambient components h_ab (m, d, d, N) of the second fundamental form by the Gauss
+    formula d_a d_b Phi - Gamma^k_ab d_k Phi, with Gamma from metric derivatives (order 3).
+
+    The package pairs d_a d_b Phi itself with normal fields, where the Gamma
+    term drops, and projects it onto the normal space by the metric alone."""
+    return pg.hessian - np.einsum("kabn,mkn->mabn", pg.Gamma, pg.tangents)
+
+
+def gauss_h3(pg: PointGeometry) -> np.ndarray:
+    """Frame components h_ijk = <h(e_i, e_j), nu_k> (d, d, d, N) of the Gauss-formula second
+    fundamental form, contracted in the order ``PointGeometry.h3`` contracts the Hessian."""
+    A = pg.frame_coeff
+    h_nu = np.einsum("qabn,qpn->abpn", gauss_second_fundamental_form(pg), pg.nu)
+    h_nu = np.einsum("ain,abpn->ibpn", A, h_nu)
+    return np.einsum("bjn,ibpn->ijpn", A, h_nu)
+
+
 def gauss_translator_defect(pg: PointGeometry) -> np.ndarray:
-    """T^perp - H as T - d_a Phi T^a - g^ab h_ab, with h_coord the order-3 Gauss formula
-    d_a d_b Phi - Gamma^k_ab d_k Phi and Gamma from metric derivatives."""
+    """T^perp - H as T - d_a Phi T^a - g^ab h_ab, with h_ab by the Gauss formula
+    (:func:`gauss_second_fundamental_form`)."""
     t_perp = pg.T[:, None] - np.einsum("pan,an->pn", pg.tangents, pg.T_coord)
-    return t_perp - np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
+    return t_perp - np.einsum("abn,mabn->mn", pg.g_inv, gauss_second_fundamental_form(pg))
 
 
 def frame_covariant_matrix(nabla: np.ndarray, pg: PointGeometry) -> np.ndarray:
@@ -316,7 +334,7 @@ def curvature_tensor(pg: PointGeometry, dG: np.ndarray):
     * ``riem_intrinsic`` comes from pg's Christoffel symbols and their
       derivatives ``dG`` (:func:`christoffel_partial`; metric data only),
     * ``riem_gauss`` is assembled from the ambient second fundamental form
-      h_ij = h(e_i, e_j) via the Gauss equation
+      h_ij = h(e_i, e_j) (:func:`gauss_second_fundamental_form`) via the Gauss equation
       R_ijkl = <h_ik, h_jl> - <h_il, h_jk>,
     * ``ricci`` is its trace  R_ik = <H, h_ik> - <h_ji, h_jk>.
 
@@ -341,7 +359,7 @@ def curvature_tensor(pg: PointGeometry, dG: np.ndarray):
     riem_intrinsic = r_coord
     for _ in range(4):  # one frame index per pass, first to last: (a, b, c, d) -> (i, j, k, l)
         riem_intrinsic = np.einsum("ain,a...n->...in", A, riem_intrinsic)
-    h = np.einsum("bjn,qabn->qajn", A, pg.h_coord)
+    h = np.einsum("bjn,qabn->qajn", A, gauss_second_fundamental_form(pg))
     h = np.einsum("ain,qajn->ijqn", A, h)
     riem_gauss = np.einsum("ikqn,jlqn->ijkln", h, h) - np.einsum("ilqn,jkqn->ijkln", h, h)
     ricci = np.einsum("qn,ikqn->ikn", mean_curvature_vector(pg), h) - np.einsum(

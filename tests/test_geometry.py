@@ -2,6 +2,7 @@
 
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from oracles import (
     frame_mean_curvature,
     frame_translator_defect,
     full_rank_message,
+    gauss_h3,
+    gauss_second_fundamental_form,
     gauss_translator_defect,
     lapack_frame,
     lapack_inverse,
@@ -34,6 +37,7 @@ from soliton_stability.geometry import (
     normal_part,
     translator_defect,
 )
+from soliton_stability.stability import _metric_square
 
 # frozen regression baseline for the eps=0.05 perturbed cylinder on the 30x30
 # diagnostic grid (max pointwise distance from the translator equation)
@@ -84,6 +88,20 @@ GRIM_REAPER_X_LINE = {
     "name": "grim_reaper_x_line",
     "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
     "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
+}
+
+GRIM_REAPER_X_PLANE = {
+    "name": "grim_reaper_x_plane",
+    "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]],
+    "components": ["-log(cos(u1))", "u1", "u2", "0", "u3", "0", "u4", "0"],
+}
+
+# the grim reaper bent off Lagrangian by a Kaehler pullback 3e-10 cos(x) y^2, at most 7.7e-10 on
+# its support box, which LAGRANGIAN_DETECT_TOL still passes: nu and V are normal only to that level
+NEAR_LAGRANGIAN_REAPER = {
+    "name": "near_lagrangian_reaper",
+    "domain": [[-1.47, 1.47], [-2.0, 2.0]],
+    "components": ["-log(cos(x))", "x", "y", "3e-10*sin(x)*y*y"],
 }
 
 
@@ -205,12 +223,15 @@ def test_second_fundamental_form_closed_form(grim_reaper, T):
     pts = np.array([[0.0, 0.0], [0.8, -0.5]])
     pg = ss.point_geometry(grim_reaper, T, pts)
     sec = 1.0 / np.cos(pts[:, 0])
-    h_num = np.einsum("qabn,qpn->abpn", pg.h_coord, pg.nu)
+    h_num = np.einsum("qabn,qpn->abpn", gauss_second_fundamental_form(pg), pg.nu)
     expected = np.zeros_like(h_num)
     expected[0, 0, 0] = sec
     assert np.allclose(h_num, expected, atol=1e-12)
     # at x = 0 this is the single unit component
     assert np.isclose(h_num[0, 0, 0, 0], 1.0, atol=1e-14)
+    # on the frame, e_0 = cos x d_x Phi: h_000 = cos^2 x sec x
+    expected[0, 0, 0] = np.cos(pts[:, 0])
+    assert np.allclose(pg.h3, expected, atol=1e-12)
 
 
 def test_mean_curvature_closed_form(grim_reaper, T):
@@ -241,8 +262,8 @@ def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, T):
         # h fully symmetric in all three indices for Lagrangian charts
         assert np.max(np.abs(pg.h3 - pg.h3.swapaxes(0, 1))) < 1e-9
         assert np.max(np.abs(pg.h3 - np.einsum("ijkn->kjin", pg.h3))) < 1e-9
-        # h_coord is perpendicular to the tangent space
-        perp = np.einsum("qabn,qcn->abcn", pg.h_coord, pg.tangents)
+        # the Gauss-formula h is perpendicular to the tangent space
+        perp = np.einsum("qabn,qcn->abcn", gauss_second_fundamental_form(pg), pg.tangents)
         assert np.max(np.abs(perp)) < 1e-10
 
 
@@ -294,14 +315,41 @@ def test_translator_defect_matches_frame_projection(spec):
 def test_normal_projection_matches_the_gauss_formula(spec):
     """The certificates project d^2 Phi onto the normal space by the metric alone; the order-3
     Gauss formula subtracts Gamma^k_ab d_k Phi with Gamma from metric derivatives.  The two
-    give h_coord, H = g^ab h_ab and T^perp - H to 1e-13 of max |d^2 Phi|, on every chart."""
+    give h_ab, H = g^ab h_ab and T^perp - H to 1e-13 of max |d^2 Phi|, on every chart."""
     chart = ss.chart_from_config(spec)
     pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7).nodes)
     tol = 1e-13 * np.max(np.abs(pg.hessian))
-    assert np.max(np.abs(normal_part(pg, pg.hessian) - pg.h_coord)) <= tol
-    H = np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)
+    h = gauss_second_fundamental_form(pg)
+    assert np.max(np.abs(normal_part(pg, pg.hessian) - h)) <= tol
+    H = np.einsum("abn,mabn->mn", pg.g_inv, h)
     assert np.max(np.abs(ss.mean_curvature_vector(pg) - H)) <= tol
     assert np.max(np.abs(translator_defect(pg) - gauss_translator_defect(pg))) <= tol
+
+
+@pytest.mark.parametrize(
+    "spec, tol",
+    [("grim_reaper", 1e-13), (GRIM_REAPER_X_LINE, 1e-13), (GRIM_REAPER_X_PLANE, 1e-13), (NEAR_LAGRANGIAN_REAPER, 1e-9)],
+    ids=["grim_reaper", "grim_reaper_x_line", "grim_reaper_x_plane", "near_lagrangian"],
+)
+def test_hessian_pairings_match_the_gauss_formula(spec, tol):
+    """h3 and the divergence route pair d^2 Phi with the normal fields nu and V = J theta^sharp,
+    against which the Gauss formula's Gamma^k_ab d_k Phi pairs to zero.  h3 matches the
+    oracle's Gauss-formula h3 to ``tol`` of max |d^2 Phi|, and the route's integrand matches
+    |nabla theta|^2 - |h . V|^2 with the oracle's h to ``tol`` of the curvature term's largest
+    value: 1e-13 on Lagrangian charts, 1e-9 on one whose Kaehler pullback passes the
+    Lagrangian test without vanishing, where nu and V are normal only to that level."""
+    chart = ss.chart_from_config(spec)
+    T = np.eye(chart.ambient_dim)[0]
+    grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=1, points_per_cell=4)
+    block = ss.grid_geometry(chart, T, grid)
+    ref = ss.point_geometry(chart, T, grid.nodes)  # keeps the normal frame the block drops
+    pullback = np.max(np.abs(kaehler_pullback(ref.tangents)))
+    assert block.pg.lagrangian and (pullback > 0) == (spec is NEAR_LAGRANGIAN_REAPER)
+    assert np.max(np.abs(block.pg.h3 - gauss_h3(ref))) <= tol * np.max(np.abs(ref.hessian))
+    data = ss.prepare_variation(block, ss.random_hamiltonian_variation(grid.box, seed=3))
+    curvature = _metric_square(ref, np.einsum("mabn,mn->abn", gauss_second_fundamental_form(ref), data.v))
+    route = ss.second_variation_divergence(block, data)
+    assert np.max(np.abs(route - (data.nabla_sq - curvature))) <= tol * np.max(curvature)
 
 
 def test_soliton_residual_forms_no_frame(monkeypatch, grim_reaper, T):
@@ -344,6 +392,50 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
         assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
+
+
+def gradient_graph_spec(d: int, seed: int) -> dict:
+    """The gradient graph (x, d_x u, y, d_y u[, z, d_z u]) over [-1, 1]^d of the seeded quartic
+    u = sum of c_e x^e over 2 <= |e| <= 4, c_e uniform in [-0.5, 0.5]: Lagrangian for every u,
+    with metric I + (D^2 u)^2, and curved, for u is not harmonic but on a null set."""
+    names = variable_names(d)
+    exponents = [e for e in product(range(5), repeat=d) if 2 <= sum(e) <= 4]
+    coeffs = np.random.default_rng(seed).uniform(-0.5, 0.5, size=len(exponents))
+
+    def partial(i):  # d_i u, term by term
+        terms = []
+        for c, e in zip(coeffs, exponents):
+            if e[i]:
+                powers = [(v, p - (a == i)) for a, (v, p) in enumerate(zip(names, e))]
+                factors = [v if p == 1 else f"{v}**{p}" for v, p in powers if p]
+                terms.append("*".join([repr(float(c * e[i]))] + factors))
+        return " + ".join(terms)
+
+    components = [c for i, v in enumerate(names) for c in (v, partial(i))]
+    return {"name": f"gradient_graph(d={d}, seed={seed})", "domain": [[-1.0, 1.0]] * d, "components": components}
+
+
+gradient_graphs = st.builds(gradient_graph_spec, st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=gradient_graphs)
+def test_random_gradient_graphs_pin_h3_and_the_gauss_equation(spec):
+    """On random Lagrangian gradient graphs of non-harmonic quartics at d = 2 and 3, the
+    Hessian-based h3 is the oracle's Gauss-formula h3 to 1e-12 of max |d^2 Phi|, and the
+    intrinsic Riemann tensor is the Gauss equation's, with its Ricci trace, to 1e-12 of its
+    largest entry."""
+    chart = ss.chart_from_config(spec)
+    d = chart.dim
+    pts = np.random.default_rng(d).uniform(-0.9, 0.9, size=(20, d))
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], pts)
+    laplacian = sum(pg.hessian[2 * i + 1, i, i] for i in range(d))  # the trace of D^2 u
+    assert pg.lagrangian and np.max(np.abs(laplacian)) > 1e-3
+    assert np.max(np.abs(pg.h3 - gauss_h3(pg))) <= 1e-12 * np.max(np.abs(pg.hessian))
+    r_int, r_gauss, ric = curvature_tensor(pg, christoffel_partial(chart, pts))
+    scale = np.max(np.abs(r_int))
+    assert np.max(np.abs(r_int - r_gauss)) <= 1e-12 * scale
+    assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) <= 1e-12 * scale
 
 
 def test_cylinder_is_intrinsically_flat(grim_reaper, T):
@@ -404,6 +496,12 @@ def test_rank_deficiency_raises(T):
 def test_wrong_length_T_raises(grim_reaper):
     with pytest.raises(ValueError, match=r"T has shape \(3,\), chart 'grim_reaper' needs \(4,\)"):
         ss.point_geometry(grim_reaper, [1.0, 0.0, 0.0], np.array([[0.1, 0.1]]))
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_point_geometry_takes_order_two_or_three(grim_reaper, T, order):
+    with pytest.raises(ValueError, match=f"^point_geometry takes order 2 or 3, not {order}$"):
+        ss.point_geometry(grim_reaper, T, np.array([[0.1, 0.1]]), order=order)
 
 
 # at x = 0.2 each term first fails at its slot's level: log(0.1 - x) is NaN,

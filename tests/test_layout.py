@@ -19,7 +19,13 @@ import pytest
 
 import soliton_stability as ss
 import soliton_stability.jets as J
-from oracles import div_grad, node_first_covariant, node_first_geometry, tensor_grid
+from oracles import (
+    div_grad,
+    gauss_second_fundamental_form,
+    node_first_covariant,
+    node_first_geometry,
+    tensor_grid,
+)
 
 # u = 0.3 x^3 + 0.2 x^2 y - 0.25 x y z + 0.15 y^2 z + 0.1 z^3 + 0.4 x y + 0.2 y z
 CUBIC_GRADIENT_GRAPH = {
@@ -137,6 +143,8 @@ def test_point_geometry_matches_node_first_reference(case):
     reference = node_first_geometry(jets)
     del reference["Gamma_partial"]  # the package forms only its trace P (see below)
     del reference["dg"]  # freed at build, and checked through Gamma and dg_inv
+    # the package forms no Gauss-formula h, which the tests' oracle forms from pg's Gamma
+    assert_matches(gauss_second_fundamental_form(pg), reference.pop("h_coord"), "h_coord")
     for name, ref in reference.items():
         assert_matches(getattr(pg, name), ref, name)
     assert_close(pg.tangents, jets.d1, "tangents")
@@ -152,7 +160,7 @@ def test_point_geometry_matches_node_first_reference(case):
 def test_christoffel_trace_matches_the_node_first_christoffel_derivatives(spec):
     """P, formed straight from the third jets, is g^ab d_a Gamma^l_bc of the node-first
     Christoffel derivatives to 1e-13 of its largest entry, at d = 2 and d = 3; an order-2
-    geometry has none, nor Gamma and h_coord."""
+    geometry has none, nor Gamma."""
     chart = ss.chart_from_config(spec)
     d = chart.dim
     rng = np.random.default_rng(5 + d)
@@ -165,7 +173,7 @@ def test_christoffel_trace_matches_the_node_first_christoffel_derivatives(spec):
     assert scale > 0.1
     assert np.max(np.abs(ss.point_geometry(chart, T, nodes).P - want)) <= 1e-13 * scale
     lean = ss.point_geometry(chart, T, nodes, order=2)
-    assert lean.P is None and lean.Gamma is None and lean.h_coord is None
+    assert lean.P is None and lean.Gamma is None
 
 
 def test_covariant_calculus_matches_node_first_reference(case):

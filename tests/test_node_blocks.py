@@ -431,9 +431,7 @@ GRIM_REAPER_X_PLANE = {
 }
 
 # the arrays a block holds, all formed at build: what the routes read, and nothing else
-BUILT = (
-    "positions", "tangents", "hessian", "g", "g_inv", "area_weight", "Gamma", "dg_inv", "K", "P", "h_coord"
-)
+BUILT = ("positions", "tangents", "hessian", "g", "g_inv", "area_weight", "Gamma", "dg_inv", "K", "P")
 FORMED = ("T_coord", "frame_coeff", "h3")
 
 
@@ -502,19 +500,23 @@ def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
 
 @pytest.mark.parametrize(
     "spec, cells, points, held, peak",
-    [("grim_reaper", 20, 8, 94, 116), (GRIM_REAPER_X_LINE, 3, 10, 263, 317)],
-    ids=["d2", "d3"],
+    [
+        ("grim_reaper", 20, 8, 78, 116),
+        (GRIM_REAPER_X_LINE, 3, 10, 209, 317),
+        (GRIM_REAPER_X_PLANE, 2, 6, 442, 790),
+    ],
+    ids=["d2", "d3", "d4"],
 )
 def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
-    """A block's geometry holds what the routes read, 93 floats per node at d = 2 and 262 at
-    d = 3, and its build peaks at 112 and 308 per node of the block, while the Christoffel
-    trace P forms.  The chart's order-3 jets are written straight into their stacked levels
-    from coordinate seeds without per-node derivatives, and P is formed, and its temporaries
-    freed, before ``h_coord``: with seeds that held zero derivatives, a copy of the
-    components and P formed last, the build peaked at 129 and 483, inside the chart's jets.
-    P is formed from them without any d^4-per-node tensor, whose forming peaked at 145 and
-    561.  The walk holds one block at a time, so it peaks as the largest block's build does,
-    whatever the number of blocks."""
+    """A block's geometry holds what the routes read, 77 floats per node at d = 2, 208 at
+    d = 3 and 441 at d = 4, and its build peaks at 112, 308 and 773 per node of the block,
+    while the Christoffel trace P forms.  With a Gauss-formula second fundamental form beside
+    the Hessian it held 93, 262 and 569.  The chart's order-3 jets are written straight into
+    their stacked levels from coordinate seeds without per-node derivatives: with seeds that
+    held zero derivatives, a copy of the components and P formed last, the build peaked at
+    129 and 483, inside the chart's jets.  P is formed from them without any d^4-per-node
+    tensor, whose forming peaked at 145 and 561.  The walk holds one block at a time, so it
+    peaks as the largest block's build does, whatever the number of blocks."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     T = np.eye(2 * d)[0]
@@ -549,9 +551,9 @@ def test_grid_geometry_memory_per_node(spec, cells, points, held, peak):
 def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
     """The order-2 build the certificates read holds 37 floats per node at d = 2 and 97 at
     d = 3, and peaks at 41 and 106: it stops at the metric, its inverse and the weighted area
-    density, with no Christoffel symbols or Gauss-formula h_coord, with which it held 61 and
-    178 and peaked at 78 and 233 (70 and 206, peaks 86 and 260, with the metric derivatives,
-    sqrt(det g) and exp(<T, x>) kept beside them)."""
+    density, with no Christoffel symbols or Gauss-formula second fundamental form, with which
+    it held 61 and 178 and peaked at 78 and 233 (70 and 206, peaks 86 and 260, with the metric
+    derivatives, sqrt(det g) and exp(<T, x>) kept beside them)."""
     chart = ss.chart_from_config(spec)
     d = chart.domain.shape[0]
     T = np.eye(2 * d)[0]
@@ -565,7 +567,7 @@ def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
     finally:
         tracemalloc.stop()
     n = nodes.shape[0]
-    assert pg.P is None and pg.Gamma is None and pg.h_coord is None and n > 8000
+    assert pg.P is None and pg.Gamma is None and n > 8000
     assert held_bytes < held * 8 * n, held_bytes / (8 * n)
     assert peak_bytes < peak * 8 * n, peak_bytes / (8 * n)
 
@@ -590,8 +592,8 @@ def test_chart_jets_memory_d3():
 def test_variation_memory_above_its_block_d3():
     """On a held d = 3 block of 8,100 nodes, one variation peaks 77 floats per node above it:
     ``prepare_variation`` peaks at 70 and keeps 32, and the fd oracle peaks at 45 above
-    them.  With the block's build at 308 per node and its geometry holding 262, this phase
-    sets a d = 3 run's peak."""
+    them.  With the block's geometry holding 208 per node, this phase reaches 285, under
+    the build's 308, so the build sets a d = 3 run's peak (below)."""
     chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
     support = ss.default_support_box(chart.domain)
     grid = ss.tensor_rule(support, cells=3, points_per_cell=10)
@@ -605,6 +607,21 @@ def test_variation_memory_above_its_block_d3():
     _, variation_peak = traced_peak(ss.evaluate_variation, block, theta)
     per_node = [p / (8 * n) for p in (prepare_peak, fd_peak, variation_peak)]
     assert n == 8100 and all(p <= b for p, b in zip(per_node, (72, 47, 80))), per_node
+
+
+def test_suite_peak_is_its_largest_build_d3():
+    """A one-variation d = 3 suite over blocks of 8,100 nodes peaks at the largest block's
+    build, 308 floats per node of it; when the geometry held a Gauss-formula second
+    fundamental form beside the Hessian, the variation phase set the peak, at 340."""
+    chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
+    support = ss.default_support_box(chart.domain)
+    grid = ss.tensor_rule(support, cells=3, points_per_cell=10)
+    variations = [(3, ss.random_hamiltonian_variation(support, seed=3))]
+    T = np.eye(6)[0]
+    largest = max(block.nodes.shape[0] for block in grid.blocks())
+    ss.run_variation_suite(ss.grid_blocks(chart, T, grid), variations)  # first-call caches
+    _, peak = traced_peak(ss.run_variation_suite, ss.grid_blocks(chart, T, grid), variations)
+    assert largest == 8100 and peak <= 310 * 8 * largest, peak / (8 * largest)
 
 
 def test_variation_memory_does_not_grow_with_the_grid(monkeypatch, grim_reaper, T, gr_support):
@@ -647,8 +664,9 @@ def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, g
     """Geometry blocks outer, variations inner: from 10 to 40 cells, from one block of 1,600
     nodes to 16, the suite's peak, its geometry included, grows by no more than the row sums
     it keeps (7 per x-row per variation, and the functional at rest) and 32 kB of bookkeeping.
-    Every block's geometry held for the whole run grew it by 93 floats per node, and the
-    previous block's held while the next was built by 93 per node of a block."""
+    Every block's geometry held for the whole run grew it by the 77 floats per node a
+    block's geometry holds, and the previous block's held while the next was built by 77
+    per node of a block."""
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 1600)  # 40 rows of 40 nodes, 10 of 160
     variations = [(seed, ss.random_hamiltonian_variation(gr_support, seed)) for seed in (1, 2)]
     peaks, rows = [], []

@@ -65,11 +65,15 @@
   grid builder that applied it (``default_grid_for_support``) stay deleted.
 * One walk takes the certificates' order-2 geometry, ``geometry.grid_maxima``:
   no module but ``geometry.py`` calls ``point_geometry`` at order 2.
-* The certificates read the metric alone, the order-2 build: ``h_coord`` and
-  ``Gamma``, which only an order-3 build forms, are read neither in
-  ``wirtinger.py`` nor in ``geometry``'s certificate functions (``normal_part``,
+* The certificates read the metric alone, the order-2 build: ``Gamma``, which
+  only an order-3 build forms, is read neither in ``wirtinger.py`` nor in
+  ``geometry``'s certificate functions (``normal_part``,
   ``mean_curvature_vector``, ``translator_defect``, ``grid_maxima``,
   ``soliton_residual``), which project onto the normal space by ``g^-1``.
+* The second fundamental form has one representation, the Hessian paired with
+  a normal field or projected by ``normal_part``: the Gauss-formula field
+  ``h_coord`` stays deleted, and ``tests/oracles.py`` keeps the formula as a
+  reference.
 
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
 those in ``OUTSIDE_JETS`` in every module but ``jets.py``, and those in
@@ -123,6 +127,7 @@ FORBIDDEN = {
     "command returning an exit code": r"def cmd_\w+\([^)]*\)\s*->\s*int\b",
     "command writing its own output": r"_emit\(reports_to_(json|csv)\(",
     "deleted support margin rule": r"\b(require_support_inside|default_grid_for_support)\b",
+    "deleted Gauss-formula field": r"\bh_coord\b",
 }
 
 OUTSIDE_QUADRATURE = {
@@ -144,12 +149,12 @@ OUTSIDE_GEOMETRY = {
 INSIDE_GEOMETRY = {
     "order-3 field in a certificate function": (
         r"(?m)^def (normal_part|mean_curvature_vector|translator_defect|grid_maxima|soliton_residual)\("
-        r"(?:(?!\n[\w@#])[\s\S])*?\.(h_coord|Gamma)\b"
+        r"(?:(?!\n[\w@#])[\s\S])*?\.Gamma\b"
     ),
 }
 
 INSIDE_WIRTINGER = {
-    "order-3 field in wirtinger": r"\.(h_coord|Gamma)\b",
+    "order-3 field in wirtinger": r"\.Gamma\b",
 }
 
 # the module each set of patterns exempts, and the module each set holds in alone
@@ -198,12 +203,13 @@ CAUGHT = {
     "command returning an exit code": "def cmd_second_variation(\n    cfg: dict, demonstrate_failure: bool = False\n) -> int:",
     "command writing its own output": '    _emit(reports_to_json(checks), cfg["output"]["path"])',
     "deleted support margin rule": "    require_support_inside(chart.domain, support)",
+    "deleted Gauss-formula field": "    h_coord: np.ndarray | None = None  # (m, d, d, N) by the Gauss formula",
     "order-2 geometry outside geometry": "        pg = point_geometry(chart, T, points, order=2)",
     "order-3 field in a certificate function": (
         'def mean_curvature_vector(pg: PointGeometry) -> np.ndarray:\n    """H."""\n'
-        '    return np.einsum("abn,mabn->mn", pg.g_inv, pg.h_coord)'
+        '    return np.einsum("abn,mabn->mn", pg.g_inv, pg.hessian - np.einsum("kabn,mkn->mabn", pg.Gamma, t))'
     ),
-    "order-3 field in wirtinger": "        g_exact, h_exact = np.zeros_like(pg.g), np.zeros_like(pg.h_coord)",
+    "order-3 field in wirtinger": "        g_exact, gamma_exact = np.zeros_like(pg.g), np.zeros_like(pg.Gamma)",
 }
 
 
@@ -311,10 +317,10 @@ def test_guard_flags_each_pattern_and_nothing_else():
     lean = (
         'def translator_defect(\n    pg: PointGeometry,\n) -> np.ndarray:\n    """T^perp - H."""\n'
         "    return normal_part(pg, pg.T[:, None] - pg.hessian)\n\n\n"
-        "@dataclass\nclass PointGeometry:\n    h_coord: np.ndarray | None = None\n"
-        "    def h3(self):\n        return self.h_coord\n"
-        "def point_geometry(chart, T, points):\n    h_coord = d2 - np.einsum(\"kabn,mkn->mabn\", Gamma, t)\n"
-        "    return pg.Gamma, pg.h_coord"
+        "@dataclass\nclass PointGeometry:\n    Gamma: np.ndarray | None = None\n"
+        "    def K(self):\n        return self.Gamma\n"
+        "def point_geometry(chart, T, points):\n    Gamma = 0.5 * np.einsum(\"kln,labn->kabn\", g_inv, bracket)\n"
+        "    return pg.Gamma, pg.g"
     )
     assert violations(lean, "geometry.py") == []
     assert violations(lean, "wirtinger.py") == [(n, "order-3 field in wirtinger") for n in (12, 15)]
