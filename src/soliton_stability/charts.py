@@ -1,21 +1,23 @@
 """Analytic chart patches of submanifolds of real 2n-space.
 
-A :class:`Chart` maps a rectangular parameter box into ambient space and is
-evaluated through jet arithmetic, so tangents, second fundamental data and
-Christoffel derivatives downstream are exact to round-off.  The ambient space
-is C^n with its standard complex structure, which :func:`apply_J` applies by
-index; the translation direction T is a plain vector of length 2n.  Every
-chart is built by :func:`chart_from_config` from an expression spec, the
-builtins included: :data:`BUILTIN_CHARTS` holds the specs of the grim reaper
-cylinder translator, the flat Lagrangian plane, a Lagrangian perturbation of
-the cylinder that is no longer a translator, and a non-Lagrangian graph patch.
+A :class:`Chart` maps a rectangular parameter box into ambient space, one
+component per ambient coordinate, and is evaluated through jet arithmetic on a
+quadrature grid, each component on the sub-grid of the parameters it names, so
+tangents, second fundamental data and Christoffel derivatives downstream are
+exact to round-off.  The ambient space is C^n with its standard complex
+structure, which :func:`apply_J` applies by index; the translation direction
+T is a plain vector of length 2n.  Every chart is built by
+:func:`chart_from_config` from an expression spec, the builtins included:
+:data:`BUILTIN_CHARTS` holds the specs of the grim reaper cylinder
+translator, the flat Lagrangian plane, a Lagrangian perturbation of the
+cylinder that is no longer a translator, and a non-Lagrangian graph patch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,22 +38,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Chart:
-    """Parametrized patch ``map: box in R^d -> R^m`` with jet evaluation.
+    """Parametrized patch ``map: box in R^d -> R^m`` with jet evaluation, one component at a time.
 
-    ``map_jets`` receives one jet per parameter and returns the ambient
-    coordinates as jets (plain numbers are accepted for constant components).
-    Whether the patch is Lagrangian is detected from its Kaehler pullback
-    (``PointGeometry.lagrangian``).
+    ``components[p]`` receives one jet per parameter and returns ambient coordinate p as a
+    jet, or as a plain number when it is constant; it reads only the parameters listed in
+    ``parameters[p]``.  Whether the patch is Lagrangian is detected from its Kaehler
+    pullback (``PointGeometry.lagrangian``).
     """
 
     name: str
     domain: np.ndarray  # (d, 2) rows [lo, hi]
-    ambient_dim: int
-    map_jets: Callable[[Sequence[J.Jet]], Sequence]
+    components: tuple[Callable[..., J.Jet | float], ...]
+    parameters: tuple[tuple[int, ...], ...]  # per component, the parameter indices it names
 
     @property
     def dim(self) -> int:
         return self.domain.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.components)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -80,27 +86,33 @@ def require_lagrangian_dims(chart: Chart) -> None:
         )
 
 
-def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:
-    """The chart map's exact jets up to ``order`` at all of the points.
+def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
+    """The chart map's exact jets up to ``order`` at the nodes of ``grid``.
 
-    Component axis first, node axis last: ``val`` (m, N), ``d1`` (m, d, N),
-    ``d2`` (m, d, d, N) and ``d3`` (m, d, d, d, N).
+    Each component runs on the sub-grid of the parameters it names
+    (:meth:`QuadratureGrid.along`), is checked finite there and is broadcast into
+    the stacked levels.  Component axis first, node axis last, nodes in C order:
+    ``val`` (m, N), ``d1`` (m, d, N), ``d2`` (m, d, d, N) and ``d3`` (m, d, d, d, N).
+    A refusal forms the grid's nodes and names the first bad one.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != chart.dim:
-        raise DomainError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
-    inside = chart.contains(pts)
-    if not np.all(inside):
-        bad = pts[~inside][0]
-        raise DomainError(f"point {bad.tolist()} outside open domain of chart {chart.name!r}")
-    # a domain error inside the map surfaces as the non-finite check below
-    out = J.evaluate(chart.map_jets, pts, order)
-    if out.val.shape[0] != chart.ambient_dim:
-        raise EvaluationError(
-            f"chart {chart.name!r} returned {out.val.shape[0]} components, expected {chart.ambient_dim}"
-        )
-    if not out.is_finite():
-        bad = pts[out.first_non_finite()].tolist()
+    if len(grid.shape) != chart.dim:
+        raise DomainError(f"points have dimension {len(grid.shape)}, chart has {chart.dim}")
+    if not all(np.all((x > lo) & (x < hi)) for x, (lo, hi) in zip(grid.axis_nodes, chart.domain)):
+        pts = grid.nodes
+        bad = pts[~chart.contains(pts)][0].tolist()
+        raise DomainError(f"point {bad} outside open domain of chart {chart.name!r}")
+    levels = [np.empty((chart.ambient_dim,) + (chart.dim,) * k + grid.shape) for k in range(order + 1)]
+    finite = True
+    for p, (fn, named) in enumerate(zip(chart.components, chart.parameters)):
+        sub = grid.along(named)
+        # a domain error inside the component surfaces as the non-finite check
+        jet = J.evaluate(lambda seeds: [fn(*seeds)], sub.nodes, order)
+        finite = finite and jet.is_finite()
+        for level, a in zip(levels, jet.levels):
+            level[p] = a[0].reshape(a.shape[1:-1] + sub.shape)
+    out = J.Jet(order, *(a.reshape(a.shape[: -chart.dim] + (-1,)) for a in levels))
+    if not finite:
+        bad = grid.nodes[out.first_non_finite()].tolist()
         raise EvaluationError(f"chart {chart.name!r} produced non-finite jet data at point {bad}")
     return out
 
@@ -161,14 +173,8 @@ def chart_from_config(spec) -> Chart:
     name = spec.get("name", "expression_chart")
     if not isinstance(name, str):
         raise ExpressionError(f"chart name must be a string, got {name!r}")
-    domain = np.asarray(rows, dtype=float)
-    var_names = variable_names(len(rows))
-    fns = [compile_expression(c, var_names) for c in components]
-
-    def mapping(params):
-        return [fn(*params) for fn in fns]
-
-    return Chart(name, domain, len(components), mapping)
+    fns = tuple(compile_expression(c, variable_names(len(rows))) for c in components)
+    return Chart(name, np.asarray(rows, dtype=float), fns, tuple(fn.parameters for fn in fns))
 
 
 def _is_interval(row) -> bool:

@@ -66,10 +66,12 @@ def compile_expression(expr: str, var_names: Sequence[str]) -> Callable:
     """Compile ``expr`` into a callable of the named variables.
 
     The callable takes one positional argument per variable (jets or numbers)
-    and returns the evaluated expression.  Subexpressions that name no
-    variable are evaluated here, so a constant that is not a finite real
-    number is a compile-time error, as is an exponent that depends on a
-    variable (jets take constant exponents only; use exp/log).
+    and returns the evaluated expression; its ``parameters`` attribute lists,
+    in order, the indices of the variables ``expr`` names, read off the same
+    walk.  Subexpressions that name no variable are evaluated here, so a
+    constant that is not a finite real number is a compile-time error, as is
+    an exponent that depends on a variable (jets take constant exponents
+    only; use exp/log).
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -80,8 +82,9 @@ def compile_expression(expr: str, var_names: Sequence[str]) -> Callable:
     names = list(var_names)
     aliases = {f"u{i + 1}": i for i in range(len(names))}
     aliases.update({name: i for i, name in enumerate(names)})
+    named = set()
     try:
-        root = _lift(_compile(tree.body, aliases))
+        root = _lift(_compile(tree.body, aliases, named))
     except RecursionError:
         raise ExpressionError("expression nests too deeply") from None
 
@@ -93,11 +96,13 @@ def compile_expression(expr: str, var_names: Sequence[str]) -> Callable:
         except RecursionError:  # compiled near the limit, called from a deeper stack
             raise ExpressionError("expression nests too deeply") from None
 
+    fn.parameters = tuple(sorted(named))
     return fn
 
 
-def _compile(node, aliases):
-    """Check ``node`` against the grammar and build it in one walk.
+def _compile(node, aliases, named):
+    """Check ``node`` against the grammar and build it in one walk, adding the index of each
+    variable it names to the set ``named``.
 
     Returns a closure ``args -> value`` when the subtree names a variable,
     otherwise the subtree's value as a float.
@@ -109,6 +114,7 @@ def _compile(node, aliases):
     if isinstance(node, ast.Name):
         if node.id in aliases:
             i = aliases[node.id]
+            named.add(i)
             return lambda args: args[i]
         if node.id in _CONSTANTS:
             return _CONSTANTS[node.id]
@@ -117,7 +123,7 @@ def _compile(node, aliases):
         op = _BINOPS.get(type(node.op))
         if op is None:
             raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
-        left, right = _compile(node.left, aliases), _compile(node.right, aliases)
+        left, right = _compile(node.left, aliases, named), _compile(node.right, aliases, named)
         if isinstance(node.op, ast.Pow) and callable(right):
             raise ExpressionError("exponents must be constant; use exp/log")
         if not (callable(left) or callable(right)):
@@ -127,7 +133,7 @@ def _compile(node, aliases):
     if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise ExpressionError(f"unsupported operator {type(node.op).__name__}")
-        operand = _compile(node.operand, aliases)
+        operand = _compile(node.operand, aliases, named)
         if isinstance(node.op, ast.UAdd):
             return operand
         return (lambda args: -operand(args)) if callable(operand) else -operand
@@ -137,7 +143,7 @@ def _compile(node, aliases):
         name = node.func.id
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"{name} takes exactly one positional argument")
-        arg = _compile(node.args[0], aliases)
+        arg = _compile(node.args[0], aliases, named)
         if not callable(arg):
             return _constant(_FUNCTIONS[name], arg)
         return lambda args: _FUNCTIONS[name](arg(args))

@@ -1,6 +1,6 @@
 """First/second-order geometry of a chart and global soliton diagnostics.
 
-All quantities are computed in batch over a set of parameter points from the
+All quantities are computed in batch over the nodes of a quadrature grid from the
 exact chart jets and the translation direction ``T`` (m,), the only ambient
 datum that varies; the complex structure J is :func:`charts.apply_J`, which
 acts by index.  Every per-node array keeps the node axis ``n`` last and
@@ -75,7 +75,7 @@ LAGRANGIAN_DETECT_TOL = 1e-9
 
 @dataclass
 class PointGeometry:
-    """Pointwise geometry of a chart at a batch of points, node axis last; each field is formed at build."""
+    """Pointwise geometry of a chart at the nodes of a grid, node axis last; each field is formed at build."""
 
     T: np.ndarray             # (m,) translation direction
     positions: np.ndarray     # (m, N)
@@ -184,14 +184,15 @@ def weighted_area_density(T: np.ndarray, positions, det, chart: str | None = Non
     return weight * np.sqrt(det)
 
 
-def _require_full_rank(name: str, pts: np.ndarray, g: np.ndarray, det: np.ndarray) -> None:
-    """Raise ImmersionError at the first point whose metric has eigvalsh <= RANK_TOL**2.
+def _require_full_rank(name: str, grid: QuadratureGrid, g: np.ndarray, det: np.ndarray) -> None:
+    """Raise ImmersionError at the first node of ``grid`` whose metric has eigvalsh <= RANK_TOL**2.
 
     For PSD g, lambda_min >= det / tr^(d-1).  The Leibniz det errs by about
     d!*d*eps*tr^d and eigvalsh by about d*eps*tr; the bound below clears
     RANK_TOL**2 by 8x that, so a node whose det exceeds it has eigvalsh >
     RANK_TOL**2.  Only the rest, NaN nodes included, go to eigvalsh, which gives
-    them the bits they get in any batch, so the message names the same point.
+    them the bits they get in any batch, so the message names the same point; the
+    grid's nodes are formed only to name it.
     """
     d, tr = g.shape[0], np.trace(g)
     with np.errstate(over="ignore"):  # an overflowing bound clears nothing
@@ -202,7 +203,7 @@ def _require_full_rank(name: str, pts: np.ndarray, g: np.ndarray, det: np.ndarra
     if deficient.size:
         k = deficient[0]
         raise ImmersionError(
-            f"chart {name!r} is rank deficient at point {pts[suspect[k]].tolist()} "
+            f"chart {name!r} is rank deficient at point {grid.nodes[suspect[k]].tolist()} "
             f"(smallest singular value {float(np.sqrt(max(eigmin[k], 0.0))):.3e})"
         )
 
@@ -212,15 +213,16 @@ def kaehler_pullback(tangents: np.ndarray) -> np.ndarray:
     return np.einsum("pan,pbn->abn", apply_J(tangents), tangents)
 
 
-def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
-    """Compute all pointwise geometric quantities at a batch of points.
+def point_geometry(chart: Chart, T, grid: QuadratureGrid, order: int = 3) -> PointGeometry:
+    """Compute all pointwise geometric quantities at the nodes of ``grid``, in C order.
 
     ``T`` is the translation direction, of length ``chart.ambient_dim``.  The
-    chart's jets are evaluated here at ``order``, 2 or 3: order 3 gives the trace
-    ``P`` that rough Laplacians read, and its third derivatives are freed once read;
-    order 2 stops at ``area_weight``, leaving ``Gamma``, ``dg_inv``, ``K`` and ``P``
-    None.  A block's order-3 build peaks while P forms: 308 floats per node at
-    d = 3 and 112 at d = 2.
+    chart's jets are evaluated here on the grid by :func:`charts.eval_jets`, at
+    ``order``, 2 or 3: order 3 gives the trace ``P`` that rough Laplacians read,
+    and its third derivatives are freed once read; order 2 stops at
+    ``area_weight``, leaving ``Gamma``, ``dg_inv``, ``K`` and ``P`` None.  A
+    block's order-3 build peaks while P forms: 308 floats per node at d = 3 and
+    112 at d = 2.
     With Gamma^l_bc = 1/2 g^lk [k,b,c], the terms of g^ab d_a [k,b,c] symmetric
     in (c, k) cancel, so no d Gamma is formed:
 
@@ -232,12 +234,11 @@ def point_geometry(chart: Chart, T, points, order: int = 3) -> PointGeometry:
     T = np.asarray(T, dtype=float)
     if T.shape != (chart.ambient_dim,):
         raise ValueError(f"T has shape {T.shape}, chart {chart.name!r} needs ({chart.ambient_dim},)")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, t, d2, *d3 = eval_jets(chart, pts, order=order).levels  # d3: the third jets at order 3, else []
+    x, t, d2, *d3 = eval_jets(chart, grid, order=order).levels  # d3: the third jets at order 3, else []
 
     g = np.einsum("man,mbn->abn", t, t)
     det = batch_det(g)
-    _require_full_rank(chart.name, pts, g, det)
+    _require_full_rank(chart.name, grid, g, det)
     g_inv = adjugate(g) / det
     area_weight = weighted_area_density(T, x, det, chart.name)
     if not d3:
@@ -293,16 +294,16 @@ def translator_defect(pg: PointGeometry) -> np.ndarray:
 
 def grid_maxima(chart: Chart, T, grid: QuadratureGrid, quantities) -> list[float]:
     """The one certificate walk: over the nodes of ``grid``, the maximum of |value| of each array
-    that ``quantities(pg, points)`` returns, ``pg`` a row block's order-2 geometry at its
-    ``points``.  Each block (:meth:`QuadratureGrid.blocks`) is built inside a function that
-    returns only its maxima, so it is dropped before the next is built and memory is bounded
-    at any number of points; ``np.max`` over the blocks' maxima keeps a NaN."""
+    that ``quantities(pg, block)`` returns, ``pg`` the order-2 geometry of a row ``block``.
+    Each block (:meth:`QuadratureGrid.blocks`) is built inside a function that returns only
+    its maxima, so it is dropped before the next is built and memory is bounded at any
+    number of points; ``np.max`` over the blocks' maxima keeps a NaN."""
 
-    def block_maxima(points):
-        pg = point_geometry(chart, T, points, order=2)
-        return [np.max(np.abs(a)) for a in quantities(pg, points)]
+    def block_maxima(block):
+        pg = point_geometry(chart, T, block, order=2)
+        return [np.max(np.abs(a)) for a in quantities(pg, block)]
 
-    return [float(m) for m in np.max([block_maxima(block.nodes) for block in grid.blocks()], axis=0)]
+    return [float(m) for m in np.max([block_maxima(block) for block in grid.blocks()], axis=0)]
 
 
 def soliton_residual(chart: Chart, T, grid: QuadratureGrid) -> DiagnosticsReport:

@@ -10,16 +10,18 @@ derivatives exactly (to round-off) by the product and chain rules, which is
 what makes the downstream geometric identity checks discretization-free.
 
 :func:`evaluate` runs a function of coordinate jets on the points it is
-given; vector-valued results (chart maps, one-forms) are jets stacked along
-axis 0, each component written straight into the stacked levels and then
-dropped.  The coordinate seeds of :func:`variables` hold only their values:
+given; vector-valued results (one-forms, and each chart component as a stack
+of one) are jets stacked along axis 0, each component written straight into
+the stacked levels and then dropped.  The coordinate seeds of :func:`variables` hold only their values:
 their unit first derivatives and zero higher ones are read-only views
-broadcast along the nodes.  So a chart evaluation peaks at its output, the
-components it returns and the seeds' values: at order 3, 283 floats per node
-for grim reaper x line in C^3 (240 of output, one 40-float component and 3 of
-seeds), where seeds that held their zeros and a copy by ``np.stack`` peaked
-at 480.  Cutting a large grid into blocks is the caller's business
-(``quadrature.QuadratureGrid.blocks``).
+broadcast along the nodes.  So an evaluation peaks at its output, the
+components it returns and the seeds' values.  A chart runs each component on
+the sub-grid of the parameters it names (``charts.eval_jets``), so at order 3
+grim reaper x line in C^3 peaks at 240.35 floats per node of an 8,100-node
+block, 240 of them output; on every node it peaked at 283 (a 40-float
+component and 3 of seeds beside the output), and at 480 with seeds that held
+their zeros and a copy by ``np.stack``.  Cutting a large grid into blocks is
+the caller's business (``quadrature.QuadratureGrid.blocks``).
 
 Mixed partials are bit-symmetric: the product and chain rules compute each
 distinct entry of ``d2``/``d3`` once, at its sorted index tuple

@@ -85,6 +85,15 @@ class QuadratureGrid:
             axis_weights=(self.axis_weights[0][i0:i1],) + self.axis_weights[1:],
         )
 
+    def along(self, axes) -> QuadratureGrid:
+        """The sub-grid on ``axes``, with only the first node of every other axis: where a
+        function of the ``axes`` parameters alone takes each of its values on this grid."""
+        return replace(
+            self,
+            axis_nodes=tuple(x if a in axes else x[:1] for a, x in enumerate(self.axis_nodes)),
+            axis_weights=tuple(w if a in axes else w[:1] for a, w in enumerate(self.axis_weights)),
+        )
+
     def blocks(self) -> Iterator[QuadratureGrid]:
         """The grid's row blocks in order, ``max(1, BLOCK_NODES // row length)`` x-rows each.
 

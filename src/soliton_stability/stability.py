@@ -122,7 +122,7 @@ def grid_geometry(
     On a Lagrangian grid it forms the frame components ``h3`` of the second
     fundamental form and drops the normal frame they are formed from.
     """
-    pg = point_geometry(chart, T, grid.nodes)
+    pg = point_geometry(chart, T, grid)
     pg.T_coord  # the operator and square routes read it
     defect = translator_defect(pg)
     if pg.lagrangian:

@@ -108,8 +108,8 @@ def closed_form_deviations(chart, T, grid: QuadratureGrid) -> dict[str, float]:
     """
     require_cylinder_dims(chart.dim, chart.ambient_dim)
 
-    def deviations(pg, points):
-        x = points[:, 0]
+    def deviations(pg, block):
+        x = block.nodes[:, 0]
         sec = 1.0 / np.cos(x)
         g_exact = np.zeros_like(pg.g)
         g_exact[0, 0], g_exact[1, 1] = sec**2, 1.0

@@ -137,43 +137,89 @@ def partial(jet: J.Jet, i: int) -> J.Jet:
 # the builtin charts as hand-written jet closures
 
 
-def _reference_chart(name: str, domain, mapping) -> Chart:
-    return Chart(name, np.array(domain), 4, mapping)
-
-
-def _grim_reaper(params):
-    x, y = params
-    return [-J.log(J.cos(x)), x, y, 0.0]
-
-
-def _flat_plane(params):
-    x, y = params
-    return [x, 0.0, y, 0.0]
-
-
-def _perturbed_grim_reaper(params, eps=0.05):
-    x, y = params
-    return [-J.log(J.cos(x)) + eps * J.sin(x) * J.sin(y), x, y, eps * J.cos(x) * J.cos(y)]
-
-
-def _non_lagrangian_patch(params):
-    x, y = params
-    return [x, y, x * x, 0.0]
+def _reference_chart(name: str, domain, *components) -> Chart:
+    """A chart of hand-written components, each a jet closure that names every parameter."""
+    return Chart(name, np.array(domain), components, ((0, 1),) * len(components))
 
 
 _REAPER_DOMAIN = [[-math.pi / 2 + 0.1, math.pi / 2 - 0.1], [-3.0, 3.0]]
 
 # builtin name -> the chart its spec compiles to, written out by hand
 REFERENCE_CHARTS = {
-    "grim_reaper": _reference_chart("grim_reaper", _REAPER_DOMAIN, _grim_reaper),
-    "flat_plane": _reference_chart("flat_plane", [[-3.0, 3.0], [-3.0, 3.0]], _flat_plane),
+    "grim_reaper": _reference_chart(
+        "grim_reaper",
+        _REAPER_DOMAIN,
+        lambda x, y: -J.log(J.cos(x)),
+        lambda x, y: x,
+        lambda x, y: y,
+        lambda x, y: 0.0,
+    ),
+    "flat_plane": _reference_chart(
+        "flat_plane",
+        [[-3.0, 3.0], [-3.0, 3.0]],
+        lambda x, y: x,
+        lambda x, y: 0.0,
+        lambda x, y: y,
+        lambda x, y: 0.0,
+    ),
     "perturbed_grim_reaper": _reference_chart(
-        "perturbed_grim_reaper(eps=0.05)", _REAPER_DOMAIN, _perturbed_grim_reaper
+        "perturbed_grim_reaper(eps=0.05)",
+        _REAPER_DOMAIN,
+        lambda x, y: -J.log(J.cos(x)) + 0.05 * J.sin(x) * J.sin(y),
+        lambda x, y: x,
+        lambda x, y: y,
+        lambda x, y: 0.05 * J.cos(x) * J.cos(y),
     ),
     "non_lagrangian_patch": _reference_chart(
-        "non_lagrangian_patch", [[-1.0, 1.0], [-1.0, 1.0]], _non_lagrangian_patch
+        "non_lagrangian_patch",
+        [[-1.0, 1.0], [-1.0, 1.0]],
+        lambda x, y: x,
+        lambda x, y: y,
+        lambda x, y: x * x,
+        lambda x, y: 0.0,
     ),
 }
+
+
+# charts whose components each name some of the parameters, beside the builtins: constants
+# ("-0" has the value -0.0) and a bare seed, grim reaper x line (the benchmark's d = 3 chart),
+# the gradient graph (x, d_x u, y, d_y u) of the harmonic u = x^3 - 3 x y^2 times the grim
+# reaper in z, a translator in C^3 with components of one and of two parameters, and grim
+# reaper x R^2 at d = 4
+SEPARABLE_CHARTS = {
+    "constants_and_seeds": {
+        "name": "constants_and_seeds",
+        "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+        "components": ["x", "0", "y * sin(x)", "-0"],
+    },
+    "grim_reaper_x_line": {
+        "name": "grim_reaper_x_line",
+        "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0]],
+        "components": ["-log(cos(x))", "x", "y", "0", "z", "0"],
+    },
+    "harmonic_graph_x_grim_reaper": {
+        "name": "harmonic_graph_x_grim_reaper",
+        "domain": [[-1.0, 1.0], [-1.0, 1.0], [-1.47, 1.47]],
+        "components": ["x", "3*x*x - 3*y*y", "y", "-6*x*y", "-log(cos(z))", "z"],
+    },
+    "grim_reaper_x_plane": {
+        "name": "grim_reaper_x_plane",
+        "domain": [[-1.47, 1.47], [-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]],
+        "components": ["-log(cos(u1))", "u1", "u2", "0", "u3", "0", "u4", "0"],
+    },
+}
+
+
+def stacked_component_jets(chart: Chart, nodes: np.ndarray, order: int) -> J.Jet:
+    """The chart's jets at every one of the (N, d) ``nodes``: each component run on the same
+    coordinate seeds there, as ``jets.evaluate`` runs a function, a plain number promoted to a
+    constant jet, and the components stacked by ``np.stack``, with no sub-grid."""
+    seeds = J.variables(nodes, order)
+    with np.errstate(all="ignore"):
+        parts = [fn(*seeds) for fn in chart.components]
+    batch = (nodes.shape[0],)
+    parts = [c if isinstance(c, J.Jet) else J.constant(c, chart.dim, order, batch_shape=batch) for c in parts]
+    return J.Jet(order, *(np.stack(level) for level in zip(*(c.levels for c in parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +242,7 @@ def finite_difference_jet(chart: Chart, u, h: float = 1e-4) -> J.Jet:
         p = u.copy()
         for i, s in offsets:
             p[i] += s * h
-        return eval_jets(chart, p[None, :], order=1).val[:, 0]
+        return eval_jets(chart, tensor_grid(*p), order=1).val[:, 0]
 
     m = chart.ambient_dim
     f0 = f()
@@ -268,7 +314,7 @@ def fd_discrepancy(chart: Chart, u, h: float, flag_threshold: float = 1e-6):
 def functional_value(chart: Chart, T, box, cells: int = 40, points_per_cell: int = 8) -> float:
     """Box-local weighted area  int_box exp(<T, Phi>) sqrt(det g) du."""
     grid = tensor_rule(box, cells, points_per_cell)
-    jets = eval_jets(chart, grid.nodes, order=1)
+    jets = eval_jets(chart, grid, order=1)
     g = np.einsum("man,mbn->abn", jets.d1, jets.d1)
     return grid.integrate(weighted_area_density(np.asarray(T, dtype=float), jets.val, batch_det(g)))
 
@@ -470,11 +516,11 @@ def node_first_geometry(jets: J.Jet) -> dict:
     }
 
 
-def christoffel_partial(chart: Chart, points) -> np.ndarray:
-    """``partial_e Gamma^k_ab`` at [e, k, a, b, n], node axis last, at ``points``: the
-    :func:`node_first_geometry` of the chart's order-3 jets there.  The package forms
+def christoffel_partial(chart: Chart, grid: QuadratureGrid) -> np.ndarray:
+    """``partial_e Gamma^k_ab`` at [e, k, a, b, n], node axis last, at the nodes of ``grid``:
+    the :func:`node_first_geometry` of the chart's order-3 jets there.  The package forms
     only its trace ``P``, straight from the jets."""
-    jets = eval_jets(chart, np.atleast_2d(np.asarray(points, dtype=float)), order=3)
+    jets = eval_jets(chart, grid, order=3)
     return np.moveaxis(node_first_geometry(jets)["Gamma_partial"], 0, -1)
 
 
@@ -591,7 +637,7 @@ def tensor_grid(*axes) -> QuadratureGrid:
 def whole_grid_block(gg: GridGeometry) -> GridGeometry:
     """``gg`` with its point geometry built afresh, so the normal frame a grid geometry drops
     can be read."""
-    return replace(gg, pg=point_geometry(gg.chart, gg.pg.T, gg.grid.nodes))
+    return replace(gg, pg=point_geometry(gg.chart, gg.pg.T, gg.grid))
 
 
 def variation_report(gg: GridGeometry, theta: OneFormField, seed: int | None = None) -> VariationReport:
@@ -650,7 +696,7 @@ def integration_by_parts_report(block: GridGeometry, fj: J.Jet) -> IntegrationBy
     w = block.pg.area_weight
     theta_t = np.einsum("an,an->n", theta, pg.T_coord)
     sharp = _sharp(pg, theta)
-    grad_div = div_grad(fj, pg, christoffel_partial(block.chart, grid.nodes))
+    grad_div = div_grad(fj, pg, christoffel_partial(block.chart, grid))
     pair_grad_div = np.einsum("an,an->n", sharp, grad_div)
     lhs_div = -grid.integrate(pair_grad_div * w)
     rhs_div = grid.integrate((div**2 + div * theta_t) * w)

@@ -107,7 +107,7 @@ def test_criterion_4_lagrangian_hypothesis_necessary(default_gg, suite):
 
 def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     block = whole_grid_block(default_gg)
-    dG = christoffel_partial(block.chart, block.grid.nodes)
+    dG = christoffel_partial(block.chart, block.grid)
     _, _, ricci = curvature_tensor(block.pg, dG)
     worst_ricci = 0.0
     worst_parts = 0.0
@@ -123,8 +123,8 @@ def test_criterion_5_proof_step_identities(default_gg, grim_reaper, T):
     assert worst_parts <= 1e-6
     gauss_worst = 0.0
     for chart in (grim_reaper, ss.chart_from_config("perturbed_grim_reaper"), ss.chart_from_config("flat_plane")):
-        pts = ss.uniform_grid(chart, 20).nodes
-        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
+        grid = ss.uniform_grid(chart, 20)
+        r_int, r_gauss, _ = curvature_tensor(ss.point_geometry(chart, T, grid), christoffel_partial(chart, grid))
         gauss_worst = max(gauss_worst, float(np.max(np.abs(r_int - r_gauss))))
     assert gauss_worst <= 1e-8
     report(

@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soliton_stability as ss
-from oracles import REFERENCE_CHARTS, fd_discrepancy, finite_difference_jet, standard_J
+from oracles import (
+    REFERENCE_CHARTS,
+    fd_discrepancy,
+    finite_difference_jet,
+    stacked_component_jets,
+    standard_J,
+    tensor_grid,
+)
 from soliton_stability.charts import BUILTIN_CHARTS
 from soliton_stability.errors import DomainError, EvaluationError, ExpressionError
 from soliton_stability.expressions import compile_expression
@@ -19,7 +26,7 @@ import soliton_stability.jets as J
 
 
 def test_grim_reaper_tangent_values(grim_reaper):
-    j = ss.eval_jets(grim_reaper, np.array([[0.0, 0.0], [math.pi / 3, 0.0]]))
+    j = ss.eval_jets(grim_reaper, tensor_grid([0.0, math.pi / 3], 0.0))
     assert np.allclose(j.val[:, 0], [0, 0, 0, 0], atol=1e-15)
     assert np.allclose(j.d1[:, 0, 0], [0, 1, 0, 0], atol=1e-15)
     assert np.allclose(j.d2[:, 0, 0, 0], [1, 0, 0, 0], atol=1e-15)
@@ -29,19 +36,52 @@ def test_grim_reaper_tangent_values(grim_reaper):
 
 
 def test_affine_chart_higher_jets_vanish(flat_plane):
-    j = ss.eval_jets(flat_plane, np.array([[0.7, -1.3], [2.0, 2.5]]))
+    j = ss.eval_jets(flat_plane, tensor_grid([0.7, 2.0], [-1.3, 2.5]))
     assert np.all(j.d2 == 0.0)
     assert np.all(j.d3 == 0.0)
 
 
 def test_domain_errors(grim_reaper):
     with pytest.raises(DomainError):
-        ss.eval_jets(grim_reaper, np.array([[math.pi / 2, 0.0]]))
+        ss.eval_jets(grim_reaper, tensor_grid(math.pi / 2, 0.0))
     with pytest.raises(DomainError):
-        ss.eval_jets(grim_reaper, np.array([[0.0, 10.0]]))
+        ss.eval_jets(grim_reaper, tensor_grid(0.0, 10.0))
     # boundary itself is excluded (open domain)
     with pytest.raises(DomainError):
-        ss.eval_jets(grim_reaper, np.array([[grim_reaper.domain[0, 1], 0.0]]))
+        ss.eval_jets(grim_reaper, tensor_grid(grim_reaper.domain[0, 1], 0.0))
+
+
+def test_domain_refusal_names_the_first_node_in_c_order(grim_reaper):
+    """Both axes hold a node outside the domain; the first node outside, in C order, is on
+    the first x-row."""
+    grid = tensor_grid([0.0, 0.5, 2.0], [0.0, 1.0, 10.0])
+    message = "point [0.0, 10.0] outside open domain of chart 'grim_reaper'"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        ss.eval_jets(grim_reaper, grid)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("log(x)", "y"),
+        ("log(0.5 - x)", "y"),
+        ("log(0.5 - y)", "y"),
+        ("log(0.5 - x*y)", "y"),
+        ("log(0.5 - x)", "log(0.5 - y)"),
+    ],
+)
+def test_non_finite_refusal_names_the_first_node_in_c_order(first, second):
+    """Whether the failing components run on the x-nodes, the y-nodes or the whole grid, the
+    refusal names the first node, in C order, where the jets of every component at every
+    node are not finite: with two failing components, a node of the first x-row that the
+    second fails on, not the first component's first failing node."""
+    spec = {"domain": [[-1.0, 1.0], [-1.0, 1.0]], "components": [first, second, "x", "0"]}
+    chart = ss.chart_from_config(spec)
+    grid = ss.uniform_grid(chart, 9)
+    first = stacked_component_jets(chart, grid.nodes, 2).first_non_finite()
+    message = f"chart 'expression_chart' produced non-finite jet data at point {grid.nodes[first].tolist()}"
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        ss.eval_jets(chart, grid, 2)
 
 
 def test_non_finite_evaluation_is_reported():
@@ -49,7 +89,7 @@ def test_non_finite_evaluation_is_reported():
         {"name": "bad_log", "domain": [[-1.0, 1.0], [-1.0, 1.0]], "components": ["log(x)", "y", "0", "0"]}
     )
     with pytest.raises(EvaluationError):
-        ss.eval_jets(chart, np.array([[-0.5, 0.0]]), order=1)
+        ss.eval_jets(chart, tensor_grid(-0.5, 0.0), order=1)
 
 
 def test_ambient_structure_invariants():
@@ -78,7 +118,7 @@ def test_apply_J_matches_the_dense_matrix(n):
 
 def test_finite_difference_affine_chart_is_exact(flat_plane):
     fd = finite_difference_jet(flat_plane, [0.3, 0.4], h=1e-3)
-    exact = ss.eval_jets(flat_plane, np.array([[0.3, 0.4]]))
+    exact = ss.eval_jets(flat_plane, tensor_grid(0.3, 0.4))
     assert np.allclose(fd.d1, exact.d1, atol=1e-12)
     assert np.max(np.abs(fd.d2)) < 1e-9
     assert np.max(np.abs(fd.d3)) < 1e-6
@@ -180,10 +220,10 @@ def test_chart_from_config_expression_tree(T):
             "components": ["x", "0", "y", "0"],
         }
     )
-    pts = np.array([[0.2, -0.3]])
-    assert np.allclose(ss.eval_jets(chart, pts, order=1).val[:, 0], [0.2, 0.0, -0.3, 0.0])
+    point = tensor_grid(0.2, -0.3)
+    assert np.allclose(ss.eval_jets(chart, point, order=1).val[:, 0], [0.2, 0.0, -0.3, 0.0])
     # auto-detected as Lagrangian when the geometry is first computed
-    pg = ss.point_geometry(chart, T, pts)
+    pg = ss.point_geometry(chart, T, point)
     assert pg.lagrangian
 
 
@@ -211,8 +251,8 @@ def test_builtin_chart_is_its_hand_written_closure(name):
     chart, reference = ss.chart_from_config(name), REFERENCE_CHARTS[name]
     assert (chart.name, chart.ambient_dim) == (reference.name, reference.ambient_dim)
     assert chart.domain.tobytes() == reference.domain.tobytes()
-    nodes = ss.uniform_grid(chart, 7).nodes
-    got, want = ss.eval_jets(chart, nodes, 3).levels, ss.eval_jets(reference, nodes, 3).levels
+    grid = ss.uniform_grid(chart, 7)
+    got, want = ss.eval_jets(chart, grid, 3).levels, ss.eval_jets(reference, grid, 3).levels
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 

@@ -336,6 +336,41 @@ def test_non_finite_result_exits_1_without_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# each chart refusal as verify-soliton printed it when every component ran on every node:
+# a node on the edge of a domain one float wide, a component that is not finite on the
+# first rows or on later ones, and a metric of rank 1 on the middle row of 9
+CHART_REFUSALS = {
+    "outside_domain": (
+        {"chart": {"domain": [[-1, 1], [1.0, 1.0000000000000002]], "components": ["x", "0", "y", "0"]}},
+        "point [-0.9607843137254902, 1.0] outside open domain of chart 'expression_chart'",
+    ),
+    "non_finite_first_rows": (
+        {"chart": {"domain": [[-1, 1], [-1, 1]], "components": ["log(x)", "y", "x", "0"]}},
+        "chart 'expression_chart' produced non-finite jet data at point [-0.9607843137254902, -0.9607843137254902]",
+    ),
+    "non_finite_later_rows": (
+        {"chart": {"domain": [[-1, 1], [-1, 1]], "components": ["log(0.5 - x)", "y", "x", "0"]}},
+        "chart 'expression_chart' produced non-finite jet data at point [0.5294117647058822, -0.9607843137254902]",
+    ),
+    "rank_deficient": (
+        {
+            "chart": {"name": "cusp", "domain": [[-1, 1], [-1, 1]], "components": ["x", "0", "y**3", "0"]},
+            "grid": {"diagnostic_points": 9},
+        },
+        "chart 'cusp' is rank deficient at point [-0.8, 0.0] (smallest singular value 0.000e+00)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CHART_REFUSALS))
+def test_chart_refusals_name_the_same_point(tmp_path, capsys, case):
+    cfg, message = CHART_REFUSALS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("verify-soliton", "--config", str(path)) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_an_overflowing_fd_step_exits_1_with_one_error_line(tmp_path, capsys):
     # the deformed charts' weighted area overflows at these steps, leaving Fpp_fd NaN;
     # forming it prints no numpy warning, so the sanitizer's line is all of stderr

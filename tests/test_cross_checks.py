@@ -6,13 +6,13 @@ import math
 import numpy as np
 
 import soliton_stability as ss
-from oracles import REFERENCE_CHARTS, variation_report
+from oracles import REFERENCE_CHARTS, tensor_grid, variation_report
 
 
 def test_complex_structure_maps_tangents_to_scaled_normals(grim_reaper):
     """J Phi_x = (1, -tan x, 0, 0) = sec(x) nu_1 and J Phi_y = nu_2."""
     x = 0.7
-    jets = ss.eval_jets(grim_reaper, np.array([[x, 0.0]]), order=1)
+    jets = ss.eval_jets(grim_reaper, tensor_grid(x, 0.0), order=1)
     j_phx = ss.apply_J(jets.d1[:, 0, 0])
     j_phy = ss.apply_J(jets.d1[:, 1, 0])
     assert np.allclose(j_phx, [1.0, -math.tan(x), 0.0, 0.0], atol=1e-14)
@@ -80,7 +80,7 @@ def test_tilted_lagrangian_plane_is_translator_when_t_tangent(T):
     assert rep.max_soliton_residual <= 1e-13
     assert rep.max_lagrangian_defect <= 1e-15
     # skew coordinates: non-orthogonal metric, still exactly flat
-    pg = ss.point_geometry(chart, T, np.array([[0.1, -0.3]]))
+    pg = ss.point_geometry(chart, T, tensor_grid(0.1, -0.3))
     assert abs(pg.g[0, 1, 0] - 0.5) < 1e-15
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=10, points_per_cell=6)
     gg = ss.grid_geometry(chart, T, grid)

@@ -23,6 +23,7 @@ from oracles import (
     gauss_translator_defect,
     lapack_frame,
     lapack_inverse,
+    tensor_grid,
 )
 from soliton_stability.charts import BUILTIN_CHARTS, apply_J
 from soliton_stability.expressions import variable_names
@@ -113,7 +114,7 @@ NEAR_LAGRANGIAN_REAPER = {
 def test_frame_equals_lapack_bits_on_suite_grids(chart, cells, points_per_cell):
     # the default second-variation grid and the 3-d benchmark grid, each on its default support
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells, points_per_cell)
-    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], grid.nodes, order=2)
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], grid, order=2)
     assert np.array_equal(pg.frame_coeff, lapack_frame(pg.g))
 
 
@@ -140,26 +141,26 @@ def gram_batch(d, kinds, scale, seed):
     return np.einsum("man,mbn->abn", t, t)
 
 
-def eigvalsh_message(pts, g):
-    """The rank-deficiency message of ``eigvalsh`` on every node, or None."""
-    return full_rank_message("gram", pts, g)
+def eigvalsh_message(grid, g):
+    """The rank-deficiency message of ``eigvalsh`` on every node of ``grid``, or None."""
+    return full_rank_message("gram", grid.nodes, g)
 
 
-def screened_message(pts, g):
+def screened_message(grid, g):
     """The rank-deficiency message of the screened check, or None."""
     try:
-        _require_full_rank("gram", pts, g, batch_det(g))
+        _require_full_rank("gram", grid, g, batch_det(g))
     except ImmersionError as exc:
         return str(exc)
     return None
 
 
-def first_message(check, pts, g, size):
-    """The first message of ``check`` run block by block, as ``soliton_residual`` runs."""
+def first_message(check, grid, g, size):
+    """The first message of ``check`` run block by block, as ``soliton_residual`` runs, on a
+    ``grid`` with one node per x-row."""
     for start in range(0, g.shape[-1], size):
-        rows = slice(start, start + size)
         try:
-            message = check(pts[rows], g[..., rows])
+            message = check(grid.rows(start, start + size), g[..., start : start + size])
         except LinAlgError as exc:  # eigvalsh does not converge on some NaN metrics
             return f"LinAlgError: {exc}"
         if message is not None:
@@ -177,25 +178,25 @@ def first_message(check, pts, g, size):
 def test_rank_screen_flags_exactly_what_eigvalsh_flags(d, kinds, scale, seed):
     g = gram_batch(d, kinds, scale, seed)
     n = g.shape[-1]
-    pts = 0.1 * np.arange(n * d, dtype=float).reshape(n, d)
+    grid = tensor_grid(0.1 * np.arange(n), *(0.1 * np.arange(1, d)))  # one node per x-row
     # block by block, the first message is eigvalsh's, byte for byte
     for size in (1, 3, n):
-        got = first_message(screened_message, pts, g, size)
-        assert got == first_message(eigvalsh_message, pts, g, size), size
+        got = first_message(screened_message, grid, g, size)
+        assert got == first_message(eigvalsh_message, grid, g, size), size
         if "nan" not in kinds:
             # and without NaN every block size names the same first point
-            assert got == first_message(eigvalsh_message, pts, g, n), size
+            assert got == first_message(eigvalsh_message, grid, g, n), size
 
     def flagged(check):  # node by node, the screen raises exactly where eigvalsh does
-        return [i for i in range(n) if first_message(check, pts[i : i + 1], g[..., i : i + 1], 1)]
+        return [i for i in range(n) if first_message(check, grid.rows(i, i + 1), g[..., i : i + 1], 1)]
 
     assert flagged(screened_message) == flagged(eigvalsh_message)
 
 
 def test_metric_and_weight_closed_forms(grim_reaper, T):
-    pts = np.array([[math.pi / 3, 0.4], [0.0, -1.0], [-1.2, 2.2]])
-    pg = ss.point_geometry(grim_reaper, T, pts)
-    x = pts[:, 0]
+    grid = tensor_grid([math.pi / 3, 0.0, -1.2], [0.4, -1.0, 2.2])
+    pg = ss.point_geometry(grim_reaper, T, grid)
+    x = grid.nodes[:, 0]
     sec2 = 1.0 / np.cos(x) ** 2
     assert np.allclose(pg.g[0, 0], sec2, atol=1e-12)
     assert np.allclose(pg.g[0, 1], 0.0, atol=1e-15)
@@ -210,8 +211,7 @@ def test_metric_and_weight_closed_forms(grim_reaper, T):
 
 
 def test_flat_plane_trivials(flat_plane, T):
-    pts = np.array([[0.3, 0.4], [-1.0, 2.0]])
-    pg = ss.point_geometry(flat_plane, T, pts)
+    pg = ss.point_geometry(flat_plane, T, tensor_grid([0.3, -1.0], [0.4, 2.0]))
     assert np.allclose(pg.g, np.eye(2)[..., None], atol=1e-15)
     assert np.all(pg.h3 == 0.0)
     assert np.all(frame_mean_curvature(pg) == 0.0)
@@ -220,9 +220,9 @@ def test_flat_plane_trivials(flat_plane, T):
 
 
 def test_second_fundamental_form_closed_form(grim_reaper, T):
-    pts = np.array([[0.0, 0.0], [0.8, -0.5]])
-    pg = ss.point_geometry(grim_reaper, T, pts)
-    sec = 1.0 / np.cos(pts[:, 0])
+    grid = tensor_grid([0.0, 0.8], [0.0, -0.5])
+    pg = ss.point_geometry(grim_reaper, T, grid)
+    sec = 1.0 / np.cos(grid.nodes[:, 0])
     h_num = np.einsum("qabn,qpn->abpn", gauss_second_fundamental_form(pg), pg.nu)
     expected = np.zeros_like(h_num)
     expected[0, 0, 0] = sec
@@ -230,24 +230,22 @@ def test_second_fundamental_form_closed_form(grim_reaper, T):
     # at x = 0 this is the single unit component
     assert np.isclose(h_num[0, 0, 0, 0], 1.0, atol=1e-14)
     # on the frame, e_0 = cos x d_x Phi: h_000 = cos^2 x sec x
-    expected[0, 0, 0] = np.cos(pts[:, 0])
+    expected[0, 0, 0] = np.cos(grid.nodes[:, 0])
     assert np.allclose(pg.h3, expected, atol=1e-12)
 
 
 def test_mean_curvature_closed_form(grim_reaper, T):
-    pts = np.array([[0.0, 0.0], [math.pi / 3, 1.0]])
-    pg = ss.point_geometry(grim_reaper, T, pts)
+    pg = ss.point_geometry(grim_reaper, T, tensor_grid([0.0, math.pi / 3], [0.0, 1.0]))
     H = ss.mean_curvature_vector(pg)
     assert np.allclose(H[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-13)
-    assert np.isclose(np.linalg.norm(H[:, 1]), 0.5, atol=1e-13)
+    assert np.isclose(np.linalg.norm(H[:, -1]), 0.5, atol=1e-13)  # at (pi/3, 1)
     # H equals its frame expansion sum_k H_k nu_k
     assert np.allclose(H, np.einsum("kn,pkn->pn", frame_mean_curvature(pg), pg.nu), atol=1e-10)
 
 
 def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, T):
     for chart in (grim_reaper, perturbed):
-        pts = ss.uniform_grid(chart, 12).nodes
-        pg = ss.point_geometry(chart, T, pts)
+        pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 12))
         e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
         ee = np.einsum("pin,pjn->ijn", e, e)
         nn = np.einsum("pin,pjn->ijn", pg.nu, pg.nu)
@@ -269,8 +267,7 @@ def test_frames_orthonormal_and_adapted(grim_reaper, perturbed, T):
 
 def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, T):
     """Gram-Schmidt in coordinate order reproduces (cos x, -sin x, 0, 0), (0,0,0,-1)."""
-    pts = np.array([[0.6, 0.0]])
-    pg = ss.point_geometry(grim_reaper, T, pts)
+    pg = ss.point_geometry(grim_reaper, T, tensor_grid(0.6, 0.0))
     e = np.einsum("man,ain->min", pg.tangents, pg.frame_coeff)
     x = 0.6
     assert np.allclose(e[:, 0, 0], [math.sin(x), math.cos(x), 0, 0], atol=1e-14)
@@ -280,8 +277,7 @@ def test_frame_gauge_matches_natural_cylinder_frame(grim_reaper, T):
 
 def test_translator_identity_for_normal_components(grim_reaper, T):
     # H_p = <T, nu_p> on a translator
-    pts = ss.uniform_grid(grim_reaper, 15).nodes
-    pg = ss.point_geometry(grim_reaper, T, pts)
+    pg = ss.point_geometry(grim_reaper, T, ss.uniform_grid(grim_reaper, 15))
     T_norm = np.einsum("q,qpn->pn", T, pg.nu)
     assert np.max(np.abs(frame_mean_curvature(pg) - T_norm)) < 1e-10
 
@@ -303,7 +299,7 @@ def test_translator_identity_for_normal_components(grim_reaper, T):
 def test_translator_defect_matches_frame_projection(spec):
     """T - t g^-1 <T, t> is the frame projection T - sum <T, e_i> e_i, on any chart."""
     chart = ss.chart_from_config(spec)
-    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7).nodes)
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7))
     assert np.max(np.abs(translator_defect(pg) - frame_translator_defect(pg))) <= 1e-14
 
 
@@ -317,7 +313,7 @@ def test_normal_projection_matches_the_gauss_formula(spec):
     Gauss formula subtracts Gamma^k_ab d_k Phi with Gamma from metric derivatives.  The two
     give h_ab, H = g^ab h_ab and T^perp - H to 1e-13 of max |d^2 Phi|, on every chart."""
     chart = ss.chart_from_config(spec)
-    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7).nodes)
+    pg = ss.point_geometry(chart, np.eye(chart.ambient_dim)[0], ss.uniform_grid(chart, 7))
     tol = 1e-13 * np.max(np.abs(pg.hessian))
     h = gauss_second_fundamental_form(pg)
     assert np.max(np.abs(normal_part(pg, pg.hessian) - h)) <= tol
@@ -342,7 +338,7 @@ def test_hessian_pairings_match_the_gauss_formula(spec, tol):
     T = np.eye(chart.ambient_dim)[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=1, points_per_cell=4)
     block = ss.grid_geometry(chart, T, grid)
-    ref = ss.point_geometry(chart, T, grid.nodes)  # keeps the normal frame the block drops
+    ref = ss.point_geometry(chart, T, grid)  # keeps the normal frame the block drops
     pullback = np.max(np.abs(kaehler_pullback(ref.tangents)))
     assert block.pg.lagrangian and (pullback > 0) == (spec is NEAR_LAGRANGIAN_REAPER)
     assert np.max(np.abs(block.pg.h3 - gauss_h3(ref))) <= tol * np.max(np.abs(ref.hessian))
@@ -387,8 +383,7 @@ def test_gauss_equation_agreement(grim_reaper, flat_plane, perturbed, T):
     # the Gauss side needs no normal frame, so a non-Lagrangian chart is checked too
     for chart in (grim_reaper, flat_plane, perturbed, ss.chart_from_config("non_lagrangian_patch")):
         grid = ss.uniform_grid(chart, 12)
-        pts = grid.nodes
-        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
+        r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, grid), christoffel_partial(chart, grid))
         assert np.max(np.abs(r_int - r_gauss)) < 1e-8
         # Ricci from the Gauss route equals the intrinsic trace
         assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) < 1e-8
@@ -427,12 +422,12 @@ def test_random_gradient_graphs_pin_h3_and_the_gauss_equation(spec):
     largest entry."""
     chart = ss.chart_from_config(spec)
     d = chart.dim
-    pts = np.random.default_rng(d).uniform(-0.9, 0.9, size=(20, d))
-    pg = ss.point_geometry(chart, np.eye(2 * d)[0], pts)
+    grid = tensor_grid(*np.random.default_rng(d).uniform(-0.9, 0.9, size=(20, d)).T)
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid)
     laplacian = sum(pg.hessian[2 * i + 1, i, i] for i in range(d))  # the trace of D^2 u
     assert pg.lagrangian and np.max(np.abs(laplacian)) > 1e-3
     assert np.max(np.abs(pg.h3 - gauss_h3(pg))) <= 1e-12 * np.max(np.abs(pg.hessian))
-    r_int, r_gauss, ric = curvature_tensor(pg, christoffel_partial(chart, pts))
+    r_int, r_gauss, ric = curvature_tensor(pg, christoffel_partial(chart, grid))
     scale = np.max(np.abs(r_int))
     assert np.max(np.abs(r_int - r_gauss)) <= 1e-12 * scale
     assert np.max(np.abs(np.einsum("ijkjn->ikn", r_int) - ric)) <= 1e-12 * scale
@@ -440,8 +435,8 @@ def test_random_gradient_graphs_pin_h3_and_the_gauss_equation(spec):
 
 def test_cylinder_is_intrinsically_flat(grim_reaper, T):
     grid = ss.uniform_grid(grim_reaper, 10)
-    pg = ss.point_geometry(grim_reaper, T, grid.nodes)
-    r_int, r_gauss, ric = curvature_tensor(pg, christoffel_partial(grim_reaper, grid.nodes))
+    pg = ss.point_geometry(grim_reaper, T, grid)
+    r_int, r_gauss, ric = curvature_tensor(pg, christoffel_partial(grim_reaper, grid))
     assert np.max(np.abs(r_int)) < 1e-12
     assert np.max(np.abs(ric)) < 1e-12
 
@@ -455,8 +450,8 @@ def test_curved_graph_sign_convention(T):
             "components": ["x", "y", "(x*x + y*y)/2", "0"],
         }
     )
-    pts = np.array([[1e-8, 1e-8]])
-    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, pts), christoffel_partial(chart, pts))
+    point = tensor_grid(1e-8, 1e-8)
+    r_int, r_gauss, ric = curvature_tensor(ss.point_geometry(chart, T, point), christoffel_partial(chart, point))
     assert np.isclose(r_int[0, 1, 0, 1, 0], 1.0, atol=1e-6)
     assert np.allclose(ric[..., 0], np.eye(2), atol=1e-6)
     assert np.max(np.abs(r_int - r_gauss)) < 1e-8
@@ -471,8 +466,7 @@ def test_low_dimensional_chart_is_supported(T):
             "components": ["cos(x)", "sin(x)", "x", "0"],
         }
     )
-    pts = np.array([[0.3], [1.1]])
-    pg = ss.point_geometry(helix, T, pts)
+    pg = ss.point_geometry(helix, T, tensor_grid([0.3, 1.1]))
     assert not pg.lagrangian
     with pytest.raises(UnsupportedChartError):
         pg.nu
@@ -490,18 +484,18 @@ def test_rank_deficiency_raises(T):
         }
     )
     with pytest.raises(ImmersionError, match=r"rank deficient at point \[0\.1, 0\.1\]"):
-        ss.point_geometry(chart, T, np.array([[0.1, 0.1]]))
+        ss.point_geometry(chart, T, tensor_grid(0.1, 0.1))
 
 
 def test_wrong_length_T_raises(grim_reaper):
     with pytest.raises(ValueError, match=r"T has shape \(3,\), chart 'grim_reaper' needs \(4,\)"):
-        ss.point_geometry(grim_reaper, [1.0, 0.0, 0.0], np.array([[0.1, 0.1]]))
+        ss.point_geometry(grim_reaper, [1.0, 0.0, 0.0], tensor_grid(0.1, 0.1))
 
 
 @pytest.mark.parametrize("order", [0, 1, 4])
 def test_point_geometry_takes_order_two_or_three(grim_reaper, T, order):
     with pytest.raises(ValueError, match=f"^point_geometry takes order 2 or 3, not {order}$"):
-        ss.point_geometry(grim_reaper, T, np.array([[0.1, 0.1]]), order=order)
+        ss.point_geometry(grim_reaper, T, tensor_grid(0.1, 0.1), order=order)
 
 
 # at x = 0.2 each term first fails at its slot's level: log(0.1 - x) is NaN,
@@ -512,18 +506,21 @@ NON_FINITE_FROM = {"val": "log(0.1 - x)", "d1": "sqrt(0.2 - x)", "d2": "(0.2 - x
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("slot", list(NON_FINITE_FROM))
 def test_non_finite_given_jets_raise_naming_the_point(d, slot):
-    """The chart evaluation names the first point whose jets are not finite, at whichever
-    level they stop being finite; unchecked, a NaN tangent would give NaN geometry at
-    d = 2 and numpy's LinAlgError at d = 3."""
+    """The chart evaluation names the first node whose jets are not finite, in C order, at
+    whichever level they stop being finite, though the failing component, of x alone, runs
+    on the x-axis; unchecked, a NaN tangent would give NaN geometry at d = 2 and numpy's
+    LinAlgError at d = 3."""
     components = [c for v in variable_names(d) for c in (f"sin({v})", f"{v}*{v}")]
     components[0] = f"sin(x) + {NON_FINITE_FROM[slot]}"
     chart = ss.chart_from_config({"domain": [[-1.0, 1.0]] * d, "components": components})
+    assert chart.parameters[0] == (0,)
     pts = np.linspace(-0.5, 0.5, 5 * d).reshape(5, d)
-    pts[:, 0] = [-0.4, -0.2, 0.0, 0.2, 0.4]  # points 0-2 are finite, points 3 and 4 are not
-    message = f"chart 'expression_chart' produced non-finite jet data at point {pts[3].tolist()}"
+    pts[:, 0] = [-0.4, -0.2, 0.0, 0.2, 0.4]  # x-rows 0-2 are finite, x-rows 3 and 4 are not
+    first = np.concatenate([pts[3, :1], pts[0, 1:]]).tolist()
+    message = f"chart 'expression_chart' produced non-finite jet data at point {first}"
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
-        ss.point_geometry(chart, np.eye(2 * d)[0], pts, order=2)
-    raw = J.evaluate(chart.map_jets, pts[3:4], 2)  # unchecked
+        ss.point_geometry(chart, np.eye(2 * d)[0], tensor_grid(*pts.T), order=2)
+    raw = J.evaluate(lambda seeds: chart.components[0](*seeds), pts[3:4], 2)  # unchecked
     levels = ["val", "d1", "d2"]
     finite = [bool(np.isfinite(getattr(raw, name)).all()) for name in levels]
     k = levels.index(slot)
@@ -534,14 +531,14 @@ def test_non_finite_given_jets_raise_naming_the_point(d, slot):
 def test_lagrangian_flag_is_detected_on_builtin_charts(T, name):
     """The pullback is exactly 0 on the Lagrangian builtins and 1 on the other: far from the 1e-9 cut."""
     chart = ss.chart_from_config(name)
-    pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 60).nodes)
+    pg = ss.point_geometry(chart, T, ss.uniform_grid(chart, 60))
     lagrangian = name != "non_lagrangian_patch"
     assert pg.lagrangian is lagrangian
     assert np.max(np.abs(kaehler_pullback(pg.tangents))) == (0.0 if lagrangian else 1.0)
 
 
 def test_kaehler_pullback_values(grim_reaper):
-    jets = ss.eval_jets(grim_reaper, np.array([[0.5, 0.5]]), order=1)
+    jets = ss.eval_jets(grim_reaper, tensor_grid(0.5, 0.5), order=1)
     omega = kaehler_pullback(jets.d1)
     assert np.allclose(omega, 0.0, atol=1e-15)
 

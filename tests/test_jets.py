@@ -12,9 +12,11 @@ import soliton_stability as ss
 import soliton_stability.jets as J
 from oracles import (
     finite_difference_jet,
+    SEPARABLE_CHARTS,
     partial,
     reference_compose,
     reference_product,
+    stacked_component_jets,
     symmetry_defect,
     tensor_grid,
 )
@@ -282,34 +284,25 @@ def test_a_field_of_a_bare_seed_is_masked_in_place():
     assert np.all(out.d1[0, inside] == 1.0) and not np.any(out.d1[1]) and not np.any(out.d3)
 
 
-# an expression chart with constant components ("0", and "-0", whose value is -0.0) and a
-# bare coordinate ("x"), which the chart returns as its seed
-CONSTANTS_AND_SEEDS = {
-    "name": "constants_and_seeds",
-    "domain": [[-1.0, 1.0], [-1.0, 1.0]],
-    "components": ["x", "0", "y * sin(x)", "-0"],
-}
-
-
 @pytest.mark.parametrize(
-    "spec", [*BUILTIN_CHARTS, CONSTANTS_AND_SEEDS], ids=[*BUILTIN_CHARTS, "constants_and_seeds"]
+    "name", [*BUILTIN_CHARTS, *SEPARABLE_CHARTS], ids=[*BUILTIN_CHARTS, *SEPARABLE_CHARTS]
 )
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_chart_jets_are_the_stacked_components(spec, order):
-    """The levels written straight into the stacked result are ``np.stack`` of the chart's
-    components, each plain number promoted to a constant jet, bit for bit."""
-    chart = ss.chart_from_config(spec)
-    pts = ss.uniform_grid(chart, 7).nodes
-    seeds = J.variables(pts, order)
-    components = [
-        c if isinstance(c, J.Jet) else J.constant(c, chart.dim, order, batch_shape=(pts.shape[0],))
-        for c in chart.map_jets(seeds)
-    ]
-    want = [np.stack(level) for level in zip(*[c.levels for c in components])]
-    got = ss.eval_jets(chart, pts, order)
-    assert got.order == order and len(got.levels) == len(want)
-    for a, b in zip(got.levels, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+def test_chart_jets_are_the_stacked_components(name, order):
+    """Each component runs on the sub-grid of the parameters it names and is broadcast into
+    the stacked levels, and the result is every component's jets at every node, stacked by
+    ``np.stack``, bit for bit, signed zeros included: on a whole grid and on a grid with a
+    one-node axis."""
+    chart = ss.chart_from_config(SEPARABLE_CHARTS.get(name, name))
+    grid = ss.uniform_grid(chart, 7 if chart.dim < 4 else 4)
+    one_node = tensor_grid(*(x[2:3] if a == 1 else x for a, x in enumerate(grid.axis_nodes)))
+    for where in (grid, one_node):
+        got, want = ss.eval_jets(chart, where, order), stacked_component_jets(chart, where.nodes, order)
+        assert got.order == order and len(got.levels) == order + 1
+        for a, b in zip(got.levels, want.levels):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if name == "constants_and_seeds":
+        assert np.all(np.signbit(got.val[3])) and chart.parameters == ((0,), (), (0, 1), ())
 
 
 def test_a_lower_order_component_truncates_the_result():
@@ -341,10 +334,10 @@ def test_taylor_remainder_order(u):
     """
     chart = ss.chart_from_config("grim_reaper")
     v = np.array([0.8, 0.6])
-    j = ss.eval_jets(chart, np.array([u]))
+    j = ss.eval_jets(chart, tensor_grid(*u))
 
     def taylor_error(h):
-        target = ss.eval_jets(chart, np.array([np.array(u) + h * v])).val[:, 0]
+        target = ss.eval_jets(chart, tensor_grid(*(np.array(u) + h * v))).val[:, 0]
         model = (
             j.val[:, 0]
             + h * j.d1[..., 0] @ v
@@ -362,7 +355,7 @@ def test_taylor_remainder_order(u):
 
 def test_finite_difference_oracle_agrees():
     chart = ss.chart_from_config("grim_reaper")
-    exact = ss.eval_jets(chart, np.array([[0.0, 0.0]]))
+    exact = ss.eval_jets(chart, tensor_grid(0.0, 0.0))
     fd = finite_difference_jet(chart, [0.0, 0.0], h=1e-4)
     assert np.max(np.abs(fd.d1 - exact.d1)) < 1e-7
     assert np.max(np.abs(fd.d2 - exact.d2)) < 1e-7
@@ -413,7 +406,7 @@ def test_jet_arithmetic_matches_finite_differences(case):
     spec, u = case
     try:
         chart = ss.chart_from_config(spec)
-        exact = ss.eval_jets(chart, u[None, :], order=3)
+        exact = ss.eval_jets(chart, tensor_grid(*u), order=3)
     except (ExpressionError, EvaluationError):
         reject()  # a constant or a value that overflows
     scale = 1.0 + max(float(np.max(np.abs(a))) for a in (exact.val, exact.d1, exact.d2, exact.d3))
@@ -425,6 +418,6 @@ def test_jet_arithmetic_matches_finite_differences(case):
     for k in range(chart.dim):
         step = np.zeros(chart.dim)
         step[k] = h
-        up = ss.eval_jets(chart, (u + step)[None, :], order=2)
-        down = ss.eval_jets(chart, (u - step)[None, :], order=2)
+        up = ss.eval_jets(chart, tensor_grid(*(u + step)), order=2)
+        down = ss.eval_jets(chart, tensor_grid(*(u - step)), order=2)
         assert np.max(np.abs((up.d2 - down.d2) / (2 * h) - exact.d3[..., k, :])) <= 1e-7 * scale

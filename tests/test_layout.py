@@ -55,6 +55,7 @@ GRID3 = ss.tensor_rule(SUPPORT3, cells=2, points_per_cell=3)  # 216 nodes
 # inside both support boxes and the domains of both charts below
 POINTS2 = np.random.default_rng(2).uniform(-0.9, 0.9, size=(30, 2))
 POINTS3 = np.random.default_rng(3).uniform(-0.9, 0.9, size=(30, 3))
+GRID_OF_POINTS2 = tensor_grid(*POINTS2.T)  # the grid of their coordinates, which holds the points
 
 
 def _scalar(support):
@@ -71,8 +72,8 @@ def _cubic():
 PRODUCERS = {
     "evaluate-scalar": (lambda: J.evaluate(lambda s: J.sin(s[0]) * s[1], POINTS2, 3), (), 2, 30, 3),
     "evaluate-stacked": (lambda: J.evaluate(lambda s: [s[1] * s[0], 1.0], POINTS2, 3), (2,), 2, 30, 3),
-    "chart": (lambda: ss.eval_jets(ss.chart_from_config("grim_reaper"), POINTS2, 3), (4,), 2, 30, 3),
-    "chart-3d": (lambda: ss.eval_jets(_cubic(), POINTS3, 2), (6,), 3, 30, 2),
+    "chart": (lambda: ss.eval_jets(ss.chart_from_config("grim_reaper"), GRID_OF_POINTS2, 3), (4,), 2, 900, 3),
+    "chart-3d": (lambda: ss.eval_jets(_cubic(), tensor_grid(*POINTS3.T), 2), (6,), 3, 27000, 2),
     "field-closed-form-row": (lambda: _scalar(SUPPORT2).eval_jets(GRID2.rows(2, 3), 3), (), 2, 6, 3),
     "field-closed-form-grid": (lambda: _scalar(SUPPORT2).eval_jets(GRID2, 3), (), 2, 36, 3),
     "field-arithmetic-row": (lambda: _scalar(SUPPORT3).eval_jets(GRID3.rows(2, 3), 3), (), 3, 36, 3),
@@ -110,8 +111,8 @@ def case(request):
     # 64 nodes on a tensor grid of random axis nodes
     per_axis = round(64 ** (1 / d))
     grid = tensor_grid(*(lo + (hi - lo) * rng.uniform(0.05, 0.95, size=per_axis) for lo, hi in support))
-    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)
-    jets = ss.eval_jets(chart, grid.nodes, order=3)
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid)
+    jets = ss.eval_jets(chart, grid, order=3)
     # a generic form, so nabla theta has no symmetry either
     fj = ss.random_generic_variation(support, seed=13).eval_jets(grid, order=2)
     return chart, pg, jets, fj
@@ -166,13 +167,13 @@ def test_christoffel_trace_matches_the_node_first_christoffel_derivatives(spec):
     rng = np.random.default_rng(5 + d)
     per_axis = round(125 ** (1 / d))
     axes = (lo + (hi - lo) * rng.uniform(0.05, 0.95, size=per_axis) for lo, hi in chart.domain)
-    nodes, T = tensor_grid(*axes).nodes, np.eye(2 * d)[0]
-    geo = node_first_geometry(ss.eval_jets(chart, nodes, order=3))
+    grid, T = tensor_grid(*axes), np.eye(2 * d)[0]
+    geo = node_first_geometry(ss.eval_jets(chart, grid, order=3))
     want = np.einsum("nab,nalbc->lcn", geo["g_inv"], geo["Gamma_partial"])
     scale = np.max(np.abs(want))
     assert scale > 0.1
-    assert np.max(np.abs(ss.point_geometry(chart, T, nodes).P - want)) <= 1e-13 * scale
-    lean = ss.point_geometry(chart, T, nodes, order=2)
+    assert np.max(np.abs(ss.point_geometry(chart, T, grid).P - want)) <= 1e-13 * scale
+    lean = ss.point_geometry(chart, T, grid, order=2)
     assert lean.P is None and lean.Gamma is None
 
 

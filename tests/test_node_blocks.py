@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import soliton_stability as ss
-from oracles import tensor_grid
+from oracles import SEPARABLE_CHARTS, stacked_component_jets, tensor_grid
 from soliton_stability import geometry, jets, quadrature, stability, wirtinger
-from soliton_stability.charts import Chart
 from soliton_stability.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main
 from soliton_stability.errors import ImmersionError, NotASolitonError, UnsupportedChartError
 from soliton_stability.geometry import kaehler_pullback, translator_defect
@@ -35,14 +34,14 @@ GRIM_REAPER_X_LINE = {
 }
 
 
-def unblocked_residual(chart, T, pts):
+def unblocked_residual(chart, T, grid):
     """The certificate as one batch, the reference every block size must match."""
-    pg = ss.point_geometry(chart, T, pts, order=2)
+    pg = ss.point_geometry(chart, T, grid, order=2)
     resid = np.linalg.norm(translator_defect(pg), axis=0)
     defect = np.max(np.abs(kaehler_pullback(pg.tangents)), axis=(0, 1))
     return ss.DiagnosticsReport(
         chart=chart.name,
-        grid={"kind": "points", "count": int(pts.shape[0])},
+        grid={"kind": "points", "count": math.prod(grid.shape)},
         max_soliton_residual=float(np.max(resid)),
         max_lagrangian_defect=float(np.max(defect)),
     )
@@ -70,7 +69,7 @@ def node_slices(grid):
 def test_soliton_residual_is_block_invariant(monkeypatch, T, spec):
     chart = ss.chart_from_config(spec)
     grid = ss.uniform_grid(chart, 9)
-    expected = unblocked_residual(chart, T, grid.nodes)
+    expected = unblocked_residual(chart, T, grid)
     for size in block_sizes(grid):
         monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
         report = ss.soliton_residual(chart, T, grid)
@@ -103,7 +102,9 @@ def test_row_blocks_have_at_least_two_nodes(monkeypatch):
 
 
 def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
-    """The chart evaluation is the one finiteness check: point_geometry takes no jets to re-check."""
+    """The chart evaluation is the one finiteness check, made once per component on the
+    sub-grid that component runs on: point_geometry takes no jets to re-check, and no block's
+    stacked jets are checked again."""
     grid = ss.uniform_grid(grim_reaper, 9)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
     checked = []
@@ -115,8 +116,11 @@ def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
 
     monkeypatch.setattr(jets.Jet, "is_finite", counted)
     ss.soliton_residual(grim_reaper, T, grid)
-    assert checked == [rows.stop - rows.start for rows, _ in node_slices(grid)]
-    assert checked == [18] * 4 + [9]  # 9 rows of 9 points: four blocks of two rows, then one
+    sub_grids = [block.along(named) for _, block in node_slices(grid) for named in grim_reaper.parameters]
+    assert checked == [math.prod(sub.shape) for sub in sub_grids]
+    # 9 rows of 9 points: four blocks of two rows, then one; -log(cos(x)) and x run on a
+    # block's x-nodes, y on its 9 y-nodes and 0 on one node
+    assert checked == [2, 2, 9, 1] * 4 + [1, 1, 9, 1]
 
 
 def block_of(jet, rows):
@@ -149,40 +153,28 @@ def test_jet_arithmetic_fields_are_block_invariant():
 
 
 @pytest.mark.parametrize(
-    "spec", ["grim_reaper", EXPRESSION_GRIM_REAPER], ids=["grim_reaper", "expression_grim_reaper"]
+    "spec",
+    ["grim_reaper", EXPRESSION_GRIM_REAPER, *SEPARABLE_CHARTS.values()],
+    ids=["grim_reaper", "expression_grim_reaper", *SEPARABLE_CHARTS],
 )
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_chart_jets_are_block_invariant(monkeypatch, spec, order):
-    """Chart jets on each row block are the whole evaluation's there: the property the
-    row blocks' bit identity rests on."""
+    """Chart jets on each row block are the whole evaluation's there, and every component's
+    jets at the block's nodes, bit for bit: the property the row blocks' bit identity rests
+    on, though a block's components run on sub-grids of the block."""
     # the expression chart's fourth component "0" is a plain number, promoted per call
     chart = ss.chart_from_config(spec)
-    grid = ss.uniform_grid(chart, 9)
-    whole = ss.eval_jets(chart, grid.nodes, order=order)
-    assert whole.val.shape == (4, 81)
+    grid = ss.uniform_grid(chart, 9 if chart.dim < 4 else 4)
+    whole = ss.eval_jets(chart, grid, order=order)
+    assert whole.val.shape == (chart.ambient_dim, math.prod(grid.shape))
     assert (whole.order, whole.d2 is None, whole.d3 is None) == (order, order < 2, order < 3)
     for size in block_sizes(grid):
         monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
         for rows, block in node_slices(grid):
-            jet = ss.eval_jets(chart, block.nodes, order=order)
+            jet = ss.eval_jets(chart, block, order=order)
             assert_jets_equal(jet, block_of(whole, rows), (size, rows))
-
-
-@pytest.mark.parametrize("container", [tuple, iter], ids=["tuple", "iterator"])
-def test_chart_map_jets_may_return_any_sequence(container):
-    # Chart.map_jets is typed Sequence: a tuple (or any iterable) of components
-    # gives the same jets as a list, on all the points and on each node block
-    chart = ss.chart_from_config("grim_reaper")
-    other = Chart(
-        "grim_reaper_tuple",
-        chart.domain,
-        chart.ambient_dim,
-        lambda seeds: container(chart.map_jets(seeds)),
-    )
-    pts = ss.uniform_grid(chart, 9).nodes
-    for rows in (slice(None), slice(0, 18), slice(18, 81)):
-        want = ss.eval_jets(chart, pts[rows], order=3)
-        assert_jets_equal(ss.eval_jets(other, pts[rows], order=3), want, rows)
+            want = stacked_component_jets(chart, block.nodes, order)
+            assert [a.tobytes() for a in jet.levels] == [b.tobytes() for b in want.levels], (size, rows)
 
 
 def test_rank_deficiency_message_is_block_invariant(monkeypatch, T):
@@ -448,7 +440,7 @@ def test_block_geometry_matches_the_full_grid(monkeypatch, spec, points):
     d = chart.domain.shape[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=points)
     T = np.eye(2 * d)[0]
-    full = ss.point_geometry(chart, T, grid.nodes)
+    full = ss.point_geometry(chart, T, grid)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 2 * grid.nodes.shape[0] // grid.shape[0])
     blocks = list(ss.grid_blocks(chart, T, grid))
     assert len(blocks) == grid.shape[0] // 2
@@ -558,33 +550,36 @@ def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
     d = chart.domain.shape[0]
     T = np.eye(2 * d)[0]
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=cells, points_per_cell=points)
-    nodes = grid.rows(0, 8192 * grid.shape[0] // grid.nodes.shape[0]).nodes
-    ss.point_geometry(chart, T, nodes[:4], order=2)  # first-call caches stay out of the count
+    block = grid.rows(0, 8192 * grid.shape[0] // math.prod(grid.shape))
+    ss.point_geometry(chart, T, grid.rows(0, 1), order=2)  # first-call caches stay out of the count
     tracemalloc.start()
     try:
-        pg = ss.point_geometry(chart, T, nodes, order=2)
+        pg = ss.point_geometry(chart, T, block, order=2)
         held_bytes, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n = nodes.shape[0]
+    n = math.prod(block.shape)
     assert pg.P is None and pg.Gamma is None and n > 8000
     assert held_bytes < held * 8 * n, held_bytes / (8 * n)
     assert peak_bytes < peak * 8 * n, peak_bytes / (8 * n)
 
 
 def test_chart_jets_memory_d3():
-    """At d = 3 an order-3 chart evaluation peaks at its output, the seeds' values and one
-    component: grim reaper x line's one non-constant, non-coordinate component is its jet of
-    40 floats per node, on 240 of output and 3 of seeds.  Seeds with per-node zero
-    derivatives and the components copied by ``np.stack`` peaked at 480."""
+    """At d = 3 an order-3 chart evaluation peaks at its output of 240 floats per node and
+    arrays of its sub-grids, under one float per node of the 8,100-node block (240.35 in
+    all): each component runs on the sub-grid of the parameters it names, here the block's
+    9 x-nodes, its 30 y- or z-nodes, or one node.  Every component on every node peaked at
+    283, with the seeds' values and grim reaper x line's one 40-float component beside the
+    output, and seeds with per-node zero derivatives and the components copied by
+    ``np.stack`` at 480."""
     chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=3, points_per_cell=10)
-    points = grid.rows(0, 9).nodes
-    ss.eval_jets(chart, points[:2], 3)  # first-call caches stay out of the peak
-    out, peak = traced_peak(ss.eval_jets, chart, points, 3)
-    n, (m, d) = points.shape[0], out.d1.shape[:2]
+    block = grid.rows(0, 9)
+    ss.eval_jets(chart, grid.rows(0, 1), 3)  # first-call caches stay out of the peak
+    out, peak = traced_peak(ss.eval_jets, chart, block, 3)
+    n = math.prod(block.shape)
     output = sum(a.nbytes for a in out.levels)
-    bound = output + output // m + d * n * 8 + 32 * 1024
+    bound = output + n * 8 + 32 * 1024
     assert (output, n) == (240 * 8 * n, 8100)
     assert peak <= bound, (peak / (8 * n), bound / (8 * n))
 
@@ -824,10 +819,10 @@ def test_covariant_calculus_needs_the_order_three_trace():
     fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
     T = np.eye(6)[0]
     with pytest.raises(ValueError, match="order-3 chart jets"):
-        ss.covariant_calculus(fj.val, fj.d1, fj.d2, ss.point_geometry(chart, T, grid.nodes, order=2))
+        ss.covariant_calculus(fj.val, fj.d1, fj.d2, ss.point_geometry(chart, T, grid, order=2))
     block = ss.grid_geometry(chart, T, grid)
     assert block.pg.P is not None
-    full = ss.point_geometry(chart, T, grid.nodes)
+    full = ss.point_geometry(chart, T, grid)
     got, want = (ss.covariant_calculus(fj.val, fj.d1, fj.d2, pg) for pg in (block.pg, full))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -847,7 +842,7 @@ def test_covariant_calculus_memory_is_bounded():
     )
     support = ss.default_support_box(chart.domain)
     grid = ss.tensor_rule(support, cells=4, points_per_cell=5)
-    pg = ss.point_geometry(chart, np.eye(6)[0], grid.nodes)
+    pg = ss.point_geometry(chart, np.eye(6)[0], grid)
     fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
     for trace in (pg.dg_inv, pg.K, pg.P):  # formed once per geometry, not per form
         assert trace.shape[-1] == grid.nodes.shape[0]

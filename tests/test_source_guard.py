@@ -29,7 +29,10 @@
 * The routes run over the grid's row blocks and nowhere else: no whole-grid
   point geometry on ``GridGeometry``, no ``take`` of node rows, no
   ``_by_block`` writes into full-length arrays, and fields evaluate on grids
-  only, with no scattered-point branch.
+  only, with no scattered-point branch.  So do charts: ``eval_jets`` and
+  ``point_geometry`` take a grid, not points, and the opaque map of every
+  component at once (``map_jets``) stays deleted, so each component runs on
+  the sub-grid of the parameters it names.
 * Geometry blocks are outer and variations inner: the suite walks
   ``grid_blocks`` and holds one block's geometry at a time, so no tuple of
   every block's geometry (``gg.blocks``, ``blocks: tuple[GridBlock, ...]``)
@@ -111,6 +114,7 @@ FORBIDDEN = {
     "per-axis window option": r"(scalar_field_from_expression|_jet_arithmetic)\([^)]*\bwindow\b",
     "whole-grid path beside the row blocks": r"\b_by_block\b|\bgg\.pg\b|\.take\(rows\)",
     "scattered-point field branch": r"isinstance\(where, QuadratureGrid\)",
+    "scattered-point chart branch": r"\bdef (eval_jets|point_geometry)\([^)]*\b(points|pts)\b|\bmap_jets\b",
     "deleted point walk or block rule": r"\b(node_blocks|point_blocks|NODE_BLOCK|VARIATION_BLOCK)\b",
     "grid-wide tuple of block geometry": r"\bgg\.blocks\b|\btuple\[Grid(Block|Geometry)\b",
     "deleted order-3 Christoffel tensor": r"\b(Gamma_partial|ddg|dbracket)\b",
@@ -182,6 +186,7 @@ CAUGHT = {
     "per-axis window option": "def scalar_field_from_expression(expr: str, support, window=None) -> ScalarField:",
     "whole-grid path beside the row blocks": "q = data.div + np.einsum(\"an,an->n\", data.theta, gg.pg.T_coord)",
     "scattered-point field branch": "x, y = where.axis_nodes if isinstance(where, QuadratureGrid) else where.T",
+    "scattered-point chart branch": "def eval_jets(chart: Chart, points, order: int = 3) -> J.Jet:",
     "deleted point walk or block rule": "from .jets import Jet, node_blocks, stack",
     "meshgrid outside quadrature": "mesh = np.meshgrid(*axes, indexing=\"ij\")",
     "block cut outside quadrature": "block = grid.rows(i0, i1)",
@@ -235,10 +240,10 @@ def test_guard_flags_each_pattern_and_nothing_else():
         module = next((home for home, patterns in INSIDE.items() if why in patterns), "")
         assert violations(line, module) == [(1, why)], why
     assert violations("eigmin = np.linalg.eigvalsh(g)\nout[0::2] = v[1::2]") == []
-    order2 = "pg = point_geometry(chart, T, block.nodes, order=2)\njets = eval_jets(chart, pts)"
+    order2 = "pg = point_geometry(chart, T, block, order=2)\njets = eval_jets(chart, pts)"
     assert violations(order2, "geometry.py") == []
     assert violations(order2, "wirtinger.py") == [(1, "order-2 geometry outside geometry")]
-    support = "pg = point_geometry(chart, T, grid.nodes)\nbox = default_support_box(chart.domain, shrink)"
+    support = "pg = point_geometry(chart, T, grid)\nbox = default_support_box(chart.domain, shrink)"
     assert violations(support, "stability.py") == []
     assert violations("grid = default_grid_for_support(chart, support)") == [(1, "deleted support margin rule")]
     assert violations("from .jets import Jet\nJ.evaluate(f, x, 3)\nfor block in grid.blocks():") == []
@@ -297,6 +302,14 @@ def test_guard_flags_each_pattern_and_nothing_else():
         assert violations(text, "jets.py") == [], text
     levels = "x, t, d2, *d3 = eval_jets(chart, pts, order=order).levels\npairs = (u.val, v.d1, u.d2, v.d3)"
     assert violations(levels, "geometry.py") == []
+    charts = (
+        "def point_geometry(\n    chart: Chart, T, pts: np.ndarray, order: int = 3\n) -> PointGeometry:",
+        "    out = J.evaluate(chart.map_jets, pts, order)",
+    )
+    for text in charts:
+        assert violations(text, "geometry.py") == [(1, "scattered-point chart branch")], text
+    on_grid = "def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:\n    points = grid.nodes"
+    assert violations(on_grid, "charts.py") == []
     walk = "for block in blocks:\n    each = partial(evaluate_variation, block)\nblocks = grid_blocks(chart, T, grid)"
     assert violations(walk) == []
     factories = ("def flat_lagrangian_plane(", "def perturbed_grim_reaper(eps", "def non_lagrangian_patch(")
@@ -319,7 +332,7 @@ def test_guard_flags_each_pattern_and_nothing_else():
         "    return normal_part(pg, pg.T[:, None] - pg.hessian)\n\n\n"
         "@dataclass\nclass PointGeometry:\n    Gamma: np.ndarray | None = None\n"
         "    def K(self):\n        return self.Gamma\n"
-        "def point_geometry(chart, T, points):\n    Gamma = 0.5 * np.einsum(\"kln,labn->kabn\", g_inv, bracket)\n"
+        "def point_geometry(chart, T, grid):\n    Gamma = 0.5 * np.einsum(\"kln,labn->kabn\", g_inv, bracket)\n"
         "    return pg.Gamma, pg.g"
     )
     assert violations(lean, "geometry.py") == []

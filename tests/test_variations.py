@@ -311,7 +311,7 @@ def test_covariant_divergence_on_flat_plane(fp_geometry_small):
 def test_ricci_identity(gr_geometry_small):
     """Rough Laplacian vs gradient-of-divergence plus Ricci, for closed forms."""
     gg = gr_geometry_small
-    pg, dG = whole_grid_block(gg).pg, christoffel_partial(gg.chart, gg.grid.nodes)
+    pg, dG = whole_grid_block(gg).pg, christoffel_partial(gg.chart, gg.grid)
     _, _, ricci = curvature_tensor(pg, dG)
     for seed in range(10):
         fj = ss.random_hamiltonian_variation(gg.grid.box, seed=seed).eval_jets(gg.grid, order=2)
@@ -322,7 +322,7 @@ def test_ricci_identity_on_curved_chart(perturbed, T):
     """Same identity where the Ricci term is genuinely nonzero."""
     support = ss.default_support_box(perturbed.domain)
     grid = ss.tensor_rule(support, cells=6, points_per_cell=5)
-    pg, dG = ss.point_geometry(perturbed, T, grid.nodes), christoffel_partial(perturbed, grid.nodes)
+    pg, dG = ss.point_geometry(perturbed, T, grid), christoffel_partial(perturbed, grid)
     _, _, ricci = curvature_tensor(pg, dG)
     assert np.max(np.abs(ricci)) > 1e-4
     fj = ss.random_hamiltonian_variation(support, seed=3).eval_jets(grid, order=2)
@@ -342,7 +342,7 @@ def test_gauss_and_ricci_identities_on_a_curved_3d_chart():
     chart = ss.chart_from_config(CURVED_GRADIENT_GRAPH_3D)
     support = ss.default_support_box(chart.domain)
     grid = ss.tensor_rule(support, 2, 6)
-    pg, dG = ss.point_geometry(chart, np.eye(6)[0], grid.nodes), christoffel_partial(chart, grid.nodes)
+    pg, dG = ss.point_geometry(chart, np.eye(6)[0], grid), christoffel_partial(chart, grid)
     assert pg.lagrangian
     r_int, r_gauss, ricci = curvature_tensor(pg, dG)
     assert np.max(np.abs(ricci)) > 1e-4
@@ -376,7 +376,7 @@ def test_round_trip_form_field_form(gr_geometry_small):
 
 def test_unit_form_gives_unit_normal(grim_reaper, T):
     # theta = dx at the origin corresponds to V = J e_1 = (1, 0, 0, 0)
-    pg = ss.point_geometry(grim_reaper, T, np.array([[0.0, 0.0]]))
+    pg = ss.point_geometry(grim_reaper, T, tensor_grid(0.0, 0.0))
     v = ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
     assert np.allclose(v, [[1.0], [0.0], [0.0], [0.0]], atol=1e-14)
     assert np.isclose(np.linalg.norm(v), 1.0)
@@ -384,7 +384,7 @@ def test_unit_form_gives_unit_normal(grim_reaper, T):
 
 def test_correspondence_requires_lagrangian(T):
     patch = ss.chart_from_config("non_lagrangian_patch")
-    pg = ss.point_geometry(patch, T, np.array([[0.1, 0.1]]))
+    pg = ss.point_geometry(patch, T, tensor_grid(0.1, 0.1))
     with pytest.raises(UnsupportedChartError):
         ss.normal_field_from_form(np.array([[1.0], [0.0]]), pg)
 
@@ -404,7 +404,7 @@ def test_variation_field_jets_match_correspondence(gr_geometry_small, grim_reape
     for axis in range(2):
         # the two-node grid u0 - h e_axis, u0 + h e_axis
         pair = tensor_grid(*([u - h, u + h] if a == axis else [u] for a, u in enumerate(u0)))
-        pg_pair = ss.point_geometry(grim_reaper, T, pair.nodes)
+        pg_pair = ss.point_geometry(grim_reaper, T, pair)
         v_pair = ss.normal_field_from_form(theta.eval_jets(pair, order=1).val, pg_pair)
         fd = (v_pair[:, 1] - v_pair[:, 0]) / (2 * h)
         assert np.max(np.abs(v_d1[:, axis, idx] - fd)) < 1e-8
@@ -429,7 +429,7 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
     rng = np.random.default_rng(d)
     grid = tensor_grid(*(lo + (hi - lo) * rng.uniform(0.1, 0.9, size=2) for lo, hi in support))
 
-    pg = ss.point_geometry(chart, T, grid.nodes)
+    pg = ss.point_geometry(chart, T, grid)
     fj = theta.eval_jets(grid, order=1)
     v_d1 = ss.variation_field_jets(fj.val, fj.d1, pg)
     assert v_d1.shape == (2 * d, d, 2**d)
@@ -437,7 +437,7 @@ def test_variation_field_derivative_matches_central_differences(domain, componen
 
     def field(q):
         return ss.normal_field_from_form(
-            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, T, q.nodes)
+            theta.eval_jets(q, order=1).val, ss.point_geometry(chart, T, q)
         )
 
     h = 1e-5
@@ -473,10 +473,10 @@ def test_covariant_calculus_matches_index_notation(domain, components):
     support = ss.default_support_box(chart.domain)
     rng = np.random.default_rng(d)
     grid = tensor_grid(*(lo + (hi - lo) * rng.uniform(0.1, 0.9, size=4) for lo, hi in support))
-    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid.nodes)
+    pg = ss.point_geometry(chart, np.eye(2 * d)[0], grid)
     # a generic form, so nabla theta has no symmetry that could hide a transposition
     fj = ss.random_generic_variation(support, seed=5).eval_jets(grid, order=2)
-    dG_last = christoffel_partial(chart, grid.nodes)
+    dG_last = christoffel_partial(chart, grid)
     G, dG = np.moveaxis(pg.Gamma, -1, 0), np.moveaxis(dG_last, -1, 0)
     g_inv, dg_inv = np.moveaxis(pg.g_inv, -1, 0), np.moveaxis(pg.dg_inv, -1, 0)
 
