@@ -96,7 +96,7 @@ def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
     A refusal forms the grid's nodes and names the first bad one.
     """
     if len(grid.shape) != chart.dim:
-        raise DomainError(f"points have dimension {len(grid.shape)}, chart has {chart.dim}")
+        raise DomainError(f"grid has dimension {len(grid.shape)}, chart has {chart.dim}")
     if not all(np.all((x > lo) & (x < hi)) for x, (lo, hi) in zip(grid.axis_nodes, chart.domain)):
         pts = grid.nodes
         bad = pts[~chart.contains(pts)][0].tolist()
@@ -106,10 +106,10 @@ def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
     for p, (fn, named) in enumerate(zip(chart.components, chart.parameters)):
         sub = grid.along(named)
         # a domain error inside the component surfaces as the non-finite check
-        jet = J.evaluate(lambda seeds: [fn(*seeds)], sub.nodes, order)
+        jet = J.evaluate(lambda seeds: fn(*seeds), sub.nodes, order)
         finite = finite and jet.is_finite()
         for level, a in zip(levels, jet.levels):
-            level[p] = a[0].reshape(a.shape[1:-1] + sub.shape)
+            level[p] = a.reshape(a.shape[:-1] + sub.shape)
     out = J.Jet(order, *(a.reshape(a.shape[: -chart.dim] + (-1,)) for a in levels))
     if not finite:
         bad = grid.nodes[out.first_non_finite()].tolist()

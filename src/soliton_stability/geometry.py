@@ -26,8 +26,9 @@ vector use ambient normal components, so they hold on every chart.  Frames
 are formed on first use, and every reported scalar is gauge invariant.
 
 The certificates walk a grid's row blocks, one block's order-2 geometry at a
-time, by :func:`grid_maxima`: :func:`soliton_residual` here and the cylinder's
-closed-form deviations in :mod:`wirtinger`.  That build stops at the metric:
+time, by :func:`grid_maxima`: :func:`soliton_residual` here, the refusals of
+``stability.grid_blocks`` and the cylinder's closed-form deviations in
+:mod:`wirtinger`.  That build stops at the metric:
 the Gamma term of the Laplacian of an immersion is tangential, so the certificates
 take H = (g^ab d_a d_b Phi)^perp by :func:`normal_part`, which needs g^-1 alone.
 No build forms the second fundamental form by the Gauss formula: ``h3`` and the
@@ -65,6 +66,7 @@ __all__ = [
     "mean_curvature_vector",
     "translator_defect",
     "grid_maxima",
+    "soliton_certificates",
     "soliton_residual",
     "kaehler_pullback",
 ]
@@ -306,18 +308,20 @@ def grid_maxima(chart: Chart, T, grid: QuadratureGrid, quantities) -> list[float
     return [float(m) for m in np.max([block_maxima(block) for block in grid.blocks()], axis=0)]
 
 
+def soliton_certificates(pg: PointGeometry, block: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """|T^perp - H| (N,) and the Kaehler pullback (d, d, N) at the nodes of ``block``: the
+    quantities of :func:`grid_maxima` that ``verify-soliton`` and ``stability.grid_blocks``
+    certify by."""
+    return np.linalg.norm(translator_defect(pg), axis=0), kaehler_pullback(pg.tangents)
+
+
 def soliton_residual(chart: Chart, T, grid: QuadratureGrid) -> DiagnosticsReport:
-    """Maxima of |T^perp - H| and of the Kaehler pullback over the nodes of ``grid``, by
-    :func:`grid_maxima`.
+    """Maxima of :func:`soliton_certificates` over the nodes of ``grid``, by :func:`grid_maxima`.
 
     A vanishing residual certifies the translator equation; the pullback
     certifies the Lagrangian condition, so a chart whose dimensions no
     Lagrangian chart has is refused first, by :func:`charts.require_lagrangian_dims`.
     """
     require_lagrangian_dims(chart)
-
-    def certificates(pg, _):
-        return np.linalg.norm(translator_defect(pg), axis=0), kaehler_pullback(pg.tangents)
-
-    maxima = grid_maxima(chart, T, grid, certificates)
+    maxima = grid_maxima(chart, T, grid, soliton_certificates)
     return DiagnosticsReport(chart.name, {"kind": "points", "count": math.prod(grid.shape)}, *maxima)

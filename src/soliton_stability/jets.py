@@ -10,12 +10,12 @@ derivatives exactly (to round-off) by the product and chain rules, which is
 what makes the downstream geometric identity checks discretization-free.
 
 :func:`evaluate` runs a function of coordinate jets on the points it is
-given; vector-valued results (one-forms, and each chart component as a stack
-of one) are jets stacked along axis 0, each component written straight into
-the stacked levels and then dropped.  The coordinate seeds of :func:`variables` hold only their values:
-their unit first derivatives and zero higher ones are read-only views
-broadcast along the nodes.  So an evaluation peaks at its output, the
-components it returns and the seeds' values.  A chart runs each component on
+given and returns one jet; :func:`stack` stacks jets along axis 0 (the
+components of a one-form), writing each into the stacked levels and then
+dropping it.  The coordinate seeds of :func:`variables` hold only their
+values: their unit first derivatives and zero higher ones are read-only views
+broadcast along the nodes.  So an evaluation peaks at its output, its
+temporaries and the seeds' values.  A chart runs each component on
 the sub-grid of the parameters it names (``charts.eval_jets``), so at order 3
 grim reaper x line in C^3 peaks at 240.35 floats per node of an 8,100-node
 block, 240 of them output; on every node it peaked at 283 (a 40-float
@@ -249,54 +249,44 @@ def constant(value, nvars: int, order: int = 3, batch_shape=None) -> Jet:
     return Jet(order, val, *(np.zeros(lead + (nvars,) * k + n) for k in range(1, order + 1)))
 
 
-def _stacked(components: list, nvars: int, order: int, batch_shape: tuple) -> Jet:
-    """``components`` stacked along axis 0, at the lowest of their orders and ``order``.
-
-    Each component, a jet or a plain number for a constant one, is written into
-    the result's levels and then dropped from the list, so only the result and
-    the components not yet written are held; a plain number is written as its
-    value and zero derivatives.
-    """
-    order = min([order] + [c.order for c in components if isinstance(c, Jet)])
-    lead, n = (len(components),) + batch_shape[:-1], batch_shape[-1:]
-    levels = [np.empty(lead + (nvars,) * k + n) for k in range(order + 1)]
-    for p, c in enumerate(components):
-        components[p] = None
-        if isinstance(c, Jet) and (c.val.shape != batch_shape or c.nvars != nvars):
-            raise ValueError(
-                f"component {p} has batch shape {c.val.shape} in {c.nvars} variables, "
-                f"not {batch_shape} in {nvars}"
-            )
-        for level, a in zip(levels, c.levels if isinstance(c, Jet) else (c,) + (0.0,) * order):
-            level[p] = a
-    return Jet(order, *levels)
-
-
 def stack(jets) -> Jet:
     """Jets stacked along axis 0, at the lowest of their orders: ``d1[p, a, n]`` is partial_a
-    of jet p at node n."""
+    of jet p at node n.
+
+    Each jet is written into the result's levels and then dropped from the list,
+    so only the result and the jets not yet written are held.
+    """
     jets = list(jets)
-    return _stacked(jets, jets[0].nvars, jets[0].order, jets[0].val.shape)
+    order, nvars, batch_shape = min(jet.order for jet in jets), jets[0].nvars, jets[0].val.shape
+    lead, n = (len(jets),) + batch_shape[:-1], batch_shape[-1:]
+    levels = [np.empty(lead + (nvars,) * k + n) for k in range(order + 1)]
+    for p, jet in enumerate(jets):
+        jets[p] = None
+        if jet.val.shape != batch_shape or jet.nvars != nvars:
+            raise ValueError(
+                f"component {p} has batch shape {jet.val.shape} in {jet.nvars} variables, "
+                f"not {batch_shape} in {nvars}"
+            )
+        for level, a in zip(levels, jet.levels):
+            level[p] = a
+    return Jet(order, *levels)
 
 
 def evaluate(fn, points, order: int) -> Jet:
     """``fn(coordinate jets)`` at all of the ``(N, d)`` points, in arrays of its own.
 
-    ``fn`` returns a jet, or a sequence of components (jets, or plain numbers
-    for constant ones) that is stacked along axis 0, each component written
-    into the result and dropped in turn.  A returned jet's read-only levels,
-    the broadcast derivatives a seed lends it, are copied, so the caller may
-    write every level in place.  Floating-point errors are ignored, so a
-    domain error surfaces to the caller's :meth:`Jet.is_finite` check.
+    ``fn`` returns a jet, or a plain number for a constant, which becomes its
+    value and zero derivatives.  A returned jet's read-only levels, the
+    broadcast derivatives a seed lends it, are copied, so the caller may write
+    every level in place.  Floating-point errors are ignored, so a domain
+    error surfaces to the caller's :meth:`Jet.is_finite` check.
     """
     seeds = variables(points, order)
     with np.errstate(all="ignore"):
         out = fn(seeds)
-    if isinstance(out, Jet):
-        return Jet(out.order, *(a if a.flags.writeable else a.copy() for a in out.levels))
-    components = list(out)
-    del out  # else the returned sequence keeps each written component alive
-    return _stacked(components, len(seeds), order, seeds[0].val.shape)
+    if not isinstance(out, Jet):
+        return constant(out, len(seeds), order, batch_shape=seeds[0].val.shape)
+    return Jet(out.order, *(a if a.flags.writeable else a.copy() for a in out.levels))
 
 
 def sin(u):

@@ -27,7 +27,6 @@ from .stability import (
     fd_second_difference,
     first_variation,
     prepare_variation,
-    require_soliton,
     second_variation_divergence,
     second_variation_fd_oracle,
     second_variation_operator,
@@ -109,9 +108,6 @@ def evaluate_variation(
     page faults against 20k and 0.29 s of system time against 0.11 s, and
     holding every block's ``VariationData`` took 115k faults.
     """
-    # every route refuses off criticality; refuse before forming V, which needs
-    # a Lagrangian chart
-    require_soliton(block)
     data, weight = prepare_variation(block, theta), block.pg.area_weight
     sums = {name: block.grid.row_sums(route(block, data) * weight) for name, route in ROUTES.items()}
     sums["fd"] = second_variation_fd_oracle(block, data, fd_steps)
@@ -137,10 +133,9 @@ def run_variation_suite(
     sums once, by ``quadrature.total``, as ``QuadratureGrid.integrate`` does, so
     no value depends on the block size.
 
-    A variation that fails on a block does not pre-empt the walk's own errors:
-    the rest of the blocks are built first, so a later block's refusal or chart
-    error is raised, as it was when the whole grid was built before any
-    variation ran, and the variation's error only if the walk ends cleanly.
+    :func:`stability.grid_blocks` refuses before it yields a block, so a
+    variation's error is raised when it happens: of the variations that fail,
+    the first in ``variations`` on the earliest block.
 
     With ``workers > 1`` the variations of each block run on one thread pool;
     results keep the order of ``variations`` either way.
@@ -152,13 +147,7 @@ def run_variation_suite(
         for block in blocks:
             at_rest = np.append(at_rest, block.grid.row_sums(block.pg.area_weight))
             each = partial(evaluate_variation, block, fd_steps=fd_steps)
-            try:
-                block_sums = list(run(each, thetas))
-            except Exception:
-                del block, each
-                for _ in blocks:  # a later block's refusal wins, as when the grid came first
-                    pass
-                raise
+            block_sums = list(run(each, thetas))
             sums = [_join(old, new) for old, new in zip(sums, block_sums)]
             chart, grid = block.chart.name, block.grid.describe()  # a row block keeps its grid's box
             del block, each, block_sums  # drop this block's geometry before the next is built

@@ -42,11 +42,12 @@ on each block as the walk reaches it, then adds each route's row sums once, by
 
 The straight-line flow is justified exactly at critical points, where the
 second derivative of F depends only on the first-order variation field; off
-critical points the fd route is meaningless, so ``evaluate_variation`` refuses
-every route on a block whose translator residual exceeds
-``GridGeometry.soliton_tol``, and the walk refuses the whole grid, naming its
-largest residual.  The criticality tolerance is set once, in
-:func:`grid_blocks`, which hands it to each block's :func:`grid_geometry`.
+critical points the fd route is meaningless.  So :func:`grid_blocks`, the one
+place the criticality tolerance is read, certifies the whole grid by the
+order-2 certificate walk before it builds any block: it refuses a grid with a
+node whose translator residual exceeds the tolerance, naming the largest
+residual, and a grid that is not Lagrangian, where V = J theta^sharp is not
+normal.  No route or block checks again.
 
 The drift term reads ``<T, grad V_i>`` as the covariant derivative of theta
 along the tangential part of T, evaluated on the frame; the fd oracle is the
@@ -63,7 +64,8 @@ import numpy as np
 
 from .charts import Chart, require_lagrangian_dims
 from .errors import NotASolitonError
-from .geometry import PointGeometry, batch_det, point_geometry, translator_defect, weighted_area_density
+from .geometry import LAGRANGIAN_DETECT_TOL, PointGeometry, batch_det, grid_maxima, point_geometry
+from .geometry import soliton_certificates, translator_defect, weighted_area_density
 from .quadrature import QuadratureGrid
 from .variations import (
     OneFormField,
@@ -82,7 +84,6 @@ __all__ = [
     "grid_blocks",
     "VariationData",
     "prepare_variation",
-    "require_soliton",
     "first_variation",
     "second_variation_operator",
     "second_variation_divergence",
@@ -103,20 +104,17 @@ DEFAULT_CLOSED_TOL = 1e-9
 @dataclass
 class GridGeometry:
     """What the routes read on a tensor grid, node axis last: the point geometry, ``T^perp - H``
-    (m, N), its largest norm and the tolerance :func:`require_soliton` judges that by.  The
-    grid is a row block of a quadrature grid on the walk of :func:`grid_blocks`, or a whole one."""
+    (m, N) and its largest norm.  The grid is a row block of a quadrature grid on the walk of
+    :func:`grid_blocks`, or a whole one."""
 
     chart: Chart
     grid: QuadratureGrid
     pg: PointGeometry
     translator_defect: np.ndarray
     soliton_residual: float
-    soliton_tol: float
 
 
-def grid_geometry(
-    chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
-) -> GridGeometry:
+def grid_geometry(chart: Chart, T, grid: QuadratureGrid) -> GridGeometry:
     """The geometry of the tensor grid ``grid``, built at once.
 
     On a Lagrangian grid it forms the frame components ``h3`` of the second
@@ -129,37 +127,38 @@ def grid_geometry(
         pg.h3
         del pg.nu
     resid = float(np.max(np.linalg.norm(defect, axis=0)))
-    return GridGeometry(chart, grid, pg, defect, resid, soliton_tol)
+    return GridGeometry(chart, grid, pg, defect, resid)
 
 
 def grid_blocks(
     chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL
 ) -> Iterator[GridGeometry]:
-    """The :func:`grid_geometry` of each row block of ``grid`` (:meth:`QuadratureGrid.blocks`),
-    in node order, each built when the walk reaches it; the walk drops each block before it
-    builds the next.  A chart whose dimensions no Lagrangian chart has is refused before any
-    block is built, by :func:`charts.require_lagrangian_dims`.
+    """Certify ``grid``, then yield the :func:`grid_geometry` of each of its row blocks
+    (:meth:`QuadratureGrid.blocks`), in node order, each built when the walk reaches it; the
+    walk drops each block before it builds the next.
 
-    A block is yielded only while every block so far is Lagrangian and within
-    ``soliton_tol``.  After the first that is not, the rest are still built for
-    the grid-wide residual, and the walk ends by refusing the grid: with
-    NotASolitonError naming that residual if some block's exceeds ``soliton_tol``
-    (a NaN residual is no refusal by itself, but the maximum keeps it), else
-    with :func:`require_lagrangian`'s UnsupportedChartError.
+    Every refusal comes before any block is built.  A chart whose dimensions no
+    Lagrangian chart has is refused by :func:`charts.require_lagrangian_dims`.
+    Then the order-2 certificate walk (:func:`geometry.grid_maxima` over
+    :func:`geometry.soliton_certificates`) raises any chart error of order 2,
+    refuses with NotASolitonError, naming the grid-wide residual, if some node's
+    exceeds ``soliton_tol``, and else with :func:`require_lagrangian`'s
+    UnsupportedChartError unless the largest Kaehler pullback is below
+    ``LAGRANGIAN_DETECT_TOL``.  A NaN residual is no refusal by itself, but the
+    maximum keeps it.
     """
     require_lagrangian_dims(chart)
-    residuals, lagrangian, off = [], True, False
+
+    def certificates(pg, block):
+        residual, pullback = soliton_certificates(pg, block)
+        return residual, residual > soliton_tol, pullback
+
+    residual, off, pullback = grid_maxima(chart, T, grid, certificates)
+    if off:  # decided node by node, as the maximum keeps a NaN that may hide a node over the tolerance
+        raise NotASolitonError(residual, soliton_tol)
+    require_lagrangian(pullback < LAGRANGIAN_DETECT_TOL)
     for part in grid.blocks():
-        block = grid_geometry(chart, T, part, soliton_tol)
-        residuals.append(block.soliton_residual)
-        lagrangian = lagrangian and block.pg.lagrangian
-        off = off or block.soliton_residual > soliton_tol
-        if lagrangian and not off:
-            yield block
-        del block
-    if off:  # the grid-wide maximum, by np.max, which keeps a NaN another block may hold
-        raise NotASolitonError(float(np.max(residuals)), soliton_tol)
-    require_lagrangian(lagrangian)
+        yield grid_geometry(chart, T, part)
 
 
 def _deformation(pg: PointGeometry, theta: np.ndarray, dtheta: np.ndarray):
@@ -173,12 +172,6 @@ def _deformation(pg: PointGeometry, theta: np.ndarray, dtheta: np.ndarray):
     t_dv = np.einsum("man,mbn->abn", pg.tangents, v_d1)
     quad = np.einsum("man,mbn->abn", v_d1, v_d1)
     return t_dv + t_dv.swapaxes(0, 1), quad
-
-
-def require_soliton(gg: GridGeometry) -> None:
-    """Refuse with NotASolitonError when the grid's translator residual exceeds ``gg.soliton_tol``."""
-    if gg.soliton_residual > gg.soliton_tol:
-        raise NotASolitonError(gg.soliton_residual, gg.soliton_tol)
 
 
 @dataclass

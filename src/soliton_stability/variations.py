@@ -103,7 +103,7 @@ class ScalarField:
     def eval_jets(self, grid: QuadratureGrid, order: int = 3) -> J.Jet:
         d = len(grid.shape)
         if d != self.support.shape[0]:
-            raise DomainError(f"points have dimension {d}, field has {self.support.shape[0]}")
+            raise DomainError(f"grid has dimension {d}, field has {self.support.shape[0]}")
         # a domain error inside the field surfaces as the non-finite check below
         with np.errstate(all="ignore"):
             raw = self.evaluate(grid, order)

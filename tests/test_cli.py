@@ -178,19 +178,16 @@ def test_malformed_expression_exits_2(tmp_path, capsys, override):
     assert not out.exists()
 
 
-def test_second_variation_non_soliton_exits_3(tmp_path):
-    # the non-Lagrangian patch has no normal field V; the translator check comes first
+def test_second_variation_non_soliton_exits_3(tmp_path, monkeypatch):
+    """At the defaults, both charts are refused before any of the 13 row blocks' geometry is
+    built; the non-Lagrangian patch has no normal field V, and the translator check comes
+    first."""
+    built, original = [], stability.grid_geometry
+    monkeypatch.setattr(stability, "grid_geometry", lambda *args: built.append(args) or original(*args))
     for chart in ("perturbed_grim_reaper", "non_lagrangian_patch"):
-        code = run_cli(
-            "second-variation",
-            "--chart",
-            chart,
-            "--count",
-            "1",
-            "--out",
-            str(tmp_path / "r.json"),
-        )
+        code = run_cli("second-variation", "--chart", chart, "--out", str(tmp_path / "r.json"))
         assert code == EXIT_PRECONDITION
+    assert built == [] and not (tmp_path / "r.json").exists()
 
 
 def test_configured_soliton_tolerance_is_the_one_the_routes_judge(tmp_path):

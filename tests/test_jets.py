@@ -215,7 +215,8 @@ def test_every_result_carries_its_levels_alone(d, orders, batch):
         results += [J.constant(u.val, d, k) for k in orders]
         results += [J.constant(1.0, d, k, batch_shape=shapes[1]) for k in orders]
         results += [J.evaluate(lambda s: J.sin(s[0]) * s[-1], pts, k) for k in orders]
-        results += [J.evaluate(lambda s: [s[0] / (1.0 + s[-1]), 2.0], pts, k) for k in orders]
+        results += [J.evaluate(lambda s: 2.0, pts, k) for k in orders]
+        results += [_components(lambda s: s[0] / (1.0 + s[-1]), lambda s: 2.0)(pts, k) for k in orders]
     for n, r in enumerate(results):
         assert len(r.levels) == r.order + 1 and all(isinstance(a, np.ndarray) for a in r.levels), n
         assert all(getattr(r, name) is None for name in LEVEL_NAMES[r.order + 1 :]), n
@@ -244,26 +245,32 @@ def test_seeds_hold_only_their_values():
         assert not np.any(seed.d2) and not np.any(seed.d3)
 
 
-# fn paths of jets.evaluate: a returned jet (a bare seed, one that shares a seed's derivatives,
-# a fresh one) or components (jets, bare seeds and plain numbers, in a list or a tuple)
+def _components(*fns):
+    """The jets of ``fns`` evaluated one at a time and stacked by ``J.stack``."""
+    return lambda pts, order: J.stack([J.evaluate(fn, pts, order) for fn in fns])
+
+
+# paths to a jet of levels of its own: jets.evaluate of a returned jet (a bare seed, one that
+# shares a seed's derivatives, a fresh one) or a plain number, and J.stack of such jets
 EVALUATE_PATHS = {
-    "bare seed": lambda s: s[0],
-    "seed plus a constant": lambda s: s[1] + 1.5,
-    "jet": lambda s: J.sin(s[0]) * s[1],
-    "list": lambda s: [s[0], 0.0, s[1] * s[0], s[1]],
-    "tuple": lambda s: (s[1], -2),
+    "bare seed": lambda pts, order: J.evaluate(lambda s: s[0], pts, order),
+    "seed plus a constant": lambda pts, order: J.evaluate(lambda s: s[1] + 1.5, pts, order),
+    "jet": lambda pts, order: J.evaluate(lambda s: J.sin(s[0]) * s[1], pts, order),
+    "number": lambda pts, order: J.evaluate(lambda s: -2, pts, order),
+    "list": _components(lambda s: s[0], lambda s: 0.0, lambda s: s[1] * s[0], lambda s: s[1]),
+    "tuple": lambda pts, order: J.stack(tuple(J.evaluate(f, pts, order) for f in (lambda s: s[1], lambda s: -2))),
 }
 
 
 @pytest.mark.parametrize("path", list(EVALUATE_PATHS))
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_evaluate_returns_levels_of_its_own(path, order):
-    """Every level ``evaluate`` returns is writeable and C-contiguous and shares memory with
-    no other level, the points or another evaluation, so a field's mask can zero it in
-    place: on every path, a bare seed's included."""
-    fn = EVALUATE_PATHS[path]
+    """Every level ``evaluate`` and ``stack`` return is writeable and C-contiguous and shares
+    memory with no other level, the points or another evaluation, so a field's mask can zero
+    it in place: on every path, a bare seed's included."""
+    produce = EVALUATE_PATHS[path]
     pts = np.random.default_rng(6).uniform(-1.0, 1.0, (9, 2))
-    first, second = J.evaluate(fn, pts, order), J.evaluate(fn, pts, order)
+    first, second = produce(pts, order), produce(pts, order)
     assert first.order == order
     for k, a in enumerate(first.levels):
         assert a.flags.writeable and a.flags.c_contiguous, k
@@ -303,12 +310,13 @@ def test_chart_jets_are_the_stacked_components(name, order):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     if name == "constants_and_seeds":
         assert np.all(np.signbit(got.val[3])) and chart.parameters == ((0,), (), (0, 1), ())
+        assert not any(np.signbit(a[[1, 3]]).any() for a in got.levels[1:])  # a constant's zero derivatives are +0
 
 
 def test_a_lower_order_component_truncates_the_result():
     pts = np.random.default_rng(8).uniform(-1.0, 1.0, (5, 2))
-    full = J.evaluate(lambda s: [J.sin(s[0]), s[1], 2.0], pts, 3)
-    cut = J.evaluate(lambda s: [J.sin(s[0]), s[1].truncated(1), 2.0], pts, 3)
+    full = _components(lambda s: J.sin(s[0]), lambda s: s[1], lambda s: 2.0)(pts, 3)
+    cut = _components(lambda s: J.sin(s[0]), lambda s: s[1].truncated(1), lambda s: 2.0)(pts, 3)
     assert (cut.order, cut.d2, cut.d3) == (1, None, None) and cut.d1.shape == (3, 2, 5)
     assert all(np.array_equal(a, b) for a, b in zip(cut.levels, full.levels))
     assert J.stack([full, cut]).order == 1 and J.stack([cut, full]).order == 1

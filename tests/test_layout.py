@@ -71,7 +71,9 @@ def _cubic():
 # does and the bump runs jet arithmetic on one-variable jets at each axis's nodes
 PRODUCERS = {
     "evaluate-scalar": (lambda: J.evaluate(lambda s: J.sin(s[0]) * s[1], POINTS2, 3), (), 2, 30, 3),
-    "evaluate-stacked": (lambda: J.evaluate(lambda s: [s[1] * s[0], 1.0], POINTS2, 3), (2,), 2, 30, 3),
+    "evaluate-stacked": (
+        lambda: J.stack([J.evaluate(f, POINTS2, 3) for f in (lambda s: s[1] * s[0], lambda s: 1.0)]), (2,), 2, 30, 3
+    ),
     "chart": (lambda: ss.eval_jets(ss.chart_from_config("grim_reaper"), GRID_OF_POINTS2, 3), (4,), 2, 900, 3),
     "chart-3d": (lambda: ss.eval_jets(_cubic(), tensor_grid(*POINTS3.T), 2), (6,), 3, 27000, 2),
     "field-closed-form-row": (lambda: _scalar(SUPPORT2).eval_jets(GRID2.rows(2, 3), 3), (), 2, 6, 3),

@@ -9,7 +9,9 @@ import itertools
 import json
 import logging
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ import pytest
 import soliton_stability as ss
 from oracles import SEPARABLE_CHARTS, stacked_component_jets, tensor_grid
 from soliton_stability import geometry, jets, quadrature, stability, wirtinger
-from soliton_stability.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main
+from soliton_stability.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, chart_and_T, load_config, main
 from soliton_stability.errors import ImmersionError, NotASolitonError, UnsupportedChartError
 from soliton_stability.geometry import kaehler_pullback, translator_defect
 from soliton_stability.quadrature import QuadratureGrid
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  the benchmark's workload configs
 
 EXPRESSION_GRIM_REAPER = {
     "name": "expression_grim_reaper",
@@ -469,21 +474,22 @@ BENT_PLANE = {
 
 
 def test_a_grid_lagrangian_on_its_first_rows_only_is_refused(monkeypatch, T):
-    """On BENT_PLANE, the walk yields the first block, Lagrangian by itself, and no later one,
-    then refuses the grid as a whole; a grid geometry that is not Lagrangian forms no h3 and
-    refuses the normal field V = J theta^sharp."""
+    """On BENT_PLANE, whose first block is Lagrangian and within soliton_tol by itself, the
+    walk refuses the grid as a whole before it builds any block; a grid geometry that is not
+    Lagrangian forms no h3 and refuses the normal field V = J theta^sharp."""
     chart = ss.chart_from_config(BENT_PLANE)
     grid = ss.tensor_rule(ss.default_support_box(chart.domain), cells=2, points_per_cell=4)
     theta = ss.random_hamiltonian_variation(grid.box, seed=1)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 8)
-    walk = ss.grid_blocks(chart, T, grid)
-    first = next(walk)
+    first = ss.grid_geometry(chart, T, next(grid.blocks()))
     assert first.pg.lagrangian and "h3" in vars(first.pg)
-    assert first.soliton_residual <= first.soliton_tol
+    assert first.soliton_residual <= stability.DEFAULT_SOLITON_TOL
+    built = count_calls(monkeypatch, stability, "grid_geometry")
     with pytest.raises(UnsupportedChartError, match="needs a Lagrangian chart"):
-        next(walk)
+        next(ss.grid_blocks(chart, T, grid))
     with pytest.raises(UnsupportedChartError, match="needs a Lagrangian chart"):
         ss.run_variation_suite(ss.grid_blocks(chart, T, grid), [(1, theta)])
+    assert built == []
     gg = ss.grid_geometry(chart, T, grid)
     assert not gg.pg.lagrangian and not any(name in vars(gg.pg) for name in ("h3", "nu"))
     with pytest.raises(UnsupportedChartError):
@@ -738,8 +744,9 @@ BENT_LATE = {
 
 
 def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch, tmp_path, capsys):
-    """The residual passes on the first two of 4 blocks, so the variations run there; the
-    third block refuses, the fourth is still built, and exit 3 names its larger residual."""
+    """The residual passes on the first two of 4 blocks and fails on the last two; the grid
+    is refused before any block is built or any variation runs, and exit 3 names the grid-wide
+    residual, the fourth block's."""
     cfg = small_suite(tmp_path, BENT_LATE, cells=4, points=4)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 4 * 16)
     spec = ss.chart_from_config(BENT_LATE)
@@ -753,13 +760,14 @@ def test_a_later_block_off_criticality_names_the_grid_wide_residual(monkeypatch,
     evaluated = count_calls(monkeypatch, ss.reports, "evaluate_variation")
     assert main(["second-variation", "--config", cfg]) == EXIT_PRECONDITION
     assert capsys.readouterr() == ("", f"precondition violation: {NotASolitonError(residuals[3], tol)}\n")
-    assert (len(built), len(evaluated)) == (4, 2 * 3)
+    assert (len(built), len(evaluated)) == (0, 0)
 
 
 def test_a_later_refusal_wins_over_a_variation_failing_on_an_earlier_block(monkeypatch, tmp_path, capsys):
     """A potential that is not finite on the first of 4 blocks does not pre-empt the third
-    block's refusal: the walk builds every block, and exit 3 names the grid-wide residual, as
-    when the whole grid was built before any variation ran."""
+    block's refusal: the grid is refused before any block is built or any variation runs, and
+    exit 3 names the grid-wide residual, as when the whole grid was built before any
+    variation ran."""
     path = tmp_path / "cfg.json"
     grid_cfg, variations = {"cells": 4, "points_per_cell": 4}, {"potentials": ["log(x + 1)"]}
     cfg = {"chart": BENT_LATE, "grid": grid_cfg, "variations": variations}
@@ -773,23 +781,50 @@ def test_a_later_refusal_wins_over_a_variation_failing_on_an_earlier_block(monke
     assert main(["second-variation", "--config", str(path)]) == EXIT_PRECONDITION
     err = NotASolitonError(resid, stability.DEFAULT_SOLITON_TOL)
     assert capsys.readouterr() == ("", f"precondition violation: {err}\n")
-    assert (len(built), len(evaluated)) == (4, 1)
+    assert (len(built), len(evaluated)) == (0, 0)
     cfg["chart"] = "grim_reaper"  # with no refusal, the potential's own error is raised
     path.write_text(json.dumps(cfg))
     assert main(["second-variation", "--config", str(path)]) == EXIT_FAIL
     assert "'log(x + 1)' produced non-finite jet data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workload", ["suite2d", "suite3d", "bent_late"])
+def test_the_certificate_residual_is_the_largest_block_residual(monkeypatch, tmp_path, workload):
+    """What the refusals of grid_blocks rest on: over a quadrature grid, the order-2
+    certificate walk reads the largest soliton_residual of the order-3 blocks, bit for bit,
+    since translator_defect is one formula at every order.  On the perfbench suite configs
+    at seed 3 (13 and 4 blocks) and on BENT_LATE, off criticality, in 4 blocks."""
+    if workload == "bent_late":
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", 4 * 16)
+        cfg = {"chart": BENT_LATE, "grid": {"cells": 4, "points_per_cell": 4}}
+    else:
+        cfg = workloads.make_config(workload, 3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    cfg = load_config(str(path))
+    chart, T = chart_and_T(cfg)
+    support = ss.default_support_box(chart.domain, cfg["grid"]["support_shrink"])
+    grid = ss.tensor_rule(support, cfg["grid"]["cells"], cfg["grid"]["points_per_cell"])
+    residuals = [block.soliton_residual for block in ss.grid_blocks(chart, T, grid, np.inf)]
+    assert len(residuals) in (4, 13)
+    assert ss.soliton_residual(chart, T, grid).max_soliton_residual == max(residuals) > 0
+
+
 @pytest.mark.parametrize(
     "spec, cells, block, refusal",
-    [(BENT_LATE, 4, 4 * 16, NotASolitonError), (BENT_PLANE, 2, 8, UnsupportedChartError)],
-    ids=["off_criticality", "not_lagrangian"],
+    [
+        (BENT_LATE, 4, 4 * 16, NotASolitonError),
+        (BENT_LATE, 4, 16 * 16, NotASolitonError),
+        (BENT_PLANE, 2, 8, UnsupportedChartError),
+    ],
+    ids=["off_criticality", "off_criticality_beside_the_nan", "not_lagrangian"],
 )
 def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch, spec, cells, block, refusal):
-    """A NaN residual on the first block is no refusal by itself, as before the walk, but it
-    cannot hide a later refusal: a block off criticality refuses with the NaN grid maximum,
-    and a block that is not Lagrangian, with every residual within soliton_tol, refuses with
-    UnsupportedChartError, not with the NaN."""
+    """A NaN residual on the first node of the certificate walk is no refusal by itself, but
+    it cannot hide a refusal: nodes off criticality, on a later block or on the NaN's own,
+    refuse with the NaN grid maximum, and a block that is not Lagrangian, with every residual
+    within soliton_tol, refuses with UnsupportedChartError, not with the NaN.  Every refusal
+    comes before any block's order-3 geometry is built."""
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
     calls = []
 
@@ -800,14 +835,13 @@ def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch, spec, cells, 
             out[:, 0] = np.nan
         return out
 
-    monkeypatch.setattr(stability, "translator_defect", defect)
+    monkeypatch.setattr(geometry, "translator_defect", defect)
+    built = count_calls(monkeypatch, stability, "grid_geometry")
     spec = ss.chart_from_config(spec)
     grid = ss.tensor_rule(ss.default_support_box(spec.domain), cells=cells, points_per_cell=4)
-    walk = ss.grid_blocks(spec, [1.0, 0.0, 0.0, 0.0], grid)
-    assert np.isnan(next(walk).soliton_residual)
     with pytest.raises(refusal) as info:
-        list(walk)
-    assert len(calls) == grid.nodes.shape[0] // block
+        next(ss.grid_blocks(spec, [1.0, 0.0, 0.0, 0.0], grid))
+    assert len(calls) == grid.nodes.shape[0] // block and built == []
     assert np.isnan(info.value.residual) if refusal is NotASolitonError else "Lagrangian" in str(info.value)
 
 

@@ -11,12 +11,14 @@
   divergence they read) live in ``tests/oracles.py``, the fd oracle reports no
   level gap through an ``instability_tol`` option, and ``point_geometry``
   evaluates the chart jets itself, so no caller hands it jets to check again.
-* The criticality tolerance is set once, on ``GridGeometry`` by
-  ``grid_geometry``: ``require_soliton`` takes the grid geometry alone, and no
-  route, ``evaluate_variation`` or ``run_variation_suite`` takes a
-  ``soliton_tol``.  ``VariationData`` holds the arrays of ``covariant_calculus``
-  itself, with no ``CovariantData`` wrapper; every field is windowed on every
-  axis.
+* Certify, then integrate: ``grid_blocks`` takes the criticality tolerance and
+  refuses a grid by the order-2 certificate walk before it builds any block, so
+  the per-block check ``require_soliton``, a ``soliton_tol`` field or parameter
+  on ``GridGeometry`` or ``grid_geometry`` and the suite's loop that drained the
+  walk after a variation failed stay deleted, and no route,
+  ``evaluate_variation`` or ``run_variation_suite`` takes a ``soliton_tol``.
+  ``VariationData`` holds the arrays of ``covariant_calculus`` itself, with no
+  ``CovariantData`` wrapper; every field is windowed on every axis.
 * A grid is cut into blocks in ``quadrature`` alone, by
   ``QuadratureGrid.blocks``, which every command walks: no other module
   calls ``.rows(``, reads ``BLOCK_NODES``, splits arrays or ranges over
@@ -72,7 +74,8 @@
   only an order-3 build forms, is read neither in ``wirtinger.py`` nor in
   ``geometry``'s certificate functions (``normal_part``,
   ``mean_curvature_vector``, ``translator_defect``, ``grid_maxima``,
-  ``soliton_residual``), which project onto the normal space by ``g^-1``.
+  ``soliton_certificates``, ``soliton_residual``), which project onto the
+  normal space by ``g^-1``.
 * The second fundamental form has one representation, the Hessian paired with
   a normal field or projected by ``normal_part``: the Gauss-formula field
   ``h_coord`` stays deleted, and ``tests/oracles.py`` keeps the formula as a
@@ -106,7 +109,12 @@ FORBIDDEN = {
     "deleted fd level-gap option": r"\binstability_tol\b",
     "jets given to point_geometry": r"point_geometry\([^)]*\bjets\s*[:=]",
     "deleted covariant wrapper": r"\bCovariantData\b",
-    "tolerance passed to require_soliton": r"\brequire_soliton\([^,)]*,",
+    "deleted per-block criticality check": r"\brequire_soliton\b",
+    "criticality tolerance on the block geometry": (
+        r"\bdef grid_geometry\([^)]*\bsoliton_tol\b|\.soliton_tol\b"
+        r"|(?<![^\n])class GridGeometry\b(?:(?!\n[\w@#])[\s\S])*?\bsoliton_tol\b"
+    ),
+    "deleted drain of the walk": r"\bfor _ in [^:\n]+:\s*(?:#[^\n]*\s*)?pass\b|\bdeque\([^)]*\bmaxlen\s*=\s*0\b",
     "route with its own soliton tolerance": (
         r"def (second_variation_\w+|evaluate_variation|run_variation_suite)\([^)]*\bsoliton_tol\b"
     ),
@@ -152,7 +160,7 @@ OUTSIDE_GEOMETRY = {
 # a certificate function's body runs to the next line that starts with a name, "@" or "#"
 INSIDE_GEOMETRY = {
     "order-3 field in a certificate function": (
-        r"(?m)^def (normal_part|mean_curvature_vector|translator_defect|grid_maxima|soliton_residual)\("
+        r"(?m)^def (normal_part|mean_curvature_vector|translator_defect|grid_maxima|soliton_\w+)\("
         r"(?:(?!\n[\w@#])[\s\S])*?\.Gamma\b"
     ),
 }
@@ -177,7 +185,11 @@ CAUGHT = {
     "deleted fd level-gap option": "if instability_tol is not None and abs(value - d2) > instability_tol:",
     "jets given to point_geometry": "pg = point_geometry(chart, T, pts, jets=eval_jets(chart, pts, order=2))",
     "deleted covariant wrapper": "return VariationData(fj.val, fj.d1, CovariantData(*cov), nabla_sq, v, defect)",
-    "tolerance passed to require_soliton": "require_soliton(gg, soliton_tol)",
+    "deleted per-block criticality check": "    require_soliton(block)",
+    "criticality tolerance on the block geometry": (
+        "def grid_geometry(\n    chart: Chart, T, grid: QuadratureGrid, soliton_tol: float = DEFAULT_SOLITON_TOL\n)"
+    ),
+    "deleted drain of the walk": "                for _ in blocks:  # a later block's refusal wins\n                    pass",
     "route with its own soliton tolerance": (
         "def second_variation_square(\n    gg: GridGeometry,\n    data: VariationData,\n"
         "    soliton_tol: float = DEFAULT_SOLITON_TOL,\n) -> float:"
@@ -275,12 +287,24 @@ def test_guard_flags_each_pattern_and_nothing_else():
     walk_rows = "for i in range(n):\nrows = slice(0, 3)\nx = block.axis_nodes[0][:, None]\nfor rows in grid.blocks():"
     assert violations(walk_rows, "stability.py") == []
     kept = (
-        "def grid_geometry(\n    chart, T, grid, soliton_tol: float = DEFAULT_SOLITON_TOL\n) -> GridGeometry:\n"
-        "    require_soliton(gg)\n    raw = raw * window_jet(seed, lo, hi)\n"
+        "def grid_blocks(\n    chart, T, grid, soliton_tol: float = DEFAULT_SOLITON_TOL\n) -> Iterator[GridGeometry]:\n"
+        "    if off:\n        raise NotASolitonError(residual, soliton_tol)\n"
+        "    raw = raw * window_jet(seed, lo, hi)\n"
         "def second_variation_operator(gg: GridGeometry, data: VariationData) -> float:\n"
-        "    return _jet_arithmetic(support, polynomial)\n    soliton_tol: float"
+        "    return _jet_arithmetic(support, polynomial)\n"
+        "class GridGeometry:\n    soliton_residual: float\n\n\ndef grid_geometry(chart, T, grid):\n"
+        "    for _ in range(3):\n        x += 1\n    soliton_tol: float"
     )
     assert violations(kept) == []
+    tolerances = (
+        "@dataclass\nclass GridGeometry:\n    pg: PointGeometry\n    soliton_tol: float",
+        "    if gg.soliton_residual > gg.soliton_tol:",
+        "def grid_geometry(chart, T, grid, soliton_tol):",
+    )
+    for text in tolerances:
+        assert [why for _, why in violations(text)] == ["criticality tolerance on the block geometry"], text
+    assert violations("collections.deque(blocks, maxlen=0)") == [(1, "deleted drain of the walk")]
+    assert violations("for _ in blocks: pass") == [(1, "deleted drain of the walk")]
     held = ("for block in gg.blocks:", "blocks: tuple[GridGeometry, ...] = ()")
     for line in held:
         assert violations(line) == [(1, "grid-wide tuple of block geometry")], line

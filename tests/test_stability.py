@@ -168,18 +168,15 @@ def test_non_closed_form_breaks_square_route_only(gr_geometry_small, caplog):
 
 
 def test_routes_refuse_off_criticality(perturbed, T, monkeypatch):
-    """evaluate_variation refuses every route before it forms a variation's jets, and the
-    walk refuses the grid before any block's."""
+    """No route runs off criticality: the walk refuses the grid before it builds any block's
+    geometry or forms any variation's jets."""
     support = ss.default_support_box(perturbed.domain)
     grid = ss.tensor_rule(support, cells=6, points_per_cell=4)
-    gg = ss.grid_geometry(perturbed, T, grid)
     theta = ss.random_hamiltonian_variation(support, seed=1)
+    monkeypatch.setattr(ss.stability, "grid_geometry", lambda *args: pytest.fail("built a block"))
     monkeypatch.setattr(ss.reports, "prepare_variation", lambda *args: pytest.fail("formed jets"))
     with pytest.raises(NotASolitonError):
-        ss.evaluate_variation(gg, theta)
-    for blocks in ([gg], ss.grid_blocks(perturbed, T, grid)):
-        with pytest.raises(NotASolitonError):
-            ss.run_variation_suite(blocks, [(1, theta)])
+        ss.run_variation_suite(ss.grid_blocks(perturbed, T, grid), [(1, theta)])
 
 
 def test_the_walk_refuses_exactly_above_the_grid_wide_residual(perturbed, T, monkeypatch):

@@ -514,7 +514,7 @@ def test_covariant_calculus_matches_index_notation(domain, components):
 )
 @pytest.mark.parametrize("dim", [1, 3])
 def test_field_refuses_points_of_another_dimension(support, make, dim):
-    with pytest.raises(DomainError, match=rf"^points have dimension {dim}, field has 2$"):
+    with pytest.raises(DomainError, match=rf"^grid has dimension {dim}, field has 2$"):
         make(support).eval_jets(tensor_grid(*([0.0, 0.5],) * dim), order=2)
 
 
