@@ -251,14 +251,15 @@ def _components(*fns):
 
 
 # paths to a jet of levels of its own: jets.evaluate of a returned jet (a bare seed, one that
-# shares a seed's derivatives, a fresh one) or a plain number, and J.stack of such jets
+# shares a seed's derivatives, a fresh one) or a plain number, and J.stack of such jets, of
+# one order ("list") or of order 3 and a lower one, stacked at the lowest ("tuple")
 EVALUATE_PATHS = {
     "bare seed": lambda pts, order: J.evaluate(lambda s: s[0], pts, order),
     "seed plus a constant": lambda pts, order: J.evaluate(lambda s: s[1] + 1.5, pts, order),
     "jet": lambda pts, order: J.evaluate(lambda s: J.sin(s[0]) * s[1], pts, order),
     "number": lambda pts, order: J.evaluate(lambda s: -2, pts, order),
     "list": _components(lambda s: s[0], lambda s: 0.0, lambda s: s[1] * s[0], lambda s: s[1]),
-    "tuple": lambda pts, order: J.stack(tuple(J.evaluate(f, pts, order) for f in (lambda s: s[1], lambda s: -2))),
+    "tuple": lambda pts, order: J.stack((J.evaluate(lambda s: s[1], pts, 3), J.evaluate(lambda s: -2, pts, order))),
 }
 
 

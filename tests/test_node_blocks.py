@@ -845,6 +845,29 @@ def test_a_nan_residual_does_not_hide_a_later_refusal(monkeypatch, spec, cells, 
     assert np.isnan(info.value.residual) if refusal is NotASolitonError else "Lagrangian" in str(info.value)
 
 
+def test_a_nan_residual_alone_is_no_refusal(monkeypatch, grim_reaper, T, gr_support):
+    """On the grim reaper, a translator and Lagrangian, a NaN residual on the first node of
+    each block of the certificate walk is the grid's only defect: the walk yields every
+    block, and the variations run on each of them."""
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 8 * 32)
+    calls = []
+
+    def defect(pg):
+        out = translator_defect(pg)
+        calls.append(out.shape[1])
+        out[:, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(geometry, "translator_defect", defect)
+    grid = ss.tensor_rule(gr_support, cells=4, points_per_cell=8)
+    assert np.isnan(ss.soliton_residual(grim_reaper, T, grid).max_soliton_residual)
+    blocks = list(ss.grid_blocks(grim_reaper, T, grid))
+    assert len(blocks) == len(calls) // 2 == grid.nodes.shape[0] // (8 * 32) == 4
+    theta = ss.random_hamiltonian_variation(gr_support, seed=1)
+    (report,) = ss.run_variation_suite(ss.grid_blocks(grim_reaper, T, grid), [(1, theta)])
+    assert len(calls) == 3 * 4 and report.seed == 1
+
+
 def test_covariant_calculus_needs_the_order_three_trace():
     """The guard tests P, which a block keeps and an order-2 geometry leaves as None."""
     chart = ss.chart_from_config(GRIM_REAPER_X_LINE)
