@@ -16,7 +16,7 @@ cylinder that is no longer a translator, and a non-Lagrangian graph patch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,7 @@ class Chart:
     domain: np.ndarray  # (d, 2) rows [lo, hi]
     components: tuple[Callable[..., J.Jet | float], ...]
     parameters: tuple[tuple[int, ...], ...]  # per component, the parameter indices it names
+    walk_jets: dict = field(default_factory=dict, repr=False, compare=False)  # see eval_jets
 
     @property
     def dim(self) -> int:
@@ -89,11 +90,14 @@ def require_lagrangian_dims(chart: Chart) -> None:
 def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
     """The chart map's exact jets up to ``order`` at the nodes of ``grid``.
 
-    Each component runs on the sub-grid of the parameters it names
-    (:meth:`QuadratureGrid.along`), is checked finite there and is broadcast into
-    the stacked levels.  Component axis first, node axis last, nodes in C order:
-    ``val`` (m, N), ``d1`` (m, d, N), ``d2`` (m, d, d, N) and ``d3`` (m, d, d, d, N).
-    A refusal forms the grid's nodes and names the first bad one.
+    Each component runs on the sub-grid of the parameters it names, on nodes and seeds
+    shared with the components that name the same.  On a row block of a walk, one whose
+    sub-grid of the walk fits one block (:meth:`QuadratureGrid.walk_part`) runs there once
+    per walk, kept in ``chart.walk_jets[p]`` as ``(walk grid, order, jets, finite)`` until
+    the walk or order changes; each block takes its part, checked finite where the walk's
+    jets are not, and broadcasts it into the stacked levels.  Component axis first, node
+    axis last, nodes in C order: ``val`` (m, N), ``d1`` (m, d, N), ``d2`` (m, d, d, N) and
+    ``d3`` (m, d, d, d, N).  A refusal forms the grid's nodes and names the first bad one.
     """
     if len(grid.shape) != chart.dim:
         raise DomainError(f"grid has dimension {len(grid.shape)}, chart has {chart.dim}")
@@ -102,14 +106,23 @@ def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
         bad = pts[~chart.contains(pts)][0].tolist()
         raise DomainError(f"point {bad} outside open domain of chart {chart.name!r}")
     levels = [np.empty((chart.ambient_dim,) + (chart.dim,) * k + grid.shape) for k in range(order + 1)]
-    finite = True
+    seeds, finite = {}, True
     for p, (fn, named) in enumerate(zip(chart.components, chart.parameters)):
-        sub = grid.along(named)
-        # a domain error inside the component surfaces as the non-finite check
-        jet = J.evaluate(lambda seeds: fn(*seeds), sub.nodes, order)
-        finite = finite and jet.is_finite()
+        part = grid.walk_part(named)  # None: the component runs on this block alone
+        held = chart.walk_jets.pop(p, None)
+        if not (part and held and held[0] is grid.parent and held[1] == order):
+            sub = (grid if part is None else grid.parent).along(named)
+            seeds[named] = seeds.get(named) or J.variables(sub.nodes, order)
+            # a domain error inside the component surfaces as the non-finite check
+            jet = J.evaluate(lambda s: fn(*s), seeds[named])
+            jet = J.Jet(jet.order, *(a.reshape(a.shape[:-1] + sub.shape) for a in jet.levels))
+            held = (grid.parent, order, jet, jet.is_finite())
+        if part:
+            chart.walk_jets[p] = held
+        jet = J.Jet(held[2].order, *(a[part or ...] for a in held[2].levels))
+        finite = finite and (held[3] or jet.is_finite())  # a later row's NaN is not this block's
         for level, a in zip(levels, jet.levels):
-            level[p] = a.reshape(a.shape[:-1] + sub.shape)
+            level[p] = a
     out = J.Jet(order, *(a.reshape(a.shape[: -chart.dim] + (-1,)) for a in levels))
     if not finite:
         bad = grid.nodes[out.first_non_finite()].tolist()

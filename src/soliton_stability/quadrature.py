@@ -3,17 +3,17 @@
 A grid is its axes; its (N, d) ``nodes`` are formed on each read and its (N,)
 ``weights`` on the first, so only the grid they are read on is laid out.  Nodes
 are ordered cell-major along each axis, flattened in C order (last axis fastest).  An
-x-row is the nodes that share one axis-0 node; a block of x-rows is a tensor
-grid itself (:meth:`QuadratureGrid.rows`), and :meth:`QuadratureGrid.blocks`
-is the one cut into blocks, which every command walks.  Every integral is
-each x-row's weighted values summed by ``np.sum``, then one ``np.sum`` over
-the row sums (:func:`total`), so no bit depends on the block size.
+x-row is the nodes that share one axis-0 node; a block of x-rows is a tensor grid
+itself that knows the grid it was cut from (:meth:`QuadratureGrid.rows`), and
+:meth:`QuadratureGrid.blocks` is the one cut into blocks, which every command walks.
+Every integral is each x-row's weighted values summed by ``np.sum``, then one
+``np.sum`` over the row sums (:func:`total`), so no bit depends on the block size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator
 
@@ -53,8 +53,10 @@ class QuadratureGrid:
     points_per_cell: int
     axis_nodes: tuple[np.ndarray, ...]
     axis_weights: tuple[np.ndarray, ...]
+    parent: QuadratureGrid | None = field(default=None, repr=False, compare=False)
+    row0: int = field(default=0, repr=False, compare=False)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.axis_nodes)
 
@@ -77,12 +79,14 @@ class QuadratureGrid:
         return weights
 
     def rows(self, i0: int, i1: int) -> QuadratureGrid:
-        """The sub-grid on axis-0 nodes ``i0:i1``, a tensor grid on views of this grid's
-        axes; ``box`` and ``cells`` stay this grid's."""
+        """The row block on axis-0 nodes ``i0:i1``, a tensor grid on views of this grid's axes,
+        with this grid as its ``parent`` and ``i0`` as its ``row0``; ``box`` and ``cells`` too."""
         return replace(
             self,
             axis_nodes=(self.axis_nodes[0][i0:i1],) + self.axis_nodes[1:],
             axis_weights=(self.axis_weights[0][i0:i1],) + self.axis_weights[1:],
+            parent=self,
+            row0=i0,
         )
 
     def along(self, axes) -> QuadratureGrid:
@@ -92,7 +96,18 @@ class QuadratureGrid:
             self,
             axis_nodes=tuple(x if a in axes else x[:1] for a, x in enumerate(self.axis_nodes)),
             axis_weights=tuple(w if a in axes else w[:1] for a, w in enumerate(self.axis_weights)),
+            parent=None,
+            row0=0,
         )
+
+    def walk_part(self, axes) -> tuple | None:
+        """For a row block, where a function of the ``axes`` parameters alone runs once per walk,
+        on ``parent.along(axes)``: the index of this block's part of an array ``(...,) +
+        parent.along(axes).shape``.  None off a walk, or if that sub-grid exceeds one block."""
+        if self.parent is None or math.prod(n for a, n in enumerate(self.parent.shape) if a in axes) > BLOCK_NODES:
+            return None
+        first = slice(self.row0, self.row0 + self.shape[0]) if 0 in axes else slice(None)
+        return (..., first) + (slice(None),) * (len(self.shape) - 1)
 
     def blocks(self) -> Iterator[QuadratureGrid]:
         """The grid's row blocks in order, ``max(1, BLOCK_NODES // row length)`` x-rows each.

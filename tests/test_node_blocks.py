@@ -19,13 +19,15 @@ import pytest
 import soliton_stability as ss
 from oracles import SEPARABLE_CHARTS, stacked_component_jets, tensor_grid
 from soliton_stability import geometry, jets, quadrature, stability, wirtinger
+from soliton_stability.charts import BUILTIN_CHARTS
 from soliton_stability.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, chart_and_T, load_config, main
-from soliton_stability.errors import ImmersionError, NotASolitonError, UnsupportedChartError
+from soliton_stability.errors import DomainError, ImmersionError, NotASolitonError, UnsupportedChartError
 from soliton_stability.geometry import kaehler_pullback, translator_defect
 from soliton_stability.quadrature import QuadratureGrid
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  the benchmark's workload configs
+from test_layout import CUBIC_GRADIENT_GRAPH  # noqa: E402
 
 EXPRESSION_GRIM_REAPER = {
     "name": "expression_grim_reaper",
@@ -106,26 +108,42 @@ def test_row_blocks_have_at_least_two_nodes(monkeypatch):
     assert sizes(5, 36, 8192) == [5]
 
 
-def test_soliton_residual_checks_each_block_once(monkeypatch, grim_reaper, T):
-    """The chart evaluation is the one finiteness check, made once per component on the
-    sub-grid that component runs on: point_geometry takes no jets to re-check, and no block's
-    stacked jets are checked again."""
-    grid = ss.uniform_grid(grim_reaper, 9)
+def test_soliton_residual_checks_each_block_once(monkeypatch, T):
+    """Each component whose sub-grid of the walk fits one block runs there once per walk,
+    on seeds shared by the components that name the same parameters, and is checked finite
+    there once; a block checks its own part again only where that check failed.  So
+    point_geometry takes no jets to re-check, and no block's stacked jets are checked again."""
+    chart = ss.chart_from_config("grim_reaper")  # holding no other test's walk jets
+    grid = ss.uniform_grid(chart, 9)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
-    checked = []
-    is_finite = jets.Jet.is_finite
+    evaluated, seeded, checked = [], [], []
+    evaluate, variables, is_finite = jets.evaluate, jets.variables, jets.Jet.is_finite
 
-    def counted(jet):
-        checked.append(jet.val.shape[-1])
+    def counted_evaluate(fn, seeds):
+        evaluated.append(seeds[0].val.size)
+        return evaluate(fn, seeds)
+
+    def counted_variables(points, order=3):
+        seeded.append(len(points))
+        return variables(points, order)
+
+    def counted_is_finite(jet):
+        checked.append(jet.val.size)
         return is_finite(jet)
 
-    monkeypatch.setattr(jets.Jet, "is_finite", counted)
-    ss.soliton_residual(grim_reaper, T, grid)
-    sub_grids = [block.along(named) for _, block in node_slices(grid) for named in grim_reaper.parameters]
-    assert checked == [math.prod(sub.shape) for sub in sub_grids]
-    # 9 rows of 9 points: four blocks of two rows, then one; -log(cos(x)) and x run on a
-    # block's x-nodes, y on its 9 y-nodes and 0 on one node
-    assert checked == [2, 2, 9, 1] * 4 + [1, 1, 9, 1]
+    monkeypatch.setattr(jets, "evaluate", counted_evaluate)
+    monkeypatch.setattr(jets, "variables", counted_variables)
+    monkeypatch.setattr(jets.Jet, "is_finite", counted_is_finite)
+    ss.soliton_residual(chart, T, grid)
+    # 9 rows of 9 points in five blocks: -log(cos(x)) and x run once on the grid's 9 x-nodes,
+    # on one set of seeds, y on its 9 y-nodes and 0 on one node; the parent ran each component
+    # on each block's sub-grid and checked it there, 20 runs and 20 checks in all
+    assert len(list(grid.blocks())) == 5
+    assert evaluated == checked == [9, 9, 9, 1] and seeded == [9, 9, 1]
+    ss.soliton_residual(chart, T, grid)  # a second walk of the same grid at the same order
+    assert len(evaluated) == len(checked) == 4
+    ss.soliton_residual(chart, T, ss.uniform_grid(chart, 9))  # a new grid: a new walk
+    assert len(evaluated) == len(checked) == 8
 
 
 def block_of(jet, rows):
@@ -180,6 +198,95 @@ def test_chart_jets_are_block_invariant(monkeypatch, spec, order):
             assert_jets_equal(jet, block_of(whole, rows), (size, rows))
             want = stacked_component_jets(chart, block.nodes, order)
             assert [a.tobytes() for a in jet.levels] == [b.tobytes() for b in want.levels], (size, rows)
+
+
+WALK_CHARTS = {
+    **{name: name for name in BUILTIN_CHARTS},
+    **SEPARABLE_CHARTS,
+    "cubic_gradient_graph": CUBIC_GRADIENT_GRAPH,
+}
+
+
+def walk_grids(chart):
+    """A uniform grid of an odd number of x-rows, and that grid with one node on axis 1."""
+    grid = ss.uniform_grid(chart, 7 if chart.dim < 4 else 5)
+    return grid, tensor_grid(*(x[2:3] if a == 1 else x for a, x in enumerate(grid.axis_nodes)))
+
+
+@pytest.mark.parametrize("name", list(WALK_CHARTS))
+@pytest.mark.parametrize("order", [2, 3])
+def test_walk_chart_jets_are_each_block_evaluated_afresh(monkeypatch, name, order):
+    """On a walk of two-row blocks and a last one of one or three, each block's chart jets are the
+    jets of that block evaluated from scratch, standing alone on a chart that holds no walk
+    jets, bit for bit, signed zeros included.  A component runs once per walk if its
+    sub-grid of the walk fits one block, and once per block if not."""
+    spec = WALK_CHARTS[name]
+    for grid in walk_grids(ss.chart_from_config(spec)):
+        chart = ss.chart_from_config(spec)
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", 2 * math.prod(grid.shape[1:]))
+        blocks = list(grid.blocks())
+        runs = count_calls(monkeypatch, jets, "evaluate")
+        walk = [ss.eval_jets(chart, block, order) for block in blocks]
+        fits = [math.prod(grid.along(named).shape) <= quadrature.BLOCK_NODES for named in chart.parameters]
+        assert len(blocks) > 2 and len({block.shape[0] for block in blocks}) == 2
+        assert len(runs) == sum(1 if fit else len(blocks) for fit in fits), (grid.shape, fits)
+        for block, got in zip(blocks, walk):
+            want = ss.eval_jets(ss.chart_from_config(spec), tensor_grid(*block.axis_nodes), order)
+            assert [a.tobytes() for a in got.levels] == [b.tobytes() for b in want.levels], block.shape
+            want = stacked_component_jets(chart, block.nodes, order)
+            assert [a.tobytes() for a in got.levels] == [b.tobytes() for b in want.levels], block.shape
+
+
+def test_walk_jets_hold_one_entry_per_component_within_one_block(monkeypatch):
+    """A chart holds jets for its last walk and order alone, at most one entry per component
+    and never more bytes than the chart jets of one block of ``BLOCK_NODES`` nodes, however
+    many grids, orders and block sizes it has walked."""
+    for spec in WALK_CHARTS.values():
+        chart = ss.chart_from_config(spec)
+        for grid in walk_grids(chart) + (ss.uniform_grid(chart, 9 if chart.dim < 4 else 4),):
+            for size, order in itertools.product((1, 2 * math.prod(grid.shape[1:]) + 1, 8192), (3, 2)):
+                monkeypatch.setattr(quadrature, "BLOCK_NODES", size)
+                for block in grid.blocks():
+                    ss.eval_jets(chart, block, order)
+                held = chart.walk_jets.values()
+                one_block = chart.ambient_dim * size * sum(chart.dim**k for k in range(order + 1)) * 8
+                assert len(held) <= chart.ambient_dim
+                assert all(walk is grid and k == order for walk, k, _, _ in held)
+                assert sum(a.nbytes for _, _, jet, _ in held for a in jet.levels) <= one_block
+
+
+def test_a_component_varying_over_more_than_one_block_runs_per_block(monkeypatch):
+    """On a 1-d chart the x-nodes of a grid larger than one block are more than one block,
+    so sin(x) runs on every block, on that block's nodes alone, while the constant runs
+    once per walk; the jets are every component's at every node all the same."""
+    chart = ss.chart_from_config({"name": "curve", "domain": [[-1.0, 1.0]], "components": ["sin(x)", "0"]})
+    grid = ss.uniform_grid(chart, 50)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 8)
+    runs = count_calls(monkeypatch, jets, "evaluate")
+    for block in grid.blocks():
+        got = ss.eval_jets(chart, block, 3)
+        want = stacked_component_jets(chart, block.nodes, 3)
+        assert [a.tobytes() for a in got.levels] == [b.tobytes() for b in want.levels]
+    assert [seeds[0].val.size for _, seeds in runs] == [8, 1] + [8] * 5 + [2]
+    assert list(chart.walk_jets) == [1]
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "outside_domain"])
+def test_a_later_rows_nan_does_not_beat_an_earlier_blocks_refusal(monkeypatch, T, case):
+    """``log(0.5 - x)`` is not finite on the last x-rows; run on every x-node of the walk at
+    once, it must not refuse before an earlier block's refusal: a metric of rank 1 on the
+    y = 0 row of the first block, or a node outside the domain on the second."""
+    chart = ss.chart_from_config(
+        {"name": "late_nan", "domain": [[-1.0, 1.0], [-1.0, 1.0]], "components": ["x", "log(0.5 - x)", "y**3", "0"]}
+    )
+    if case == "rank_deficient":
+        grid, error, message = ss.uniform_grid(chart, 9), ImmersionError, r"rank deficient at point \[-0\.8, 0\.0\]"
+    else:
+        grid = tensor_grid([-0.8, -0.6, -0.4, 1.2, 0.6, 0.8], [-0.8, -0.4, 0.4, 0.8])
+        error, message = DomainError, r"^point \[1\.2, -0\.8\] outside open domain of chart 'late_nan'$"
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 2 * math.prod(grid.shape[1:]))
+    with pytest.raises(error, match=message):
+        ss.soliton_residual(chart, T, grid)
 
 
 def test_rank_deficiency_message_is_block_invariant(monkeypatch, T):
@@ -572,9 +679,11 @@ def test_order_two_geometry_memory_per_node(spec, cells, points, held, peak):
 
 def test_chart_jets_memory_d3():
     """At d = 3 an order-3 chart evaluation peaks at its output of 240 floats per node and
-    arrays of its sub-grids, under one float per node of the 8,100-node block (240.35 in
-    all): each component runs on the sub-grid of the parameters it names, here the block's
-    9 x-nodes, its 30 y- or z-nodes, or one node.  Every component on every node peaked at
+    arrays of its sub-grids, under one float per node of the 8,100-node block: each
+    component runs on the sub-grid of the parameters it names, here the walk's 30 x-, y- or
+    z-nodes or one node, once per walk, and the block takes its part (240.04 in all on a
+    block after the walk's first, 240.94 on the first, where the components run; 240.35
+    when each block ran them on its own 9 x-nodes).  Every component on every node peaked at
     283, with the seeds' values and grim reaper x line's one 40-float component beside the
     output, and seeds with per-node zero derivatives and the components copied by
     ``np.stack`` at 480."""
@@ -664,21 +773,25 @@ def test_each_block_forms_its_weights_once_and_the_grid_never(monkeypatch, grim_
 def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, gr_support):
     """Geometry blocks outer, variations inner: from 10 to 40 cells, from one block of 1,600
     nodes to 16, the suite's peak, its geometry included, grows by no more than the row sums
-    it keeps (7 per x-row per variation, and the functional at rest) and 32 kB of bookkeeping.
-    Every block's geometry held for the whole run grew it by the 77 floats per node a
-    block's geometry holds, and the previous block's held while the next was built by 77
-    per node of a block."""
+    it keeps (7 per x-row per variation, and the functional at rest), the chart jets it runs
+    once per walk (15 floats per node of each component's sub-grid of the walk, 481 nodes
+    at 40 cells) and 32 kB of bookkeeping.  Every block's geometry held for the whole run
+    grew it by the 77 floats per node a block's geometry holds, and the previous block's
+    held while the next was built by 77 per node of a block."""
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 1600)  # 40 rows of 40 nodes, 10 of 160
     variations = [(seed, ss.random_hamiltonian_variation(gr_support, seed)) for seed in (1, 2)]
-    peaks, rows = [], []
+    peaks, rows, walk_jets = [], [], []
     for cells in (10, 40):
         grid = ss.tensor_rule(gr_support, cells=cells, points_per_cell=4)
         ss.run_variation_suite(ss.grid_blocks(grim_reaper, T, grid), variations)  # first-call caches
         _, peak = traced_peak(ss.run_variation_suite, ss.grid_blocks(grim_reaper, T, grid), variations)
         peaks.append(peak)
         rows.append(grid.shape[0])
+        walk_jets.append(sum(a.nbytes for _, _, jet, _ in grim_reaper.walk_jets.values() for a in jet.levels))
     row_sums = (rows[1] - rows[0]) * (7 * len(variations) + 1) * 8
-    assert peaks[1] - peaks[0] <= row_sums + 32 * 1024, (peaks, row_sums)
+    assert walk_jets[1] == (3 * 160 + 1) * 15 * 8
+    grown = row_sums + walk_jets[1] - walk_jets[0]
+    assert peaks[1] - peaks[0] <= grown + 32 * 1024, (peaks, grown)
 
 
 def test_square_route_warns_once_per_variation(monkeypatch, caplog, gr_geometry_small):

@@ -76,6 +76,10 @@
   ``mean_curvature_vector``, ``translator_defect``, ``grid_maxima``,
   ``soliton_certificates``, ``soliton_residual``), which project onto the
   normal space by ``g^-1``.
+* Chart jets that run once per walk are held on the ``Chart`` (``walk_jets``), at most
+  one entry per component, replaced when the walk or the order changes: ``charts.py``
+  keeps no module-level store of them (``lru_cache``, ``functools.cache``, a module-level
+  dict) and keys nothing by ``id()``, which a later grid may reuse.
 * The second fundamental form has one representation, the Hessian paired with
   a normal field or projected by ``normal_part``: the Gauss-formula field
   ``h_coord`` stays deleted, and ``tests/oracles.py`` keeps the formula as a
@@ -84,7 +88,7 @@
 Patterns in ``OUTSIDE_QUADRATURE`` hold in every module but ``quadrature.py``,
 those in ``OUTSIDE_JETS`` in every module but ``jets.py``, and those in
 ``OUTSIDE_GEOMETRY`` in every module but ``geometry.py``; patterns in
-``INSIDE_GEOMETRY`` and ``INSIDE_WIRTINGER`` hold in that module only.
+``INSIDE_GEOMETRY``, ``INSIDE_WIRTINGER`` and ``INSIDE_CHARTS`` hold in that module only.
 A pattern may span lines (``[^)]*`` crosses them), so a signature written over
 several lines is caught too; a violation is reported at its first line.
 """
@@ -169,9 +173,19 @@ INSIDE_WIRTINGER = {
     "order-3 field in wirtinger": r"\.Gamma\b",
 }
 
+# chart jets held for a walk live on the chart, one entry per component, keyed by the grid
+# itself: no module-level store that grows across grids, charts or orders, and no id() key
+INSIDE_CHARTS = {
+    "module-level store of chart jets": (
+        r"(?m)\b(lru_cache|functools\.cache)\b|^@cache\b|^from functools import [^\n]*\bcache\b"
+        r"|^\w+\s*(:[^=\n]*)?=\s*(\{\}|dict\(|defaultdict\(|Weak\w*Dictionary\()"
+    ),
+    "chart jets keyed by id()": r"\bid\(",
+}
+
 # the module each set of patterns exempts, and the module each set holds in alone
 OUTSIDE = {"quadrature.py": OUTSIDE_QUADRATURE, "jets.py": OUTSIDE_JETS, "geometry.py": OUTSIDE_GEOMETRY}
-INSIDE = {"geometry.py": INSIDE_GEOMETRY, "wirtinger.py": INSIDE_WIRTINGER}
+INSIDE = {"geometry.py": INSIDE_GEOMETRY, "wirtinger.py": INSIDE_WIRTINGER, "charts.py": INSIDE_CHARTS}
 
 # one sample per pattern that the guard must flag, at the sample's first line
 CAUGHT = {
@@ -227,6 +241,8 @@ CAUGHT = {
         '    return np.einsum("abn,mabn->mn", pg.g_inv, pg.hessian - np.einsum("kabn,mkn->mabn", pg.Gamma, t))'
     ),
     "order-3 field in wirtinger": "        g_exact, gamma_exact = np.zeros_like(pg.g), np.zeros_like(pg.Gamma)",
+    "module-level store of chart jets": "@functools.lru_cache(maxsize=None)",
+    "chart jets keyed by id()": "    key = (id(grid), order, p)",
 }
 
 
@@ -366,6 +382,17 @@ def test_guard_flags_each_pattern_and_nothing_else():
         "    def certificates(pg, _):\n\n        return pg.Gamma"
     )
     assert violations(read, "geometry.py") == [(1, "order-3 field in a certificate function")]
+    stores = ("_WALK_JETS = {}", "from functools import cache, partial", "@cache", "_JETS: dict = dict()")
+    for line in stores:
+        assert violations(line, "charts.py") == [(1, "module-level store of chart jets")], line
+        assert violations(line, "jets.py") == [], line
+    held = (
+        "    walk_jets: dict = field(default_factory=dict, repr=False, compare=False)\n"
+        "        held = chart.walk_jets.pop(p, None)\n"
+        "BUILTIN_CHARTS: dict[str, dict] = {\n"
+        '    levels = {}\n"""A cache of nothing."""'
+    )
+    assert violations(held, "charts.py") == []
 
 
 def test_every_module_is_scanned():
