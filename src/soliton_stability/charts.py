@@ -90,12 +90,11 @@ def require_lagrangian_dims(chart: Chart) -> None:
 def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
     """The chart map's exact jets up to ``order`` at the nodes of ``grid``.
 
-    Each component runs on the sub-grid of the parameters it names, on nodes and seeds
-    shared with the components that name the same.  On a row block of a walk, one whose
-    sub-grid of the walk fits one block (:meth:`QuadratureGrid.walk_part`) runs there once
-    per walk, kept in ``chart.walk_jets[p]`` as ``(walk grid, order, jets, finite)`` until
-    the walk or order changes; each block takes its part, checked finite where the walk's
-    jets are not, and broadcasts it into the stacked levels.  Component axis first, node
+    Each component runs on the sub-grid of the parameters it names.  On a row block of a
+    walk, one whose sub-grid of the walk fits one block (:meth:`QuadratureGrid.walk_part`)
+    runs there once per walk, kept in ``chart.walk_jets[p]`` as ``(walk grid, order, jets,
+    finite)`` until the walk or order changes; each block takes its part, checked finite
+    where the walk's jets are not, and broadcasts it into the stacked levels.  Component axis first, node
     axis last, nodes in C order: ``val`` (m, N), ``d1`` (m, d, N), ``d2`` (m, d, d, N) and
     ``d3`` (m, d, d, d, N).  A refusal forms the grid's nodes and names the first bad one.
     """
@@ -106,15 +105,14 @@ def eval_jets(chart: Chart, grid: QuadratureGrid, order: int = 3) -> J.Jet:
         bad = pts[~chart.contains(pts)][0].tolist()
         raise DomainError(f"point {bad} outside open domain of chart {chart.name!r}")
     levels = [np.empty((chart.ambient_dim,) + (chart.dim,) * k + grid.shape) for k in range(order + 1)]
-    seeds, finite = {}, True
+    finite = True
     for p, (fn, named) in enumerate(zip(chart.components, chart.parameters)):
         part = grid.walk_part(named)  # None: the component runs on this block alone
         held = chart.walk_jets.pop(p, None)
         if not (part and held and held[0] is grid.parent and held[1] == order):
             sub = (grid if part is None else grid.parent).along(named)
-            seeds[named] = seeds.get(named) or J.variables(sub.nodes, order)
             # a domain error inside the component surfaces as the non-finite check
-            jet = J.evaluate(lambda s: fn(*s), seeds[named])
+            jet = J.evaluate(lambda s: fn(*s), sub.nodes, order)
             jet = J.Jet(jet.order, *(a.reshape(a.shape[:-1] + sub.shape) for a in jet.levels))
             held = (grid.parent, order, jet, jet.is_finite())
         if part:

@@ -9,20 +9,20 @@ lead, the derivative axes come next, and ``val[..., n]``, ``d1[..., a, n]``,
 derivatives exactly (to round-off) by the product and chain rules, which is
 what makes the downstream geometric identity checks discretization-free.
 
-:func:`evaluate` runs a function of the coordinate seeds it is given
-and returns one jet; :func:`stack` stacks jets along axis 0 (the
+:func:`evaluate` runs a function of coordinate jets on the points it is
+given and returns one jet; :func:`stack` stacks jets along axis 0 (the
 components of a one-form), writing each into the stacked levels and then
 dropping it.  The coordinate seeds of :func:`variables` hold only their
-values, read-only, so functions of the same variables share them; their unit
-first derivatives and zero higher ones are read-only views broadcast along
-the nodes.  So an evaluation peaks at its output, its temporaries and the
-seeds' values.  A chart runs each component on the sub-grid of the parameters
-it names, once per walk where that fits one block (``charts.eval_jets``), so at
-order 3 grim reaper x line in C^3 peaks at 240.04 floats per node of an
-8,100-node block of a walk, 240 of them output, and at 240.94 on the walk's
-first block, which runs the components (240.35 when every block ran them;
-283 on every node, and 480 with seeds that held their zeros and a copy by
-``np.stack``).  Cutting a large grid into blocks is the caller's business.
+values: their unit first derivatives and zero higher ones are read-only views
+broadcast along the nodes.  So an evaluation peaks at its output, its
+temporaries and the seeds' values.  A chart runs each component on
+the sub-grid of the parameters it names, once per walk where that fits one
+block (``charts.eval_jets``), so at order 3 grim reaper x line in C^3 peaks
+at 240.07 floats per node of an 8,100-node block of a walk, 240 of them
+output, and at 240.88 on the walk's first block, which runs the components
+(240.35 when every block ran them; 283 on every node, and 480 with seeds
+that held their zeros and a copy by ``np.stack``).  Cutting a large grid
+into blocks is the caller's business (``quadrature.QuadratureGrid.blocks``).
 
 Mixed partials are bit-symmetric: the product and chain rules compute each
 distinct entry of ``d2``/``d3`` once, at its sorted index tuple
@@ -230,17 +230,15 @@ def _compose(u: Jet, f0, f1, f2=None, f3=None) -> Jet:
 def variables(points: np.ndarray, order: int = 3) -> list[Jet]:
     """Coordinate seed jets, batch shape ``(N,)``, for points of shape ``(N, d)``.
 
-    A seed holds only its values, read-only so that evaluations may share them: its first
-    derivative is a unit vector and its higher ones zeros, read-only views broadcast along
+    A seed holds only its values: its first derivative is a unit vector and its
+    second and third derivatives are zeros, each a read-only view broadcast along
     the nodes, so the seeds of a block hold ``d`` floats per node.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     zeros = [np.broadcast_to(0.0, (d,) * k + (n,)) for k in range(2, order + 1)]
     unit = np.eye(d)[:, :, None]
-    vals = pts.T.copy()
-    vals.flags.writeable = False
-    return [Jet(order, vals[i], np.broadcast_to(unit[i], (d, n)), *zeros) for i in range(d)]
+    return [Jet(order, pts[:, i].copy(), np.broadcast_to(unit[i], (d, n)), *zeros) for i in range(d)]
 
 
 def constant(value, nvars: int, order: int = 3, batch_shape=None) -> Jet:
@@ -275,19 +273,20 @@ def stack(jets) -> Jet:
     return Jet(order, *levels)
 
 
-def evaluate(fn, seeds: list[Jet]) -> Jet:
-    """``fn(seeds)`` in arrays of its own, ``seeds`` the coordinate jets of :func:`variables`.
+def evaluate(fn, points, order: int) -> Jet:
+    """``fn(coordinate jets)`` at all of the ``(N, d)`` points, in arrays of its own.
 
     ``fn`` returns a jet, or a plain number for a constant, which becomes its
-    value and zero derivatives.  A returned jet's read-only levels, those it
-    shares with the seeds, are copied, so the caller may write every level in
-    place and other evaluations may share the seeds.  Floating-point errors are
-    ignored, so a domain error surfaces to the caller's :meth:`Jet.is_finite` check.
+    value and zero derivatives.  A returned jet's read-only levels, the
+    broadcast derivatives a seed lends it, are copied, so the caller may write
+    every level in place.  Floating-point errors are ignored, so a domain
+    error surfaces to the caller's :meth:`Jet.is_finite` check.
     """
+    seeds = variables(points, order)
     with np.errstate(all="ignore"):
         out = fn(seeds)
     if not isinstance(out, Jet):
-        return constant(out, len(seeds), seeds[0].order, batch_shape=seeds[0].val.shape)
+        return constant(out, len(seeds), order, batch_shape=seeds[0].val.shape)
     return Jet(out.order, *(a if a.flags.writeable else a.copy() for a in out.levels))
 
 

@@ -56,7 +56,7 @@ class QuadratureGrid:
     parent: QuadratureGrid | None = field(default=None, repr=False, compare=False)
     row0: int = field(default=0, repr=False, compare=False)
 
-    @cached_property
+    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.axis_nodes)
 

@@ -131,7 +131,7 @@ def _jet_arithmetic(support: np.ndarray, fn):
             raw = raw * window_jet(seed, lo, hi)
         return raw
 
-    return lambda grid, order: J.evaluate(windowed, J.variables(grid.nodes, order))
+    return lambda grid, order: J.evaluate(windowed, grid.nodes, order)
 
 
 def scalar_field_from_expression(expr: str, support) -> ScalarField:
@@ -202,7 +202,7 @@ def _axis_window(
     if closed_bump:
         b = _bump_derivatives(s, scale)
     else:
-        bump = J.evaluate(lambda seeds: window_jet(seeds[0], lo, hi), J.variables(x[:, None], order))
+        bump = J.evaluate(lambda seeds: window_jet(seeds[0], lo, hi), x[:, None], order)
         b = [a.reshape(-1) for a in bump.levels]
     w = [sum(math.comb(k, j) * v[j] * b[k - j][:, None] for j in range(k + 1)) for k in range(order + 1)]
     w = np.ascontiguousarray(np.stack(w).swapaxes(1, 2))

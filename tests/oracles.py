@@ -595,7 +595,7 @@ def y_windowed_field(expr: str, support) -> ScalarField:
     fn = compile_expression(expr, variable_names(2))
 
     def evaluate(grid, order):
-        return J.evaluate(lambda s: fn(*s) * window_jet(s[1], *support[1]), J.variables(grid.nodes, order))
+        return J.evaluate(lambda s: fn(*s) * window_jet(s[1], *support[1]), grid.nodes, order)
 
     return ScalarField(support, evaluate, name=f"{expr} * window(y)")
 

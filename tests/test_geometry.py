@@ -520,7 +520,7 @@ def test_non_finite_given_jets_raise_naming_the_point(d, slot):
     message = f"chart 'expression_chart' produced non-finite jet data at point {first}"
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
         ss.point_geometry(chart, np.eye(2 * d)[0], tensor_grid(*pts.T), order=2)
-    raw = J.evaluate(lambda seeds: chart.components[0](*seeds), J.variables(pts[3:4], 2))  # unchecked
+    raw = J.evaluate(lambda seeds: chart.components[0](*seeds), pts[3:4], 2)  # unchecked
     levels = ["val", "d1", "d2"]
     finite = [bool(np.isfinite(getattr(raw, name)).all()) for name in levels]
     k = levels.index(slot)

@@ -214,8 +214,8 @@ def test_every_result_carries_its_levels_alone(d, orders, batch):
         results += [u.truncated(k) for k in (1, 2, 3)] + [J.stack([u, u.truncated(v.order)]), J.stack([v])]
         results += [J.constant(u.val, d, k) for k in orders]
         results += [J.constant(1.0, d, k, batch_shape=shapes[1]) for k in orders]
-        results += [J.evaluate(lambda s: J.sin(s[0]) * s[-1], J.variables(pts, k)) for k in orders]
-        results += [J.evaluate(lambda s: 2.0, J.variables(pts, k)) for k in orders]
+        results += [J.evaluate(lambda s: J.sin(s[0]) * s[-1], pts, k) for k in orders]
+        results += [J.evaluate(lambda s: 2.0, pts, k) for k in orders]
         results += [_components(lambda s: s[0] / (1.0 + s[-1]), lambda s: 2.0)(pts, k) for k in orders]
     for n, r in enumerate(results):
         assert len(r.levels) == r.order + 1 and all(isinstance(a, np.ndarray) for a in r.levels), n
@@ -227,8 +227,7 @@ def test_every_result_carries_its_levels_alone(d, orders, batch):
 def test_seeds_hold_only_their_values():
     """A seed's derivatives are read-only views broadcast along the nodes, so the seeds of
     10,000 points in three variables hold their 3 floats per node and no per-node zeros
-    (order-3 seeds that held theirs took 40 floats per node each); their values are
-    read-only too, so evaluations may share them."""
+    (order-3 seeds that held theirs took 40 floats per node each)."""
     n, d = 10_000, 3
     pts = np.random.default_rng(4).uniform(-1.0, 1.0, (n, d))
     tracemalloc.start()
@@ -240,29 +239,27 @@ def test_seeds_hold_only_their_values():
     assert held <= d * n * 8 + 4096, held / (8 * n)
     for i, seed in enumerate(seeds):
         assert [a.shape for a in seed.levels] == [(n,), (d, n), (d, d, n), (d, d, d, n)]
-        assert np.array_equal(seed.val, pts[:, i]) and not np.shares_memory(seed.val, pts)
-        assert not any(a.flags.writeable for a in seed.levels)
+        assert seed.val.flags.owndata and np.array_equal(seed.val, pts[:, i])
+        assert not any(a.flags.writeable for a in seed.levels[1:])
         assert np.array_equal(seed.d1, np.eye(d)[i][:, None] * np.ones(n))
         assert not np.any(seed.d2) and not np.any(seed.d3)
 
 
 def _components(*fns):
     """The jets of ``fns`` evaluated one at a time and stacked by ``J.stack``."""
-    return lambda pts, order: J.stack([J.evaluate(fn, J.variables(pts, order)) for fn in fns])
+    return lambda pts, order: J.stack([J.evaluate(fn, pts, order) for fn in fns])
 
 
 # paths to a jet of levels of its own: jets.evaluate of a returned jet (a bare seed, one that
 # shares a seed's derivatives, a fresh one) or a plain number, and J.stack of such jets, of
 # one order ("list") or of order 3 and a lower one, stacked at the lowest ("tuple")
 EVALUATE_PATHS = {
-    "bare seed": lambda pts, order: J.evaluate(lambda s: s[0], J.variables(pts, order)),
-    "seed plus a constant": lambda pts, order: J.evaluate(lambda s: s[1] + 1.5, J.variables(pts, order)),
-    "jet": lambda pts, order: J.evaluate(lambda s: J.sin(s[0]) * s[1], J.variables(pts, order)),
-    "number": lambda pts, order: J.evaluate(lambda s: -2, J.variables(pts, order)),
+    "bare seed": lambda pts, order: J.evaluate(lambda s: s[0], pts, order),
+    "seed plus a constant": lambda pts, order: J.evaluate(lambda s: s[1] + 1.5, pts, order),
+    "jet": lambda pts, order: J.evaluate(lambda s: J.sin(s[0]) * s[1], pts, order),
+    "number": lambda pts, order: J.evaluate(lambda s: -2, pts, order),
     "list": _components(lambda s: s[0], lambda s: 0.0, lambda s: s[1] * s[0], lambda s: s[1]),
-    "tuple": lambda pts, order: J.stack(
-        (J.evaluate(lambda s: s[1], J.variables(pts, 3)), J.evaluate(lambda s: -2, J.variables(pts, order)))
-    ),
+    "tuple": lambda pts, order: J.stack((J.evaluate(lambda s: s[1], pts, 3), J.evaluate(lambda s: -2, pts, order))),
 }
 
 
@@ -286,7 +283,7 @@ def test_a_field_of_a_bare_seed_is_masked_in_place():
     """``ScalarField.eval_jets`` zeroes its jet in place outside the support box, so a field
     whose jet is a bare coordinate seed needs levels of its own."""
     support = np.array([[-1.0, 0.0], [-1.0, 1.0]])
-    field = ss.ScalarField(support, lambda grid, k: J.evaluate(lambda s: s[0], J.variables(grid.nodes, k)))
+    field = ss.ScalarField(support, lambda grid, k: J.evaluate(lambda s: s[0], grid.nodes, k))
     grid = tensor_grid(np.linspace(-0.9, 0.9, 4), np.linspace(-0.5, 0.5, 3))
     out = field.eval_jets(grid, 3)
     inside = grid.nodes[:, 0] <= 0.0

@@ -109,37 +109,32 @@ def test_row_blocks_have_at_least_two_nodes(monkeypatch):
 
 
 def test_soliton_residual_checks_each_block_once(monkeypatch, T):
-    """Each component whose sub-grid of the walk fits one block runs there once per walk,
-    on seeds shared by the components that name the same parameters, and is checked finite
-    there once; a block checks its own part again only where that check failed.  So
-    point_geometry takes no jets to re-check, and no block's stacked jets are checked again."""
+    """Each component whose sub-grid of the walk fits one block runs there once per walk
+    and is checked finite there once; a block checks its own part again only where that
+    check failed.  So point_geometry takes no jets to re-check, and no block's stacked jets
+    are checked again."""
     chart = ss.chart_from_config("grim_reaper")  # holding no other test's walk jets
     grid = ss.uniform_grid(chart, 9)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 20)
-    evaluated, seeded, checked = [], [], []
-    evaluate, variables, is_finite = jets.evaluate, jets.variables, jets.Jet.is_finite
+    evaluated, checked = [], []
+    evaluate, is_finite = jets.evaluate, jets.Jet.is_finite
 
-    def counted_evaluate(fn, seeds):
-        evaluated.append(seeds[0].val.size)
-        return evaluate(fn, seeds)
-
-    def counted_variables(points, order=3):
-        seeded.append(len(points))
-        return variables(points, order)
+    def counted_evaluate(fn, points, order):
+        evaluated.append(len(points))
+        return evaluate(fn, points, order)
 
     def counted_is_finite(jet):
         checked.append(jet.val.size)
         return is_finite(jet)
 
     monkeypatch.setattr(jets, "evaluate", counted_evaluate)
-    monkeypatch.setattr(jets, "variables", counted_variables)
     monkeypatch.setattr(jets.Jet, "is_finite", counted_is_finite)
     ss.soliton_residual(chart, T, grid)
     # 9 rows of 9 points in five blocks: -log(cos(x)) and x run once on the grid's 9 x-nodes,
-    # on one set of seeds, y on its 9 y-nodes and 0 on one node; the parent ran each component
-    # on each block's sub-grid and checked it there, 20 runs and 20 checks in all
+    # y on its 9 y-nodes and 0 on one node; the parent ran each component on each block's
+    # sub-grid and checked it there, 20 runs and 20 checks in all
     assert len(list(grid.blocks())) == 5
-    assert evaluated == checked == [9, 9, 9, 1] and seeded == [9, 9, 1]
+    assert evaluated == checked == [9, 9, 9, 1]
     ss.soliton_residual(chart, T, grid)  # a second walk of the same grid at the same order
     assert len(evaluated) == len(checked) == 4
     ss.soliton_residual(chart, T, ss.uniform_grid(chart, 9))  # a new grid: a new walk
@@ -267,7 +262,7 @@ def test_a_component_varying_over_more_than_one_block_runs_per_block(monkeypatch
         got = ss.eval_jets(chart, block, 3)
         want = stacked_component_jets(chart, block.nodes, 3)
         assert [a.tobytes() for a in got.levels] == [b.tobytes() for b in want.levels]
-    assert [seeds[0].val.size for _, seeds in runs] == [8, 1] + [8] * 5 + [2]
+    assert [len(points) for _, points, _ in runs] == [8, 1] + [8] * 5 + [2]
     assert list(chart.walk_jets) == [1]
 
 
@@ -681,8 +676,8 @@ def test_chart_jets_memory_d3():
     """At d = 3 an order-3 chart evaluation peaks at its output of 240 floats per node and
     arrays of its sub-grids, under one float per node of the 8,100-node block: each
     component runs on the sub-grid of the parameters it names, here the walk's 30 x-, y- or
-    z-nodes or one node, once per walk, and the block takes its part (240.04 in all on a
-    block after the walk's first, 240.94 on the first, where the components run; 240.35
+    z-nodes or one node, once per walk, and the block takes its part (240.07 in all on a
+    block after the walk's first, 240.88 on the first, where the components run; 240.35
     when each block ran them on its own 9 x-nodes).  Every component on every node peaked at
     283, with the seeds' values and grim reaper x line's one 40-float component beside the
     output, and seeds with per-node zero derivatives and the components copied by
@@ -773,9 +768,10 @@ def test_each_block_forms_its_weights_once_and_the_grid_never(monkeypatch, grim_
 def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, gr_support):
     """Geometry blocks outer, variations inner: from 10 to 40 cells, from one block of 1,600
     nodes to 16, the suite's peak, its geometry included, grows by no more than the row sums
-    it keeps (7 per x-row per variation, and the functional at rest), the chart jets it runs
-    once per walk (15 floats per node of each component's sub-grid of the walk, 481 nodes
-    at 40 cells) and 32 kB of bookkeeping.  Every block's geometry held for the whole run
+    it keeps (7 per x-row per variation, and the functional at rest), the growth of the chart
+    jets it holds for the walk (15 floats per node of each component's sub-grid of the walk:
+    three components on the 4 * cells x- or y-nodes and one on one node) and 32 kB of
+    bookkeeping.  Every block's geometry held for the whole run
     grew it by the 77 floats per node a block's geometry holds, and the previous block's
     held while the next was built by 77 per node of a block."""
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 1600)  # 40 rows of 40 nodes, 10 of 160
@@ -789,9 +785,9 @@ def test_suite_memory_grows_by_its_row_sums_alone(monkeypatch, grim_reaper, T, g
         rows.append(grid.shape[0])
         walk_jets.append(sum(a.nbytes for _, _, jet, _ in grim_reaper.walk_jets.values() for a in jet.levels))
     row_sums = (rows[1] - rows[0]) * (7 * len(variations) + 1) * 8
-    assert walk_jets[1] == (3 * 160 + 1) * 15 * 8
-    grown = row_sums + walk_jets[1] - walk_jets[0]
-    assert peaks[1] - peaks[0] <= grown + 32 * 1024, (peaks, grown)
+    held = ((3 * 160 + 1) - (3 * 40 + 1)) * 15 * 8
+    assert walk_jets == [(3 * 40 + 1) * 15 * 8, (3 * 160 + 1) * 15 * 8]
+    assert peaks[1] - peaks[0] <= row_sums + held + 32 * 1024, (peaks, row_sums, held)
 
 
 def test_square_route_warns_once_per_variation(monkeypatch, caplog, gr_geometry_small):
